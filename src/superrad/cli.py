@@ -25,14 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, _config_to_dict, parse_config
+from .config import HilbertSection, RunConfig, _to_plain, parse_config
 from .cumulant import integrate_to_steady_state
 from .errors import ConfigError, SuperradError
 from .exact import (
     HilbertConfig,
+    _g2_of,
     build_liouvillian,
+    converge_in_cutoff,
     expectation,
-    g2_zero_converged,
     steady_state_exact,
 )
 from .optics import OpticalParams, compute_reflectance_map
@@ -88,10 +89,9 @@ def _cmd_validate(config: RunConfig, _rng):
 
 
 def _hilbert_config(config: RunConfig) -> HilbertConfig:
-    p = config.effective_params()
-    n_max = config.hilbert.n_max if config.hilbert else 3
-    cap = config.hilbert.cap if config.hilbert else 4096
-    return HilbertConfig(n_max=n_max, n_emitters=p.n_emitters, cap=cap)
+    section = config.hilbert or HilbertSection()
+    return HilbertConfig(n_max=section.n_max, n_emitters=config.effective_params().n_emitters,
+                         cap=section.cap)
 
 
 def _cmd_exact(config: RunConfig, _rng):
@@ -186,15 +186,11 @@ def _cmd_fit(config: RunConfig, rng):
 
 def _cmd_g2(config: RunConfig, _rng):
     p = validate_params(config.effective_params())
-    h = _hilbert_config(config)
-    g2, n_max_used = g2_zero_converged(p, h)
-    liou = build_liouvillian(p, HilbertConfig(n_max_used, p.n_emitters, h.cap))
-    rho = steady_state_exact(liou)
-    n_phot = expectation(rho, "photon_number",
-                         HilbertConfig(n_max_used, p.n_emitters, h.cap)).real
+    g2, h, rho = converge_in_cutoff(p, _hilbert_config(config), _g2_of)
+    n_phot = expectation(rho, "photon_number", h).real
     columns = ["n_emitters", "n_max_converged", "photon_number", "flux_mev", "g2_zero"]
     rows = [{
-        "n_emitters": p.n_emitters, "n_max_converged": n_max_used,
+        "n_emitters": p.n_emitters, "n_max_converged": h.n_max,
         "photon_number": n_phot, "flux_mev": p.kappa * n_phot, "g2_zero": g2,
     }]
     return columns, rows, None, {}
@@ -242,7 +238,7 @@ def run(config: RunConfig) -> list[Path]:
         "command": config.command,
         "tool_version": __version__,
         "wall_time_s": time.monotonic() - started,
-        "config": _config_to_dict(config),
+        "config": _to_plain(config),
         "artifacts": [p.name for p, _ in artifacts],
     }
     artifacts.append((out_dir / "run_manifest.json", _json_text(manifest)))

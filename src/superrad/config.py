@@ -1,18 +1,27 @@
 """Strict YAML configuration schema for the command-line front end.
 
-Unknown keys are hard errors at every nesting level: silent typos in physics
-parameters are the costliest bug class, so nothing is ignored.  parse_config
-and serialize_config round-trip exactly.
+The dataclasses below are the schema.  One walker builds them from a parsed
+document through their fields and type hints, and one serializer turns them
+back into plain data; enumerated and bounded values carry their constraint in
+the field metadata ("choices", "min").  Unknown keys are hard errors at every
+nesting level: silent typos in physics parameters are the costliest bug
+class, so nothing is ignored.  parse_config and serialize_config round-trip
+exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import dataclasses
+import functools
+import types
+import typing
+from dataclasses import dataclass, field, replace
 
 import yaml
 
 from .errors import ConfigSyntaxError, MissingSection, TypeMismatch, UnknownKey
 from .params import DriveMap, SystemParams, omega_of_voltage
+from .sweep import DRIVE_RULES
 
 COMMANDS = ("validate", "exact", "cumulant", "sweep", "reflectance", "fit", "g2")
 FORMATS = ("csv", "json")
@@ -34,7 +43,7 @@ class DriveSection:
 @dataclass(frozen=True)
 class SweepSection:
     n_values: tuple[int, ...]
-    drive_rule: str
+    drive_rule: str = field(metadata={"choices": DRIVE_RULES})
     gamma_r: float
 
 
@@ -57,16 +66,16 @@ class OpticsSection:
 
 @dataclass(frozen=True)
 class FitSection:
-    points: tuple[tuple[float, float], ...]
+    points: tuple[tuple[float, float], ...] = field(metadata={"names": ("n", "ratio")})
     noise_sigma: float = 0.0
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
+    command: str = field(metadata={"choices": COMMANDS})
     output_dir: str = "."
-    format: str = "csv"
-    seed: int = 0
+    format: str = field(default="csv", metadata={"choices": FORMATS})
+    seed: int = field(default=0, metadata={"min": 0})
     params: SystemParams | None = None
     hilbert: HilbertSection | None = None
     drive: DriveSection | None = None
@@ -95,140 +104,62 @@ _REQUIRED_SECTIONS = {
     "fit": ("fit",),
 }
 
-_TOP_KEYS = ("command", "output_dir", "format", "seed",
-             "params", "hilbert", "drive", "sweep", "optics", "fit")
+
+_EXPECTED = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _want_dict(value, path):
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _build(cls, value, path: str):
+    """An instance of the dataclass cls from a mapping; every key must be a field."""
     if not isinstance(value, dict):
-        raise TypeMismatch(path, "a mapping", value)
-    return value
-
-
-def _want_int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeMismatch(path, "an integer", value)
-    return int(value)
-
-
-def _want_float(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeMismatch(path, "a number", value)
-    return float(value)
-
-
-def _want_str(value, path):
-    if not isinstance(value, str):
-        raise TypeMismatch(path, "a string", value)
-    return value
-
-
-def _check_keys(mapping, allowed, section):
-    for key in mapping:
-        if key not in allowed:
-            prefix = f"{section}." if section else ""
+        raise TypeMismatch(path or "<document root>", "a mapping", value)
+    prefix = f"{path}." if path else ""
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in value:
+        if key not in names:
             raise UnknownKey(f"{prefix}{key}")
+    hints, kwargs = _hints(cls), {}
+    for f in fields:
+        if f.name in value:
+            kwargs[f.name] = _convert(value[f.name], hints[f.name], prefix + f.name, f.metadata)
+        elif f.default is dataclasses.MISSING:
+            raise MissingSection(prefix + f.name)
+    return cls(**kwargs)
 
 
-def _get(mapping, key, path, conv, required=True, default=None):
-    if key not in mapping:
-        if required:
-            raise MissingSection(f"{path}.{key}" if path else key)
-        return default
-    return conv(mapping[key], f"{path}.{key}" if path else key)
-
-
-def _parse_params(section) -> SystemParams:
-    sec = _want_dict(section, "params")
-    allowed = ("n_emitters", "delta", "delta_c", "g", "kappa", "omega",
-               "gamma_minus", "gamma_z")
-    _check_keys(sec, allowed, "params")
-    return SystemParams(
-        n_emitters=_get(sec, "n_emitters", "params", _want_int),
-        delta=_get(sec, "delta", "params", _want_float),
-        delta_c=_get(sec, "delta_c", "params", _want_float),
-        g=_get(sec, "g", "params", _want_float),
-        kappa=_get(sec, "kappa", "params", _want_float),
-        omega=_get(sec, "omega", "params", _want_float),
-        gamma_minus=_get(sec, "gamma_minus", "params", _want_float),
-        gamma_z=_get(sec, "gamma_z", "params", _want_float),
-    )
-
-
-def _parse_hilbert(section) -> HilbertSection:
-    sec = _want_dict(section, "hilbert")
-    _check_keys(sec, ("n_max", "cap"), "hilbert")
-    return HilbertSection(
-        n_max=_get(sec, "n_max", "hilbert", _want_int, required=False, default=3),
-        cap=_get(sec, "cap", "hilbert", _want_int, required=False, default=4096),
-    )
-
-
-def _parse_drive(section) -> DriveSection:
-    sec = _want_dict(section, "drive")
-    _check_keys(sec, ("v_on", "slope_mu", "voltage"), "drive")
-    return DriveSection(
-        v_on=_get(sec, "v_on", "drive", _want_float),
-        slope_mu=_get(sec, "slope_mu", "drive", _want_float),
-        voltage=_get(sec, "voltage", "drive", _want_float),
-    )
-
-
-def _parse_sweep(section) -> SweepSection:
-    sec = _want_dict(section, "sweep")
-    _check_keys(sec, ("n_values", "drive_rule", "gamma_r"), "sweep")
-    raw = sec.get("n_values")
-    if not isinstance(raw, list) or not raw:
-        raise TypeMismatch("sweep.n_values", "a non-empty list of integers", raw)
-    n_values = tuple(_want_int(v, "sweep.n_values[]") for v in raw)
-    drive_rule = _get(sec, "drive_rule", "sweep", _want_str)
-    if drive_rule not in ("scaled", "fixed"):
-        raise TypeMismatch("sweep.drive_rule", "'scaled' or 'fixed'", drive_rule)
-    return SweepSection(
-        n_values=n_values,
-        drive_rule=drive_rule,
-        gamma_r=_get(sec, "gamma_r", "sweep", _want_float),
-    )
-
-
-def _parse_optics(section) -> OpticsSection:
-    sec = _want_dict(section, "optics")
-    allowed = ("e_c0", "n_eff", "delta", "g_coll", "kappa", "kappa_ext", "gamma_perp",
-               "theta_min", "theta_max", "n_theta", "e_min", "e_max", "n_energy")
-    _check_keys(sec, allowed, "optics")
-    return OpticsSection(
-        e_c0=_get(sec, "e_c0", "optics", _want_float),
-        n_eff=_get(sec, "n_eff", "optics", _want_float),
-        delta=_get(sec, "delta", "optics", _want_float),
-        g_coll=_get(sec, "g_coll", "optics", _want_float),
-        kappa=_get(sec, "kappa", "optics", _want_float),
-        gamma_perp=_get(sec, "gamma_perp", "optics", _want_float),
-        kappa_ext=_get(sec, "kappa_ext", "optics", _want_float, required=False),
-        theta_min=_get(sec, "theta_min", "optics", _want_float, required=False, default=0.0),
-        theta_max=_get(sec, "theta_max", "optics", _want_float, required=False, default=64.0),
-        n_theta=_get(sec, "n_theta", "optics", _want_int, required=False, default=65),
-        e_min=_get(sec, "e_min", "optics", _want_float, required=False),
-        e_max=_get(sec, "e_max", "optics", _want_float, required=False),
-        n_energy=_get(sec, "n_energy", "optics", _want_int, required=False, default=201),
-    )
-
-
-def _parse_fit(section) -> FitSection:
-    sec = _want_dict(section, "fit")
-    _check_keys(sec, ("points", "noise_sigma"), "fit")
-    raw = sec.get("points")
-    if not isinstance(raw, list) or not raw:
-        raise TypeMismatch("fit.points", "a non-empty list of [n, ratio] pairs", raw)
-    points = []
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise TypeMismatch("fit.points[]", "a [n, ratio] pair", entry)
-        points.append((_want_float(entry[0], "fit.points[].n"),
-                       _want_float(entry[1], "fit.points[].ratio")))
-    return FitSection(
-        points=tuple(points),
-        noise_sigma=_get(sec, "noise_sigma", "fit", _want_float, required=False, default=0.0),
-    )
+def _convert(value, hint, path: str, meta):
+    """value checked against the type hint and the field metadata."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        # X | None marks an optional key; a key that is present must hold an X
+        (hint,) = [a for a in args if a is not type(None)]
+        return _convert(value, hint, path, meta)
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, path)
+    if origin is tuple:
+        if args[1:] == (Ellipsis,):
+            if not isinstance(value, list) or not value:
+                raise TypeMismatch(path, "a non-empty list", value)
+            return tuple(_convert(v, args[0], f"{path}[]", meta) for v in value)
+        if not isinstance(value, list) or len(value) != len(args):
+            raise TypeMismatch(path, f"a list of {len(args)} entries", value)
+        names = meta.get("names", range(len(args)))
+        return tuple(_convert(v, a, f"{path}.{n}", {})
+                     for v, a, n in zip(value, args, names))
+    accepted = (int, float) if hint is float else hint
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise TypeMismatch(path, _EXPECTED[hint], value)
+    value = hint(value)
+    if "choices" in meta and value not in meta["choices"]:
+        raise TypeMismatch(path, f"one of {meta['choices']}", value)
+    if "min" in meta and value < meta["min"]:
+        raise TypeMismatch(path, f"a value >= {meta['min']}", value)
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -243,81 +174,23 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigSyntaxError(str(problem)) from e
     if doc is None:
         raise MissingSection("command")
-    doc = _want_dict(doc, "<document root>")
-    _check_keys(doc, _TOP_KEYS, "")
-
-    command = _get(doc, "command", "", _want_str)
-    if command not in COMMANDS:
-        raise TypeMismatch("command", f"one of {COMMANDS}", command)
-    fmt = _get(doc, "format", "", _want_str, required=False, default="csv")
-    if fmt not in FORMATS:
-        raise TypeMismatch("format", f"one of {FORMATS}", fmt)
-    seed = _get(doc, "seed", "", _want_int, required=False, default=0)
-    if seed < 0:
-        raise TypeMismatch("seed", "a non-negative integer", seed)
-    output_dir = _get(doc, "output_dir", "", _want_str, required=False, default=".")
-
-    config = RunConfig(
-        command=command,
-        output_dir=output_dir,
-        format=fmt,
-        seed=seed,
-        params=_parse_params(doc["params"]) if "params" in doc else None,
-        hilbert=_parse_hilbert(doc["hilbert"]) if "hilbert" in doc else None,
-        drive=_parse_drive(doc["drive"]) if "drive" in doc else None,
-        sweep=_parse_sweep(doc["sweep"]) if "sweep" in doc else None,
-        optics=_parse_optics(doc["optics"]) if "optics" in doc else None,
-        fit=_parse_fit(doc["fit"]) if "fit" in doc else None,
-    )
-    for section in _REQUIRED_SECTIONS[command]:
+    config = _build(RunConfig, doc, "")
+    for section in _REQUIRED_SECTIONS[config.command]:
         if getattr(config, section) is None:
             raise MissingSection(section)
     return config
 
 
-def _config_to_dict(config: RunConfig) -> dict:
-    doc: dict = {
-        "command": config.command,
-        "output_dir": config.output_dir,
-        "format": config.format,
-        "seed": config.seed,
-    }
-    if config.params is not None:
-        p = config.params
-        doc["params"] = {
-            "n_emitters": p.n_emitters, "delta": p.delta, "delta_c": p.delta_c,
-            "g": p.g, "kappa": p.kappa, "omega": p.omega,
-            "gamma_minus": p.gamma_minus, "gamma_z": p.gamma_z,
-        }
-    if config.hilbert is not None:
-        doc["hilbert"] = {"n_max": config.hilbert.n_max, "cap": config.hilbert.cap}
-    if config.drive is not None:
-        d = config.drive
-        doc["drive"] = {"v_on": d.v_on, "slope_mu": d.slope_mu, "voltage": d.voltage}
-    if config.sweep is not None:
-        s = config.sweep
-        doc["sweep"] = {"n_values": list(s.n_values), "drive_rule": s.drive_rule,
-                        "gamma_r": s.gamma_r}
-    if config.optics is not None:
-        o = config.optics
-        doc["optics"] = {
-            "e_c0": o.e_c0, "n_eff": o.n_eff, "delta": o.delta, "g_coll": o.g_coll,
-            "kappa": o.kappa, "gamma_perp": o.gamma_perp,
-            "theta_min": o.theta_min, "theta_max": o.theta_max, "n_theta": o.n_theta,
-            "n_energy": o.n_energy,
-        }
-        if o.kappa_ext is not None:
-            doc["optics"]["kappa_ext"] = o.kappa_ext
-        if o.e_min is not None:
-            doc["optics"]["e_min"] = o.e_min
-        if o.e_max is not None:
-            doc["optics"]["e_max"] = o.e_max
-    if config.fit is not None:
-        doc["fit"] = {"points": [[n, r] for n, r in config.fit.points],
-                      "noise_sigma": config.fit.noise_sigma}
-    return doc
+def _to_plain(value):
+    """Dataclasses as dicts without their None fields, tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+        return {name: _to_plain(v) for name, v in items if v is not None}
+    if isinstance(value, tuple):
+        return [_to_plain(v) for v in value]
+    return value
 
 
 def serialize_config(config: RunConfig) -> str:
     """Inverse of parse_config: parse_config(serialize_config(c)) == c."""
-    return yaml.safe_dump(_config_to_dict(config), sort_keys=True)
+    return yaml.safe_dump(_to_plain(config), sort_keys=True)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import NoConvergence, NonFiniteState
+from .errors import InvalidValue, NoConvergence, NonFiniteState
 from .params import SystemParams, validate_params
 
 DEFAULT_TOL = 1e-10
@@ -49,16 +49,9 @@ def closure_triple(
     ab: complex,
     ac: complex,
     bc: complex,
-    double_subtract: bool = False,
 ) -> complex:
-    """Third-moment closure <ABC> ~ <A><BC> + <B><AC> + <AB><C> - <A><B><C>.
-
-    double_subtract enables the variant subtracting 2<A><B><C> instead; both
-    coincide whenever any first moment vanishes, which is the operative case
-    throughout this module.
-    """
-    sub = 2.0 if double_subtract else 1.0
-    return a_mean * bc + b_mean * ac + ab * c_mean - sub * a_mean * b_mean * c_mean
+    """Third-moment closure <ABC> ~ <A><BC> + <B><AC> + <AB><C> - <A><B><C>."""
+    return a_mean * bc + b_mean * ac + ab * c_mean - a_mean * b_mean * c_mean
 
 
 @dataclass
@@ -109,37 +102,32 @@ class MomentState:
         if not np.all(np.isfinite(v)):
             raise NonFiniteState(f"moment state has non-finite entries: {self}")
         if self.n_photon < -slack:
-            raise ValueError(f"n_photon = {self.n_photon} below numerical floor")
+            raise InvalidValue(f"n_photon = {self.n_photon} below numerical floor")
         if abs(self.s_z) > 1 + slack or abs(self.z_zz) > 1 + slack:
-            raise ValueError(f"inversion moments outside [-1, 1]: {self}")
+            raise InvalidValue(f"inversion moments outside [-1, 1]: {self}")
         if abs(self.x_pm) > 1 + slack:
-            raise ValueError(f"|x_pm| = {abs(self.x_pm)} exceeds loose bound 1")
+            raise InvalidValue(f"|x_pm| = {abs(self.x_pm)} exceeds loose bound 1")
         return self
 
 
-def moment_rhs(
-    p: SystemParams, m: MomentState, closure_double_subtract: bool = False
-) -> MomentState:
+def moment_rhs(p: SystemParams, m: MomentState) -> MomentState:
     """Time derivatives of all moment fields (returned in MomentState slots).
 
     Third moments are eliminated through closure_triple with the vanishing
     first moments <a> = <s-> = 0 spelled out, e.g. <a'a sz> with pair moments
-    (<a'a>, <a'sz>, <a sz>) = (n, 0, 0) reduces to n*s.  Because every closed
-    triple carries a vanishing first moment, the closure_double_subtract
-    variant yields identical derivatives here.
+    (<a'a>, <a'sz>, <a sz>) = (n, 0, 0) reduces to n*s.
     """
     validate_params(p)
     n_em = p.n_emitters
     n, s, c, x, z = m.n_photon, m.s_z, m.coh, m.x_pm, m.z_zz
     p_e = 0.5 * (1.0 + s)
-    dbl = closure_double_subtract
 
     # <a'a sz_i>: A = a', B = a, C = sz; pair moments (<a'a>, <a'sz>, <a sz>) = (n, 0, 0)
-    triple_naz = closure_triple(0j, 0j, s, n, 0j, 0j, double_subtract=dbl)
+    triple_naz = closure_triple(0j, 0j, s, n, 0j, 0j)
     # <a s+_i sz_j>: A = a, B = s+, C = sz; only the pair <a s+> = conj(c) survives
-    triple_apz = closure_triple(0j, 0j, s, np.conj(c), 0j, 0j, double_subtract=dbl)
+    triple_apz = closure_triple(0j, 0j, s, np.conj(c), 0j, 0j)
     # <a' s-_i sz_j>: A = a', B = s-, C = sz; only the pair <a' s-> = c survives
-    triple_amz = closure_triple(0j, 0j, s, c, 0j, 0j, double_subtract=dbl)
+    triple_amz = closure_triple(0j, 0j, s, c, 0j, 0j)
 
     im_c = c.imag
     dn = -p.kappa * n + 2.0 * p.g * n_em * im_c
@@ -194,20 +182,19 @@ def integrate_to_steady_state(
     m0: MomentState | None = None,
     tol: float = DEFAULT_TOL,
     max_time: float = DEFAULT_MAX_TIME,
-    newton_refine: bool = True,
 ) -> MomentState:
     """Integrate the moment equations until ||dm/dt||_inf <= tol.
 
     Adaptive explicit integration (DOP853, rtol 1e-10 / atol 1e-12) in time
     chunks that double until the derivative norm passes tol; if the explicit
     scheme fails or stalls on stiffness, the chunk is retried with the
-    implicit Radau scheme.  An optional single damped Newton step polishes the
+    implicit Radau scheme.  A single damped Newton step polishes the
     result but is rejected if it would move any component by more than
     10 * tol (integration stays authoritative).
     """
     validate_params(p)
     if tol <= 0:
-        raise ValueError("tol must be > 0")
+        raise InvalidValue("tol must be > 0")
     if m0 is None:
         m0 = MomentState.dark()
     y = m0.to_vector().astype(float)
@@ -263,8 +250,7 @@ def integrate_to_steady_state(
             f"(budget exhausted: {evals_left <= 0})"
         )
 
-    if newton_refine:
-        y = _newton_polish(p, y, tol)
+    y = _newton_polish(p, y, tol)
     return MomentState.from_vector(y).validate(slack=1e-6)
 
 

@@ -9,6 +9,10 @@ class SuperradError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidValue(SuperradError, ValueError):
+    """An argument lies outside the range a function accepts."""
+
+
 # --- parameter validation ---------------------------------------------------
 
 class InvalidParams(SuperradError):

@@ -24,6 +24,7 @@ Conventions
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import (
     DegenerateSteadyState,
     DimensionCap,
     IndexOutOfRange,
+    InvalidValue,
     StepSizeUnderflow,
     UnknownObservable,
     VacuumState,
@@ -59,9 +61,9 @@ class HilbertConfig:
 
     def __post_init__(self):
         if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+            raise InvalidValue("n_max must be >= 1")
         if self.n_emitters < 1:
-            raise ValueError("n_emitters must be >= 1")
+            raise InvalidValue("n_emitters must be >= 1")
 
     @property
     def dim(self) -> int:
@@ -113,7 +115,7 @@ def site_operator(h: HilbertConfig, op2: np.ndarray, site: int) -> sp.csr_matrix
 def hamiltonian(p: SystemParams, h: HilbertConfig, frame: str = "as_written") -> sp.csr_matrix:
     """Tavis-Cummings Hamiltonian on the truncated space."""
     if frame not in ("as_written", "rotating"):
-        raise ValueError(f"unknown frame {frame!r}")
+        raise InvalidValue(f"unknown frame {frame!r}")
     shift = p.delta if frame == "rotating" else 0.0
     a = field_operator(h, destroy_op(h.n_max + 1))
     ham = (p.delta_c - shift) * (a.conj().T @ a)
@@ -201,16 +203,16 @@ class DensityMatrix:
     def validate(self) -> "DensityMatrix":
         m = self.mat
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
+            raise InvalidValue("density matrix must be square")
         herm = float(np.abs(m - m.conj().T).max())
         if herm > self.hermiticity_tol:
-            raise ValueError(f"not Hermitian: max |rho - rho^+| = {herm:.3e}")
+            raise InvalidValue(f"not Hermitian: max |rho - rho^+| = {herm:.3e}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > self.trace_tol:
-            raise ValueError(f"trace {tr} differs from 1 beyond tolerance")
+            raise InvalidValue(f"trace {tr} differs from 1 beyond tolerance")
         min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
         if min_eig < -self.psd_tol:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+            raise InvalidValue(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
         return self
 
     @classmethod
@@ -235,11 +237,11 @@ class DensityMatrix:
         """
         probs = np.asarray(fock_probs, dtype=float)
         if probs.ndim != 1 or len(probs) != h.n_max + 1:
-            raise ValueError("fock_probs must have n_max + 1 entries")
+            raise InvalidValue("fock_probs must have n_max + 1 entries")
         if np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
-            raise ValueError("fock_probs must be a probability vector")
+            raise InvalidValue("fock_probs must be a probability vector")
         if not 0.0 <= p_excited <= 1.0:
-            raise ValueError("p_excited must lie in [0, 1]")
+            raise InvalidValue("p_excited must lie in [0, 1]")
         rho_f = np.diag(probs).astype(complex)
         rho_s = np.diag([1.0 - p_excited, p_excited]).astype(complex)
         m = rho_f
@@ -323,9 +325,9 @@ def time_evolve(
 ) -> DensityMatrix:
     """Adaptive explicit integration of rho_dot = L rho from rho0 to t_final."""
     if t_final < 0:
-        raise ValueError("t_final must be >= 0")
+        raise InvalidValue("t_final must be >= 0")
     if dt_max is not None and dt_max <= 0:
-        raise ValueError("dt_max must be > 0")
+        raise InvalidValue("dt_max must be > 0")
     if t_final == 0.0:
         return DensityMatrix(rho0.mat.copy())
     lmat = liou.matrix
@@ -435,10 +437,37 @@ def total_excitation_operator(h: HilbertConfig) -> sp.csr_matrix:
 FLUX_CUTOFF_RTOL = 1e-6
 
 
-def _steady_photon_number(p: SystemParams, h: HilbertConfig, frame: str) -> float:
-    liou = build_liouvillian(p, h, frame=frame)
-    rho = steady_state_exact(liou)
-    return expectation(rho, "photon_number", h).real
+def converge_in_cutoff(
+    p: SystemParams,
+    h: HilbertConfig,
+    observe: Callable[[DensityMatrix, HilbertConfig], float],
+    rel_tol: float = FLUX_CUTOFF_RTOL,
+    frame: str = "as_written",
+) -> tuple[float, HilbertConfig, DensityMatrix]:
+    """observe(rho, h) at the exact steady state, converged in the Fock cutoff.
+
+    Starting from h.n_max the cutoff is raised by 2 until the value changes by
+    less than rel_tol relatively.  Returns the value with the HilbertConfig and
+    the steady state of the last cutoff.  Hitting the dimension cap first
+    raises CutoffNotConverged; an initial configuration beyond the cap raises
+    DimensionCap.
+    """
+    validate_params(p)
+    h.check_cap()
+    value = None
+    while True:
+        rho = steady_state_exact(build_liouvillian(p, h, frame=frame))
+        value_next = observe(rho, h)
+        tol = rel_tol * max(abs(value_next), 1e-300)
+        if value is not None and abs(value_next - value) <= tol:
+            return value_next, h, rho
+        value = value_next
+        bigger = HilbertConfig(h.n_max + 2, h.n_emitters, h.cap)
+        if bigger.dim > h.cap:
+            raise CutoffNotConverged(
+                f"value not converged at n_max={h.n_max} before dimension cap {h.cap}"
+            )
+        h = bigger
 
 
 def photon_flux_exact(
@@ -449,26 +478,21 @@ def photon_flux_exact(
 ) -> float:
     """kappa * <a'a> at the exact steady state, converged in the Fock cutoff.
 
-    Starting from h.n_max the cutoff is raised by 2 until the flux changes by
-    less than rel_tol relatively.  Hitting the dimension cap first raises
-    CutoffNotConverged; an initial configuration beyond the cap raises
-    DimensionCap.
+    See converge_in_cutoff for the ladder and the errors it raises.
     """
-    validate_params(p)
-    h.check_cap()
-    n_max = h.n_max
-    flux = p.kappa * _steady_photon_number(p, HilbertConfig(n_max, h.n_emitters, h.cap), frame)
-    while True:
-        bigger = HilbertConfig(n_max + 2, h.n_emitters, h.cap)
-        if bigger.dim > h.cap:
-            raise CutoffNotConverged(
-                f"flux not converged at n_max={n_max} before dimension cap {h.cap}"
-            )
-        flux_next = p.kappa * _steady_photon_number(p, bigger, frame)
-        if abs(flux_next - flux) <= rel_tol * max(abs(flux_next), 1e-300):
-            return flux_next
-        flux = flux_next
-        n_max += 2
+
+    def flux(rho, hh):
+        return p.kappa * expectation(rho, "photon_number", hh).real
+
+    return converge_in_cutoff(p, h, flux, rel_tol, frame)[0]
+
+
+def _g2_of(rho: DensityMatrix, h: HilbertConfig, vacuum_threshold: float = 1e-12) -> float:
+    n_phot = expectation(rho, "photon_number", h).real
+    if n_phot <= vacuum_threshold:
+        raise VacuumState(f"steady-state photon number {n_phot:.3e} is below threshold")
+    pair = expectation(rho, "photon_pair", h).real
+    return pair / n_phot**2
 
 
 def g2_zero_exact(
@@ -479,13 +503,8 @@ def g2_zero_exact(
 ) -> float:
     """Equal-time second-order correlation <a'a'aa> / <a'a>^2 at steady state."""
     validate_params(p)
-    liou = build_liouvillian(p, h, frame=frame)
-    rho = steady_state_exact(liou)
-    n_phot = expectation(rho, "photon_number", h).real
-    if n_phot <= vacuum_threshold:
-        raise VacuumState(f"steady-state photon number {n_phot:.3e} is below threshold")
-    pair = expectation(rho, "photon_pair", h).real
-    return pair / n_phot**2
+    rho = steady_state_exact(build_liouvillian(p, h, frame=frame))
+    return _g2_of(rho, h, vacuum_threshold)
 
 
 def g2_zero_converged(
@@ -495,18 +514,5 @@ def g2_zero_converged(
     frame: str = "as_written",
 ) -> tuple[float, int]:
     """g2(0) converged in the Fock cutoff; returns (value, n_max used)."""
-    validate_params(p)
-    h.check_cap()
-    n_max = h.n_max
-    val = g2_zero_exact(p, HilbertConfig(n_max, h.n_emitters, h.cap), frame)
-    while True:
-        bigger = HilbertConfig(n_max + 2, h.n_emitters, h.cap)
-        if bigger.dim > h.cap:
-            raise CutoffNotConverged(
-                f"g2 not converged at n_max={n_max} before dimension cap {h.cap}"
-            )
-        val_next = g2_zero_exact(p, bigger, frame)
-        if abs(val_next - val) <= rel_tol * max(abs(val_next), 1e-300):
-            return val_next, bigger.n_max
-        val = val_next
-        n_max += 2
+    g2, h_used, _ = converge_in_cutoff(p, h, _g2_of, rel_tol, frame)
+    return g2, h_used.n_max

@@ -8,13 +8,18 @@ L_coh = lambda^2 / d_lambda.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import AngleOutOfRange, InsufficientPoints, PeakNotFound, ZeroLinewidth
+from .errors import (
+    AngleOutOfRange,
+    InsufficientPoints,
+    InvalidValue,
+    PeakNotFound,
+    ZeroLinewidth,
+)
 from .sweep import fit_power_law
 
 
@@ -32,21 +37,36 @@ class OpticalParams:
 
     def __post_init__(self):
         if not self.n_eff > 1:
-            raise ValueError("n_eff must be > 1")
+            raise InvalidValue("n_eff must be > 1")
         if not (0 <= self.kappa_ext <= self.kappa):
-            raise ValueError("kappa_ext must lie in [0, kappa]")
+            raise InvalidValue("kappa_ext must lie in [0, kappa]")
         if self.kappa < 0 or self.gamma_perp < 0 or self.g_coll < 0:
-            raise ValueError("linewidths and coupling must be >= 0")
+            raise InvalidValue("linewidths and coupling must be >= 0")
         if self.e_c0 <= 0 or self.delta <= 0:
-            raise ValueError("energies must be > 0")
+            raise InvalidValue("energies must be > 0")
 
 
-def cavity_dispersion(p: OpticalParams, theta_deg: float) -> float:
-    """Planar-cavity mode energy e_c0 / sqrt(1 - sin^2(theta)/n_eff^2), meV."""
-    if not 0 <= theta_deg < 90:
+def cavity_dispersion(p: OpticalParams, theta_deg: float | np.ndarray) -> float | np.ndarray:
+    """Planar-cavity mode energy e_c0 / sqrt(1 - sin^2(theta)/n_eff^2), meV.
+
+    theta_deg may be a scalar or an array of angles; the result has its shape.
+    """
+    theta = np.asarray(theta_deg, dtype=float)
+    if not np.all((theta >= 0) & (theta < 90)):
         raise AngleOutOfRange(f"theta = {theta_deg} deg outside [0, 90)")
-    sin_t = math.sin(math.radians(theta_deg))
-    return p.e_c0 / math.sqrt(1.0 - (sin_t / p.n_eff) ** 2)
+    sin_t = np.sin(np.radians(theta))
+    return p.e_c0 / np.sqrt(1.0 - (sin_t / p.n_eff) ** 2)
+
+
+def _branches(p: OpticalParams, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper polariton eigenvalues at each angle, as complex arrays."""
+    e_c = cavity_dispersion(p, thetas) - 0.5j * p.kappa
+    e_x = p.delta - 0.5j * p.gamma_perp
+    half_sum = 0.5 * (e_c + e_x)
+    root = np.sqrt((0.5 * (e_c - e_x)) ** 2 + p.g_coll**2 + 0j)
+    lo, hi = half_sum - root, half_sum + root
+    swap = lo.real > hi.real
+    return np.where(swap, hi, lo), np.where(swap, lo, hi)
 
 
 def polariton_eigenmodes(p: OpticalParams, theta_deg: float) -> tuple[complex, complex]:
@@ -56,13 +76,7 @@ def polariton_eigenmodes(p: OpticalParams, theta_deg: float) -> tuple[complex, c
     real-part splitting is 2*sqrt(g^2 - (kappa - gamma_perp)^2/16) when the
     radicand is positive and 0 otherwise.
     """
-    e_c = cavity_dispersion(p, theta_deg) - 0.5j * p.kappa
-    e_x = p.delta - 0.5j * p.gamma_perp
-    half_sum = 0.5 * (e_c + e_x)
-    root = np.sqrt((0.5 * (e_c - e_x)) ** 2 + p.g_coll**2 + 0j)
-    lo, hi = half_sum - root, half_sum + root
-    if lo.real > hi.real:
-        lo, hi = hi, lo
+    lo, hi = _branches(p, theta_deg)
     return complex(lo), complex(hi)
 
 
@@ -71,17 +85,18 @@ def reflectance_spectrum(p: OpticalParams, theta_deg: float, energies) -> np.nda
 
     D(E) = kappa/2 - i(E - E_c(theta)) + g^2 / (gamma_perp/2 - i(E - delta)).
     For kappa_ext <= kappa the formula lies in [0, 1] by construction; the
-    bound is asserted rather than clamped.
+    bound is checked rather than clamped.
     """
     e_arr = np.asarray(energies, dtype=float)
     if not np.all(np.isfinite(e_arr)):
-        raise ValueError("energies must be finite")
+        raise InvalidValue("energies must be finite")
     e_c = cavity_dispersion(p, theta_deg)
     denom = 0.5 * p.kappa - 1j * (e_arr - e_c)
     if p.g_coll != 0:
         denom = denom + p.g_coll**2 / (0.5 * p.gamma_perp - 1j * (e_arr - p.delta))
     refl = np.abs(1.0 - p.kappa_ext / denom) ** 2
-    assert np.all(refl >= 0.0) and np.all(refl <= 1.0 + 1e-12), "reflectance left [0, 1]"
+    if not (np.all(refl >= 0.0) and np.all(refl <= 1.0 + 1e-12)):
+        raise InvalidValue(f"reflectance left [0, 1] at theta = {theta_deg} deg")
     return refl
 
 
@@ -97,13 +112,13 @@ class ReflectanceMap:
 
     def validate(self) -> "ReflectanceMap":
         if self.r_values.shape != (len(self.thetas), len(self.energies)):
-            raise ValueError("r_values shape does not match the grid")
+            raise InvalidValue("r_values shape does not match the grid")
         if len(self.lp_branch) != len(self.thetas) or len(self.up_branch) != len(self.thetas):
-            raise ValueError("branch arrays must have one entry per angle")
+            raise InvalidValue("branch arrays must have one entry per angle")
         if np.any(self.r_values < 0) or np.any(self.r_values > 1 + 1e-12):
-            raise ValueError("reflectance values outside [0, 1]")
+            raise InvalidValue("reflectance values outside [0, 1]")
         if np.any(self.lp_branch.real > self.up_branch.real + 1e-12):
-            raise ValueError("LP branch must lie below UP branch")
+            raise InvalidValue("LP branch must lie below UP branch")
         return self
 
 
@@ -111,12 +126,12 @@ def compute_reflectance_map(p: OpticalParams, thetas, energies) -> ReflectanceMa
     """Evaluate the reflectance model over an angle x energy grid."""
     thetas = np.asarray(thetas, dtype=float)
     energies = np.asarray(energies, dtype=float)
+    # one row at a time: a full angle x energy broadcast holds several
+    # complex temporaries of the whole grid at once
     r_values = np.empty((len(thetas), len(energies)))
-    lp = np.empty(len(thetas), dtype=complex)
-    up = np.empty(len(thetas), dtype=complex)
     for k, theta in enumerate(thetas):
         r_values[k] = reflectance_spectrum(p, theta, energies)
-        lp[k], up[k] = polariton_eigenmodes(p, theta)
+    lp, up = _branches(p, thetas)
     return ReflectanceMap(
         thetas=thetas, energies=energies, r_values=r_values, lp_branch=lp, up_branch=up
     ).validate()
@@ -126,12 +141,8 @@ def minimum_branch_splitting(
     p: OpticalParams, theta_max_deg: float = 64.0, n_grid: int = 2001
 ) -> float:
     """Smallest real-part LP/UP separation over [0, theta_max] degrees."""
-    thetas = np.linspace(0.0, theta_max_deg, n_grid)
-    split = np.empty(n_grid)
-    for k, theta in enumerate(thetas):
-        lo, hi = polariton_eigenmodes(p, theta)
-        split[k] = hi.real - lo.real
-    return float(split.min())
+    lo, hi = _branches(p, np.linspace(0.0, theta_max_deg, n_grid))
+    return float((hi.real - lo.real).min())
 
 
 def _lorentzian(e, center, fwhm):
@@ -197,7 +208,7 @@ def emission_fwhm(p: OpticalParams, theta_deg: float) -> tuple[float, float]:
 def coherence_length(lambda_nm: float, delta_lambda_nm: float) -> float:
     """Coherence length lambda^2 / d_lambda, returned in micrometres."""
     if lambda_nm <= 0:
-        raise ValueError("wavelength must be > 0")
+        raise InvalidValue("wavelength must be > 0")
     if delta_lambda_nm <= 0:
         raise ZeroLinewidth("spectral width must be > 0")
     return lambda_nm**2 / delta_lambda_nm / 1000.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParams, NegativeRate, NonPositiveEnergy, ZeroEmitters
+from .errors import InvalidParams, InvalidValue, NegativeRate, NonPositiveEnergy, ZeroEmitters
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class DriveMap:
 def omega_of_voltage(d: DriveMap, v: float) -> float:
     """Pump rate in meV at applied voltage v; clamped to 0 below onset."""
     if not math.isfinite(v):
-        raise ValueError("voltage must be finite")
+        raise InvalidValue("voltage must be finite")
     return d.slope_mu * max(0.0, v - d.v_on)
 
 

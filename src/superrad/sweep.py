@@ -16,6 +16,7 @@ from .cumulant import photon_flux_cumulant
 from .errors import (
     DegenerateRates,
     InsufficientPoints,
+    InvalidValue,
     NoConvergence,
     NonPositiveValue,
 )
@@ -35,17 +36,17 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.drive_rule not in DRIVE_RULES:
-            raise ValueError(f"drive_rule must be one of {DRIVE_RULES}")
+            raise InvalidValue(f"drive_rule must be one of {DRIVE_RULES}")
         if len(self.n_values) == 0:
-            raise ValueError("n_values must be non-empty")
+            raise InvalidValue("n_values must be non-empty")
         if any(n < 1 for n in self.n_values):
-            raise ValueError("all n_values must be >= 1")
+            raise InvalidValue("all n_values must be >= 1")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
-            raise ValueError("n_values must be strictly increasing")
+            raise InvalidValue("n_values must be strictly increasing")
         if not self.base_params.omega > 0:
-            raise ValueError("base omega must be > 0")
+            raise InvalidValue("base omega must be > 0")
         if not self.gamma_r > 0:
-            raise ValueError("gamma_r must be > 0")
+            raise InvalidValue("gamma_r must be > 0")
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def control_luminance(n: int, omega: float, gamma_r: float, gamma_minus: float) 
     and radiates it at gamma_r; the total is extensive in n.
     """
     if omega < 0 or gamma_r < 0 or gamma_minus < 0:
-        raise ValueError("rates must be >= 0")
+        raise InvalidValue("rates must be >= 0")
     denom = omega + gamma_minus + gamma_r
     if denom == 0:
         raise DegenerateRates("omega + gamma_minus + gamma_r must be > 0")

@@ -5,6 +5,8 @@ One time unit is then hbar / (1 meV) ~ 0.6582 ps.  Wavelengths convert via
 E[meV] = MEV_NM / lambda[nm].
 """
 
+from .errors import InvalidValue
+
 # hbar in meV * ps; equivalently the duration of one time unit in ps.
 TIME_UNIT_PS = 0.6582119569
 
@@ -15,14 +17,14 @@ MEV_NM = 1_239_842.0
 def energy_mev_from_nm(wavelength_nm: float) -> float:
     """Photon energy in meV for a vacuum wavelength in nm."""
     if wavelength_nm <= 0:
-        raise ValueError("wavelength must be > 0")
+        raise InvalidValue("wavelength must be > 0")
     return MEV_NM / wavelength_nm
 
 
 def wavelength_nm_from_mev(energy_mev: float) -> float:
     """Vacuum wavelength in nm for a photon energy in meV."""
     if energy_mev <= 0:
-        raise ValueError("energy must be > 0")
+        raise InvalidValue("energy must be > 0")
     return MEV_NM / energy_mev
 
 
@@ -32,5 +34,5 @@ def fwhm_mev_from_nm(center_nm: float, fwhm_nm: float) -> float:
     Uses the first-order relation dE = MEV_NM * d_lambda / lambda^2.
     """
     if center_nm <= 0:
-        raise ValueError("center wavelength must be > 0")
+        raise InvalidValue("center wavelength must be > 0")
     return MEV_NM * fwhm_nm / center_nm**2

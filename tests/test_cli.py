@@ -214,3 +214,60 @@ def test_run_config_objects_directly(tmp_path):
     paths = run(config)
     names = sorted(p.name for p in paths)
     assert names == ["cumulant_result.csv", "run_manifest.json"]
+
+
+def test_g2_solves_each_ladder_rung_once(tmp_path, monkeypatch):
+    import superrad.cli
+    import superrad.exact
+
+    solved = []
+    original = superrad.exact.steady_state_exact
+
+    def counting(liou):
+        solved.append(liou.hilbert.n_max)
+        return original(liou)
+
+    monkeypatch.setattr(superrad.exact, "steady_state_exact", counting)
+    monkeypatch.setattr(superrad.cli, "steady_state_exact", counting, raising=False)
+    doc = """
+command: g2
+params: {n_emitters: 1, delta: 2350.0, delta_c: 2350.0, g: 5.0, kappa: 50.0,
+         omega: 0.01, gamma_minus: 0.1, gamma_z: 1.0}
+hilbert: {n_max: 3}
+"""
+    cfg = _write(tmp_path, "g.yaml", doc)
+    out = tmp_path / "out"
+    assert main(["g2", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    lines = (out / "g2_result.csv").read_text().strip().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert solved == list(range(3, int(row["n_max_converged"]) + 1, 2))
+
+
+REFLECTANCE_DOC = """
+command: reflectance
+optics:
+  e_c0: 2300.0
+  n_eff: 1.8
+  delta: 2350.0
+  g_coll: 11.0
+  kappa: 134.0
+  gamma_perp: 331.0
+  n_theta: 5
+  n_energy: 11
+"""
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("reflectance", REFLECTANCE_DOC.replace("n_eff: 1.8", "n_eff: 0.9")),
+    ("reflectance", REFLECTANCE_DOC + "  kappa_ext: 200.0\n"),
+    ("exact", CUMULANT_DOC.format(omega="1.0").replace("command: cumulant", "command: exact")
+     + "hilbert: {n_max: 0}\n"),
+    ("sweep", SWEEP_DOC.replace("[100, 1000, 10000]", "[10000, 1000, 100]")),
+], ids=["n_eff_below_1", "kappa_ext_above_kappa", "n_max_zero", "descending_n_values"])
+def test_invalid_value_error_record(tmp_path, capsys, command, doc):
+    cfg = _write(tmp_path, "bad.yaml", doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "InvalidValue"
+    assert not out.exists() or not any(out.glob("*"))

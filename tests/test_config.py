@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from superrad.config import (
@@ -141,3 +143,44 @@ def test_round_trip_is_stable_under_reserialization():
     text_once = serialize_config(_full_config())
     text_twice = serialize_config(parse_config(text_once))
     assert text_once == text_twice
+
+
+SWEEP_BLOCK = """
+sweep:
+  n_values: [100, 1000]
+  drive_rule: scaled
+  gamma_r: 0.001
+"""
+
+
+@pytest.mark.parametrize("text, error, key", [
+    ("command: sweep\n" + PARAMS_BLOCK + SWEEP_BLOCK.replace("scaled", "linear"),
+     TypeMismatch, "sweep.drive_rule"),
+    ("command: sweep\n" + PARAMS_BLOCK + SWEEP_BLOCK.replace("[100, 1000]", "[]"),
+     TypeMismatch, "sweep.n_values"),
+    ("command: sweep\n" + PARAMS_BLOCK + SWEEP_BLOCK.replace("[100, 1000]", "[100, 1.5]"),
+     TypeMismatch, "sweep.n_values[]"),
+    ("command: fit\nfit:\n  points: [[100, 1.0], [1000, 2.0, 3.0]]\n",
+     TypeMismatch, "fit.points[]"),
+    ("command: fit\nfit:\n  points: [[100, 1.0], [1000, two]]\n",
+     TypeMismatch, "fit.points[].ratio"),
+    ("command: exact\n" + PARAMS_BLOCK + "hilbert:\n  n_max: true\n",
+     TypeMismatch, "hilbert.n_max"),
+    ("command: exact\n" + PARAMS_BLOCK + "hilbert:\n  n_max: 3\n  cutoff: 5\n",
+     UnknownKey, "hilbert.cutoff"),
+    ("command: exact\n" + PARAMS_BLOCK + "hilbert: 3\n", TypeMismatch, "hilbert"),
+    ("command: validate\nformat: xml\n" + PARAMS_BLOCK, TypeMismatch, "format"),
+    ("command: validate\nparams:\n  n_emitters: 1\n", MissingSection, "params.delta"),
+    ("- command: validate\n", TypeMismatch, "<document root>"),
+])
+def test_schema_error_paths(text, error, key):
+    with pytest.raises(error) as err:
+        parse_config(text)
+    assert getattr(err.value, "key", getattr(err.value, "section", None)) == key
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "configs").glob("*.yaml")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_round_trip(path):
+    config = parse_config(path.read_text(encoding="utf-8"))
+    assert parse_config(serialize_config(config)) == config

@@ -37,11 +37,9 @@ def test_closure_triple_vanishing_first_moments():
 
 
 def test_closure_triple_factorized_limit():
-    # the single-subtraction closure overshoots factorized inputs by one
-    # <A><B><C>: 1*6 + 2*3 + 2*3 - 1*2*3 = 12; the double-subtraction variant
-    # restores the product
+    # the closure overshoots factorized inputs by one <A><B><C>:
+    # 1*6 + 2*3 + 2*3 - 1*2*3 = 12
     assert closure_triple(1, 2, 3, 2, 3, 6) == 2 * (1 * 2 * 3)
-    assert closure_triple(1, 2, 3, 2, 3, 6, double_subtract=True) == 1 * 2 * 3
 
 
 def test_closure_triple_label_permutation_symmetry():
@@ -62,14 +60,6 @@ def test_closure_triple_label_permutation_symmetry():
             assert val == pytest.approx(ref, rel=1e-12)
 
 
-def test_closure_double_subtract_variant():
-    assert closure_triple(1, 2, 3, 5, 7, 11, double_subtract=True) == 34 - 6
-    # with any vanishing first moment both variants coincide
-    assert closure_triple(0, 2, 3, 5, 7, 11) == closure_triple(
-        0, 2, 3, 5, 7, 11, double_subtract=True
-    )
-
-
 def test_moment_rhs_dark_fixed_point_without_pump():
     p = SystemParams(3, 12.0, 12.0, 2.0, 8.0, 0.0, 0.5, 0.3)
     d = moment_rhs(p, MomentState.dark())
@@ -85,8 +75,7 @@ def test_moment_rhs_field_decouples_at_zero_coupling():
 
 def test_moment_rhs_matches_exact_derivatives_at_product_states():
     # the certification gate: closure is exact at uncorrelated states, so the
-    # reconstructed equations must match the Liouvillian componentwise;
-    # both closure variants coincide because first moments vanish
+    # reconstructed equations must match the Liouvillian componentwise
     rng = np.random.default_rng(42)
     for _ in range(25):
         n_em = int(rng.integers(2, 4))
@@ -95,9 +84,8 @@ def test_moment_rhs_matches_exact_derivatives_at_product_states():
         rho, m = cutoff_safe_product_state(rng, h)
         exact = exact_moment_derivatives(p, h, rho)
         scale = max(1.0, np.abs(exact).max())
-        for dbl in (False, True):
-            cumulant = moment_vector(moment_rhs(p, m, closure_double_subtract=dbl))
-            assert np.abs(cumulant - exact).max() <= 1e-8 * scale
+        cumulant = moment_vector(moment_rhs(p, m))
+        assert np.abs(cumulant - exact).max() <= 1e-8 * scale
 
 
 def test_rhs_vector_consistent_with_moment_rhs():

@@ -19,6 +19,7 @@ from superrad.exact import (
     DensityMatrix,
     HilbertConfig,
     build_liouvillian,
+    converge_in_cutoff,
     expectation,
     g2_zero_converged,
     g2_zero_exact,
@@ -239,6 +240,20 @@ def test_flux_linear_response_doubling():
     f2 = photon_flux_exact(SystemParams(n_emitters=1, omega=0.02, **base),
                            HilbertConfig(3, 1), frame="rotating")
     assert f2 / f1 == pytest.approx(2.0, rel=0.05)
+
+
+def test_converge_in_cutoff_returns_the_last_rung():
+    p = regression_params(1)
+
+    def flux(rho, h):
+        return p.kappa * expectation(rho, "photon_number", h).real
+
+    value, h, rho = converge_in_cutoff(p, HilbertConfig(3, 1), flux, frame="rotating")
+    assert value == photon_flux_exact(p, HilbertConfig(3, 1), frame="rotating")
+    assert h.n_max > 3 and (h.n_max - 3) % 2 == 0
+    assert value == flux(rho, h)
+    direct = steady_state_exact(build_liouvillian(p, h, frame="rotating"))
+    assert trace_distance(rho, direct) <= 1e-14
 
 
 def test_flux_cutoff_not_converged_when_capped():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from superrad.errors import AngleOutOfRange, InsufficientPoints, PeakNotFound, ZeroLinewidth
+from superrad.errors import (
+    AngleOutOfRange,
+    InsufficientPoints,
+    InvalidValue,
+    PeakNotFound,
+    ZeroLinewidth,
+)
 from superrad.optics import (
     OpticalParams,
     cavity_dispersion,
@@ -59,6 +65,7 @@ def test_dispersion_strictly_increasing():
     thetas = np.linspace(0.0, 89.0, 2000)
     vals = [cavity_dispersion(p, t) for t in thetas]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+    np.testing.assert_array_equal(cavity_dispersion(p, thetas), vals)
 
 
 def test_dispersion_angle_guard():
@@ -67,6 +74,8 @@ def test_dispersion_angle_guard():
         cavity_dispersion(p, 90.0)
     with pytest.raises(AngleOutOfRange):
         cavity_dispersion(p, -1.0)
+    with pytest.raises(AngleOutOfRange):
+        cavity_dispersion(p, np.array([0.0, 30.0, 90.0]))
 
 
 def test_polariton_decoupled_limit():
@@ -179,6 +188,36 @@ def test_reflectance_map_shape_and_branch_order():
     rmap = compute_reflectance_map(p, np.linspace(0, 64, 9), np.linspace(2000, 2700, 21))
     assert rmap.r_values.shape == (9, 21)
     assert np.all(rmap.lp_branch.real <= rmap.up_branch.real + 1e-12)
+
+
+def test_branches_match_per_angle_eigenvalues():
+    # reference: the 2x2 non-Hermitian matrix diagonalised one angle at a time
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        kappa = rng.uniform(1.0, 300.0)
+        p = OpticalParams(
+            e_c0=rng.uniform(1800, 2500), n_eff=rng.uniform(1.2, 3.0),
+            delta=rng.uniform(1800, 2500), g_coll=rng.uniform(0, 50),
+            kappa=kappa, kappa_ext=kappa / 2, gamma_perp=rng.uniform(0.1, 300),
+        )
+        thetas = np.linspace(0.0, 64.0, 33)
+        rmap = compute_reflectance_map(p, thetas, np.linspace(1800, 2500, 5))
+        split = []
+        for k, theta in enumerate(thetas):
+            e_c = cavity_dispersion(p, theta) - 0.5j * p.kappa
+            matrix = np.array([[e_c, p.g_coll], [p.g_coll, p.delta - 0.5j * p.gamma_perp]])
+            lo, hi = sorted(np.linalg.eigvals(matrix), key=lambda z: z.real)
+            assert rmap.lp_branch[k] == pytest.approx(lo, rel=1e-12, abs=1e-9)
+            assert rmap.up_branch[k] == pytest.approx(hi, rel=1e-12, abs=1e-9)
+            split.append(hi.real - lo.real)
+        got = minimum_branch_splitting(p, theta_max_deg=64.0, n_grid=33)
+        assert got == pytest.approx(min(split), abs=1e-9)
+
+
+def test_reflectance_bound_is_checked_not_asserted():
+    p = d4_like(50.0, 30.0, g_coll=float("nan"))
+    with pytest.raises(InvalidValue), np.errstate(invalid="ignore"):
+        reflectance_spectrum(p, 10.0, np.linspace(2000, 2700, 5))
 
 
 def test_emission_fwhm_transparent_cavity():
