@@ -26,6 +26,26 @@ The closure is exact at uncorrelated (product) states with vanishing first
 moments, which is the basis of the derivative-equality oracle test against the
 exact Liouvillian.  Untracked pair moments (<a sz>, <s- sz>, <a a>, ...) only
 ever appear multiplied by first moments, hence never contribute.
+
+Only the fixed point is used (the steady-state closure of Kirton & Keeling,
+PRL 118, 123602, 2017), and it has a closed form.  With ci = Im(c),
+s0 = (omega - gamma_minus) / (omega + gamma_minus) and
+b = 4 g / (omega + gamma_minus), stationarity makes every other moment a
+function of ci:
+
+    n = 2 g N ci / kappa,   s = s0 - b ci,   x = 2 g s ci / W2 (real),   z = s^2
+
+The c equation gives c = i g S / (D_c - i d) with S = n s + p_e + (N-1) x and
+D_c = (kappa+omega+gamma_minus)/2 + 2 gamma_z, so Im(c) = K S with
+K = g D_c / (D_c^2 + d^2).  Substituting leaves one quadratic,
+
+    K q b ci^2 + (1 - K q s0 + K b/2) ci - K (1 + s0)/2 = 0,
+    q = 2 g N / kappa + (N-1) 2 g / W2.
+
+Its roots have opposite signs, and n >= 0 selects the non-negative one.  That
+state is returned only if no eigenvalue of the Jacobian there has a positive
+real part; otherwise the closed system has no stable stationary state and
+NoConvergence is raised.
 """
 
 from __future__ import annotations
@@ -33,13 +53,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InvalidValue, NoConvergence, NonFiniteState
 from .params import SystemParams, validate_params
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_TIME = 1e6
 
 
 def closure_triple(
@@ -177,97 +195,57 @@ def _rhs_vector(p: SystemParams, y: np.ndarray) -> np.ndarray:
     return np.array([dn, ds, dcr, dci, dxr, dxi, dz])
 
 
-def integrate_to_steady_state(
-    p: SystemParams,
-    m0: MomentState | None = None,
-    tol: float = DEFAULT_TOL,
-    max_time: float = DEFAULT_MAX_TIME,
-) -> MomentState:
-    """Integrate the moment equations until ||dm/dt||_inf <= tol.
+def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> MomentState:
+    """The stable stationary moment state, solved in closed form.
 
-    Adaptive explicit integration (DOP853, rtol 1e-10 / atol 1e-12) in time
-    chunks that double until the derivative norm passes tol; if the explicit
-    scheme fails or stalls on stiffness, the chunk is retried with the
-    implicit Radau scheme.  A single damped Newton step polishes the
-    result but is rejected if it would move any component by more than
-    10 * tol (integration stays authoritative).
+    Im(c) is the non-negative root of the stationary quadratic (see the module
+    docstring); the other moments follow from it.  Raises NoConvergence when
+    that fixed point is unstable, does not exist (kappa = 0 with g > 0 and
+    omega >= gamma_minus) or leaves a derivative norm above tol.
     """
     validate_params(p)
     if tol <= 0:
         raise InvalidValue("tol must be > 0")
-    if m0 is None:
-        m0 = MomentState.dark()
-    y = m0.to_vector().astype(float)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteState("initial moment state is not finite")
+    if p.omega == 0:
+        return MomentState.dark()
+    n_em = p.n_emitters
+    d_c, k2 = _coherence_rates(p)
+    w2 = p.omega + p.gamma_minus + 4.0 * p.gamma_z
+    s0 = (p.omega - p.gamma_minus) / (p.omega + p.gamma_minus)
+    b = 4.0 * p.g / (p.omega + p.gamma_minus)
 
-    if np.abs(_rhs_vector(p, y)).max() <= tol:
-        return MomentState.from_vector(y)
+    n = ci = 0.0
+    if p.g > 0 and p.kappa == 0:
+        # undamped photons force Im c = 0, and then the c equation n s0 + p_e = 0
+        if s0 >= 0:
+            raise NoConvergence(
+                "kappa = 0 with g > 0 and omega >= gamma_minus: the photon number is unbounded"
+            )
+        n = -0.5 * (1.0 + s0) / s0
+    elif p.g > 0:
+        big_k = k2 / (2.0 * p.g)
+        q = 2.0 * p.g * n_em / p.kappa + (n_em - 1) * 2.0 * p.g / w2
+        qa = big_k * q * b
+        qb = 1.0 - big_k * q * s0 + 0.5 * big_k * b
+        qc = 0.5 * big_k * (1.0 + s0)
+        # qa, qc >= 0, so the roots have opposite signs; the non-negative one,
+        # in the form that does not cancel for either sign of qb
+        root = np.sqrt(qb * qb + 4.0 * qa * qc)
+        ci = 2.0 * qc / (qb + root) if qb >= 0 else (root - qb) / (2.0 * qa)
+        n = 2.0 * p.g * n_em * ci / p.kappa
+    s = s0 - b * ci
+    xr, z = (2.0 * p.g * s * ci / w2, s * s) if n_em >= 2 else (0.0, 1.0)
+    c = 1j * p.g * (n * s + 0.5 * (1.0 + s) + (n_em - 1) * xr) / (d_c - 1j * p.detuning)
+    y = np.array([n, s, c.real, c.imag, xr, 0.0, z])
 
-    rate_scale = max(p.kappa, p.omega, p.gamma_minus, p.gamma_z, p.g, abs(p.detuning), 1e-6)
-    t_elapsed = 0.0
-    chunk = 10.0 / rate_scale
-    fun = lambda _t, yy: _rhs_vector(p, yy)
-
-    # Near the fixed point the reachable derivative norm is limited by the
-    # integrator tolerances, so they are tightened once progress stalls close
-    # to tol.  A total evaluation budget bounds the runtime of hopeless cases.
-    rtol, atol = 1e-10, 1e-12
-    prev_norm = np.inf
-    floor_stalls = 0
-    evals_left = 3_000_000
-    while t_elapsed < max_time and evals_left > 0:
-        chunk = min(chunk, max_time - t_elapsed)
-        sol = solve_ivp(fun, (0.0, chunk), y, method="DOP853", rtol=rtol, atol=atol)
-        if not sol.success:
-            sol = solve_ivp(fun, (0.0, chunk), y, method="Radau", rtol=rtol, atol=atol)
-            if not sol.success:
-                raise NoConvergence(f"moment integration failed: {sol.message}")
-        evals_left -= sol.nfev
-        y = sol.y[:, -1]
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState("moment integration produced non-finite values")
-        t_elapsed += chunk
-        norm = np.abs(_rhs_vector(p, y)).max()
-        if norm <= tol:
-            break
-        near_floor = norm <= 1e4 * tol
-        if near_floor and norm > 0.3 * prev_norm:
-            floor_stalls += 1
-            if floor_stalls == 1:
-                rtol, atol = 1e-13, 1e-15
-            elif floor_stalls >= 4:
-                raise NoConvergence(
-                    f"derivative norm stalled at {norm:.3e} > {tol:.0e} "
-                    f"after t = {t_elapsed:.3e}"
-                )
-        prev_norm = norm
-        chunk = min(chunk * 2.0, 1e5)
-    if np.abs(_rhs_vector(p, y)).max() > tol:
-        raise NoConvergence(
-            f"derivative norm {np.abs(_rhs_vector(p, y)).max():.3e} still above "
-            f"{tol:.0e} after t = {t_elapsed:.3e} "
-            f"(budget exhausted: {evals_left <= 0})"
-        )
-
-    y = _newton_polish(p, y, tol)
+    block = 7 if n_em >= 2 else 4  # for N = 1 only (n, s, c) evolve
+    growth = np.linalg.eigvals(_numeric_jacobian(p, y)[:block, :block]).real.max()
+    if growth > 0:
+        raise NoConvergence(f"stationary state is unstable: growth rate {growth:.3e} meV")
+    norm = np.abs(_rhs_vector(p, y)).max()
+    if norm > tol:
+        raise NoConvergence(f"derivative norm {norm:.3e} above {tol:.0e} at the stationary state")
     return MomentState.from_vector(y).validate(slack=1e-6)
-
-
-def _newton_polish(p: SystemParams, y: np.ndarray, tol: float) -> np.ndarray:
-    """One damped Newton step; rejected if it moves any component > 10 * tol."""
-    res = _rhs_vector(p, y)
-    jac = _numeric_jacobian(p, y)
-    try:
-        step = np.linalg.solve(jac, -res)
-    except np.linalg.LinAlgError:
-        return y
-    if np.abs(step).max() > 10.0 * tol:
-        return y
-    y_new = y + step
-    if np.abs(_rhs_vector(p, y_new)).max() < np.abs(res).max():
-        return y_new
-    return y
 
 
 def _numeric_jacobian(p: SystemParams, y: np.ndarray, eps: float = 1e-7) -> np.ndarray:
@@ -284,9 +262,15 @@ def _numeric_jacobian(p: SystemParams, y: np.ndarray, eps: float = 1e-7) -> np.n
     return jac
 
 
+def _coherence_rates(p: SystemParams) -> tuple[float, float]:
+    """D_c, the damping rate of c, and k2 = 2 g^2 D_c / (D_c^2 + d^2), the outcoupling rate."""
+    d_c = 0.5 * (p.kappa + p.omega + p.gamma_minus) + 2.0 * p.gamma_z
+    return d_c, 2.0 * p.g**2 * d_c / (d_c**2 + p.detuning**2)
+
+
 def photon_flux_cumulant(p: SystemParams, tol: float = DEFAULT_TOL) -> float:
-    """kappa * <a'a> of the converged moment state, starting from the dark state."""
-    m = integrate_to_steady_state(p, MomentState.dark(), tol=tol)
+    """kappa * <a'a> of the stable stationary moment state."""
+    m = integrate_to_steady_state(p, tol=tol)
     return p.kappa * m.n_photon
 
 
@@ -305,9 +289,7 @@ def flux_decomposition(p: SystemParams, m: MomentState) -> tuple[float, float]:
     """
     validate_params(p)
     n_em = p.n_emitters
-    d_c = 0.5 * (p.kappa + p.omega + p.gamma_minus) + 2.0 * p.gamma_z
-    det = p.detuning
-    k2 = 2.0 * p.g**2 * d_c / (d_c**2 + det**2)
+    _, k2 = _coherence_rates(p)
     denom = 1.0 - k2 * n_em * m.s_z / p.kappa
     single_total = n_em * k2 * 0.5 * (1.0 + m.s_z) / denom
     pair_total = n_em * (n_em - 1) * k2 * m.x_pm.real / denom

@@ -76,11 +76,11 @@ class VacuumState(SuperradError):
 # --- cumulant solver ----------------------------------------------------------
 
 class NoConvergence(SuperradError):
-    """Moment integration did not reach steady state within the time budget."""
+    """The moment equations have no stable stationary state within tolerance."""
 
 
 class NonFiniteState(SuperradError):
-    """Moment integration produced NaN or Inf."""
+    """A moment state holds NaN or Inf."""
 
 
 # --- scaling harness ---------------------------------------------------------

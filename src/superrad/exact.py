@@ -23,6 +23,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -112,15 +113,25 @@ def site_operator(h: HilbertConfig, op2: np.ndarray, site: int) -> sp.csr_matrix
     return sp.kron(out, right, format="csr")
 
 
+@functools.lru_cache(maxsize=16)
+def _ladder_operators(h: HilbertConfig) -> tuple[sp.csr_matrix, tuple[sp.csr_matrix, ...]]:
+    """a and every sigma-minus_n on h, built once per configuration and shared read-only."""
+    a = field_operator(h, destroy_op(h.n_max + 1))
+    sigma_minus = tuple(site_operator(h, _SIGMA_MINUS, n) for n in range(h.n_emitters))
+    for op in (a, *sigma_minus):
+        for arr in (op.data, op.indices, op.indptr):
+            arr.flags.writeable = False
+    return a, sigma_minus
+
+
 def hamiltonian(p: SystemParams, h: HilbertConfig, frame: str = "as_written") -> sp.csr_matrix:
     """Tavis-Cummings Hamiltonian on the truncated space."""
     if frame not in ("as_written", "rotating"):
         raise InvalidValue(f"unknown frame {frame!r}")
     shift = p.delta if frame == "rotating" else 0.0
-    a = field_operator(h, destroy_op(h.n_max + 1))
+    a, sigma_minus = _ladder_operators(h)
     ham = (p.delta_c - shift) * (a.conj().T @ a)
-    for n in range(h.n_emitters):
-        sm = site_operator(h, _SIGMA_MINUS, n)
+    for sm in sigma_minus:
         sp_ = sm.conj().T
         ham = ham + (p.delta - shift) * (sp_ @ sm) + p.g * (a.conj().T @ sm + sp_ @ a)
     return ham.tocsr()
@@ -128,9 +139,9 @@ def hamiltonian(p: SystemParams, h: HilbertConfig, frame: str = "as_written") ->
 
 def jump_operators(p: SystemParams, h: HilbertConfig) -> list[tuple[float, sp.csr_matrix]]:
     """All (rate, collapse operator) pairs of the master equation."""
-    ops = [(p.kappa, field_operator(h, destroy_op(h.n_max + 1)))]
-    for n in range(h.n_emitters):
-        sm = site_operator(h, _SIGMA_MINUS, n)
+    a, sigma_minus = _ladder_operators(h)
+    ops = [(p.kappa, a)]
+    for n, sm in enumerate(sigma_minus):
         ops.append((p.omega, sm.conj().T))
         ops.append((p.gamma_minus, sm))
         ops.append((p.gamma_z, site_operator(h, _SIGMA_Z, n)))
@@ -365,7 +376,7 @@ def observable_operator(
     which: str, h: HilbertConfig, i: int | None = None, j: int | None = None
 ) -> sp.csr_matrix:
     """Sparse operator for a named observable."""
-    a = field_operator(h, destroy_op(h.n_max + 1))
+    a, sigma_minus = _ladder_operators(h)
     if which == "photon_number":
         return (a.conj().T @ a).tocsr()
     if which == "photon_pair":
@@ -374,12 +385,12 @@ def observable_operator(
     if which == "sigma_z":
         return site_operator(h, _SIGMA_Z, _require_index(i, h))
     if which == "field_coherence":
-        sm = site_operator(h, _SIGMA_MINUS, _require_index(i, h))
+        sm = sigma_minus[_require_index(i, h)]
         return (a.conj().T @ sm).tocsr()
     if which == "cross_pm":
         ii, jj = _require_pair(i, j, h)
         return (
-            site_operator(h, _SIGMA_PLUS, ii) @ site_operator(h, _SIGMA_MINUS, jj)
+            site_operator(h, _SIGMA_PLUS, ii) @ sigma_minus[jj]
         ).tocsr()
     if which == "cross_zz":
         ii, jj = _require_pair(i, j, h)
@@ -424,10 +435,9 @@ def operator_expectation(op: sp.spmatrix, mat: np.ndarray) -> complex:
 
 def total_excitation_operator(h: HilbertConfig) -> sp.csr_matrix:
     """a'a + sum_n s+_n s-_n, conserved by H and by pure dephasing."""
-    a = field_operator(h, destroy_op(h.n_max + 1))
+    a, sigma_minus = _ladder_operators(h)
     out = (a.conj().T @ a).tocsr()
-    for n in range(h.n_emitters):
-        sm = site_operator(h, _SIGMA_MINUS, n)
+    for sm in sigma_minus:
         out = out + (sm.conj().T @ sm).tocsr()
     return out.tocsr()
 

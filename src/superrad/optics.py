@@ -8,7 +8,8 @@ L_coh = lambda^2 / d_lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -36,6 +37,9 @@ class OpticalParams:
     gamma_perp: float  # emitter homogeneous linewidth, meV
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise InvalidValue(f"'{f.name}' must be finite")
         if not self.n_eff > 1:
             raise InvalidValue("n_eff must be > 1")
         if not (0 <= self.kappa_ext <= self.kappa):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from conftest import (
     cutoff_safe_product_state,
@@ -12,6 +13,7 @@ from conftest import (
 )
 from superrad.cumulant import (
     MomentState,
+    _numeric_jacobian,
     _rhs_vector,
     closure_triple,
     flux_decomposition,
@@ -19,7 +21,7 @@ from superrad.cumulant import (
     moment_rhs,
     photon_flux_cumulant,
 )
-from superrad.errors import NonFiniteState
+from superrad.errors import NoConvergence
 from superrad.exact import HilbertConfig, build_liouvillian, expectation, photon_flux_exact, steady_state_exact
 from superrad.params import SystemParams
 
@@ -99,9 +101,11 @@ def test_rhs_vector_consistent_with_moment_rhs():
 
 
 def test_integration_returns_dark_state_immediately_when_converged():
-    p = SystemParams(2, 9.0, 9.0, 1.5, 6.0, 0.0, 0.4, 0.2)
-    m = integrate_to_steady_state(p, MomentState.dark())
-    assert moment_vector(m) == pytest.approx(moment_vector(MomentState.dark()), abs=1e-12)
+    # the second set has omega = gamma_minus = 0, where s0 is 0/0
+    for p in (SystemParams(2, 9.0, 9.0, 1.5, 6.0, 0.0, 0.4, 0.2),
+              SystemParams(4, 100.0, 100.0, 1.0, 10.0, 0.0, 0.0, 0.0)):
+        m = integrate_to_steady_state(p)
+        assert moment_vector(m) == pytest.approx(moment_vector(MomentState.dark()), abs=1e-12)
 
 
 def test_flux_agrees_with_exact_solver_on_reference_set():
@@ -111,12 +115,74 @@ def test_flux_agrees_with_exact_solver_on_reference_set():
     assert flux_c == pytest.approx(flux_e, rel=0.10)
 
 
-def test_steady_state_independent_of_start():
-    p = regression_params(2)
+def _evolving_block(p):
+    # for N = 1 the pair moments x and z do not evolve; only (n, s, c) do
+    return 7 if p.n_emitters >= 2 else 4
+
+
+def _integrate_long(p, m0, m_ref):
+    """LSODA from m0 to 60 / |slowest decay rate| at the reference fixed point."""
+    block = _evolving_block(p)
+    rates = np.linalg.eigvals(_numeric_jacobian(p, m_ref.to_vector())[:block, :block]).real
+    sol = solve_ivp(lambda _t, y: _rhs_vector(p, y), (0.0, 60.0 / np.abs(rates).min()),
+                    m0.to_vector(), method="LSODA", rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return sol.y[:block, -1]
+
+
+CROSS_CHECK_POINTS = {
+    "regression_1": regression_params(1),
+    "regression_2": regression_params(2),
+    "regression_3": regression_params(3),
+    "n50_detuned": SystemParams(50, 500.0, 510.0, 0.5, 40.0, 0.3, 0.2, 0.4),
+    "cumulant_collective": SystemParams(10_000, 2350.0, 2350.0, 0.11, 134.0, 2.0, 1.0, 10.0),
+    "scaled_n3e4": SystemParams(30_000, 2350.0, 2350.0, 0.11, 134.0, 9.0, 0.3, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_POINTS)
+def test_steady_state_matches_long_integration_from_both_starts(name):
+    p = CROSS_CHECK_POINTS[name]
     tol = 1e-10
-    m_dark = integrate_to_steady_state(p, MomentState.dark(), tol=tol)
-    m_half = integrate_to_steady_state(p, MomentState.product(0.0, 0.0), tol=tol)
-    assert np.abs(moment_vector(m_dark) - moment_vector(m_half)).max() <= 10 * tol
+    m = integrate_to_steady_state(p, tol=tol)
+    block = _evolving_block(p)
+    for m0 in (MomentState.dark(), MomentState.product(0.0, 0.0)):
+        y_end = _integrate_long(p, m0, m)
+        assert np.abs(y_end - m.to_vector()[:block]).max() <= 10 * tol
+
+
+def test_unstable_fixed_point_raises_with_growth_rate():
+    p = SystemParams(3310, 2000.0, 2000.0, 3.18, 20.9, 0.3035, 0.0159, 0.0142)
+    with pytest.raises(NoConvergence, match="unstable: growth rate"):
+        integrate_to_steady_state(p)
+
+
+def test_lossless_cavity_above_inversion_raises():
+    p = SystemParams(10, 100.0, 100.0, 1.0, 0.0, 2.0, 0.5, 0.5)
+    with pytest.raises(NoConvergence, match="kappa = 0"):
+        integrate_to_steady_state(p)
+
+
+def test_lossless_cavity_below_inversion_balances_the_coherence_source():
+    # kappa = 0 forces Im c = 0, so the stationary c equation needs n s0 + p_e = 0
+    p = SystemParams(10, 100.0, 100.0, 1.0, 0.0, 0.2, 0.5, 0.5)
+    s0 = (p.omega - p.gamma_minus) / (p.omega + p.gamma_minus)
+    m = integrate_to_steady_state(p)
+    assert m.s_z == pytest.approx(s0, rel=1e-14)
+    assert m.n_photon == pytest.approx(-0.5 * (1.0 + s0) / s0, rel=1e-14)
+
+
+def test_uncoupled_lossless_cavity_stays_empty():
+    # g = kappa = 0: the photon number is marginal (zero growth rate), not unstable
+    p = SystemParams(10, 100.0, 100.0, 0.0, 0.0, 2.0, 0.5, 0.5)
+    m = integrate_to_steady_state(p)
+    assert m.n_photon == 0.0
+    assert m.s_z == pytest.approx((p.omega - p.gamma_minus) / (p.omega + p.gamma_minus), rel=1e-15)
+
+
+def test_tol_must_be_positive():
+    with pytest.raises(ValueError):
+        integrate_to_steady_state(regression_params(2), tol=0.0)
 
 
 def test_weak_drive_linear_response_matches_exact():
@@ -172,8 +238,6 @@ def test_x_pm_imaginary_part_vanishes_at_resonant_steady_state():
 
 
 def test_s_z_bounded_along_integration():
-    from scipy.integrate import solve_ivp
-
     for n_em in (1, 2, 3):
         for omega in (0.1, 1.0):
             p = regression_params(n_em, omega=omega)
@@ -182,10 +246,3 @@ def test_s_z_bounded_along_integration():
                             rtol=1e-10, atol=1e-12, dense_output=True)
             samples = sol.sol(np.linspace(0.0, 50.0, 500))
             assert np.all(np.abs(samples[1]) <= 1.0 + 1e-6)
-
-
-def test_non_finite_initial_state_rejected():
-    p = regression_params(2)
-    bad = MomentState(float("nan"), -1.0, 0j, 0j, 1.0)
-    with pytest.raises(NonFiniteState):
-        integrate_to_steady_state(p, bad)

@@ -7,6 +7,7 @@ from conftest import (
     random_params,
     regression_params,
 )
+from superrad import exact
 from superrad.errors import (
     CutoffNotConverged,
     DegenerateSteadyState,
@@ -23,6 +24,7 @@ from superrad.exact import (
     expectation,
     g2_zero_converged,
     g2_zero_exact,
+    jump_operators,
     photon_flux_exact,
     site_operator,
     steady_state_exact,
@@ -348,3 +350,18 @@ def test_site_operator_index_guard():
     h = HilbertConfig(2, 2)
     with pytest.raises(IndexOutOfRange):
         site_operator(h, np.eye(2), 2)
+
+
+def test_expectation_builds_ladder_operators_once_per_config():
+    h = HilbertConfig(3, 2)
+    rho = random_density_matrix(np.random.default_rng(5), h.dim)
+    exact._ladder_operators.cache_clear()
+    expectation(rho, "photon_number", h)
+    expectation(rho, "photon_pair", h)
+    expectation(rho, "field_coherence", h, 1)
+    info = exact._ladder_operators.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # the shared operators cannot be changed through a returned reference
+    a = jump_operators(regression_params(2), h)[0][1]
+    with pytest.raises(ValueError):
+        a.data[0] = 0.0

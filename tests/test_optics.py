@@ -215,9 +215,23 @@ def test_branches_match_per_angle_eigenvalues():
 
 
 def test_reflectance_bound_is_checked_not_asserted():
-    p = d4_like(50.0, 30.0, g_coll=float("nan"))
-    with pytest.raises(InvalidValue), np.errstate(invalid="ignore"):
-        reflectance_spectrum(p, 10.0, np.linspace(2000, 2700, 5))
+    # a lossless bare cavity probed exactly at its mode gives 0/0 in R(E)
+    p = OpticalParams(e_c0=2300.0, n_eff=1.8, delta=2350.0, g_coll=0.0,
+                      kappa=0.0, kappa_ext=0.0, gamma_perp=30.0)
+    with pytest.raises(InvalidValue), np.errstate(invalid="ignore", divide="ignore"):
+        reflectance_spectrum(p, 0.0, [2300.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "name", ["e_c0", "n_eff", "delta", "g_coll", "kappa", "kappa_ext", "gamma_perp"]
+)
+def test_optical_params_reject_non_finite(name, bad):
+    fields = dict(e_c0=2300.0, n_eff=1.8, delta=2350.0, g_coll=11.0,
+                  kappa=134.0, kappa_ext=67.0, gamma_perp=331.0)
+    fields[name] = bad
+    with pytest.raises(InvalidValue, match=name):
+        OpticalParams(**fields)
 
 
 def test_emission_fwhm_transparent_cavity():

@@ -63,6 +63,16 @@ def test_fixed_drive_gives_smaller_exponent_than_scaled():
     assert fits["fixed"].alpha < fits["scaled"].alpha
 
 
+def test_scaled_sweep_reaches_n_1e5():
+    # omega = 3e-4 * 1e5 = 30 meV: a stable fixed point the closed form finds directly
+    spec = SweepSpec(n_values=(100_000,), drive_rule="scaled",
+                     base_params=sweep_base(), gamma_r=1e-3)
+    (row,) = run_concentration_sweep(spec)
+    assert row.omega == pytest.approx(30.0)
+    for value in (row.l_cavity, row.l_control, row.ratio):
+        assert np.isfinite(value) and value > 0
+
+
 def test_sweep_is_deterministic():
     spec = SweepSpec(n_values=(10, 100), drive_rule="scaled",
                      base_params=sweep_base(omega=0.01), gamma_r=1e-3)
