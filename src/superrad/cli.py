@@ -61,12 +61,13 @@ def _atomic_write(path: Path, data: str):
         raise
 
 
-def _csv_text(columns, rows) -> str:
+def _csv_text(rows) -> str:
+    """CSV with the keys of the first row as the header."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+        writer.writerow([_fmt(v) for v in row.values()])
     return buf.getvalue()
 
 
@@ -74,18 +75,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# --- command handlers: each returns (columns, rows, summary, sidecars) ---------
+# --- command handlers: each returns (rows, summary, sidecars) ------------------
 
 def _cmd_validate(config: RunConfig, _rng):
     p = validate_params(config.effective_params())
-    columns = ["n_emitters", "delta_mev", "delta_c_mev", "g_mev", "kappa_mev",
-               "omega_mev", "gamma_minus_mev", "gamma_z_mev"]
     rows = [{
         "n_emitters": p.n_emitters, "delta_mev": p.delta, "delta_c_mev": p.delta_c,
         "g_mev": p.g, "kappa_mev": p.kappa, "omega_mev": p.omega,
         "gamma_minus_mev": p.gamma_minus, "gamma_z_mev": p.gamma_z,
     }]
-    return columns, rows, {"valid": True, "time_unit_ps": TIME_UNIT_PS}, {}
+    return rows, {"valid": True, "time_unit_ps": TIME_UNIT_PS}, {}
 
 
 def _hilbert_config(config: RunConfig) -> HilbertConfig:
@@ -102,26 +101,23 @@ def _cmd_exact(config: RunConfig, _rng):
     n_phot = expectation(rho, "photon_number", h).real
     s_z = expectation(rho, "sigma_z", h, 0).real
     x_pm = expectation(rho, "cross_pm", h, 0, 1).real if p.n_emitters >= 2 else float("nan")
-    columns = ["n_emitters", "n_max", "photon_number", "flux_mev", "sigma_z", "cross_pm"]
     rows = [{
         "n_emitters": p.n_emitters, "n_max": h.n_max, "photon_number": n_phot,
         "flux_mev": p.kappa * n_phot, "sigma_z": s_z, "cross_pm": x_pm,
     }]
-    return columns, rows, None, {}
+    return rows, None, {}
 
 
 def _cmd_cumulant(config: RunConfig, _rng):
     p = validate_params(config.effective_params())
     m = integrate_to_steady_state(p)
-    columns = ["n_emitters", "omega_mev", "n_photon", "s_z", "coh_re", "coh_im",
-               "x_pm_re", "x_pm_im", "z_zz", "flux_mev"]
     rows = [{
         "n_emitters": p.n_emitters, "omega_mev": p.omega, "n_photon": m.n_photon,
         "s_z": m.s_z, "coh_re": m.coh.real, "coh_im": m.coh.imag,
         "x_pm_re": m.x_pm.real, "x_pm_im": m.x_pm.imag, "z_zz": m.z_zz,
         "flux_mev": p.kappa * m.n_photon,
     }]
-    return columns, rows, None, {}
+    return rows, None, {}
 
 
 def _cmd_sweep(config: RunConfig, _rng):
@@ -134,13 +130,12 @@ def _cmd_sweep(config: RunConfig, _rng):
     )
     sweep_rows = run_concentration_sweep(spec)
     fit = fit_power_law([(r.n, r.ratio) for r in sweep_rows])
-    columns = ["n", "omega_mev", "l_cavity_mev", "l_control_mev", "ratio"]
     rows = [{
         "n": r.n, "omega_mev": r.omega, "l_cavity_mev": r.l_cavity,
         "l_control_mev": r.l_control, "ratio": r.ratio,
     } for r in sweep_rows]
     summary = {"alpha": fit.alpha, "prefactor": fit.prefactor, "rmsd": fit.rmsd}
-    return columns, rows, summary, {}
+    return rows, summary, {}
 
 
 def _cmd_reflectance(config: RunConfig, _rng):
@@ -155,7 +150,6 @@ def _cmd_reflectance(config: RunConfig, _rng):
     e_hi = o.e_max if o.e_max is not None else o.delta + 500.0
     energies = np.linspace(e_lo, e_hi, o.n_energy)
     rmap = compute_reflectance_map(params, thetas, energies)
-    columns = ["theta_deg", "energy_mev", "reflectance"]
     rows = [
         {"theta_deg": float(t), "energy_mev": float(e),
          "reflectance": float(rmap.r_values[i, j])}
@@ -169,7 +163,7 @@ def _cmd_reflectance(config: RunConfig, _rng):
         "up_re_mev": [float(v) for v in rmap.up_branch.real],
         "up_im_mev": [float(v) for v in rmap.up_branch.imag],
     }
-    return columns, rows, None, {"reflectance_branches.json": branches}
+    return rows, None, {"reflectance_branches.json": branches}
 
 
 def _cmd_fit(config: RunConfig, rng):
@@ -178,22 +172,20 @@ def _cmd_fit(config: RunConfig, rng):
         noise = np.exp(rng.normal(0.0, config.fit.noise_sigma, len(points)))
         points = [(n, r * w) for (n, r), w in zip(points, noise)]
     fit = fit_power_law(points)
-    columns = ["n", "ratio"]
     rows = [{"n": n, "ratio": r} for n, r in points]
     summary = {"alpha": fit.alpha, "prefactor": fit.prefactor, "rmsd": fit.rmsd}
-    return columns, rows, summary, {}
+    return rows, summary, {}
 
 
 def _cmd_g2(config: RunConfig, _rng):
     p = validate_params(config.effective_params())
     g2, h, rho = converge_in_cutoff(p, _hilbert_config(config), _g2_of)
     n_phot = expectation(rho, "photon_number", h).real
-    columns = ["n_emitters", "n_max_converged", "photon_number", "flux_mev", "g2_zero"]
     rows = [{
         "n_emitters": p.n_emitters, "n_max_converged": h.n_max,
         "photon_number": n_phot, "flux_mev": p.kappa * n_phot, "g2_zero": g2,
     }]
-    return columns, rows, None, {}
+    return rows, None, {}
 
 
 _HANDLERS = {
@@ -216,23 +208,22 @@ def run(config: RunConfig) -> list[Path]:
     """
     started = time.monotonic()
     rng = np.random.default_rng(config.seed)
-    columns, rows, summary, sidecars = _HANDLERS[config.command](config, rng)
+    rows, summary, sidecars = _HANDLERS[config.command](config, rng)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: list[tuple[Path, str]] = []
     if config.format == "csv":
-        artifacts.append((out_dir / f"{config.command}_result.csv", _csv_text(columns, rows)))
+        artifacts.append((out_dir / f"{config.command}_result.csv", _csv_text(rows)))
         if summary is not None:
             artifacts.append((out_dir / f"{config.command}_summary.json", _json_text(summary)))
+        for name, obj in sidecars.items():
+            artifacts.append((out_dir / name, _json_text(obj)))
     else:
         payload = {"rows": rows, "summary": summary}
         for name, obj in sidecars.items():
             payload[Path(name).stem] = obj
         artifacts.append((out_dir / f"{config.command}_result.json", _json_text(payload)))
-    if config.format == "csv":
-        for name, obj in sidecars.items():
-            artifacts.append((out_dir / name, _json_text(obj)))
 
     manifest = {
         "command": config.command,

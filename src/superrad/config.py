@@ -58,10 +58,10 @@ class OpticsSection:
     kappa_ext: float | None = None  # defaults to kappa / 2 (critical coupling)
     theta_min: float = 0.0
     theta_max: float = 64.0
-    n_theta: int = 65
+    n_theta: int = field(default=65, metadata={"min": 1})
     e_min: float | None = None      # defaults to delta - 500
     e_max: float | None = None      # defaults to delta + 500
-    n_energy: int = 201
+    n_energy: int = field(default=201, metadata={"min": 1})
 
 
 @dataclass(frozen=True)

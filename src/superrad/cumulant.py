@@ -22,6 +22,10 @@ W2 = omega + gamma_minus + 4 gamma_z, p_e = (1+s)/2:
     dx/dt = -W2 x + 2 g s Im(c)
     dz/dt = 2 omega (s-z) - 2 gamma_minus (s+z) - 8 g s Im(c)
 
+These equations are written once, in _rhs_vector, with the closed third
+moments noted beside the terms that carry them; moment_rhs, the stability
+Jacobian and the residual check of the fixed point all evaluate that code.
+
 The closure is exact at uncorrelated (product) states with vanishing first
 moments, which is the basis of the derivative-equality oracle test against the
 exact Liouvillian.  Untracked pair moments (<a sz>, <s- sz>, <a a>, ...) only
@@ -44,8 +48,8 @@ K = g D_c / (D_c^2 + d^2).  Substituting leaves one quadratic,
 
 Its roots have opposite signs, and n >= 0 selects the non-negative one.  That
 state is returned only if no eigenvalue of the Jacobian there has a positive
-real part; otherwise the closed system has no stable stationary state and
-NoConvergence is raised.
+real part and its derivative norm is within tol * max(1, kappa n);
+otherwise NoConvergence is raised.
 """
 
 from __future__ import annotations
@@ -58,18 +62,6 @@ from .errors import InvalidValue, NoConvergence, NonFiniteState
 from .params import SystemParams, validate_params
 
 DEFAULT_TOL = 1e-10
-
-
-def closure_triple(
-    a_mean: complex,
-    b_mean: complex,
-    c_mean: complex,
-    ab: complex,
-    ac: complex,
-    bc: complex,
-) -> complex:
-    """Third-moment closure <ABC> ~ <A><BC> + <B><AC> + <AB><C> - <A><B><C>."""
-    return a_mean * bc + b_mean * ac + ab * c_mean - a_mean * b_mean * c_mean
 
 
 @dataclass
@@ -129,60 +121,32 @@ class MomentState:
 
 
 def moment_rhs(p: SystemParams, m: MomentState) -> MomentState:
-    """Time derivatives of all moment fields (returned in MomentState slots).
-
-    Third moments are eliminated through closure_triple with the vanishing
-    first moments <a> = <s-> = 0 spelled out, e.g. <a'a sz> with pair moments
-    (<a'a>, <a'sz>, <a sz>) = (n, 0, 0) reduces to n*s.
-    """
+    """Time derivatives of all moment fields (returned in MomentState slots)."""
     validate_params(p)
-    n_em = p.n_emitters
-    n, s, c, x, z = m.n_photon, m.s_z, m.coh, m.x_pm, m.z_zz
-    p_e = 0.5 * (1.0 + s)
-
-    # <a'a sz_i>: A = a', B = a, C = sz; pair moments (<a'a>, <a'sz>, <a sz>) = (n, 0, 0)
-    triple_naz = closure_triple(0j, 0j, s, n, 0j, 0j)
-    # <a s+_i sz_j>: A = a, B = s+, C = sz; only the pair <a s+> = conj(c) survives
-    triple_apz = closure_triple(0j, 0j, s, np.conj(c), 0j, 0j)
-    # <a' s-_i sz_j>: A = a', B = s-, C = sz; only the pair <a' s-> = c survives
-    triple_amz = closure_triple(0j, 0j, s, c, 0j, 0j)
-
-    im_c = c.imag
-    dn = -p.kappa * n + 2.0 * p.g * n_em * im_c
-    ds = p.omega * (1.0 - s) - p.gamma_minus * (1.0 + s) - 4.0 * p.g * im_c
-    dc = (
-        1j * p.detuning - 0.5 * (p.kappa + p.omega + p.gamma_minus) - 2.0 * p.gamma_z
-    ) * c + 1j * p.g * (triple_naz + p_e + (n_em - 1) * x)
-    if n_em >= 2:
-        w2 = p.omega + p.gamma_minus + 4.0 * p.gamma_z
-        dx = -w2 * x + 1j * p.g * (triple_apz - triple_amz)
-        dz_g = 4j * p.g * (triple_amz - triple_apz)  # pure real: 4ig s (c - c*)
-        dz = 2.0 * p.omega * (s - z) - 2.0 * p.gamma_minus * (s + z) + dz_g.real
-    else:
-        dx = 0j
-        dz = 0.0
-    return MomentState(
-        n_photon=float(dn), s_z=float(ds), coh=complex(dc), x_pm=complex(dx), z_zz=float(dz)
-    )
+    return MomentState.from_vector(_rhs_vector(p, m.to_vector()))
 
 
 def _rhs_vector(p: SystemParams, y: np.ndarray) -> np.ndarray:
-    """Same equations as moment_rhs on the 7-component real vector (hot path)."""
+    """The closed moment equations on y = (n, s, Re c, Im c, Re x, Im x, z).
+
+    y has shape (7,) or (7, k); each column is one state.
+    """
     n_em = p.n_emitters
     n, s, cr, ci, xr, xi, z = y
     p_e = 0.5 * (1.0 + s)
-    damp_c = 0.5 * (p.kappa + p.omega + p.gamma_minus) + 2.0 * p.gamma_z
+    d_c, w2 = _damping_rates(p)
     det = p.detuning
 
     dn = -p.kappa * n + 2.0 * p.g * n_em * ci
     ds = p.omega * (1.0 - s) - p.gamma_minus * (1.0 + s) - 4.0 * p.g * ci
-    # dc = (i det - damp_c) c + i g (n s + p_e + (N-1) x)
+    # dc = (i det - D_c) c + i g (<a'a sz> + p_e + (N-1) x); with <a> = <s-> = 0
+    # the closure keeps one pair moment: <a'a sz> -> n s
     src_r = n * s + p_e + (n_em - 1) * xr
     src_i = (n_em - 1) * xi
-    dcr = -det * ci - damp_c * cr - p.g * src_i
-    dci = det * cr - damp_c * ci + p.g * src_r
+    dcr = -det * ci - d_c * cr - p.g * src_i
+    dci = det * cr - d_c * ci + p.g * src_r
     if n_em >= 2:
-        w2 = p.omega + p.gamma_minus + 4.0 * p.gamma_z
+        # the g terms carry <a s+ sz> - <a' s- sz> -> s (c* - c) = -2i s Im(c)
         dxr = -w2 * xr + 2.0 * p.g * s * ci
         dxi = -w2 * xi
         dz = (
@@ -191,7 +155,7 @@ def _rhs_vector(p: SystemParams, y: np.ndarray) -> np.ndarray:
             - 8.0 * p.g * s * ci
         )
     else:
-        dxr = dxi = dz = 0.0
+        dxr = dxi = dz = np.zeros_like(n)
     return np.array([dn, ds, dcr, dci, dxr, dxi, dz])
 
 
@@ -201,7 +165,10 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
     Im(c) is the non-negative root of the stationary quadratic (see the module
     docstring); the other moments follow from it.  Raises NoConvergence when
     that fixed point is unstable, does not exist (kappa = 0 with g > 0 and
-    omega >= gamma_minus) or leaves a derivative norm above tol.
+    omega >= gamma_minus) or leaves a derivative norm above tol * max(1, kappa n).
+    The tolerance is relative to kappa n = 2 g N Im(c), the size of the
+    photon-balance terms, because at large flux their rounding alone exceeds
+    any fixed absolute tol.
     """
     validate_params(p)
     if tol <= 0:
@@ -209,8 +176,8 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
     if p.omega == 0:
         return MomentState.dark()
     n_em = p.n_emitters
-    d_c, k2 = _coherence_rates(p)
-    w2 = p.omega + p.gamma_minus + 4.0 * p.gamma_z
+    k2 = _outcoupling_rate(p)
+    d_c, w2 = _damping_rates(p)
     s0 = (p.omega - p.gamma_minus) / (p.omega + p.gamma_minus)
     b = 4.0 * p.g / (p.omega + p.gamma_minus)
 
@@ -243,29 +210,33 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
     if growth > 0:
         raise NoConvergence(f"stationary state is unstable: growth rate {growth:.3e} meV")
     norm = np.abs(_rhs_vector(p, y)).max()
-    if norm > tol:
-        raise NoConvergence(f"derivative norm {norm:.3e} above {tol:.0e} at the stationary state")
+    bound = tol * max(1.0, p.kappa * n)
+    if norm > bound:
+        raise NoConvergence(
+            f"derivative norm {norm:.3e} above tol * max(1, kappa n) = {bound:.3e}"
+            " at the stationary state"
+        )
     return MomentState.from_vector(y).validate(slack=1e-6)
 
 
 def _numeric_jacobian(p: SystemParams, y: np.ndarray, eps: float = 1e-7) -> np.ndarray:
-    """Central-difference Jacobian of the 7-dim moment vector field."""
-    dim = len(y)
-    jac = np.empty((dim, dim))
-    for k in range(dim):
-        step = eps * max(1.0, abs(y[k]))
-        y_hi = y.copy()
-        y_lo = y.copy()
-        y_hi[k] += step
-        y_lo[k] -= step
-        jac[:, k] = (_rhs_vector(p, y_hi) - _rhs_vector(p, y_lo)) / (2 * step)
-    return jac
+    """Central-difference Jacobian of the 7-dim moment vector field, in one evaluation."""
+    h = eps * np.maximum(1.0, np.abs(y))
+    steps = np.diag(h)
+    rhs = _rhs_vector(p, np.hstack([y[:, None] + steps, y[:, None] - steps]))
+    return (rhs[:, : len(y)] - rhs[:, len(y) :]) / (2 * h)
 
 
-def _coherence_rates(p: SystemParams) -> tuple[float, float]:
-    """D_c, the damping rate of c, and k2 = 2 g^2 D_c / (D_c^2 + d^2), the outcoupling rate."""
+def _damping_rates(p: SystemParams) -> tuple[float, float]:
+    """D_c and W2 = omega + gamma_minus + 4 gamma_z, the damping rates of c and x."""
     d_c = 0.5 * (p.kappa + p.omega + p.gamma_minus) + 2.0 * p.gamma_z
-    return d_c, 2.0 * p.g**2 * d_c / (d_c**2 + p.detuning**2)
+    return d_c, p.omega + p.gamma_minus + 4.0 * p.gamma_z
+
+
+def _outcoupling_rate(p: SystemParams) -> float:
+    """k2 = 2 g^2 D_c / (D_c^2 + d^2), the per-emitter outcoupling rate."""
+    d_c, _ = _damping_rates(p)
+    return 2.0 * p.g**2 * d_c / (d_c**2 + p.detuning**2)
 
 
 def photon_flux_cumulant(p: SystemParams, tol: float = DEFAULT_TOL) -> float:
@@ -289,7 +260,7 @@ def flux_decomposition(p: SystemParams, m: MomentState) -> tuple[float, float]:
     """
     validate_params(p)
     n_em = p.n_emitters
-    _, k2 = _coherence_rates(p)
+    k2 = _outcoupling_rate(p)
     denom = 1.0 - k2 * n_em * m.s_z / p.kappa
     single_total = n_em * k2 * 0.5 * (1.0 + m.s_z) / denom
     pair_total = n_em * (n_em - 1) * k2 * m.x_pm.real / denom

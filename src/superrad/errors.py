@@ -76,7 +76,7 @@ class VacuumState(SuperradError):
 # --- cumulant solver ----------------------------------------------------------
 
 class NoConvergence(SuperradError):
-    """The moment equations have no stable stationary state within tolerance."""
+    """No stable stationary moment state, or its derivative norm exceeds tol * max(1, kappa n)."""
 
 
 class NonFiniteState(SuperradError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -198,14 +198,18 @@ def build_liouvillian(
 
 # --- density matrices ---------------------------------------------------------
 
+# invariant tolerances of DensityMatrix.validate, and the steady-state residual bound
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-9
+PSD_TOL = 1e-8
+STEADY_RESIDUAL_TOL = 1e-10
+
+
 @dataclass
 class DensityMatrix:
     """Exact joint state with Hermiticity / trace / positivity invariants."""
 
     mat: np.ndarray
-    hermiticity_tol: float = field(default=1e-10, repr=False)
-    trace_tol: float = field(default=1e-9, repr=False)
-    psd_tol: float = field(default=1e-8, repr=False)
 
     @property
     def dim(self) -> int:
@@ -216,13 +220,13 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidValue("density matrix must be square")
         herm = float(np.abs(m - m.conj().T).max())
-        if herm > self.hermiticity_tol:
+        if herm > HERMITICITY_TOL:
             raise InvalidValue(f"not Hermitian: max |rho - rho^+| = {herm:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > self.trace_tol:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidValue(f"trace {tr} differs from 1 beyond tolerance")
         min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-        if min_eig < -self.psd_tol:
+        if min_eig < -PSD_TOL:
             raise InvalidValue(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
         return self
 
@@ -268,9 +272,6 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 
 # --- steady state and dynamics --------------------------------------------------
-
-STEADY_RESIDUAL_TOL = 1e-10
-
 
 def steady_state_exact(liou: Liouvillian) -> DensityMatrix:
     """Unique steady state via the trace-replacement linear system.

@@ -271,3 +271,13 @@ def test_invalid_value_error_record(tmp_path, capsys, command, doc):
     record = json.loads(capsys.readouterr().out.strip())
     assert record["error"] == "InvalidValue"
     assert not out.exists() or not any(out.glob("*"))
+
+
+def test_negative_grid_size_is_a_type_mismatch_record(tmp_path, capsys):
+    cfg = _write(tmp_path, "bad.yaml", REFLECTANCE_DOC.replace("n_theta: 5", "n_theta: -3"))
+    out = tmp_path / "out"
+    assert main(["reflectance", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "TypeMismatch"
+    assert "optics.n_theta" in record["message"]
+    assert not out.exists()

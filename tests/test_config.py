@@ -152,6 +152,16 @@ sweep:
   gamma_r: 0.001
 """
 
+OPTICS_BLOCK = """
+optics:
+  e_c0: 2300.0
+  n_eff: 1.8
+  delta: 2350.0
+  g_coll: 11.0
+  kappa: 134.0
+  gamma_perp: 331.0
+"""
+
 
 @pytest.mark.parametrize("text, error, key", [
     ("command: sweep\n" + PARAMS_BLOCK + SWEEP_BLOCK.replace("scaled", "linear"),
@@ -172,6 +182,9 @@ sweep:
     ("command: validate\nformat: xml\n" + PARAMS_BLOCK, TypeMismatch, "format"),
     ("command: validate\nparams:\n  n_emitters: 1\n", MissingSection, "params.delta"),
     ("- command: validate\n", TypeMismatch, "<document root>"),
+    ("command: reflectance\n" + OPTICS_BLOCK + "  n_theta: -3\n", TypeMismatch, "optics.n_theta"),
+    ("command: reflectance\n" + OPTICS_BLOCK + "  n_theta: 0\n", TypeMismatch, "optics.n_theta"),
+    ("command: reflectance\n" + OPTICS_BLOCK + "  n_energy: 0\n", TypeMismatch, "optics.n_energy"),
 ])
 def test_schema_error_paths(text, error, key):
     with pytest.raises(error) as err:

@@ -1,4 +1,4 @@
-"""Static checks on the package source: every failure is a typed superrad error."""
+"""Static checks on the package source: typed errors only, and a consistent export list."""
 
 import ast
 from pathlib import Path
@@ -35,3 +35,8 @@ def test_package_raises_only_typed_errors():
         for line, what in _untyped_failures(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+def test_public_names_exist_once():
+    assert len(superrad.__all__) == len(set(superrad.__all__))
+    assert [name for name in superrad.__all__ if not hasattr(superrad, name)] == []
