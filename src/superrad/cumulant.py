@@ -256,9 +256,12 @@ def flux_decomposition(p: SystemParams, m: MomentState) -> tuple[float, float]:
 
     with k2 = 2 g^2 D_c / (D_c^2 + d^2) the per-emitter outcoupling rate.
     Returns (single_total, pair_total); their sum equals kappa * n_photon at a
-    converged state up to integration tolerance.
+    converged state up to integration tolerance.  Raises InvalidValue for
+    kappa = 0, where there is no outcoupled flux to split.
     """
     validate_params(p)
+    if p.kappa == 0:
+        raise InvalidValue("flux_decomposition needs kappa > 0; kappa = 0 emits no flux")
     n_em = p.n_emitters
     k2 = _outcoupling_rate(p)
     denom = 1.0 - k2 * n_em * m.s_z / p.kappa

@@ -19,7 +19,7 @@ from superrad.cumulant import (
     moment_rhs,
     photon_flux_cumulant,
 )
-from superrad.errors import NoConvergence
+from superrad.errors import InvalidValue, NoConvergence
 from superrad.exact import HilbertConfig, build_liouvillian, expectation, photon_flux_exact, steady_state_exact
 from superrad.params import SystemParams
 
@@ -216,6 +216,17 @@ def test_flux_decomposition_identity():
         single, pair = flux_decomposition(p, m)
         flux = p.kappa * m.n_photon
         assert single + pair == pytest.approx(flux, rel=1e-6)
+
+
+def test_flux_decomposition_rejects_lossless_cavity():
+    # kappa = 0 below inversion has a stationary state, but no flux to split;
+    # the second point also zeroes D_c^2 + d^2 (all rates 0, resonant)
+    p = SystemParams(2, 10.0, 10.0, 1.0, 0.0, 0.05, 0.1, 0.0)
+    m = integrate_to_steady_state(p)
+    with pytest.raises(InvalidValue, match="kappa"):
+        flux_decomposition(p, m)
+    with pytest.raises(InvalidValue, match="kappa"):
+        flux_decomposition(SystemParams(2, 10.0, 10.0, 1.0, 0.0, 0.0, 0.0, 0.0), MomentState.dark())
 
 
 def test_x_pm_imaginary_part_vanishes_at_resonant_steady_state():

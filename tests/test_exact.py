@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import (
     random_density_matrix,
@@ -24,6 +28,7 @@ from superrad.exact import (
     expectation,
     g2_zero_converged,
     g2_zero_exact,
+    hamiltonian,
     jump_operators,
     photon_flux_exact,
     site_operator,
@@ -124,6 +129,88 @@ def test_steady_state_matches_dense_null_eigenvector():
         rho_ev = rho_ev / np.trace(rho_ev).real
         assert trace_distance(rho_tr, DensityMatrix(rho_ev)) <= 1e-10
         checked += 1
+
+
+def _kron_reference_liouvillian(p, h, frame):
+    """L term by term: -i[H, .] plus r (A* kron A - I kron A'A/2 - (A'A)^T kron I/2) per jump."""
+    ident = sp.identity(h.dim, dtype=complex, format="csr")
+    ham = hamiltonian(p, h, frame)
+    liou = -1j * (sp.kron(ident, ham) - sp.kron(ham.T, ident))
+    for rate, op in jump_operators(p, h):
+        op_dag_op = op.conj().T @ op
+        liou = liou + rate * (
+            sp.kron(op.conj(), op)
+            - 0.5 * sp.kron(ident, op_dag_op)
+            - 0.5 * sp.kron(op_dag_op.T, ident)
+        )
+    return liou.tocsr()
+
+
+def _full_space_steady_state(liou):
+    """Trace-replacement solve on all d^2 unknowns: row 0 of L becomes vec(I)^T."""
+    d = liou.dim
+    system = sp.vstack([sp.csr_matrix(liou.trace_row()), liou.matrix.tocsr()[1:]], format="csc")
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    rho = unvec(spla.splu(system, permc_spec="MMD_AT_PLUS_A").solve(rhs), d)
+    rho = (rho + rho.conj().T) / 2
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+def _with_zero_rates(p, rng):
+    """p with a random subset of kappa, omega, gamma_minus, gamma_z set to 0."""
+    names = ("kappa", "omega", "gamma_minus", "gamma_z")
+    zeroed = [name for name in names if rng.random() < 0.4]
+    return dataclasses.replace(p, **dict.fromkeys(zeroed, 0.0))
+
+
+@pytest.mark.parametrize("frame", ["as_written", "rotating"])
+def test_liouvillian_matches_term_by_term_kron_reference(frame):
+    rng = np.random.default_rng(31)
+    for k in range(12):
+        n_em = 1 + k % 3
+        p = random_params(rng, n_em)
+        if k % 2:
+            p = _with_zero_rates(p, rng)
+        h = HilbertConfig(int(rng.integers(1, 4)), n_em)
+        ref = _kron_reference_liouvillian(p, h, frame)
+        diff = abs(build_liouvillian(p, h, frame).matrix - ref).max()
+        assert diff <= 1e-13 * abs(ref).max()
+
+
+@pytest.mark.parametrize("frame", ["as_written", "rotating"])
+def test_liouvillian_never_mixes_excitation_differences(frame):
+    rng = np.random.default_rng(32)
+    for n_em in (1, 2, 3):
+        for _ in range(3):
+            h = HilbertConfig(int(rng.integers(1, 4)), n_em)
+            lmat = build_liouvillian(random_params(rng, n_em), h, frame).matrix.tocsr()
+            sector, _ = exact._zero_difference_sector(h)
+            outside = np.setdiff1d(np.arange(h.dim**2), sector)
+            assert lmat[outside][:, sector].nnz == 0
+            assert lmat[sector][:, outside].nnz == 0
+
+
+def test_zero_difference_sector_size():
+    # b_E basis states at each excitation number E; the sector holds sum_E b_E^2
+    for (n_max, n_em), size in {(3, 4): 744, (1, 1): 6, (2, 2): 36}.items():
+        sector, diagonal = exact._zero_difference_sector(HilbertConfig(n_max, n_em))
+        assert len(sector) == size
+        d = (n_max + 1) * 2**n_em
+        assert np.array_equal(sector[diagonal], np.arange(d) * (d + 1))
+
+
+@pytest.mark.parametrize(
+    "n_em, n_max", [(1, 3), (1, 5), (2, 3), (2, 5), (3, 3), (3, 5), (4, 3)]
+)
+def test_sector_solve_matches_full_space_solve(n_em, n_max):
+    if n_em < 4:
+        p = random_params(np.random.default_rng(100 * n_em + n_max), n_em)
+    else:  # the oracle's leaky regime
+        p = SystemParams(4, 2000.0, 2000.0, 1.2, 40.0, 0.2, 0.1, 0.5)
+    for frame in ("as_written", "rotating"):
+        liou = build_liouvillian(p, HilbertConfig(n_max, n_em), frame)
+        assert trace_distance(steady_state_exact(liou), _full_space_steady_state(liou)) <= 1e-12
 
 
 def test_degenerate_steady_state_detected():
