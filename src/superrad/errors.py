@@ -53,10 +53,6 @@ class DegenerateSteadyState(SuperradError):
     """The Liouvillian null space is not one-dimensional."""
 
 
-class StepSizeUnderflow(SuperradError):
-    """Adaptive time integration could not take a valid step."""
-
-
 class UnknownObservable(SuperradError):
     pass
 

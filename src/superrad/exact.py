@@ -3,11 +3,13 @@
 This module is the oracle of the toolkit: it builds the sparse Liouvillian
 superoperator of the driven-dissipative Tavis-Cummings model, solves for the
 steady state via a trace-replacement linear system, time-evolves density
-matrices, and evaluates observables exactly.  L acts on d^2 unknowns with
-d = (n_max+1)*2^N; the steady-state solve keeps only the elements rho_ij with
-equal excitation number E_i = E_j, sum_E b_E^2 unknowns for b_E basis states
-at each E (744 of 4096 at N=4, n_max=3).  Both still grow exponentially in N,
-so the oracle is only usable for small N; the cumulant module covers large N.
+matrices by a dense matrix exponential of each charge block, and evaluates
+observables exactly.  L acts on d^2 unknowns with d = (n_max+1)*2^N, and never
+mixes elements rho_ij of different charge E_i - E_j, where E is the excitation
+number.  The steady-state solve keeps only the charge-0 block, sum_E b_E^2
+unknowns for b_E basis states at each E (744 of 4096 at N=4, n_max=3).  Both
+still grow exponentially in N, so the oracle is only usable for small N; the
+cumulant module covers large N.
 
 Conventions
 -----------
@@ -19,7 +21,9 @@ Conventions
   With frame="rotating" both delta_c and delta are shifted by -delta, leaving
   only the detuning; all tracked observables commute with the total excitation
   phase rotation, so they are identical in either frame.  The rotating frame
-  avoids integrating optical-frequency phases when delta ~ 2e3 meV.
+  removes the phase rate k*delta (delta ~ 2e3 meV) from each charge-k block of
+  L, so the matrix exponential of time_evolve needs fewer squarings; the
+  charge-0 block is the same in both frames up to rounding.
 * dissipators: L[A] rho = A rho A' - (1/2){A'A, rho} at rates
   kappa (A = a), omega (A = s+_n), gamma_minus (A = s-_n), gamma_z (A = sz_n).
 """
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .errors import (
     CutoffNotConverged,
@@ -41,7 +45,6 @@ from .errors import (
     DimensionCap,
     IndexOutOfRange,
     InvalidValue,
-    StepSizeUnderflow,
     UnknownObservable,
     VacuumState,
 )
@@ -50,7 +53,6 @@ from .params import SystemParams, validate_params
 DEFAULT_DIMENSION_CAP = 4096
 
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-_SIGMA_PLUS = _SIGMA_MINUS.conj().T
 _SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
@@ -116,32 +118,40 @@ def site_operator(h: HilbertConfig, op2: np.ndarray, site: int) -> sp.csr_matrix
 
 
 @functools.lru_cache(maxsize=16)
-def _ladder_operators(h: HilbertConfig) -> tuple[sp.csr_matrix, tuple[sp.csr_matrix, ...]]:
-    """a and every sigma-minus_n on h, built once per configuration and shared read-only."""
+def _ladder_operators(h: HilbertConfig) -> tuple[sp.csr_matrix, tuple, tuple]:
+    """a, every sigma-minus_n and every sigma-z_n on h, built once per configuration, read-only."""
     a = field_operator(h, destroy_op(h.n_max + 1))
     sigma_minus = tuple(site_operator(h, _SIGMA_MINUS, n) for n in range(h.n_emitters))
-    for op in (a, *sigma_minus):
+    sigma_z = tuple(site_operator(h, _SIGMA_Z, n) for n in range(h.n_emitters))
+    for op in (a, *sigma_minus, *sigma_z):
         for arr in (op.data, op.indices, op.indptr):
             arr.flags.writeable = False
-    return a, sigma_minus
+    return a, sigma_minus, sigma_z
 
 
 @functools.lru_cache(maxsize=16)
-def _zero_difference_sector(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
-    """vec indices of the rho_ij with E_i = E_j, and the positions of rho_ii among them.
+def _charge(h: HilbertConfig) -> np.ndarray:
+    """E_i - E_j at each column-stacked vec index i + j*d, read-only.
 
     E = a'a + sum_n s+_n s-_n is diagonal in the product basis: basis index
-    i = n * 2^N + s carries n photons and popcount(s) excited emitters.  The
-    indices are ascending, so vec index 0 (rho_00) comes first.
+    i = n * 2^N + s carries n photons and popcount(s) excited emitters.  L
+    never mixes elements of different charge (see steady_state_exact).
     """
     spins = 2**h.n_emitters
     photons = np.repeat(np.arange(h.n_max + 1), spins)
     excited = np.tile([s.bit_count() for s in range(spins)], h.n_max + 1)
-    energy = photons + excited
-    d = h.dim
-    # column-stacked: vec index i + j*d holds rho_ij
-    sector = np.flatnonzero((energy[:, None] == energy[None, :]).reshape(-1, order="F"))
-    diagonal = np.searchsorted(sector, np.arange(d) * (d + 1))
+    # the smallest signed type that holds +-(n_max + N) keeps the d^2 entries small
+    energy = (photons + excited).astype(np.min_scalar_type(-1 - h.n_max - h.n_emitters))
+    charge = (energy[:, None] - energy[None, :]).reshape(-1, order="F")
+    charge.flags.writeable = False
+    return charge
+
+
+@functools.lru_cache(maxsize=16)
+def _zero_difference_sector(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending vec indices of the charge-0 rho_ij, so rho_00 first, and where rho_ii sits."""
+    sector = np.flatnonzero(_charge(h) == 0)
+    diagonal = np.searchsorted(sector, np.arange(h.dim) * (h.dim + 1))
     for arr in (sector, diagonal):
         arr.flags.writeable = False
     return sector, diagonal
@@ -152,7 +162,7 @@ def hamiltonian(p: SystemParams, h: HilbertConfig, frame: str = "as_written") ->
     if frame not in ("as_written", "rotating"):
         raise InvalidValue(f"unknown frame {frame!r}")
     shift = p.delta if frame == "rotating" else 0.0
-    a, sigma_minus = _ladder_operators(h)
+    a, sigma_minus, _ = _ladder_operators(h)
     ham = (p.delta_c - shift) * (a.conj().T @ a)
     for sm in sigma_minus:
         sp_ = sm.conj().T
@@ -162,12 +172,12 @@ def hamiltonian(p: SystemParams, h: HilbertConfig, frame: str = "as_written") ->
 
 def jump_operators(p: SystemParams, h: HilbertConfig) -> list[tuple[float, sp.csr_matrix]]:
     """All (rate, collapse operator) pairs of the master equation."""
-    a, sigma_minus = _ladder_operators(h)
+    a, sigma_minus, sigma_z = _ladder_operators(h)
     ops = [(p.kappa, a)]
-    for n, sm in enumerate(sigma_minus):
+    for sm, sz in zip(sigma_minus, sigma_z):
         ops.append((p.omega, sm.conj().T))
         ops.append((p.gamma_minus, sm))
-        ops.append((p.gamma_z, site_operator(h, _SIGMA_Z, n)))
+        ops.append((p.gamma_z, sz))
     return ops
 
 
@@ -371,38 +381,33 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix:
     return DensityMatrix(rho).validate()
 
 
-def time_evolve(
-    liou: Liouvillian,
-    rho0: DensityMatrix,
-    t_final: float,
-    dt_max: float | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> DensityMatrix:
-    """Adaptive explicit integration of rho_dot = L rho from rho0 to t_final."""
-    if t_final < 0:
-        raise InvalidValue("t_final must be >= 0")
-    if dt_max is not None and dt_max <= 0:
-        raise InvalidValue("dt_max must be > 0")
+def time_evolve(liou: Liouvillian, rho0: DensityMatrix, t_final: float) -> DensityMatrix:
+    """rho(t_final) = exp(t_final L) rho0, one dense matrix exponential per charge block.
+
+    L never mixes charges E_i - E_j (see steady_state_exact), so each charge
+    that vec(rho0) occupies evolves on its own under exp(t_final L_k), by
+    scaling and squaring (scipy.linalg.expm); a vacuum start occupies only
+    charge 0.  A block with more unknowns than h.cap raises DimensionCap first.
+    """
+    if not (np.isfinite(t_final) and t_final >= 0):
+        raise InvalidValue(f"t_final must be finite and >= 0, got {t_final}")
+    d = liou.dim
+    if rho0.mat.shape != (d, d):
+        raise InvalidValue(f"rho0 has shape {rho0.mat.shape}, the Liouvillian acts on {d}x{d}")
     if t_final == 0.0:
         return DensityMatrix(rho0.mat.copy())
-    lmat = liou.matrix
     y0 = vec(rho0.mat).astype(complex)
-    sol = solve_ivp(
-        lambda _t, y: lmat @ y,
-        (0.0, t_final),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        max_step=np.inf if dt_max is None else dt_max,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise StepSizeUnderflow(f"integration failed: {sol.message}")
-    rho = unvec(sol.y[:, -1], liou.dim)
-    rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho)
+    charge = _charge(liou.hilbert)
+    blocks = [np.flatnonzero(charge == k) for k in np.unique(charge[y0 != 0])]
+    biggest = max(map(len, blocks), default=0)
+    if biggest > liou.hilbert.cap:
+        raise DimensionCap(f"charge block of {biggest} unknowns exceeds cap {liou.hilbert.cap}")
+    lmat = liou.matrix.tocsr()
+    y = np.zeros_like(y0)
+    for idx in blocks:
+        y[idx] = expm(t_final * lmat[idx][:, idx].toarray()) @ y0[idx]
+    rho = unvec(y, d)
+    return DensityMatrix((rho + rho.conj().T) / 2)
 
 
 # --- observables -----------------------------------------------------------------
@@ -421,27 +426,23 @@ def observable_operator(
     which: str, h: HilbertConfig, i: int | None = None, j: int | None = None
 ) -> sp.csr_matrix:
     """Sparse operator for a named observable."""
-    a, sigma_minus = _ladder_operators(h)
+    a, sigma_minus, sigma_z = _ladder_operators(h)
     if which == "photon_number":
         return (a.conj().T @ a).tocsr()
     if which == "photon_pair":
         ad = a.conj().T
         return (ad @ ad @ a @ a).tocsr()
     if which == "sigma_z":
-        return site_operator(h, _SIGMA_Z, _require_index(i, h))
+        return sigma_z[_require_index(i, h)]
     if which == "field_coherence":
         sm = sigma_minus[_require_index(i, h)]
         return (a.conj().T @ sm).tocsr()
     if which == "cross_pm":
         ii, jj = _require_pair(i, j, h)
-        return (
-            site_operator(h, _SIGMA_PLUS, ii) @ sigma_minus[jj]
-        ).tocsr()
+        return (sigma_minus[ii].conj().T @ sigma_minus[jj]).tocsr()
     if which == "cross_zz":
         ii, jj = _require_pair(i, j, h)
-        return (
-            site_operator(h, _SIGMA_Z, ii) @ site_operator(h, _SIGMA_Z, jj)
-        ).tocsr()
+        return (sigma_z[ii] @ sigma_z[jj]).tocsr()
     raise UnknownObservable(f"unknown observable {which!r}; choose from {OBSERVABLES}")
 
 
@@ -480,7 +481,7 @@ def operator_expectation(op: sp.spmatrix, mat: np.ndarray) -> complex:
 
 def total_excitation_operator(h: HilbertConfig) -> sp.csr_matrix:
     """a'a + sum_n s+_n s-_n, conserved by H and by pure dephasing."""
-    a, sigma_minus = _ladder_operators(h)
+    a, sigma_minus, _ = _ladder_operators(h)
     out = (a.conj().T @ a).tocsr()
     for sm in sigma_minus:
         out = out + (sm.conj().T @ sm).tocsr()

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -17,6 +18,7 @@ from superrad.errors import (
     DegenerateSteadyState,
     DimensionCap,
     IndexOutOfRange,
+    InvalidValue,
     UnknownObservable,
     VacuumState,
 )
@@ -191,6 +193,15 @@ def test_liouvillian_never_mixes_excitation_differences(frame):
             assert lmat[sector][:, outside].nnz == 0
 
 
+@pytest.mark.parametrize("n_max, n_em", [(1, 1), (3, 4), (126, 1), (127, 1)])
+def test_charge_matches_total_excitation_operator(n_max, n_em):
+    # n_max + N = 127 and 128 sit on either side of the int8 range
+    h = HilbertConfig(n_max, n_em)
+    energy = np.rint(total_excitation_operator(h).diagonal().real).astype(np.int64)
+    reference = (energy[:, None] - energy[None, :]).reshape(-1, order="F")
+    assert np.array_equal(exact._charge(h), reference)
+
+
 def test_zero_difference_sector_size():
     # b_E basis states at each excitation number E; the sector holds sum_E b_E^2
     for (n_max, n_em), size in {(3, 4): 744, (1, 1): 6, (2, 2): 36}.items():
@@ -253,6 +264,66 @@ def test_time_evolve_trace_drift():
     rho_t = time_evolve(liou, rho0, 100.0)
     assert abs(np.trace(rho_t.mat) - 1.0) <= 1e-9
     rho_t.validate()
+
+
+@pytest.mark.parametrize("t_final", [np.nan, np.inf, -np.inf])
+def test_time_evolve_rejects_non_finite_time(t_final):
+    h = HilbertConfig(2, 1)
+    liou = build_liouvillian(regression_params(1), h)
+    with pytest.raises(InvalidValue):
+        time_evolve(liou, DensityMatrix.vacuum(h), t_final)
+
+
+def test_time_evolve_rejects_state_of_another_size():
+    liou = build_liouvillian(regression_params(1), HilbertConfig(2, 1))
+    with pytest.raises(InvalidValue):
+        time_evolve(liou, DensityMatrix.vacuum(HilbertConfig(3, 1)), 1.0)
+
+
+def _full_space_evolution(liou, rho0, t):
+    """exp(t L) vec(rho0) with one dense exponential of the whole d^2 x d^2 matrix."""
+    propagator = scipy.linalg.expm(t * liou.matrix.toarray())
+    return DensityMatrix(unvec(propagator @ vec(rho0.mat), liou.dim))
+
+
+@pytest.mark.parametrize("frame", ["as_written", "rotating"])
+@pytest.mark.parametrize("n_em", [1, 2])
+def test_time_evolve_matches_full_space_exponential(n_em, frame):
+    # a random full-rank start occupies every charge block
+    rng = np.random.default_rng(40 + n_em)
+    h = HilbertConfig(2, n_em)
+    for p in (regression_params(n_em), random_params(rng, n_em)):
+        liou = build_liouvillian(p, h, frame)
+        rho0 = random_density_matrix(rng, h.dim)
+        for t in (0.3, 4.0):
+            ref = _full_space_evolution(liou, rho0, t)
+            assert trace_distance(time_evolve(liou, rho0, t), ref) <= 1e-12
+
+
+def test_time_evolve_keeps_a_coherence_in_its_charge_blocks():
+    # |1 photon><vacuum| has charge +1; a Hermitian start pairs it with its adjoint (charge -1)
+    h = HilbertConfig(2, 2)
+    liou = build_liouvillian(regression_params(2), h, "rotating")
+    one_photon = 2**h.n_emitters  # basis index n * 2^N + s of one photon, no excited emitter
+    mat = np.zeros((h.dim, h.dim), dtype=complex)
+    mat[one_photon, 0] = mat[0, one_photon] = 0.5
+    rho0 = DensityMatrix(mat)
+    rho_t = time_evolve(liou, rho0, 0.05)
+    ref = _full_space_evolution(liou, rho0, 0.05)
+    outside = np.abs(exact._charge(h)) != 1
+    assert np.all(vec(rho_t.mat)[outside] == 0.0)
+    assert np.abs(vec(ref.mat)[outside]).max() <= 1e-15
+    assert np.abs(rho_t.mat[one_photon, 0]) > 0.1
+    assert np.abs(rho_t.mat - ref.mat).max() <= 1e-13
+
+
+def test_time_evolve_caps_the_dense_block():
+    # d = 32 fits the cap, but the charge-0 block of a vacuum start holds 196 unknowns
+    h = HilbertConfig(3, 3, cap=32)
+    liou = build_liouvillian(regression_params(3), h, "rotating")
+    assert len(exact._zero_difference_sector(h)[0]) == 196
+    with pytest.raises(DimensionCap):
+        time_evolve(liou, DensityMatrix.vacuum(h), 1.0)
 
 
 def test_pure_dephasing_keeps_populations_fixed():
@@ -446,9 +517,14 @@ def test_expectation_builds_ladder_operators_once_per_config():
     expectation(rho, "photon_number", h)
     expectation(rho, "photon_pair", h)
     expectation(rho, "field_coherence", h, 1)
+    expectation(rho, "sigma_z", h, 0)
+    expectation(rho, "cross_zz", h, 0, 1)
     info = exact._ladder_operators.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, 4)
     # the shared operators cannot be changed through a returned reference
-    a = jump_operators(regression_params(2), h)[0][1]
-    with pytest.raises(ValueError):
-        a.data[0] = 0.0
+    jumps = jump_operators(regression_params(2), h)
+    a, sigma_z = jumps[0][1], jumps[3][1]
+    assert (sigma_z != site_operator(h, np.diag([-1.0, 1.0]), 0)).nnz == 0
+    for op in (a, sigma_z):
+        with pytest.raises(ValueError):
+            op.data[0] = 0.0

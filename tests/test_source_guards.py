@@ -1,4 +1,5 @@
-"""Static checks on the package source: typed errors only, and a consistent export list."""
+"""Static checks on the package source: typed errors only, no dead error class, and a
+consistent export list."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,48 @@ def test_package_raises_only_typed_errors():
         for line, what in _untyped_failures(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+def _dead_error_classes(errors_tree: ast.AST, source_trees) -> list[str]:
+    """Error classes that no source constructs or raises and no other error class extends."""
+    classes = [node for node in ast.walk(errors_tree) if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    used = set()
+    for tree in source_trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                target = node.func
+            elif isinstance(node, ast.Raise):
+                target = node.exc
+            else:
+                continue
+            if isinstance(target, ast.Name):
+                used.add(target.id)
+            elif isinstance(target, ast.Attribute):
+                used.add(target.attr)
+    return [node.name for node in classes if node.name not in bases | used]
+
+
+def test_guard_flags_dead_error_classes():
+    errors = ast.parse(
+        "class Base(Exception): pass\n"
+        "class Raised(Base): pass\n"
+        "class Built(Base): pass\n"
+        "class Qualified(Base): pass\n"
+        "class Dead(Base): pass\n"
+    )
+    sources = [
+        ast.parse("raise Raised\nproblems.append(Built('x'))\nraise errors.Qualified('y')"),
+        ast.parse("Dead.__doc__"),
+    ]
+    assert _dead_error_classes(errors, sources) == ["Dead"]
+
+
+def test_every_error_class_is_raised_or_extended():
+    errors_path = Path(superrad.__file__).parent / "errors.py"
+    sources = [ast.parse(path.read_text(), filename=str(path))
+               for path in SOURCES if path != errors_path]
+    assert _dead_error_classes(ast.parse(errors_path.read_text()), sources) == []
 
 
 def test_public_names_exist_once():
