@@ -4,12 +4,15 @@ This module is the oracle of the toolkit: it builds the sparse Liouvillian
 superoperator of the driven-dissipative Tavis-Cummings model, solves for the
 steady state via a trace-replacement linear system, time-evolves density
 matrices by a dense matrix exponential of each charge block, and evaluates
-observables exactly.  L acts on d^2 unknowns with d = (n_max+1)*2^N, and never
-mixes elements rho_ij of different charge E_i - E_j, where E is the excitation
-number.  The steady-state solve keeps only the charge-0 block, sum_E b_E^2
-unknowns for b_E basis states at each E (744 of 4096 at N=4, n_max=3).  Both
-still grow exponentially in N, so the oracle is only usable for small N; the
-cumulant module covers large N.
+observables exactly.  L is affine in the parameters, so its structure, term
+tags and weights are cached once per HilbertConfig and a build only fills in
+the values (see build_liouvillian); the observable operators are cached too.
+L acts on d^2 unknowns with d = (n_max+1)*2^N, and never mixes elements rho_ij
+of different charge E_i - E_j, where E is the excitation number.  The
+steady-state solve keeps only the charge-0 block, sum_E b_E^2 unknowns for b_E
+basis states at each E (744 of 4096 at N=4, n_max=3).  Both still grow
+exponentially in N, so the oracle is only usable for small N; the cumulant
+module covers large N.
 
 Conventions
 -----------
@@ -117,16 +120,30 @@ def site_operator(h: HilbertConfig, op2: np.ndarray, site: int) -> sp.csr_matrix
     return sp.kron(out, right, format="csr")
 
 
+def _read_only(*ops: sp.csr_matrix):
+    """Sort each operator's indices, then freeze its arrays, so that a cached copy can be shared."""
+    for op in ops:
+        op.sum_duplicates()
+        for arr in (op.data, op.indices, op.indptr):
+            arr.flags.writeable = False
+
+
 @functools.lru_cache(maxsize=16)
 def _ladder_operators(h: HilbertConfig) -> tuple[sp.csr_matrix, tuple, tuple]:
     """a, every sigma-minus_n and every sigma-z_n on h, built once per configuration, read-only."""
     a = field_operator(h, destroy_op(h.n_max + 1))
     sigma_minus = tuple(site_operator(h, _SIGMA_MINUS, n) for n in range(h.n_emitters))
     sigma_z = tuple(site_operator(h, _SIGMA_Z, n) for n in range(h.n_emitters))
-    for op in (a, *sigma_minus, *sigma_z):
-        for arr in (op.data, op.indices, op.indptr):
-            arr.flags.writeable = False
+    _read_only(a, *sigma_minus, *sigma_z)
     return a, sigma_minus, sigma_z
+
+
+def _excitations(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Photon number n_i and excited-emitter number e_i of each basis index i = n * 2^N + s."""
+    spins = 2**h.n_emitters
+    photons = np.repeat(np.arange(h.n_max + 1), spins)
+    excited = np.tile([s.bit_count() for s in range(spins)], h.n_max + 1)
+    return photons, excited
 
 
 @functools.lru_cache(maxsize=16)
@@ -137,9 +154,7 @@ def _charge(h: HilbertConfig) -> np.ndarray:
     i = n * 2^N + s carries n photons and popcount(s) excited emitters.  L
     never mixes elements of different charge (see steady_state_exact).
     """
-    spins = 2**h.n_emitters
-    photons = np.repeat(np.arange(h.n_max + 1), spins)
-    excited = np.tile([s.bit_count() for s in range(spins)], h.n_max + 1)
+    photons, excited = _excitations(h)
     # the smallest signed type that holds +-(n_max + N) keeps the d^2 entries small
     energy = (photons + excited).astype(np.min_scalar_type(-1 - h.n_max - h.n_emitters))
     charge = (energy[:, None] - energy[None, :]).reshape(-1, order="F")
@@ -157,28 +172,69 @@ def _zero_difference_sector(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
     return sector, diagonal
 
 
-def hamiltonian(p: SystemParams, h: HilbertConfig, frame: str = "as_written") -> sp.csr_matrix:
-    """Tavis-Cummings Hamiltonian on the truncated space."""
-    if frame not in ("as_written", "rotating"):
-        raise InvalidValue(f"unknown frame {frame!r}")
-    shift = p.delta if frame == "rotating" else 0.0
+# term tags of the entries of L: the off-diagonal terms scale with -i g, kappa,
+# omega and gamma_minus; the diagonal is filled in separately
+_G, _KAPPA, _OMEGA, _GAMMA_MINUS, _DIAGONAL = range(5)
+
+
+@dataclass(frozen=True)
+class _LiouvillianPattern:
+    """Everything in L that does not depend on the parameters, for one HilbertConfig."""
+
+    indptr: np.ndarray    # CSR row pointers of every entry L can hold (int32)
+    indices: np.ndarray   # CSR column indices (int32)
+    diagonal: np.ndarray  # position of the entry L[r, r] for r = 0..d^2-1 (int32)
+    tags: np.ndarray      # term of each entry (int8), _DIAGONAL on the diagonal
+    weights: np.ndarray   # real weight of each entry (the diagonal is overwritten)
+    photons: np.ndarray   # n_i
+    excited: np.ndarray   # e_i
+    zz: np.ndarray        # sum_n z_n(i) z_n(j), d x d (int8)
+
+
+@functools.lru_cache(maxsize=16)
+def _liouvillian_pattern(h: HilbertConfig) -> _LiouvillianPattern:
+    """The structure, term tags and weights of L on h, built once per configuration, read-only.
+
+    The four off-diagonal terms of L (see build_liouvillian) never share an
+    entry: -i g[(I kron C) - (C kron I)] changes only one side of rho, while
+    a kron a, s+_n kron s+_n and s-_n kron s-_n change both sides, by one
+    photon, a raised emitter n or a lowered emitter n.
+    """
+    d = h.dim
     a, sigma_minus, _ = _ladder_operators(h)
-    ham = (p.delta_c - shift) * (a.conj().T @ a)
-    for sm in sigma_minus:
-        sp_ = sm.conj().T
-        ham = ham + (p.delta - shift) * (sp_ @ sm) + p.g * (a.conj().T @ sm + sp_ @ a)
-    return ham.tocsr()
+    ident = sp.identity(d, format="csr")
+    coupling = sum(a.T @ sm + sm.T @ a for sm in sigma_minus).real
+    terms = {
+        _G: sp.kron(ident, coupling) - sp.kron(coupling, ident),
+        _KAPPA: sp.kron(a, a).real,
+        _OMEGA: sum(sp.kron(sm.T, sm.T) for sm in sigma_minus).real,
+        _GAMMA_MINUS: sum(sp.kron(sm, sm) for sm in sigma_minus).real,
+        _DIAGONAL: sp.identity(d * d),
+    }
+    parts = [op.tocoo() for op in terms.values()]
+    rows = np.concatenate([op.row for op in parts])
+    cols = np.concatenate([op.col for op in parts])
+    order = np.lexsort((cols, rows))
+    tags = np.repeat(np.array(list(terms), dtype=np.int8), [op.nnz for op in parts])[order]
+    weights = np.concatenate([op.data for op in parts])[order]
+    indptr = np.zeros(d * d + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=d * d), out=indptr[1:])
 
-
-def jump_operators(p: SystemParams, h: HilbertConfig) -> list[tuple[float, sp.csr_matrix]]:
-    """All (rate, collapse operator) pairs of the master equation."""
-    a, sigma_minus, sigma_z = _ladder_operators(h)
-    ops = [(p.kappa, a)]
-    for sm, sz in zip(sigma_minus, sigma_z):
-        ops.append((p.omega, sm.conj().T))
-        ops.append((p.gamma_minus, sm))
-        ops.append((p.gamma_z, sz))
-    return ops
+    photons, excited = _excitations(h)
+    z = 2 * ((np.arange(d)[:, None] >> np.arange(h.n_emitters)) & 1) - 1
+    pattern = _LiouvillianPattern(
+        indptr=indptr,
+        indices=cols[order].astype(np.int32),
+        diagonal=np.flatnonzero(tags == _DIAGONAL).astype(np.int32),
+        tags=tags,
+        weights=weights,
+        photons=photons.astype(float),
+        excited=excited.astype(float),
+        zz=(z @ z.T).astype(np.int8),
+    )
+    for arr in vars(pattern).values():
+        arr.flags.writeable = False
+    return pattern
 
 
 @dataclass(frozen=True)
@@ -214,22 +270,39 @@ def build_liouvillian(
     The anticommutator terms of the dissipators are folded into the
     non-Hermitian H_eff = H - (i/2) sum_k r_k A_k'A_k, so that
 
-        L = -i (I kron H_eff) + i (H_eff* kron I) + sum_k r_k (A_k* kron A_k),
+        L = -i (I kron H_eff) + i (H_eff* kron I) + sum_k r_k (A_k* kron A_k).
 
-    which takes 2 + J Kronecker products for J jumps with nonzero rate.
+    Every A_k'A_k is diagonal, and so is H but for its coupling g C with
+    C = sum_n (a' s-_n + s+_n a).  L is therefore affine in the parameters
+    theta = (delta_c - shift, delta - shift, g, kappa, omega, gamma_minus,
+    gamma_z): its off-diagonal entries are -i g [(I kron C) - (C kron I)] +
+    kappa (a kron a) + omega sum_n (s+_n kron s+_n) + gamma_minus
+    sum_n (s-_n kron s-_n), and its diagonal at vec index i + j*d is
+    -i h_i + i h_j* + gamma_z sum_n z_n(i) z_n(j), where h is the diagonal of
+    H_eff.  The parameter-free structure comes from _liouvillian_pattern(h),
+    so a build is one gather of the term coefficients, one broadcast for the
+    diagonal and the removal of the entries that a zero g or rate leaves.
     """
     validate_params(p)
     h.check_cap()
-    ident = sp.identity(h.dim, dtype=complex, format="csr")
-
-    jumps = [(rate, op) for rate, op in jump_operators(p, h) if rate != 0.0]
-    h_eff = hamiltonian(p, h, frame)
-    for rate, op in jumps:
-        h_eff = h_eff - 0.5j * rate * (op.conj().T @ op)
-    liou = -1j * sp.kron(ident, h_eff) + 1j * sp.kron(h_eff.conj(), ident)
-    for rate, op in jumps:
-        liou = liou + rate * sp.kron(op.conj(), op)
-    return Liouvillian(matrix=liou.tocsr(), hilbert=h, params=p, frame=frame)
+    if frame not in ("as_written", "rotating"):
+        raise InvalidValue(f"unknown frame {frame!r}")
+    shift = p.delta if frame == "rotating" else 0.0
+    pattern = _liouvillian_pattern(h)
+    n, e, n_em = pattern.photons, pattern.excited, h.n_emitters
+    h_eff = (p.delta_c - shift) * n + (p.delta - shift) * e - 0.5j * (
+        p.kappa * n + p.omega * (n_em - e) + p.gamma_minus * e + p.gamma_z * n_em
+    )
+    coefficients = np.array([-1j * p.g, p.kappa, p.omega, p.gamma_minus, 0.0])
+    data = coefficients[pattern.tags] * pattern.weights
+    diagonal = (-1j * h_eff)[:, None] + (1j * h_eff.conj())[None, :] + p.gamma_z * pattern.zz
+    data[pattern.diagonal] = diagonal.reshape(-1, order="F")
+    d2 = h.dim**2
+    liou = sp.csr_matrix(
+        (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(d2, d2)
+    )
+    liou.eliminate_zeros()
+    return Liouvillian(matrix=liou, hilbert=h, params=p, frame=frame)
 
 
 # --- density matrices ---------------------------------------------------------
@@ -339,12 +412,27 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix:
     d = liou.dim
     lmat = liou.matrix.tocsr()
     sector, diagonal = _zero_difference_sector(liou.hilbert)
-    block = lmat[sector][:, sector]
     m = len(sector)
-    trace_row = sp.csr_matrix(
-        (np.ones(d, dtype=complex), (np.zeros(d, dtype=int), diagonal)), shape=(1, m)
+    # the entries of L's sector rows after row 0, in row order (so each column
+    # of the system comes out sorted), with their columns renumbered within the
+    # sector; row 0 becomes the trace functional
+    starts = lmat.indptr[sector[1:]]
+    counts = lmat.indptr[sector[1:] + 1] - starts
+    entries = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    rows = np.repeat(np.arange(1, m), counts)
+    targets = lmat.indices[entries]
+    cols = np.searchsorted(sector, targets)
+    # drops nothing from build_liouvillian's L, which never mixes charges; an L
+    # that does keeps only its block, and fails the residual check below
+    inside = sector[np.minimum(cols, m - 1)] == targets
+    system = sp.csc_matrix(
+        (
+            np.concatenate([np.ones(d, dtype=complex), lmat.data[entries][inside]]),
+            (np.concatenate([np.zeros(d, dtype=int), rows[inside]]),
+             np.concatenate([diagonal, cols[inside]])),
+        ),
+        shape=(m, m),
     )
-    system = sp.vstack([trace_row, block[1:]], format="csc")
     rhs = np.zeros(m, dtype=complex)
     rhs[0] = 1.0
 
@@ -354,6 +442,10 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix:
         lu = spla.splu(system, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyState(f"steady-state solve failed: {e}") from e
+    except MemoryError as e:
+        raise DimensionCap(
+            f"factorising the steady-state system of {m} sector unknowns ran out of memory"
+        ) from e
     x = lu.solve(rhs)
     for _ in range(3):
         resid = rhs - system @ x
@@ -388,12 +480,17 @@ def time_evolve(liou: Liouvillian, rho0: DensityMatrix, t_final: float) -> Densi
     that vec(rho0) occupies evolves on its own under exp(t_final L_k), by
     scaling and squaring (scipy.linalg.expm); a vacuum start occupies only
     charge 0.  A block with more unknowns than h.cap raises DimensionCap first.
+    A rho0 that is not Hermitian to HERMITICITY_TOL raises InvalidValue, since
+    the result is symmetrised.
     """
     if not (np.isfinite(t_final) and t_final >= 0):
         raise InvalidValue(f"t_final must be finite and >= 0, got {t_final}")
     d = liou.dim
     if rho0.mat.shape != (d, d):
         raise InvalidValue(f"rho0 has shape {rho0.mat.shape}, the Liouvillian acts on {d}x{d}")
+    herm = float(np.abs(rho0.mat - rho0.mat.conj().T).max())
+    if herm > HERMITICITY_TOL:
+        raise InvalidValue(f"rho0 is not Hermitian: max |rho0 - rho0^+| = {herm:.3e}")
     if t_final == 0.0:
         return DensityMatrix(rho0.mat.copy())
     y0 = vec(rho0.mat).astype(complex)
@@ -422,28 +519,32 @@ OBSERVABLES = (
 )
 
 
+@functools.lru_cache(maxsize=64)
 def observable_operator(
     which: str, h: HilbertConfig, i: int | None = None, j: int | None = None
 ) -> sp.csr_matrix:
-    """Sparse operator for a named observable."""
+    """Sparse operator for a named observable, built once per call signature, read-only."""
     a, sigma_minus, sigma_z = _ladder_operators(h)
     if which == "photon_number":
-        return (a.conj().T @ a).tocsr()
-    if which == "photon_pair":
+        op = a.conj().T @ a
+    elif which == "photon_pair":
         ad = a.conj().T
-        return (ad @ ad @ a @ a).tocsr()
-    if which == "sigma_z":
+        op = ad @ ad @ a @ a
+    elif which == "sigma_z":
         return sigma_z[_require_index(i, h)]
-    if which == "field_coherence":
-        sm = sigma_minus[_require_index(i, h)]
-        return (a.conj().T @ sm).tocsr()
-    if which == "cross_pm":
+    elif which == "field_coherence":
+        op = a.conj().T @ sigma_minus[_require_index(i, h)]
+    elif which == "cross_pm":
         ii, jj = _require_pair(i, j, h)
-        return (sigma_minus[ii].conj().T @ sigma_minus[jj]).tocsr()
-    if which == "cross_zz":
+        op = sigma_minus[ii].conj().T @ sigma_minus[jj]
+    elif which == "cross_zz":
         ii, jj = _require_pair(i, j, h)
-        return (sigma_z[ii] @ sigma_z[jj]).tocsr()
-    raise UnknownObservable(f"unknown observable {which!r}; choose from {OBSERVABLES}")
+        op = sigma_z[ii] @ sigma_z[jj]
+    else:
+        raise UnknownObservable(f"unknown observable {which!r}; choose from {OBSERVABLES}")
+    op = op.tocsr()
+    _read_only(op)
+    return op
 
 
 def _require_index(i, h):

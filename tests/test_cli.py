@@ -93,6 +93,28 @@ hilbert: {n_max: 10, cap: 512}
     assert not out.exists() or not any(out.glob("*_result.*"))
 
 
+def test_exact_out_of_memory_error_record(tmp_path, capsys, monkeypatch):
+    import superrad.exact
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(superrad.exact.spla, "splu", exhausted)
+    doc = """
+command: exact
+params: {n_emitters: 2, delta: 2350.0, delta_c: 2350.0, g: 5.0, kappa: 50.0,
+         omega: 1.0, gamma_minus: 0.1, gamma_z: 1.0}
+hilbert: {n_max: 3}
+"""
+    cfg = _write(tmp_path, "e.yaml", doc)
+    out = tmp_path / "out"
+    assert main(["exact", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "DimensionCap"
+    assert "sector unknowns" in record["message"]
+    assert not out.exists() or not any(out.glob("*"))
+
+
 def test_error_leaves_no_partial_result(tmp_path, capsys):
     # sweep with an impossible params section (negative rate) fails validation
     doc = SWEEP_DOC.replace("kappa: 134.0", "kappa: -134.0")

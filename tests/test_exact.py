@@ -30,8 +30,6 @@ from superrad.exact import (
     expectation,
     g2_zero_converged,
     g2_zero_exact,
-    hamiltonian,
-    jump_operators,
     photon_flux_exact,
     site_operator,
     steady_state_exact,
@@ -133,12 +131,34 @@ def test_steady_state_matches_dense_null_eigenvector():
         checked += 1
 
 
+def _hamiltonian(p, h, frame):
+    """Tavis-Cummings Hamiltonian on the truncated space, from the cached ladder operators."""
+    shift = p.delta if frame == "rotating" else 0.0
+    a, sigma_minus, _ = exact._ladder_operators(h)
+    ham = (p.delta_c - shift) * (a.conj().T @ a)
+    for sm in sigma_minus:
+        sp_ = sm.conj().T
+        ham = ham + (p.delta - shift) * (sp_ @ sm) + p.g * (a.conj().T @ sm + sp_ @ a)
+    return ham.tocsr()
+
+
+def _jump_operators(p, h):
+    """All (rate, collapse operator) pairs of the master equation."""
+    a, sigma_minus, sigma_z = exact._ladder_operators(h)
+    ops = [(p.kappa, a)]
+    for sm, sz in zip(sigma_minus, sigma_z):
+        ops.append((p.omega, sm.conj().T))
+        ops.append((p.gamma_minus, sm))
+        ops.append((p.gamma_z, sz))
+    return ops
+
+
 def _kron_reference_liouvillian(p, h, frame):
     """L term by term: -i[H, .] plus r (A* kron A - I kron A'A/2 - (A'A)^T kron I/2) per jump."""
     ident = sp.identity(h.dim, dtype=complex, format="csr")
-    ham = hamiltonian(p, h, frame)
+    ham = _hamiltonian(p, h, frame)
     liou = -1j * (sp.kron(ident, ham) - sp.kron(ham.T, ident))
-    for rate, op in jump_operators(p, h):
+    for rate, op in _jump_operators(p, h):
         op_dag_op = op.conj().T @ op
         liou = liou + rate * (
             sp.kron(op.conj(), op)
@@ -178,6 +198,64 @@ def test_liouvillian_matches_term_by_term_kron_reference(frame):
         ref = _kron_reference_liouvillian(p, h, frame)
         diff = abs(build_liouvillian(p, h, frame).matrix - ref).max()
         assert diff <= 1e-13 * abs(ref).max()
+
+
+_PATTERN_BASE = SystemParams(1, 7.3, 11.9, 2.3, 13.0, 0.7, 1.9, 0.45)
+
+
+@pytest.mark.parametrize("frame", ["as_written", "rotating"])
+@pytest.mark.parametrize("n_em", [1, 2, 3, 4])
+@pytest.mark.parametrize("zeroed", [None, "g", "kappa", "omega", "gamma_minus", "gamma_z"])
+def test_liouvillian_pattern_matches_kron_reference(n_em, frame, zeroed):
+    # the pattern holds every entry L can have; a zero g or rate must leave no explicit zero
+    p = dataclasses.replace(_PATTERN_BASE, n_emitters=n_em)
+    if zeroed is not None:
+        p = dataclasses.replace(p, **{zeroed: 0.0})
+    h = HilbertConfig(2, n_em)
+    ref = _kron_reference_liouvillian(p, h, frame)
+    ref.eliminate_zeros()
+    ref.sort_indices()
+    lmat = build_liouvillian(p, h, frame).matrix
+    assert abs(lmat - ref).max() <= 1e-13 * abs(ref).max()
+    assert np.array_equal(lmat.indptr, ref.indptr)
+    assert np.array_equal(lmat.indices, ref.indices)
+    assert np.all(lmat.data != 0)
+
+
+def test_liouvillian_pattern_is_cached_and_read_only():
+    h = HilbertConfig(3, 2)
+    build_liouvillian(regression_params(2), h)
+    hits = exact._liouvillian_pattern.cache_info().hits
+    liou = build_liouvillian(regression_params(2, omega=0.3), h, "rotating")
+    assert exact._liouvillian_pattern.cache_info().hits == hits + 1
+    pattern = exact._liouvillian_pattern(h)
+    for arr in vars(pattern).values():
+        assert not arr.flags.writeable
+    # the built L owns its arrays, so changing it leaves the pattern intact
+    liou.matrix.indices[0] += 1
+    assert liou.matrix.indices[0] != pattern.indices[0]
+    rho = steady_state_exact(build_liouvillian(regression_params(2), h))
+    for which, idx in [("photon_number", ()), ("photon_pair", ()), ("sigma_z", (0,)),
+                       ("field_coherence", (1,)), ("cross_pm", (0, 1)), ("cross_zz", (0, 1))]:
+        op = exact.observable_operator(which, h, *idx)
+        assert exact.observable_operator(which, h, *idx) is op
+        assert expectation(rho, which, h, *idx) == exact.operator_expectation(op, rho.mat)
+        for arr in (op.data, op.indices, op.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+@pytest.mark.parametrize("n_em", [1, 2, 3, 4, 5])
+def test_liouvillian_pattern_retains_no_more_than_its_liouvillian(n_em):
+    h = HilbertConfig(3, n_em)
+    lmat = build_liouvillian(regression_params(n_em), h).matrix
+    retained = sum(arr.nbytes for arr in vars(exact._liouvillian_pattern(h)).values())
+    assert retained <= lmat.data.nbytes + lmat.indices.nbytes + lmat.indptr.nbytes
+
+
+def test_build_liouvillian_rejects_unknown_frame():
+    with pytest.raises(InvalidValue):
+        build_liouvillian(regression_params(1), HilbertConfig(2, 1), frame="lab")
 
 
 @pytest.mark.parametrize("frame", ["as_written", "rotating"])
@@ -222,6 +300,15 @@ def test_sector_solve_matches_full_space_solve(n_em, n_max):
     for frame in ("as_written", "rotating"):
         liou = build_liouvillian(p, HilbertConfig(n_max, n_em), frame)
         assert trace_distance(steady_state_exact(liou), _full_space_steady_state(liou)) <= 1e-12
+
+
+def test_steady_state_out_of_memory_is_a_dimension_cap(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(exact.spla, "splu", exhausted)
+    with pytest.raises(DimensionCap, match="744 sector unknowns"):
+        steady_state_exact(build_liouvillian(regression_params(4), HilbertConfig(3, 4)))
 
 
 def test_degenerate_steady_state_detected():
@@ -315,6 +402,16 @@ def test_time_evolve_keeps_a_coherence_in_its_charge_blocks():
     assert np.abs(vec(ref.mat)[outside]).max() <= 1e-15
     assert np.abs(rho_t.mat[one_photon, 0]) > 0.1
     assert np.abs(rho_t.mat - ref.mat).max() <= 1e-13
+
+
+def test_time_evolve_rejects_a_lone_coherence():
+    # |1 photon><vacuum| alone is not Hermitian; symmetrising it would invent a charge -1 part
+    h = HilbertConfig(2, 2)
+    liou = build_liouvillian(regression_params(2), h, "rotating")
+    mat = np.zeros((h.dim, h.dim), dtype=complex)
+    mat[2**h.n_emitters, 0] = 1.0
+    with pytest.raises(InvalidValue, match="not Hermitian"):
+        time_evolve(liou, DensityMatrix(mat), 0.05)
 
 
 def test_time_evolve_caps_the_dense_block():
@@ -514,6 +611,7 @@ def test_expectation_builds_ladder_operators_once_per_config():
     h = HilbertConfig(3, 2)
     rho = random_density_matrix(np.random.default_rng(5), h.dim)
     exact._ladder_operators.cache_clear()
+    exact.observable_operator.cache_clear()
     expectation(rho, "photon_number", h)
     expectation(rho, "photon_pair", h)
     expectation(rho, "field_coherence", h, 1)
@@ -522,8 +620,8 @@ def test_expectation_builds_ladder_operators_once_per_config():
     info = exact._ladder_operators.cache_info()
     assert (info.misses, info.hits) == (1, 4)
     # the shared operators cannot be changed through a returned reference
-    jumps = jump_operators(regression_params(2), h)
-    a, sigma_z = jumps[0][1], jumps[3][1]
+    a, _, sigma_z_all = exact._ladder_operators(h)
+    sigma_z = sigma_z_all[0]
     assert (sigma_z != site_operator(h, np.diag([-1.0, 1.0]), 0)).nnz == 0
     for op in (a, sigma_z):
         with pytest.raises(ValueError):
