@@ -571,13 +571,14 @@ def expectation(
     j: int | None = None,
 ) -> complex:
     """Tr(O rho) for the named observable."""
-    op = observable_operator(which, h, i, j)
-    return complex((op.multiply(rho.mat.T)).sum())
+    return operator_expectation(observable_operator(which, h, i, j), rho.mat)
 
 
 def operator_expectation(op: sp.spmatrix, mat: np.ndarray) -> complex:
-    """Tr(O M) for a sparse operator and a dense matrix."""
-    return complex((op.multiply(mat.T)).sum())
+    """Tr(O M) = sum of O_ij M_ji over O's nonzeros, for a sparse O and a dense M."""
+    op = op.tocsr()
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    return complex((op.data * mat[op.indices, rows]).sum())
 
 
 def total_excitation_operator(h: HilbertConfig) -> sp.csr_matrix:

@@ -3,7 +3,8 @@
 Angle-dependent planar-cavity dispersion, polariton eigenmodes of the 2x2
 non-Hermitian cavity-emitter matrix, single-port input-output reflectance,
 cavity-filtered emission lineshape, and the coherence-length estimate
-L_coh = lambda^2 / d_lambda.
+L_coh = lambda^2 / d_lambda.  The splitting minimum and the emission peak and
+FWHM are closed forms (a resonant angle, polynomial roots), not searches.
 """
 
 from __future__ import annotations
@@ -12,15 +13,8 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .errors import (
-    AngleOutOfRange,
-    InsufficientPoints,
-    InvalidValue,
-    PeakNotFound,
-    ZeroLinewidth,
-)
+from .errors import AngleOutOfRange, InvalidValue, PeakNotFound, ZeroLinewidth
 from .sweep import fit_power_law
 
 
@@ -141,25 +135,33 @@ def compute_reflectance_map(p: OpticalParams, thetas, energies) -> ReflectanceMa
     ).validate()
 
 
-def minimum_branch_splitting(
-    p: OpticalParams, theta_max_deg: float = 64.0, n_grid: int = 2001
-) -> float:
-    """Smallest real-part LP/UP separation over [0, theta_max] degrees."""
-    lo, hi = _branches(p, np.linspace(0.0, theta_max_deg, n_grid))
-    return float((hi.real - lo.real).min())
+def minimum_branch_splitting(p: OpticalParams, theta_max_deg: float = 64.0) -> float:
+    """Smallest real-part LP/UP separation over [0, theta_max] degrees.
 
-
-def _lorentzian(e, center, fwhm):
-    half = 0.5 * fwhm
-    return half**2 / ((e - center) ** 2 + half**2)
+    The separation 2 Re sqrt((D/2 - i(kappa - gamma_perp)/4)^2 + g^2) grows
+    with D^2, D = E_c(theta) - delta, and E_c grows with theta, so the minimum
+    lies at the resonant angle sin(theta) = n_eff sqrt(1 - (e_c0/delta)^2),
+    clipped to [0, theta_max].
+    """
+    if not 0.0 <= theta_max_deg < 90.0:
+        raise AngleOutOfRange(f"theta_max = {theta_max_deg} deg outside [0, 90)")
+    sin_res = p.n_eff * math.sqrt(max(0.0, 1.0 - (p.e_c0 / p.delta) ** 2))
+    theta = min(math.degrees(math.asin(min(sin_res, 1.0))), theta_max_deg)
+    lo, hi = _branches(p, theta)
+    return float(hi.real - lo.real)
 
 
 def emission_fwhm(p: OpticalParams, theta_deg: float) -> tuple[float, float]:
     """Peak position and FWHM of the cavity-filtered emission lineshape.
 
     The model is the product of the emitter Lorentzian (delta, gamma_perp) and
-    the cavity filter Lorentzian (E_c(theta), kappa).  Peak and half-maximum
-    crossings are located numerically to better than 1e-3 relative.
+    the cavity filter Lorentzian (E_c(theta), kappa).  Its reciprocal is the
+    quartic P(x) = (x^2 + a^2)((x - c)^2 + b^2) in x = (E - delta)/w, with
+    w = kappa + gamma_perp, a = gamma_perp/2w, b = kappa/2w and
+    c = (E_c - delta)/w.  The peak is the root of P' with the smallest P, so a
+    double-peaked line reports its highest peak.  The FWHM runs between the
+    real roots of P - 2 P(peak) nearest the peak on either side: a dip below
+    half maximum ends the width at the highest peak's own crossings.
     """
     if p.gamma_perp <= 0 or p.kappa <= 0:
         raise ZeroLinewidth("emission model needs gamma_perp > 0 and kappa > 0")
@@ -171,42 +173,26 @@ def emission_fwhm(p: OpticalParams, theta_deg: float) -> tuple[float, float]:
             f"cavity filter at {e_c:.1f} meV and emitter at {p.delta:.1f} meV are "
             f"separated by {separation:.1f} meV >> combined widths {widths:.1f} meV"
         )
+    a, b, c = 0.5 * p.gamma_perp / widths, 0.5 * p.kappa / widths, (e_c - p.delta) / widths
 
-    def spectrum(e):
-        return _lorentzian(e, p.delta, p.gamma_perp) * _lorentzian(e, e_c, p.kappa)
+    def quartic(x0):  # coefficients of P(x0 + y) in y
+        return np.convolve([1.0, 2.0 * x0, x0**2 + a**2],
+                           [1.0, 2.0 * (x0 - c), (x0 - c) ** 2 + b**2])
 
-    lo = min(e_c, p.delta) - 5.0 * widths
-    hi = max(e_c, p.delta) + 5.0 * widths
-    grid = np.linspace(lo, hi, 4001)
-    vals = spectrum(grid)
-    k0 = int(np.argmax(vals))
-    bracket_lo = grid[max(k0 - 1, 0)]
-    bracket_hi = grid[min(k0 + 1, len(grid) - 1)]
-    res = minimize_scalar(
-        lambda e: -spectrum(e), bounds=(bracket_lo, bracket_hi), method="bounded",
-        options={"xatol": 1e-9 * widths},
-    )
-    e_peak = float(res.x)
-    s_peak = spectrum(e_peak)
-    half = 0.5 * s_peak
-
-    def crossing(a, b):
-        return brentq(lambda e: spectrum(e) - half, a, b, xtol=1e-10 * widths)
-
-    span = widths
-    left = e_peak - span
-    while spectrum(left) > half:
-        left -= span
-        if e_peak - left > 1e3 * widths:
-            raise PeakNotFound("no half-maximum crossing found on the low side")
-    right = e_peak + span
-    while spectrum(right) > half:
-        right += span
-        if right - e_peak > 1e3 * widths:
-            raise PeakNotFound("no half-maximum crossing found on the high side")
-    e_left = crossing(left, e_peak)
-    e_right = crossing(e_peak, right)
-    return e_peak, float(e_right - e_left)
+    poly = quartic(0.0)
+    # P at the real part of a complex root of P' is still >= min P
+    stationary = np.roots(np.polyder(poly)).real
+    x_peak = stationary[np.argmin(np.polyval(poly, stationary))]
+    # about the peak the crossings are small roots that keep their relative
+    # accuracy when one line is far narrower (about x = 0 they lose up to 1e-3
+    # at kappa/gamma_perp = 1e-6); P(peak) is the constant term, which P - 2 P(peak) negates
+    half = quartic(x_peak)
+    half[-1] = -half[-1]
+    roots = np.roots(half)
+    # a real quartic's real roots come back with imaginary part exactly 0
+    offsets = roots[roots.imag == 0].real
+    width = offsets[offsets > 0].min() - offsets[offsets < 0].max()
+    return float(p.delta + x_peak * widths), float(width * widths)
 
 
 def coherence_length(lambda_nm: float, delta_lambda_nm: float) -> float:
@@ -220,7 +206,4 @@ def coherence_length(lambda_nm: float, delta_lambda_nm: float) -> float:
 
 def fit_coupling_scaling(points) -> float:
     """Log-log slope of collective coupling vs emitter count (0.5 for sqrt-N)."""
-    pts = list(points)
-    if len(pts) < 2:
-        raise InsufficientPoints("coupling-scaling fit needs >= 2 points")
-    return fit_power_law(pts).alpha
+    return fit_power_law(points).alpha

@@ -21,13 +21,6 @@ def energy_mev_from_nm(wavelength_nm: float) -> float:
     return MEV_NM / wavelength_nm
 
 
-def wavelength_nm_from_mev(energy_mev: float) -> float:
-    """Vacuum wavelength in nm for a photon energy in meV."""
-    if energy_mev <= 0:
-        raise InvalidValue("energy must be > 0")
-    return MEV_NM / energy_mev
-
-
 def fwhm_mev_from_nm(center_nm: float, fwhm_nm: float) -> float:
     """Convert a spectral FWHM in nm at a given center wavelength to meV.
 

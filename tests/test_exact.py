@@ -258,6 +258,14 @@ def test_build_liouvillian_rejects_unknown_frame():
         build_liouvillian(regression_params(1), HilbertConfig(2, 1), frame="lab")
 
 
+def test_density_matrix_validate_rejects_non_hermitian():
+    # trace 1 and a positive semidefinite Hermitian part: only Hermiticity fails
+    mat = np.diag([0.5, 0.5]).astype(complex)
+    mat[0, 1] = 1e-6
+    with pytest.raises(InvalidValue, match="not Hermitian"):
+        DensityMatrix(mat).validate()
+
+
 @pytest.mark.parametrize("frame", ["as_written", "rotating"])
 def test_liouvillian_never_mixes_excitation_differences(frame):
     rng = np.random.default_rng(32)

@@ -76,6 +76,9 @@ def test_dispersion_angle_guard():
         cavity_dispersion(p, -1.0)
     with pytest.raises(AngleOutOfRange):
         cavity_dispersion(p, np.array([0.0, 30.0, 90.0]))
+    for theta_max in (90.0, -1.0, float("nan")):
+        with pytest.raises(AngleOutOfRange):
+            minimum_branch_splitting(p, theta_max_deg=theta_max)
 
 
 def test_polariton_decoupled_limit():
@@ -210,8 +213,15 @@ def test_branches_match_per_angle_eigenvalues():
             assert rmap.lp_branch[k] == pytest.approx(lo, rel=1e-12, abs=1e-9)
             assert rmap.up_branch[k] == pytest.approx(hi, rel=1e-12, abs=1e-9)
             split.append(hi.real - lo.real)
-        got = minimum_branch_splitting(p, theta_max_deg=64.0, n_grid=33)
-        assert got == pytest.approx(min(split), abs=1e-9)
+        got = minimum_branch_splitting(p, theta_max_deg=64.0)
+        assert got <= min(split) + 1e-9
+        # the minimum sits at E_c(theta) = delta, clipped to [0, 64] degrees
+        sin_res = p.n_eff * np.sqrt(max(0.0, 1.0 - (p.e_c0 / p.delta) ** 2))
+        theta_res = min(np.degrees(np.arcsin(min(sin_res, 1.0))), 64.0)
+        e_c = cavity_dispersion(p, theta_res) - 0.5j * p.kappa
+        matrix = np.array([[e_c, p.g_coll], [p.g_coll, p.delta - 0.5j * p.gamma_perp]])
+        lo, hi = sorted(np.linalg.eigvals(matrix), key=lambda z: z.real)
+        assert got == pytest.approx(hi.real - lo.real, abs=1e-9)
 
 
 def test_reflectance_bound_is_checked_not_asserted():
@@ -251,6 +261,33 @@ def test_emission_fwhm_matched_lorentzians_closed_form():
     center, width = emission_fwhm(p, 0.0)
     assert center == pytest.approx(2350.0, abs=1e-6)
     assert width == pytest.approx(gamma * np.sqrt(np.sqrt(2.0) - 1.0), rel=1e-3)
+
+
+@pytest.mark.parametrize("ratio", np.logspace(-6.0, 6.0, 25))
+def test_emission_fwhm_concentric_lines_closed_form(ratio):
+    # E_c = delta: half maximum where (x^2 + a^2)(x^2 + b^2) = 2 a^2 b^2, i.e.
+    # x^2 = y = (-(a^2 + b^2) + sqrt((a^2 + b^2)^2 + 4 a^2 b^2)) / 2, written
+    # here without the cancellation that form suffers at extreme ratios
+    gamma = 20.0
+    kappa = gamma * ratio
+    p = OpticalParams(e_c0=2350.0, n_eff=1.8, delta=2350.0, g_coll=0.0,
+                      kappa=kappa, kappa_ext=kappa / 2, gamma_perp=gamma)
+    a2, b2 = (gamma / 2) ** 2, (kappa / 2) ** 2
+    y = 2 * a2 * b2 / (a2 + b2 + np.sqrt((a2 + b2) ** 2 + 4 * a2 * b2))
+    center, width = emission_fwhm(p, 0.0)
+    assert center == pytest.approx(2350.0, abs=1e-9 * (kappa + gamma))
+    assert width == pytest.approx(2 * np.sqrt(y), rel=1e-9)
+
+
+def test_emission_fwhm_double_peak_takes_nearest_crossings():
+    # kappa = gamma_perp = 10 with the cavity 50 meV above the emitter: two tied
+    # peaks at delta + 25 +- sqrt(600), each with half maximum at
+    # u^2 = 600 -+ 250 about delta + 25, below the dip between them
+    p = OpticalParams(e_c0=2400.0, n_eff=1.8, delta=2350.0, g_coll=0.0,
+                      kappa=10.0, kappa_ext=5.0, gamma_perp=10.0)
+    center, width = emission_fwhm(p, 0.0)
+    assert abs(center - 2375.0) == pytest.approx(np.sqrt(600.0), abs=1e-9)
+    assert width == pytest.approx(np.sqrt(850.0) - np.sqrt(350.0), rel=1e-9)
 
 
 def test_emission_fwhm_narrows_broad_emitter():

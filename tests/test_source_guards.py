@@ -1,7 +1,10 @@
-"""Static checks on the package source: typed errors only, no dead error class, and a
-consistent export list."""
+"""Static checks on the package source: typed errors only, no dead error class, a
+consistent export list, and a light import."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import superrad
@@ -83,3 +86,15 @@ def test_every_error_class_is_raised_or_extended():
 def test_public_names_exist_once():
     assert len(superrad.__all__) == len(set(superrad.__all__))
     assert [name for name in superrad.__all__ if not hasattr(superrad, name)] == []
+
+
+def test_import_loads_no_scipy_optimize_or_integrate():
+    # importing the package and its CLI should not pay for solvers it does not use
+    probe = (
+        "import sys, superrad, superrad.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(superrad.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
