@@ -31,7 +31,7 @@ from .errors import ConfigError, SuperradError
 from .exact import (
     HilbertConfig,
     _g2_of,
-    build_liouvillian,
+    build_symmetric_liouvillian,
     converge_in_cutoff,
     expectation,
     steady_state_exact,
@@ -96,8 +96,7 @@ def _hilbert_config(config: RunConfig) -> HilbertConfig:
 def _cmd_exact(config: RunConfig, _rng):
     p = validate_params(config.effective_params())
     h = _hilbert_config(config)
-    liou = build_liouvillian(p, h)
-    rho = steady_state_exact(liou)
+    rho = steady_state_exact(build_symmetric_liouvillian(p, h))
     n_phot = expectation(rho, "photon_number", h).real
     s_z = expectation(rho, "sigma_z", h, 0).real
     x_pm = expectation(rho, "cross_pm", h, 0, 1).real if p.n_emitters >= 2 else float("nan")

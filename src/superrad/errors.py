@@ -46,7 +46,7 @@ class NonPositiveEnergy(InvalidParams):
 # --- exact Lindblad solver ---------------------------------------------------
 
 class DimensionCap(SuperradError):
-    """Requested Hilbert space exceeds the configured dimension cap."""
+    """A solve or dense block would exceed the configured cap on its unknowns."""
 
 
 class DegenerateSteadyState(SuperradError):

@@ -1,18 +1,23 @@
-"""Brute-force Lindblad solver on the full Hilbert space Fock(n_max) x (C^2)^N.
+"""Exact Lindblad solver for N identical emitters in a lossy cavity.
 
 This module is the oracle of the toolkit: it builds the sparse Liouvillian
 superoperator of the driven-dissipative Tavis-Cummings model, solves for the
 steady state via a trace-replacement linear system, time-evolves density
 matrices by a dense matrix exponential of each charge block, and evaluates
 observables exactly.  L is affine in the parameters, so its structure, term
-tags and weights are cached once per HilbertConfig and a build only fills in
-the values (see build_liouvillian); the observable operators are cached too.
-L acts on d^2 unknowns with d = (n_max+1)*2^N, and never mixes elements rho_ij
-of different charge E_i - E_j, where E is the excitation number.  The
-steady-state solve keeps only the charge-0 block, sum_E b_E^2 unknowns for b_E
-basis states at each E (744 of 4096 at N=4, n_max=3).  Both still grow
-exponentially in N, so the oracle is only usable for small N; the cumulant
-module covers large N.
+tags and weights are cached once per configuration and a build only fills in
+the values; the observable operators are cached too.  L never mixes elements
+rho_ij of different charge E_i - E_j, where E is the excitation number, and
+the steady state lies in the charge-0 block.
+
+There are two builders.  build_liouvillian acts on all d^2 elements of rho,
+d = (n_max+1)*2^N; its steady-state solve keeps the charge-0 sector, sum_E
+b_E^2 unknowns for b_E basis states at each E (744 at N=4, n_max=3), and it
+is the only route for states that are not permutation symmetric
+(time_evolve).  build_symmetric_liouvillian acts on the permutation-symmetric
+charge-0 unknowns (92 at N=4, n_max=3), which grow as (n_max+1)^2 N^2/4, not
+as 4^N: the flux and g2(0) ladders use it, and it reaches N = 20-40.  The
+cumulant module covers arbitrary N approximately.
 
 Conventions
 -----------
@@ -53,7 +58,7 @@ from .errors import (
 )
 from .params import SystemParams, validate_params
 
-DEFAULT_DIMENSION_CAP = 4096
+DEFAULT_UNKNOWNS_CAP = 4096
 
 _SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 _SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -61,11 +66,17 @@ _SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class HilbertConfig:
-    """Truncated Hilbert space: photon cutoff n_max, N emitters, dimension cap."""
+    """Truncated Hilbert space: photon cutoff n_max, N emitters, and a cap.
+
+    The cap bounds the unknowns of every linear solve or dense block that is
+    about to run: a steady-state system (len(liou.unknowns)) or a charge
+    block of time_evolve.  Each is counted from (n_max, N) before it is
+    assembled.
+    """
 
     n_max: int
     n_emitters: int
-    cap: int = DEFAULT_DIMENSION_CAP
+    cap: int = DEFAULT_UNKNOWNS_CAP
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -77,13 +88,33 @@ class HilbertConfig:
     def dim(self) -> int:
         return (self.n_max + 1) * 2**self.n_emitters
 
+    @property
+    def symmetric_unknowns(self) -> int:
+        """Permutation-symmetric charge-0 unknowns, the smallest steady-state system of h."""
+        return _symmetric_count(self.n_max, self.n_emitters)
+
     def check_cap(self) -> "HilbertConfig":
-        if self.dim > self.cap:
+        """Raise DimensionCap if even the permutation-symmetric system exceeds the cap."""
+        if self.symmetric_unknowns > self.cap:
             raise DimensionCap(
-                f"Hilbert dimension {self.dim} = ({self.n_max}+1)*2^{self.n_emitters} "
-                f"exceeds cap {self.cap}"
+                f"{self.symmetric_unknowns} permutation-symmetric unknowns at n_max={self.n_max}, "
+                f"N={self.n_emitters} exceed cap {self.cap}"
             )
         return self
+
+
+@functools.lru_cache(maxsize=64)
+def _symmetric_count(n_max: int, n_em: int) -> int:
+    """Number of unknowns u(n, m, k) (see _symmetric_pattern), without listing them.
+
+    Each k = (k_ee, k_eg, k_ge, k_gg) pairs with n_max + 1 - |k_eg - k_ge|
+    photon pairs (n, m), and N - k_eg - k_ge + 1 values of k_ee go with each
+    (k_eg, k_ge).
+    """
+    eg, ge = np.ogrid[: n_em + 1, : n_em + 1]
+    rest = n_em - eg - ge
+    pairs = np.maximum(n_max + 1 - abs(eg - ge), 0)
+    return int(np.where(rest >= 0, (rest + 1) * pairs, 0).sum())
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -172,9 +203,40 @@ def _zero_difference_sector(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
     return sector, diagonal
 
 
+@functools.lru_cache(maxsize=16)
+def _sector_unknowns(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unknowns, trace weights and adjoints of build_liouvillian's L (see Liouvillian)."""
+    sector, diagonal = _zero_difference_sector(h)
+    weights = np.zeros(len(sector))
+    weights[diagonal] = 1.0
+    col, row = np.divmod(sector, h.dim)  # vec index row + col * d
+    adjoint = np.searchsorted(sector, col + row * h.dim)
+    for arr in (weights, adjoint):
+        arr.flags.writeable = False
+    return sector, weights, adjoint
+
+
 # term tags of the entries of L: the off-diagonal terms scale with -i g, kappa,
 # omega and gamma_minus; the diagonal is filled in separately
 _G, _KAPPA, _OMEGA, _GAMMA_MINUS, _DIAGONAL = range(5)
+
+
+def _csr_pattern(rows, cols, tags, weights, size: int) -> dict:
+    """CSR structure of tagged entries, none of them sharing a position, read-only."""
+    order = np.lexsort((cols, rows))
+    tags = tags[order]
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    arrays = {
+        "indptr": indptr,
+        "indices": cols[order].astype(np.int32),
+        "diagonal": np.flatnonzero(tags == _DIAGONAL).astype(np.int32),
+        "tags": tags,
+        "weights": weights[order],
+    }
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -212,54 +274,89 @@ def _liouvillian_pattern(h: HilbertConfig) -> _LiouvillianPattern:
         _DIAGONAL: sp.identity(d * d),
     }
     parts = [op.tocoo() for op in terms.values()]
-    rows = np.concatenate([op.row for op in parts])
-    cols = np.concatenate([op.col for op in parts])
-    order = np.lexsort((cols, rows))
-    tags = np.repeat(np.array(list(terms), dtype=np.int8), [op.nnz for op in parts])[order]
-    weights = np.concatenate([op.data for op in parts])[order]
-    indptr = np.zeros(d * d + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=d * d), out=indptr[1:])
-
     photons, excited = _excitations(h)
     z = 2 * ((np.arange(d)[:, None] >> np.arange(h.n_emitters)) & 1) - 1
-    pattern = _LiouvillianPattern(
-        indptr=indptr,
-        indices=cols[order].astype(np.int32),
-        diagonal=np.flatnonzero(tags == _DIAGONAL).astype(np.int32),
-        tags=tags,
-        weights=weights,
-        photons=photons.astype(float),
-        excited=excited.astype(float),
-        zz=(z @ z.T).astype(np.int8),
-    )
-    for arr in vars(pattern).values():
+    extra = {"photons": photons.astype(float), "excited": excited.astype(float),
+             "zz": (z @ z.T).astype(np.int8)}
+    for arr in extra.values():
         arr.flags.writeable = False
-    return pattern
+    return _LiouvillianPattern(
+        **_csr_pattern(
+            np.concatenate([op.row for op in parts]),
+            np.concatenate([op.col for op in parts]),
+            np.repeat(np.array(list(terms), dtype=np.int8), [op.nnz for op in parts]),
+            np.concatenate([op.data for op in parts]),
+            d * d,
+        ),
+        **extra,
+    )
 
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Sparse superoperator acting on column-stacked density matrices."""
+    """Sparse generator L acting on the vector v of a state's coordinates.
+
+    build_liouvillian's L acts on vec(rho), build_symmetric_liouvillian's on
+    the permutation-symmetric unknowns u.  Either carries what the
+    steady-state solve needs: `unknowns`, the ascending positions in v of the
+    charge-0 entries it solves for, the first of which has a trace weight;
+    `trace_weights`, with Tr rho = trace_weights @ v[unknowns]; and `adjoint`,
+    the position in `unknowns` of each entry's Hermitian conjugate.
+    """
 
     matrix: sp.csr_matrix
     hilbert: HilbertConfig
     params: SystemParams
-    frame: str = "as_written"
+    frame: str
+    unknowns: np.ndarray
+    trace_weights: np.ndarray
+    adjoint: np.ndarray
 
     @property
     def dim(self) -> int:
+        """Dimension d of the Hilbert space the state lives in (not of L)."""
         return self.hilbert.dim
 
+    def state(self, v: np.ndarray) -> "DensityMatrix":
+        """The state whose coordinates L acts on are v."""
+        return DensityMatrix(unvec(v, self.dim))
+
     def trace_row(self) -> np.ndarray:
-        """vec(I)^T, the left null vector enforced by trace preservation."""
-        d = self.dim
-        row = np.zeros(d * d)
-        row[np.arange(d) * (d + 1)] = 1.0
+        """The trace functional on v, the left null vector enforced by trace preservation."""
+        row = np.zeros(self.matrix.shape[1])
+        row[self.unknowns] = self.trace_weights
         return row
 
     def trace_residual(self) -> float:
-        """max |vec(I)^T L|, zero for a trace-preserving generator."""
+        """max |trace_row() L|, zero for a trace-preserving generator."""
         return float(np.abs(self.trace_row() @ self.matrix).max())
+
+
+def _frame_shift(p: SystemParams, frame: str) -> float:
+    if frame not in ("as_written", "rotating"):
+        raise InvalidValue(f"unknown frame {frame!r}")
+    return p.delta if frame == "rotating" else 0.0
+
+
+def _h_eff(p: SystemParams, shift: float, photons, excited, n_em: int) -> np.ndarray:
+    """Diagonal of H_eff = H - (i/2) sum_k r_k A_k'A_k at n photons and e excited emitters."""
+    return (p.delta_c - shift) * photons + (p.delta - shift) * excited - 0.5j * (
+        p.kappa * photons + p.omega * (n_em - excited) + p.gamma_minus * excited + p.gamma_z * n_em
+    )
+
+
+def _gather(pattern, p: SystemParams, diagonal: np.ndarray) -> sp.csr_matrix:
+    """L from a cached pattern: each entry's term coefficient times its weight, then the
+    diagonal, without the entries that a zero g or rate leaves."""
+    coefficients = np.array([-1j * p.g, p.kappa, p.omega, p.gamma_minus, 0.0])
+    data = coefficients[pattern.tags] * pattern.weights
+    data[pattern.diagonal] = diagonal
+    size = len(pattern.indptr) - 1
+    liou = sp.csr_matrix(
+        (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(size, size)
+    )
+    liou.eliminate_zeros()
+    return liou
 
 
 def build_liouvillian(
@@ -285,24 +382,150 @@ def build_liouvillian(
     """
     validate_params(p)
     h.check_cap()
-    if frame not in ("as_written", "rotating"):
-        raise InvalidValue(f"unknown frame {frame!r}")
-    shift = p.delta if frame == "rotating" else 0.0
+    shift = _frame_shift(p, frame)
     pattern = _liouvillian_pattern(h)
-    n, e, n_em = pattern.photons, pattern.excited, h.n_emitters
-    h_eff = (p.delta_c - shift) * n + (p.delta - shift) * e - 0.5j * (
-        p.kappa * n + p.omega * (n_em - e) + p.gamma_minus * e + p.gamma_z * n_em
-    )
-    coefficients = np.array([-1j * p.g, p.kappa, p.omega, p.gamma_minus, 0.0])
-    data = coefficients[pattern.tags] * pattern.weights
+    h_eff = _h_eff(p, shift, pattern.photons, pattern.excited, h.n_emitters)
     diagonal = (-1j * h_eff)[:, None] + (1j * h_eff.conj())[None, :] + p.gamma_z * pattern.zz
-    data[pattern.diagonal] = diagonal.reshape(-1, order="F")
-    d2 = h.dim**2
-    liou = sp.csr_matrix(
-        (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(d2, d2)
+    liou = _gather(pattern, p, diagonal.reshape(-1, order="F"))
+    unknowns, weights, adjoint = _sector_unknowns(h)
+    return Liouvillian(liou, h, p, frame, unknowns, weights, adjoint)
+
+
+# --- permutation-symmetric Liouvillian ---------------------------------------------
+
+# Off-diagonal moves of L on u: (term, change of n, change of m, change of
+# (k_ee, k_eg, k_ge, k_gg), field factor).  Summed over the sites, a one-site
+# map taking |a><b| to |a'><b'| moves u(k) to u(k - e_ab + e_a'b') with weight
+# k_ab times the field factor.  Left of rho, a' s-_n lowers an e on the ket
+# and adds a photon, and s+_n a does the reverse; right of rho (sign -1),
+# rho a' s-_n raises a g on the bra and removes a photon, and rho s+_n a does
+# the reverse.
+_MOVES = (
+    (_G, 1, 0, (-1, 0, 1, 0), "ket_up"),    # ee -> ge
+    (_G, 1, 0, (0, -1, 0, 1), "ket_up"),    # eg -> gg
+    (_G, -1, 0, (1, 0, -1, 0), "ket_down"),  # ge -> ee
+    (_G, -1, 0, (0, 1, 0, -1), "ket_down"),  # gg -> eg
+    (_G, 0, -1, (0, 0, 1, -1), "bra_down"),  # gg -> ge
+    (_G, 0, -1, (1, -1, 0, 0), "bra_down"),  # eg -> ee
+    (_G, 0, 1, (-1, 1, 0, 0), "bra_up"),    # ee -> eg
+    (_G, 0, 1, (0, 0, -1, 1), "bra_up"),    # ge -> gg
+    (_KAPPA, -1, -1, (0, 0, 0, 0), "both_down"),
+    (_OMEGA, 0, 0, (1, 0, 0, -1), "none"),   # gg -> ee
+    (_GAMMA_MINUS, 0, 0, (-1, 0, 0, 1), "none"),  # ee -> gg
+)
+
+
+@dataclass(frozen=True)
+class _SymmetricPattern:
+    """The unknowns u(n, m, k) of one (n_max, N), and the parameter-free part of L on them."""
+
+    indptr: np.ndarray    # as in _LiouvillianPattern, over the unknowns
+    indices: np.ndarray
+    diagonal: np.ndarray
+    tags: np.ndarray
+    weights: np.ndarray
+    photons: np.ndarray   # (n, m) of each unknown, shape (2, count)
+    k: np.ndarray         # (k_ee, k_eg, k_ge, k_gg) of each unknown, shape (4, count)
+    index: np.ndarray     # position of the unknown at [n, k_ee, k_eg, k_ge], -1 where none
+    excited: np.ndarray   # (k_ee + k_eg, k_ee + k_ge): excited emitters of ket and bra
+    zz: np.ndarray        # k_ee + k_gg - k_eg - k_ge
+    trace_weights: np.ndarray  # 1 where n = m and k_eg = k_ge = 0
+    adjoint: np.ndarray   # position of u(m, n, (k_ee, k_ge, k_eg, k_gg))
+
+
+@functools.lru_cache(maxsize=16)
+def _symmetric_pattern(n_max: int, n_em: int) -> _SymmetricPattern:
+    """The unknowns and the structure, term tags and weights of the symmetric L, read-only.
+
+    The unknowns are every (n, m, k) with k_ee + k_eg + k_ge + k_gg = N and
+    (n - m) + (k_eg - k_ge) = 0, ordered by n, then k_ee, k_eg, k_ge, so that
+    u(0, 0, (0, 0, 0, N)), the vacuum population, comes first.
+    """
+    n, ee, eg, ge = np.ogrid[: n_max + 1, : n_em + 1, : n_em + 1, : n_em + 1]
+    present = (ee + eg + ge <= n_em) & (n + eg - ge >= 0) & (n + eg - ge <= n_max)
+    index = np.full(present.shape, -1, dtype=np.int32)
+    count = np.count_nonzero(present)
+    index[present] = np.arange(count)
+    n, ee, eg, ge = (arr[present] for arr in np.broadcast_arrays(n, ee, eg, ge))
+    m, gg = n + eg - ge, n_em - ee - eg - ge
+    k = np.stack([ee, eg, ge, gg])
+    # the field factor of each move: sqrt of the photon number a or a' meets on
+    # the ket or the bra, negative on the bra; sqrt(n * m) keeps kappa n exact
+    # on a population
+    field = {"ket_up": np.sqrt(n + 1.0), "ket_down": np.sqrt(n), "bra_down": -np.sqrt(m),
+             "bra_up": -np.sqrt(m + 1.0), "both_down": np.sqrt(n * m), "none": np.ones(count)}
+    rows, cols = [np.arange(count)], [np.arange(count)]
+    tags, weights = [np.full(count, _DIAGONAL, dtype=np.int8)], [np.zeros(count)]
+    for tag, dn, dm, dk, which in _MOVES:
+        dk = np.array(dk)
+        weight = field[which] * k[np.flatnonzero(dk < 0)[0]] if dk.any() else field[which]
+        n_to, m_to = n + dn, m + dm
+        keep = (weight != 0) & (n_to >= 0) & (n_to <= n_max) & (m_to >= 0) & (m_to <= n_max)
+        k_to = k[:, keep] + dk[:, None]
+        target = index[n_to[keep], k_to[0], k_to[1], k_to[2]]
+        rows.append(target)
+        cols.append(np.flatnonzero(keep))
+        tags.append(np.full(target.size, tag, dtype=np.int8))
+        weights.append(weight[keep])
+    extra = {
+        "photons": np.stack([n, m]),
+        "k": k,
+        "index": index,
+        "excited": np.stack([ee + eg, ee + ge]).astype(float),
+        "zz": (ee + gg - eg - ge).astype(float),
+        "trace_weights": ((n == m) & (eg == 0) & (ge == 0)).astype(float),
+        "adjoint": index[m, ee, ge, eg].astype(np.intp),
+    }
+    for arr in extra.values():
+        arr.flags.writeable = False
+    return _SymmetricPattern(
+        **_csr_pattern(*(np.concatenate(x) for x in (rows, cols, tags, weights)), count),
+        **extra,
     )
-    liou.eliminate_zeros()
-    return Liouvillian(matrix=liou, hilbert=h, params=p, frame=frame)
+
+
+@dataclass(frozen=True)
+class SymmetricLiouvillian(Liouvillian):
+    """L on the permutation-symmetric unknowns u; its states are SymmetricState."""
+
+    def state(self, v: np.ndarray) -> "SymmetricState":
+        return SymmetricState(v, self.hilbert)
+
+
+def build_symmetric_liouvillian(
+    p: SystemParams, h: HilbertConfig, frame: str = "as_written"
+) -> SymmetricLiouvillian:
+    """Assemble L with u_dot = L u on the permutation-symmetric charge-0 unknowns.
+
+    A state of N identical emitters that no permutation of the emitters
+    changes is rho = sum c(n, m, k) |n><m| (x) Sym(k), where Sym(k) sums the
+    product of one-site operators |e><e|, |e><g|, |g><e|, |g><g| over every
+    way to give them to k = (k_ee, k_eg, k_ge, k_gg) of the emitters, and
+    the master equation keeps it so.  L acts on u(n, m, k) = M(k) c(n, m, k),
+    M(k) = N!/prod_t k_t!, and keeps only the charge-0 ones, (n - m) +
+    (k_eg - k_ge) = 0, which hold the steady state (see steady_state_exact):
+    about (n_max+1)^2 N^2/4 of them for large N, since |k_eg - k_ge| <=
+    n_max, against about 4^N (n_max+1) elements of rho.  A one-site term
+    summed over the emitters moves u(k) to u(k - e_t + e_t') with weight
+    S[t' <- t] k_t (see _MOVES); the field factors are those of
+    build_liouvillian.  The diagonal at u(n, m, k) is -i h(n, k_ee + k_eg) +
+    i h*(m, k_ee + k_ge) + gamma_z (k_ee + k_gg - k_eg - k_ge), with h the
+    diagonal of H_eff at n photons and e excited emitters.  As in
+    build_liouvillian, the structure is cached, here per (n_max, N), and a
+    build is one gather.  A configuration with more unknowns than its cap
+    raises DimensionCap before anything is built.
+    """
+    validate_params(p)
+    h.check_cap()
+    shift = _frame_shift(p, frame)
+    pattern = _symmetric_pattern(h.n_max, h.n_emitters)
+    ket = _h_eff(p, shift, pattern.photons[0], pattern.excited[0], h.n_emitters)
+    bra = _h_eff(p, shift, pattern.photons[1], pattern.excited[1], h.n_emitters)
+    diagonal = -1j * ket + 1j * bra.conj() + p.gamma_z * pattern.zz
+    return SymmetricLiouvillian(
+        _gather(pattern, p, diagonal), h, p, frame,
+        np.arange(len(diagonal)), pattern.trace_weights, pattern.adjoint,
+    )
 
 
 # --- density matrices ---------------------------------------------------------
@@ -380,21 +603,123 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum())
 
 
+@functools.lru_cache(maxsize=16)
+def _spin_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, tuple[int, ...]]:
+    """The linear map from u to the blocks rho_j of a permutation-symmetric rho, stacked.
+
+    By Schur-Weyl duality such a rho is the direct sum over total spin j
+    (2j = N, N-2, ...) of rho_j (x) I_{d_j}, with d_j = C(N, p) - C(N, p-1) for
+    p = N/2 - j, so rho >= 0 exactly when every rho_j >= 0.  With |psi_jq> =
+    |singlet>^(x)p (x) |Dicke_2j, q> (q excited of 2j emitters),
+    rho_j[(n, q), (m, q')] = sum_k c(n, m, k) F_qq'(k), where F_qq'(k) is the
+    coefficient of x^k in det(X)^p <D_q| X^(x)2j |D_q'> for the one-site
+    X = [[x_gg, x_ge], [x_eg, x_ee]]:
+
+        F = sum_b C(p, b) (-1)^b (2j)! / (a! (q-a)! (q'-a)! (2j-q-q'+a)!)
+            / sqrt(C(2j, q) C(2j, q')),  a = k_ee - p + b, k_eg = q - a + b.
+
+    Returns the map T, so that T @ u stacks each row-major block
+    ((n_max+1)(2j+1) square, in p order), and the block sizes.
+    """
+    index = _symmetric_pattern(n_max, n_em).index
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n_em + 1)))])
+
+    def log_binom(top, bottom):
+        return log_fact[top] - log_fact[bottom] - log_fact[top - bottom]
+
+    rows, cols, values, sizes = [], [], [], []
+    offset = 0
+    for p in range(n_em // 2 + 1):
+        spins = n_em - 2 * p  # 2j
+        q, qq, a, b = (x.ravel() for x in np.meshgrid(
+            *[np.arange(spins + 1)] * 3, np.arange(p + 1), indexing="ij"))
+        rest = spins - q - qq + a
+        ok = (a <= q) & (a <= qq) & (rest >= 0)
+        q, qq, a, b, rest = q[ok], qq[ok], a[ok], b[ok], rest[ok]
+        k = np.stack([a + p - b, q - a + b, qq - a + b, rest + p - b])
+        log_value = (log_binom(p, b) + log_fact[spins] - log_fact[a] - log_fact[q - a]
+                     - log_fact[qq - a] - log_fact[rest]
+                     - 0.5 * (log_binom(spins, q) + log_binom(spins, qq))
+                     - log_fact[n_em] + log_fact[k].sum(axis=0))  # F / M(k): c = u / M(k)
+        value = np.where(b % 2, -1.0, 1.0) * np.exp(log_value)
+        # photon pairs of the block entry: n - m = k_ge - k_eg = q' - q
+        n = np.arange(n_max + 1)[:, None]
+        m = n + q - qq
+        present = (m >= 0) & (m <= n_max)
+        size = (n_max + 1) * (spins + 1)
+        rows.append(offset + ((n * (spins + 1) + q) * size + m * (spins + 1) + qq)[present])
+        cols.append(index[np.broadcast_to(n, m.shape), k[0], k[1], k[2]][present])
+        values.append(np.broadcast_to(value, m.shape)[present])
+        sizes.append(size)
+        offset += size * size
+    rows, cols, values = (np.concatenate(x) for x in (rows, cols, values))
+    blocks = sp.csr_matrix((values, (rows, cols)), shape=(offset, index.max() + 1))
+    _read_only(blocks)
+    return blocks, tuple(sizes)
+
+
+@dataclass
+class SymmetricState:
+    """A permutation-symmetric joint state, held as its unknowns u(n, m, k).
+
+    mat is u in the order of build_symmetric_liouvillian, the vector that
+    its L acts on, as vec(DensityMatrix.mat) is for build_liouvillian's L;
+    see build_symmetric_liouvillian for rho in terms of u.  Only charge-0
+    elements are held, so every element of rho with E_i != E_j is zero.
+    """
+
+    mat: np.ndarray
+    hilbert: HilbertConfig
+
+    def spin_blocks(self) -> list[np.ndarray]:
+        """The blocks rho_j for 2j = N, N-2, ... (see _spin_blocks)."""
+        blocks, sizes = _spin_blocks(self.hilbert.n_max, self.hilbert.n_emitters)
+        flat = blocks @ self.mat
+        out, start = [], 0
+        for size in sizes:
+            out.append(flat[start:start + size * size].reshape(size, size))
+            start += size * size
+        return out
+
+    def validate(self) -> "SymmetricState":
+        """Hermiticity and trace on u, positivity through every spin block."""
+        pattern = _symmetric_pattern(self.hilbert.n_max, self.hilbert.n_emitters)
+        u = self.mat
+        if u.shape != pattern.trace_weights.shape:
+            raise InvalidValue(
+                f"u has shape {u.shape}, the configuration has {len(pattern.trace_weights)} unknowns"
+            )
+        herm = float(np.abs(u - u[pattern.adjoint].conj()).max())
+        if herm > HERMITICITY_TOL:
+            raise InvalidValue(f"not Hermitian: max |rho - rho^+| = {herm:.3e}")
+        tr = complex(pattern.trace_weights @ u)
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise InvalidValue(f"trace {tr} differs from 1 beyond tolerance")
+        min_eig = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min())
+                      for b in self.spin_blocks())
+        if min_eig < -PSD_TOL:
+            raise InvalidValue(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+        return self
+
+
 # --- steady state and dynamics --------------------------------------------------
 
-def steady_state_exact(liou: Liouvillian) -> DensityMatrix:
-    """Unique steady state, solved on the zero-excitation-difference sector.
+def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
+    """Unique steady state, solved on the charge-0 unknowns that liou carries.
 
     H conserves E = a'a + sum_n s+_n s-_n, and every jump operator shifts E by
     the same amount on both sides of rho, so L never mixes elements rho_ij of
-    different charge E_i - E_j.  The steady state lies in the E_i = E_j block,
-    which holds sum_E b_E^2 of the d^2 unknowns (b_E basis states at each E;
-    744 of 4096 at N=4, n_max=3).  One (redundant) row of that block is
-    replaced by the trace functional with right-hand side 1, the system is
-    factorised once, and the factor is reused for up to three rounds of
-    iterative refinement.  A singular factorisation, or a residual
-    ||L vec(rho)||_inf on the full L above STEADY_RESIDUAL_TOL, signals a
-    degenerate null space.
+    different charge E_i - E_j.  The steady state lies in the E_i = E_j block:
+    sum_E b_E^2 of the d^2 elements of vec(rho) (b_E basis states at each E;
+    744 of 4096 at N=4, n_max=3), or every permutation-symmetric unknown
+    (92 at N=4, n_max=3).  A block with more unknowns than the cap raises
+    DimensionCap before it is assembled.  Its first row, which has a trace
+    weight and is therefore redundant, is replaced by the trace functional
+    with right-hand side 1, the system is factorised once, and the factor is
+    reused for up to three rounds of iterative refinement.  The solution is
+    made Hermitian and normalised, and the state is validated.  A singular
+    factorisation, or a residual ||L v||_inf on all of L above
+    STEADY_RESIDUAL_TOL, signals a degenerate null space.
 
     Why the block is enough: L commutes with rho -> e^{i phi E} rho e^{-i phi E},
     so L and its adjoint L^dag are block diagonal in the charge, with equal
@@ -409,37 +734,37 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix:
     unitary with X' E X = E + k, which no finite spectrum allows.  So a
     one-dimensional null space in the block certifies a unique steady state.
     """
-    d = liou.dim
     lmat = liou.matrix.tocsr()
-    sector, diagonal = _zero_difference_sector(liou.hilbert)
-    m = len(sector)
-    # the entries of L's sector rows after row 0, in row order (so each column
-    # of the system comes out sorted), with their columns renumbered within the
-    # sector; row 0 becomes the trace functional
-    starts = lmat.indptr[sector[1:]]
-    counts = lmat.indptr[sector[1:] + 1] - starts
+    unknowns = liou.unknowns
+    m = len(unknowns)
+    if m > liou.hilbert.cap:
+        raise DimensionCap(f"steady-state system of {m} sector unknowns exceeds cap {liou.hilbert.cap}")
+    # the entries of L's rows at the unknowns after the first, with their
+    # columns renumbered among the unknowns; row 0 becomes the trace functional
+    starts = lmat.indptr[unknowns[1:]]
+    counts = lmat.indptr[unknowns[1:] + 1] - starts
     entries = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    rows = np.repeat(np.arange(1, m), counts)
     targets = lmat.indices[entries]
-    cols = np.searchsorted(sector, targets)
-    # drops nothing from build_liouvillian's L, which never mixes charges; an L
-    # that does keeps only its block, and fails the residual check below
-    inside = sector[np.minimum(cols, m - 1)] == targets
-    system = sp.csc_matrix(
-        (
-            np.concatenate([np.ones(d, dtype=complex), lmat.data[entries][inside]]),
-            (np.concatenate([np.zeros(d, dtype=int), rows[inside]]),
-             np.concatenate([diagonal, cols[inside]])),
-        ),
+    cols = np.searchsorted(unknowns, targets)
+    # drops nothing from an L that never mixes charges; an L that does keeps
+    # only its block, and fails the residual check below
+    inside = unknowns[np.minimum(cols, m - 1)] == targets
+    kept = np.bincount(np.repeat(np.arange(m - 1), counts)[inside], minlength=m - 1)
+    traced = np.flatnonzero(liou.trace_weights)
+    indptr = np.cumsum(np.concatenate([[0, len(traced)], kept]))
+    system = sp.csr_matrix(
+        (np.concatenate([liou.trace_weights[traced], lmat.data[entries[inside]]]),
+         np.concatenate([traced, cols[inside]]), indptr),
         shape=(m, m),
-    )
+    ).tocsc()
     rhs = np.zeros(m, dtype=complex)
     rhs[0] = 1.0
 
     try:
-        # ordering on the structure of A + A^T: at N=4-5, n_max=3 it leaves about
-        # half the fill of the default COLAMD and factorises 2-3x faster
-        lu = spla.splu(system, permc_spec="MMD_AT_PLUS_A")
+        # COLAMD: on the symmetric unknowns it factorises 4-10x faster than
+        # MMD_AT_PLUS_A from N=8 on (0.06 against 0.27 s at N=20, n_max=3); on
+        # build_liouvillian's sector MMD would be 1.6-3x faster at N=4-5
+        lu = spla.splu(system, permc_spec="COLAMD")
     except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyState(f"steady-state solve failed: {e}") from e
     except MemoryError as e:
@@ -455,22 +780,20 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix:
     if not np.all(np.isfinite(x)):
         raise DegenerateSteadyState("steady-state solve returned non-finite values")
 
-    full = np.zeros(d * d, dtype=complex)
-    full[sector] = x
-    rho = unvec(full, d)
-    rho = (rho + rho.conj().T) / 2
-    tr = np.trace(rho).real
+    x = (x + x[liou.adjoint].conj()) / 2
+    tr = (liou.trace_weights @ x).real
     if not np.isfinite(tr) or abs(tr) < 1e-12:
         raise DegenerateSteadyState("steady-state trace collapsed to zero")
-    rho = rho / tr
+    v = np.zeros(lmat.shape[1], dtype=complex)
+    v[unknowns] = x / tr
 
-    residual = float(np.abs(lmat @ vec(rho)).max())
+    residual = float(np.abs(lmat @ v).max())
     if residual > STEADY_RESIDUAL_TOL:
         raise DegenerateSteadyState(
             f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}; "
             "null space is likely degenerate"
         )
-    return DensityMatrix(rho).validate()
+    return liou.state(v).validate()
 
 
 def time_evolve(liou: Liouvillian, rho0: DensityMatrix, t_final: float) -> DensityMatrix:
@@ -486,6 +809,8 @@ def time_evolve(liou: Liouvillian, rho0: DensityMatrix, t_final: float) -> Densi
     if not (np.isfinite(t_final) and t_final >= 0):
         raise InvalidValue(f"t_final must be finite and >= 0, got {t_final}")
     d = liou.dim
+    if liou.matrix.shape[0] != d * d:
+        raise InvalidValue("time_evolve needs the full-space Liouvillian of build_liouvillian")
     if rho0.mat.shape != (d, d):
         raise InvalidValue(f"rho0 has shape {rho0.mat.shape}, the Liouvillian acts on {d}x{d}")
     herm = float(np.abs(rho0.mat - rho0.mat.conj().T).max())
@@ -563,15 +888,57 @@ def _require_pair(i, j, h):
     return ii, jj
 
 
+@functools.lru_cache(maxsize=64)
+def _symmetric_observable(which: str, n_max: int, n_em: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and weights w of the unknowns with Tr(O rho) = w @ u[positions].
+
+    A permutation-symmetric rho gives each emitter, and each pair, the same
+    value, so Tr(O rho) is the average over them.  On a population term
+    (n = m, k_eg = k_ge = 0) sum_i sz_i is k_ee - k_gg.  s+_i s-_j reads the
+    terms with one |g><e| at i and one |e><g| at j, which is 1/(N(N-1)) of the
+    M(k) assignments with k_eg = k_ge = 1; a' s-_i reads sqrt(m) |m-1><m| (x)
+    one |e><g| at i, 1/N of the assignments with k_eg = 1, k_ge = 0.
+    """
+    pattern = _symmetric_pattern(n_max, n_em)
+    n, m = pattern.photons
+    ee, eg, ge, gg = pattern.k
+    population = (n == m) & (eg == 0) & (ge == 0)
+    pairs = max(n_em * (n_em - 1), 1)
+    keep, weights = {
+        "photon_number": (population, n),
+        "photon_pair": (population, n * (n - 1)),
+        "sigma_z": (population, (ee - gg) / n_em),
+        "cross_zz": (population, ((ee - gg) ** 2 - n_em) / pairs),
+        "cross_pm": ((n == m) & (eg == 1) & (ge == 1), np.full(n.shape, 1.0 / pairs)),
+        "field_coherence": ((m == n + 1) & (eg == 1) & (ge == 0), np.sqrt(m) / n_em),
+    }[which]
+    positions = np.flatnonzero(keep)
+    weights = weights[keep].astype(float)
+    for arr in (positions, weights):
+        arr.flags.writeable = False
+    return positions, weights
+
+
 def expectation(
-    rho: DensityMatrix,
+    rho: DensityMatrix | SymmetricState,
     which: str,
     h: HilbertConfig,
     i: int | None = None,
     j: int | None = None,
 ) -> complex:
     """Tr(O rho) for the named observable."""
-    return operator_expectation(observable_operator(which, h, i, j), rho.mat)
+    if not isinstance(rho, SymmetricState):
+        return operator_expectation(observable_operator(which, h, i, j), rho.mat)
+    if (h.n_max, h.n_emitters) != (rho.hilbert.n_max, rho.hilbert.n_emitters):
+        raise InvalidValue(f"state of {rho.hilbert} read with {h}")
+    if which in ("sigma_z", "field_coherence"):
+        _require_index(i, h)
+    elif which in ("cross_pm", "cross_zz"):
+        _require_pair(i, j, h)
+    elif which not in OBSERVABLES:
+        raise UnknownObservable(f"unknown observable {which!r}; choose from {OBSERVABLES}")
+    positions, weights = _symmetric_observable(which, h.n_max, h.n_emitters)
+    return complex(weights @ rho.mat[positions])
 
 
 def operator_expectation(op: sp.spmatrix, mat: np.ndarray) -> complex:
@@ -598,32 +965,34 @@ FLUX_CUTOFF_RTOL = 1e-6
 def converge_in_cutoff(
     p: SystemParams,
     h: HilbertConfig,
-    observe: Callable[[DensityMatrix, HilbertConfig], float],
+    observe: Callable[[SymmetricState, HilbertConfig], float],
     rel_tol: float = FLUX_CUTOFF_RTOL,
     frame: str = "as_written",
-) -> tuple[float, HilbertConfig, DensityMatrix]:
+) -> tuple[float, HilbertConfig, SymmetricState]:
     """observe(rho, h) at the exact steady state, converged in the Fock cutoff.
 
-    Starting from h.n_max the cutoff is raised by 2 until the value changes by
-    less than rel_tol relatively.  Returns the value with the HilbertConfig and
-    the steady state of the last cutoff.  Hitting the dimension cap first
-    raises CutoffNotConverged; an initial configuration beyond the cap raises
+    Each rung solves on the permutation-symmetric unknowns
+    (build_symmetric_liouvillian).  Starting from h.n_max the cutoff is
+    raised by 2 until the value changes by less than rel_tol relatively.
+    Returns the value with the HilbertConfig and the steady state of the last
+    cutoff.  A next rung with more unknowns than the cap raises
+    CutoffNotConverged; an initial configuration beyond the cap raises
     DimensionCap.
     """
     validate_params(p)
     h.check_cap()
     value = None
     while True:
-        rho = steady_state_exact(build_liouvillian(p, h, frame=frame))
+        rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame=frame))
         value_next = observe(rho, h)
         tol = rel_tol * max(abs(value_next), 1e-300)
         if value is not None and abs(value_next - value) <= tol:
             return value_next, h, rho
         value = value_next
         bigger = HilbertConfig(h.n_max + 2, h.n_emitters, h.cap)
-        if bigger.dim > h.cap:
+        if bigger.symmetric_unknowns > h.cap:
             raise CutoffNotConverged(
-                f"value not converged at n_max={h.n_max} before dimension cap {h.cap}"
+                f"value not converged at n_max={h.n_max} before the cap of {h.cap} unknowns"
             )
         h = bigger
 
@@ -645,7 +1014,7 @@ def photon_flux_exact(
     return converge_in_cutoff(p, h, flux, rel_tol, frame)[0]
 
 
-def _g2_of(rho: DensityMatrix, h: HilbertConfig, vacuum_threshold: float = 1e-12) -> float:
+def _g2_of(rho: SymmetricState, h: HilbertConfig, vacuum_threshold: float = 1e-12) -> float:
     n_phot = expectation(rho, "photon_number", h).real
     if n_phot <= vacuum_threshold:
         raise VacuumState(f"steady-state photon number {n_phot:.3e} is below threshold")
@@ -660,8 +1029,7 @@ def g2_zero_exact(
     vacuum_threshold: float = 1e-12,
 ) -> float:
     """Equal-time second-order correlation <a'a'aa> / <a'a>^2 at steady state."""
-    validate_params(p)
-    rho = steady_state_exact(build_liouvillian(p, h, frame=frame))
+    rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame=frame))
     return _g2_of(rho, h, vacuum_threshold)
 
 

@@ -26,6 +26,7 @@ from superrad.exact import (
     DensityMatrix,
     HilbertConfig,
     build_liouvillian,
+    build_symmetric_liouvillian,
     converge_in_cutoff,
     expectation,
     g2_zero_converged,
@@ -319,6 +320,17 @@ def test_steady_state_out_of_memory_is_a_dimension_cap(monkeypatch):
         steady_state_exact(build_liouvillian(regression_params(4), HilbertConfig(3, 4)))
 
 
+def test_steady_state_beyond_the_cap_is_refused_before_factorising(monkeypatch):
+    # N=7, n_max=3: the charge-0 sector holds 41756 unknowns, over the default cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("splu was called")
+
+    monkeypatch.setattr(exact.spla, "splu", refuse)
+    liou = build_liouvillian(regression_params(7), HilbertConfig(3, 7))
+    with pytest.raises(DimensionCap, match="41756 sector unknowns exceeds cap 4096"):
+        steady_state_exact(liou)
+
+
 def test_degenerate_steady_state_detected():
     # g = 0, kappa = 0, omega = 0: every diagonal field state is stationary
     p = SystemParams(1, 5.0, 5.0, 0.0, 0.0, 0.0, 0.4, 0.0)
@@ -423,8 +435,9 @@ def test_time_evolve_rejects_a_lone_coherence():
 
 
 def test_time_evolve_caps_the_dense_block():
-    # d = 32 fits the cap, but the charge-0 block of a vacuum start holds 196 unknowns
-    h = HilbertConfig(3, 3, cap=32)
+    # the 58 permutation-symmetric unknowns fit the cap, but the charge-0 block
+    # of a vacuum start holds 196 unknowns
+    h = HilbertConfig(3, 3, cap=64)
     liou = build_liouvillian(regression_params(3), h, "rotating")
     assert len(exact._zero_difference_sector(h)[0]) == 196
     with pytest.raises(DimensionCap):
@@ -517,14 +530,15 @@ def test_converge_in_cutoff_returns_the_last_rung():
     assert value == photon_flux_exact(p, HilbertConfig(3, 1), frame="rotating")
     assert h.n_max > 3 and (h.n_max - 3) % 2 == 0
     assert value == flux(rho, h)
-    direct = steady_state_exact(build_liouvillian(p, h, frame="rotating"))
-    assert trace_distance(rho, direct) <= 1e-14
+    direct = steady_state_exact(build_symmetric_liouvillian(p, h, frame="rotating"))
+    assert np.abs(rho.mat - direct.mat).max() <= 1e-14
 
 
 def test_flux_cutoff_not_converged_when_capped():
+    # 32 unknowns at n_max=3 fit the cap, the 52 of the next rung do not
     p = regression_params(2, omega=5.0)
     with pytest.raises(CutoffNotConverged):
-        photon_flux_exact(p, HilbertConfig(3, 2, cap=20), frame="rotating")
+        photon_flux_exact(p, HilbertConfig(3, 2, cap=40), frame="rotating")
 
 
 def test_g2_vacuum_guard():
