@@ -39,6 +39,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -71,7 +72,8 @@ class HilbertConfig:
     The cap bounds the unknowns of every linear solve or dense block that is
     about to run: a steady-state system (len(liou.unknowns)) or a charge
     block of time_evolve.  Each is counted from (n_max, N) before it is
-    assembled.
+    assembled.  build_liouvillian, whose L has d^2 rows, also needs
+    d = dim <= cap.
     """
 
     n_max: int
@@ -382,6 +384,10 @@ def build_liouvillian(
     """
     validate_params(p)
     h.check_cap()
+    if h.dim > h.cap:  # the pattern holds d^2 rows, whatever is solved on it
+        raise DimensionCap(
+            f"Hilbert dimension {h.dim} = ({h.n_max}+1)*2^{h.n_emitters} exceeds cap {h.cap}"
+        )
     shift = _frame_shift(p, frame)
     pattern = _liouvillian_pattern(h)
     h_eff = _h_eff(p, shift, pattern.photons, pattern.excited, h.n_emitters)
@@ -597,12 +603,6 @@ class DensityMatrix:
         return cls(m)
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2) * sum of singular values of (a - b)."""
-    diff = a.mat - b.mat
-    return 0.5 * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum())
-
-
 @functools.lru_cache(maxsize=16)
 def _spin_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, tuple[int, ...]]:
     """The linear map from u to the blocks rho_j of a permutation-symmetric rho, stacked.
@@ -700,6 +700,33 @@ class SymmetricState:
         if min_eig < -PSD_TOL:
             raise InvalidValue(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
         return self
+
+
+def trace_distance(a: DensityMatrix | SymmetricState, b: DensityMatrix | SymmetricState) -> float:
+    """(1/2) * sum of singular values of (a - b), for two states of one kind and shape.
+
+    Two SymmetricStates are compared on their spin blocks (see _spin_blocks)
+    without expanding rho: (1/2) sum_j d_j ||rho_j - sigma_j||_1, where d_j =
+    C(N, p) - C(N, p-1) is the multiplicity of rho_j.
+    """
+    symmetric = isinstance(a, SymmetricState)
+    if symmetric != isinstance(b, SymmetricState):
+        raise InvalidValue(f"cannot compare a {type(a).__name__} with a {type(b).__name__}")
+    if symmetric:
+        h, hb = a.hilbert, b.hilbert
+        if (h.n_max, h.n_emitters) != (hb.n_max, hb.n_emitters):
+            raise InvalidValue(f"states of n_max={h.n_max}, N={h.n_emitters} and "
+                               f"n_max={hb.n_max}, N={hb.n_emitters} cannot be compared")
+        n_em = h.n_emitters
+        multiplicity = [math.comb(n_em, p) - (math.comb(n_em, p - 1) if p else 0)
+                        for p in range(n_em // 2 + 1)]
+        diffs = zip((x - y for x, y in zip(a.spin_blocks(), b.spin_blocks())), multiplicity)
+    else:
+        if a.mat.shape != b.mat.shape:
+            raise InvalidValue(f"states of shape {a.mat.shape} and {b.mat.shape} cannot be compared")
+        diffs = [(a.mat - b.mat, 1)]
+    return 0.5 * sum(d_j * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum())
+                     for diff, d_j in diffs)
 
 
 # --- steady state and dynamics --------------------------------------------------

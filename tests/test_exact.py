@@ -331,6 +331,19 @@ def test_steady_state_beyond_the_cap_is_refused_before_factorising(monkeypatch):
         steady_state_exact(liou)
 
 
+def test_brute_force_liouvillian_beyond_the_cap_is_refused_before_assembly(monkeypatch):
+    # N=11, n_max=3: 554 permutation-symmetric unknowns fit the default cap,
+    # but the brute-force L would hold d^2 = 8192^2 rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pattern was built")
+
+    monkeypatch.setattr(exact, "_liouvillian_pattern", refuse)
+    h = HilbertConfig(3, 11)
+    assert h.symmetric_unknowns <= h.cap < h.dim
+    with pytest.raises(DimensionCap, match="Hilbert dimension 8192"):
+        build_liouvillian(regression_params(11), h)
+
+
 def test_degenerate_steady_state_detected():
     # g = 0, kappa = 0, omega = 0: every diagonal field state is stationary
     p = SystemParams(1, 5.0, 5.0, 0.0, 0.0, 0.0, 0.4, 0.0)
@@ -531,7 +544,7 @@ def test_converge_in_cutoff_returns_the_last_rung():
     assert h.n_max > 3 and (h.n_max - 3) % 2 == 0
     assert value == flux(rho, h)
     direct = steady_state_exact(build_symmetric_liouvillian(p, h, frame="rotating"))
-    assert np.abs(rho.mat - direct.mat).max() <= 1e-14
+    assert trace_distance(rho, direct) <= 1e-14
 
 
 def test_flux_cutoff_not_converged_when_capped():

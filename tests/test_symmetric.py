@@ -14,6 +14,7 @@ from superrad.cumulant import photon_flux_cumulant
 from superrad.errors import InvalidValue, VacuumState
 from superrad.exact import (
     OBSERVABLES,
+    DensityMatrix,
     HilbertConfig,
     SymmetricState,
     build_liouvillian,
@@ -23,6 +24,7 @@ from superrad.exact import (
     g2_zero_exact,
     photon_flux_exact,
     steady_state_exact,
+    trace_distance,
 )
 from superrad.params import SystemParams
 
@@ -123,6 +125,34 @@ def test_spin_block_spectra_match_the_expanded_state(n_em):
     expected = np.linalg.eigvalsh(expand(rho))
     assert spectrum.shape == expected.shape == (h.dim,)
     assert np.abs(np.sort(spectrum) - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_em", [2, 3, 4])
+def test_trace_distance_of_symmetric_states_matches_the_expanded_states(n_em):
+    rng = np.random.default_rng(970 + n_em)
+    h = HilbertConfig(3, n_em)
+    a, b = (steady_state_exact(build_symmetric_liouvillian(_detuned(rng, n_em), h))
+            for _ in range(2))
+    expected = trace_distance(DensityMatrix(expand(a)), DensityMatrix(expand(b)))
+    assert expected > 1e-3
+    assert trace_distance(a, b) == pytest.approx(expected, abs=1e-12)
+    assert trace_distance(a, a) == 0.0
+
+
+def test_trace_distance_rejects_states_of_another_kind_or_configuration():
+    p = regression_params(2)
+    h = HilbertConfig(3, 2)
+    symmetric = steady_state_exact(build_symmetric_liouvillian(p, h))
+    brute = steady_state_exact(build_liouvillian(p, h))
+    with pytest.raises(InvalidValue, match="cannot compare a SymmetricState with a DensityMatrix"):
+        trace_distance(symmetric, brute)
+    with pytest.raises(InvalidValue, match="cannot compare a DensityMatrix with a SymmetricState"):
+        trace_distance(brute, symmetric)
+    wider = HilbertConfig(5, 2)
+    with pytest.raises(InvalidValue, match="cannot be compared"):
+        trace_distance(symmetric, steady_state_exact(build_symmetric_liouvillian(p, wider)))
+    with pytest.raises(InvalidValue, match="cannot be compared"):
+        trace_distance(brute, steady_state_exact(build_liouvillian(p, wider)))
 
 
 def test_symmetric_state_validate_rejects_broken_states():
