@@ -7,13 +7,22 @@ Each run writes `<command>_result.(csv|json)` plus `run_manifest.json`; some
 commands add JSON sidecars (fit summary, polariton branches).  Data files are
 byte-identical across runs with the same config and seed.  On failure nothing
 is written and a machine-readable error record goes to stdout.
+
+Each command handler returns its result table as columns: one mapping from
+column name to a list, or to a float64 array for the large tables.  Each
+column is turned into text once, a float array with each distinct value
+(by bit pattern, so -0.0 and 0.0 stay apart) encoded once, and the table is
+written from that text: CSV as comma-joined lines, and the JSON "rows" array
+from one per-row template that is spliced into the payload.  The text is the
+same as `csv.writer` over `repr` cells and `json.dumps(indent=2,
+sort_keys=True)` would write, with nan and infinities spelled `nan`/`inf` in
+CSV and `NaN`/`Infinity` in JSON.  The stdlib encoder still writes the small
+objects: summary, sidecars and manifest.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -42,11 +51,29 @@ from .sweep import SweepSpec, fit_power_law, run_concentration_sweep
 from .units import TIME_UNIT_PS
 
 
-def _fmt(value):
-    """Shortest round-trip text for CSV cells."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+_CSV_NONFINITE = {}  # keeps repr's nan, inf, -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _cell_text(value) -> str:
+    """Shortest round-trip text of a float, plain for numpy floats too; str of an int."""
+    return float.__repr__(value) if isinstance(value, float) else str(value)
+
+
+def _column_text(column, nonfinite) -> list[str]:
+    """The text of each cell of one column, with nan and the infinities respelled.
+
+    A float64 array, as the large tables give, is deduplicated on its bit
+    pattern, never on ==, so that -0.0 and 0.0 keep their own spellings, and
+    each distinct value is encoded once.  A list, as the one-row tables give,
+    is mapped cell by cell.
+    """
+    if isinstance(column, np.ndarray):
+        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+        floats = distinct.view(np.float64).tolist()
+        texts = [nonfinite.get(t, t) for t in map(float.__repr__, floats)]
+        return [texts[i] for i in index.tolist()]
+    return [nonfinite.get(t, t) for t in map(_cell_text, column)]
 
 
 def _atomic_write(path: Path, data: str):
@@ -62,28 +89,40 @@ def _atomic_write(path: Path, data: str):
 
 
 def _csv_text(rows) -> str:
-    """CSV with the keys of the first row as the header."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0])
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row.values()])
-    return buf.getvalue()
+    """CSV of a column table, with its column names as the header."""
+    cells = zip(*(_column_text(column, _CSV_NONFINITE) for column in rows.values()))
+    return ",".join(rows) + "\n" + "\n".join(map(",".join, cells)) + "\n"
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# --- command handlers: each returns (rows, summary, sidecars) ------------------
+def _json_result_text(rows, payload) -> str:
+    """`_json_text` of `payload` with the column table `rows` as its "rows" list of objects."""
+    names = sorted(rows)
+    fields = ",\n".join(f"      {json.dumps(name)}: %s" for name in names)
+    template = "    {\n" + fields + "\n    }"
+    cells = zip(*(_column_text(rows[name], _JSON_NONFINITE) for name in names))
+    table = "[\n" + ",\n".join(map(template.__mod__, cells)) + "\n  ]"
+    # a newline inside a JSON string is escaped, so this matches only the top-level key
+    text = _json_text({**payload, "rows": None})
+    return text.replace('\n  "rows": null', '\n  "rows": ' + table, 1)
+
+
+def _one_row(**cells):
+    return {name: [value] for name, value in cells.items()}
+
+
+# --- command handlers: each returns (columns, summary, sidecars) ---------------
 
 def _cmd_validate(config: RunConfig, _rng):
     p = validate_params(config.effective_params())
-    rows = [{
-        "n_emitters": p.n_emitters, "delta_mev": p.delta, "delta_c_mev": p.delta_c,
-        "g_mev": p.g, "kappa_mev": p.kappa, "omega_mev": p.omega,
-        "gamma_minus_mev": p.gamma_minus, "gamma_z_mev": p.gamma_z,
-    }]
+    rows = _one_row(
+        n_emitters=p.n_emitters, delta_mev=p.delta, delta_c_mev=p.delta_c,
+        g_mev=p.g, kappa_mev=p.kappa, omega_mev=p.omega,
+        gamma_minus_mev=p.gamma_minus, gamma_z_mev=p.gamma_z,
+    )
     return rows, {"valid": True, "time_unit_ps": TIME_UNIT_PS}, {}
 
 
@@ -100,22 +139,22 @@ def _cmd_exact(config: RunConfig, _rng):
     n_phot = expectation(rho, "photon_number", h).real
     s_z = expectation(rho, "sigma_z", h, 0).real
     x_pm = expectation(rho, "cross_pm", h, 0, 1).real if p.n_emitters >= 2 else float("nan")
-    rows = [{
-        "n_emitters": p.n_emitters, "n_max": h.n_max, "photon_number": n_phot,
-        "flux_mev": p.kappa * n_phot, "sigma_z": s_z, "cross_pm": x_pm,
-    }]
+    rows = _one_row(
+        n_emitters=p.n_emitters, n_max=h.n_max, photon_number=n_phot,
+        flux_mev=p.kappa * n_phot, sigma_z=s_z, cross_pm=x_pm,
+    )
     return rows, None, {}
 
 
 def _cmd_cumulant(config: RunConfig, _rng):
     p = validate_params(config.effective_params())
     m = integrate_to_steady_state(p)
-    rows = [{
-        "n_emitters": p.n_emitters, "omega_mev": p.omega, "n_photon": m.n_photon,
-        "s_z": m.s_z, "coh_re": m.coh.real, "coh_im": m.coh.imag,
-        "x_pm_re": m.x_pm.real, "x_pm_im": m.x_pm.imag, "z_zz": m.z_zz,
-        "flux_mev": p.kappa * m.n_photon,
-    }]
+    rows = _one_row(
+        n_emitters=p.n_emitters, omega_mev=p.omega, n_photon=m.n_photon,
+        s_z=m.s_z, coh_re=m.coh.real, coh_im=m.coh.imag,
+        x_pm_re=m.x_pm.real, x_pm_im=m.x_pm.imag, z_zz=m.z_zz,
+        flux_mev=p.kappa * m.n_photon,
+    )
     return rows, None, {}
 
 
@@ -129,10 +168,12 @@ def _cmd_sweep(config: RunConfig, _rng):
     )
     sweep_rows = run_concentration_sweep(spec)
     fit = fit_power_law([(r.n, r.ratio) for r in sweep_rows])
-    rows = [{
-        "n": r.n, "omega_mev": r.omega, "l_cavity_mev": r.l_cavity,
-        "l_control_mev": r.l_control, "ratio": r.ratio,
-    } for r in sweep_rows]
+    rows = {
+        "n": [r.n for r in sweep_rows], "omega_mev": [r.omega for r in sweep_rows],
+        "l_cavity_mev": [r.l_cavity for r in sweep_rows],
+        "l_control_mev": [r.l_control for r in sweep_rows],
+        "ratio": [r.ratio for r in sweep_rows],
+    }
     summary = {"alpha": fit.alpha, "prefactor": fit.prefactor, "rmsd": fit.rmsd}
     return rows, summary, {}
 
@@ -149,18 +190,18 @@ def _cmd_reflectance(config: RunConfig, _rng):
     e_hi = o.e_max if o.e_max is not None else o.delta + 500.0
     energies = np.linspace(e_lo, e_hi, o.n_energy)
     rmap = compute_reflectance_map(params, thetas, energies)
-    rows = [
-        {"theta_deg": float(t), "energy_mev": float(e),
-         "reflectance": float(rmap.r_values[i, j])}
-        for i, t in enumerate(rmap.thetas)
-        for j, e in enumerate(rmap.energies)
-    ]
+    nt, ne = rmap.r_values.shape
+    rows = {
+        "theta_deg": np.repeat(rmap.thetas, ne),
+        "energy_mev": np.tile(rmap.energies, nt),
+        "reflectance": rmap.r_values.ravel(),
+    }
     branches = {
-        "theta_deg": [float(t) for t in rmap.thetas],
-        "lp_re_mev": [float(v) for v in rmap.lp_branch.real],
-        "lp_im_mev": [float(v) for v in rmap.lp_branch.imag],
-        "up_re_mev": [float(v) for v in rmap.up_branch.real],
-        "up_im_mev": [float(v) for v in rmap.up_branch.imag],
+        "theta_deg": rmap.thetas.tolist(),
+        "lp_re_mev": rmap.lp_branch.real.tolist(),
+        "lp_im_mev": rmap.lp_branch.imag.tolist(),
+        "up_re_mev": rmap.up_branch.real.tolist(),
+        "up_im_mev": rmap.up_branch.imag.tolist(),
     }
     return rows, None, {"reflectance_branches.json": branches}
 
@@ -171,7 +212,7 @@ def _cmd_fit(config: RunConfig, rng):
         noise = np.exp(rng.normal(0.0, config.fit.noise_sigma, len(points)))
         points = [(n, r * w) for (n, r), w in zip(points, noise)]
     fit = fit_power_law(points)
-    rows = [{"n": n, "ratio": r} for n, r in points]
+    rows = {"n": [n for n, _ in points], "ratio": [r for _, r in points]}
     summary = {"alpha": fit.alpha, "prefactor": fit.prefactor, "rmsd": fit.rmsd}
     return rows, summary, {}
 
@@ -180,10 +221,10 @@ def _cmd_g2(config: RunConfig, _rng):
     p = validate_params(config.effective_params())
     g2, h, rho = converge_in_cutoff(p, _hilbert_config(config), _g2_of)
     n_phot = expectation(rho, "photon_number", h).real
-    rows = [{
-        "n_emitters": p.n_emitters, "n_max_converged": h.n_max,
-        "photon_number": n_phot, "flux_mev": p.kappa * n_phot, "g2_zero": g2,
-    }]
+    rows = _one_row(
+        n_emitters=p.n_emitters, n_max_converged=h.n_max,
+        photon_number=n_phot, flux_mev=p.kappa * n_phot, g2_zero=g2,
+    )
     return rows, None, {}
 
 
@@ -219,10 +260,11 @@ def run(config: RunConfig) -> list[Path]:
         for name, obj in sidecars.items():
             artifacts.append((out_dir / name, _json_text(obj)))
     else:
-        payload = {"rows": rows, "summary": summary}
+        payload = {"summary": summary}
         for name, obj in sidecars.items():
             payload[Path(name).stem] = obj
-        artifacts.append((out_dir / f"{config.command}_result.json", _json_text(payload)))
+        artifacts.append((out_dir / f"{config.command}_result.json",
+                          _json_result_text(rows, payload)))
 
     manifest = {
         "command": config.command,

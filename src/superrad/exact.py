@@ -361,6 +361,16 @@ def _gather(pattern, p: SystemParams, diagonal: np.ndarray) -> sp.csr_matrix:
     return liou
 
 
+def _check_model(p: SystemParams, h: HilbertConfig):
+    """Validate p, and check that h holds its emitters and fits the cap."""
+    validate_params(p)
+    if p.n_emitters != h.n_emitters:
+        raise InvalidValue(
+            f"params have {p.n_emitters} emitters but the Hilbert space {h.n_emitters}"
+        )
+    h.check_cap()
+
+
 def build_liouvillian(
     p: SystemParams, h: HilbertConfig, frame: str = "as_written"
 ) -> Liouvillian:
@@ -382,8 +392,7 @@ def build_liouvillian(
     so a build is one gather of the term coefficients, one broadcast for the
     diagonal and the removal of the entries that a zero g or rate leaves.
     """
-    validate_params(p)
-    h.check_cap()
+    _check_model(p, h)
     if h.dim > h.cap:  # the pattern holds d^2 rows, whatever is solved on it
         raise DimensionCap(
             f"Hilbert dimension {h.dim} = ({h.n_max}+1)*2^{h.n_emitters} exceeds cap {h.cap}"
@@ -521,8 +530,7 @@ def build_symmetric_liouvillian(
     build is one gather.  A configuration with more unknowns than its cap
     raises DimensionCap before anything is built.
     """
-    validate_params(p)
-    h.check_cap()
+    _check_model(p, h)
     shift = _frame_shift(p, frame)
     pattern = _symmetric_pattern(h.n_max, h.n_emitters)
     ket = _h_eff(p, shift, pattern.photons[0], pattern.excited[0], h.n_emitters)
@@ -1006,8 +1014,7 @@ def converge_in_cutoff(
     CutoffNotConverged; an initial configuration beyond the cap raises
     DimensionCap.
     """
-    validate_params(p)
-    h.check_cap()
+    _check_model(p, h)
     value = None
     while True:
         rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame=frame))

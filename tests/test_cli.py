@@ -1,9 +1,15 @@
+import csv
+import io
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from superrad.cli import main, run
+from superrad.cli import _csv_text, _json_result_text, main, run
 from superrad.config import parse_config
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 CUMULANT_DOC = """
 command: cumulant
@@ -303,3 +309,64 @@ def test_negative_grid_size_is_a_type_mismatch_record(tmp_path, capsys):
     assert record["error"] == "TypeMismatch"
     assert "optics.n_theta" in record["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("config", CONFIGS, ids=[path.stem for path in CONFIGS])
+def test_shipped_configs_write_plain_numbers(tmp_path, config, fmt):
+    # a numpy scalar's repr, such as np.float64(4.03), is not a number a reader can parse
+    command = parse_config(config.read_text(encoding="utf-8")).command
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out-dir", str(out), "--format", fmt]
+    assert main(argv) == 0
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(encoding="utf-8"))
+        else:
+            header, *lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines
+            for line in lines:
+                cells = line.split(",")
+                assert len(cells) == len(header.split(","))
+                for cell in cells:
+                    float(cell)
+
+
+def _reference_csv(rows):
+    """The per-row writer the column writer replaced: csv.writer over repr cells."""
+    def fmt(value):
+        return repr(float(value)) if isinstance(value, float) else str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0])
+    for row in rows:
+        writer.writerow([fmt(v) for v in row.values()])
+    return buf.getvalue()
+
+
+SPECIAL = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 0.1, 0.1, -0.0, 1e300,
+           5e-324, -2.5, float("nan"), 0.0, float("inf")]
+TABLES = {
+    "mixed": {
+        "z_special": np.array(SPECIAL),
+        "a_count": list(range(len(SPECIAL))),
+        "m_cells": [np.float64(v) if k % 2 else v for k, v in enumerate(SPECIAL)],
+        "b_axis": np.repeat(np.array([-0.0, 0.0, 1.25, 1.25, 3.0, -7.5, 2.0]), 2),
+    },
+    "one_row": {"n_emitters": [3], "g2_zero": [np.float64(0.026468058264284194)],
+                "cross_pm": [float("nan")], "flux_mev": [-0.0]},
+    "one_column": {"ratio": np.array([-float("inf"), 1.0, 1.0])},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_column_writers_match_the_stdlib_writers(name):
+    columns = TABLES[name]
+    rows = [dict(zip(columns, cells)) for cells in zip(*(list(c) for c in columns.values()))]
+    assert _csv_text(columns) == _reference_csv(rows)
+    rest = {"summary": {"alpha": 0.25, "rmsd": float("nan")},
+            "reflectance_branches": {"theta_deg": [0.0, -0.0, float("inf")]}}
+    for payload in (rest, {"summary": None}):
+        expected = json.dumps({**payload, "rows": rows}, indent=2, sort_keys=True) + "\n"
+        assert _json_result_text(columns, payload) == expected

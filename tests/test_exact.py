@@ -259,6 +259,17 @@ def test_build_liouvillian_rejects_unknown_frame():
         build_liouvillian(regression_params(1), HilbertConfig(2, 1), frame="lab")
 
 
+@pytest.mark.parametrize("build", [build_liouvillian, build_symmetric_liouvillian])
+def test_builders_reject_params_of_another_emitter_count(build, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pattern was built")
+
+    monkeypatch.setattr(exact, "_liouvillian_pattern", refuse)
+    monkeypatch.setattr(exact, "_symmetric_pattern", refuse)
+    with pytest.raises(InvalidValue, match="3 emitters"):
+        build(regression_params(3), HilbertConfig(3, 2))
+
+
 def test_density_matrix_validate_rejects_non_hermitian():
     # trace 1 and a positive semidefinite Hermitian part: only Hermiticity fails
     mat = np.diag([0.5, 0.5]).astype(complex)
