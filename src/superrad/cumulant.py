@@ -23,8 +23,9 @@ W2 = omega + gamma_minus + 4 gamma_z, p_e = (1+s)/2:
     dz/dt = 2 omega (s-z) - 2 gamma_minus (s+z) - 8 g s Im(c)
 
 These equations are written once, in _rhs_vector, with the closed third
-moments noted beside the terms that carry them; moment_rhs, the stability
-Jacobian and the residual check of the fixed point all evaluate that code.
+moments noted beside the terms that carry them; moment_rhs and the residual
+check of the fixed point evaluate that code.  The stability test below uses
+their Jacobian, written out by hand in _jacobian.
 
 The closure is exact at uncorrelated (product) states with vanishing first
 moments, which is the basis of the derivative-equality oracle test against the
@@ -47,13 +48,32 @@ K = g D_c / (D_c^2 + d^2).  Substituting leaves one quadratic,
     q = 2 g N / kappa + (N-1) 2 g / W2.
 
 Its roots have opposite signs, and n >= 0 selects the non-negative one.  That
-state is returned only if no eigenvalue of the Jacobian there has a positive
-real part and its derivative norm is within tol * max(1, kappa n);
-otherwise NoConvergence is raised.
+state is returned only if it is linearly stable and its derivative norm is
+within tol * max(1, kappa n); otherwise NoConvergence is raised.
+
+Stability.  In the Jacobian the rows of Im x and z are triangular, with
+eigenvalues -W2 and -2 (omega + gamma_minus), both negative for omega > 0.
+What is left is a 5x5 block J5 over (n, s, Re c, Im c, Re x).  In it n, s,
+Re c and Re x are coupled to one another only through Im c, apart from the
+s entry of the Re x row, so with G = omega + gamma_minus its characteristic
+polynomial factors as
+
+    det(l - J5) = (l + kappa)(l + G)(l + W2) [(l + D_c)^2 + d^2] + (l + D_c) B(l),
+    B(l) = 2 g^2 [ 2 (n + 1/2)(l + kappa)(l + W2) - N s (l + G)(l + W2)
+                   - (N-1) s (l + kappa)(l + G) + 4 g (N-1) ci (l + kappa) ].
+
+At N = 1 Re x does not feed back (its coupling is g (N-1) = 0), so the same
+polynomial only adds the root -W2 < 0 to those of (n, s, c).  The point is
+accepted when the first column of the Routh array of its coefficients
+a1..a5 is strictly positive (Routh-Hurwitz: every root has a negative real
+part).  A point the test does not certify, unstable or marginal (g = kappa
+= 0 has a zero root), falls back to the eigenvalues of J5 and is rejected
+when one has a positive real part.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +149,7 @@ def moment_rhs(p: SystemParams, m: MomentState) -> MomentState:
 def _rhs_vector(p: SystemParams, y: np.ndarray) -> np.ndarray:
     """The closed moment equations on y = (n, s, Re c, Im c, Re x, Im x, z).
 
-    y has shape (7,) or (7, k); each column is one state.
+    y holds 7 numbers, or has shape (7, k) with one state per column.
     """
     n_em = p.n_emitters
     n, s, cr, ci, xr, xi, z = y
@@ -163,18 +183,39 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
     """The stable stationary moment state, solved in closed form.
 
     Im(c) is the non-negative root of the stationary quadratic (see the module
-    docstring); the other moments follow from it.  Raises NoConvergence when
-    that fixed point is unstable, does not exist (kappa = 0 with g > 0 and
-    omega >= gamma_minus) or leaves a derivative norm above tol * max(1, kappa n).
-    The tolerance is relative to kappa n = 2 g N Im(c), the size of the
-    photon-balance terms, because at large flux their rounding alone exceeds
-    any fixed absolute tol.
+    docstring); the other moments follow from it.  Stability is decided by the
+    Routh-Hurwitz test on the characteristic polynomial of the Jacobian; only a
+    point it does not certify computes the Jacobian's eigenvalues.  Raises
+    NoConvergence when that fixed point is unstable (an eigenvalue with a
+    positive real part), does not exist (kappa = 0 with g > 0 and
+    omega >= gamma_minus) or leaves a derivative norm above
+    tol * max(1, kappa n).  The tolerance is relative to kappa n = 2 g N Im(c),
+    the size of the photon-balance terms, because at large flux their rounding
+    alone exceeds any fixed absolute tol.
     """
     validate_params(p)
     if tol <= 0:
         raise InvalidValue("tol must be > 0")
     if p.omega == 0:
         return MomentState.dark()
+    y = _stationary_vector(p)
+    n, s, _, ci = y[:4]
+    if not _routh_hurwitz_stable(p, n, s, ci):
+        growth = np.linalg.eigvals(_jacobian(p, n, s, ci)).real.max()
+        if growth > 0:
+            raise NoConvergence(f"stationary state is unstable: growth rate {growth:.3e} meV")
+    norm = np.abs(_rhs_vector(p, y)).max()
+    bound = tol * max(1.0, p.kappa * n)
+    if norm > bound:
+        raise NoConvergence(
+            f"derivative norm {norm:.3e} above tol * max(1, kappa n) = {bound:.3e}"
+            " at the stationary state"
+        )
+    return MomentState.from_vector(y).validate(slack=1e-6)
+
+
+def _stationary_vector(p: SystemParams) -> list[float]:
+    """The fixed point y = (n, s, Re c, Im c, Re x, Im x, z) for omega > 0, unchecked."""
     n_em = p.n_emitters
     k2 = _outcoupling_rate(p)
     d_c, w2 = _damping_rates(p)
@@ -197,34 +238,79 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
         qc = 0.5 * big_k * (1.0 + s0)
         # qa, qc >= 0, so the roots have opposite signs; the non-negative one,
         # in the form that does not cancel for either sign of qb
-        root = np.sqrt(qb * qb + 4.0 * qa * qc)
+        root = math.sqrt(qb * qb + 4.0 * qa * qc)
         ci = 2.0 * qc / (qb + root) if qb >= 0 else (root - qb) / (2.0 * qa)
         n = 2.0 * p.g * n_em * ci / p.kappa
     s = s0 - b * ci
     xr, z = (2.0 * p.g * s * ci / w2, s * s) if n_em >= 2 else (0.0, 1.0)
     c = 1j * p.g * (n * s + 0.5 * (1.0 + s) + (n_em - 1) * xr) / (d_c - 1j * p.detuning)
-    y = np.array([n, s, c.real, c.imag, xr, 0.0, z])
-
-    block = 7 if n_em >= 2 else 4  # for N = 1 only (n, s, c) evolve
-    growth = np.linalg.eigvals(_numeric_jacobian(p, y)[:block, :block]).real.max()
-    if growth > 0:
-        raise NoConvergence(f"stationary state is unstable: growth rate {growth:.3e} meV")
-    norm = np.abs(_rhs_vector(p, y)).max()
-    bound = tol * max(1.0, p.kappa * n)
-    if norm > bound:
-        raise NoConvergence(
-            f"derivative norm {norm:.3e} above tol * max(1, kappa n) = {bound:.3e}"
-            " at the stationary state"
-        )
-    return MomentState.from_vector(y).validate(slack=1e-6)
+    return [n, s, c.real, c.imag, xr, 0.0, z]
 
 
-def _numeric_jacobian(p: SystemParams, y: np.ndarray, eps: float = 1e-7) -> np.ndarray:
-    """Central-difference Jacobian of the 7-dim moment vector field, in one evaluation."""
-    h = eps * np.maximum(1.0, np.abs(y))
-    steps = np.diag(h)
-    rhs = _rhs_vector(p, np.hstack([y[:, None] + steps, y[:, None] - steps]))
-    return (rhs[:, : len(y)] - rhs[:, len(y) :]) / (2 * h)
+def _jacobian(p: SystemParams, n: float, s: float, ci: float) -> np.ndarray:
+    """Jacobian of _rhs_vector on (n, s, Re c, Im c, Re x), the block J5.
+
+    The Re x row is the N >= 2 one for every N; at N = 1 it only adds the
+    decoupled eigenvalue -W2 (see the module docstring).
+    """
+    g, m = p.g, p.n_emitters - 1
+    d_c, w2 = _damping_rates(p)
+    return np.array([
+        [-p.kappa, 0.0, 0.0, 2.0 * g * p.n_emitters, 0.0],
+        [0.0, -(p.omega + p.gamma_minus), 0.0, -4.0 * g, 0.0],
+        [0.0, 0.0, -d_c, -p.detuning, 0.0],
+        [g * s, g * (n + 0.5), p.detuning, -d_c, g * m],
+        [0.0, 2.0 * g * ci, 0.0, 2.0 * g * s, -w2],
+    ])
+
+
+def _characteristic_coefficients(
+    p: SystemParams, n: float, s: float, ci: float
+) -> tuple[float, float, float, float, float]:
+    """a1..a5 of det(l - J5) = l^5 + a1 l^4 + ... + a5, from its factored form."""
+    kappa, big_g, m = p.kappa, p.omega + p.gamma_minus, p.n_emitters - 1
+    d_c, w2 = _damping_rates(p)
+    # (l + kappa)(l + G)(l + W2) = l^3 + e1 l^2 + e2 l + e3
+    e1 = kappa + big_g + w2
+    e2 = kappa * big_g + (kappa + big_g) * w2
+    e3 = kappa * big_g * w2
+    # (l + D_c)^2 + d^2 = l^2 + u1 l + u0
+    u1 = 2.0 * d_c
+    u0 = d_c * d_c + p.detuning * p.detuning
+    # B(l) = v2 l^2 + v1 l + v0, with one weight per product of linear factors
+    g2 = 2.0 * p.g * p.g
+    k_kw = 2.0 * g2 * (n + 0.5)
+    k_gw = -g2 * p.n_emitters * s
+    k_kg = -g2 * m * s
+    k_k = 4.0 * g2 * p.g * m * ci
+    v2 = k_kw + k_gw + k_kg
+    v1 = k_kw * (kappa + w2) + k_gw * (big_g + w2) + k_kg * (kappa + big_g) + k_k
+    v0 = (k_kw * w2 + k_k) * kappa + k_gw * big_g * w2 + k_kg * kappa * big_g
+    return (
+        e1 + u1,
+        e2 + e1 * u1 + u0 + v2,
+        e3 + e2 * u1 + e1 * u0 + v1 + d_c * v2,
+        e3 * u1 + e2 * u0 + v0 + d_c * v1,
+        e3 * u0 + d_c * v0,
+    )
+
+
+def _routh_hurwitz_stable(p: SystemParams, n: float, s: float, ci: float) -> bool:
+    """True when the Routh array of det(l - J5) has a strictly positive first column.
+
+    The column is (1, a1, b1, c1, d1, a5); each entry is formed only after the
+    one it divides by has been found positive.  False means "not certified":
+    the point is unstable or marginal, or rounding left the test undecided.
+    """
+    a1, a2, a3, a4, a5 = _characteristic_coefficients(p, n, s, ci)
+    if not (a1 > 0 and a5 > 0):
+        return False
+    b1 = a2 - a3 / a1
+    if not b1 > 0:
+        return False
+    b2 = a4 - a5 / a1
+    c1 = a3 - a1 * b2 / b1
+    return c1 > 0 and b2 - b1 * a5 / c1 > 0
 
 
 def _damping_rates(p: SystemParams) -> tuple[float, float]:

@@ -1,8 +1,11 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
+import superrad.config as config_module
 from superrad.config import (
+    _YAML_LOADER,
     FitSection,
     HilbertSection,
     OpticsSection,
@@ -74,10 +77,27 @@ def test_missing_params_section():
         parse_config("command: exact\n")
 
 
-def test_syntax_error_carries_position():
-    with pytest.raises(ConfigSyntaxError) as err:
-        parse_config("command: [unclosed\n")
-    assert "line" in str(err.value)
+def test_syntax_error_carries_position(monkeypatch):
+    # libyaml and the pure-Python loader word the problem differently but mark
+    # the same place; the position is what the error promises
+    cases = (
+        ("command: [unclosed\n", 2, 1),
+        ("command: validate\nparams:\n  n_emitters: 1\n   delta: 2\n", 4, 9),
+    )
+    for loader in (_YAML_LOADER, yaml.SafeLoader):
+        monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+        for text, line, column in cases:
+            with pytest.raises(ConfigSyntaxError) as err:
+                parse_config(text)
+            assert (err.value.line, err.value.column) == (line, column)
+            assert f"(line {line}, column {column})" in str(err.value)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "configs").glob("*.yaml")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_load_as_with_the_pure_python_loader(path):
+    text = path.read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=_YAML_LOADER) == yaml.safe_load(text)
 
 
 def test_type_mismatch_on_string_rate():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -12,8 +14,10 @@ from conftest import (
 )
 from superrad.cumulant import (
     MomentState,
-    _numeric_jacobian,
+    _characteristic_coefficients,
+    _jacobian,
     _rhs_vector,
+    _stationary_vector,
     flux_decomposition,
     integrate_to_steady_state,
     moment_rhs,
@@ -101,6 +105,92 @@ def test_flux_agrees_with_exact_solver_on_reference_set():
 def _evolving_block(p):
     # for N = 1 the pair moments x and z do not evolve; only (n, s, c) do
     return 7 if p.n_emitters >= 2 else 4
+
+
+def _numeric_jacobian(p, y, eps=1e-7):
+    """Central-difference Jacobian of the 7-dim moment vector field, in one evaluation."""
+    h = eps * np.maximum(1.0, np.abs(y))
+    steps = np.diag(h)
+    rhs = _rhs_vector(p, np.hstack([y[:, None] + steps, y[:, None] - steps]))
+    return (rhs[:, : len(y)] - rhs[:, len(y) :]) / (2 * h)
+
+
+@pytest.mark.parametrize("n_em", [1, 2, 50, 30_000])
+def test_closed_form_jacobian_matches_central_differences(n_em):
+    # the rhs is at most bilinear, so central differences are exact up to rounding,
+    # which is of the order eps * |rhs| / h and so follows the largest entry of a row
+    rng = np.random.default_rng(n_em)
+    for detuned in (False, True):
+        for _ in range(6):
+            p = random_params(rng, n_em)
+            if not detuned:
+                p = replace(p, delta_c=p.delta)
+            y = np.array([rng.uniform(0.0, 10.0), rng.uniform(-1.0, 1.0),
+                          *rng.normal(0.0, 0.5, 2), *rng.normal(0.0, 0.3, 2), rng.uniform(-1.0, 1.0)])
+            numeric = _numeric_jacobian(p, y)
+            tol = 1e-6 * np.abs(numeric).max(axis=1)
+            closed = _jacobian(p, y[0], y[1], y[3])
+            if n_em >= 2:
+                assert np.all(np.abs(closed - numeric[:5, :5]) <= tol[:5, None])
+                # the Im x row and the z column hold only their diagonal entries, so
+                # J5 carries every eigenvalue but -W2 and -2 (omega + gamma_minus)
+                w2 = p.omega + p.gamma_minus + 4.0 * p.gamma_z
+                assert np.all(np.abs(numeric[5] + w2 * np.eye(7)[5]) <= tol[5])
+                assert np.all(np.abs(numeric[:, 6] + 2.0 * (p.omega + p.gamma_minus) * np.eye(7)[6]) <= tol)
+            else:
+                # x and z neither evolve nor feed (n, s, c)
+                assert np.all(np.abs(closed[:4] - numeric[:4, :5]) <= tol[:4, None])
+                assert not numeric[4:].any()
+                assert np.all(np.abs(numeric[:4, 4:]) <= tol[:4, None])
+
+
+def _stability_draw(rng):
+    """A wide log-uniform draw; about 2% of these fixed points are unstable."""
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    delta = 2000.0
+    delta_c = delta + rng.normal(0.0, 20.0) if rng.random() < 0.5 else delta
+    return SystemParams(int(log_uniform(1, 1e5)), delta, delta_c, log_uniform(1e-3, 10.0),
+                        log_uniform(0.1, 300.0), log_uniform(1e-5, 30.0),
+                        log_uniform(1e-3, 10.0), log_uniform(1e-3, 10.0))
+
+
+def _stability_draws(count=2400, seed=11):
+    rng = np.random.default_rng(seed)
+    return [_stability_draw(rng) for _ in range(count)]
+
+
+def test_stability_decision_matches_eigenvalues_of_the_numeric_jacobian():
+    unstable = 0
+    for p in _stability_draws():
+        y = np.array(_stationary_vector(p))
+        block = _evolving_block(p)
+        expected = np.linalg.eigvals(_numeric_jacobian(p, y)[:block, :block]).real.max() > 0
+        try:
+            integrate_to_steady_state(p)
+            raised = False
+        except NoConvergence as err:
+            # the residual check runs after the stability decision
+            raised = "unstable: growth rate" in str(err)
+        assert raised == expected, p
+        unstable += expected
+    assert unstable >= 20  # the draws reach the unstable side
+
+
+def test_certified_points_compute_no_eigenvalues(monkeypatch):
+    def eigvals(_matrix):
+        raise AssertionError("eigenvalues computed at a point the Routh-Hurwitz test certifies")
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    for p in CROSS_CHECK_POINTS.values():
+        integrate_to_steady_state(p)
+
+
+def test_characteristic_coefficients_match_the_block_polynomial():
+    for p in _stability_draws(count=500, seed=12):
+        n, s, _, ci = _stationary_vector(p)[:4]
+        expected = np.poly(_jacobian(p, n, s, ci))[1:].real
+        got = np.array(_characteristic_coefficients(p, n, s, ci))
+        assert np.all(np.abs(got - expected) <= 1e-10 * np.abs(expected)), p
 
 
 def _integrate_long(p, m0, m_ref):
