@@ -243,8 +243,10 @@ def _stationary_vector(p: SystemParams) -> list[float]:
         n = 2.0 * p.g * n_em * ci / p.kappa
     s = s0 - b * ci
     xr, z = (2.0 * p.g * s * ci / w2, s * s) if n_em >= 2 else (0.0, 1.0)
-    c = 1j * p.g * (n * s + 0.5 * (1.0 + s) + (n_em - 1) * xr) / (d_c - 1j * p.detuning)
-    return [n, s, c.real, c.imag, xr, 0.0, z]
+    # the c equation (D_c - i d) c = i g S gives Re c = -(d / D_c) Im c; reading
+    # Im c off S = n s + p_e + (N-1) Re x would cancel deep above threshold.
+    # 0.0 - ... keeps Re c = +0.0 at zero detuning
+    return [n, s, 0.0 - p.detuning * ci / d_c, ci, xr, 0.0, z]
 
 
 def _jacobian(p: SystemParams, n: float, s: float, ci: float) -> np.ndarray:

@@ -8,7 +8,10 @@ observables exactly.  L is affine in the parameters, so its structure, term
 tags and weights are cached once per configuration and a build only fills in
 the values; the observable operators are cached too.  L never mixes elements
 rho_ij of different charge E_i - E_j, where E is the excitation number, and
-the steady state lies in the charge-0 block.
+the steady state lies in the charge-0 block.  L also maps Hermitian operators
+to Hermitian ones, so the steady-state system is real, on the Hermitian
+coordinates of that block; its structure, and the sparse map from the entries
+of L to its values, are cached per configuration as well.
 
 There are two builders.  build_liouvillian acts on all d^2 elements of rho,
 d = (n_max+1)*2^N; its steady-state solve keeps the charge-0 sector, sum_E
@@ -300,19 +303,20 @@ class Liouvillian:
 
     build_liouvillian's L acts on vec(rho), build_symmetric_liouvillian's on
     the permutation-symmetric unknowns u.  Either carries what the
-    steady-state solve needs: `unknowns`, the ascending positions in v of the
-    charge-0 entries it solves for, the first of which has a trace weight;
-    `trace_weights`, with Tr rho = trace_weights @ v[unknowns]; and `adjoint`,
-    the position in `unknowns` of each entry's Hermitian conjugate.
+    steady-state solve needs: `entries`, the values of every entry of its
+    cached pattern in pattern order, zeros included, which _system() maps to
+    the real steady-state system; `unknowns`, the ascending positions in v of
+    the charge-0 entries it solves for, the first of which has a trace
+    weight; and `trace_weights`, with Tr rho = trace_weights @ v[unknowns].
     """
 
     matrix: sp.csr_matrix
     hilbert: HilbertConfig
     params: SystemParams
     frame: str
+    entries: np.ndarray
     unknowns: np.ndarray
     trace_weights: np.ndarray
-    adjoint: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -322,6 +326,10 @@ class Liouvillian:
     def state(self, v: np.ndarray) -> "DensityMatrix":
         """The state whose coordinates L acts on are v."""
         return DensityMatrix(unvec(v, self.dim))
+
+    def _system(self) -> "_HermitianSystem":
+        """The cached structure of the real steady-state system on the unknowns."""
+        return _sector_system(self.hilbert)
 
     def trace_row(self) -> np.ndarray:
         """The trace functional on v, the left null vector enforced by trace preservation."""
@@ -347,18 +355,21 @@ def _h_eff(p: SystemParams, shift: float, photons, excited, n_em: int) -> np.nda
     )
 
 
-def _gather(pattern, p: SystemParams, diagonal: np.ndarray) -> sp.csr_matrix:
+def _gather(pattern, p: SystemParams, diagonal: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     """L from a cached pattern: each entry's term coefficient times its weight, then the
-    diagonal, without the entries that a zero g or rate leaves."""
+    diagonal, without the entries that a zero g or rate leaves.  Also returns the
+    entries in pattern order, zeros included, read-only."""
     coefficients = np.array([-1j * p.g, p.kappa, p.omega, p.gamma_minus, 0.0])
-    data = coefficients[pattern.tags] * pattern.weights
-    data[pattern.diagonal] = diagonal
+    entries = coefficients[pattern.tags] * pattern.weights
+    entries[pattern.diagonal] = diagonal
+    entries.flags.writeable = False
     size = len(pattern.indptr) - 1
+    # eliminate_zeros compacts L's arrays in place, so L gets its own copies
     liou = sp.csr_matrix(
-        (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(size, size)
+        (entries.copy(), pattern.indices.copy(), pattern.indptr.copy()), shape=(size, size)
     )
     liou.eliminate_zeros()
-    return liou
+    return liou, entries
 
 
 def _check_model(p: SystemParams, h: HilbertConfig):
@@ -401,9 +412,9 @@ def build_liouvillian(
     pattern = _liouvillian_pattern(h)
     h_eff = _h_eff(p, shift, pattern.photons, pattern.excited, h.n_emitters)
     diagonal = (-1j * h_eff)[:, None] + (1j * h_eff.conj())[None, :] + p.gamma_z * pattern.zz
-    liou = _gather(pattern, p, diagonal.reshape(-1, order="F"))
-    unknowns, weights, adjoint = _sector_unknowns(h)
-    return Liouvillian(liou, h, p, frame, unknowns, weights, adjoint)
+    liou, entries = _gather(pattern, p, diagonal.reshape(-1, order="F"))
+    unknowns, weights, _ = _sector_unknowns(h)
+    return Liouvillian(liou, h, p, frame, entries, unknowns, weights)
 
 
 # --- permutation-symmetric Liouvillian ---------------------------------------------
@@ -444,6 +455,7 @@ class _SymmetricPattern:
     index: np.ndarray     # position of the unknown at [n, k_ee, k_eg, k_ge], -1 where none
     excited: np.ndarray   # (k_ee + k_eg, k_ee + k_ge): excited emitters of ket and bra
     zz: np.ndarray        # k_ee + k_gg - k_eg - k_ge
+    unknowns: np.ndarray  # 0..count-1: every unknown is solved for
     trace_weights: np.ndarray  # 1 where n = m and k_eg = k_ge = 0
     adjoint: np.ndarray   # position of u(m, n, (k_ee, k_ge, k_eg, k_gg))
 
@@ -488,6 +500,7 @@ def _symmetric_pattern(n_max: int, n_em: int) -> _SymmetricPattern:
         "index": index,
         "excited": np.stack([ee + eg, ee + ge]).astype(float),
         "zz": (ee + gg - eg - ge).astype(float),
+        "unknowns": np.arange(count),
         "trace_weights": ((n == m) & (eg == 0) & (ge == 0)).astype(float),
         "adjoint": index[m, ee, ge, eg].astype(np.intp),
     }
@@ -505,6 +518,9 @@ class SymmetricLiouvillian(Liouvillian):
 
     def state(self, v: np.ndarray) -> "SymmetricState":
         return SymmetricState(v, self.hilbert)
+
+    def _system(self) -> "_HermitianSystem":
+        return _symmetric_system(self.hilbert.n_max, self.hilbert.n_emitters)
 
 
 def build_symmetric_liouvillian(
@@ -536,9 +552,9 @@ def build_symmetric_liouvillian(
     ket = _h_eff(p, shift, pattern.photons[0], pattern.excited[0], h.n_emitters)
     bra = _h_eff(p, shift, pattern.photons[1], pattern.excited[1], h.n_emitters)
     diagonal = -1j * ket + 1j * bra.conj() + p.gamma_z * pattern.zz
+    liou, entries = _gather(pattern, p, diagonal)
     return SymmetricLiouvillian(
-        _gather(pattern, p, diagonal), h, p, frame,
-        np.arange(len(diagonal)), pattern.trace_weights, pattern.adjoint,
+        liou, h, p, frame, entries, pattern.unknowns, pattern.trace_weights
     )
 
 
@@ -739,8 +755,95 @@ def trace_distance(a: DensityMatrix | SymmetricState, b: DensityMatrix | Symmetr
 
 # --- steady state and dynamics --------------------------------------------------
 
+@dataclass(frozen=True)
+class _HermitianSystem:
+    """The real trace-replaced steady-state system of one configuration, read-only.
+
+    Its unknowns are the Hermitian coordinates w of the charge-0 unknowns u
+    (see steady_state_exact): a pair i < j = adjoint[i] has u_i = w_i + i w_j
+    and u_j = w_i - i w_j, and a self-adjoint u_s = w_s is real.
+    """
+
+    indptr: np.ndarray        # CSC column pointers of the m x m real system
+    indices: np.ndarray       # CSC row indices
+    entries: sp.csr_matrix    # data = entries @ (Re e_0, Im e_0, Re e_1, ...) for L's entries e
+    trace_at: np.ndarray      # positions in data of the trace row, which entries leave 0
+    trace_values: np.ndarray  # the trace weights there
+    pairs: np.ndarray         # (i, adjoint[i]) for each pair, shape (2, count)
+
+
+def _hermitian_system(pattern, unknowns, trace_weights, adjoint) -> _HermitianSystem:
+    """The structure of the real system on the unknowns of a cached L pattern.
+
+    For u Hermitian, (L u)_j is the conjugate of (L u)_i for a pair and (L u)_s
+    is real, so the equations are Re (L u)_i in row i and Im (L u)_i in row j
+    for each pair, and Re (L u)_s in row s.  An entry e of L at row i and a
+    column c with u_c = w_lo + sigma i w_hi (sigma = +1 if c is the lower of
+    its pair, -1 if the upper) adds Re e to (i, lo), -sigma Im e to (i, hi),
+    Im e to (j, lo) and sigma Re e to (j, hi).  Rows of L at the upper of a
+    pair are the conjugates of others and are not read; row 0, whose unknown
+    carries a trace weight, becomes the trace row.  An entry of term g is
+    imaginary for every parameter, and one of kappa, omega or gamma_minus is
+    real, so their other part adds nothing to the structure.
+    """
+    m = len(unknowns)
+    size = len(pattern.indptr) - 1
+    position = np.full(size, -1)
+    position[unknowns] = np.arange(m)
+    entry = np.arange(len(pattern.indices))
+    row = position[np.repeat(np.arange(size), np.diff(pattern.indptr))]
+    col = position[pattern.indices]
+    # the rows read: not row 0, nor one at the upper of a pair; an entry
+    # outside the unknowns cannot reach them
+    keep = (row > 0) & (col >= 0)
+    keep[keep] = adjoint[row[keep]] >= row[keep]
+    entry, row, col, tag = entry[keep], row[keep], col[keep], pattern.tags[keep]
+    row_mate, col_mate = adjoint[row], adjoint[col]
+    lo, hi = np.minimum(col, col_mate), np.maximum(col, col_mate)
+    one, sigma = np.ones(len(entry)), np.where(col == lo, 1.0, -1.0)
+    real, imag = tag != _G, (tag == _G) | (tag == _DIAGONAL)
+    row_pair, col_pair = row_mate != row, col_mate != col
+    # (system row, system column, source 2e or 2e + 1 for Re e or Im e, factor, present)
+    parts = [
+        (row, lo, 2 * entry, one, real),
+        (row, hi, 2 * entry + 1, -sigma, col_pair & imag),
+        (row_mate, lo, 2 * entry + 1, one, row_pair & imag),
+        (row_mate, hi, 2 * entry, sigma, row_pair & col_pair & real),
+    ]
+    rows, cols, sources, factors = (np.concatenate([part[k][part[4]] for part in parts])
+                                    for k in range(4))
+    traced = np.flatnonzero(trace_weights)
+    keys, slot = np.unique(np.concatenate([cols * m + rows, traced * m]), return_inverse=True)
+    indices = (keys % m).astype(np.int32)
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
+    entries = sp.csr_matrix(
+        (factors, (slot[: len(rows)], sources)), shape=(len(keys), 2 * len(pattern.indices))
+    )
+    below = np.flatnonzero(adjoint > np.arange(m))
+    system = _HermitianSystem(indptr, indices, entries, slot[len(rows):],
+                              trace_weights[traced], np.stack([below, adjoint[below]]))
+    _read_only(entries)
+    for arr in (indptr, indices, system.trace_at, system.trace_values, system.pairs):
+        arr.flags.writeable = False
+    return system
+
+
+@functools.lru_cache(maxsize=16)
+def _sector_system(h: HilbertConfig) -> _HermitianSystem:
+    """The real system of build_liouvillian's L on h, built once per configuration."""
+    return _hermitian_system(_liouvillian_pattern(h), *_sector_unknowns(h))
+
+
+@functools.lru_cache(maxsize=16)
+def _symmetric_system(n_max: int, n_em: int) -> _HermitianSystem:
+    """The real system of build_symmetric_liouvillian's L, built once per (n_max, N)."""
+    pattern = _symmetric_pattern(n_max, n_em)
+    return _hermitian_system(pattern, pattern.unknowns, pattern.trace_weights, pattern.adjoint)
+
+
 def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
-    """Unique steady state, solved on the charge-0 unknowns that liou carries.
+    """Unique steady state, solved as a real system on the charge-0 unknowns that liou carries.
 
     H conserves E = a'a + sum_n s+_n s-_n, and every jump operator shifts E by
     the same amount on both sides of rho, so L never mixes elements rho_ij of
@@ -748,12 +851,19 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     sum_E b_E^2 of the d^2 elements of vec(rho) (b_E basis states at each E;
     744 of 4096 at N=4, n_max=3), or every permutation-symmetric unknown
     (92 at N=4, n_max=3).  A block with more unknowns than the cap raises
-    DimensionCap before it is assembled.  Its first row, which has a trace
-    weight and is therefore redundant, is replaced by the trace functional
-    with right-hand side 1, the system is factorised once, and the factor is
-    reused for up to three rounds of iterative refinement.  The solution is
-    made Hermitian and normalised, and the state is validated.  A singular
-    factorisation, or a residual ||L v||_inf on all of L above
+    DimensionCap before anything is assembled for it.
+
+    L maps Hermitian operators to Hermitian operators, so the solve runs on
+    the real Hermitian coordinates w of the block, as many as its complex
+    unknowns u (see _hermitian_system): Re and Im of one equation of each
+    conjugate pair and Re of each self-adjoint one, with the first equation,
+    which has a trace weight and is redundant, replaced by the trace
+    functional with right-hand side 1.  Its structure, and the sparse map
+    from the entries of L to its values, are cached per configuration, so a
+    solve is one sparse product, one real LU factorisation (COLAMD), up to
+    three rounds of iterative refinement with that factor, and u from w,
+    Hermitian by construction.  u is normalised and the state validated.  A
+    singular factorisation, or a residual ||L v||_inf on all of L above
     STEADY_RESIDUAL_TOL, signals a degenerate null space.
 
     Why the block is enough: L commutes with rho -> e^{i phi E} rho e^{-i phi E},
@@ -769,36 +879,28 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     unitary with X' E X = E + k, which no finite spectrum allows.  So a
     one-dimensional null space in the block certifies a unique steady state.
     """
-    lmat = liou.matrix.tocsr()
-    unknowns = liou.unknowns
-    m = len(unknowns)
+    m = len(liou.unknowns)
     if m > liou.hilbert.cap:
         raise DimensionCap(f"steady-state system of {m} sector unknowns exceeds cap {liou.hilbert.cap}")
-    # the entries of L's rows at the unknowns after the first, with their
-    # columns renumbered among the unknowns; row 0 becomes the trace functional
-    starts = lmat.indptr[unknowns[1:]]
-    counts = lmat.indptr[unknowns[1:] + 1] - starts
-    entries = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    targets = lmat.indices[entries]
-    cols = np.searchsorted(unknowns, targets)
-    # drops nothing from an L that never mixes charges; an L that does keeps
-    # only its block, and fails the residual check below
-    inside = unknowns[np.minimum(cols, m - 1)] == targets
-    kept = np.bincount(np.repeat(np.arange(m - 1), counts)[inside], minlength=m - 1)
-    traced = np.flatnonzero(liou.trace_weights)
-    indptr = np.cumsum(np.concatenate([[0, len(traced)], kept]))
-    system = sp.csr_matrix(
-        (np.concatenate([liou.trace_weights[traced], lmat.data[entries[inside]]]),
-         np.concatenate([traced, cols[inside]]), indptr),
-        shape=(m, m),
-    ).tocsc()
-    rhs = np.zeros(m, dtype=complex)
+    structure = liou._system()
+    data = structure.entries @ liou.entries.view(np.float64)
+    data[structure.trace_at] = structure.trace_values
+    indices, indptr = structure.indices, structure.indptr
+    nonzero = data != 0
+    if not nonzero.all():
+        # drop the entries that a zero parameter or a real diagonal leaves; kept,
+        # they slow the factorisation (3x at N=40, n_max=5, in the rotating frame)
+        kept = np.zeros(len(data) + 1, dtype=indptr.dtype)
+        np.cumsum(nonzero, out=kept[1:])
+        data, indices, indptr = data[nonzero], indices[nonzero], kept[indptr]
+    system = sp.csc_matrix((data, indices, indptr), shape=(m, m))
+    rhs = np.zeros(m)
     rhs[0] = 1.0
 
     try:
         # COLAMD: on the symmetric unknowns it factorises 4-10x faster than
-        # MMD_AT_PLUS_A from N=8 on (0.06 against 0.27 s at N=20, n_max=3); on
-        # build_liouvillian's sector MMD would be 1.6-3x faster at N=4-5
+        # MMD_AT_PLUS_A from N=8 on; on build_liouvillian's sector MMD would
+        # be faster at N=4-5
         lu = spla.splu(system, permc_spec="COLAMD")
     except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyState(f"steady-state solve failed: {e}") from e
@@ -806,21 +908,25 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
         raise DimensionCap(
             f"factorising the steady-state system of {m} sector unknowns ran out of memory"
         ) from e
-    x = lu.solve(rhs)
+    w = lu.solve(rhs)
     for _ in range(3):
-        resid = rhs - system @ x
+        resid = rhs - system @ w
         if np.abs(resid).max() < 1e-14:
             break
-        x = x + lu.solve(resid)
-    if not np.all(np.isfinite(x)):
+        w = w + lu.solve(resid)
+    if not np.all(np.isfinite(w)):
         raise DegenerateSteadyState("steady-state solve returned non-finite values")
 
-    x = (x + x[liou.adjoint].conj()) / 2
-    tr = (liou.trace_weights @ x).real
+    tr = liou.trace_weights @ w
     if not np.isfinite(tr) or abs(tr) < 1e-12:
         raise DegenerateSteadyState("steady-state trace collapsed to zero")
+    lower, upper = structure.pairs
+    u = w.astype(complex)
+    u[lower] += 1j * w[upper]
+    u[upper] = u[lower].conj()
+    lmat = liou.matrix
     v = np.zeros(lmat.shape[1], dtype=complex)
-    v[unknowns] = x / tr
+    v[liou.unknowns] = u / tr
 
     residual = float(np.abs(lmat @ v).max())
     if residual > STEADY_RESIDUAL_TOL:

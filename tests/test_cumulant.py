@@ -177,6 +177,19 @@ def test_stability_decision_matches_eigenvalues_of_the_numeric_jacobian():
     assert unstable >= 20  # the draws reach the unstable side
 
 
+def test_stable_points_deep_above_threshold_return():
+    # S = n s + p_e + (N-1) Re x cancels here (terms -0.264, +0.500, -0.233);
+    # Im c read off S left the n row 3.9e-7 from zero against a bound of 1.4e-7
+    p = SystemParams(7836, 2000.0, 2000.0, 5.435, 0.8048, 0.3488, 0.003213, 0.1397)
+    m = integrate_to_steady_state(p)
+    assert np.abs(moment_vector(moment_rhs(p, m))).max() <= 1e-10 * p.kappa * m.n_photon
+    for p in _stability_draws(count=2000, seed=13):
+        y = np.array(_stationary_vector(p))
+        block = _evolving_block(p)
+        if np.linalg.eigvals(_numeric_jacobian(p, y)[:block, :block]).real.max() <= 0:
+            integrate_to_steady_state(p)
+
+
 def test_certified_points_compute_no_eigenvalues(monkeypatch):
     def eigvals(_matrix):
         raise AssertionError("eigenvalues computed at a point the Routh-Hurwitz test certifies")

@@ -180,6 +180,43 @@ def _full_space_steady_state(liou):
     return DensityMatrix(rho / np.trace(rho).real)
 
 
+def _adjoint(liou):
+    """The position among liou.unknowns of each unknown's Hermitian conjugate."""
+    h = liou.hilbert
+    if isinstance(liou, exact.SymmetricLiouvillian):
+        return exact._symmetric_pattern(h.n_max, h.n_emitters).adjoint
+    return exact._sector_unknowns(h)[2]
+
+
+def complex_steady_state(liou):
+    """The complex trace-replacement solve on liou.unknowns, the reference for the real one.
+
+    Row 0 of L on the unknowns becomes the trace functional with right-hand
+    side 1; the solution is made Hermitian and normalised.  Returns the
+    state's coordinates v, unvalidated.
+    """
+    unknowns = liou.unknowns
+    system = liou.matrix.tocsr()[unknowns][:, unknowns].tolil()
+    system[0, :] = liou.trace_weights
+    rhs = np.zeros(len(unknowns), dtype=complex)
+    rhs[0] = 1.0
+    x = spla.splu(system.tocsc(), permc_spec="COLAMD").solve(rhs)
+    x = (x + x[_adjoint(liou)].conj()) / 2
+    v = np.zeros(liou.matrix.shape[1], dtype=complex)
+    v[unknowns] = x / (liou.trace_weights @ x).real
+    return v
+
+
+def assert_matches_complex_solve(liou, tol=1e-12):
+    """The real solve against complex_steady_state: coordinates and trace distance."""
+    state = steady_state_exact(liou)
+    reference = complex_steady_state(liou)
+    got = state.mat if isinstance(state, exact.SymmetricState) else vec(state.mat)
+    assert np.abs(got - reference).max() <= tol
+    assert trace_distance(state, liou.state(reference)) <= tol
+    return state
+
+
 def _with_zero_rates(p, rng):
     """p with a random subset of kappa, omega, gamma_minus, gamma_z set to 0."""
     names = ("kappa", "omega", "gamma_minus", "gamma_z")
@@ -221,6 +258,38 @@ def test_liouvillian_pattern_matches_kron_reference(n_em, frame, zeroed):
     assert np.array_equal(lmat.indptr, ref.indptr)
     assert np.array_equal(lmat.indices, ref.indices)
     assert np.all(lmat.data != 0)
+
+
+@pytest.mark.parametrize("frame", ["as_written", "rotating"])
+@pytest.mark.parametrize("n_em", [1, 2, 3, 4])
+@pytest.mark.parametrize("zeroed", [None, "g", "kappa", "omega", "gamma_minus", "gamma_z"])
+def test_real_solve_matches_complex_solve_on_the_sector(n_em, frame, zeroed):
+    # a zero g or rate leaves stored zeros in the pattern-ordered entries that L drops
+    p = dataclasses.replace(_PATTERN_BASE, n_emitters=n_em)
+    if zeroed is not None:
+        p = dataclasses.replace(p, **{zeroed: 0.0})
+    assert_matches_complex_solve(build_liouvillian(p, HilbertConfig(2, n_em), frame))
+
+
+def test_real_solve_matches_complex_solve_at_twenty_emitters():
+    p = SystemParams(20, 2000.0, 2000.0, 2.0 / np.sqrt(20), 20.0, 0.3, 0.1, 0.5)
+    assert_matches_complex_solve(build_symmetric_liouvillian(p, HilbertConfig(5, 20), "rotating"))
+
+
+def test_hermitian_system_is_cached_and_read_only():
+    p = regression_params(3)
+    for build, cached in ((build_liouvillian, exact._sector_system),
+                          (build_symmetric_liouvillian, exact._symmetric_system)):
+        h = HilbertConfig(3, 3)
+        steady_state_exact(build(p, h))
+        hits = cached.cache_info().hits
+        steady_state_exact(build(regression_params(3, omega=0.3), h, "rotating"))
+        assert cached.cache_info().hits == hits + 1
+        system = build(p, h)._system()
+        for arr in (system.indptr, system.indices, system.trace_at, system.trace_values,
+                    system.pairs, system.entries.data, system.entries.indices,
+                    system.entries.indptr):
+            assert not arr.flags.writeable
 
 
 def test_liouvillian_pattern_is_cached_and_read_only():
@@ -334,9 +403,10 @@ def test_steady_state_out_of_memory_is_a_dimension_cap(monkeypatch):
 def test_steady_state_beyond_the_cap_is_refused_before_factorising(monkeypatch):
     # N=7, n_max=3: the charge-0 sector holds 41756 unknowns, over the default cap
     def refuse(*args, **kwargs):
-        raise AssertionError("splu was called")
+        raise AssertionError("the real system was built or factorised")
 
     monkeypatch.setattr(exact.spla, "splu", refuse)
+    monkeypatch.setattr(exact, "_hermitian_system", refuse)
     liou = build_liouvillian(regression_params(7), HilbertConfig(3, 7))
     with pytest.raises(DimensionCap, match="41756 sector unknowns exceeds cap 4096"):
         steady_state_exact(liou)
