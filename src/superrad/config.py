@@ -33,8 +33,8 @@ FORMATS = ("csv", "json")
 
 @dataclass(frozen=True)
 class HilbertSection:
-    n_max: int = 3
-    cap: int = 4096
+    n_max: int = field(default=3, metadata={"min": 1})
+    cap: int = field(default=4096, metadata={"min": 1})
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class OpticsSection:
 @dataclass(frozen=True)
 class FitSection:
     points: tuple[tuple[float, float], ...] = field(metadata={"names": ("n", "ratio")})
-    noise_sigma: float = 0.0
+    noise_sigma: float = field(default=0.0, metadata={"min": 0.0})
 
 
 @dataclass(frozen=True)

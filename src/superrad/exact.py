@@ -4,23 +4,25 @@ This module is the oracle of the toolkit: it builds the sparse Liouvillian
 superoperator of the driven-dissipative Tavis-Cummings model, solves for the
 steady state via a trace-replacement linear system, time-evolves density
 matrices by a dense matrix exponential of each charge block, and evaluates
-observables exactly.  L is affine in the parameters, so its structure, term
-tags and weights are cached once per configuration and a build only fills in
-the values; the observable operators are cached too.  L never mixes elements
-rho_ij of different charge E_i - E_j, where E is the excitation number, and
-the steady state lies in the charge-0 block.  L also maps Hermitian operators
-to Hermitian ones, so the steady-state system is real, on the Hermitian
-coordinates of that block; its structure, and the sparse map from the entries
-of L to its values, are cached per configuration as well.
+observables exactly.  L is affine in the parameters, and never mixes
+elements rho_ij of different charge E_i - E_j, where E is the excitation
+number; the steady state lies in the charge-0 block.  L also maps Hermitian
+operators to Hermitian ones, so the steady-state system is real, on the
+Hermitian coordinates of that block.  Each builder keeps one pattern per
+(n_max, N), whatever the cap: the structure, term tags and weights of L, the
+inputs of its diagonal, and the charge-0 unknowns with their trace weights
+and adjoints.  A build only fills in the values, and the structure of the
+real system, with the sparse map from the entries of L to its values, is
+cached per pattern; the observable operators are cached too.
 
 There are two builders.  build_liouvillian acts on all d^2 elements of rho,
-d = (n_max+1)*2^N; its steady-state solve keeps the charge-0 sector, sum_E
-b_E^2 unknowns for b_E basis states at each E (744 at N=4, n_max=3), and it
-is the only route for states that are not permutation symmetric
-(time_evolve).  build_symmetric_liouvillian acts on the permutation-symmetric
-charge-0 unknowns (92 at N=4, n_max=3), which grow as (n_max+1)^2 N^2/4, not
-as 4^N: the flux and g2(0) ladders use it, and it reaches N = 20-40.  The
-cumulant module covers arbitrary N approximately.
+d = (n_max+1)*2^N; its unknowns are the charge-0 sector, sum_E b_E^2 of them
+for b_E basis states at each E (744 at N=4, n_max=3), and it is the only
+route for states that are not permutation symmetric (time_evolve).
+build_symmetric_liouvillian acts on the permutation-symmetric charge-0
+unknowns (92 at N=4, n_max=3), which grow as (n_max+1)^2 N^2/4, not as 4^N:
+the flux and g2(0) ladders use it, and it reaches N = 20-40.  The cumulant
+module covers arbitrary N approximately.
 
 Conventions
 -----------
@@ -73,7 +75,7 @@ class HilbertConfig:
     """Truncated Hilbert space: photon cutoff n_max, N emitters, and a cap.
 
     The cap bounds the unknowns of every linear solve or dense block that is
-    about to run: a steady-state system (len(liou.unknowns)) or a charge
+    about to run: a steady-state system (len(liou.pattern.unknowns)) or a charge
     block of time_evolve.  Each is counted from (n_max, N) before it is
     assembled.  build_liouvillian, whose L has d^2 rows, also needs
     d = dim <= cap.
@@ -88,6 +90,8 @@ class HilbertConfig:
             raise InvalidValue("n_max must be >= 1")
         if self.n_emitters < 1:
             raise InvalidValue("n_emitters must be >= 1")
+        if self.cap < 1:
+            raise InvalidValue("cap must be >= 1")
 
     @property
     def dim(self) -> int:
@@ -165,60 +169,38 @@ def _read_only(*ops: sp.csr_matrix):
 
 
 @functools.lru_cache(maxsize=16)
-def _ladder_operators(h: HilbertConfig) -> tuple[sp.csr_matrix, tuple, tuple]:
-    """a, every sigma-minus_n and every sigma-z_n on h, built once per configuration, read-only."""
-    a = field_operator(h, destroy_op(h.n_max + 1))
-    sigma_minus = tuple(site_operator(h, _SIGMA_MINUS, n) for n in range(h.n_emitters))
-    sigma_z = tuple(site_operator(h, _SIGMA_Z, n) for n in range(h.n_emitters))
+def _ladder_operators(n_max: int, n_em: int) -> tuple[sp.csr_matrix, tuple, tuple]:
+    """a, every sigma-minus_n and every sigma-z_n, built once per (n_max, N), read-only."""
+    h = HilbertConfig(n_max, n_em)
+    a = field_operator(h, destroy_op(n_max + 1))
+    sigma_minus = tuple(site_operator(h, _SIGMA_MINUS, n) for n in range(n_em))
+    sigma_z = tuple(site_operator(h, _SIGMA_Z, n) for n in range(n_em))
     _read_only(a, *sigma_minus, *sigma_z)
     return a, sigma_minus, sigma_z
 
 
-def _excitations(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
+def _excitations(n_max: int, n_em: int) -> tuple[np.ndarray, np.ndarray]:
     """Photon number n_i and excited-emitter number e_i of each basis index i = n * 2^N + s."""
-    spins = 2**h.n_emitters
-    photons = np.repeat(np.arange(h.n_max + 1), spins)
-    excited = np.tile([s.bit_count() for s in range(spins)], h.n_max + 1)
+    spins = 2**n_em
+    photons = np.repeat(np.arange(n_max + 1), spins)
+    excited = np.tile([s.bit_count() for s in range(spins)], n_max + 1)
     return photons, excited
 
 
 @functools.lru_cache(maxsize=16)
-def _charge(h: HilbertConfig) -> np.ndarray:
+def _charge(n_max: int, n_em: int) -> np.ndarray:
     """E_i - E_j at each column-stacked vec index i + j*d, read-only.
 
     E = a'a + sum_n s+_n s-_n is diagonal in the product basis: basis index
     i = n * 2^N + s carries n photons and popcount(s) excited emitters.  L
     never mixes elements of different charge (see steady_state_exact).
     """
-    photons, excited = _excitations(h)
+    photons, excited = _excitations(n_max, n_em)
     # the smallest signed type that holds +-(n_max + N) keeps the d^2 entries small
-    energy = (photons + excited).astype(np.min_scalar_type(-1 - h.n_max - h.n_emitters))
+    energy = (photons + excited).astype(np.min_scalar_type(-1 - n_max - n_em))
     charge = (energy[:, None] - energy[None, :]).reshape(-1, order="F")
     charge.flags.writeable = False
     return charge
-
-
-@functools.lru_cache(maxsize=16)
-def _zero_difference_sector(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending vec indices of the charge-0 rho_ij, so rho_00 first, and where rho_ii sits."""
-    sector = np.flatnonzero(_charge(h) == 0)
-    diagonal = np.searchsorted(sector, np.arange(h.dim) * (h.dim + 1))
-    for arr in (sector, diagonal):
-        arr.flags.writeable = False
-    return sector, diagonal
-
-
-@functools.lru_cache(maxsize=16)
-def _sector_unknowns(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unknowns, trace weights and adjoints of build_liouvillian's L (see Liouvillian)."""
-    sector, diagonal = _zero_difference_sector(h)
-    weights = np.zeros(len(sector))
-    weights[diagonal] = 1.0
-    col, row = np.divmod(sector, h.dim)  # vec index row + col * d
-    adjoint = np.searchsorted(sector, col + row * h.dim)
-    for arr in (weights, adjoint):
-        arr.flags.writeable = False
-    return sector, weights, adjoint
 
 
 # term tags of the entries of L: the off-diagonal terms scale with -i g, kappa,
@@ -226,49 +208,61 @@ def _sector_unknowns(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
 _G, _KAPPA, _OMEGA, _GAMMA_MINUS, _DIAGONAL = range(5)
 
 
+@dataclass(frozen=True, eq=False)  # hashed by identity, the key of _hermitian_system
+class _Pattern:
+    """Everything in one builder's L that does not depend on the parameters, read-only.
+
+    L acts on the coordinates v of a state; the diagonal of H_eff at the
+    ket and at the bra of each coordinate gives L's diagonal (see _assemble).
+    """
+
+    indptr: np.ndarray    # CSR row pointers of every entry L can hold (int32)
+    indices: np.ndarray   # CSR column indices (int32)
+    diagonal: np.ndarray  # position of the entry L[r, r] for each row r (int32)
+    tags: np.ndarray      # term of each entry (int8), _DIAGONAL on the diagonal
+    weights: np.ndarray   # real weight of each entry (the diagonal is overwritten)
+    ket: np.ndarray       # (photons, excited emitters) of each coordinate's ket
+    bra: np.ndarray       # the same of its bra, broadcastable against ket
+    zz: np.ndarray        # sum_n z_n(ket) z_n(bra)
+    unknowns: np.ndarray  # ascending positions in v of the charge-0 coordinates solved for
+    trace_weights: np.ndarray  # Tr rho = trace_weights @ v[unknowns]; the first is nonzero
+    adjoint: np.ndarray   # position among the unknowns of each one's Hermitian conjugate
+
+
 def _csr_pattern(rows, cols, tags, weights, size: int) -> dict:
-    """CSR structure of tagged entries, none of them sharing a position, read-only."""
+    """CSR structure of tagged entries, none of them sharing a position."""
     order = np.lexsort((cols, rows))
     tags = tags[order]
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    arrays = {
+    return {
         "indptr": indptr,
         "indices": cols[order].astype(np.int32),
         "diagonal": np.flatnonzero(tags == _DIAGONAL).astype(np.int32),
         "tags": tags,
         "weights": weights[order],
     }
+
+
+def _freeze(cls, **arrays):
+    """A pattern of type cls with every array made read-only."""
     for arr in arrays.values():
         arr.flags.writeable = False
-    return arrays
-
-
-@dataclass(frozen=True)
-class _LiouvillianPattern:
-    """Everything in L that does not depend on the parameters, for one HilbertConfig."""
-
-    indptr: np.ndarray    # CSR row pointers of every entry L can hold (int32)
-    indices: np.ndarray   # CSR column indices (int32)
-    diagonal: np.ndarray  # position of the entry L[r, r] for r = 0..d^2-1 (int32)
-    tags: np.ndarray      # term of each entry (int8), _DIAGONAL on the diagonal
-    weights: np.ndarray   # real weight of each entry (the diagonal is overwritten)
-    photons: np.ndarray   # n_i
-    excited: np.ndarray   # e_i
-    zz: np.ndarray        # sum_n z_n(i) z_n(j), d x d (int8)
+    return cls(**arrays)
 
 
 @functools.lru_cache(maxsize=16)
-def _liouvillian_pattern(h: HilbertConfig) -> _LiouvillianPattern:
-    """The structure, term tags and weights of L on h, built once per configuration, read-only.
+def _liouvillian_pattern(n_max: int, n_em: int) -> _Pattern:
+    """build_liouvillian's pattern, once per (n_max, N).
 
     The four off-diagonal terms of L (see build_liouvillian) never share an
     entry: -i g[(I kron C) - (C kron I)] changes only one side of rho, while
     a kron a, s+_n kron s+_n and s-_n kron s-_n change both sides, by one
-    photon, a raised emitter n or a lowered emitter n.
+    photon, a raised emitter n or a lowered emitter n.  The unknowns are the
+    charge-0 vec indices, rho_00 first; the trace weights are 1 on rho_ii.
     """
-    d = h.dim
-    a, sigma_minus, _ = _ladder_operators(h)
+    d = (n_max + 1) * 2**n_em
+    a, sigma_minus, _ = _ladder_operators(n_max, n_em)
     ident = sp.identity(d, format="csr")
     coupling = sum(a.T @ sm + sm.T @ a for sm in sigma_minus).real
     terms = {
@@ -279,13 +273,14 @@ def _liouvillian_pattern(h: HilbertConfig) -> _LiouvillianPattern:
         _DIAGONAL: sp.identity(d * d),
     }
     parts = [op.tocoo() for op in terms.values()]
-    photons, excited = _excitations(h)
-    z = 2 * ((np.arange(d)[:, None] >> np.arange(h.n_emitters)) & 1) - 1
-    extra = {"photons": photons.astype(float), "excited": excited.astype(float),
-             "zz": (z @ z.T).astype(np.int8)}
-    for arr in extra.values():
-        arr.flags.writeable = False
-    return _LiouvillianPattern(
+    ket = np.stack(_excitations(n_max, n_em)).astype(float)[:, :, None]
+    z = 2 * ((np.arange(d)[:, None] >> np.arange(n_em)) & 1) - 1
+    unknowns = np.flatnonzero(_charge(n_max, n_em) == 0)
+    trace_weights = np.zeros(len(unknowns))
+    trace_weights[np.searchsorted(unknowns, np.arange(d) * (d + 1))] = 1.0
+    col, row = np.divmod(unknowns, d)  # vec index row + col * d
+    return _freeze(
+        _Pattern,
         **_csr_pattern(
             np.concatenate([op.row for op in parts]),
             np.concatenate([op.col for op in parts]),
@@ -293,7 +288,12 @@ def _liouvillian_pattern(h: HilbertConfig) -> _LiouvillianPattern:
             np.concatenate([op.data for op in parts]),
             d * d,
         ),
-        **extra,
+        ket=ket,
+        bra=ket.transpose(0, 2, 1),
+        zz=(z @ z.T).astype(np.int8),
+        unknowns=unknowns,
+        trace_weights=trace_weights,
+        adjoint=np.searchsorted(unknowns, col + row * d),
     )
 
 
@@ -304,10 +304,9 @@ class Liouvillian:
     build_liouvillian's L acts on vec(rho), build_symmetric_liouvillian's on
     the permutation-symmetric unknowns u.  Either carries what the
     steady-state solve needs: `entries`, the values of every entry of its
-    cached pattern in pattern order, zeros included, which _system() maps to
-    the real steady-state system; `unknowns`, the ascending positions in v of
-    the charge-0 entries it solves for, the first of which has a trace
-    weight; and `trace_weights`, with Tr rho = trace_weights @ v[unknowns].
+    cached pattern in pattern order, zeros included, which _hermitian_system
+    maps to the real steady-state system; and `pattern`, with the unknowns
+    solved for and their trace weights.
     """
 
     matrix: sp.csr_matrix
@@ -315,8 +314,7 @@ class Liouvillian:
     params: SystemParams
     frame: str
     entries: np.ndarray
-    unknowns: np.ndarray
-    trace_weights: np.ndarray
+    pattern: _Pattern
 
     @property
     def dim(self) -> int:
@@ -327,25 +325,15 @@ class Liouvillian:
         """The state whose coordinates L acts on are v."""
         return DensityMatrix(unvec(v, self.dim))
 
-    def _system(self) -> "_HermitianSystem":
-        """The cached structure of the real steady-state system on the unknowns."""
-        return _sector_system(self.hilbert)
-
     def trace_row(self) -> np.ndarray:
         """The trace functional on v, the left null vector enforced by trace preservation."""
         row = np.zeros(self.matrix.shape[1])
-        row[self.unknowns] = self.trace_weights
+        row[self.pattern.unknowns] = self.pattern.trace_weights
         return row
 
     def trace_residual(self) -> float:
         """max |trace_row() L|, zero for a trace-preserving generator."""
         return float(np.abs(self.trace_row() @ self.matrix).max())
-
-
-def _frame_shift(p: SystemParams, frame: str) -> float:
-    if frame not in ("as_written", "rotating"):
-        raise InvalidValue(f"unknown frame {frame!r}")
-    return p.delta if frame == "rotating" else 0.0
 
 
 def _h_eff(p: SystemParams, shift: float, photons, excited, n_em: int) -> np.ndarray:
@@ -355,13 +343,30 @@ def _h_eff(p: SystemParams, shift: float, photons, excited, n_em: int) -> np.nda
     )
 
 
-def _gather(pattern, p: SystemParams, diagonal: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-    """L from a cached pattern: each entry's term coefficient times its weight, then the
-    diagonal, without the entries that a zero g or rate leaves.  Also returns the
-    entries in pattern order, zeros included, read-only."""
+def _check_model(p: SystemParams, h: HilbertConfig, frame: str):
+    """Validate p and the frame, and check that h holds p's emitters and fits the cap."""
+    validate_params(p)
+    if frame not in ("as_written", "rotating"):
+        raise InvalidValue(f"unknown frame {frame!r}")
+    if p.n_emitters != h.n_emitters:
+        raise InvalidValue(
+            f"params have {p.n_emitters} emitters but the Hilbert space {h.n_emitters}"
+        )
+    h.check_cap()
+
+
+def _assemble(cls, pattern: _Pattern, p: SystemParams, h: HilbertConfig, frame: str):
+    """L of type cls from its cached pattern: each entry's term coefficient times its
+    weight, the diagonal -i e(ket) + i e*(bra) + gamma_z zz with e the diagonal of
+    H_eff, and no entry that a zero g or rate leaves.  L's entries in pattern order,
+    zeros included, are kept read-only for the steady-state solve."""
+    shift = p.delta if frame == "rotating" else 0.0
+    ket = _h_eff(p, shift, *pattern.ket, h.n_emitters)
+    bra = _h_eff(p, shift, *pattern.bra, h.n_emitters)
     coefficients = np.array([-1j * p.g, p.kappa, p.omega, p.gamma_minus, 0.0])
     entries = coefficients[pattern.tags] * pattern.weights
-    entries[pattern.diagonal] = diagonal
+    diagonal = -1j * ket + 1j * bra.conj() + p.gamma_z * pattern.zz
+    entries[pattern.diagonal] = diagonal.ravel(order="F")
     entries.flags.writeable = False
     size = len(pattern.indptr) - 1
     # eliminate_zeros compacts L's arrays in place, so L gets its own copies
@@ -369,17 +374,7 @@ def _gather(pattern, p: SystemParams, diagonal: np.ndarray) -> tuple[sp.csr_matr
         (entries.copy(), pattern.indices.copy(), pattern.indptr.copy()), shape=(size, size)
     )
     liou.eliminate_zeros()
-    return liou, entries
-
-
-def _check_model(p: SystemParams, h: HilbertConfig):
-    """Validate p, and check that h holds its emitters and fits the cap."""
-    validate_params(p)
-    if p.n_emitters != h.n_emitters:
-        raise InvalidValue(
-            f"params have {p.n_emitters} emitters but the Hilbert space {h.n_emitters}"
-        )
-    h.check_cap()
+    return cls(liou, h, p, frame, entries, pattern)
 
 
 def build_liouvillian(
@@ -399,22 +394,16 @@ def build_liouvillian(
     kappa (a kron a) + omega sum_n (s+_n kron s+_n) + gamma_minus
     sum_n (s-_n kron s-_n), and its diagonal at vec index i + j*d is
     -i h_i + i h_j* + gamma_z sum_n z_n(i) z_n(j), where h is the diagonal of
-    H_eff.  The parameter-free structure comes from _liouvillian_pattern(h),
-    so a build is one gather of the term coefficients, one broadcast for the
+    H_eff.  The parameter-free structure comes from _liouvillian_pattern, so a
+    build is one gather of the term coefficients, one broadcast for the
     diagonal and the removal of the entries that a zero g or rate leaves.
     """
-    _check_model(p, h)
+    _check_model(p, h, frame)
     if h.dim > h.cap:  # the pattern holds d^2 rows, whatever is solved on it
         raise DimensionCap(
             f"Hilbert dimension {h.dim} = ({h.n_max}+1)*2^{h.n_emitters} exceeds cap {h.cap}"
         )
-    shift = _frame_shift(p, frame)
-    pattern = _liouvillian_pattern(h)
-    h_eff = _h_eff(p, shift, pattern.photons, pattern.excited, h.n_emitters)
-    diagonal = (-1j * h_eff)[:, None] + (1j * h_eff.conj())[None, :] + p.gamma_z * pattern.zz
-    liou, entries = _gather(pattern, p, diagonal.reshape(-1, order="F"))
-    unknowns, weights, _ = _sector_unknowns(h)
-    return Liouvillian(liou, h, p, frame, entries, unknowns, weights)
+    return _assemble(Liouvillian, _liouvillian_pattern(h.n_max, h.n_emitters), p, h, frame)
 
 
 # --- permutation-symmetric Liouvillian ---------------------------------------------
@@ -441,28 +430,17 @@ _MOVES = (
 )
 
 
-@dataclass(frozen=True)
-class _SymmetricPattern:
-    """The unknowns u(n, m, k) of one (n_max, N), and the parameter-free part of L on them."""
+@dataclass(frozen=True, eq=False)
+class _SymmetricPattern(_Pattern):
+    """The pattern of build_symmetric_liouvillian, whose coordinates are the unknowns u(n, m, k)."""
 
-    indptr: np.ndarray    # as in _LiouvillianPattern, over the unknowns
-    indices: np.ndarray
-    diagonal: np.ndarray
-    tags: np.ndarray
-    weights: np.ndarray
-    photons: np.ndarray   # (n, m) of each unknown, shape (2, count)
     k: np.ndarray         # (k_ee, k_eg, k_ge, k_gg) of each unknown, shape (4, count)
     index: np.ndarray     # position of the unknown at [n, k_ee, k_eg, k_ge], -1 where none
-    excited: np.ndarray   # (k_ee + k_eg, k_ee + k_ge): excited emitters of ket and bra
-    zz: np.ndarray        # k_ee + k_gg - k_eg - k_ge
-    unknowns: np.ndarray  # 0..count-1: every unknown is solved for
-    trace_weights: np.ndarray  # 1 where n = m and k_eg = k_ge = 0
-    adjoint: np.ndarray   # position of u(m, n, (k_ee, k_ge, k_eg, k_gg))
 
 
 @functools.lru_cache(maxsize=16)
 def _symmetric_pattern(n_max: int, n_em: int) -> _SymmetricPattern:
-    """The unknowns and the structure, term tags and weights of the symmetric L, read-only.
+    """build_symmetric_liouvillian's pattern, once per (n_max, N).
 
     The unknowns are every (n, m, k) with k_ee + k_eg + k_ge + k_gg = N and
     (n - m) + (k_eg - k_ge) = 0, ordered by n, then k_ee, k_eg, k_ge, so that
@@ -494,21 +472,17 @@ def _symmetric_pattern(n_max: int, n_em: int) -> _SymmetricPattern:
         cols.append(np.flatnonzero(keep))
         tags.append(np.full(target.size, tag, dtype=np.int8))
         weights.append(weight[keep])
-    extra = {
-        "photons": np.stack([n, m]),
-        "k": k,
-        "index": index,
-        "excited": np.stack([ee + eg, ee + ge]).astype(float),
-        "zz": (ee + gg - eg - ge).astype(float),
-        "unknowns": np.arange(count),
-        "trace_weights": ((n == m) & (eg == 0) & (ge == 0)).astype(float),
-        "adjoint": index[m, ee, ge, eg].astype(np.intp),
-    }
-    for arr in extra.values():
-        arr.flags.writeable = False
-    return _SymmetricPattern(
+    return _freeze(
+        _SymmetricPattern,
         **_csr_pattern(*(np.concatenate(x) for x in (rows, cols, tags, weights)), count),
-        **extra,
+        ket=np.stack([n, ee + eg]).astype(float),
+        bra=np.stack([m, ee + ge]).astype(float),
+        zz=(ee + gg - eg - ge).astype(float),
+        unknowns=np.arange(count),
+        trace_weights=((n == m) & (eg == 0) & (ge == 0)).astype(float),
+        adjoint=index[m, ee, ge, eg].astype(np.intp),
+        k=k,
+        index=index,
     )
 
 
@@ -518,9 +492,6 @@ class SymmetricLiouvillian(Liouvillian):
 
     def state(self, v: np.ndarray) -> "SymmetricState":
         return SymmetricState(v, self.hilbert)
-
-    def _system(self) -> "_HermitianSystem":
-        return _symmetric_system(self.hilbert.n_max, self.hilbert.n_emitters)
 
 
 def build_symmetric_liouvillian(
@@ -542,19 +513,13 @@ def build_symmetric_liouvillian(
     build_liouvillian.  The diagonal at u(n, m, k) is -i h(n, k_ee + k_eg) +
     i h*(m, k_ee + k_ge) + gamma_z (k_ee + k_gg - k_eg - k_ge), with h the
     diagonal of H_eff at n photons and e excited emitters.  As in
-    build_liouvillian, the structure is cached, here per (n_max, N), and a
-    build is one gather.  A configuration with more unknowns than its cap
-    raises DimensionCap before anything is built.
+    build_liouvillian, the pattern is cached per (n_max, N), and a build is
+    one gather.  A configuration with more unknowns than its cap raises
+    DimensionCap before anything is built.
     """
-    _check_model(p, h)
-    shift = _frame_shift(p, frame)
-    pattern = _symmetric_pattern(h.n_max, h.n_emitters)
-    ket = _h_eff(p, shift, pattern.photons[0], pattern.excited[0], h.n_emitters)
-    bra = _h_eff(p, shift, pattern.photons[1], pattern.excited[1], h.n_emitters)
-    diagonal = -1j * ket + 1j * bra.conj() + p.gamma_z * pattern.zz
-    liou, entries = _gather(pattern, p, diagonal)
-    return SymmetricLiouvillian(
-        liou, h, p, frame, entries, pattern.unknowns, pattern.trace_weights
+    _check_model(p, h, frame)
+    return _assemble(
+        SymmetricLiouvillian, _symmetric_pattern(h.n_max, h.n_emitters), p, h, frame
     )
 
 
@@ -757,7 +722,7 @@ def trace_distance(a: DensityMatrix | SymmetricState, b: DensityMatrix | Symmetr
 
 @dataclass(frozen=True)
 class _HermitianSystem:
-    """The real trace-replaced steady-state system of one configuration, read-only.
+    """The real trace-replaced steady-state system of one L pattern, read-only.
 
     Its unknowns are the Hermitian coordinates w of the charge-0 unknowns u
     (see steady_state_exact): a pair i < j = adjoint[i] has u_i = w_i + i w_j
@@ -772,8 +737,9 @@ class _HermitianSystem:
     pairs: np.ndarray         # (i, adjoint[i]) for each pair, shape (2, count)
 
 
-def _hermitian_system(pattern, unknowns, trace_weights, adjoint) -> _HermitianSystem:
-    """The structure of the real system on the unknowns of a cached L pattern.
+@functools.lru_cache(maxsize=16)
+def _hermitian_system(pattern: _Pattern) -> _HermitianSystem:
+    """The structure of the real system on the unknowns of an L pattern, once per pattern.
 
     For u Hermitian, (L u)_j is the conjugate of (L u)_i for a pair and (L u)_s
     is real, so the equations are Re (L u)_i in row i and Im (L u)_i in row j
@@ -786,6 +752,7 @@ def _hermitian_system(pattern, unknowns, trace_weights, adjoint) -> _HermitianSy
     imaginary for every parameter, and one of kappa, omega or gamma_minus is
     real, so their other part adds nothing to the structure.
     """
+    unknowns, trace_weights, adjoint = pattern.unknowns, pattern.trace_weights, pattern.adjoint
     m = len(unknowns)
     size = len(pattern.indptr) - 1
     position = np.full(size, -1)
@@ -829,19 +796,6 @@ def _hermitian_system(pattern, unknowns, trace_weights, adjoint) -> _HermitianSy
     return system
 
 
-@functools.lru_cache(maxsize=16)
-def _sector_system(h: HilbertConfig) -> _HermitianSystem:
-    """The real system of build_liouvillian's L on h, built once per configuration."""
-    return _hermitian_system(_liouvillian_pattern(h), *_sector_unknowns(h))
-
-
-@functools.lru_cache(maxsize=16)
-def _symmetric_system(n_max: int, n_em: int) -> _HermitianSystem:
-    """The real system of build_symmetric_liouvillian's L, built once per (n_max, N)."""
-    pattern = _symmetric_pattern(n_max, n_em)
-    return _hermitian_system(pattern, pattern.unknowns, pattern.trace_weights, pattern.adjoint)
-
-
 def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     """Unique steady state, solved as a real system on the charge-0 unknowns that liou carries.
 
@@ -859,7 +813,7 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     conjugate pair and Re of each self-adjoint one, with the first equation,
     which has a trace weight and is redundant, replaced by the trace
     functional with right-hand side 1.  Its structure, and the sparse map
-    from the entries of L to its values, are cached per configuration, so a
+    from the entries of L to its values, are cached per L pattern, so a
     solve is one sparse product, one real LU factorisation (COLAMD), up to
     three rounds of iterative refinement with that factor, and u from w,
     Hermitian by construction.  u is normalised and the state validated.  A
@@ -879,10 +833,11 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     unitary with X' E X = E + k, which no finite spectrum allows.  So a
     one-dimensional null space in the block certifies a unique steady state.
     """
-    m = len(liou.unknowns)
+    pattern = liou.pattern
+    m = len(pattern.unknowns)
     if m > liou.hilbert.cap:
         raise DimensionCap(f"steady-state system of {m} sector unknowns exceeds cap {liou.hilbert.cap}")
-    structure = liou._system()
+    structure = _hermitian_system(pattern)
     data = structure.entries @ liou.entries.view(np.float64)
     data[structure.trace_at] = structure.trace_values
     indices, indptr = structure.indices, structure.indptr
@@ -916,7 +871,7 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     if not np.all(np.isfinite(w)):
         raise DegenerateSteadyState("steady-state solve returned non-finite values")
 
-    tr = liou.trace_weights @ w
+    tr = pattern.trace_weights @ w
     if not np.isfinite(tr) or abs(tr) < 1e-12:
         raise DegenerateSteadyState("steady-state trace collapsed to zero")
     lower, upper = structure.pairs
@@ -925,7 +880,7 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     u[upper] = u[lower].conj()
     lmat = liou.matrix
     v = np.zeros(lmat.shape[1], dtype=complex)
-    v[liou.unknowns] = u / tr
+    v[pattern.unknowns] = u / tr
 
     residual = float(np.abs(lmat @ v).max())
     if residual > STEADY_RESIDUAL_TOL:
@@ -959,7 +914,7 @@ def time_evolve(liou: Liouvillian, rho0: DensityMatrix, t_final: float) -> Densi
     if t_final == 0.0:
         return DensityMatrix(rho0.mat.copy())
     y0 = vec(rho0.mat).astype(complex)
-    charge = _charge(liou.hilbert)
+    charge = _charge(liou.hilbert.n_max, liou.hilbert.n_emitters)
     blocks = [np.flatnonzero(charge == k) for k in np.unique(charge[y0 != 0])]
     biggest = max(map(len, blocks), default=0)
     if biggest > liou.hilbert.cap:
@@ -989,7 +944,7 @@ def observable_operator(
     which: str, h: HilbertConfig, i: int | None = None, j: int | None = None
 ) -> sp.csr_matrix:
     """Sparse operator for a named observable, built once per call signature, read-only."""
-    a, sigma_minus, sigma_z = _ladder_operators(h)
+    a, sigma_minus, sigma_z = _ladder_operators(h.n_max, h.n_emitters)
     if which == "photon_number":
         op = a.conj().T @ a
     elif which == "photon_pair":
@@ -1040,7 +995,7 @@ def _symmetric_observable(which: str, n_max: int, n_em: int) -> tuple[np.ndarray
     one |e><g| at i, 1/N of the assignments with k_eg = 1, k_ge = 0.
     """
     pattern = _symmetric_pattern(n_max, n_em)
-    n, m = pattern.photons
+    n, m = pattern.ket[0], pattern.bra[0]
     ee, eg, ge, gg = pattern.k
     population = (n == m) & (eg == 0) & (ge == 0)
     pairs = max(n_em * (n_em - 1), 1)
@@ -1090,7 +1045,7 @@ def operator_expectation(op: sp.spmatrix, mat: np.ndarray) -> complex:
 
 def total_excitation_operator(h: HilbertConfig) -> sp.csr_matrix:
     """a'a + sum_n s+_n s-_n, conserved by H and by pure dephasing."""
-    a, sigma_minus, _ = _ladder_operators(h)
+    a, sigma_minus, _ = _ladder_operators(h.n_max, h.n_emitters)
     out = (a.conj().T @ a).tocsr()
     for sm in sigma_minus:
         out = out + (sm.conj().T @ sm).tocsr()
@@ -1119,7 +1074,7 @@ def converge_in_cutoff(
     CutoffNotConverged; an initial configuration beyond the cap raises
     DimensionCap.
     """
-    _check_model(p, h)
+    _check_model(p, h, frame)
     value = None
     while True:
         rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame=frame))

@@ -288,10 +288,8 @@ optics:
 @pytest.mark.parametrize("command, doc", [
     ("reflectance", REFLECTANCE_DOC.replace("n_eff: 1.8", "n_eff: 0.9")),
     ("reflectance", REFLECTANCE_DOC + "  kappa_ext: 200.0\n"),
-    ("exact", CUMULANT_DOC.format(omega="1.0").replace("command: cumulant", "command: exact")
-     + "hilbert: {n_max: 0}\n"),
     ("sweep", SWEEP_DOC.replace("[100, 1000, 10000]", "[10000, 1000, 100]")),
-], ids=["n_eff_below_1", "kappa_ext_above_kappa", "n_max_zero", "descending_n_values"])
+], ids=["n_eff_below_1", "kappa_ext_above_kappa", "descending_n_values"])
 def test_invalid_value_error_record(tmp_path, capsys, command, doc):
     cfg = _write(tmp_path, "bad.yaml", doc)
     out = tmp_path / "out"
@@ -308,6 +306,18 @@ def test_negative_grid_size_is_a_type_mismatch_record(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out.strip())
     assert record["error"] == "TypeMismatch"
     assert "optics.n_theta" in record["message"]
+    assert not out.exists()
+
+
+def test_zero_cutoff_is_a_type_mismatch_record(tmp_path, capsys):
+    # the schema's bound refuses n_max: 0 before a HilbertConfig is made
+    doc = CUMULANT_DOC.format(omega="1.0").replace("command: cumulant", "command: exact")
+    cfg = _write(tmp_path, "bad.yaml", doc + "hilbert: {n_max: 0}\n")
+    out = tmp_path / "out"
+    assert main(["exact", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "TypeMismatch"
+    assert "hilbert.n_max" in record["message"]
     assert not out.exists()
 
 

@@ -205,6 +205,10 @@ optics:
     ("command: reflectance\n" + OPTICS_BLOCK + "  n_theta: -3\n", TypeMismatch, "optics.n_theta"),
     ("command: reflectance\n" + OPTICS_BLOCK + "  n_theta: 0\n", TypeMismatch, "optics.n_theta"),
     ("command: reflectance\n" + OPTICS_BLOCK + "  n_energy: 0\n", TypeMismatch, "optics.n_energy"),
+    ("command: exact\n" + PARAMS_BLOCK + "hilbert:\n  n_max: 0\n", TypeMismatch, "hilbert.n_max"),
+    ("command: exact\n" + PARAMS_BLOCK + "hilbert:\n  cap: -5\n", TypeMismatch, "hilbert.cap"),
+    ("command: fit\nfit:\n  points: [[100, 1.0], [1000, 2.0]]\n  noise_sigma: -0.3\n",
+     TypeMismatch, "fit.noise_sigma"),
 ])
 def test_schema_error_paths(text, error, key):
     with pytest.raises(error) as err:

@@ -61,6 +61,12 @@ def test_dimension_cap_enforced():
         build_liouvillian(regression_params(2), HilbertConfig(7, 2, cap=16))
 
 
+@pytest.mark.parametrize("n_max, n_em, cap", [(0, 1, 4096), (1, 0, 4096), (1, 1, 0), (3, 3, -5)])
+def test_hilbert_config_rejects_values_below_one(n_max, n_em, cap):
+    with pytest.raises(InvalidValue, match="must be >= 1"):
+        HilbertConfig(n_max, n_em, cap)
+
+
 def test_trace_preservation_is_structural():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -135,7 +141,7 @@ def test_steady_state_matches_dense_null_eigenvector():
 def _hamiltonian(p, h, frame):
     """Tavis-Cummings Hamiltonian on the truncated space, from the cached ladder operators."""
     shift = p.delta if frame == "rotating" else 0.0
-    a, sigma_minus, _ = exact._ladder_operators(h)
+    a, sigma_minus, _ = exact._ladder_operators(h.n_max, h.n_emitters)
     ham = (p.delta_c - shift) * (a.conj().T @ a)
     for sm in sigma_minus:
         sp_ = sm.conj().T
@@ -145,7 +151,7 @@ def _hamiltonian(p, h, frame):
 
 def _jump_operators(p, h):
     """All (rate, collapse operator) pairs of the master equation."""
-    a, sigma_minus, sigma_z = exact._ladder_operators(h)
+    a, sigma_minus, sigma_z = exact._ladder_operators(h.n_max, h.n_emitters)
     ops = [(p.kappa, a)]
     for sm, sz in zip(sigma_minus, sigma_z):
         ops.append((p.omega, sm.conj().T))
@@ -180,30 +186,23 @@ def _full_space_steady_state(liou):
     return DensityMatrix(rho / np.trace(rho).real)
 
 
-def _adjoint(liou):
-    """The position among liou.unknowns of each unknown's Hermitian conjugate."""
-    h = liou.hilbert
-    if isinstance(liou, exact.SymmetricLiouvillian):
-        return exact._symmetric_pattern(h.n_max, h.n_emitters).adjoint
-    return exact._sector_unknowns(h)[2]
-
-
 def complex_steady_state(liou):
-    """The complex trace-replacement solve on liou.unknowns, the reference for the real one.
+    """The complex trace-replacement solve on the pattern's unknowns, the reference for the real one.
 
     Row 0 of L on the unknowns becomes the trace functional with right-hand
     side 1; the solution is made Hermitian and normalised.  Returns the
     state's coordinates v, unvalidated.
     """
-    unknowns = liou.unknowns
+    pattern = liou.pattern
+    unknowns = pattern.unknowns
     system = liou.matrix.tocsr()[unknowns][:, unknowns].tolil()
-    system[0, :] = liou.trace_weights
+    system[0, :] = pattern.trace_weights
     rhs = np.zeros(len(unknowns), dtype=complex)
     rhs[0] = 1.0
     x = spla.splu(system.tocsc(), permc_spec="COLAMD").solve(rhs)
-    x = (x + x[_adjoint(liou)].conj()) / 2
+    x = (x + x[pattern.adjoint].conj()) / 2
     v = np.zeros(liou.matrix.shape[1], dtype=complex)
-    v[unknowns] = x / (liou.trace_weights @ x).real
+    v[unknowns] = x / (pattern.trace_weights @ x).real
     return v
 
 
@@ -278,14 +277,13 @@ def test_real_solve_matches_complex_solve_at_twenty_emitters():
 
 def test_hermitian_system_is_cached_and_read_only():
     p = regression_params(3)
-    for build, cached in ((build_liouvillian, exact._sector_system),
-                          (build_symmetric_liouvillian, exact._symmetric_system)):
+    for build in (build_liouvillian, build_symmetric_liouvillian):
         h = HilbertConfig(3, 3)
         steady_state_exact(build(p, h))
-        hits = cached.cache_info().hits
+        hits = exact._hermitian_system.cache_info().hits
         steady_state_exact(build(regression_params(3, omega=0.3), h, "rotating"))
-        assert cached.cache_info().hits == hits + 1
-        system = build(p, h)._system()
+        assert exact._hermitian_system.cache_info().hits == hits + 1
+        system = exact._hermitian_system(build(p, h).pattern)
         for arr in (system.indptr, system.indices, system.trace_at, system.trace_values,
                     system.pairs, system.entries.data, system.entries.indices,
                     system.entries.indptr):
@@ -294,16 +292,18 @@ def test_hermitian_system_is_cached_and_read_only():
 
 def test_liouvillian_pattern_is_cached_and_read_only():
     h = HilbertConfig(3, 2)
-    build_liouvillian(regression_params(2), h)
-    hits = exact._liouvillian_pattern.cache_info().hits
-    liou = build_liouvillian(regression_params(2, omega=0.3), h, "rotating")
-    assert exact._liouvillian_pattern.cache_info().hits == hits + 1
-    pattern = exact._liouvillian_pattern(h)
-    for arr in vars(pattern).values():
-        assert not arr.flags.writeable
-    # the built L owns its arrays, so changing it leaves the pattern intact
-    liou.matrix.indices[0] += 1
-    assert liou.matrix.indices[0] != pattern.indices[0]
+    for build, cached in ((build_liouvillian, exact._liouvillian_pattern),
+                          (build_symmetric_liouvillian, exact._symmetric_pattern)):
+        build(regression_params(2), h)
+        hits = cached.cache_info().hits
+        liou = build(regression_params(2, omega=0.3), h, "rotating")
+        assert cached.cache_info().hits == hits + 1
+        assert liou.pattern is cached(h.n_max, h.n_emitters)
+        for arr in vars(liou.pattern).values():
+            assert not arr.flags.writeable
+        # the built L owns its arrays, so changing it leaves the pattern intact
+        liou.matrix.indices[0] += 1
+        assert liou.matrix.indices[0] != liou.pattern.indices[0]
     rho = steady_state_exact(build_liouvillian(regression_params(2), h))
     for which, idx in [("photon_number", ()), ("photon_pair", ()), ("sigma_z", (0,)),
                        ("field_coherence", (1,)), ("cross_pm", (0, 1)), ("cross_zz", (0, 1))]:
@@ -315,11 +315,31 @@ def test_liouvillian_pattern_is_cached_and_read_only():
                 arr[0] = 0
 
 
+@pytest.mark.parametrize("build, cached", [
+    (build_liouvillian, exact._liouvillian_pattern),
+    (build_symmetric_liouvillian, exact._symmetric_pattern),
+])
+def test_caches_are_shared_by_configurations_that_differ_only_in_cap(build, cached):
+    for cache in (cached, exact._hermitian_system, exact._ladder_operators, exact._charge):
+        cache.cache_clear()
+    p = regression_params(3)
+    liou = [build(p, HilbertConfig(3, 3, cap)) for cap in (4096, 5000)]
+    for each in liou:
+        steady_state_exact(each)
+    assert liou[0].pattern is liou[1].pattern
+    assert exact._hermitian_system(liou[0].pattern) is exact._hermitian_system(liou[1].pattern)
+    assert cached.cache_info().misses == 1
+    assert exact._hermitian_system.cache_info().misses == 1
+    if build is build_liouvillian:
+        assert exact._ladder_operators.cache_info().misses == 1
+        assert exact._charge.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("n_em", [1, 2, 3, 4, 5])
 def test_liouvillian_pattern_retains_no_more_than_its_liouvillian(n_em):
     h = HilbertConfig(3, n_em)
     lmat = build_liouvillian(regression_params(n_em), h).matrix
-    retained = sum(arr.nbytes for arr in vars(exact._liouvillian_pattern(h)).values())
+    retained = sum(arr.nbytes for arr in vars(exact._liouvillian_pattern(3, n_em)).values())
     assert retained <= lmat.data.nbytes + lmat.indices.nbytes + lmat.indptr.nbytes
 
 
@@ -353,8 +373,8 @@ def test_liouvillian_never_mixes_excitation_differences(frame):
     for n_em in (1, 2, 3):
         for _ in range(3):
             h = HilbertConfig(int(rng.integers(1, 4)), n_em)
-            lmat = build_liouvillian(random_params(rng, n_em), h, frame).matrix.tocsr()
-            sector, _ = exact._zero_difference_sector(h)
+            liou = build_liouvillian(random_params(rng, n_em), h, frame)
+            lmat, sector = liou.matrix.tocsr(), liou.pattern.unknowns
             outside = np.setdiff1d(np.arange(h.dim**2), sector)
             assert lmat[outside][:, sector].nnz == 0
             assert lmat[sector][:, outside].nnz == 0
@@ -366,16 +386,20 @@ def test_charge_matches_total_excitation_operator(n_max, n_em):
     h = HilbertConfig(n_max, n_em)
     energy = np.rint(total_excitation_operator(h).diagonal().real).astype(np.int64)
     reference = (energy[:, None] - energy[None, :]).reshape(-1, order="F")
-    assert np.array_equal(exact._charge(h), reference)
+    assert np.array_equal(exact._charge(n_max, n_em), reference)
 
 
 def test_zero_difference_sector_size():
-    # b_E basis states at each excitation number E; the sector holds sum_E b_E^2
+    # b_E basis states at each excitation number E; the sector holds sum_E b_E^2,
+    # and the trace weights sit on the rho_ii, rho_00 first
     for (n_max, n_em), size in {(3, 4): 744, (1, 1): 6, (2, 2): 36}.items():
-        sector, diagonal = exact._zero_difference_sector(HilbertConfig(n_max, n_em))
-        assert len(sector) == size
+        pattern = exact._liouvillian_pattern(n_max, n_em)
+        assert len(pattern.unknowns) == size
         d = (n_max + 1) * 2**n_em
-        assert np.array_equal(sector[diagonal], np.arange(d) * (d + 1))
+        diagonal = pattern.unknowns[np.flatnonzero(pattern.trace_weights)]
+        assert np.array_equal(diagonal, np.arange(d) * (d + 1))
+        assert np.all(pattern.trace_weights[pattern.trace_weights != 0] == 1.0)
+        assert pattern.trace_weights[0] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -511,7 +535,7 @@ def test_time_evolve_keeps_a_coherence_in_its_charge_blocks():
     rho0 = DensityMatrix(mat)
     rho_t = time_evolve(liou, rho0, 0.05)
     ref = _full_space_evolution(liou, rho0, 0.05)
-    outside = np.abs(exact._charge(h)) != 1
+    outside = np.abs(exact._charge(h.n_max, h.n_emitters)) != 1
     assert np.all(vec(rho_t.mat)[outside] == 0.0)
     assert np.abs(vec(ref.mat)[outside]).max() <= 1e-15
     assert np.abs(rho_t.mat[one_photon, 0]) > 0.1
@@ -533,7 +557,7 @@ def test_time_evolve_caps_the_dense_block():
     # of a vacuum start holds 196 unknowns
     h = HilbertConfig(3, 3, cap=64)
     liou = build_liouvillian(regression_params(3), h, "rotating")
-    assert len(exact._zero_difference_sector(h)[0]) == 196
+    assert len(liou.pattern.unknowns) == 196
     with pytest.raises(DimensionCap):
         time_evolve(liou, DensityMatrix.vacuum(h), 1.0)
 
@@ -736,7 +760,7 @@ def test_expectation_builds_ladder_operators_once_per_config():
     info = exact._ladder_operators.cache_info()
     assert (info.misses, info.hits) == (1, 4)
     # the shared operators cannot be changed through a returned reference
-    a, _, sigma_z_all = exact._ladder_operators(h)
+    a, _, sigma_z_all = exact._ladder_operators(h.n_max, h.n_emitters)
     sigma_z = sigma_z_all[0]
     assert (sigma_z != site_operator(h, np.diag([-1.0, 1.0]), 0)).nnz == 0
     for op in (a, sigma_z):

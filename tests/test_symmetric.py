@@ -35,7 +35,7 @@ def expand(state: SymmetricState) -> np.ndarray:
     h = state.hilbert
     n_em = h.n_emitters
     index = exact._symmetric_pattern(h.n_max, n_em).index
-    photons, _ = exact._excitations(h)
+    photons, _ = exact._excitations(h.n_max, n_em)
     bits = ((np.arange(h.dim) % 2**n_em)[:, None] >> np.arange(n_em)) & 1  # 1 = excited
     ket, bra = bits[:, None, :], bits[None, :, :]
     k = [(ket * bra).sum(-1), (ket * (1 - bra)).sum(-1), ((1 - ket) * bra).sum(-1)]
@@ -112,7 +112,7 @@ def test_symmetric_trace_weights_annihilate_the_liouvillian():
             for p in (random_params(rng, n_em), _detuned(rng, n_em)):
                 liou = build_symmetric_liouvillian(p, h, frame)
                 assert liou.trace_residual() <= 1e-12
-                assert len(liou.unknowns) == h.symmetric_unknowns
+                assert len(liou.pattern.unknowns) == h.symmetric_unknowns
 
 
 @pytest.mark.parametrize("n_em", [2, 3, 4])
