@@ -25,7 +25,8 @@ W2 = omega + gamma_minus + 4 gamma_z, p_e = (1+s)/2:
 These equations are written once, in _rhs_vector, with the closed third
 moments noted beside the terms that carry them; moment_rhs and the residual
 check of the fixed point evaluate that code.  The stability test below uses
-their Jacobian, written out by hand in _jacobian.
+only the characteristic polynomial of their Jacobian, written out in
+_characteristic_coefficients.
 
 The closure is exact at uncorrelated (product) states with vanishing first
 moments, which is the basis of the derivative-equality oracle test against the
@@ -67,8 +68,8 @@ polynomial only adds the root -W2 < 0 to those of (n, s, c).  The point is
 accepted when the first column of the Routh array of its coefficients
 a1..a5 is strictly positive (Routh-Hurwitz: every root has a negative real
 part).  A point the test does not certify, unstable or marginal (g = kappa
-= 0 has a zero root), falls back to the eigenvalues of J5 and is rejected
-when one has a positive real part.
+= 0 has a zero root), falls back to the roots of the same polynomial and is
+rejected when one has a positive real part.
 """
 
 from __future__ import annotations
@@ -185,9 +186,9 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
     Im(c) is the non-negative root of the stationary quadratic (see the module
     docstring); the other moments follow from it.  Stability is decided by the
     Routh-Hurwitz test on the characteristic polynomial of the Jacobian; only a
-    point it does not certify computes the Jacobian's eigenvalues.  Raises
-    NoConvergence when that fixed point is unstable (an eigenvalue with a
-    positive real part), does not exist (kappa = 0 with g > 0 and
+    point it does not certify computes that polynomial's roots.  Raises
+    NoConvergence when that fixed point is unstable (a root with a positive
+    real part), does not exist (kappa = 0 with g > 0 and
     omega >= gamma_minus) or leaves a derivative norm above
     tol * max(1, kappa n).  The tolerance is relative to kappa n = 2 g N Im(c),
     the size of the photon-balance terms, because at large flux their rounding
@@ -200,8 +201,9 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
         return MomentState.dark()
     y = _stationary_vector(p)
     n, s, _, ci = y[:4]
-    if not _routh_hurwitz_stable(p, n, s, ci):
-        growth = np.linalg.eigvals(_jacobian(p, n, s, ci)).real.max()
+    coefficients = _characteristic_coefficients(p, n, s, ci)
+    if not _routh_hurwitz_stable(coefficients):
+        growth = np.roots([1.0, *coefficients]).real.max()
         if growth > 0:
             raise NoConvergence(f"stationary state is unstable: growth rate {growth:.3e} meV")
     norm = np.abs(_rhs_vector(p, y)).max()
@@ -249,23 +251,6 @@ def _stationary_vector(p: SystemParams) -> list[float]:
     return [n, s, 0.0 - p.detuning * ci / d_c, ci, xr, 0.0, z]
 
 
-def _jacobian(p: SystemParams, n: float, s: float, ci: float) -> np.ndarray:
-    """Jacobian of _rhs_vector on (n, s, Re c, Im c, Re x), the block J5.
-
-    The Re x row is the N >= 2 one for every N; at N = 1 it only adds the
-    decoupled eigenvalue -W2 (see the module docstring).
-    """
-    g, m = p.g, p.n_emitters - 1
-    d_c, w2 = _damping_rates(p)
-    return np.array([
-        [-p.kappa, 0.0, 0.0, 2.0 * g * p.n_emitters, 0.0],
-        [0.0, -(p.omega + p.gamma_minus), 0.0, -4.0 * g, 0.0],
-        [0.0, 0.0, -d_c, -p.detuning, 0.0],
-        [g * s, g * (n + 0.5), p.detuning, -d_c, g * m],
-        [0.0, 2.0 * g * ci, 0.0, 2.0 * g * s, -w2],
-    ])
-
-
 def _characteristic_coefficients(
     p: SystemParams, n: float, s: float, ci: float
 ) -> tuple[float, float, float, float, float]:
@@ -297,14 +282,14 @@ def _characteristic_coefficients(
     )
 
 
-def _routh_hurwitz_stable(p: SystemParams, n: float, s: float, ci: float) -> bool:
-    """True when the Routh array of det(l - J5) has a strictly positive first column.
+def _routh_hurwitz_stable(coefficients: tuple[float, float, float, float, float]) -> bool:
+    """True when the Routh array of a1..a5 (see above) has a strictly positive first column.
 
     The column is (1, a1, b1, c1, d1, a5); each entry is formed only after the
     one it divides by has been found positive.  False means "not certified":
     the point is unstable or marginal, or rounding left the test undecided.
     """
-    a1, a2, a3, a4, a5 = _characteristic_coefficients(p, n, s, ci)
+    a1, a2, a3, a4, a5 = coefficients
     if not (a1 > 0 and a5 > 0):
         return False
     b1 = a2 - a3 / a1

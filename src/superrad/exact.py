@@ -929,58 +929,57 @@ def time_evolve(liou: Liouvillian, rho0: DensityMatrix, t_final: float) -> Densi
 
 # --- observables -----------------------------------------------------------------
 
-OBSERVABLES = (
-    "photon_number",     # a'a
-    "sigma_z",           # sz_i
-    "cross_pm",          # s+_i s-_j, i != j
-    "cross_zz",          # sz_i sz_j, i != j
-    "field_coherence",   # a' s-_i
-    "photon_pair",       # a'a'aa
-)
+# each observable, and the number of emitter indices it reads
+OBSERVABLES = {
+    "photon_number": 0,     # a'a
+    "sigma_z": 1,           # sz_i
+    "cross_pm": 2,          # s+_i s-_j, i != j
+    "cross_zz": 2,          # sz_i sz_j, i != j
+    "field_coherence": 1,   # a' s-_i
+    "photon_pair": 0,       # a'a'aa
+}
 
 
-@functools.lru_cache(maxsize=64)
+def _observable_key(which: str, h: HilbertConfig, i, j) -> tuple:
+    """(which, n_max, N, the emitter indices it reads of (i, j)), checked against h."""
+    if which not in OBSERVABLES:
+        raise UnknownObservable(f"unknown observable {which!r}; choose from {tuple(OBSERVABLES)}")
+    indices = (i, j)[: OBSERVABLES[which]]
+    for k in indices:
+        if not isinstance(k, (int, np.integer)) or not 0 <= k < h.n_emitters:
+            raise IndexOutOfRange(f"{which}: emitter index {k!r} not in 0..{h.n_emitters - 1}")
+    if len(indices) == 2 and i == j:
+        raise IndexOutOfRange("cross observables need two distinct emitters")
+    return which, h.n_max, h.n_emitters, indices
+
+
 def observable_operator(
     which: str, h: HilbertConfig, i: int | None = None, j: int | None = None
 ) -> sp.csr_matrix:
-    """Sparse operator for a named observable, built once per call signature, read-only."""
-    a, sigma_minus, sigma_z = _ladder_operators(h.n_max, h.n_emitters)
+    """Sparse operator for a named observable, cached per (which, n_max, N, indices), read-only."""
+    return _observable_operator(*_observable_key(which, h, i, j))
+
+
+@functools.lru_cache(maxsize=64)
+def _observable_operator(which: str, n_max: int, n_em: int, indices: tuple[int, ...]):
+    """observable_operator's build, from the operators of _ladder_operators."""
+    a, sigma_minus, sigma_z = _ladder_operators(n_max, n_em)
+    ad = a.conj().T
+    if which == "sigma_z":
+        return sigma_z[indices[0]]
     if which == "photon_number":
-        op = a.conj().T @ a
+        op = ad @ a
     elif which == "photon_pair":
-        ad = a.conj().T
         op = ad @ ad @ a @ a
-    elif which == "sigma_z":
-        return sigma_z[_require_index(i, h)]
     elif which == "field_coherence":
-        op = a.conj().T @ sigma_minus[_require_index(i, h)]
+        op = ad @ sigma_minus[indices[0]]
     elif which == "cross_pm":
-        ii, jj = _require_pair(i, j, h)
-        op = sigma_minus[ii].conj().T @ sigma_minus[jj]
-    elif which == "cross_zz":
-        ii, jj = _require_pair(i, j, h)
-        op = sigma_z[ii] @ sigma_z[jj]
+        op = sigma_minus[indices[0]].conj().T @ sigma_minus[indices[1]]
     else:
-        raise UnknownObservable(f"unknown observable {which!r}; choose from {OBSERVABLES}")
+        op = sigma_z[indices[0]] @ sigma_z[indices[1]]
     op = op.tocsr()
     _read_only(op)
     return op
-
-
-def _require_index(i, h):
-    if i is None:
-        raise IndexOutOfRange("this observable requires an emitter index")
-    if not 0 <= i < h.n_emitters:
-        raise IndexOutOfRange(f"emitter index {i} outside 0..{h.n_emitters - 1}")
-    return i
-
-
-def _require_pair(i, j, h):
-    ii = _require_index(i, h)
-    jj = _require_index(j, h)
-    if ii == jj:
-        raise IndexOutOfRange("cross observables need two distinct emitters")
-    return ii, jj
 
 
 @functools.lru_cache(maxsize=64)
@@ -1021,19 +1020,21 @@ def expectation(
     i: int | None = None,
     j: int | None = None,
 ) -> complex:
-    """Tr(O rho) for the named observable."""
-    if not isinstance(rho, SymmetricState):
-        return operator_expectation(observable_operator(which, h, i, j), rho.mat)
-    if (h.n_max, h.n_emitters) != (rho.hilbert.n_max, rho.hilbert.n_emitters):
-        raise InvalidValue(f"state of {rho.hilbert} read with {h}")
-    if which in ("sigma_z", "field_coherence"):
-        _require_index(i, h)
-    elif which in ("cross_pm", "cross_zz"):
-        _require_pair(i, j, h)
-    elif which not in OBSERVABLES:
-        raise UnknownObservable(f"unknown observable {which!r}; choose from {OBSERVABLES}")
-    positions, weights = _symmetric_observable(which, h.n_max, h.n_emitters)
-    return complex(weights @ rho.mat[positions])
+    """Tr(O rho) for the named observable, its indices checked against h.
+
+    rho must be a state of h, a DensityMatrix of shape (h.dim, h.dim) or a
+    SymmetricState of h's (n_max, N); any other raises InvalidValue.
+    """
+    symmetric = isinstance(rho, SymmetricState)
+    held = (rho.hilbert.n_max, rho.hilbert.n_emitters) if symmetric else rho.mat.shape
+    if held != ((h.n_max, h.n_emitters) if symmetric else (h.dim, h.dim)):
+        kind = "(n_max, N)" if symmetric else "shape"
+        raise InvalidValue(f"{type(rho).__name__} of {kind} {held} read with {h}")
+    key = _observable_key(which, h, i, j)
+    if symmetric:
+        positions, weights = _symmetric_observable(which, h.n_max, h.n_emitters)
+        return complex(weights @ rho.mat[positions])
+    return operator_expectation(_observable_operator(*key), rho.mat)
 
 
 def operator_expectation(op: sp.spmatrix, mat: np.ndarray) -> complex:
@@ -1055,6 +1056,7 @@ def total_excitation_operator(h: HilbertConfig) -> sp.csr_matrix:
 # --- steady-state photon flux and statistics -----------------------------------
 
 FLUX_CUTOFF_RTOL = 1e-6
+VACUUM_THRESHOLD = 1e-12  # photon number below which g2(0) is undefined
 
 
 def converge_in_cutoff(
@@ -1074,7 +1076,6 @@ def converge_in_cutoff(
     CutoffNotConverged; an initial configuration beyond the cap raises
     DimensionCap.
     """
-    _check_model(p, h, frame)
     value = None
     while True:
         rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame=frame))
@@ -1108,23 +1109,18 @@ def photon_flux_exact(
     return converge_in_cutoff(p, h, flux, rel_tol, frame)[0]
 
 
-def _g2_of(rho: SymmetricState, h: HilbertConfig, vacuum_threshold: float = 1e-12) -> float:
+def _g2_of(rho: SymmetricState, h: HilbertConfig) -> float:
     n_phot = expectation(rho, "photon_number", h).real
-    if n_phot <= vacuum_threshold:
+    if n_phot <= VACUUM_THRESHOLD:
         raise VacuumState(f"steady-state photon number {n_phot:.3e} is below threshold")
     pair = expectation(rho, "photon_pair", h).real
     return pair / n_phot**2
 
 
-def g2_zero_exact(
-    p: SystemParams,
-    h: HilbertConfig,
-    frame: str = "as_written",
-    vacuum_threshold: float = 1e-12,
-) -> float:
+def g2_zero_exact(p: SystemParams, h: HilbertConfig, frame: str = "as_written") -> float:
     """Equal-time second-order correlation <a'a'aa> / <a'a>^2 at steady state."""
     rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame=frame))
-    return _g2_of(rho, h, vacuum_threshold)
+    return _g2_of(rho, h)
 
 
 def g2_zero_converged(

@@ -335,6 +335,18 @@ def test_caches_are_shared_by_configurations_that_differ_only_in_cap(build, cach
         assert exact._charge.cache_info().misses == 1
 
 
+def test_observable_operator_is_shared_by_configurations_that_differ_only_in_cap():
+    exact._observable_operator.cache_clear()
+    ops = [exact.observable_operator("photon_number", HilbertConfig(3, 3, cap))
+           for cap in (4096, 5000)]
+    assert ops[0] is ops[1]
+    assert exact._observable_operator.cache_info().misses == 1
+    # indices the observable does not read are not part of the key either
+    assert exact.observable_operator("photon_number", HilbertConfig(3, 3), 2) is ops[0]
+    assert exact.observable_operator("sigma_z", HilbertConfig(3, 3), 1, 0) is \
+        exact.observable_operator("sigma_z", HilbertConfig(3, 3), 1)
+
+
 @pytest.mark.parametrize("n_em", [1, 2, 3, 4, 5])
 def test_liouvillian_pattern_retains_no_more_than_its_liouvillian(n_em):
     h = HilbertConfig(3, n_em)
@@ -603,14 +615,34 @@ def test_photon_pair_observable():
 
 
 def test_expectation_errors():
+    # both state kinds go through one check of the name and the indices
     h = HilbertConfig(2, 2)
-    vac = DensityMatrix.vacuum(h)
-    with pytest.raises(UnknownObservable):
-        expectation(vac, "parity", h)
-    with pytest.raises(IndexOutOfRange):
-        expectation(vac, "sigma_z", h, 5)
-    with pytest.raises(IndexOutOfRange):
-        expectation(vac, "cross_pm", h, 1, 1)
+    states = [DensityMatrix.vacuum(h),
+              steady_state_exact(build_symmetric_liouvillian(regression_params(2), h))]
+    for which, idx, error in [("parity", (), UnknownObservable), ("sigma_z", (), IndexOutOfRange),
+                              ("sigma_z", (5,), IndexOutOfRange),
+                              ("sigma_z", (1.5,), IndexOutOfRange),
+                              ("field_coherence", (-1,), IndexOutOfRange),
+                              ("cross_zz", (0,), IndexOutOfRange),
+                              ("cross_pm", (1, 1), IndexOutOfRange)]:
+        for rho in states:
+            with pytest.raises(error):
+                expectation(rho, which, h, *idx)
+    for rho in states:  # an index the observable does not read is ignored
+        assert expectation(rho, "photon_number", h, 7) == expectation(rho, "photon_number", h)
+        assert expectation(rho, "sigma_z", h, 1, 1) == expectation(rho, "sigma_z", h, 1)
+
+
+def test_expectation_rejects_a_state_of_another_configuration():
+    small, big = HilbertConfig(1, 2), HilbertConfig(3, 2)
+    two_photons = np.zeros((big.dim, big.dim), dtype=complex)
+    two_photons[9, 9] = 1.0  # basis index 9 = 2 * 2^2 + 1: two photons, emitter 1 excited
+    symmetric = steady_state_exact(build_symmetric_liouvillian(regression_params(2), small))
+    # unchecked, the first would read only rho's top-left block (0j), the second past its end
+    for rho, h in [(DensityMatrix(two_photons), small), (DensityMatrix.vacuum(small), big),
+                   (symmetric, big)]:
+        with pytest.raises(InvalidValue, match="read with"):
+            expectation(rho, "photon_number", h)
 
 
 def test_flux_zero_when_decoupled():
@@ -751,7 +783,7 @@ def test_expectation_builds_ladder_operators_once_per_config():
     h = HilbertConfig(3, 2)
     rho = random_density_matrix(np.random.default_rng(5), h.dim)
     exact._ladder_operators.cache_clear()
-    exact.observable_operator.cache_clear()
+    exact._observable_operator.cache_clear()
     expectation(rho, "photon_number", h)
     expectation(rho, "photon_pair", h)
     expectation(rho, "field_coherence", h, 1)

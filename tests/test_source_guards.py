@@ -1,5 +1,5 @@
-"""Static checks on the package source: typed errors only, no dead error class, a
-consistent export list, and a light import."""
+"""Static checks on the package source: typed errors only, no dead error class, no
+cache keyed by a HilbertConfig, a consistent export list, and a light import."""
 
 import ast
 import os
@@ -81,6 +81,45 @@ def test_every_error_class_is_raised_or_extended():
     sources = [ast.parse(path.read_text(), filename=str(path))
                for path in SOURCES if path != errors_path]
     assert _dead_error_classes(ast.parse(errors_path.read_text()), sources) == []
+
+
+def _caches_keyed_by_hilbert_config(tree: ast.AST):
+    """Functions cached by functools.lru_cache or functools.cache that take a HilbertConfig.
+
+    Such a cache is keyed by the whole configuration, cap included, so one
+    (n_max, N) under two caps builds and holds two copies of what it caches.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        names = {d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)
+                 for d in decorators}
+        if not names & {"lru_cache", "cache"}:
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        if any(arg is not None and arg.annotation is not None
+               and "HilbertConfig" in ast.unparse(arg.annotation) for arg in params):
+            yield node.name
+
+
+def test_guard_flags_caches_keyed_by_a_hilbert_config():
+    source = (
+        "@functools.lru_cache(maxsize=8)\ndef a(h: HilbertConfig): pass\n"
+        "@functools.cache\ndef b(x, *, h: 'HilbertConfig | None' = None): pass\n"
+        "@lru_cache\ndef c(n_max: int, n_em: int): pass\n"
+        "def d(h: HilbertConfig): pass\n"
+        "class E:\n    @functools.cache\n    def e(self, *hs: HilbertConfig): pass\n"
+    )
+    assert list(_caches_keyed_by_hilbert_config(ast.parse(source))) == ["a", "b", "e"]
+
+
+def test_no_cache_is_keyed_by_a_hilbert_config():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    found = [f"{name}: {fn}" for name, tree in trees.items()
+             for fn in _caches_keyed_by_hilbert_config(tree)]
+    assert found == []
 
 
 def test_public_names_exist_once():
