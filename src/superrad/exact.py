@@ -660,10 +660,17 @@ class SymmetricState:
     mat: np.ndarray
     hilbert: HilbertConfig
 
+    def _checked_unknowns(self) -> np.ndarray:
+        """u, once it holds one value per unknown of its configuration."""
+        count = self.hilbert.symmetric_unknowns
+        if self.mat.shape != (count,):
+            raise InvalidValue(f"u has shape {self.mat.shape}, the configuration has {count} unknowns")
+        return self.mat
+
     def spin_blocks(self) -> list[np.ndarray]:
         """The blocks rho_j for 2j = N, N-2, ... (see _spin_blocks)."""
         blocks, sizes = _spin_blocks(self.hilbert.n_max, self.hilbert.n_emitters)
-        flat = blocks @ self.mat
+        flat = blocks @ self._checked_unknowns()
         out, start = [], 0
         for size in sizes:
             out.append(flat[start:start + size * size].reshape(size, size))
@@ -673,11 +680,7 @@ class SymmetricState:
     def validate(self) -> "SymmetricState":
         """Hermiticity and trace on u, positivity through every spin block."""
         pattern = _symmetric_pattern(self.hilbert.n_max, self.hilbert.n_emitters)
-        u = self.mat
-        if u.shape != pattern.trace_weights.shape:
-            raise InvalidValue(
-                f"u has shape {u.shape}, the configuration has {len(pattern.trace_weights)} unknowns"
-            )
+        u = self._checked_unknowns()
         herm = float(np.abs(u - u[pattern.adjoint].conj()).max())
         if herm > HERMITICITY_TOL:
             raise InvalidValue(f"not Hermitian: max |rho - rho^+| = {herm:.3e}")
@@ -1023,7 +1026,8 @@ def expectation(
     """Tr(O rho) for the named observable, its indices checked against h.
 
     rho must be a state of h, a DensityMatrix of shape (h.dim, h.dim) or a
-    SymmetricState of h's (n_max, N); any other raises InvalidValue.
+    SymmetricState of h's (n_max, N) with one value per unknown; any other
+    raises InvalidValue.
     """
     symmetric = isinstance(rho, SymmetricState)
     held = (rho.hilbert.n_max, rho.hilbert.n_emitters) if symmetric else rho.mat.shape
@@ -1033,7 +1037,7 @@ def expectation(
     key = _observable_key(which, h, i, j)
     if symmetric:
         positions, weights = _symmetric_observable(which, h.n_max, h.n_emitters)
-        return complex(weights @ rho.mat[positions])
+        return complex(weights @ rho._checked_unknowns()[positions])
     return operator_expectation(_observable_operator(*key), rho.mat)
 
 

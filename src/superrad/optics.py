@@ -78,24 +78,58 @@ def polariton_eigenmodes(p: OpticalParams, theta_deg: float) -> tuple[complex, c
     return complex(lo), complex(hi)
 
 
-def reflectance_spectrum(p: OpticalParams, theta_deg: float, energies) -> np.ndarray:
-    """Single-port reflectance R(E) = |1 - kappa_ext / D(E)|^2.
-
-    D(E) = kappa/2 - i(E - E_c(theta)) + g^2 / (gamma_perp/2 - i(E - delta)).
-    For kappa_ext <= kappa the formula lies in [0, 1] by construction; the
-    bound is checked rather than clamped.
-    """
-    e_arr = np.asarray(energies, dtype=float)
-    if not np.all(np.isfinite(e_arr)):
+def _reflectance(p: OpticalParams, thetas, energies: np.ndarray) -> np.ndarray:
+    """R (see reflectance_spectrum) with one row per angle; the grid is the only
+    grid-sized array, filled by in-place passes."""
+    if not np.all(np.isfinite(energies)):
         raise InvalidValue("energies must be finite")
-    e_c = cavity_dispersion(p, theta_deg)
-    denom = 0.5 * p.kappa - 1j * (e_arr - e_c)
+    e_c = cavity_dispersion(p, thetas)
+    re_em = im_em = 0.0
     if p.g_coll != 0:
-        denom = denom + p.g_coll**2 / (0.5 * p.gamma_perp - 1j * (e_arr - p.delta))
-    refl = np.abs(1.0 - p.kappa_ext / denom) ** 2
-    if not (np.all(refl >= 0.0) and np.all(refl <= 1.0 + 1e-12)):
-        raise InvalidValue(f"reflectance left [0, 1] at theta = {theta_deg} deg")
+        # gamma_perp = 0 puts a pole at E = delta, and a gamma_perp near 0 an overflow
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            em = p.g_coll**2 / (0.5 * p.gamma_perp - 1j * (energies - p.delta))
+        if not np.all(np.isfinite(em)):
+            raise ZeroLinewidth(
+                f"gamma_perp = {p.gamma_perp} meV: the emitter term g^2 / (gamma_perp/2 - "
+                f"i(E - delta)) is not finite on the energy grid at E = delta = {p.delta} meV"
+            )
+        re_em, im_em = em.real, em.imag
+    # x - kappa_ext and 2x - kappa_ext without cancelling kappa/2 against kappa_ext
+    shifted = (0.5 * p.kappa - p.kappa_ext) + re_em
+    k = p.kappa_ext * ((p.kappa - p.kappa_ext) + 2.0 * re_em)
+    # E_c - E is exact for E_c/2 <= E <= 2 E_c, so t is rounded once where it
+    # cancels at a dip; Im em - E would round at the scale of E first
+    refl = np.subtract.outer(np.atleast_1d(e_c), energies)
+    refl += im_em
+    np.square(refl, out=refl)
+    refl += shifted**2
+    # k / 0 = inf gives R = 0 at an exact zero; 0 / 0 (a lossless bare cavity
+    # on its mode) stays NaN and is refused below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(k, refl, out=refl)
+    refl += 1.0
+    np.reciprocal(refl, out=refl)
+    # the one range check of the grid: only a NaN cell can fail it
+    if not (refl.min(initial=0.0) >= 0.0 and refl.max(initial=1.0) <= 1.0):
+        raise InvalidValue("reflectance left [0, 1]: 0/0 at a lossless bare cavity's mode")
     return refl
+
+
+def reflectance_spectrum(p: OpticalParams, theta_deg: float, energies) -> np.ndarray:
+    """Single-port reflectance R(E) = |1 - kappa_ext / D(E)|^2 at one angle.
+
+    D(E) = kappa/2 - i(E - E_c(theta)) + g^2 / (gamma_perp/2 - i(E - delta))
+    = x + i t, with x = kappa/2 + Re em and t = E_c(theta) - E + Im em for the
+    emitter term em.  R is evaluated in real arithmetic as
+    1 / (1 + k / ((x - kappa_ext)^2 + t^2)), k = kappa_ext (2x - kappa_ext).
+    Re em >= 0 and kappa_ext <= kappa give k >= 0, so R lies in [0, 1] in
+    floating point, not only in exact arithmetic, and a dip keeps its relative
+    accuracy.  gamma_perp = 0 with g != 0 and an energy at delta (the emitter
+    term's pole) raises ZeroLinewidth; 0/0 (a lossless bare cavity on its mode)
+    raises InvalidValue.  Returns the row compute_reflectance_map gives at theta.
+    """
+    return _reflectance(p, theta_deg, np.asarray(energies, dtype=float))[0]
 
 
 @dataclass(frozen=True)
@@ -113,22 +147,21 @@ class ReflectanceMap:
             raise InvalidValue("r_values shape does not match the grid")
         if len(self.lp_branch) != len(self.thetas) or len(self.up_branch) != len(self.thetas):
             raise InvalidValue("branch arrays must have one entry per angle")
-        if np.any(self.r_values < 0) or np.any(self.r_values > 1 + 1e-12):
-            raise InvalidValue("reflectance values outside [0, 1]")
         if np.any(self.lp_branch.real > self.up_branch.real + 1e-12):
             raise InvalidValue("LP branch must lie below UP branch")
         return self
 
 
 def compute_reflectance_map(p: OpticalParams, thetas, energies) -> ReflectanceMap:
-    """Evaluate the reflectance model over an angle x energy grid."""
+    """Evaluate the reflectance model over an angle x energy grid.
+
+    R is reflectance_spectrum's real form, in [0, 1] by construction, over
+    the whole grid in one broadcast: the emitter term and the other
+    energy-only factors are computed once, and the range is checked once.
+    """
     thetas = np.asarray(thetas, dtype=float)
     energies = np.asarray(energies, dtype=float)
-    # one row at a time: a full angle x energy broadcast holds several
-    # complex temporaries of the whole grid at once
-    r_values = np.empty((len(thetas), len(energies)))
-    for k, theta in enumerate(thetas):
-        r_values[k] = reflectance_spectrum(p, theta, energies)
+    r_values = _reflectance(p, thetas, energies)
     lp, up = _branches(p, thetas)
     return ReflectanceMap(
         thetas=thetas, energies=energies, r_values=r_values, lp_branch=lp, up_branch=up

@@ -299,6 +299,18 @@ def test_invalid_value_error_record(tmp_path, capsys, command, doc):
     assert not out.exists() or not any(out.glob("*"))
 
 
+def test_emitter_pole_on_the_grid_is_a_zero_linewidth_record(tmp_path, capsys):
+    # gamma_perp = 0 with g_coll != 0, and the default grid delta +- 500 meV in
+    # 11 steps has a point at delta = 2350 meV, where g^2 / (gamma_perp/2 - i(E - delta)) has its pole
+    cfg = _write(tmp_path, "bad.yaml", REFLECTANCE_DOC.replace("gamma_perp: 331.0", "gamma_perp: 0.0"))
+    out = tmp_path / "out"
+    assert main(["reflectance", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "ZeroLinewidth"
+    assert "gamma_perp = 0" in record["message"] and "2350.0 meV" in record["message"]
+    assert not out.exists() or not any(out.glob("*"))
+
+
 def test_negative_grid_size_is_a_type_mismatch_record(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.yaml", REFLECTANCE_DOC.replace("n_theta: 5", "n_theta: -3"))
     out = tmp_path / "out"

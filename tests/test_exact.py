@@ -645,6 +645,20 @@ def test_expectation_rejects_a_state_of_another_configuration():
             expectation(rho, "photon_number", h)
 
 
+def test_symmetric_state_of_the_wrong_length_is_refused():
+    # (3, 2) has 32 unknowns: unchecked, 3 values read past u's end (a bare
+    # IndexError) and 300 read 0j; trace_distance failed inside scipy
+    h = HilbertConfig(3, 2)
+    good = steady_state_exact(build_symmetric_liouvillian(regression_params(2), h))
+    for length in (3, 300):
+        short = exact.SymmetricState(np.zeros(length, dtype=complex), h)
+        with pytest.raises(InvalidValue, match=f"u has shape \\({length},\\), the configuration has 32"):
+            expectation(short, "photon_number", h)
+        for a, b in [(short, good), (good, short)]:
+            with pytest.raises(InvalidValue, match="the configuration has 32 unknowns"):
+                trace_distance(a, b)
+
+
 def test_flux_zero_when_decoupled():
     p = SystemParams(2, 10.0, 10.0, 0.0, 5.0, 1.0, 0.2, 0.1)
     assert photon_flux_exact(p, HilbertConfig(2, 2)) == pytest.approx(0.0, abs=1e-12)

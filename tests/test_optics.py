@@ -1,3 +1,7 @@
+import dataclasses
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -170,7 +174,8 @@ def test_reflectance_resolved_dips_match_branches():
     assert abs(dips[1] - up.real) <= p.gamma_perp / 2
 
 
-def test_reflectance_bounded_on_random_grids():
+def wide_draws():
+    """100 seeded (params, angle, energies) draws over wide parameter ranges."""
     rng = np.random.default_rng(1)
     for _ in range(100):
         kappa = rng.uniform(0.5, 300)
@@ -182,6 +187,44 @@ def test_reflectance_bounded_on_random_grids():
         )
         theta = rng.uniform(0, 85)
         energies = rng.uniform(1000, 3500, size=50)
+        yield p, theta, energies
+
+
+def scan_draws(seed, count):
+    """Seeded draws over the optics benchmark's ranges, each with its 1201 energies."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        kappa = rng.uniform(20.0, 150.0)
+        p = OpticalParams(
+            e_c0=rng.uniform(2200.0, 2400.0), n_eff=rng.uniform(1.5, 2.2),
+            delta=rng.uniform(2250.0, 2450.0), g_coll=rng.uniform(5.0, 40.0),
+            kappa=kappa, kappa_ext=kappa * rng.uniform(0.2, 1.0),
+            gamma_perp=rng.uniform(20.0, 350.0),
+        )
+        yield p, np.linspace(p.delta - 600.0, p.delta + 600.0, 1201)
+
+
+def complex_reflectance(p, theta, energies):
+    """|1 - kappa_ext / D|^2 with D written out in complex arithmetic."""
+    denom = 0.5 * p.kappa - 1j * (energies - cavity_dispersion(p, theta))
+    if p.g_coll != 0:
+        denom = denom + p.g_coll**2 / (0.5 * p.gamma_perp - 1j * (energies - p.delta))
+    return np.abs(1.0 - p.kappa_ext / denom) ** 2
+
+
+def exact_reflectance(p, e_c, energy):
+    """R from the same float inputs (E_c included) in exact rational arithmetic."""
+    half_gamma, detuning = Fraction(p.gamma_perp) / 2, Fraction(energy) - Fraction(p.delta)
+    # g^2 / (gamma/2 - i d) = g^2 (gamma/2 + i d) / (gamma^2/4 + d^2)
+    scale = Fraction(p.g_coll) ** 2 / (half_gamma**2 + detuning**2) if p.g_coll else Fraction(0)
+    x = Fraction(p.kappa) / 2 + scale * half_gamma
+    t = Fraction(e_c) - Fraction(energy) + scale * detuning
+    shifted = x - Fraction(p.kappa_ext)
+    return (shifted**2 + t**2) / (x**2 + t**2)
+
+
+def test_reflectance_bounded_on_random_grids():
+    for p, theta, energies in wide_draws():
         refl = reflectance_spectrum(p, theta, energies)
         assert np.all(refl >= 0.0) and np.all(refl <= 1.0)
 
@@ -228,8 +271,92 @@ def test_reflectance_bound_is_checked_not_asserted():
     # a lossless bare cavity probed exactly at its mode gives 0/0 in R(E)
     p = OpticalParams(e_c0=2300.0, n_eff=1.8, delta=2350.0, g_coll=0.0,
                       kappa=0.0, kappa_ext=0.0, gamma_perp=30.0)
-    with pytest.raises(InvalidValue), np.errstate(invalid="ignore", divide="ignore"):
+    with pytest.raises(InvalidValue, match="0/0"):
         reflectance_spectrum(p, 0.0, [2300.0])
+    with pytest.raises(InvalidValue, match="0/0"):
+        compute_reflectance_map(p, [10.0, 0.0], [2250.0, 2300.0])
+    with pytest.raises(InvalidValue, match="energies must be finite"):
+        compute_reflectance_map(p, [0.0], [2300.0, float("nan")])
+
+
+def test_emitter_pole_on_the_grid_is_a_zero_linewidth():
+    # gamma_perp = 0 and g != 0: the emitter term g^2 / (-i(E - delta)) has a
+    # pole at E = delta, refused before any grid is built
+    p = OpticalParams(e_c0=2300.0, n_eff=1.8, delta=2350.0, g_coll=11.0,
+                      kappa=134.0, kappa_ext=67.0, gamma_perp=0.0)
+    tiny = OpticalParams(e_c0=2300.0, n_eff=1.8, delta=2350.0, g_coll=11.0,
+                         kappa=134.0, kappa_ext=67.0, gamma_perp=1e-307)  # g^2 / (gamma_perp/2) overflows
+    for call in (lambda: reflectance_spectrum(p, 0.0, [2349.0, 2350.0]),
+                 lambda: compute_reflectance_map(p, [0.0, 30.0], np.linspace(1900.0, 2800.0, 301)),
+                 lambda: reflectance_spectrum(tiny, 0.0, [2350.0])):
+        with pytest.raises(ZeroLinewidth, match="gamma_perp = (0.0|1e-307) meV.*2350.0 meV"):
+            call()
+    # off the pole a lossless emitter is fine, and without coupling there is no pole
+    assert np.all(np.isfinite(reflectance_spectrum(p, 0.0, [2349.0, 2351.0])))
+    bare = OpticalParams(e_c0=2300.0, n_eff=1.8, delta=2350.0, g_coll=0.0,
+                         kappa=134.0, kappa_ext=67.0, gamma_perp=0.0)
+    assert reflectance_spectrum(bare, 0.0, [2350.0])[0] == pytest.approx(
+        complex_reflectance(bare, 0.0, np.array([2350.0]))[0], abs=1e-15)
+
+
+def test_map_rows_are_the_single_angle_spectra_bitwise():
+    thetas = np.linspace(0.0, 64.0, 129)
+    for p, energies in scan_draws(5, 3):
+        rmap = compute_reflectance_map(p, thetas, energies)
+        for row, theta in zip(rmap.r_values, thetas):
+            np.testing.assert_array_equal(row, reflectance_spectrum(p, theta, energies))
+
+
+def test_map_matches_the_complex_formula():
+    # the 1e-12 bound was fixed before the run (measured worst: 1.2e-14)
+    thetas = np.linspace(0.0, 64.0, 33)
+    worst = 0.0
+    for p, energies in scan_draws(6, 200):
+        rmap = compute_reflectance_map(p, thetas, energies)
+        ref = np.array([complex_reflectance(p, theta, energies) for theta in thetas])
+        worst = max(worst, float(np.abs(rmap.r_values - ref).max()))
+    for p, theta, energies in wide_draws():
+        rmap = compute_reflectance_map(p, [theta], energies)
+        worst = max(worst, float(np.abs(rmap.r_values[0] - complex_reflectance(p, theta, energies)).max()))
+    assert worst <= 1e-12
+
+
+def test_dips_near_critical_coupling_keep_relative_accuracy():
+    # kappa_ext = x(E0) at one grid energy E0 (critical coupling there), so R
+    # falls towards 0 near E_c(theta) + Im em = E0; the 20 deepest cells of
+    # each map are compared with exact rational arithmetic.  The 1e-11
+    # relative bound was fixed before the run (measured worst: 1.3e-14; the
+    # complex formula |1 - kappa_ext/D|^2 reaches 4.2e-13 on the same cells)
+    thetas = np.linspace(0.0, 64.0, 129)
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for p, energies in scan_draws(8, 12):
+        re_em = (p.g_coll**2 / (0.5 * p.gamma_perp - 1j * (energies - p.delta))).real
+        e0 = rng.choice(np.flatnonzero(re_em < 0.5 * p.kappa))
+        for g_coll, kappa_ext in ((p.g_coll, 0.5 * p.kappa + re_em[e0]), (0.0, 0.5 * p.kappa)):
+            crit = dataclasses.replace(p, g_coll=g_coll, kappa_ext=kappa_ext)
+            r_values = compute_reflectance_map(crit, thetas, energies).r_values
+            e_c = cavity_dispersion(crit, thetas)
+            for cell in np.argsort(r_values, axis=None)[:20]:
+                i, j = divmod(int(cell), len(energies))
+                ref = exact_reflectance(crit, e_c[i], energies[j])
+                worst = max(worst, float(abs(Fraction(float(r_values[i, j])) - ref) / ref))
+    assert worst <= 1e-11
+
+
+def test_map_holds_one_grid_at_its_peak():
+    # the result is the only grid-sized array; the 1.5-grid bound was fixed
+    # before the run (measured: 1.13 grids)
+    p = OpticalParams(2300.0, 1.8, 2350.0, 11.0, 134.0, 67.0, 331.0)
+    thetas, energies = np.linspace(0.0, 64.0, 129), np.linspace(1750.0, 2950.0, 1201)
+    compute_reflectance_map(p, thetas, energies)
+    tracemalloc.start()
+    try:
+        rmap = compute_reflectance_map(p, thetas, energies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * rmap.r_values.nbytes
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
