@@ -74,6 +74,7 @@ rejected when one has a positive real part.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -129,8 +130,8 @@ class MomentState:
         )
 
     def validate(self, slack: float = 1e-9) -> "MomentState":
-        v = self.to_vector()
-        if not np.all(np.isfinite(v)):
+        # scalar checks: a fixed point is 7 numbers, and an array would cost more than them
+        if not all(map(cmath.isfinite, (self.n_photon, self.s_z, self.coh, self.x_pm, self.z_zz))):
             raise NonFiniteState(f"moment state has non-finite entries: {self}")
         if self.n_photon < -slack:
             raise InvalidValue(f"n_photon = {self.n_photon} below numerical floor")
@@ -206,11 +207,11 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
         growth = np.roots([1.0, *coefficients]).real.max()
         if growth > 0:
             raise NoConvergence(f"stationary state is unstable: growth rate {growth:.3e} meV")
-    norm = np.abs(_rhs_vector(p, y)).max()
+    rates = _rhs_vector(p, y).tolist()
     bound = tol * max(1.0, p.kappa * n)
-    if norm > bound:
+    if not all(abs(rate) <= bound for rate in rates):  # a NaN rate fails too
         raise NoConvergence(
-            f"derivative norm {norm:.3e} above tol * max(1, kappa n) = {bound:.3e}"
+            f"derivative norm {np.abs(rates).max():.3e} above tol * max(1, kappa n) = {bound:.3e}"
             " at the stationary state"
         )
     return MomentState.from_vector(y).validate(slack=1e-6)

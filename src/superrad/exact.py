@@ -12,8 +12,9 @@ Hermitian coordinates of that block.  Each builder keeps one pattern per
 (n_max, N), whatever the cap: the structure, term tags and weights of L, the
 inputs of its diagonal, and the charge-0 unknowns with their trace weights
 and adjoints.  A build only fills in the values, and the structure of the
-real system, with the sparse map from the entries of L to its values, is
-cached per pattern; the observable operators are cached too.
+real system, with the sparse map from the entries of L to its values and
+the COLAMD column order of each set of kept entries, is cached per pattern;
+the observable operators are cached too.
 
 There are two builders.  build_liouvillian acts on all d^2 elements of rho,
 d = (n_max+1)*2^N; its unknowns are the charge-0 sector, sum_E b_E^2 of them
@@ -46,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -724,8 +725,33 @@ def trace_distance(a: DensityMatrix | SymmetricState, b: DensityMatrix | Symmetr
 # --- steady state and dynamics --------------------------------------------------
 
 @dataclass(frozen=True)
+class _ColumnOrder:
+    """The column order COLAMD chose for one kept-entry mask of a _HermitianSystem, read-only.
+
+    With A the system on the kept entries (data != 0) and q = argsort(perm),
+    the reordered system is P' A P: its column j is A's column q[j], with
+    row r renamed perm[r].  SuperLU prefers the diagonal pivot on a tie with
+    the largest entry of a column, and it takes the diagonal of A's column
+    q[j] at row q[j]; renaming the rows too keeps that diagonal on it.  The
+    rows of each column stay in A's stored order, which SuperLU's search
+    follows, so the indices are not sorted.
+    """
+
+    gather: np.ndarray   # positions in the full data of the reordered system's entries
+    indptr: np.ndarray   # its CSC column pointers
+    indices: np.ndarray  # its CSC row indices, renamed, in A's order within each column
+    perm: np.ndarray     # SuperLU's perm_c of A: w = y[perm] for the reordered solution y
+    inverse: np.ndarray  # q: the reordered right-hand side is b[q]
+
+
+# kept-entry masks per system whose column order is kept; the zero parameters,
+# and whether the detuning is zero, make the mask
+_ORDERS_PER_SYSTEM = 8
+
+
+@dataclass(frozen=True)
 class _HermitianSystem:
-    """The real trace-replaced steady-state system of one L pattern, read-only.
+    """The real trace-replaced steady-state system of one L pattern, read-only but for its orders.
 
     Its unknowns are the Hermitian coordinates w of the charge-0 unknowns u
     (see steady_state_exact): a pair i < j = adjoint[i] has u_i = w_i + i w_j
@@ -738,6 +764,59 @@ class _HermitianSystem:
     trace_at: np.ndarray      # positions in data of the trace row, which entries leave 0
     trace_values: np.ndarray  # the trace weights there
     pairs: np.ndarray         # (i, adjoint[i]) for each pair, shape (2, count)
+    # the _ColumnOrder of each kept-entry mask factorised so far, keyed by the
+    # packed mask, oldest first; at most _ORDERS_PER_SYSTEM of them
+    orders: dict = field(default_factory=dict)
+
+    def factorise(self, data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve b -> w of the system with values data, as COLAMD on its kept entries gives it.
+
+        The zeros that a zero parameter or a real diagonal leaves are dropped;
+        kept, they slow the factorisation (3x at N=40, n_max=5, in the
+        rotating frame).  The first factorisation of a kept-entry mask runs
+        COLAMD and records its order.  COLAMD reads only the positions of the
+        kept entries, and the perm_c it returns already holds SuperLU's
+        elimination-tree postorder, so a later one factorises the system
+        reordered by perm_c (see _ColumnOrder) with NATURAL, which reorders
+        nothing: the same pivots, L and U, and a bitwise equal solve.  A
+        factorisation that raises records nothing.
+        """
+        m = len(self.indptr) - 1
+        kept = data != 0
+        key = np.packbits(kept).tobytes()
+        order = self.orders.get(key)
+        if order is None:
+            before = np.zeros(len(data) + 1, dtype=self.indptr.dtype)
+            np.cumsum(kept, out=before[1:])
+            system = sp.csc_matrix((data[kept], self.indices[kept], before[self.indptr]), shape=(m, m))
+            # COLAMD: on the symmetric unknowns it factorises 2.5-4x faster than
+            # MMD_AT_PLUS_A at N=20 (53 against 203 ms at n_max=5) and as fast at N=4
+            lu = spla.splu(system, permc_spec="COLAMD")
+            self._record(key, kept, lu.perm_c)
+            return lu.solve
+        system = sp.csc_matrix((data[order.gather], order.indices, order.indptr), shape=(m, m))
+        system.has_canonical_format = True  # no duplicates; keeps splu from sorting the rows
+        lu = spla.splu(system, permc_spec="NATURAL")
+        return lambda b: lu.solve(b[order.inverse])[order.perm]
+
+    def _record(self, key: bytes, kept: np.ndarray, perm: np.ndarray):
+        """Keep the _ColumnOrder perm of the kept entries under key, dropping the oldest past the bound."""
+        m = len(self.indptr) - 1
+        rank = perm[np.repeat(np.arange(m), np.diff(self.indptr))[kept]]
+        gather = np.flatnonzero(kept)[np.argsort(rank, kind="stable")]
+        indptr = np.zeros(m + 1, dtype=self.indptr.dtype)
+        np.cumsum(np.bincount(rank, minlength=m), out=indptr[1:])
+        # two blocks, not five arrays: in the oracle benchmark five small arrays
+        # kept per order raised the peak RSS by 1.4 MB, the two blocks by about 0.3 MB
+        positions = np.concatenate([gather, perm, np.argsort(perm)])
+        csc = np.concatenate([indptr, perm[self.indices[gather]]]).astype(self.indices.dtype)
+        positions.flags.writeable = csc.flags.writeable = False
+        nnz = len(gather)
+        order = _ColumnOrder(positions[:nnz], csc[: m + 1], csc[m + 1:],
+                             positions[nnz: nnz + m], positions[nnz + m:])
+        if len(self.orders) >= _ORDERS_PER_SYSTEM:
+            self.orders.pop(next(iter(self.orders)), None)
+        self.orders[key] = order
 
 
 @functools.lru_cache(maxsize=16)
@@ -817,9 +896,13 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     which has a trace weight and is redundant, replaced by the trace
     functional with right-hand side 1.  Its structure, and the sparse map
     from the entries of L to its values, are cached per L pattern, so a
-    solve is one sparse product, one real LU factorisation (COLAMD), up to
-    three rounds of iterative refinement with that factor, and u from w,
-    Hermitian by construction.  u is normalised and the state validated.  A
+    solve is one sparse product, one real LU factorisation, up to three
+    rounds of iterative refinement with that factor, and u from w, Hermitian
+    by construction.  The factorisation drops the zero entries and runs
+    COLAMD on the first solve of each set of kept entries; the structure
+    records that column order, and later solves factorise in it (see
+    _HermitianSystem.factorise), with the same pivots, L and U, so w is
+    bitwise the one COLAMD gives.  u is normalised and the state validated.  A
     singular factorisation, or a residual ||L v||_inf on all of L above
     STEADY_RESIDUAL_TOL, signals a degenerate null space.
 
@@ -843,34 +926,26 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     structure = _hermitian_system(pattern)
     data = structure.entries @ liou.entries.view(np.float64)
     data[structure.trace_at] = structure.trace_values
-    indices, indptr = structure.indices, structure.indptr
-    nonzero = data != 0
-    if not nonzero.all():
-        # drop the entries that a zero parameter or a real diagonal leaves; kept,
-        # they slow the factorisation (3x at N=40, n_max=5, in the rotating frame)
-        kept = np.zeros(len(data) + 1, dtype=indptr.dtype)
-        np.cumsum(nonzero, out=kept[1:])
-        data, indices, indptr = data[nonzero], indices[nonzero], kept[indptr]
-    system = sp.csc_matrix((data, indices, indptr), shape=(m, m))
+    # the residual sums over every entry in the stored order, as the system on
+    # the kept entries does, since a dropped entry adds an exact 0
+    system = sp.csc_matrix((data, structure.indices, structure.indptr), shape=(m, m))
     rhs = np.zeros(m)
     rhs[0] = 1.0
 
     try:
-        # COLAMD: on the symmetric unknowns it factorises 2.5-4x faster than
-        # MMD_AT_PLUS_A at N=20 (53 against 203 ms at n_max=5) and as fast at N=4
-        lu = spla.splu(system, permc_spec="COLAMD")
+        solve = structure.factorise(data)
     except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyState(f"steady-state solve failed: {e}") from e
     except MemoryError as e:
         raise DimensionCap(
             f"factorising the steady-state system of {m} sector unknowns ran out of memory"
         ) from e
-    w = lu.solve(rhs)
+    w = solve(rhs)
     for _ in range(3):
         resid = rhs - system @ w
         if np.abs(resid).max() < 1e-14:
             break
-        w = w + lu.solve(resid)
+        w = w + solve(resid)
     if not np.all(np.isfinite(w)):
         raise DegenerateSteadyState("steady-state solve returned non-finite values")
 

@@ -40,6 +40,9 @@ class OpticalParams:
             raise InvalidValue("kappa_ext must lie in [0, kappa]")
         if self.kappa < 0 or self.gamma_perp < 0 or self.g_coll < 0:
             raise InvalidValue("linewidths and coupling must be >= 0")
+        if not math.isfinite(self.g_coll * self.g_coll):
+            # the reflectance and the branches square g_coll
+            raise InvalidValue(f"'g_coll' = {self.g_coll} meV has no finite square")
         if self.e_c0 <= 0 or self.delta <= 0:
             raise InvalidValue("energies must be > 0")
 
@@ -50,8 +53,10 @@ def cavity_dispersion(p: OpticalParams, theta_deg: float | np.ndarray) -> float 
     theta_deg may be a scalar or an array of angles; the result has its shape.
     """
     theta = np.asarray(theta_deg, dtype=float)
-    if not np.all((theta >= 0) & (theta < 90)):
-        raise AngleOutOfRange(f"theta = {theta_deg} deg outside [0, 90)")
+    outside = ~((theta >= 0) & (theta < 90))
+    if outside.any():
+        raise AngleOutOfRange(f"theta = {theta[outside].flat[0]} deg outside [0, 90), "
+                              f"{np.count_nonzero(outside)} of {theta.size} angles out of range")
     sin_t = np.sin(np.radians(theta))
     return p.e_c0 / np.sqrt(1.0 - (sin_t / p.n_eff) ** 2)
 

@@ -311,6 +311,17 @@ def test_emitter_pole_on_the_grid_is_a_zero_linewidth_record(tmp_path, capsys):
     assert not out.exists() or not any(out.glob("*"))
 
 
+def test_coupling_without_a_finite_square_is_an_invalid_value_record(tmp_path, capsys):
+    # the optics square g_coll as a float, which overflows past about 1.3e154 meV
+    cfg = _write(tmp_path, "bad.yaml", REFLECTANCE_DOC.replace("g_coll: 11.0", "g_coll: 1.0e+200"))
+    out = tmp_path / "out"
+    assert main(["reflectance", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "InvalidValue"
+    assert "g_coll" in record["message"]
+    assert not out.exists() or not any(out.glob("*"))
+
+
 def test_negative_grid_size_is_a_type_mismatch_record(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.yaml", REFLECTANCE_DOC.replace("n_theta: 5", "n_theta: -3"))
     out = tmp_path / "out"

@@ -22,7 +22,8 @@ from superrad.cumulant import (
     moment_rhs,
     photon_flux_cumulant,
 )
-from superrad.errors import InvalidValue, NoConvergence
+from superrad import cumulant
+from superrad.errors import InvalidValue, NoConvergence, NonFiniteState
 from superrad.exact import HilbertConfig, build_liouvillian, expectation, photon_flux_exact, steady_state_exact
 from superrad.params import SystemParams
 
@@ -282,6 +283,35 @@ def test_uncoupled_lossless_cavity_stays_empty():
     m = integrate_to_steady_state(p)
     assert m.n_photon == 0.0
     assert m.s_z == pytest.approx((p.omega - p.gamma_minus) / (p.omega + p.gamma_minus), rel=1e-15)
+
+
+_FIELD_PARTS = [("n_photon", 1), ("s_z", 1), ("coh", 1), ("coh", 1j), ("x_pm", 1), ("x_pm", 1j),
+                ("z_zz", 1)]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name, part", _FIELD_PARTS, ids=[f"{n}-{p}" for n, p in _FIELD_PARTS])
+def test_validate_rejects_a_non_finite_field(name, part, bad):
+    m = MomentState(n_photon=0.8, s_z=0.1, coh=0.05 + 0.02j, x_pm=0.01 + 0.003j, z_zz=0.0)
+    m.validate()
+    setattr(m, name, getattr(m, name) + part * bad)
+    with pytest.raises(NonFiniteState):
+        m.validate()
+
+
+@pytest.mark.parametrize("position", range(7))
+def test_a_nan_derivative_fails_the_residual_check(monkeypatch, position):
+    # Python's max would pass over a NaN that is not first; the check must not
+    rhs = cumulant._rhs_vector
+
+    def nan_at(p, y):
+        rates = rhs(p, y)
+        rates[position] = np.nan
+        return rates
+
+    monkeypatch.setattr(cumulant, "_rhs_vector", nan_at)
+    with pytest.raises(NoConvergence, match="derivative norm nan"):
+        integrate_to_steady_state(regression_params(2))
 
 
 def test_tol_must_be_positive():

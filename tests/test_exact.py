@@ -436,6 +436,111 @@ def test_steady_state_out_of_memory_is_a_dimension_cap(monkeypatch):
         steady_state_exact(build_liouvillian(regression_params(4), HilbertConfig(3, 4)))
 
 
+def _cold_and_warm(liou):
+    """The steady state with no recorded column order, then solved again with the one recorded."""
+    exact._hermitian_system.cache_clear()
+    return steady_state_exact(liou), steady_state_exact(liou)
+
+
+def _spy_on_splu(monkeypatch):
+    """Patch splu to log the permc_spec of each factorisation that succeeds into the returned list."""
+    specs, splu = [], spla.splu
+
+    def spy(a, permc_spec=None, **kwargs):
+        lu = splu(a, permc_spec=permc_spec, **kwargs)
+        specs.append(permc_spec)
+        return lu
+
+    monkeypatch.setattr(exact.spla, "splu", spy)
+    return specs
+
+
+@pytest.mark.parametrize("frame", ["as_written", "rotating"])
+@pytest.mark.parametrize("build", [build_liouvillian, build_symmetric_liouvillian])
+def test_a_recorded_column_order_solves_bitwise_as_colamd(build, frame):
+    # at the reference point SuperLU meets exact pivot ties, which it breaks
+    # toward the diagonal, so the reordered system must keep COLAMD's diagonal
+    rng = np.random.default_rng(16)
+    draws = [regression_params(1), regression_params(2)]
+    for n_em in (1, 2, 3):
+        p = random_params(rng, n_em)
+        draws += [dataclasses.replace(p, gamma_z=0.0), dataclasses.replace(p, delta_c=p.delta + 3.0)]
+    for p in draws:
+        for n_max in (2, 3):
+            cold, warm = _cold_and_warm(build(p, HilbertConfig(n_max, p.n_emitters), frame))
+            assert warm.mat.tobytes() == cold.mat.tobytes()
+
+
+def test_each_kept_entry_mask_runs_colamd_once(monkeypatch):
+    specs = _spy_on_splu(monkeypatch)
+    exact._hermitian_system.cache_clear()
+    h = HilbertConfig(3, 2)
+    liou = build_symmetric_liouvillian(regression_params(2), h, "rotating")
+    steady_state_exact(liou)
+    steady_state_exact(build_symmetric_liouvillian(regression_params(2, omega=0.3), h, "rotating"))
+    assert specs == ["COLAMD", "NATURAL"]
+    # on the charge-0 unknowns the diagonal's imaginary part is the detuning
+    # times a photon-number difference: the same structure with another mask
+    detuned = dataclasses.replace(regression_params(2), delta_c=2353.0)
+    steady_state_exact(build_symmetric_liouvillian(detuned, h, "rotating"))
+    steady_state_exact(build_symmetric_liouvillian(detuned, h, "as_written"))
+    assert specs == ["COLAMD", "NATURAL", "COLAMD", "NATURAL"]
+    orders = exact._hermitian_system(liou.pattern).orders
+    assert len(orders) == 2
+    for order in orders.values():
+        for arr in (order.gather, order.indptr, order.indices, order.perm, order.inverse):
+            assert not arr.flags.writeable
+
+
+def test_recorded_column_orders_are_bounded(monkeypatch):
+    specs = _spy_on_splu(monkeypatch)
+    exact._hermitian_system.cache_clear()
+    h = HilbertConfig(2, 2)
+    names = ("kappa", "omega", "gamma_minus", "gamma_z")
+    for delta_c in (_PATTERN_BASE.delta_c, _PATTERN_BASE.delta):
+        for k in range(2 ** len(names)):
+            zeroed = dict.fromkeys([name for j, name in enumerate(names) if k >> j & 1], 0.0)
+            p = dataclasses.replace(_PATTERN_BASE, n_emitters=2, delta_c=delta_c, **zeroed)
+            liou = build_symmetric_liouvillian(p, h)
+            try:
+                steady_state_exact(liou)
+            except DegenerateSteadyState:
+                pass
+    orders = exact._hermitian_system(liou.pattern).orders
+    assert specs.count("COLAMD") > exact._ORDERS_PER_SYSTEM
+    assert len(orders) == exact._ORDERS_PER_SYSTEM
+
+
+def test_an_exhausted_first_factorisation_records_no_order(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    liou = build_symmetric_liouvillian(regression_params(3), HilbertConfig(3, 3))
+    exact._hermitian_system.cache_clear()
+    splu = spla.splu
+    monkeypatch.setattr(exact.spla, "splu", exhausted)
+    with pytest.raises(DimensionCap, match="ran out of memory"):
+        steady_state_exact(liou)
+    assert not exact._hermitian_system(liou.pattern).orders
+    monkeypatch.setattr(exact.spla, "splu", splu)
+    after = steady_state_exact(liou)
+    cold, _ = _cold_and_warm(liou)
+    assert after.mat.tobytes() == cold.mat.tobytes()
+
+
+@pytest.mark.parametrize("error, typed", [(MemoryError, DimensionCap),
+                                          (RuntimeError, DegenerateSteadyState)])
+def test_a_failing_reordered_factorisation_is_typed(monkeypatch, error, typed):
+    def fail(*args, **kwargs):
+        raise error("Factor is exactly singular")
+
+    liou = build_symmetric_liouvillian(regression_params(3), HilbertConfig(3, 3))
+    steady_state_exact(liou)
+    monkeypatch.setattr(exact.spla, "splu", fail)
+    with pytest.raises(typed):
+        steady_state_exact(liou)
+
+
 def test_steady_state_beyond_the_cap_is_refused_before_factorising(monkeypatch):
     # N=7, n_max=3: the charge-0 sector holds 41756 unknowns, over the default cap
     def refuse(*args, **kwargs):

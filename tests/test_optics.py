@@ -85,6 +85,20 @@ def test_dispersion_angle_guard():
             minimum_branch_splitting(p, theta_max_deg=theta_max)
 
 
+def test_angle_message_names_the_first_offending_angle():
+    # one line whatever the grid: the first angle out of range and how many are
+    p = d4_like(20.0, 20.0)
+    thetas = np.linspace(0.0, 95.0, 129)
+    with pytest.raises(AngleOutOfRange) as err:
+        cavity_dispersion(p, thetas)
+    message = str(err.value)
+    first = thetas[thetas >= 90][0]
+    assert f"theta = {first} deg" in message and "7 of 129 angles" in message
+    assert len(message) <= 100 and "\n" not in message
+    with pytest.raises(AngleOutOfRange, match="theta = 95.0 deg"):
+        compute_reflectance_map(p, [0.0, 95.0], np.linspace(2300.0, 2400.0, 5))
+
+
 def test_polariton_decoupled_limit():
     p = d4_like(30.0, 8.0, g_coll=0.0)
     lp, up = polariton_eigenmodes(p, 25.0)
@@ -369,6 +383,13 @@ def test_optical_params_reject_non_finite(name, bad):
     fields[name] = bad
     with pytest.raises(InvalidValue, match=name):
         OpticalParams(**fields)
+
+
+def test_optical_params_reject_a_coupling_without_a_finite_square():
+    fields = dict(e_c0=2300.0, n_eff=1.8, delta=2350.0, kappa=134.0, kappa_ext=67.0, gamma_perp=331.0)
+    with pytest.raises(InvalidValue, match="'g_coll' = 1e\\+200 meV has no finite square"):
+        OpticalParams(g_coll=1e200, **fields)
+    assert OpticalParams(g_coll=1e150, **fields).g_coll == 1e150
 
 
 def test_emission_fwhm_transparent_cavity():
