@@ -100,7 +100,8 @@ class AngleOutOfRange(SuperradError):
 
 
 class PeakNotFound(SuperradError):
-    """Emission filter and emitter line are separated by far more than their widths."""
+    """No emission peak to measure: the filter and the emitter line are separated by far
+    more than their widths, or a side of the peak has no half-maximum crossing."""
 
 
 class ZeroLinewidth(SuperradError):

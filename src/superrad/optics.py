@@ -3,8 +3,9 @@
 Angle-dependent planar-cavity dispersion, polariton eigenmodes of the 2x2
 non-Hermitian cavity-emitter matrix, single-port input-output reflectance,
 cavity-filtered emission lineshape, and the coherence-length estimate
-L_coh = lambda^2 / d_lambda.  The splitting minimum and the emission peak and
-FWHM are closed forms (a resonant angle, polynomial roots), not searches.
+L_coh = lambda^2 / d_lambda.  The splitting minimum is a closed form (the
+resonant angle), and the emission peak and FWHM come from two small
+companion-matrix eigenvalue solves (3x3 and 4x4), not searches.
 """
 
 from __future__ import annotations
@@ -83,13 +84,38 @@ def polariton_eigenmodes(p: OpticalParams, theta_deg: float) -> tuple[complex, c
     return complex(lo), complex(hi)
 
 
+def _denominator(e_c: np.ndarray, energies: np.ndarray, im_em, shifted_sq) -> np.ndarray:
+    """(x - kappa_ext)^2 + t^2 with one row per E_c, filled by in-place passes."""
+    # E_c - E is exact for E_c/2 <= E <= 2 E_c, so t is rounded once where it
+    # cancels at a dip; Im em - E would round at the scale of E first
+    out = np.subtract.outer(e_c, energies)
+    out += im_em
+    np.square(out, out=out)
+    out += shifted_sq
+    return out
+
+
+def _overflow(p: OpticalParams, e_c: np.ndarray, energies: np.ndarray, em) -> InvalidValue:
+    """InvalidValue naming the largest of the terms that the reflectance squares."""
+    e_lo, e_hi = float(energies.min()), float(energies.max())
+    below, above = float(e_c.max()) - e_lo, e_hi - float(e_c.min())
+    em_max = float(np.abs(em).max())
+    terms = {
+        f"'g_coll' = {p.g_coll} meV gives an emitter term of {em_max:.3g} meV": em_max,
+        f"the energy {e_hi if above > below else e_lo} meV lies {max(above, below):.3g} meV "
+        f"from the cavity mode": max(above, below),
+        f"'kappa' = {p.kappa} meV": p.kappa,
+    }
+    return InvalidValue(f"reflectance leaves the float range: {max(terms, key=terms.get)}")
+
+
 def _reflectance(p: OpticalParams, thetas, energies: np.ndarray) -> np.ndarray:
     """R (see reflectance_spectrum) with one row per angle; the grid is the only
     grid-sized array, filled by in-place passes."""
     if not np.all(np.isfinite(energies)):
         raise InvalidValue("energies must be finite")
-    e_c = cavity_dispersion(p, thetas)
-    re_em = im_em = 0.0
+    e_c = np.atleast_1d(cavity_dispersion(p, thetas))
+    em = re_em = im_em = 0.0
     if p.g_coll != 0:
         # gamma_perp = 0 puts a pole at E = delta, and a gamma_perp near 0 an overflow
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -102,16 +128,19 @@ def _reflectance(p: OpticalParams, thetas, energies: np.ndarray) -> np.ndarray:
         re_em, im_em = em.real, em.imag
     # x - kappa_ext and 2x - kappa_ext without cancelling kappa/2 against kappa_ext
     shifted = (0.5 * p.kappa - p.kappa_ext) + re_em
-    k = p.kappa_ext * ((p.kappa - p.kappa_ext) + 2.0 * re_em)
-    # E_c - E is exact for E_c/2 <= E <= 2 E_c, so t is rounded once where it
-    # cancels at a dip; Im em - E would round at the scale of E first
-    refl = np.subtract.outer(np.atleast_1d(e_c), energies)
-    refl += im_em
-    np.square(refl, out=refl)
-    refl += shifted**2
-    # k / 0 = inf gives R = 0 at an exact zero; 0 / 0 (a lossless bare cavity
-    # on its mode) stays NaN and is refused below
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
+        k = p.kappa_ext * ((p.kappa - p.kappa_ext) + 2.0 * re_em)
+        shifted_sq = shifted * shifted
+        # every rounding step of a cell is monotone in E_c, so the rows of the
+        # lowest and the highest E_c bound the grid: it overflows iff they do
+        edges = _denominator(e_c[[e_c.argmin(), e_c.argmax()]], energies, im_em, shifted_sq)
+    if not (np.isfinite(edges).all() and np.isfinite(k).all()):
+        raise _overflow(p, e_c, energies, em)
+    refl = _denominator(e_c, energies, im_em, shifted_sq)
+    # k / 0 = inf gives R = 0 at an exact zero, and so does k over a subnormal
+    # denominator, which overflows; 0 / 0 (a lossless bare cavity on its mode)
+    # stays NaN and is refused below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(k, refl, out=refl)
     refl += 1.0
     np.reciprocal(refl, out=refl)
@@ -132,7 +161,9 @@ def reflectance_spectrum(p: OpticalParams, theta_deg: float, energies) -> np.nda
     floating point, not only in exact arithmetic, and a dip keeps its relative
     accuracy.  gamma_perp = 0 with g != 0 and an energy at delta (the emitter
     term's pole) raises ZeroLinewidth; 0/0 (a lossless bare cavity on its mode)
-    raises InvalidValue.  Returns the row compute_reflectance_map gives at theta.
+    raises InvalidValue, and so does a squared term past the float range (a
+    g_coll or an energy near 1e154 meV), naming the largest term.  Returns the
+    row compute_reflectance_map gives at theta.
     """
     return _reflectance(p, theta_deg, np.asarray(energies, dtype=float))[0]
 
@@ -190,20 +221,31 @@ def minimum_branch_splitting(p: OpticalParams, theta_max_deg: float = 64.0) -> f
 
 
 def emission_fwhm(p: OpticalParams, theta_deg: float) -> tuple[float, float]:
-    """Peak position and FWHM of the cavity-filtered emission lineshape.
+    """Peak position and FWHM of the cavity-filtered emission lineshape at one angle.
 
     The model is the product of the emitter Lorentzian (delta, gamma_perp) and
     the cavity filter Lorentzian (E_c(theta), kappa).  Its reciprocal is the
     quartic P(x) = (x^2 + a^2)((x - c)^2 + b^2) in x = (E - delta)/w, with
     w = kappa + gamma_perp, a = gamma_perp/2w, b = kappa/2w and
-    c = (E_c - delta)/w.  The peak is the root of P' with the smallest P, so a
-    double-peaked line reports its highest peak.  The FWHM runs between the
-    real roots of P - 2 P(peak) nearest the peak on either side: a dip below
-    half maximum ends the width at the highest peak's own crossings.
+    c = (E_c - delta)/w.  Two eigenvalue solves give the result: the 3x3
+    companion matrix of P'/4 gives the stationary points, and the one with the
+    smallest P is the peak, so a double-peaked line reports its highest peak
+    (at c = 0 the peak is x = 0).  The 4x4 companion matrix of
+    P(x_peak + y) - 2 P(x_peak) gives the half-maximum crossings, and the FWHM
+    runs between the real ones nearest the peak on either side: a dip below
+    half maximum ends the width at the highest peak's own crossings.  theta_deg
+    that is not one real angle raises InvalidValue, a side without a crossing
+    PeakNotFound.
     """
     if p.gamma_perp <= 0 or p.kappa <= 0:
         raise ZeroLinewidth("emission model needs gamma_perp > 0 and kappa > 0")
-    e_c = cavity_dispersion(p, theta_deg)
+    try:
+        theta = np.asarray(theta_deg, dtype=float)
+    except (TypeError, ValueError):
+        theta = None
+    if theta is None or theta.ndim:
+        raise InvalidValue(f"theta_deg must be one angle in degrees, got {theta_deg!r:.40}")
+    e_c = float(cavity_dispersion(p, theta))
     widths = p.kappa + p.gamma_perp
     separation = abs(e_c - p.delta)
     if separation > 10.0 * widths:
@@ -213,24 +255,38 @@ def emission_fwhm(p: OpticalParams, theta_deg: float) -> tuple[float, float]:
         )
     a, b, c = 0.5 * p.gamma_perp / widths, 0.5 * p.kappa / widths, (e_c - p.delta) / widths
 
-    def quartic(x0):  # coefficients of P(x0 + y) in y
-        return np.convolve([1.0, 2.0 * x0, x0**2 + a**2],
-                           [1.0, 2.0 * (x0 - c), (x0 - c) ** 2 + b**2])
+    def quartic(x0):  # P(x0 + y) = y^4 + c3 y^3 + c2 y^2 + c1 y + c0, as (c3, c2, c1, c0)
+        p1, p0 = 2.0 * x0, x0 * x0 + a * a
+        q1, q0 = 2.0 * (x0 - c), (x0 - c) * (x0 - c) + b * b
+        return p1 + q1, p0 + p1 * q1 + q0, p1 * q0 + p0 * q1, p0 * q0
 
-    poly = quartic(0.0)
-    # P at the real part of a complex root of P' is still >= min P
-    stationary = np.roots(np.polyder(poly)).real
-    x_peak = stationary[np.argmin(np.polyval(poly, stationary))]
+    x_peak = 0.0  # P is even about x = 0 at c = 0 and grows with x^2
+    if c != 0.0:
+        c3, c2, c1, c0 = quartic(0.0)
+        # P'/4 = x^3 + (3/4) c3 x^2 + (1/2) c2 x + c1/4; at c = 0 its constant
+        # term is 0, a root the companion matrix would only approximate
+        stationary = np.linalg.eigvals(
+            [[-0.75 * c3, -0.5 * c2, -0.25 * c1], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        ).tolist()
+        # P at the real part of a complex root of P' is still >= min P
+        x_peak = min((z.real for z in stationary),
+                     key=lambda x: (((x + c3) * x + c2) * x + c1) * x + c0)
     # about the peak the crossings are small roots that keep their relative
     # accuracy when one line is far narrower (about x = 0 they lose up to 1e-3
     # at kappa/gamma_perp = 1e-6); P(peak) is the constant term, which P - 2 P(peak) negates
-    half = quartic(x_peak)
-    half[-1] = -half[-1]
-    roots = np.roots(half)
-    # a real quartic's real roots come back with imaginary part exactly 0
-    offsets = roots[roots.imag == 0].real
-    width = offsets[offsets > 0].min() - offsets[offsets < 0].max()
-    return float(p.delta + x_peak * widths), float(width * widths)
+    e3, e2, e1, e0 = quartic(x_peak)
+    crossings = np.linalg.eigvals(
+        [[-e3, -e2, -e1, e0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+    ).tolist()
+    # a real matrix's real eigenvalues come back with imaginary part exactly 0
+    offsets = [z.real for z in crossings if z.imag == 0]
+    above = [y for y in offsets if y > 0]
+    below = [y for y in offsets if y < 0]
+    peak = p.delta + x_peak * widths
+    if not (above and below):
+        missing = "below" if above else "above or below" if not below else "above"
+        raise PeakNotFound(f"no half-maximum crossing {missing} the emission peak at {peak} meV")
+    return peak, (min(above) - max(below)) * widths
 
 
 def coherence_length(lambda_nm: float, delta_lambda_nm: float) -> float:

@@ -322,6 +322,30 @@ def test_coupling_without_a_finite_square_is_an_invalid_value_record(tmp_path, c
     assert not out.exists() or not any(out.glob("*"))
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("g_coll: 11.0", "g_coll: 1.0e+154", "'g_coll' = 1e+154 meV"),
+    ("n_energy: 11", "n_energy: 11\n  e_max: 1.0e+200", "the energy 1e+200 meV"),
+], ids=["emitter_term", "energy"])
+def test_reflectance_past_the_float_range_is_an_invalid_value_record(tmp_path, capsys, old, new, named):
+    # g_coll^2 and the energies are finite, but R squares the emitter term and E_c - E
+    cfg = _write(tmp_path, "bad.yaml", REFLECTANCE_DOC.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["reflectance", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "InvalidValue"
+    assert named in record["message"]
+    assert not out.exists() or not any(out.glob("*"))
+
+
+def test_strong_finite_coupling_keeps_the_reflectance_in_range(tmp_path):
+    cfg = _write(tmp_path, "r.yaml", REFLECTANCE_DOC.replace("g_coll: 11.0", "g_coll: 1.0e+70"))
+    out = tmp_path / "out"
+    assert main(["reflectance", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    lines = (out / "reflectance_result.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 5 * 11
+    assert all(0.0 <= float(line.split(",")[2]) <= 1.0 for line in lines[1:])
+
+
 def test_negative_grid_size_is_a_type_mismatch_record(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.yaml", REFLECTANCE_DOC.replace("n_theta: 5", "n_theta: -3"))
     out = tmp_path / "out"

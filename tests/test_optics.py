@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -313,6 +314,34 @@ def test_emitter_pole_on_the_grid_is_a_zero_linewidth():
         complex_reflectance(bare, 0.0, np.array([2350.0]))[0], abs=1e-15)
 
 
+def test_reflectance_past_the_float_range_is_refused_without_a_warning():
+    # R squares the emitter term (about g^2 / (gamma_perp/2) at E = delta) and
+    # E_c - E, which can leave the float range while g_coll^2 and the energies
+    # are finite; the edge rows decide it before the grid is built
+    thetas, energies = np.linspace(0.0, 64.0, 9), np.linspace(1900.0, 2800.0, 31)
+    cases = [
+        (d4_like(134.0, 331.0, g_coll=1e79), energies, "'g_coll' = 1e\\+79 meV"),
+        (d4_like(134.0, 331.0, g_coll=1e154), energies, "'g_coll' = 1e\\+154 meV"),
+        (d4_like(134.0, 331.0), np.linspace(1900.0, 1e155, 31), "the energy 1e\\+155 meV"),
+        (d4_like(134.0, 331.0), np.linspace(-1e200, 2800.0, 31), "the energy -1e\\+200 meV"),
+        (d4_like(1e300, 331.0, g_coll=0.0), energies, "'kappa' = 1e\\+300 meV"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, grid, named in cases:
+            with pytest.raises(InvalidValue, match=f"reflectance leaves the float range: {named}"):
+                compute_reflectance_map(p, thetas, grid)
+            with pytest.raises(InvalidValue, match=named):
+                reflectance_spectrum(p, 30.0, grid)
+        for g_coll in (1e70, 1e78):
+            r_values = compute_reflectance_map(d4_like(134.0, 331.0, g_coll=g_coll), thetas, energies).r_values
+            assert np.all((r_values >= 0.0) & (r_values <= 1.0))
+        # critical coupling with a vanishing emitter term: (x - kappa_ext)^2 + t^2
+        # is subnormal at E = E_c and k over it overflows to R = 0
+        p = d4_like(134.0, 331.0, g_coll=1e-78)
+        assert reflectance_spectrum(p, 0.0, [2300.0])[0] == 0.0
+
+
 def test_map_rows_are_the_single_angle_spectra_bitwise():
     thetas = np.linspace(0.0, 64.0, 129)
     for p, energies in scan_draws(5, 3):
@@ -451,6 +480,90 @@ def test_emission_peak_not_found_when_far_separated():
     p = OpticalParams(e_c0=1000.0, n_eff=1.8, delta=2350.0, g_coll=0.0,
                       kappa=5.0, kappa_ext=2.5, gamma_perp=5.0)
     with pytest.raises(PeakNotFound):
+        emission_fwhm(p, 0.0)
+
+
+def polyroots_emission_fwhm(p, theta_deg):
+    """Peak and FWHM of emission_fwhm's quartic by numpy's polynomial helpers:
+    np.roots of P' for the peak, np.roots of P(x_peak + y) - 2 P(x_peak) for the
+    crossings.  The separation check is left to emission_fwhm."""
+    widths = p.kappa + p.gamma_perp
+    a, b = 0.5 * p.gamma_perp / widths, 0.5 * p.kappa / widths
+    c = (cavity_dispersion(p, theta_deg) - p.delta) / widths
+
+    def quartic(x0):
+        return np.convolve([1.0, 2.0 * x0, x0**2 + a**2], [1.0, 2.0 * (x0 - c), (x0 - c) ** 2 + b**2])
+
+    poly = quartic(0.0)
+    stationary = np.roots(np.polyder(poly)).real
+    x_peak = stationary[np.argmin(np.polyval(poly, stationary))]
+    half = quartic(x_peak)
+    half[-1] = -half[-1]
+    roots = np.roots(half)
+    offsets = roots[roots.imag == 0].real
+    width = offsets[offsets > 0].min() - offsets[offsets < 0].max()
+    return float(p.delta + x_peak * widths), float(width * widths)
+
+
+def fwhm_cases():
+    """(params, angle) over the benchmark's ranges, over kappa, gamma_perp in
+    [1, 350] meV, at exact resonance (c = 0) for kappa/gamma_perp = 1e-6 ... 1e6
+    and just off it, and on double-peaked lines."""
+    for p, _ in scan_draws(9, 150):
+        for theta in np.linspace(0.0, 30.0, 7):
+            yield p, float(theta)
+    rng = np.random.default_rng(10)
+    for _ in range(1000):
+        kappa = rng.uniform(1.0, 350.0)
+        p = OpticalParams(e_c0=rng.uniform(2200.0, 2400.0), n_eff=rng.uniform(1.5, 2.2),
+                          delta=rng.uniform(2250.0, 2450.0), g_coll=0.0, kappa=kappa,
+                          kappa_ext=kappa / 2, gamma_perp=rng.uniform(1.0, 350.0))
+        yield p, float(rng.uniform(0.0, 30.0))
+    for ratio in np.logspace(-6.0, 6.0, 25):
+        for e_c0 in (2350.0, 2349.5):
+            yield OpticalParams(e_c0=e_c0, n_eff=1.8, delta=2350.0, g_coll=0.0, kappa=20.0 * ratio,
+                                kappa_ext=10.0 * ratio, gamma_perp=20.0), 0.0
+    for detuning in (30.0, 50.0, 75.0, 90.0):
+        for kappa in (8.0, 10.0, 12.0):
+            yield OpticalParams(e_c0=2350.0 + detuning, n_eff=1.8, delta=2350.0, g_coll=0.0,
+                                kappa=kappa, kappa_ext=kappa / 2, gamma_perp=10.0), 0.0
+
+
+def test_emission_fwhm_matches_the_polynomial_root_form():
+    # the 1e-12 relative bound was fixed before the run
+    worst, compared = 0.0, 0
+    for p, theta in fwhm_cases():
+        try:
+            got = emission_fwhm(p, theta)
+        except PeakNotFound:
+            separation = abs(cavity_dispersion(p, theta) - p.delta)
+            assert separation > 10.0 * (p.kappa + p.gamma_perp)
+            continue
+        want = polyroots_emission_fwhm(p, theta)
+        worst = max(worst, *(abs(g - w) / abs(w) for g, w in zip(got, want)))
+        compared += 1
+    assert compared >= 2000
+    assert worst <= 1e-12
+
+
+def test_emission_fwhm_refuses_anything_but_one_angle():
+    p = OpticalParams(e_c0=2350.0, n_eff=1.8, delta=2350.0, g_coll=0.0,
+                      kappa=10.0, kappa_ext=5.0, gamma_perp=20.0)
+    for bad in ([0.0], np.array([5.0]), [0.0, 5.0], [[1.0], [1.0, 2.0]], "abc"):
+        with pytest.raises(InvalidValue, match="theta_deg must be one angle"):
+            emission_fwhm(p, bad)
+    assert emission_fwhm(p, np.array(5.0)) == emission_fwhm(p, 5) == emission_fwhm(p, np.float32(5.0))
+    with pytest.raises(AngleOutOfRange):
+        emission_fwhm(p, float("nan"))
+
+
+@pytest.mark.parametrize("gamma_perp, kappa", [(1e-300, 1.0), (1.0, 1e-300)])
+def test_emission_line_narrower_than_the_float_grid_has_no_crossings(gamma_perp, kappa):
+    # a^2 or b^2 underflows, so P(peak) = 0 and every crossing of P - 2 P(peak)
+    # sits at the peak itself: no side has a crossing
+    p = OpticalParams(e_c0=2350.0, n_eff=1.8, delta=2350.0, g_coll=0.0,
+                      kappa=kappa, kappa_ext=kappa / 2, gamma_perp=gamma_perp)
+    with pytest.raises(PeakNotFound, match="no half-maximum crossing"):
         emission_fwhm(p, 0.0)
 
 

@@ -1,5 +1,6 @@
 """Static checks on the package source: typed errors only, no dead error class, no
-cache keyed by a HilbertConfig, a consistent export list, and a light import."""
+cache keyed by a HilbertConfig, no numpy polynomial helper in the optics, a consistent
+export list, and a light import."""
 
 import ast
 import os
@@ -120,6 +121,32 @@ def test_no_cache_is_keyed_by_a_hilbert_config():
     found = [f"{name}: {fn}" for name, tree in trees.items()
              for fn in _caches_keyed_by_hilbert_config(tree)]
     assert found == []
+
+
+POLYNOMIAL_HELPERS = {"roots", "polyder", "polyval", "convolve"}
+
+
+def _numpy_polynomial_calls(tree: ast.AST):
+    """Calls of np.roots, np.polyder, np.polyval or np.convolve, by line."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in POLYNOMIAL_HELPERS
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+            yield node.lineno, node.func.attr
+
+
+def test_guard_flags_numpy_polynomial_helpers():
+    source = "np.roots(p)\nnp.linalg.eigvals(m)\nx = np.polyval(np.polyder(p), 0.0)\nnp.convolve(a, b)"
+    assert sorted(_numpy_polynomial_calls(ast.parse(source))) == [
+        (1, "roots"), (3, "polyder"), (3, "polyval"), (4, "convolve"),
+    ]
+
+
+def test_optics_calls_no_numpy_polynomial_helper():
+    # emission_fwhm works on Python floats and two companion-matrix eigvals
+    # calls; each helper costs more than the 3x3 and 4x4 eigenproblems it wraps
+    path = Path(superrad.__file__).parent / "optics.py"
+    assert list(_numpy_polynomial_calls(ast.parse(path.read_text(), filename=str(path)))) == []
 
 
 def test_public_names_exist_once():
