@@ -25,6 +25,10 @@ unknowns (92 at N=4, n_max=3), which grow as (n_max+1)^2 N^2/4, not as 4^N:
 the flux and g2(0) ladders use it, and it reaches N = 20-40.  The cumulant
 module covers arbitrary N approximately.
 
+scipy is imported inside the functions that use it, so importing this module
+costs only numpy, and scipy loads on the first exact-route call; the
+cumulant, sweep, fit, reflectance and validate commands never load it.
+
 Conventions
 -----------
 * emitter basis: index 0 = ground, index 1 = excited;
@@ -48,11 +52,9 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import expm
 
 from .errors import (
     CutoffNotConverged,
@@ -64,6 +66,9 @@ from .errors import (
     VacuumState,
 )
 from .params import SystemParams, validate_params
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_UNKNOWNS_CAP = 4096
 
@@ -141,18 +146,21 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 def destroy_op(n_levels: int) -> sp.csr_matrix:
     """Bosonic annihilation operator truncated to n_levels Fock states."""
+    import scipy.sparse as sp
     data = np.sqrt(np.arange(1, n_levels, dtype=float))
     return sp.diags(data, offsets=1, format="csr").astype(complex)
 
 
 def field_operator(h: HilbertConfig, op: np.ndarray | sp.spmatrix) -> sp.csr_matrix:
     """Embed a field-only operator into the full space."""
+    import scipy.sparse as sp
     spins = sp.identity(2**h.n_emitters, dtype=complex, format="csr")
     return sp.kron(sp.csr_matrix(op), spins, format="csr")
 
 
 def site_operator(h: HilbertConfig, op2: np.ndarray, site: int) -> sp.csr_matrix:
     """Embed a single-emitter operator at the given 0-based site."""
+    import scipy.sparse as sp
     if not 0 <= site < h.n_emitters:
         raise IndexOutOfRange(f"emitter index {site} outside 0..{h.n_emitters - 1}")
     left = sp.identity((h.n_max + 1) * 2**site, dtype=complex, format="csr")
@@ -262,6 +270,7 @@ def _liouvillian_pattern(n_max: int, n_em: int) -> _Pattern:
     photon, a raised emitter n or a lowered emitter n.  The unknowns are the
     charge-0 vec indices, rho_00 first; the trace weights are 1 on rho_ii.
     """
+    import scipy.sparse as sp
     d = (n_max + 1) * 2**n_em
     a, sigma_minus, _ = _ladder_operators(n_max, n_em)
     ident = sp.identity(d, format="csr")
@@ -361,6 +370,7 @@ def _assemble(cls, pattern: _Pattern, p: SystemParams, h: HilbertConfig, frame: 
     weight, the diagonal -i e(ket) + i e*(bra) + gamma_z zz with e the diagonal of
     H_eff, and no entry that a zero g or rate leaves.  L's entries in pattern order,
     zeros included, are kept read-only for the steady-state solve."""
+    import scipy.sparse as sp
     shift = p.delta if frame == "rotating" else 0.0
     ket = _h_eff(p, shift, *pattern.ket, h.n_emitters)
     bra = _h_eff(p, shift, *pattern.bra, h.n_emitters)
@@ -611,6 +621,7 @@ def _spin_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, tuple[int, ...]]
     Returns the map T, so that T @ u stacks each row-major block
     ((n_max+1)(2j+1) square, in p order), and the block sizes.
     """
+    import scipy.sparse as sp
     index = _symmetric_pattern(n_max, n_em).index
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n_em + 1)))])
 
@@ -781,6 +792,8 @@ class _HermitianSystem:
         nothing: the same pivots, L and U, and a bitwise equal solve.  A
         factorisation that raises records nothing.
         """
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
         m = len(self.indptr) - 1
         kept = data != 0
         key = np.packbits(kept).tobytes()
@@ -834,6 +847,7 @@ def _hermitian_system(pattern: _Pattern) -> _HermitianSystem:
     imaginary for every parameter, and one of kappa, omega or gamma_minus is
     real, so their other part adds nothing to the structure.
     """
+    import scipy.sparse as sp
     unknowns, trace_weights, adjoint = pattern.unknowns, pattern.trace_weights, pattern.adjoint
     m = len(unknowns)
     size = len(pattern.indptr) - 1
@@ -919,6 +933,7 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     unitary with X' E X = E + k, which no finite spectrum allows.  So a
     one-dimensional null space in the block certifies a unique steady state.
     """
+    import scipy.sparse as sp
     pattern = liou.pattern
     m = len(pattern.unknowns)
     if m > liou.hilbert.cap:
@@ -979,6 +994,7 @@ def time_evolve(liou: Liouvillian, rho0: DensityMatrix, t_final: float) -> Densi
     A rho0 that is not Hermitian to HERMITICITY_TOL raises InvalidValue, since
     the result is symmetrised.
     """
+    from scipy.linalg import expm
     if not (np.isfinite(t_final) and t_final >= 0):
         raise InvalidValue(f"t_final must be finite and >= 0, got {t_final}")
     d = liou.dim

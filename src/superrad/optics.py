@@ -46,6 +46,12 @@ class OpticalParams:
             raise InvalidValue(f"'g_coll' = {self.g_coll} meV has no finite square")
         if self.e_c0 <= 0 or self.delta <= 0:
             raise InvalidValue("energies must be > 0")
+        # sin(theta) <= 1 bounds the root of cavity_dispersion below by this one,
+        # and a rounded quotient is monotone, so no angle's mode overflows if it does not
+        lowest_root = math.sqrt(1.0 - (1.0 / self.n_eff) * (1.0 / self.n_eff))
+        if not math.isfinite(self.e_c0 / lowest_root):
+            raise InvalidValue(f"'e_c0' = {self.e_c0} meV at 'n_eff' = {self.n_eff} puts the "
+                               f"cavity mode past the float range below 90 deg")
 
 
 def cavity_dispersion(p: OpticalParams, theta_deg: float | np.ndarray) -> float | np.ndarray:
@@ -66,9 +72,17 @@ def _branches(p: OpticalParams, thetas) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper polariton eigenvalues at each angle, as complex arrays."""
     e_c = cavity_dispersion(p, thetas) - 0.5j * p.kappa
     e_x = p.delta - 0.5j * p.gamma_perp
-    half_sum = 0.5 * (e_c + e_x)
-    root = np.sqrt((0.5 * (e_c - e_x)) ** 2 + p.g_coll**2 + 0j)
-    lo, hi = half_sum - root, half_sum + root
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_sum = 0.5 * (e_c + e_x)
+        root = np.sqrt((0.5 * (e_c - e_x)) ** 2 + p.g_coll**2 + 0j)
+        lo, hi = half_sum - root, half_sum + root
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        # name the largest input, e_c0 ranked by the highest mode it gives
+        sizes = {"e_c0": float(e_c.real.max()), "delta": p.delta, "kappa": p.kappa,
+                 "gamma_perp": p.gamma_perp, "g_coll": p.g_coll}
+        name = max(sizes, key=sizes.get)
+        raise InvalidValue(f"polariton branches leave the float range: '{name}' = "
+                           f"{getattr(p, name)} meV")
     swap = lo.real > hi.real
     return np.where(swap, hi, lo), np.where(swap, lo, hi)
 
@@ -78,7 +92,8 @@ def polariton_eigenmodes(p: OpticalParams, theta_deg: float) -> tuple[complex, c
 
     Returned sorted by real part (lower polariton first).  At resonance the
     real-part splitting is 2*sqrt(g^2 - (kappa - gamma_perp)^2/16) when the
-    radicand is positive and 0 otherwise.
+    radicand is positive and 0 otherwise.  Eigenvalues past the float range
+    raise InvalidValue naming the largest input.
     """
     lo, hi = _branches(p, theta_deg)
     return complex(lo), complex(hi)
@@ -119,8 +134,16 @@ def _reflectance(p: OpticalParams, thetas, energies: np.ndarray) -> np.ndarray:
     if p.g_coll != 0:
         # gamma_perp = 0 puts a pole at E = delta, and a gamma_perp near 0 an overflow
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            em = p.g_coll**2 / (0.5 * p.gamma_perp - 1j * (energies - p.delta))
+            detuned = 0.5 * p.gamma_perp - 1j * (energies - p.delta)
+            em = p.g_coll**2 / detuned
         if not np.all(np.isfinite(em)):
+            # g^2 times 1/|gamma_perp/2 - i(E - delta)| overflowed: the factor
+            # farther from 1 is at fault, g_coll or the pole of a vanishing width
+            if p.g_coll**2 * float(np.abs(detuned).min()) > 1.0:
+                raise InvalidValue(
+                    f"reflectance leaves the float range: 'g_coll' = {p.g_coll} meV: the emitter "
+                    f"term g^2 / (gamma_perp/2 - i(E - delta)) overflows on the energy grid"
+                )
             raise ZeroLinewidth(
                 f"gamma_perp = {p.gamma_perp} meV: the emitter term g^2 / (gamma_perp/2 - "
                 f"i(E - delta)) is not finite on the energy grid at E = delta = {p.delta} meV"
@@ -128,7 +151,8 @@ def _reflectance(p: OpticalParams, thetas, energies: np.ndarray) -> np.ndarray:
         re_em, im_em = em.real, em.imag
     # x - kappa_ext and 2x - kappa_ext without cancelling kappa/2 against kappa_ext
     shifted = (0.5 * p.kappa - p.kappa_ext) + re_em
-    with np.errstate(over="ignore"):
+    # kappa_ext = 0 times an overflowed sum is NaN, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
         k = p.kappa_ext * ((p.kappa - p.kappa_ext) + 2.0 * re_em)
         shifted_sq = shifted * shifted
         # every rounding step of a cell is monotone in E_c, so the rows of the
@@ -162,7 +186,9 @@ def reflectance_spectrum(p: OpticalParams, theta_deg: float, energies) -> np.nda
     accuracy.  gamma_perp = 0 with g != 0 and an energy at delta (the emitter
     term's pole) raises ZeroLinewidth; 0/0 (a lossless bare cavity on its mode)
     raises InvalidValue, and so does a squared term past the float range (a
-    g_coll or an energy near 1e154 meV), naming the largest term.  Returns the
+    g_coll or an energy near 1e154 meV), naming the largest term.  An emitter
+    term that overflows blames g_coll when g^2 |gamma_perp/2 - i(E - delta)|
+    exceeds 1 on the grid, and the pole (ZeroLinewidth) otherwise.  Returns the
     row compute_reflectance_map gives at theta.
     """
     return _reflectance(p, theta_deg, np.asarray(energies, dtype=float))[0]
@@ -214,7 +240,9 @@ def minimum_branch_splitting(p: OpticalParams, theta_max_deg: float = 64.0) -> f
     """
     if not 0.0 <= theta_max_deg < 90.0:
         raise AngleOutOfRange(f"theta_max = {theta_max_deg} deg outside [0, 90)")
-    sin_res = p.n_eff * math.sqrt(max(0.0, 1.0 - (p.e_c0 / p.delta) ** 2))
+    sin_res = 0.0  # e_c0 >= delta resonates at normal incidence; its ratio's square may overflow
+    if p.e_c0 < p.delta:
+        sin_res = p.n_eff * math.sqrt(1.0 - (p.e_c0 / p.delta) ** 2)
     theta = min(math.degrees(math.asin(min(sin_res, 1.0))), theta_max_deg)
     lo, hi = _branches(p, theta)
     return float(hi.real - lo.real)
@@ -234,7 +262,8 @@ def emission_fwhm(p: OpticalParams, theta_deg: float) -> tuple[float, float]:
     P(x_peak + y) - 2 P(x_peak) gives the half-maximum crossings, and the FWHM
     runs between the real ones nearest the peak on either side: a dip below
     half maximum ends the width at the highest peak's own crossings.  theta_deg
-    that is not one real angle raises InvalidValue, a side without a crossing
+    that is not one real angle raises InvalidValue, and so does a kappa +
+    gamma_perp past the float range; a side without a crossing raises
     PeakNotFound.
     """
     if p.gamma_perp <= 0 or p.kappa <= 0:
@@ -247,6 +276,9 @@ def emission_fwhm(p: OpticalParams, theta_deg: float) -> tuple[float, float]:
         raise InvalidValue(f"theta_deg must be one angle in degrees, got {theta_deg!r:.40}")
     e_c = float(cavity_dispersion(p, theta))
     widths = p.kappa + p.gamma_perp
+    if math.isinf(widths):
+        raise InvalidValue(f"emission model leaves the float range: 'kappa' + 'gamma_perp' = "
+                           f"{p.kappa} + {p.gamma_perp} meV")
     separation = abs(e_c - p.delta)
     if separation > 10.0 * widths:
         raise PeakNotFound(

@@ -100,12 +100,10 @@ hilbert: {n_max: 10, cap: 512}
 
 
 def test_exact_out_of_memory_error_record(tmp_path, capsys, monkeypatch):
-    import superrad.exact
-
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(superrad.exact.spla, "splu", exhausted)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", exhausted)
     doc = """
 command: exact
 params: {n_emitters: 2, delta: 2350.0, delta_c: 2350.0, g: 5.0, kappa: 50.0,

@@ -431,7 +431,7 @@ def test_steady_state_out_of_memory_is_a_dimension_cap(monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(exact.spla, "splu", exhausted)
+    monkeypatch.setattr(spla, "splu", exhausted)
     with pytest.raises(DimensionCap, match="744 sector unknowns"):
         steady_state_exact(build_liouvillian(regression_params(4), HilbertConfig(3, 4)))
 
@@ -451,7 +451,7 @@ def _spy_on_splu(monkeypatch):
         specs.append(permc_spec)
         return lu
 
-    monkeypatch.setattr(exact.spla, "splu", spy)
+    monkeypatch.setattr(spla, "splu", spy)
     return specs
 
 
@@ -518,11 +518,11 @@ def test_an_exhausted_first_factorisation_records_no_order(monkeypatch):
     liou = build_symmetric_liouvillian(regression_params(3), HilbertConfig(3, 3))
     exact._hermitian_system.cache_clear()
     splu = spla.splu
-    monkeypatch.setattr(exact.spla, "splu", exhausted)
+    monkeypatch.setattr(spla, "splu", exhausted)
     with pytest.raises(DimensionCap, match="ran out of memory"):
         steady_state_exact(liou)
     assert not exact._hermitian_system(liou.pattern).orders
-    monkeypatch.setattr(exact.spla, "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
     after = steady_state_exact(liou)
     cold, _ = _cold_and_warm(liou)
     assert after.mat.tobytes() == cold.mat.tobytes()
@@ -536,7 +536,7 @@ def test_a_failing_reordered_factorisation_is_typed(monkeypatch, error, typed):
 
     liou = build_symmetric_liouvillian(regression_params(3), HilbertConfig(3, 3))
     steady_state_exact(liou)
-    monkeypatch.setattr(exact.spla, "splu", fail)
+    monkeypatch.setattr(spla, "splu", fail)
     with pytest.raises(typed):
         steady_state_exact(liou)
 
@@ -546,7 +546,7 @@ def test_steady_state_beyond_the_cap_is_refused_before_factorising(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the real system was built or factorised")
 
-    monkeypatch.setattr(exact.spla, "splu", refuse)
+    monkeypatch.setattr(spla, "splu", refuse)
     monkeypatch.setattr(exact, "_hermitian_system", refuse)
     liou = build_liouvillian(regression_params(7), HilbertConfig(3, 7))
     with pytest.raises(DimensionCap, match="41756 sector unknowns exceeds cap 4096"):

@@ -325,6 +325,9 @@ def test_reflectance_past_the_float_range_is_refused_without_a_warning():
         (d4_like(134.0, 331.0), np.linspace(1900.0, 1e155, 31), "the energy 1e\\+155 meV"),
         (d4_like(134.0, 331.0), np.linspace(-1e200, 2800.0, 31), "the energy -1e\\+200 meV"),
         (d4_like(1e300, 331.0, g_coll=0.0), energies, "'kappa' = 1e\\+300 meV"),
+        # kappa_ext = 0 times the overflowed kappa + 2 Re em is NaN
+        (d4_like(1.7e308, 10.0, g_coll=1e154, kappa_ext=0.0), energies,
+         "'kappa' = 1.7e\\+308 meV"),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -340,6 +343,41 @@ def test_reflectance_past_the_float_range_is_refused_without_a_warning():
         # is subnormal at E = E_c and k over it overflows to R = 0
         p = d4_like(134.0, 331.0, g_coll=1e-78)
         assert reflectance_spectrum(p, 0.0, [2300.0])[0] == 0.0
+
+
+def test_an_emitter_term_past_the_float_range_names_g_coll_not_the_linewidth():
+    # at E = delta the emitter term is g^2 / (gamma_perp/2) = 2e308 meV: g_coll, not
+    # the ordinary 1 meV width, is at fault (the pole test keeps gamma_perp = 1e-307)
+    p = OpticalParams(e_c0=2300.0, n_eff=1.8, delta=2350.0, g_coll=1e154,
+                      kappa=134.0, kappa_ext=67.0, gamma_perp=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: reflectance_spectrum(p, 0.0, [2000.0, 2350.0]),
+                     lambda: compute_reflectance_map(p, [0.0, 30.0], [2350.0])):
+            with pytest.raises(InvalidValue, match="reflectance leaves the float range: "
+                                                   "'g_coll' = 1e\\+154 meV"):
+                call()
+
+
+@pytest.mark.parametrize("call, named", [
+    # the mode would overflow at 60 deg, and OpticalParams allows any angle
+    (lambda: cavity_dispersion(OpticalParams(1e308, 1.01, 2350.0, 11.0, 134.0, 67.0, 331.0),
+                               60.0), "'e_c0' = 1e\\+308 meV"),
+    (lambda: minimum_branch_splitting(d4_like(1e300, 331.0)), "'kappa' = 1e\\+300 meV"),
+    # (e_c0 / delta)^2 for the resonant angle overflowed untyped before the branches
+    (lambda: minimum_branch_splitting(OpticalParams(1e300, 1.8, 1.0, 11.0, 134.0, 67.0, 331.0)),
+     "'e_c0' = 1e\\+300 meV"),
+    (lambda: polariton_eigenmodes(d4_like(1e300, 331.0), 30.0), "'kappa' = 1e\\+300 meV"),
+    (lambda: emission_fwhm(d4_like(1e308, 1e308), 30.0),
+     "'kappa' \\+ 'gamma_perp' = 1e\\+308 \\+ 1e\\+308 meV"),
+], ids=["dispersion", "branch_splitting", "resonant_angle", "eigenmodes", "emission_fwhm"])
+def test_optics_past_the_float_range_names_the_parameter(call, named):
+    # each input is finite but the model overflows: OpticalParams refuses the e_c0
+    # case when built, and the model functions refuse the others
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidValue, match=named):
+            call()
 
 
 def test_map_rows_are_the_single_angle_spectra_bitwise():

@@ -3,6 +3,7 @@ cache keyed by a HilbertConfig, no numpy polynomial helper in the optics, a cons
 export list, and a light import."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -164,3 +165,46 @@ def test_import_loads_no_scipy_optimize_or_integrate():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+_NO_SCIPY_PROBE = r"""
+import json, re, sys
+from pathlib import Path
+import superrad, superrad.cli
+from superrad.cli import main
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+ran = []
+for path in sorted(configs.glob("*.yaml")):
+    text = path.read_text()
+    command = re.search(r"^command: *(\w+)", text, re.M).group(1)
+    runs = [(command, path)] if command in ("cumulant", "sweep", "fit", "reflectance") else []
+    if re.search(r"^params:", text, re.M):
+        derived = out / f"validate_{path.name}"
+        derived.write_text(re.sub(r"^command: *\w+", "command: validate", text, flags=re.M))
+        runs.append(("validate", derived))
+    for name, config in runs:
+        code = main([name, "--config", str(config), "--out-dir", str(out / name / path.stem)])
+        ran.append([name, path.name, code])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from superrad.exact import HilbertConfig, photon_flux_exact
+from superrad.params import SystemParams
+photon_flux_exact(SystemParams(1, 2350.0, 2350.0, 5.0, 50.0, 1.0, 0.1, 1.0), HilbertConfig(2, 1))
+print(json.dumps({"ran": ran, "loaded": loaded, "after_exact": "scipy.sparse.linalg" in sys.modules}))
+"""
+
+
+def test_commands_off_the_exact_route_load_no_scipy(tmp_path):
+    # scipy is the largest import of the package, and only the exact route uses it:
+    # a subprocess runs every other command on the shipped configs, then one exact point
+    root = Path(superrad.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE, str(root.parent / "configs"),
+                          str(tmp_path)], capture_output=True, text=True, env=env, check=True,
+                         timeout=120)
+    probe = json.loads(out.stdout.strip().splitlines()[-1])
+    assert {name for name, _, _ in probe["ran"]} == {
+        "cumulant", "sweep", "fit", "reflectance", "validate"}
+    assert [run for run in probe["ran"] if run[2] != 0] == []
+    assert probe["loaded"] == []
+    # the exact route does load it, so the check above is not vacuous
+    assert probe["after_exact"] is True
