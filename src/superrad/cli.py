@@ -39,7 +39,7 @@ from .cumulant import integrate_to_steady_state
 from .errors import ConfigError, SuperradError
 from .exact import (
     HilbertConfig,
-    _g2_of,
+    _number_and_g2,
     build_symmetric_liouvillian,
     converge_in_cutoff,
     expectation,
@@ -219,8 +219,7 @@ def _cmd_fit(config: RunConfig, rng):
 
 def _cmd_g2(config: RunConfig, _rng):
     p = validate_params(config.effective_params())
-    g2, h, rho = converge_in_cutoff(p, _hilbert_config(config), _g2_of)
-    n_phot = expectation(rho, "photon_number", h).real
+    (n_phot, g2), h, _ = converge_in_cutoff(p, _hilbert_config(config), _number_and_g2)
     rows = _one_row(
         n_emitters=p.n_emitters, n_max_converged=h.n_max,
         photon_number=n_phot, flux_mev=p.kappa * n_phot, g2_zero=g2,

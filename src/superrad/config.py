@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .errors import ConfigSyntaxError, MissingSection, TypeMismatch, UnknownKey
+from .exact import DEFAULT_UNKNOWNS_CAP
 from .params import DriveMap, SystemParams, omega_of_voltage
 from .sweep import DRIVE_RULES
 
@@ -27,14 +28,24 @@ from .sweep import DRIVE_RULES
 # marks as the pure-Python SafeLoader, several times faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-COMMANDS = ("validate", "exact", "cumulant", "sweep", "reflectance", "fit", "g2")
+# the sections each command needs; its keys are the commands
+_REQUIRED_SECTIONS = {
+    "validate": ("params",),
+    "exact": ("params",),
+    "cumulant": ("params",),
+    "sweep": ("params", "sweep"),
+    "reflectance": ("optics",),
+    "fit": ("fit",),
+    "g2": ("params",),
+}
+COMMANDS = tuple(_REQUIRED_SECTIONS)
 FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
 class HilbertSection:
     n_max: int = field(default=3, metadata={"min": 1})
-    cap: int = field(default=4096, metadata={"min": 1})
+    cap: int = field(default=DEFAULT_UNKNOWNS_CAP, metadata={"min": 1})
 
 
 @dataclass(frozen=True)
@@ -96,17 +107,6 @@ class RunConfig:
         omega = omega_of_voltage(DriveMap(self.drive.v_on, self.drive.slope_mu),
                                  self.drive.voltage)
         return replace(self.params, omega=omega)
-
-
-_REQUIRED_SECTIONS = {
-    "validate": ("params",),
-    "exact": ("params",),
-    "cumulant": ("params",),
-    "g2": ("params",),
-    "sweep": ("params", "sweep"),
-    "reflectance": ("optics",),
-    "fit": ("fit",),
-}
 
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string"}

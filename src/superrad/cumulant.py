@@ -313,10 +313,9 @@ def _outcoupling_rate(p: SystemParams) -> float:
     return 2.0 * p.g**2 * d_c / (d_c**2 + p.detuning**2)
 
 
-def photon_flux_cumulant(p: SystemParams, tol: float = DEFAULT_TOL) -> float:
+def photon_flux_cumulant(p: SystemParams) -> float:
     """kappa * <a'a> of the stable stationary moment state."""
-    m = integrate_to_steady_state(p, tol=tol)
-    return p.kappa * m.n_photon
+    return p.kappa * integrate_to_steady_state(p).n_photon
 
 
 def flux_decomposition(p: SystemParams, m: MomentState) -> tuple[float, float]:

@@ -92,6 +92,10 @@ class HilbertConfig:
     cap: int = DEFAULT_UNKNOWNS_CAP
 
     def __post_init__(self):
+        for name in ("n_max", "n_emitters", "cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidValue(f"{name} must be an integer, got {value!r}")
         if self.n_max < 1:
             raise InvalidValue("n_max must be >= 1")
         if self.n_emitters < 1:
@@ -543,6 +547,16 @@ PSD_TOL = 1e-8
 STEADY_RESIDUAL_TOL = 1e-10
 
 
+def _require_finite(values: np.ndarray, what: str):
+    """Raise InvalidValue naming the non-finite entries of values, if there are any."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.argwhere(~finite)
+        first = tuple(bad[0].tolist())
+        raise InvalidValue(f"{what} non-finite entries: {len(bad)}; the first is "
+                           f"{values[first]} at index {list(first)}")
+
+
 @dataclass
 class DensityMatrix:
     """Exact joint state with Hermiticity / trace / positivity invariants."""
@@ -557,6 +571,7 @@ class DensityMatrix:
         m = self.mat
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidValue("density matrix must be square")
+        _require_finite(m, "density matrix")
         herm = float(np.abs(m - m.conj().T).max())
         if herm > HERMITICITY_TOL:
             raise InvalidValue(f"not Hermitian: max |rho - rho^+| = {herm:.3e}")
@@ -693,6 +708,7 @@ class SymmetricState:
         """Hermiticity and trace on u, positivity through every spin block."""
         pattern = _symmetric_pattern(self.hilbert.n_max, self.hilbert.n_emitters)
         u = self._checked_unknowns()
+        _require_finite(u, "symmetric state u")
         herm = float(np.abs(u - u[pattern.adjoint].conj()).max())
         if herm > HERMITICITY_TOL:
             raise InvalidValue(f"not Hermitian: max |rho - rho^+| = {herm:.3e}")
@@ -1157,28 +1173,29 @@ VACUUM_THRESHOLD = 1e-12  # photon number below which g2(0) is undefined
 def converge_in_cutoff(
     p: SystemParams,
     h: HilbertConfig,
-    observe: Callable[[SymmetricState, HilbertConfig], float],
-    rel_tol: float = FLUX_CUTOFF_RTOL,
+    observe: Callable[[SymmetricState, HilbertConfig], tuple[float, ...]],
     frame: str = "as_written",
-) -> tuple[float, HilbertConfig, SymmetricState]:
-    """observe(rho, h) at the exact steady state, converged in the Fock cutoff.
+) -> tuple[tuple[float, ...], HilbertConfig, SymmetricState]:
+    """The values observe(rho, h) at the exact steady state, converged in the Fock cutoff.
 
     Each rung solves on the permutation-symmetric unknowns
     (build_symmetric_liouvillian).  Starting from h.n_max the cutoff is
-    raised by 2 until the value changes by less than rel_tol relatively.
-    Returns the value with the HilbertConfig and the steady state of the last
-    cutoff.  A next rung with more unknowns than the cap raises
-    CutoffNotConverged; an initial configuration beyond the cap raises
+    raised by 2 until every value changes by less than FLUX_CUTOFF_RTOL
+    relatively.  Returns the values with the HilbertConfig and the steady
+    state of the last cutoff.  A next rung with more unknowns than the cap
+    raises CutoffNotConverged; an initial configuration beyond the cap raises
     DimensionCap.
     """
-    value = None
+    values = None
     while True:
         rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame=frame))
-        value_next = observe(rho, h)
-        tol = rel_tol * max(abs(value_next), 1e-300)
-        if value is not None and abs(value_next - value) <= tol:
-            return value_next, h, rho
-        value = value_next
+        values_next = observe(rho, h)
+        if values is not None and all(
+            abs(new - old) <= FLUX_CUTOFF_RTOL * max(abs(new), 1e-300)
+            for old, new in zip(values, values_next)
+        ):
+            return values_next, h, rho
+        values = values_next
         bigger = HilbertConfig(h.n_max + 2, h.n_emitters, h.cap)
         if bigger.symmetric_unknowns > h.cap:
             raise CutoffNotConverged(
@@ -1187,43 +1204,38 @@ def converge_in_cutoff(
         h = bigger
 
 
-def photon_flux_exact(
-    p: SystemParams,
-    h: HilbertConfig,
-    rel_tol: float = FLUX_CUTOFF_RTOL,
-    frame: str = "as_written",
-) -> float:
+def photon_flux_exact(p: SystemParams, h: HilbertConfig, frame: str = "as_written") -> float:
     """kappa * <a'a> at the exact steady state, converged in the Fock cutoff.
 
     See converge_in_cutoff for the ladder and the errors it raises.
     """
 
     def flux(rho, hh):
-        return p.kappa * expectation(rho, "photon_number", hh).real
+        return (p.kappa * expectation(rho, "photon_number", hh).real,)
 
-    return converge_in_cutoff(p, h, flux, rel_tol, frame)[0]
+    return converge_in_cutoff(p, h, flux, frame)[0][0]
 
 
-def _g2_of(rho: SymmetricState, h: HilbertConfig) -> float:
+def _number_and_g2(rho: SymmetricState, h: HilbertConfig) -> tuple[float, float]:
+    """(<a'a>, g2(0)) of a state; VacuumState if <a'a> is at most VACUUM_THRESHOLD."""
     n_phot = expectation(rho, "photon_number", h).real
     if n_phot <= VACUUM_THRESHOLD:
         raise VacuumState(f"steady-state photon number {n_phot:.3e} is below threshold")
     pair = expectation(rho, "photon_pair", h).real
-    return pair / n_phot**2
+    return n_phot, pair / n_phot**2
 
 
 def g2_zero_exact(p: SystemParams, h: HilbertConfig, frame: str = "as_written") -> float:
     """Equal-time second-order correlation <a'a'aa> / <a'a>^2 at steady state."""
     rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame=frame))
-    return _g2_of(rho, h)
+    return _number_and_g2(rho, h)[1]
 
 
 def g2_zero_converged(
-    p: SystemParams,
-    h: HilbertConfig,
-    rel_tol: float = FLUX_CUTOFF_RTOL,
-    frame: str = "as_written",
+    p: SystemParams, h: HilbertConfig, frame: str = "as_written"
 ) -> tuple[float, int]:
     """g2(0) converged in the Fock cutoff; returns (value, n_max used)."""
-    g2, h_used, _ = converge_in_cutoff(p, h, _g2_of, rel_tol, frame)
+    (g2,), h_used, _ = converge_in_cutoff(
+        p, h, lambda rho, hh: _number_and_g2(rho, hh)[1:], frame
+    )
     return g2, h_used.n_max

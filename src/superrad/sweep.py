@@ -79,7 +79,7 @@ def control_luminance(n: int, omega: float, gamma_r: float, gamma_minus: float) 
     return n * gamma_r * omega / denom
 
 
-def run_concentration_sweep(spec: SweepSpec, tol: float = 1e-10) -> list[SweepRow]:
+def run_concentration_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One SweepRow per emitter count, in increasing n order (deterministic)."""
     validate_params(spec.base_params)
     rows = []
@@ -87,7 +87,7 @@ def run_concentration_sweep(spec: SweepSpec, tol: float = 1e-10) -> list[SweepRo
         omega = spec.base_params.omega * (n if spec.drive_rule == "scaled" else 1)
         point = replace(spec.base_params, n_emitters=int(n), omega=float(omega))
         try:
-            l_cav = photon_flux_cumulant(point, tol=tol)
+            l_cav = photon_flux_cumulant(point)
         except NoConvergence as e:
             raise NoConvergence(f"sweep point n={n} did not converge: {e}") from e
         l_ctrl = control_luminance(int(n), omega, spec.gamma_r, spec.base_params.gamma_minus)

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superrad.cli import _csv_text, _json_result_text, main, run
-from superrad.config import parse_config
+from superrad.cli import _HANDLERS, _csv_text, _json_result_text, main, run
+from superrad.config import COMMANDS, parse_config
+from superrad.exact import HilbertConfig, photon_flux_exact
+from superrad.params import SystemParams
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -267,6 +269,30 @@ hilbert: {n_max: 3}
     lines = (out / "g2_result.csv").read_text().strip().splitlines()
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert solved == list(range(3, int(row["n_max_converged"]) + 1, 2))
+
+
+@pytest.mark.parametrize("n_em, omega", [(1, 0.01), (2, 1.0), (3, 4.0)])
+def test_g2_flux_agrees_with_the_flux_ladder(tmp_path, n_em, omega):
+    # the g2 ladder converges <a'a> together with g2(0), so its flux is a
+    # converged value too; the two ladders may stop on different rungs
+    doc = f"""
+command: g2
+params: {{n_emitters: {n_em}, delta: 2350.0, delta_c: 2350.0, g: 5.0, kappa: 50.0,
+         omega: {omega}, gamma_minus: 0.1, gamma_z: 1.0}}
+hilbert: {{n_max: 3}}
+"""
+    cfg = _write(tmp_path, "g.yaml", doc)
+    out = tmp_path / "out"
+    assert main(["g2", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    row = next(csv.DictReader(io.StringIO((out / "g2_result.csv").read_text())))
+    p = SystemParams(n_em, 2350.0, 2350.0, 5.0, 50.0, omega, 0.1, 1.0)
+    flux = photon_flux_exact(p, HilbertConfig(3, n_em))
+    assert float(row["flux_mev"]) == pytest.approx(flux, rel=1e-5)
+    assert float(row["flux_mev"]) == 50.0 * float(row["photon_number"])
+
+
+def test_every_command_has_one_handler():
+    assert set(_HANDLERS) == set(COMMANDS)
 
 
 REFLECTANCE_DOC = """

@@ -67,6 +67,21 @@ def test_hilbert_config_rejects_values_below_one(n_max, n_em, cap):
         HilbertConfig(n_max, n_em, cap)
 
 
+@pytest.mark.parametrize("fields, name", [
+    ((3.0, 1), "n_max"), ((3, True), "n_emitters"), (("3", 1), "n_max"),
+    ((3, 1, 4096.0), "cap"), ((3, 1, np.bool_(True)), "cap"),
+])
+def test_hilbert_config_rejects_values_that_are_not_integers(fields, name):
+    with pytest.raises(InvalidValue, match=f"{name} must be an integer"):
+        HilbertConfig(*fields)
+
+
+def test_hilbert_config_accepts_numpy_integers():
+    h = HilbertConfig(np.int64(3), np.int32(2), np.int64(4096))
+    assert h == HilbertConfig(3, 2)
+    assert h.symmetric_unknowns == HilbertConfig(3, 2).symmetric_unknowns
+
+
 def test_trace_preservation_is_structural():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -377,6 +392,24 @@ def test_density_matrix_validate_rejects_non_hermitian():
     mat[0, 1] = 1e-6
     with pytest.raises(InvalidValue, match="not Hermitian"):
         DensityMatrix(mat).validate()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["DensityMatrix", "SymmetricState"])
+def test_state_validate_names_non_finite_entries(kind, value):
+    # one bad entry in a valid state: every comparison with nan is false, and
+    # inf - inf is nan, so the finite check must come before the others
+    h = HilbertConfig(1, 1)
+    if kind == "DensityMatrix":
+        state, index = DensityMatrix.vacuum(h), (2, 1)
+    else:
+        p = SystemParams(1, 2000.0, 2000.0, 1.0, 10.0, 0.0, 0.2, 0.5)  # no pump: the vacuum
+        state, index = steady_state_exact(build_symmetric_liouvillian(p, h)), (3,)
+    state.validate()
+    state.mat[index] = value
+    where = ", ".join(map(str, index))
+    with pytest.raises(InvalidValue, match=rf"non-finite entries: 1; .* at index \[{where}\]"):
+        state.validate()
 
 
 @pytest.mark.parametrize("frame", ["as_written", "rotating"])
@@ -793,14 +826,28 @@ def test_converge_in_cutoff_returns_the_last_rung():
     p = regression_params(1)
 
     def flux(rho, h):
-        return p.kappa * expectation(rho, "photon_number", h).real
+        return (p.kappa * expectation(rho, "photon_number", h).real,)
 
-    value, h, rho = converge_in_cutoff(p, HilbertConfig(3, 1), flux, frame="rotating")
+    (value,), h, rho = converge_in_cutoff(p, HilbertConfig(3, 1), flux, frame="rotating")
     assert value == photon_flux_exact(p, HilbertConfig(3, 1), frame="rotating")
     assert h.n_max > 3 and (h.n_max - 3) % 2 == 0
-    assert value == flux(rho, h)
+    assert (value,) == flux(rho, h)
     direct = steady_state_exact(build_symmetric_liouvillian(p, h, frame="rotating"))
     assert trace_distance(rho, direct) <= 1e-14
+
+
+def test_converge_in_cutoff_climbs_until_every_value_settles():
+    # the first value settles at n_max=5, the second only at n_max=9
+    rungs = []
+
+    def observe(rho, h):
+        rungs.append(h.n_max)
+        return 1.0, float(min(h.n_max, 7))
+
+    values, h, _ = converge_in_cutoff(regression_params(1), HilbertConfig(3, 1), observe,
+                                      frame="rotating")
+    assert rungs == [3, 5, 7, 9]
+    assert values == (1.0, 7.0) and h.n_max == 9
 
 
 def test_flux_cutoff_not_converged_when_capped():
