@@ -14,7 +14,9 @@ inputs of its diagonal, and the charge-0 unknowns with their trace weights
 and adjoints.  A build only fills in the values, and the structure of the
 real system, with the sparse map from the entries of L to its values and
 the COLAMD column order of each set of kept entries, is cached per pattern;
-the observable operators are cached too.
+the observable operators are cached too.  A build makes no scipy matrix:
+L's CSR is built when Liouvillian.matrix is first read, and a steady-state
+solve builds only the CSC matrix that SuperLU factorises.
 
 There are two builders.  build_liouvillian acts on all d^2 elements of rho,
 d = (n_max+1)*2^N; its unknowns are the charge-0 sector, sum_E b_E^2 of them
@@ -319,16 +321,29 @@ class Liouvillian:
     the permutation-symmetric unknowns u.  Either carries what the
     steady-state solve needs: `entries`, the values of every entry of its
     cached pattern in pattern order, zeros included, which _hermitian_system
-    maps to the real steady-state system; and `pattern`, with the unknowns
-    solved for and their trace weights.
+    maps to the real steady-state system; and `pattern`, with L's CSR
+    structure, the unknowns solved for and their trace weights.  The scipy
+    matrix of L is built only when `matrix` is first read.
     """
 
-    matrix: sp.csr_matrix
     hilbert: HilbertConfig
     params: SystemParams
     frame: str
     entries: np.ndarray
     pattern: _Pattern
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """L as a CSR matrix, without the entries that a zero g or rate leaves."""
+        import scipy.sparse as sp
+        size = len(self.pattern.indptr) - 1
+        # eliminate_zeros compacts L's arrays in place, so L gets its own copies
+        liou = sp.csr_matrix(
+            (self.entries.copy(), self.pattern.indices.copy(), self.pattern.indptr.copy()),
+            shape=(size, size),
+        )
+        liou.eliminate_zeros()
+        return liou
 
     @property
     def dim(self) -> int:
@@ -371,10 +386,8 @@ def _check_model(p: SystemParams, h: HilbertConfig, frame: str):
 
 def _assemble(cls, pattern: _Pattern, p: SystemParams, h: HilbertConfig, frame: str):
     """L of type cls from its cached pattern: each entry's term coefficient times its
-    weight, the diagonal -i e(ket) + i e*(bra) + gamma_z zz with e the diagonal of
-    H_eff, and no entry that a zero g or rate leaves.  L's entries in pattern order,
-    zeros included, are kept read-only for the steady-state solve."""
-    import scipy.sparse as sp
+    weight, and the diagonal -i e(ket) + i e*(bra) + gamma_z zz with e the diagonal
+    of H_eff.  L's entries in pattern order, zeros included, are kept read-only."""
     shift = p.delta if frame == "rotating" else 0.0
     ket = _h_eff(p, shift, *pattern.ket, h.n_emitters)
     bra = _h_eff(p, shift, *pattern.bra, h.n_emitters)
@@ -383,13 +396,7 @@ def _assemble(cls, pattern: _Pattern, p: SystemParams, h: HilbertConfig, frame: 
     diagonal = -1j * ket + 1j * bra.conj() + p.gamma_z * pattern.zz
     entries[pattern.diagonal] = diagonal.ravel(order="F")
     entries.flags.writeable = False
-    size = len(pattern.indptr) - 1
-    # eliminate_zeros compacts L's arrays in place, so L gets its own copies
-    liou = sp.csr_matrix(
-        (entries.copy(), pattern.indices.copy(), pattern.indptr.copy()), shape=(size, size)
-    )
-    liou.eliminate_zeros()
-    return cls(liou, h, p, frame, entries, pattern)
+    return cls(h, p, frame, entries, pattern)
 
 
 def build_liouvillian(
@@ -410,8 +417,8 @@ def build_liouvillian(
     sum_n (s-_n kron s-_n), and its diagonal at vec index i + j*d is
     -i h_i + i h_j* + gamma_z sum_n z_n(i) z_n(j), where h is the diagonal of
     H_eff.  The parameter-free structure comes from _liouvillian_pattern, so a
-    build is one gather of the term coefficients, one broadcast for the
-    diagonal and the removal of the entries that a zero g or rate leaves.
+    build is one gather of the term coefficients and one broadcast for the
+    diagonal.
     """
     _check_model(p, h, frame)
     if h.dim > h.cap:  # the pattern holds d^2 rows, whatever is solved on it
@@ -674,6 +681,41 @@ def _spin_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, tuple[int, ...]]
     return blocks, tuple(sizes)
 
 
+@functools.lru_cache(maxsize=16)
+def _excitation_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The map from u to the excitation sub-blocks of every rho_j, stacked and identity-padded.
+
+    rho_j[(n, q), (m, q')] is zero unless n + q = m + q' (_spin_blocks holds
+    only entries with n - m = q' - q), so rho_j is the direct sum of its
+    sub-blocks at excitation e = n + q = 0 .. n_max + 2j, each on the rows
+    (n, e - n) in ascending n, and rho >= 0 exactly when every sub-block is.
+    Returns S, the rows of _spin_blocks' T moved to the sub-blocks, and pad,
+    so that (S @ u).reshape(pad.shape) + pad stacks every sub-block (p, then
+    e order) in the top left of an s x s slice, s = min(n_max, N) + 1, whose
+    other diagonal entries are 1.
+    """
+    import scipy.sparse as sp
+    blocks, sizes = _spin_blocks(n_max, n_em)
+    side = min(n_max, n_em) + 1
+    dest, widths, count = [], [], 0
+    for size in sizes:
+        spins = size // (n_max + 1) - 1  # 2j
+        n, q = np.divmod(np.arange(size), spins + 1)
+        e = n + q
+        slot = n - np.maximum(e - spins, 0)  # the row of (n, q) in its sub-block
+        dest.append((((count + e)[:, None] * side + slot[:, None]) * side + slot).ravel())
+        widths.append(np.bincount(e))
+        count += n_max + spins + 1
+    rows = np.repeat(np.arange(blocks.shape[0]), np.diff(blocks.indptr))
+    stack = sp.csr_matrix((blocks.data, (np.concatenate(dest)[rows], blocks.indices)),
+                          shape=(count * side * side, blocks.shape[1]))
+    _read_only(stack)
+    pad = np.zeros((count, side, side))
+    pad[:, np.arange(side), np.arange(side)] = np.arange(side) >= np.concatenate(widths)[:, None]
+    pad.flags.writeable = False
+    return stack, pad
+
+
 @dataclass
 class SymmetricState:
     """A permutation-symmetric joint state, held as its unknowns u(n, m, k).
@@ -705,7 +747,13 @@ class SymmetricState:
         return out
 
     def validate(self) -> "SymmetricState":
-        """Hermiticity and trace on u, positivity through every spin block."""
+        """Hermiticity and trace on u, positivity through every spin block.
+
+        One batched Cholesky factorisation of the Hermitian part of every
+        excitation sub-block (see _excitation_blocks) plus PSD_TOL I passes
+        a positive state; only when it fails are the eigenvalues of the
+        spin blocks computed, to decide against -PSD_TOL and report.
+        """
         pattern = _symmetric_pattern(self.hilbert.n_max, self.hilbert.n_emitters)
         u = self._checked_unknowns()
         _require_finite(u, "symmetric state u")
@@ -715,10 +763,16 @@ class SymmetricState:
         tr = complex(pattern.trace_weights @ u)
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidValue(f"trace {tr} differs from 1 beyond tolerance")
-        min_eig = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min())
-                      for b in self.spin_blocks())
-        if min_eig < -PSD_TOL:
-            raise InvalidValue(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+        stack, pad = _excitation_blocks(self.hilbert.n_max, self.hilbert.n_emitters)
+        sub = (stack @ u).reshape(pad.shape) + pad
+        try:
+            np.linalg.cholesky((sub + sub.conj().transpose(0, 2, 1)) / 2
+                               + PSD_TOL * np.eye(pad.shape[1]))
+        except np.linalg.LinAlgError:
+            min_eig = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min())
+                          for b in self.spin_blocks())
+            if min_eig < -PSD_TOL:
+                raise InvalidValue(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
         return self
 
 
@@ -787,6 +841,7 @@ class _HermitianSystem:
 
     indptr: np.ndarray        # CSC column pointers of the m x m real system
     indices: np.ndarray       # CSC row indices
+    columns: np.ndarray       # the column of each stored entry
     entries: sp.csr_matrix    # data = entries @ (Re e_0, Im e_0, Re e_1, ...) for L's entries e
     trace_at: np.ndarray      # positions in data of the trace row, which entries leave 0
     trace_values: np.ndarray  # the trace weights there
@@ -900,10 +955,11 @@ def _hermitian_system(pattern: _Pattern) -> _HermitianSystem:
         (factors, (slot[: len(rows)], sources)), shape=(len(keys), 2 * len(pattern.indices))
     )
     below = np.flatnonzero(adjoint > np.arange(m))
-    system = _HermitianSystem(indptr, indices, entries, slot[len(rows):],
+    system = _HermitianSystem(indptr, indices, keys // m, entries, slot[len(rows):],
                               trace_weights[traced], np.stack([below, adjoint[below]]))
     _read_only(entries)
-    for arr in (indptr, indices, system.trace_at, system.trace_values, system.pairs):
+    for arr in (indptr, indices, system.columns, system.trace_at, system.trace_values,
+                system.pairs):
         arr.flags.writeable = False
     return system
 
@@ -928,12 +984,15 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     from the entries of L to its values, are cached per L pattern, so a
     solve is one sparse product, one real LU factorisation, up to three
     rounds of iterative refinement with that factor, and u from w, Hermitian
-    by construction.  The factorisation drops the zero entries and runs
-    COLAMD on the first solve of each set of kept entries; the structure
-    records that column order, and later solves factorise in it (see
-    _HermitianSystem.factorise), with the same pivots, L and U, so w is
-    bitwise the one COLAMD gives.  u is normalised and the state validated.  A
-    singular factorisation, or a residual ||L v||_inf on all of L above
+    by construction.  The residuals are sums over the stored entries, of the
+    system and of L, in numpy: the LU's CSC is the only scipy matrix built.
+    The factorisation drops the zero entries and runs COLAMD on the first
+    solve of each set of kept entries; the structure records that column
+    order, and later solves factorise in it (see _HermitianSystem.factorise),
+    with the same pivots, L and U, so w is bitwise the one COLAMD gives.  u
+    is normalised and the state validated (a SymmetricState by one batched
+    Cholesky factorisation, see SymmetricState.validate).  A singular
+    factorisation, or a residual ||L v||_inf on all of L above
     STEADY_RESIDUAL_TOL, signals a degenerate null space.
 
     Why the block is enough: L commutes with rho -> e^{i phi E} rho e^{-i phi E},
@@ -949,7 +1008,6 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     unitary with X' E X = E + k, which no finite spectrum allows.  So a
     one-dimensional null space in the block certifies a unique steady state.
     """
-    import scipy.sparse as sp
     pattern = liou.pattern
     m = len(pattern.unknowns)
     if m > liou.hilbert.cap:
@@ -957,9 +1015,6 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     structure = _hermitian_system(pattern)
     data = structure.entries @ liou.entries.view(np.float64)
     data[structure.trace_at] = structure.trace_values
-    # the residual sums over every entry in the stored order, as the system on
-    # the kept entries does, since a dropped entry adds an exact 0
-    system = sp.csc_matrix((data, structure.indices, structure.indptr), shape=(m, m))
     rhs = np.zeros(m)
     rhs[0] = 1.0
 
@@ -973,7 +1028,9 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
         ) from e
     w = solve(rhs)
     for _ in range(3):
-        resid = rhs - system @ w
+        # each row sums its entries in the stored order, as a CSC product does,
+        # and a zero the factorisation drops adds an exact 0
+        resid = rhs - np.bincount(structure.indices, data * w[structure.columns], minlength=m)
         if np.abs(resid).max() < 1e-14:
             break
         w = w + solve(resid)
@@ -987,12 +1044,13 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     u = w.astype(complex)
     u[lower] += 1j * w[upper]
     u[upper] = u[lower].conj()
-    lmat = liou.matrix
-    v = np.zeros(lmat.shape[1], dtype=complex)
+    v = np.zeros(len(pattern.indptr) - 1, dtype=complex)
     v[pattern.unknowns] = u / tr
 
-    residual = float(np.abs(lmat @ v).max())
-    if residual > STEADY_RESIDUAL_TOL:
+    # ||L v||_inf on L's entries; every row holds its diagonal, so none is empty
+    residual = float(np.abs(np.add.reduceat(liou.entries * v[pattern.indices],
+                                            pattern.indptr[:-1])).max())
+    if not residual <= STEADY_RESIDUAL_TOL:  # a NaN fails too
         raise DegenerateSteadyState(
             f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}; "
             "null space is likely degenerate"

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParams, InvalidValue, NegativeRate, NonPositiveEnergy, ZeroEmitters
 
 
@@ -39,10 +41,14 @@ def validate_params(p: SystemParams) -> SystemParams:
     Returns the same record when valid.  Raises an error naming every
     violated invariant; when exactly one invariant fails the specific
     exception class (NegativeRate, ZeroEmitters, NonPositiveEnergy) is
-    raised so callers can branch on it.
+    raised so callers can branch on it.  n_emitters must be an int or a
+    numpy integer, not a bool, as in exact.HilbertConfig.
     """
     problems: list[InvalidParams] = []
-    if p.n_emitters < 1 or int(p.n_emitters) != p.n_emitters:
+    n_em = p.n_emitters
+    if isinstance(n_em, bool) or not isinstance(n_em, (int, np.integer)):
+        problems.append(InvalidParams([f"'n_emitters' must be an integer, got {n_em!r}"]))
+    elif n_em < 1:
         problems.append(ZeroEmitters())
     for field in ("delta", "delta_c"):
         if not getattr(p, field) > 0:

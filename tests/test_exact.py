@@ -299,10 +299,50 @@ def test_hermitian_system_is_cached_and_read_only():
         steady_state_exact(build(regression_params(3, omega=0.3), h, "rotating"))
         assert exact._hermitian_system.cache_info().hits == hits + 1
         system = exact._hermitian_system(build(p, h).pattern)
-        for arr in (system.indptr, system.indices, system.trace_at, system.trace_values,
-                    system.pairs, system.entries.data, system.entries.indices,
-                    system.entries.indptr):
+        for arr in (system.indptr, system.indices, system.columns, system.trace_at,
+                    system.trace_values, system.pairs, system.entries.data,
+                    system.entries.indices, system.entries.indptr):
             assert not arr.flags.writeable
+        # the refinement residual's row sums are bitwise those of a CSC product
+        m = len(system.indptr) - 1
+        rng = np.random.default_rng(7)
+        data, w = rng.normal(size=len(system.indices)), rng.normal(size=m)
+        product = sp.csc_matrix((data, system.indices, system.indptr), shape=(m, m)) @ w
+        assert np.array_equal(np.bincount(system.indices, data * w[system.columns], minlength=m),
+                              product)
+
+
+def test_solves_build_the_csr_of_l_only_when_it_is_read(monkeypatch):
+    built = []
+
+    def keep(*args, build=exact.build_symmetric_liouvillian, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(exact, "build_symmetric_liouvillian", keep)
+    p = dataclasses.replace(regression_params(2, omega=0.5), gamma_minus=0.0)  # zero entries in L
+    assert photon_flux_exact(p, HilbertConfig(3, 2)) > 0
+    assert len(built) >= 2
+    h = HilbertConfig(2, 2)
+    built.append(build_liouvillian(p, h, "rotating"))
+    keep(p, h, "rotating")
+    for liou in built[-2:]:
+        steady_state_exact(liou)
+    for liou in built:
+        assert "matrix" not in vars(liou)
+        pattern, entries = liou.pattern, liou.entries
+        size = len(pattern.indptr) - 1
+        rows = np.repeat(np.arange(size), np.diff(pattern.indptr))
+        # every row holds its diagonal, so the solve's residual sums no empty row
+        for positions in (rows, pattern.indices):
+            assert np.array_equal(positions[pattern.diagonal], np.arange(size))
+        kept = entries != 0
+        assert not kept.all()
+        expected = sp.csr_matrix((entries[kept], (rows[kept], pattern.indices[kept])),
+                                 shape=liou.matrix.shape)
+        assert liou.matrix is vars(liou)["matrix"]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(liou.matrix, name), getattr(expected, name)), name
 
 
 def test_liouvillian_pattern_is_cached_and_read_only():

@@ -40,6 +40,21 @@ def test_zero_emitters_rejected():
         validate_params(SystemParams(0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("n_em", [True, 2.0, 2.5])
+def test_non_integer_emitter_count_is_invalid_params_naming_it(n_em):
+    with pytest.raises(InvalidParams) as err:
+        validate_params(SystemParams(n_em, 2350.0, 2350.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    assert type(err.value) is InvalidParams
+    assert err.value.violations == [f"'n_emitters' must be an integer, got {n_em!r}"]
+
+
+def test_numpy_integer_emitter_count_is_valid_and_zero_is_zero_emitters():
+    p = SystemParams(np.int64(3), 2350.0, 2350.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert validate_params(p) is p
+    with pytest.raises(ZeroEmitters):
+        validate_params(SystemParams(np.int64(0), 2350.0, 2350.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+
 def test_non_positive_energy_rejected():
     with pytest.raises(NonPositiveEnergy):
         validate_params(SystemParams(1, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0))

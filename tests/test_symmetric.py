@@ -178,6 +178,49 @@ def test_symmetric_state_validate_rejects_broken_states():
     SymmetricState(vacuum, h).validate()
 
 
+@pytest.mark.parametrize("n_em", [1, 2, 3, 4])
+def test_excitation_blocks_stack_every_sub_block_of_the_spin_blocks(n_em):
+    # rho_j[(n, q), (m, q')] is zero unless n + q = m + q'; the stack holds
+    # every sub-block of one e = n + q exactly, padded with the identity
+    rng = np.random.default_rng(990 + n_em)
+    for n_max in range(3, 8):
+        h = HilbertConfig(n_max, n_em)
+        rho = steady_state_exact(build_symmetric_liouvillian(_detuned(rng, n_em), h, "rotating"))
+        stack, pad = exact._excitation_blocks(n_max, n_em)
+        side = min(n_max, n_em) + 1
+        subs = iter((stack @ rho.mat).reshape(pad.shape) + pad)
+        for block in rho.spin_blocks():
+            spins = len(block) // (n_max + 1) - 1
+            n, q = np.divmod(np.arange(len(block)), spins + 1)
+            e = n + q
+            assert np.all(block[e[:, None] != e] == 0)
+            assert np.abs(block).max() > 0
+            for level in range(n_max + spins + 1):
+                rows = np.flatnonzero(e == level)  # ascending n
+                sub = next(subs)
+                width = len(rows)
+                assert np.array_equal(sub[:width, :width], block[np.ix_(rows, rows)])
+                assert np.array_equal(sub[width:, width:], np.eye(side - width))
+                assert not sub[:width, width:].any() and not sub[width:, :width].any()
+        assert next(subs, None) is None
+
+
+@pytest.mark.parametrize("n_em", [3, 4])
+def test_a_coherence_alone_makes_a_lower_spin_block_indefinite(n_em):
+    # sum_{i != j} s+_i s-_j, the coherence u(0, 0, (0, 1, 1, N-2)), is N - 1 on
+    # the one-excitation Dicke state and -1 on the states of spin N/2 - 1
+    h = HilbertConfig(3, n_em)
+    p = SystemParams(n_em, 2000.0, 2000.0, 1.2, 30.0, 0.0, 0.2, 0.5)  # no pump: the vacuum
+    u = steady_state_exact(build_symmetric_liouvillian(p, h)).mat.copy()
+    u[exact._symmetric_pattern(h.n_max, n_em).index[0, 0, 1, 1]] = 1e-3 * n_em * (n_em - 1)
+    state = SymmetricState(u, h)
+    blocks = state.spin_blocks()
+    assert np.linalg.eigvalsh(blocks[0]).min() >= 0
+    assert np.linalg.eigvalsh(blocks[1]).min() == pytest.approx(-1e-3, rel=1e-12)
+    with pytest.raises(InvalidValue, match="not positive semidefinite"):
+        state.validate()
+
+
 @pytest.mark.parametrize("n_em", [8, 20])
 def test_cumulant_flux_certified_beyond_four_emitters(n_em):
     # leaky regime g sqrt(N) = 2 meV, kappa = 10 g sqrt(N); the 2% bound was
