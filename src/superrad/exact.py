@@ -1,31 +1,26 @@
 """Exact Lindblad solver for N identical emitters in a lossy cavity.
 
 This module is the oracle of the toolkit: it builds the sparse Liouvillian
-superoperator of the driven-dissipative Tavis-Cummings model, solves for the
-steady state via a trace-replacement linear system, time-evolves density
-matrices by a dense matrix exponential of each charge block, and evaluates
-observables exactly.  L is affine in the parameters, and never mixes
-elements rho_ij of different charge E_i - E_j, where E is the excitation
-number; the steady state lies in the charge-0 block.  L also maps Hermitian
-operators to Hermitian ones, so the steady-state system is real, on the
-Hermitian coordinates of that block.  Each builder keeps one pattern per
-(n_max, N), whatever the cap: the structure, term tags and weights of L, the
-inputs of its diagonal, and the charge-0 unknowns with their trace weights
-and adjoints.  A build only fills in the values, and the structure of the
-real system, with the sparse map from the entries of L to its values and
-the COLAMD column order of each set of kept entries, is cached per pattern;
-the observable operators are cached too.  A build makes no scipy matrix:
-L's CSR is built when Liouvillian.matrix is first read, and a steady-state
-solve builds only the CSC matrix that SuperLU factorises.
-
-There are two builders.  build_liouvillian acts on all d^2 elements of rho,
-d = (n_max+1)*2^N; its unknowns are the charge-0 sector, sum_E b_E^2 of them
-for b_E basis states at each E (744 at N=4, n_max=3), and it is the only
-route for states that are not permutation symmetric (time_evolve).
-build_symmetric_liouvillian acts on the permutation-symmetric charge-0
-unknowns (92 at N=4, n_max=3), which grow as (n_max+1)^2 N^2/4, not as 4^N:
-the flux and g2(0) ladders use it, and it reaches N = 20-40.  The cumulant
-module covers arbitrary N approximately.
+superoperator of the driven-dissipative Tavis-Cummings model on the
+permutation-symmetric unknowns of the state, solves for the steady state via
+a trace-replacement linear system, time-evolves states by a dense matrix
+exponential, and evaluates observables exactly.  A state of N identical
+emitters that no permutation of the emitters changes, and whose elements
+rho_ij all have charge E_i - E_j = 0, where E is the excitation number, is
+held as its unknowns u(n, m, k) (see build_symmetric_liouvillian): 92 at
+N=4 and 1724 at N=20, both at n_max=3; they grow as (n_max+1)^2 N^2/4, not
+as 4^N.  The master equation keeps such states so, and the steady state is
+one of them (see steady_state_exact).  L is affine in the parameters, and
+maps Hermitian operators to Hermitian ones, so the steady-state system is
+real, on the Hermitian coordinates of the unknowns.  The pattern of L is
+cached per (n_max, N), whatever the cap: its structure, term tags and
+weights, the inputs of its diagonal, and the unknowns' trace weights and
+adjoints.  A build only fills in the values, and the structure of the real
+system, with the sparse map from the entries of L to its values and the
+COLAMD column order of each set of kept entries, is cached per pattern.  A
+build makes no scipy matrix: L's CSR is built when Liouvillian.matrix is
+first read, and a steady-state solve builds only the CSC matrix that SuperLU
+factorises.  The cumulant module covers arbitrary N approximately.
 
 scipy is imported inside the functions that use it, so importing this module
 costs only numpy, and scipy loads on the first exact-route call; the
@@ -35,15 +30,12 @@ Conventions
 -----------
 * emitter basis: index 0 = ground, index 1 = excited;
   sigma_minus = |g><e|, sigma_z = diag(-1, +1).
-* tensor order: field factor first, then emitters 0..N-1.
-* vec(rho) is column-stacked (Fortran order), so vec(A rho B) = (B^T kron A) vec(rho).
 * Hamiltonian: H = delta_c a'a + sum_n [delta s+_n s-_n + g (a' s-_n + s+_n a)].
   With frame="rotating" both delta_c and delta are shifted by -delta, leaving
   only the detuning; all tracked observables commute with the total excitation
-  phase rotation, so they are identical in either frame.  The rotating frame
-  removes the phase rate k*delta (delta ~ 2e3 meV) from each charge-k block of
-  L, so the matrix exponential of time_evolve needs fewer squarings; the
-  charge-0 block is the same in both frames up to rounding.
+  phase rotation, so they are identical in either frame.  On the charge-0
+  unknowns the shift cancels between ket and bra, so the two frames give the
+  same L up to rounding.
 * dissipators: L[A] rho = A rho A' - (1/2){A'A, rho} at rates
   kappa (A = a), omega (A = s+_n), gamma_minus (A = s-_n), gamma_z (A = sz_n).
 """
@@ -74,19 +66,14 @@ if TYPE_CHECKING:
 
 DEFAULT_UNKNOWNS_CAP = 4096
 
-_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-_SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-
-
 @dataclass(frozen=True)
 class HilbertConfig:
     """Truncated Hilbert space: photon cutoff n_max, N emitters, and a cap.
 
-    The cap bounds the unknowns of every linear solve or dense block that is
-    about to run: a steady-state system (len(liou.pattern.unknowns)) or a charge
-    block of time_evolve.  Each is counted from (n_max, N) before it is
-    assembled.  build_liouvillian, whose L has d^2 rows, also needs
-    d = dim <= cap.
+    The cap bounds the permutation-symmetric unknowns, the size of every
+    steady-state system and of time_evolve's dense L.  They are counted from
+    (n_max, N) before anything is assembled (check_cap).  dim is the
+    dimension d = (n_max+1)*2^N of the space the state lives in.
     """
 
     n_max: int
@@ -111,11 +98,11 @@ class HilbertConfig:
 
     @property
     def symmetric_unknowns(self) -> int:
-        """Permutation-symmetric charge-0 unknowns, the smallest steady-state system of h."""
+        """Permutation-symmetric charge-0 unknowns, the size of L and of the steady-state system."""
         return _symmetric_count(self.n_max, self.n_emitters)
 
     def check_cap(self) -> "HilbertConfig":
-        """Raise DimensionCap if even the permutation-symmetric system exceeds the cap."""
+        """Raise DimensionCap if the permutation-symmetric unknowns exceed the cap."""
         if self.symmetric_unknowns > self.cap:
             raise DimensionCap(
                 f"{self.symmetric_unknowns} permutation-symmetric unknowns at n_max={self.n_max}, "
@@ -138,86 +125,6 @@ def _symmetric_count(n_max: int, n_em: int) -> int:
     return int(np.where(rest >= 0, (rest + 1) * pairs, 0).sum())
 
 
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(mat).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of vec."""
-    return np.asarray(v).reshape((dim, dim), order="F")
-
-
-# --- operator builders -------------------------------------------------------
-
-def destroy_op(n_levels: int) -> sp.csr_matrix:
-    """Bosonic annihilation operator truncated to n_levels Fock states."""
-    import scipy.sparse as sp
-    data = np.sqrt(np.arange(1, n_levels, dtype=float))
-    return sp.diags(data, offsets=1, format="csr").astype(complex)
-
-
-def field_operator(h: HilbertConfig, op: np.ndarray | sp.spmatrix) -> sp.csr_matrix:
-    """Embed a field-only operator into the full space."""
-    import scipy.sparse as sp
-    spins = sp.identity(2**h.n_emitters, dtype=complex, format="csr")
-    return sp.kron(sp.csr_matrix(op), spins, format="csr")
-
-
-def site_operator(h: HilbertConfig, op2: np.ndarray, site: int) -> sp.csr_matrix:
-    """Embed a single-emitter operator at the given 0-based site."""
-    import scipy.sparse as sp
-    if not 0 <= site < h.n_emitters:
-        raise IndexOutOfRange(f"emitter index {site} outside 0..{h.n_emitters - 1}")
-    left = sp.identity((h.n_max + 1) * 2**site, dtype=complex, format="csr")
-    right = sp.identity(2 ** (h.n_emitters - site - 1), dtype=complex, format="csr")
-    out = sp.kron(left, sp.csr_matrix(op2), format="csr")
-    return sp.kron(out, right, format="csr")
-
-
-def _read_only(*ops: sp.csr_matrix):
-    """Sort each operator's indices, then freeze its arrays, so that a cached copy can be shared."""
-    for op in ops:
-        op.sum_duplicates()
-        for arr in (op.data, op.indices, op.indptr):
-            arr.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=16)
-def _ladder_operators(n_max: int, n_em: int) -> tuple[sp.csr_matrix, tuple, tuple]:
-    """a, every sigma-minus_n and every sigma-z_n, built once per (n_max, N), read-only."""
-    h = HilbertConfig(n_max, n_em)
-    a = field_operator(h, destroy_op(n_max + 1))
-    sigma_minus = tuple(site_operator(h, _SIGMA_MINUS, n) for n in range(n_em))
-    sigma_z = tuple(site_operator(h, _SIGMA_Z, n) for n in range(n_em))
-    _read_only(a, *sigma_minus, *sigma_z)
-    return a, sigma_minus, sigma_z
-
-
-def _excitations(n_max: int, n_em: int) -> tuple[np.ndarray, np.ndarray]:
-    """Photon number n_i and excited-emitter number e_i of each basis index i = n * 2^N + s."""
-    spins = 2**n_em
-    photons = np.repeat(np.arange(n_max + 1), spins)
-    excited = np.tile([s.bit_count() for s in range(spins)], n_max + 1)
-    return photons, excited
-
-
-@functools.lru_cache(maxsize=16)
-def _charge(n_max: int, n_em: int) -> np.ndarray:
-    """E_i - E_j at each column-stacked vec index i + j*d, read-only.
-
-    E = a'a + sum_n s+_n s-_n is diagonal in the product basis: basis index
-    i = n * 2^N + s carries n photons and popcount(s) excited emitters.  L
-    never mixes elements of different charge (see steady_state_exact).
-    """
-    photons, excited = _excitations(n_max, n_em)
-    # the smallest signed type that holds +-(n_max + N) keeps the d^2 entries small
-    energy = (photons + excited).astype(np.min_scalar_type(-1 - n_max - n_em))
-    charge = (energy[:, None] - energy[None, :]).reshape(-1, order="F")
-    charge.flags.writeable = False
-    return charge
-
-
 # term tags of the entries of L: the off-diagonal terms scale with -i g, kappa,
 # omega and gamma_minus; the diagonal is filled in separately
 _G, _KAPPA, _OMEGA, _GAMMA_MINUS, _DIAGONAL = range(5)
@@ -225,10 +132,11 @@ _G, _KAPPA, _OMEGA, _GAMMA_MINUS, _DIAGONAL = range(5)
 
 @dataclass(frozen=True, eq=False)  # hashed by identity, the key of _hermitian_system
 class _Pattern:
-    """Everything in one builder's L that does not depend on the parameters, read-only.
+    """Everything in L that does not depend on the parameters, read-only.
 
-    L acts on the coordinates v of a state; the diagonal of H_eff at the
-    ket and at the bra of each coordinate gives L's diagonal (see _assemble).
+    L acts on the unknowns u(n, m, k) (see build_symmetric_liouvillian); the
+    diagonal of H_eff at the ket and at the bra of each unknown gives L's
+    diagonal.
     """
 
     indptr: np.ndarray    # CSR row pointers of every entry L can hold (int32)
@@ -236,12 +144,13 @@ class _Pattern:
     diagonal: np.ndarray  # position of the entry L[r, r] for each row r (int32)
     tags: np.ndarray      # term of each entry (int8), _DIAGONAL on the diagonal
     weights: np.ndarray   # real weight of each entry (the diagonal is overwritten)
-    ket: np.ndarray       # (photons, excited emitters) of each coordinate's ket
-    bra: np.ndarray       # the same of its bra, broadcastable against ket
+    ket: np.ndarray       # (photons, excited emitters) of each unknown's ket, shape (2, count)
+    bra: np.ndarray       # the same of its bra
     zz: np.ndarray        # sum_n z_n(ket) z_n(bra)
-    unknowns: np.ndarray  # ascending positions in v of the charge-0 coordinates solved for
-    trace_weights: np.ndarray  # Tr rho = trace_weights @ v[unknowns]; the first is nonzero
-    adjoint: np.ndarray   # position among the unknowns of each one's Hermitian conjugate
+    trace_weights: np.ndarray  # Tr rho = trace_weights @ u; the first is nonzero
+    adjoint: np.ndarray   # position of each unknown's Hermitian conjugate
+    k: np.ndarray         # (k_ee, k_eg, k_ge, k_gg) of each unknown, shape (4, count)
+    index: np.ndarray     # position of the unknown at [n, k_ee, k_eg, k_ge], -1 where none
 
 
 def _csr_pattern(rows, cols, tags, weights, size: int) -> dict:
@@ -258,177 +167,6 @@ def _csr_pattern(rows, cols, tags, weights, size: int) -> dict:
         "weights": weights[order],
     }
 
-
-def _freeze(cls, **arrays):
-    """A pattern of type cls with every array made read-only."""
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    return cls(**arrays)
-
-
-@functools.lru_cache(maxsize=16)
-def _liouvillian_pattern(n_max: int, n_em: int) -> _Pattern:
-    """build_liouvillian's pattern, once per (n_max, N).
-
-    The four off-diagonal terms of L (see build_liouvillian) never share an
-    entry: -i g[(I kron C) - (C kron I)] changes only one side of rho, while
-    a kron a, s+_n kron s+_n and s-_n kron s-_n change both sides, by one
-    photon, a raised emitter n or a lowered emitter n.  The unknowns are the
-    charge-0 vec indices, rho_00 first; the trace weights are 1 on rho_ii.
-    """
-    import scipy.sparse as sp
-    d = (n_max + 1) * 2**n_em
-    a, sigma_minus, _ = _ladder_operators(n_max, n_em)
-    ident = sp.identity(d, format="csr")
-    coupling = sum(a.T @ sm + sm.T @ a for sm in sigma_minus).real
-    terms = {
-        _G: sp.kron(ident, coupling) - sp.kron(coupling, ident),
-        _KAPPA: sp.kron(a, a).real,
-        _OMEGA: sum(sp.kron(sm.T, sm.T) for sm in sigma_minus).real,
-        _GAMMA_MINUS: sum(sp.kron(sm, sm) for sm in sigma_minus).real,
-        _DIAGONAL: sp.identity(d * d),
-    }
-    parts = [op.tocoo() for op in terms.values()]
-    ket = np.stack(_excitations(n_max, n_em)).astype(float)[:, :, None]
-    z = 2 * ((np.arange(d)[:, None] >> np.arange(n_em)) & 1) - 1
-    unknowns = np.flatnonzero(_charge(n_max, n_em) == 0)
-    trace_weights = np.zeros(len(unknowns))
-    trace_weights[np.searchsorted(unknowns, np.arange(d) * (d + 1))] = 1.0
-    col, row = np.divmod(unknowns, d)  # vec index row + col * d
-    return _freeze(
-        _Pattern,
-        **_csr_pattern(
-            np.concatenate([op.row for op in parts]),
-            np.concatenate([op.col for op in parts]),
-            np.repeat(np.array(list(terms), dtype=np.int8), [op.nnz for op in parts]),
-            np.concatenate([op.data for op in parts]),
-            d * d,
-        ),
-        ket=ket,
-        bra=ket.transpose(0, 2, 1),
-        zz=(z @ z.T).astype(np.int8),
-        unknowns=unknowns,
-        trace_weights=trace_weights,
-        adjoint=np.searchsorted(unknowns, col + row * d),
-    )
-
-
-@dataclass(frozen=True)
-class Liouvillian:
-    """Sparse generator L acting on the vector v of a state's coordinates.
-
-    build_liouvillian's L acts on vec(rho), build_symmetric_liouvillian's on
-    the permutation-symmetric unknowns u.  Either carries what the
-    steady-state solve needs: `entries`, the values of every entry of its
-    cached pattern in pattern order, zeros included, which _hermitian_system
-    maps to the real steady-state system; and `pattern`, with L's CSR
-    structure, the unknowns solved for and their trace weights.  The scipy
-    matrix of L is built only when `matrix` is first read.
-    """
-
-    hilbert: HilbertConfig
-    params: SystemParams
-    frame: str
-    entries: np.ndarray
-    pattern: _Pattern
-
-    @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """L as a CSR matrix, without the entries that a zero g or rate leaves."""
-        import scipy.sparse as sp
-        size = len(self.pattern.indptr) - 1
-        # eliminate_zeros compacts L's arrays in place, so L gets its own copies
-        liou = sp.csr_matrix(
-            (self.entries.copy(), self.pattern.indices.copy(), self.pattern.indptr.copy()),
-            shape=(size, size),
-        )
-        liou.eliminate_zeros()
-        return liou
-
-    @property
-    def dim(self) -> int:
-        """Dimension d of the Hilbert space the state lives in (not of L)."""
-        return self.hilbert.dim
-
-    def state(self, v: np.ndarray) -> "DensityMatrix":
-        """The state whose coordinates L acts on are v."""
-        return DensityMatrix(unvec(v, self.dim))
-
-    def trace_row(self) -> np.ndarray:
-        """The trace functional on v, the left null vector enforced by trace preservation."""
-        row = np.zeros(self.matrix.shape[1])
-        row[self.pattern.unknowns] = self.pattern.trace_weights
-        return row
-
-    def trace_residual(self) -> float:
-        """max |trace_row() L|, zero for a trace-preserving generator."""
-        return float(np.abs(self.trace_row() @ self.matrix).max())
-
-
-def _h_eff(p: SystemParams, shift: float, photons, excited, n_em: int) -> np.ndarray:
-    """Diagonal of H_eff = H - (i/2) sum_k r_k A_k'A_k at n photons and e excited emitters."""
-    return (p.delta_c - shift) * photons + (p.delta - shift) * excited - 0.5j * (
-        p.kappa * photons + p.omega * (n_em - excited) + p.gamma_minus * excited + p.gamma_z * n_em
-    )
-
-
-def _check_model(p: SystemParams, h: HilbertConfig, frame: str):
-    """Validate p and the frame, and check that h holds p's emitters and fits the cap."""
-    validate_params(p)
-    if frame not in ("as_written", "rotating"):
-        raise InvalidValue(f"unknown frame {frame!r}")
-    if p.n_emitters != h.n_emitters:
-        raise InvalidValue(
-            f"params have {p.n_emitters} emitters but the Hilbert space {h.n_emitters}"
-        )
-    h.check_cap()
-
-
-def _assemble(cls, pattern: _Pattern, p: SystemParams, h: HilbertConfig, frame: str):
-    """L of type cls from its cached pattern: each entry's term coefficient times its
-    weight, and the diagonal -i e(ket) + i e*(bra) + gamma_z zz with e the diagonal
-    of H_eff.  L's entries in pattern order, zeros included, are kept read-only."""
-    shift = p.delta if frame == "rotating" else 0.0
-    ket = _h_eff(p, shift, *pattern.ket, h.n_emitters)
-    bra = _h_eff(p, shift, *pattern.bra, h.n_emitters)
-    coefficients = np.array([-1j * p.g, p.kappa, p.omega, p.gamma_minus, 0.0])
-    entries = coefficients[pattern.tags] * pattern.weights
-    diagonal = -1j * ket + 1j * bra.conj() + p.gamma_z * pattern.zz
-    entries[pattern.diagonal] = diagonal.ravel(order="F")
-    entries.flags.writeable = False
-    return cls(h, p, frame, entries, pattern)
-
-
-def build_liouvillian(
-    p: SystemParams, h: HilbertConfig, frame: str = "as_written"
-) -> Liouvillian:
-    """Assemble L with vec(rho_dot) = L vec(rho) for the full master equation.
-
-    The anticommutator terms of the dissipators are folded into the
-    non-Hermitian H_eff = H - (i/2) sum_k r_k A_k'A_k, so that
-
-        L = -i (I kron H_eff) + i (H_eff* kron I) + sum_k r_k (A_k* kron A_k).
-
-    Every A_k'A_k is diagonal, and so is H but for its coupling g C with
-    C = sum_n (a' s-_n + s+_n a).  L is therefore affine in the parameters
-    theta = (delta_c - shift, delta - shift, g, kappa, omega, gamma_minus,
-    gamma_z): its off-diagonal entries are -i g [(I kron C) - (C kron I)] +
-    kappa (a kron a) + omega sum_n (s+_n kron s+_n) + gamma_minus
-    sum_n (s-_n kron s-_n), and its diagonal at vec index i + j*d is
-    -i h_i + i h_j* + gamma_z sum_n z_n(i) z_n(j), where h is the diagonal of
-    H_eff.  The parameter-free structure comes from _liouvillian_pattern, so a
-    build is one gather of the term coefficients and one broadcast for the
-    diagonal.
-    """
-    _check_model(p, h, frame)
-    if h.dim > h.cap:  # the pattern holds d^2 rows, whatever is solved on it
-        raise DimensionCap(
-            f"Hilbert dimension {h.dim} = ({h.n_max}+1)*2^{h.n_emitters} exceeds cap {h.cap}"
-        )
-    return _assemble(Liouvillian, _liouvillian_pattern(h.n_max, h.n_emitters), p, h, frame)
-
-
-# --- permutation-symmetric Liouvillian ---------------------------------------------
 
 # Off-diagonal moves of L on u: (term, change of n, change of m, change of
 # (k_ee, k_eg, k_ge, k_gg), field factor).  Summed over the sites, a one-site
@@ -452,17 +190,9 @@ _MOVES = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class _SymmetricPattern(_Pattern):
-    """The pattern of build_symmetric_liouvillian, whose coordinates are the unknowns u(n, m, k)."""
-
-    k: np.ndarray         # (k_ee, k_eg, k_ge, k_gg) of each unknown, shape (4, count)
-    index: np.ndarray     # position of the unknown at [n, k_ee, k_eg, k_ge], -1 where none
-
-
 @functools.lru_cache(maxsize=16)
-def _symmetric_pattern(n_max: int, n_em: int) -> _SymmetricPattern:
-    """build_symmetric_liouvillian's pattern, once per (n_max, N).
+def _symmetric_pattern(n_max: int, n_em: int) -> _Pattern:
+    """The pattern of L, once per (n_max, N).
 
     The unknowns are every (n, m, k) with k_ee + k_eg + k_ge + k_gg = N and
     (n - m) + (k_eg - k_ge) = 0, ordered by n, then k_ee, k_eg, k_ge, so that
@@ -494,31 +224,79 @@ def _symmetric_pattern(n_max: int, n_em: int) -> _SymmetricPattern:
         cols.append(np.flatnonzero(keep))
         tags.append(np.full(target.size, tag, dtype=np.int8))
         weights.append(weight[keep])
-    return _freeze(
-        _SymmetricPattern,
+    arrays = dict(
         **_csr_pattern(*(np.concatenate(x) for x in (rows, cols, tags, weights)), count),
         ket=np.stack([n, ee + eg]).astype(float),
         bra=np.stack([m, ee + ge]).astype(float),
         zz=(ee + gg - eg - ge).astype(float),
-        unknowns=np.arange(count),
         trace_weights=((n == m) & (eg == 0) & (ge == 0)).astype(float),
         adjoint=index[m, ee, ge, eg].astype(np.intp),
         k=k,
         index=index,
     )
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return _Pattern(**arrays)
 
 
 @dataclass(frozen=True)
-class SymmetricLiouvillian(Liouvillian):
-    """L on the permutation-symmetric unknowns u; its states are SymmetricState."""
+class Liouvillian:
+    """Sparse generator L with u_dot = L u on the permutation-symmetric unknowns u.
+
+    It carries what the steady-state solve needs: `entries`, the values of
+    every entry of its cached pattern in pattern order, zeros included, which
+    _hermitian_system maps to the real steady-state system; and `pattern`,
+    with L's CSR structure and the unknowns' trace weights and adjoints.  The
+    scipy matrix of L is built only when `matrix` is first read.
+    """
+
+    hilbert: HilbertConfig
+    params: SystemParams
+    frame: str
+    entries: np.ndarray
+    pattern: _Pattern
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """L as a CSR matrix, without the entries that a zero g or rate leaves."""
+        import scipy.sparse as sp
+        size = len(self.pattern.indptr) - 1
+        # eliminate_zeros compacts L's arrays in place, so L gets its own copies
+        liou = sp.csr_matrix(
+            (self.entries.copy(), self.pattern.indices.copy(), self.pattern.indptr.copy()),
+            shape=(size, size),
+        )
+        liou.eliminate_zeros()
+        return liou
+
+    @property
+    def dim(self) -> int:
+        """Dimension d of the Hilbert space the state lives in (not of L)."""
+        return self.hilbert.dim
 
     def state(self, v: np.ndarray) -> "SymmetricState":
+        """The state whose unknowns are v."""
         return SymmetricState(v, self.hilbert)
+
+    def trace_row(self) -> np.ndarray:
+        """The trace functional on u, the left null vector enforced by trace preservation."""
+        return self.pattern.trace_weights.copy()
+
+    def trace_residual(self) -> float:
+        """max |trace_row() L|, zero for a trace-preserving generator."""
+        return float(np.abs(self.trace_row() @ self.matrix).max())
+
+
+def _h_eff(p: SystemParams, shift: float, photons, excited, n_em: int) -> np.ndarray:
+    """Diagonal of H_eff = H - (i/2) sum_k r_k A_k'A_k at n photons and e excited emitters."""
+    return (p.delta_c - shift) * photons + (p.delta - shift) * excited - 0.5j * (
+        p.kappa * photons + p.omega * (n_em - excited) + p.gamma_minus * excited + p.gamma_z * n_em
+    )
 
 
 def build_symmetric_liouvillian(
     p: SystemParams, h: HilbertConfig, frame: str = "as_written"
-) -> SymmetricLiouvillian:
+) -> Liouvillian:
     """Assemble L with u_dot = L u on the permutation-symmetric charge-0 unknowns.
 
     A state of N identical emitters that no permutation of the emitters
@@ -529,25 +307,47 @@ def build_symmetric_liouvillian(
     M(k) = N!/prod_t k_t!, and keeps only the charge-0 ones, (n - m) +
     (k_eg - k_ge) = 0, which hold the steady state (see steady_state_exact):
     about (n_max+1)^2 N^2/4 of them for large N, since |k_eg - k_ge| <=
-    n_max, against about 4^N (n_max+1) elements of rho.  A one-site term
+    n_max, against about 4^N (n_max+1) elements of rho.
+
+    The anticommutator terms of the dissipators are folded into the
+    non-Hermitian H_eff = H - (i/2) sum_k r_k A_k'A_k, so that L rho =
+    -i H_eff rho + i rho H_eff' + sum_k r_k A_k rho A_k'.  Every A_k'A_k is
+    diagonal, and so is H but for its coupling g C with C = sum_n (a' s-_n +
+    s+_n a), so L is affine in the parameters theta = (delta_c - shift,
+    delta - shift, g, kappa, omega, gamma_minus, gamma_z).  A one-site term
     summed over the emitters moves u(k) to u(k - e_t + e_t') with weight
-    S[t' <- t] k_t (see _MOVES); the field factors are those of
-    build_liouvillian.  The diagonal at u(n, m, k) is -i h(n, k_ee + k_eg) +
-    i h*(m, k_ee + k_ge) + gamma_z (k_ee + k_gg - k_eg - k_ge), with h the
-    diagonal of H_eff at n photons and e excited emitters.  As in
-    build_liouvillian, the pattern is cached per (n_max, N), and a build is
-    one gather.  A configuration with more unknowns than its cap raises
-    DimensionCap before anything is built.
+    S[t' <- t] k_t times a field factor (see _MOVES), at -i g for C and at
+    kappa, omega and gamma_minus for the jumps.  The diagonal at u(n, m, k)
+    is -i h(n, k_ee + k_eg) + i h*(m, k_ee + k_ge) + gamma_z (k_ee + k_gg -
+    k_eg - k_ge), with h the diagonal of H_eff at n photons and e excited
+    emitters.  The parameter-free structure comes from _symmetric_pattern,
+    cached per (n_max, N), so a build is one gather of the term coefficients
+    and one broadcast for the diagonal; L's entries in pattern order, zeros
+    included, are kept read-only.  A configuration with more unknowns than
+    its cap raises DimensionCap before anything is built.
     """
-    _check_model(p, h, frame)
-    return _assemble(
-        SymmetricLiouvillian, _symmetric_pattern(h.n_max, h.n_emitters), p, h, frame
-    )
+    validate_params(p)
+    if frame not in ("as_written", "rotating"):
+        raise InvalidValue(f"unknown frame {frame!r}")
+    if p.n_emitters != h.n_emitters:
+        raise InvalidValue(
+            f"params have {p.n_emitters} emitters but the Hilbert space {h.n_emitters}"
+        )
+    h.check_cap()
+    pattern = _symmetric_pattern(h.n_max, h.n_emitters)
+    shift = p.delta if frame == "rotating" else 0.0
+    ket = _h_eff(p, shift, *pattern.ket, h.n_emitters)
+    bra = _h_eff(p, shift, *pattern.bra, h.n_emitters)
+    coefficients = np.array([-1j * p.g, p.kappa, p.omega, p.gamma_minus, 0.0])
+    entries = coefficients[pattern.tags] * pattern.weights
+    entries[pattern.diagonal] = -1j * ket + 1j * bra.conj() + p.gamma_z * pattern.zz
+    entries.flags.writeable = False
+    return Liouvillian(h, p, frame, entries, pattern)
 
 
-# --- density matrices ---------------------------------------------------------
+# --- states -------------------------------------------------------------------
 
-# invariant tolerances of DensityMatrix.validate, and the steady-state residual bound
+# invariant tolerances of SymmetricState.validate, and the steady-state residual bound
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-8
@@ -564,65 +364,12 @@ def _require_finite(values: np.ndarray, what: str):
                            f"{values[first]} at index {list(first)}")
 
 
-@dataclass
-class DensityMatrix:
-    """Exact joint state with Hermiticity / trace / positivity invariants."""
-
-    mat: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def validate(self) -> "DensityMatrix":
-        m = self.mat
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidValue("density matrix must be square")
-        _require_finite(m, "density matrix")
-        herm = float(np.abs(m - m.conj().T).max())
-        if herm > HERMITICITY_TOL:
-            raise InvalidValue(f"not Hermitian: max |rho - rho^+| = {herm:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidValue(f"trace {tr} differs from 1 beyond tolerance")
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-        if min_eig < -PSD_TOL:
-            raise InvalidValue(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
-        return self
-
-    @classmethod
-    def vacuum(cls, h: HilbertConfig) -> "DensityMatrix":
-        """Empty cavity, all emitters in the ground state."""
-        m = np.zeros((h.dim, h.dim), dtype=complex)
-        m[0, 0] = 1.0
-        return cls(m)
-
-    @classmethod
-    def pure(cls, state: np.ndarray) -> "DensityMatrix":
-        psi = np.asarray(state, dtype=complex).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
-        return cls(np.outer(psi, psi.conj()))
-
-    @classmethod
-    def product(cls, h: HilbertConfig, fock_probs, p_excited: float) -> "DensityMatrix":
-        """Diagonal field state tensor identical diagonal emitter states.
-
-        Such states carry no coherences, so all first moments <a>, <s-> vanish
-        and every pair moment factorizes.
-        """
-        probs = np.asarray(fock_probs, dtype=float)
-        if probs.ndim != 1 or len(probs) != h.n_max + 1:
-            raise InvalidValue("fock_probs must have n_max + 1 entries")
-        if np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
-            raise InvalidValue("fock_probs must be a probability vector")
-        if not 0.0 <= p_excited <= 1.0:
-            raise InvalidValue("p_excited must lie in [0, 1]")
-        rho_f = np.diag(probs).astype(complex)
-        rho_s = np.diag([1.0 - p_excited, p_excited]).astype(complex)
-        m = rho_f
-        for _ in range(h.n_emitters):
-            m = np.kron(m, rho_s)
-        return cls(m)
+def _read_only(*ops: sp.csr_matrix):
+    """Sort each operator's indices, then freeze its arrays, so that a cached copy can be shared."""
+    for op in ops:
+        op.sum_duplicates()
+        for arr in (op.data, op.indices, op.indptr):
+            arr.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=16)
@@ -721,13 +468,20 @@ class SymmetricState:
     """A permutation-symmetric joint state, held as its unknowns u(n, m, k).
 
     mat is u in the order of build_symmetric_liouvillian, the vector that
-    its L acts on, as vec(DensityMatrix.mat) is for build_liouvillian's L;
-    see build_symmetric_liouvillian for rho in terms of u.  Only charge-0
-    elements are held, so every element of rho with E_i != E_j is zero.
+    its L acts on; see build_symmetric_liouvillian for rho in terms of u.
+    Only charge-0 elements are held, so every element of rho with E_i != E_j
+    is zero.
     """
 
     mat: np.ndarray
     hilbert: HilbertConfig
+
+    @classmethod
+    def vacuum(cls, h: HilbertConfig) -> "SymmetricState":
+        """Empty cavity, all emitters in the ground state: u = 1 at u(0, 0, (0, 0, 0, N)), the first."""
+        u = np.zeros(h.symmetric_unknowns, dtype=complex)
+        u[0] = 1.0
+        return cls(u, h)
 
     def _checked_unknowns(self) -> np.ndarray:
         """u, once it holds one value per unknown of its configuration."""
@@ -776,31 +530,23 @@ class SymmetricState:
         return self
 
 
-def trace_distance(a: DensityMatrix | SymmetricState, b: DensityMatrix | SymmetricState) -> float:
-    """(1/2) * sum of singular values of (a - b), for two states of one kind and shape.
+def trace_distance(a: SymmetricState, b: SymmetricState) -> float:
+    """(1/2) * sum of singular values of (a - b), for two states of one (n_max, N).
 
-    Two SymmetricStates are compared on their spin blocks (see _spin_blocks)
-    without expanding rho: (1/2) sum_j d_j ||rho_j - sigma_j||_1, where d_j =
+    The states are compared on their spin blocks (see _spin_blocks) without
+    expanding rho: (1/2) sum_j d_j ||rho_j - sigma_j||_1, where d_j =
     C(N, p) - C(N, p-1) is the multiplicity of rho_j.
     """
-    symmetric = isinstance(a, SymmetricState)
-    if symmetric != isinstance(b, SymmetricState):
-        raise InvalidValue(f"cannot compare a {type(a).__name__} with a {type(b).__name__}")
-    if symmetric:
-        h, hb = a.hilbert, b.hilbert
-        if (h.n_max, h.n_emitters) != (hb.n_max, hb.n_emitters):
-            raise InvalidValue(f"states of n_max={h.n_max}, N={h.n_emitters} and "
-                               f"n_max={hb.n_max}, N={hb.n_emitters} cannot be compared")
-        n_em = h.n_emitters
-        multiplicity = [math.comb(n_em, p) - (math.comb(n_em, p - 1) if p else 0)
-                        for p in range(n_em // 2 + 1)]
-        diffs = zip((x - y for x, y in zip(a.spin_blocks(), b.spin_blocks())), multiplicity)
-    else:
-        if a.mat.shape != b.mat.shape:
-            raise InvalidValue(f"states of shape {a.mat.shape} and {b.mat.shape} cannot be compared")
-        diffs = [(a.mat - b.mat, 1)]
+    h, hb = a.hilbert, b.hilbert
+    if (h.n_max, h.n_emitters) != (hb.n_max, hb.n_emitters):
+        raise InvalidValue(f"states of n_max={h.n_max}, N={h.n_emitters} and "
+                           f"n_max={hb.n_max}, N={hb.n_emitters} cannot be compared")
+    n_em = h.n_emitters
+    multiplicity = [math.comb(n_em, p) - (math.comb(n_em, p - 1) if p else 0)
+                    for p in range(n_em // 2 + 1)]
+    diffs = (x - y for x, y in zip(a.spin_blocks(), b.spin_blocks()))
     return 0.5 * sum(d_j * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum())
-                     for diff, d_j in diffs)
+                     for diff, d_j in zip(diffs, multiplicity))
 
 
 # --- steady state and dynamics --------------------------------------------------
@@ -834,8 +580,8 @@ _ORDERS_PER_SYSTEM = 8
 class _HermitianSystem:
     """The real trace-replaced steady-state system of one L pattern, read-only but for its orders.
 
-    Its unknowns are the Hermitian coordinates w of the charge-0 unknowns u
-    (see steady_state_exact): a pair i < j = adjoint[i] has u_i = w_i + i w_j
+    Its unknowns are the Hermitian coordinates w of the unknowns u (see
+    steady_state_exact): a pair i < j = adjoint[i] has u_i = w_i + i w_j
     and u_j = w_i - i w_j, and a self-adjoint u_s = w_s is real.
     """
 
@@ -919,17 +665,13 @@ def _hermitian_system(pattern: _Pattern) -> _HermitianSystem:
     real, so their other part adds nothing to the structure.
     """
     import scipy.sparse as sp
-    unknowns, trace_weights, adjoint = pattern.unknowns, pattern.trace_weights, pattern.adjoint
-    m = len(unknowns)
-    size = len(pattern.indptr) - 1
-    position = np.full(size, -1)
-    position[unknowns] = np.arange(m)
+    trace_weights, adjoint = pattern.trace_weights, pattern.adjoint
+    m = len(pattern.indptr) - 1
     entry = np.arange(len(pattern.indices))
-    row = position[np.repeat(np.arange(size), np.diff(pattern.indptr))]
-    col = position[pattern.indices]
-    # the rows read: not row 0, nor one at the upper of a pair; an entry
-    # outside the unknowns cannot reach them
-    keep = (row > 0) & (col >= 0)
+    row = np.repeat(np.arange(m), np.diff(pattern.indptr))
+    col = pattern.indices.astype(np.intp)
+    # the rows read: not row 0, nor one at the upper of a pair
+    keep = row > 0
     keep[keep] = adjoint[row[keep]] >= row[keep]
     entry, row, col, tag = entry[keep], row[keep], col[keep], pattern.tags[keep]
     row_mate, col_mate = adjoint[row], adjoint[col]
@@ -964,16 +706,15 @@ def _hermitian_system(pattern: _Pattern) -> _HermitianSystem:
     return system
 
 
-def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
-    """Unique steady state, solved as a real system on the charge-0 unknowns that liou carries.
+def steady_state_exact(liou: Liouvillian) -> SymmetricState:
+    """Unique steady state, solved as a real system on the unknowns u that liou acts on.
 
     H conserves E = a'a + sum_n s+_n s-_n, and every jump operator shifts E by
     the same amount on both sides of rho, so L never mixes elements rho_ij of
-    different charge E_i - E_j.  The steady state lies in the E_i = E_j block:
-    sum_E b_E^2 of the d^2 elements of vec(rho) (b_E basis states at each E;
-    744 of 4096 at N=4, n_max=3), or every permutation-symmetric unknown
-    (92 at N=4, n_max=3).  A block with more unknowns than the cap raises
-    DimensionCap before anything is assembled for it.
+    different charge E_i - E_j.  The steady state lies in the E_i = E_j block,
+    and it is permutation symmetric, so it is held by the unknowns u (92 at
+    N=4, n_max=3, against 744 charge-0 elements of the full rho).  The
+    builder has refused a configuration with more unknowns than its cap.
 
     L maps Hermitian operators to Hermitian operators, so the solve runs on
     the real Hermitian coordinates w of the block, as many as its complex
@@ -990,8 +731,8 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     solve of each set of kept entries; the structure records that column
     order, and later solves factorise in it (see _HermitianSystem.factorise),
     with the same pivots, L and U, so w is bitwise the one COLAMD gives.  u
-    is normalised and the state validated (a SymmetricState by one batched
-    Cholesky factorisation, see SymmetricState.validate).  A singular
+    is normalised and the state validated (by one batched Cholesky
+    factorisation, see SymmetricState.validate).  A singular
     factorisation, or a residual ||L v||_inf on all of L above
     STEADY_RESIDUAL_TOL, signals a degenerate null space.
 
@@ -1009,9 +750,7 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     one-dimensional null space in the block certifies a unique steady state.
     """
     pattern = liou.pattern
-    m = len(pattern.unknowns)
-    if m > liou.hilbert.cap:
-        raise DimensionCap(f"steady-state system of {m} sector unknowns exceeds cap {liou.hilbert.cap}")
+    m = len(pattern.indptr) - 1
     structure = _hermitian_system(pattern)
     data = structure.entries @ liou.entries.view(np.float64)
     data[structure.trace_at] = structure.trace_values
@@ -1044,8 +783,7 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     u = w.astype(complex)
     u[lower] += 1j * w[upper]
     u[upper] = u[lower].conj()
-    v = np.zeros(len(pattern.indptr) - 1, dtype=complex)
-    v[pattern.unknowns] = u / tr
+    v = u / tr
 
     # ||L v||_inf on L's entries; every row holds its diagonal, so none is empty
     residual = float(np.abs(np.add.reduceat(liou.entries * v[pattern.indices],
@@ -1058,41 +796,32 @@ def steady_state_exact(liou: Liouvillian) -> DensityMatrix | SymmetricState:
     return liou.state(v).validate()
 
 
-def time_evolve(liou: Liouvillian, rho0: DensityMatrix, t_final: float) -> DensityMatrix:
-    """rho(t_final) = exp(t_final L) rho0, one dense matrix exponential per charge block.
+def time_evolve(liou: Liouvillian, rho0: SymmetricState, t_final: float) -> SymmetricState:
+    """rho(t_final) = exp(t_final L) rho0, one dense matrix exponential of L.
 
-    L never mixes charges E_i - E_j (see steady_state_exact), so each charge
-    that vec(rho0) occupies evolves on its own under exp(t_final L_k), by
-    scaling and squaring (scipy.linalg.expm); a vacuum start occupies only
-    charge 0.  A block with more unknowns than h.cap raises DimensionCap first.
-    A rho0 that is not Hermitian to HERMITICITY_TOL raises InvalidValue, since
-    the result is symmetrised.
+    L acts on the unknowns u, so the exponential is as large as the
+    steady-state system, which the builder's cap bounds; it is computed by
+    scaling and squaring (scipy.linalg.expm).  rho0 must be a state of
+    liou's (n_max, N), Hermitian to HERMITICITY_TOL, since the result is
+    symmetrised; anything else, or a t_final that is not a finite number
+    >= 0, raises InvalidValue.  The result is validated, so a time so long
+    that the exponential loses the state raises InvalidValue too.
     """
     from scipy.linalg import expm
-    if not (np.isfinite(t_final) and t_final >= 0):
-        raise InvalidValue(f"t_final must be finite and >= 0, got {t_final}")
-    d = liou.dim
-    if liou.matrix.shape[0] != d * d:
-        raise InvalidValue("time_evolve needs the full-space Liouvillian of build_liouvillian")
-    if rho0.mat.shape != (d, d):
-        raise InvalidValue(f"rho0 has shape {rho0.mat.shape}, the Liouvillian acts on {d}x{d}")
-    herm = float(np.abs(rho0.mat - rho0.mat.conj().T).max())
+    if isinstance(t_final, bool) or not (np.isfinite(t_final) and t_final >= 0):
+        raise InvalidValue(f"t_final must be finite and >= 0, got {t_final!r}")
+    h, held = liou.hilbert, rho0.hilbert
+    if (held.n_max, held.n_emitters) != (h.n_max, h.n_emitters):
+        raise InvalidValue(f"rho0 of n_max={held.n_max}, N={held.n_emitters} evolved with {h}")
+    u = rho0._checked_unknowns()
+    adjoint = liou.pattern.adjoint
+    herm = float(np.abs(u - u[adjoint].conj()).max())
     if herm > HERMITICITY_TOL:
         raise InvalidValue(f"rho0 is not Hermitian: max |rho0 - rho0^+| = {herm:.3e}")
     if t_final == 0.0:
-        return DensityMatrix(rho0.mat.copy())
-    y0 = vec(rho0.mat).astype(complex)
-    charge = _charge(liou.hilbert.n_max, liou.hilbert.n_emitters)
-    blocks = [np.flatnonzero(charge == k) for k in np.unique(charge[y0 != 0])]
-    biggest = max(map(len, blocks), default=0)
-    if biggest > liou.hilbert.cap:
-        raise DimensionCap(f"charge block of {biggest} unknowns exceeds cap {liou.hilbert.cap}")
-    lmat = liou.matrix.tocsr()
-    y = np.zeros_like(y0)
-    for idx in blocks:
-        y[idx] = expm(t_final * lmat[idx][:, idx].toarray()) @ y0[idx]
-    rho = unvec(y, d)
-    return DensityMatrix((rho + rho.conj().T) / 2)
+        return SymmetricState(u.copy(), h).validate()
+    y = expm(t_final * liou.matrix.toarray()) @ u
+    return SymmetricState((y + y[adjoint].conj()) / 2, h).validate()
 
 
 # --- observables -----------------------------------------------------------------
@@ -1108,46 +837,17 @@ OBSERVABLES = {
 }
 
 
-def _observable_key(which: str, h: HilbertConfig, i, j) -> tuple:
-    """(which, n_max, N, the emitter indices it reads of (i, j)), checked against h."""
+def _check_indices(which: str, h: HilbertConfig, i, j):
+    """Raise unless which is an observable and the emitter indices it reads of (i, j) fit h."""
     if which not in OBSERVABLES:
         raise UnknownObservable(f"unknown observable {which!r}; choose from {tuple(OBSERVABLES)}")
     indices = (i, j)[: OBSERVABLES[which]]
     for k in indices:
-        if not isinstance(k, (int, np.integer)) or not 0 <= k < h.n_emitters:
+        if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+                or not 0 <= k < h.n_emitters):
             raise IndexOutOfRange(f"{which}: emitter index {k!r} not in 0..{h.n_emitters - 1}")
     if len(indices) == 2 and i == j:
         raise IndexOutOfRange("cross observables need two distinct emitters")
-    return which, h.n_max, h.n_emitters, indices
-
-
-def observable_operator(
-    which: str, h: HilbertConfig, i: int | None = None, j: int | None = None
-) -> sp.csr_matrix:
-    """Sparse operator for a named observable, cached per (which, n_max, N, indices), read-only."""
-    return _observable_operator(*_observable_key(which, h, i, j))
-
-
-@functools.lru_cache(maxsize=64)
-def _observable_operator(which: str, n_max: int, n_em: int, indices: tuple[int, ...]):
-    """observable_operator's build, from the operators of _ladder_operators."""
-    a, sigma_minus, sigma_z = _ladder_operators(n_max, n_em)
-    ad = a.conj().T
-    if which == "sigma_z":
-        return sigma_z[indices[0]]
-    if which == "photon_number":
-        op = ad @ a
-    elif which == "photon_pair":
-        op = ad @ ad @ a @ a
-    elif which == "field_coherence":
-        op = ad @ sigma_minus[indices[0]]
-    elif which == "cross_pm":
-        op = sigma_minus[indices[0]].conj().T @ sigma_minus[indices[1]]
-    else:
-        op = sigma_z[indices[0]] @ sigma_z[indices[1]]
-    op = op.tocsr()
-    _read_only(op)
-    return op
 
 
 @functools.lru_cache(maxsize=64)
@@ -1182,7 +882,7 @@ def _symmetric_observable(which: str, n_max: int, n_em: int) -> tuple[np.ndarray
 
 
 def expectation(
-    rho: DensityMatrix | SymmetricState,
+    rho: SymmetricState,
     which: str,
     h: HilbertConfig,
     i: int | None = None,
@@ -1190,36 +890,15 @@ def expectation(
 ) -> complex:
     """Tr(O rho) for the named observable, its indices checked against h.
 
-    rho must be a state of h, a DensityMatrix of shape (h.dim, h.dim) or a
-    SymmetricState of h's (n_max, N) with one value per unknown; any other
-    raises InvalidValue.
+    rho must be a state of h's (n_max, N) with one value per unknown; any
+    other raises InvalidValue.
     """
-    symmetric = isinstance(rho, SymmetricState)
-    held = (rho.hilbert.n_max, rho.hilbert.n_emitters) if symmetric else rho.mat.shape
-    if held != ((h.n_max, h.n_emitters) if symmetric else (h.dim, h.dim)):
-        kind = "(n_max, N)" if symmetric else "shape"
-        raise InvalidValue(f"{type(rho).__name__} of {kind} {held} read with {h}")
-    key = _observable_key(which, h, i, j)
-    if symmetric:
-        positions, weights = _symmetric_observable(which, h.n_max, h.n_emitters)
-        return complex(weights @ rho._checked_unknowns()[positions])
-    return operator_expectation(_observable_operator(*key), rho.mat)
-
-
-def operator_expectation(op: sp.spmatrix, mat: np.ndarray) -> complex:
-    """Tr(O M) = sum of O_ij M_ji over O's nonzeros, for a sparse O and a dense M."""
-    op = op.tocsr()
-    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-    return complex((op.data * mat[op.indices, rows]).sum())
-
-
-def total_excitation_operator(h: HilbertConfig) -> sp.csr_matrix:
-    """a'a + sum_n s+_n s-_n, conserved by H and by pure dephasing."""
-    a, sigma_minus, _ = _ladder_operators(h.n_max, h.n_emitters)
-    out = (a.conj().T @ a).tocsr()
-    for sm in sigma_minus:
-        out = out + (sm.conj().T @ sm).tocsr()
-    return out.tocsr()
+    held = (rho.hilbert.n_max, rho.hilbert.n_emitters)
+    if held != (h.n_max, h.n_emitters):
+        raise InvalidValue(f"SymmetricState of (n_max, N) {held} read with {h}")
+    _check_indices(which, h, i, j)
+    positions, weights = _symmetric_observable(which, h.n_max, h.n_emitters)
+    return complex(weights @ rho._checked_unknowns()[positions])
 
 
 # --- steady-state photon flux and statistics -----------------------------------

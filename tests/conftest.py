@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
+from reference_liouvillian import symmetric_state
 from superrad.cumulant import MomentState
-from superrad.exact import (
-    DensityMatrix,
-    HilbertConfig,
-    build_liouvillian,
-    observable_operator,
-    operator_expectation,
-    unvec,
-    vec,
-)
+from superrad.exact import SymmetricState, build_symmetric_liouvillian, expectation
 from superrad.params import SystemParams
 
 
@@ -44,10 +37,10 @@ def random_params(rng, n_emitters, delta_scale=20.0):
 
 
 def random_density_matrix(rng, dim):
-    """Random full-rank valid state: normalized A A^+ with complex Gaussian A."""
+    """Random full-rank valid d x d state: normalized A A^+ with complex Gaussian A."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
-    return DensityMatrix(rho / np.trace(rho).real)
+    return rho / np.trace(rho).real
 
 
 def random_hermitian(rng, dim):
@@ -58,29 +51,32 @@ def random_hermitian(rng, dim):
 def cutoff_safe_product_state(rng, h):
     """Uncorrelated product state whose top two Fock levels are empty.
 
-    Keeping the top of the photon ladder unpopulated makes the truncated
-    a, a' act exactly, so moment derivatives computed on the truncated space
-    equal their infinite-ladder values.
+    A diagonal field state tensor identical diagonal emitter states carries
+    no coherences, so all first moments <a>, <s-> vanish and every pair
+    moment factorizes.  Keeping the top of the photon ladder unpopulated
+    makes the truncated a, a' act exactly, so moment derivatives computed on
+    the truncated space equal their infinite-ladder values.
     """
     probs = np.zeros(h.n_max + 1)
     probs[: h.n_max - 1] = rng.dirichlet(np.ones(h.n_max - 1))
     p_excited = rng.uniform(0.0, 1.0)
-    rho = DensityMatrix.product(h, probs, p_excited)
+    rho = np.diag(probs)
+    for _ in range(h.n_emitters):
+        rho = np.kron(rho, np.diag([1.0 - p_excited, p_excited]))
     n_mean = float(np.arange(h.n_max + 1) @ probs)
     moments = MomentState.product(n_mean, 2.0 * p_excited - 1.0)
-    return rho, moments
+    return symmetric_state(rho, h), moments
 
 
 def exact_moment_derivatives(p, h, rho):
-    """d/dt of (n, s, Re c, Im c, Re x, Im x, z) from the full Liouvillian."""
-    liou = build_liouvillian(p, h)
-    drho = unvec(liou.matrix @ vec(rho.mat), h.dim)
-    dn = operator_expectation(observable_operator("photon_number", h), drho)
-    ds = operator_expectation(observable_operator("sigma_z", h, 0), drho)
-    dc = operator_expectation(observable_operator("field_coherence", h, 0), drho)
+    """d/dt of (n, s, Re c, Im c, Re x, Im x, z) at the symmetric state rho, from the exact L."""
+    drho = SymmetricState(build_symmetric_liouvillian(p, h).matrix @ rho.mat, h)
+    dn = expectation(drho, "photon_number", h)
+    ds = expectation(drho, "sigma_z", h, 0)
+    dc = expectation(drho, "field_coherence", h, 0)
     if h.n_emitters >= 2:
-        dx = operator_expectation(observable_operator("cross_pm", h, 0, 1), drho)
-        dz = operator_expectation(observable_operator("cross_zz", h, 0, 1), drho)
+        dx = expectation(drho, "cross_pm", h, 0, 1)
+        dz = expectation(drho, "cross_zz", h, 0, 1)
     else:
         dx, dz = 0j, 0j
     return np.array([dn.real, ds.real, dc.real, dc.imag, dx.real, dx.imag, dz.real])

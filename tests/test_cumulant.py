@@ -12,6 +12,7 @@ from conftest import (
     random_params,
     regression_params,
 )
+from reference_liouvillian import symmetric_state
 from superrad.cumulant import (
     MomentState,
     _characteristic_coefficients,
@@ -24,7 +25,13 @@ from superrad.cumulant import (
 )
 from superrad import cumulant
 from superrad.errors import InvalidValue, NoConvergence, NonFiniteState
-from superrad.exact import HilbertConfig, build_liouvillian, expectation, photon_flux_exact, steady_state_exact
+from superrad.exact import (
+    HilbertConfig,
+    build_symmetric_liouvillian,
+    expectation,
+    photon_flux_exact,
+    steady_state_exact,
+)
 from superrad.params import SystemParams
 
 
@@ -58,13 +65,14 @@ def test_moment_rhs_matches_exact_derivatives_at_product_states():
 
 def test_moment_rhs_photon_and_inversion_rows_match_exact_at_coherent_states():
     # dn/dt and ds/dt need no closure, so at N = 1 they are exact at any state,
-    # including ones with Im c != 0 that product states never reach
+    # including ones with Im c != 0 that product states never reach; n, s and c
+    # read only charge-0 elements, which the phase average keeps
     rng = np.random.default_rng(7)
     for n_max in (2, 3, 4, 5):
         h = HilbertConfig(n_max, 1)
         for _ in range(8):
             p = random_params(rng, 1)
-            rho = random_density_matrix(rng, h.dim)
+            rho = symmetric_state(random_density_matrix(rng, h.dim), h)
             m = MomentState(
                 n_photon=expectation(rho, "photon_number", h).real,
                 s_z=expectation(rho, "sigma_z", h, 0).real,
@@ -327,7 +335,7 @@ def test_weak_drive_linear_response_matches_exact():
         p = SystemParams(n_em, 1000.0, 1000.0, 1.0, 30.0, 1e-5, 0.3, 0.5)
         m = integrate_to_steady_state(p, tol=1e-14)
         h = HilbertConfig(3, n_em)
-        rho = steady_state_exact(build_liouvillian(p, h, frame="rotating"))
+        rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame="rotating"))
         n_e = expectation(rho, "photon_number", h).real
         x_e = expectation(rho, "cross_pm", h, 0, 1).real
         c_e = expectation(rho, "field_coherence", h, 0)

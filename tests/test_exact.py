@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -11,6 +10,19 @@ from conftest import (
     random_hermitian,
     random_params,
     regression_params,
+)
+from reference_liouvillian import (
+    dense_expectation,
+    dense_trace_distance,
+    expand,
+    expansion,
+    full_space_evolution,
+    full_space_steady_state,
+    kron_liouvillian,
+    ladder_operators,
+    symmetric_state,
+    unknown_of,
+    vec,
 )
 from superrad import exact
 from superrad.errors import (
@@ -23,22 +35,18 @@ from superrad.errors import (
     VacuumState,
 )
 from superrad.exact import (
-    DensityMatrix,
+    OBSERVABLES,
     HilbertConfig,
-    build_liouvillian,
+    SymmetricState,
     build_symmetric_liouvillian,
     converge_in_cutoff,
     expectation,
     g2_zero_converged,
     g2_zero_exact,
     photon_flux_exact,
-    site_operator,
     steady_state_exact,
     time_evolve,
-    total_excitation_operator,
     trace_distance,
-    unvec,
-    vec,
 )
 from superrad.params import SystemParams
 
@@ -50,15 +58,16 @@ FLUX_N1_REFERENCE = 0.6145299918401527
 def test_dimension_arithmetic():
     h = HilbertConfig(n_max=1, n_emitters=2)
     assert h.dim == 8
-    liou = build_liouvillian(regression_params(2), h)
-    assert liou.matrix.shape == (64, 64)
+    liou = build_symmetric_liouvillian(regression_params(2), h)
+    assert liou.dim == 8
+    assert liou.matrix.shape == (12, 12) == (h.symmetric_unknowns,) * 2
 
 
 def test_dimension_cap_enforced():
     with pytest.raises(DimensionCap):
         HilbertConfig(n_max=10, n_emitters=6, cap=512).check_cap()
     with pytest.raises(DimensionCap):
-        build_liouvillian(regression_params(2), HilbertConfig(7, 2, cap=16))
+        build_symmetric_liouvillian(regression_params(2), HilbertConfig(7, 2, cap=16))
 
 
 @pytest.mark.parametrize("n_max, n_em, cap", [(0, 1, 4096), (1, 0, 4096), (1, 1, 0), (3, 3, -5)])
@@ -86,21 +95,20 @@ def test_trace_preservation_is_structural():
     rng = np.random.default_rng(0)
     for _ in range(10):
         n = int(rng.integers(1, 4))
-        liou = build_liouvillian(random_params(rng, n), HilbertConfig(2, n))
+        liou = build_symmetric_liouvillian(random_params(rng, n), HilbertConfig(2, n))
         assert liou.trace_residual() <= 1e-10
 
 
 def test_dark_state_is_null_vector_without_pump():
     p = SystemParams(1, 10.0, 10.0, 0.0, 3.0, 0.0, 0.5, 0.0)
     h = HilbertConfig(2, 1)
-    liou = build_liouvillian(p, h)
-    rho_dark = DensityMatrix.vacuum(h)
-    assert np.abs(liou.matrix @ vec(rho_dark.mat)).max() <= 1e-12
+    liou = build_symmetric_liouvillian(p, h)
+    assert np.abs(liou.matrix @ SymmetricState.vacuum(h).mat).max() <= 1e-12
 
 
 def test_liouvillian_has_zero_eigenvalue():
     rng = np.random.default_rng(1)
-    liou = build_liouvillian(random_params(rng, 2), HilbertConfig(1, 2))
+    liou = build_symmetric_liouvillian(random_params(rng, 2), HilbertConfig(1, 2))
     eigs = np.linalg.eigvals(liou.matrix.toarray())
     scale = max(1.0, np.abs(eigs).max())
     assert np.abs(eigs).min() <= 1e-10 * scale
@@ -109,7 +117,7 @@ def test_liouvillian_has_zero_eigenvalue():
 def test_steady_state_no_pump_is_vacuum():
     p = SystemParams(2, 8.0, 9.0, 2.0, 5.0, 0.0, 0.3, 0.7)
     h = HilbertConfig(3, 2)
-    rho = steady_state_exact(build_liouvillian(p, h))
+    rho = steady_state_exact(build_symmetric_liouvillian(p, h))
     assert expectation(rho, "photon_number", h).real == pytest.approx(0.0, abs=1e-12)
     assert expectation(rho, "sigma_z", h, 0).real == pytest.approx(-1.0, abs=1e-12)
 
@@ -118,7 +126,7 @@ def test_steady_state_rate_equation_fixed_point():
     # g = 0 decouples the field; the emitter settles at omega/(omega+gamma-)
     p = SystemParams(1, 2350.0, 2350.0, 0.0, 1.0, 1.0, 3.0, 0.0)
     h = HilbertConfig(2, 1)
-    rho = steady_state_exact(build_liouvillian(p, h))
+    rho = steady_state_exact(build_symmetric_liouvillian(p, h))
     population = (1.0 + expectation(rho, "sigma_z", h, 0).real) / 2.0
     assert population == pytest.approx(0.25, abs=1e-9)
 
@@ -126,9 +134,9 @@ def test_steady_state_rate_equation_fixed_point():
 def test_steady_state_matches_long_time_integration():
     p = regression_params(2)
     h = HilbertConfig(4, 2)
-    liou = build_liouvillian(p, h, frame="rotating")
+    liou = build_symmetric_liouvillian(p, h, frame="rotating")
     rho_ss = steady_state_exact(liou)
-    rho_t = time_evolve(liou, DensityMatrix.vacuum(h), 1000.0)
+    rho_t = time_evolve(liou, SymmetricState.vacuum(h), 1000.0)
     assert trace_distance(rho_ss, rho_t) <= 1e-8
 
 
@@ -142,91 +150,38 @@ def test_steady_state_matches_dense_null_eigenvector():
         p = random_params(rng, n_em)
         if p.kappa < 0.05 and p.gamma_minus < 0.05:
             continue  # near-degenerate null space, not comparable
-        liou = build_liouvillian(p, h)
+        liou = build_symmetric_liouvillian(p, h)
         rho_tr = steady_state_exact(liou)
         eigvals, eigvecs = np.linalg.eig(liou.matrix.toarray())
-        k = int(np.argmin(np.abs(eigvals)))
-        rho_ev = unvec(eigvecs[:, k], h.dim)
-        rho_ev = (rho_ev + rho_ev.conj().T) / 2
-        rho_ev = rho_ev / np.trace(rho_ev).real
-        assert trace_distance(rho_tr, DensityMatrix(rho_ev)) <= 1e-10
+        u = eigvecs[:, int(np.argmin(np.abs(eigvals)))]
+        u = u / (liou.pattern.trace_weights @ u)  # trace 1 fixes the eigenvector's phase
+        u = (u + u[liou.pattern.adjoint].conj()) / 2
+        assert trace_distance(rho_tr, SymmetricState(u, h)) <= 1e-10
         checked += 1
 
 
-def _hamiltonian(p, h, frame):
-    """Tavis-Cummings Hamiltonian on the truncated space, from the cached ladder operators."""
-    shift = p.delta if frame == "rotating" else 0.0
-    a, sigma_minus, _ = exact._ladder_operators(h.n_max, h.n_emitters)
-    ham = (p.delta_c - shift) * (a.conj().T @ a)
-    for sm in sigma_minus:
-        sp_ = sm.conj().T
-        ham = ham + (p.delta - shift) * (sp_ @ sm) + p.g * (a.conj().T @ sm + sp_ @ a)
-    return ham.tocsr()
-
-
-def _jump_operators(p, h):
-    """All (rate, collapse operator) pairs of the master equation."""
-    a, sigma_minus, sigma_z = exact._ladder_operators(h.n_max, h.n_emitters)
-    ops = [(p.kappa, a)]
-    for sm, sz in zip(sigma_minus, sigma_z):
-        ops.append((p.omega, sm.conj().T))
-        ops.append((p.gamma_minus, sm))
-        ops.append((p.gamma_z, sz))
-    return ops
-
-
-def _kron_reference_liouvillian(p, h, frame):
-    """L term by term: -i[H, .] plus r (A* kron A - I kron A'A/2 - (A'A)^T kron I/2) per jump."""
-    ident = sp.identity(h.dim, dtype=complex, format="csr")
-    ham = _hamiltonian(p, h, frame)
-    liou = -1j * (sp.kron(ident, ham) - sp.kron(ham.T, ident))
-    for rate, op in _jump_operators(p, h):
-        op_dag_op = op.conj().T @ op
-        liou = liou + rate * (
-            sp.kron(op.conj(), op)
-            - 0.5 * sp.kron(ident, op_dag_op)
-            - 0.5 * sp.kron(op_dag_op.T, ident)
-        )
-    return liou.tocsr()
-
-
-def _full_space_steady_state(liou):
-    """Trace-replacement solve on all d^2 unknowns: row 0 of L becomes vec(I)^T."""
-    d = liou.dim
-    system = sp.vstack([sp.csr_matrix(liou.trace_row()), liou.matrix.tocsr()[1:]], format="csc")
-    rhs = np.zeros(d * d, dtype=complex)
-    rhs[0] = 1.0
-    rho = unvec(spla.splu(system, permc_spec="MMD_AT_PLUS_A").solve(rhs), d)
-    rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho / np.trace(rho).real)
-
-
 def complex_steady_state(liou):
-    """The complex trace-replacement solve on the pattern's unknowns, the reference for the real one.
+    """The complex trace-replacement solve on the unknowns, the reference for the real one.
 
-    Row 0 of L on the unknowns becomes the trace functional with right-hand
-    side 1; the solution is made Hermitian and normalised.  Returns the
-    state's coordinates v, unvalidated.
+    Row 0 of L becomes the trace functional with right-hand side 1; the
+    solution is made Hermitian and normalised.  Returns the unknowns u,
+    unvalidated.
     """
     pattern = liou.pattern
-    unknowns = pattern.unknowns
-    system = liou.matrix.tocsr()[unknowns][:, unknowns].tolil()
+    system = liou.matrix.tolil()
     system[0, :] = pattern.trace_weights
-    rhs = np.zeros(len(unknowns), dtype=complex)
+    rhs = np.zeros(system.shape[0], dtype=complex)
     rhs[0] = 1.0
     x = spla.splu(system.tocsc(), permc_spec="COLAMD").solve(rhs)
     x = (x + x[pattern.adjoint].conj()) / 2
-    v = np.zeros(liou.matrix.shape[1], dtype=complex)
-    v[unknowns] = x / (pattern.trace_weights @ x).real
-    return v
+    return x / (pattern.trace_weights @ x).real
 
 
 def assert_matches_complex_solve(liou, tol=1e-12):
-    """The real solve against complex_steady_state: coordinates and trace distance."""
+    """The real solve against complex_steady_state: unknowns and trace distance."""
     state = steady_state_exact(liou)
     reference = complex_steady_state(liou)
-    got = state.mat if isinstance(state, exact.SymmetricState) else vec(state.mat)
-    assert np.abs(got - reference).max() <= tol
+    assert np.abs(state.mat - reference).max() <= tol
     assert trace_distance(state, liou.state(reference)) <= tol
     return state
 
@@ -238,6 +193,18 @@ def _with_zero_rates(p, rng):
     return dataclasses.replace(p, **dict.fromkeys(zeroed, 0.0))
 
 
+def _restricted_kron_reference(p, h, frame):
+    """The kron reference L on the unknowns, (E'E)^-1 E' L_kron E with E = expansion(h), and L_kron E.
+
+    L_kron E = E L holds exactly when the symmetric charge-0 states are
+    invariant under L_kron and L is its restriction to them.  E'E is
+    diagonal, 1/M(k) at each unknown.
+    """
+    applied = kron_liouvillian(p, h, frame) @ expansion(h)
+    _, multiplicity = unknown_of(h.n_max, h.n_emitters)
+    return (expansion(h).T @ applied).multiply(multiplicity[:, None]).tocsr(), applied
+
+
 @pytest.mark.parametrize("frame", ["as_written", "rotating"])
 def test_liouvillian_matches_term_by_term_kron_reference(frame):
     rng = np.random.default_rng(31)
@@ -247,9 +214,10 @@ def test_liouvillian_matches_term_by_term_kron_reference(frame):
         if k % 2:
             p = _with_zero_rates(p, rng)
         h = HilbertConfig(int(rng.integers(1, 4)), n_em)
-        ref = _kron_reference_liouvillian(p, h, frame)
-        diff = abs(build_liouvillian(p, h, frame).matrix - ref).max()
-        assert diff <= 1e-13 * abs(ref).max()
+        lmat = build_symmetric_liouvillian(p, h, frame).matrix
+        ref, applied = _restricted_kron_reference(p, h, frame)
+        assert abs(applied - expansion(h) @ lmat).max() <= 1e-13 * abs(applied).max()
+        assert abs(lmat - ref).max() <= 1e-13 * abs(ref).max()
 
 
 _PATTERN_BASE = SystemParams(1, 7.3, 11.9, 2.3, 13.0, 0.7, 1.9, 0.45)
@@ -264,10 +232,12 @@ def test_liouvillian_pattern_matches_kron_reference(n_em, frame, zeroed):
     if zeroed is not None:
         p = dataclasses.replace(p, **{zeroed: 0.0})
     h = HilbertConfig(2, n_em)
-    ref = _kron_reference_liouvillian(p, h, frame)
+    ref, _ = _restricted_kron_reference(p, h, frame)
+    ref.data[abs(ref.data) <= 1e-13 * abs(ref).max()] = 0  # rounding of cancelled terms
     ref.eliminate_zeros()
     ref.sort_indices()
-    lmat = build_liouvillian(p, h, frame).matrix
+    lmat = build_symmetric_liouvillian(p, h, frame).matrix.copy()
+    lmat.sort_indices()
     assert abs(lmat - ref).max() <= 1e-13 * abs(ref).max()
     assert np.array_equal(lmat.indptr, ref.indptr)
     assert np.array_equal(lmat.indices, ref.indices)
@@ -282,7 +252,7 @@ def test_real_solve_matches_complex_solve_on_the_sector(n_em, frame, zeroed):
     p = dataclasses.replace(_PATTERN_BASE, n_emitters=n_em)
     if zeroed is not None:
         p = dataclasses.replace(p, **{zeroed: 0.0})
-    assert_matches_complex_solve(build_liouvillian(p, HilbertConfig(2, n_em), frame))
+    assert_matches_complex_solve(build_symmetric_liouvillian(p, HilbertConfig(2, n_em), frame))
 
 
 def test_real_solve_matches_complex_solve_at_twenty_emitters():
@@ -292,24 +262,23 @@ def test_real_solve_matches_complex_solve_at_twenty_emitters():
 
 def test_hermitian_system_is_cached_and_read_only():
     p = regression_params(3)
-    for build in (build_liouvillian, build_symmetric_liouvillian):
-        h = HilbertConfig(3, 3)
-        steady_state_exact(build(p, h))
-        hits = exact._hermitian_system.cache_info().hits
-        steady_state_exact(build(regression_params(3, omega=0.3), h, "rotating"))
-        assert exact._hermitian_system.cache_info().hits == hits + 1
-        system = exact._hermitian_system(build(p, h).pattern)
-        for arr in (system.indptr, system.indices, system.columns, system.trace_at,
-                    system.trace_values, system.pairs, system.entries.data,
-                    system.entries.indices, system.entries.indptr):
-            assert not arr.flags.writeable
-        # the refinement residual's row sums are bitwise those of a CSC product
-        m = len(system.indptr) - 1
-        rng = np.random.default_rng(7)
-        data, w = rng.normal(size=len(system.indices)), rng.normal(size=m)
-        product = sp.csc_matrix((data, system.indices, system.indptr), shape=(m, m)) @ w
-        assert np.array_equal(np.bincount(system.indices, data * w[system.columns], minlength=m),
-                              product)
+    h = HilbertConfig(3, 3)
+    steady_state_exact(build_symmetric_liouvillian(p, h))
+    hits = exact._hermitian_system.cache_info().hits
+    steady_state_exact(build_symmetric_liouvillian(regression_params(3, omega=0.3), h, "rotating"))
+    assert exact._hermitian_system.cache_info().hits == hits + 1
+    system = exact._hermitian_system(build_symmetric_liouvillian(p, h).pattern)
+    for arr in (system.indptr, system.indices, system.columns, system.trace_at,
+                system.trace_values, system.pairs, system.entries.data,
+                system.entries.indices, system.entries.indptr):
+        assert not arr.flags.writeable
+    # the refinement residual's row sums are bitwise those of a CSC product
+    m = len(system.indptr) - 1
+    rng = np.random.default_rng(7)
+    data, w = rng.normal(size=len(system.indices)), rng.normal(size=m)
+    product = sp.csc_matrix((data, system.indices, system.indptr), shape=(m, m)) @ w
+    assert np.array_equal(np.bincount(system.indices, data * w[system.columns], minlength=m),
+                          product)
 
 
 def test_solves_build_the_csr_of_l_only_when_it_is_read(monkeypatch):
@@ -323,11 +292,7 @@ def test_solves_build_the_csr_of_l_only_when_it_is_read(monkeypatch):
     p = dataclasses.replace(regression_params(2, omega=0.5), gamma_minus=0.0)  # zero entries in L
     assert photon_flux_exact(p, HilbertConfig(3, 2)) > 0
     assert len(built) >= 2
-    h = HilbertConfig(2, 2)
-    built.append(build_liouvillian(p, h, "rotating"))
-    keep(p, h, "rotating")
-    for liou in built[-2:]:
-        steady_state_exact(liou)
+    steady_state_exact(keep(p, HilbertConfig(2, 2), "rotating"))
     for liou in built:
         assert "matrix" not in vars(liou)
         pattern, entries = liou.pattern, liou.entries
@@ -347,143 +312,112 @@ def test_solves_build_the_csr_of_l_only_when_it_is_read(monkeypatch):
 
 def test_liouvillian_pattern_is_cached_and_read_only():
     h = HilbertConfig(3, 2)
-    for build, cached in ((build_liouvillian, exact._liouvillian_pattern),
-                          (build_symmetric_liouvillian, exact._symmetric_pattern)):
-        build(regression_params(2), h)
-        hits = cached.cache_info().hits
-        liou = build(regression_params(2, omega=0.3), h, "rotating")
-        assert cached.cache_info().hits == hits + 1
-        assert liou.pattern is cached(h.n_max, h.n_emitters)
-        for arr in vars(liou.pattern).values():
-            assert not arr.flags.writeable
-        # the built L owns its arrays, so changing it leaves the pattern intact
-        liou.matrix.indices[0] += 1
-        assert liou.matrix.indices[0] != liou.pattern.indices[0]
-    rho = steady_state_exact(build_liouvillian(regression_params(2), h))
-    for which, idx in [("photon_number", ()), ("photon_pair", ()), ("sigma_z", (0,)),
-                       ("field_coherence", (1,)), ("cross_pm", (0, 1)), ("cross_zz", (0, 1))]:
-        op = exact.observable_operator(which, h, *idx)
-        assert exact.observable_operator(which, h, *idx) is op
-        assert expectation(rho, which, h, *idx) == exact.operator_expectation(op, rho.mat)
-        for arr in (op.data, op.indices, op.indptr):
+    build_symmetric_liouvillian(regression_params(2), h)
+    hits = exact._symmetric_pattern.cache_info().hits
+    liou = build_symmetric_liouvillian(regression_params(2, omega=0.3), h, "rotating")
+    assert exact._symmetric_pattern.cache_info().hits == hits + 1
+    assert liou.pattern is exact._symmetric_pattern(h.n_max, h.n_emitters)
+    for arr in vars(liou.pattern).values():
+        assert not arr.flags.writeable
+    # the built L owns its arrays, so changing it leaves the pattern intact
+    liou.matrix.indices[0] += 1
+    assert liou.matrix.indices[0] != liou.pattern.indices[0]
+    for which in OBSERVABLES:
+        positions, weights = exact._symmetric_observable(which, h.n_max, h.n_emitters)
+        assert exact._symmetric_observable(which, h.n_max, h.n_emitters)[0] is positions
+        for arr in (positions, weights):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
 
-@pytest.mark.parametrize("build, cached", [
-    (build_liouvillian, exact._liouvillian_pattern),
-    (build_symmetric_liouvillian, exact._symmetric_pattern),
-])
-def test_caches_are_shared_by_configurations_that_differ_only_in_cap(build, cached):
-    for cache in (cached, exact._hermitian_system, exact._ladder_operators, exact._charge):
+def test_caches_are_shared_by_configurations_that_differ_only_in_cap():
+    for cache in (exact._symmetric_pattern, exact._hermitian_system):
         cache.cache_clear()
     p = regression_params(3)
-    liou = [build(p, HilbertConfig(3, 3, cap)) for cap in (4096, 5000)]
+    liou = [build_symmetric_liouvillian(p, HilbertConfig(3, 3, cap)) for cap in (4096, 5000)]
     for each in liou:
         steady_state_exact(each)
     assert liou[0].pattern is liou[1].pattern
     assert exact._hermitian_system(liou[0].pattern) is exact._hermitian_system(liou[1].pattern)
-    assert cached.cache_info().misses == 1
+    assert exact._symmetric_pattern.cache_info().misses == 1
     assert exact._hermitian_system.cache_info().misses == 1
-    if build is build_liouvillian:
-        assert exact._ladder_operators.cache_info().misses == 1
-        assert exact._charge.cache_info().misses == 1
-
-
-def test_observable_operator_is_shared_by_configurations_that_differ_only_in_cap():
-    exact._observable_operator.cache_clear()
-    ops = [exact.observable_operator("photon_number", HilbertConfig(3, 3, cap))
-           for cap in (4096, 5000)]
-    assert ops[0] is ops[1]
-    assert exact._observable_operator.cache_info().misses == 1
-    # indices the observable does not read are not part of the key either
-    assert exact.observable_operator("photon_number", HilbertConfig(3, 3), 2) is ops[0]
-    assert exact.observable_operator("sigma_z", HilbertConfig(3, 3), 1, 0) is \
-        exact.observable_operator("sigma_z", HilbertConfig(3, 3), 1)
-
-
-@pytest.mark.parametrize("n_em", [1, 2, 3, 4, 5])
-def test_liouvillian_pattern_retains_no_more_than_its_liouvillian(n_em):
-    h = HilbertConfig(3, n_em)
-    lmat = build_liouvillian(regression_params(n_em), h).matrix
-    retained = sum(arr.nbytes for arr in vars(exact._liouvillian_pattern(3, n_em)).values())
-    assert retained <= lmat.data.nbytes + lmat.indices.nbytes + lmat.indptr.nbytes
 
 
 def test_build_liouvillian_rejects_unknown_frame():
     with pytest.raises(InvalidValue):
-        build_liouvillian(regression_params(1), HilbertConfig(2, 1), frame="lab")
+        build_symmetric_liouvillian(regression_params(1), HilbertConfig(2, 1), frame="lab")
 
 
-@pytest.mark.parametrize("build", [build_liouvillian, build_symmetric_liouvillian])
-def test_builders_reject_params_of_another_emitter_count(build, monkeypatch):
+def test_builder_rejects_params_of_another_emitter_count(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a pattern was built")
 
-    monkeypatch.setattr(exact, "_liouvillian_pattern", refuse)
     monkeypatch.setattr(exact, "_symmetric_pattern", refuse)
     with pytest.raises(InvalidValue, match="3 emitters"):
-        build(regression_params(3), HilbertConfig(3, 2))
-
-
-def test_density_matrix_validate_rejects_non_hermitian():
-    # trace 1 and a positive semidefinite Hermitian part: only Hermiticity fails
-    mat = np.diag([0.5, 0.5]).astype(complex)
-    mat[0, 1] = 1e-6
-    with pytest.raises(InvalidValue, match="not Hermitian"):
-        DensityMatrix(mat).validate()
+        build_symmetric_liouvillian(regression_params(3), HilbertConfig(3, 2))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("kind", ["DensityMatrix", "SymmetricState"])
-def test_state_validate_names_non_finite_entries(kind, value):
+def test_state_validate_names_non_finite_entries(value):
     # one bad entry in a valid state: every comparison with nan is false, and
     # inf - inf is nan, so the finite check must come before the others
     h = HilbertConfig(1, 1)
-    if kind == "DensityMatrix":
-        state, index = DensityMatrix.vacuum(h), (2, 1)
-    else:
-        p = SystemParams(1, 2000.0, 2000.0, 1.0, 10.0, 0.0, 0.2, 0.5)  # no pump: the vacuum
-        state, index = steady_state_exact(build_symmetric_liouvillian(p, h)), (3,)
+    p = SystemParams(1, 2000.0, 2000.0, 1.0, 10.0, 0.0, 0.2, 0.5)  # no pump: the vacuum
+    state = steady_state_exact(build_symmetric_liouvillian(p, h))
     state.validate()
-    state.mat[index] = value
-    where = ", ".join(map(str, index))
-    with pytest.raises(InvalidValue, match=rf"non-finite entries: 1; .* at index \[{where}\]"):
+    state.mat[3] = value
+    with pytest.raises(InvalidValue, match=r"non-finite entries: 1; .* at index \[3\]"):
         state.validate()
+
+
+def _excitations(h):
+    """E = a'a + sum_n s+_n s-_n at each basis state, from the reference's ladder operators."""
+    a, sigma_minus, _ = ladder_operators(h.n_max, h.n_emitters)
+    return np.rint((a.T @ a + sum(sm.T @ sm for sm in sigma_minus)).diagonal()).astype(int)
 
 
 @pytest.mark.parametrize("frame", ["as_written", "rotating"])
 def test_liouvillian_never_mixes_excitation_differences(frame):
+    # why the steady state lies among the charge-0 elements E_i = E_j that the unknowns hold
     rng = np.random.default_rng(32)
     for n_em in (1, 2, 3):
         for _ in range(3):
             h = HilbertConfig(int(rng.integers(1, 4)), n_em)
-            liou = build_liouvillian(random_params(rng, n_em), h, frame)
-            lmat, sector = liou.matrix.tocsr(), liou.pattern.unknowns
-            outside = np.setdiff1d(np.arange(h.dim**2), sector)
+            lmat = kron_liouvillian(random_params(rng, n_em), h, frame)
+            energy = _excitations(h)
+            charge = vec(energy[:, None] - energy[None, :])
+            sector, outside = np.flatnonzero(charge == 0), np.flatnonzero(charge != 0)
             assert lmat[outside][:, sector].nnz == 0
             assert lmat[sector][:, outside].nnz == 0
 
 
 @pytest.mark.parametrize("n_max, n_em", [(1, 1), (3, 4), (126, 1), (127, 1)])
 def test_charge_matches_total_excitation_operator(n_max, n_em):
-    # n_max + N = 127 and 128 sit on either side of the int8 range
+    # every element an unknown holds has the E of the unknown's ket and bra,
+    # which the diagonal of L reads, and charge 0
     h = HilbertConfig(n_max, n_em)
-    energy = np.rint(total_excitation_operator(h).diagonal().real).astype(np.int64)
-    reference = (energy[:, None] - energy[None, :]).reshape(-1, order="F")
-    assert np.array_equal(exact._charge(n_max, n_em), reference)
+    pattern = exact._symmetric_pattern(n_max, n_em)
+    unknown, _ = unknown_of(n_max, n_em)
+    rows, cols = np.nonzero(unknown >= 0)
+    energy = _excitations(h)
+    held = unknown[rows, cols]
+    assert np.array_equal(pattern.ket.sum(axis=0)[held], energy[rows])
+    assert np.array_equal(pattern.bra.sum(axis=0)[held], energy[cols])
+    assert np.array_equal(energy[rows], energy[cols])
 
 
 def test_zero_difference_sector_size():
-    # b_E basis states at each excitation number E; the sector holds sum_E b_E^2,
-    # and the trace weights sit on the rho_ii, rho_00 first
-    for (n_max, n_em), size in {(3, 4): 744, (1, 1): 6, (2, 2): 36}.items():
-        pattern = exact._liouvillian_pattern(n_max, n_em)
-        assert len(pattern.unknowns) == size
-        d = (n_max + 1) * 2**n_em
-        diagonal = pattern.unknowns[np.flatnonzero(pattern.trace_weights)]
-        assert np.array_equal(diagonal, np.arange(d) * (d + 1))
-        assert np.all(pattern.trace_weights[pattern.trace_weights != 0] == 1.0)
+    # the unknowns are the classes (n, m, k) of the charge-0 elements of rho,
+    # and the trace weights sit on those of the rho_ii, u(0, 0, (0, 0, 0, N)) first
+    for (n_max, n_em), size in {(3, 4): 92, (1, 1): 6, (2, 2): 22}.items():
+        h = HilbertConfig(n_max, n_em)
+        pattern = exact._symmetric_pattern(n_max, n_em)
+        assert h.symmetric_unknowns == len(pattern.trace_weights) == size
+        unknown, _ = unknown_of(h.n_max, n_em)
+        assert np.array_equal(np.unique(unknown[unknown >= 0]), np.arange(size))
+        diagonal = np.unique(np.diagonal(unknown))
+        assert np.array_equal(np.flatnonzero(pattern.trace_weights), diagonal)
+        assert np.all(pattern.trace_weights[diagonal] == 1.0)
         assert pattern.trace_weights[0] == 1.0
 
 
@@ -495,9 +429,11 @@ def test_sector_solve_matches_full_space_solve(n_em, n_max):
         p = random_params(np.random.default_rng(100 * n_em + n_max), n_em)
     else:  # the oracle's leaky regime
         p = SystemParams(4, 2000.0, 2000.0, 1.2, 40.0, 0.2, 0.1, 0.5)
+    h = HilbertConfig(n_max, n_em)
     for frame in ("as_written", "rotating"):
-        liou = build_liouvillian(p, HilbertConfig(n_max, n_em), frame)
-        assert trace_distance(steady_state_exact(liou), _full_space_steady_state(liou)) <= 1e-12
+        rho = expand(steady_state_exact(build_symmetric_liouvillian(p, h, frame)))
+        reference = full_space_steady_state(kron_liouvillian(p, h, frame), h.dim)
+        assert dense_trace_distance(rho, reference) <= 1e-12
 
 
 def test_steady_state_out_of_memory_is_a_dimension_cap(monkeypatch):
@@ -505,8 +441,8 @@ def test_steady_state_out_of_memory_is_a_dimension_cap(monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(spla, "splu", exhausted)
-    with pytest.raises(DimensionCap, match="744 sector unknowns"):
-        steady_state_exact(build_liouvillian(regression_params(4), HilbertConfig(3, 4)))
+    with pytest.raises(DimensionCap, match="92 sector unknowns"):
+        steady_state_exact(build_symmetric_liouvillian(regression_params(4), HilbertConfig(3, 4)))
 
 
 def _cold_and_warm(liou):
@@ -529,8 +465,7 @@ def _spy_on_splu(monkeypatch):
 
 
 @pytest.mark.parametrize("frame", ["as_written", "rotating"])
-@pytest.mark.parametrize("build", [build_liouvillian, build_symmetric_liouvillian])
-def test_a_recorded_column_order_solves_bitwise_as_colamd(build, frame):
+def test_a_recorded_column_order_solves_bitwise_as_colamd(frame):
     # at the reference point SuperLU meets exact pivot ties, which it breaks
     # toward the diagonal, so the reordered system must keep COLAMD's diagonal
     rng = np.random.default_rng(16)
@@ -540,7 +475,8 @@ def test_a_recorded_column_order_solves_bitwise_as_colamd(build, frame):
         draws += [dataclasses.replace(p, gamma_z=0.0), dataclasses.replace(p, delta_c=p.delta + 3.0)]
     for p in draws:
         for n_max in (2, 3):
-            cold, warm = _cold_and_warm(build(p, HilbertConfig(n_max, p.n_emitters), frame))
+            cold, warm = _cold_and_warm(
+                build_symmetric_liouvillian(p, HilbertConfig(n_max, p.n_emitters), frame))
             assert warm.mat.tobytes() == cold.mat.tobytes()
 
 
@@ -614,36 +550,11 @@ def test_a_failing_reordered_factorisation_is_typed(monkeypatch, error, typed):
         steady_state_exact(liou)
 
 
-def test_steady_state_beyond_the_cap_is_refused_before_factorising(monkeypatch):
-    # N=7, n_max=3: the charge-0 sector holds 41756 unknowns, over the default cap
-    def refuse(*args, **kwargs):
-        raise AssertionError("the real system was built or factorised")
-
-    monkeypatch.setattr(spla, "splu", refuse)
-    monkeypatch.setattr(exact, "_hermitian_system", refuse)
-    liou = build_liouvillian(regression_params(7), HilbertConfig(3, 7))
-    with pytest.raises(DimensionCap, match="41756 sector unknowns exceeds cap 4096"):
-        steady_state_exact(liou)
-
-
-def test_brute_force_liouvillian_beyond_the_cap_is_refused_before_assembly(monkeypatch):
-    # N=11, n_max=3: 554 permutation-symmetric unknowns fit the default cap,
-    # but the brute-force L would hold d^2 = 8192^2 rows
-    def refuse(*args, **kwargs):
-        raise AssertionError("the pattern was built")
-
-    monkeypatch.setattr(exact, "_liouvillian_pattern", refuse)
-    h = HilbertConfig(3, 11)
-    assert h.symmetric_unknowns <= h.cap < h.dim
-    with pytest.raises(DimensionCap, match="Hilbert dimension 8192"):
-        build_liouvillian(regression_params(11), h)
-
-
 def test_degenerate_steady_state_detected():
     # g = 0, kappa = 0, omega = 0: every diagonal field state is stationary
     p = SystemParams(1, 5.0, 5.0, 0.0, 0.0, 0.0, 0.4, 0.0)
     with pytest.raises(DegenerateSteadyState):
-        steady_state_exact(build_liouvillian(p, HilbertConfig(2, 1)))
+        steady_state_exact(build_symmetric_liouvillian(p, HilbertConfig(2, 1)))
 
 
 def test_steady_state_frame_invariance():
@@ -652,8 +563,8 @@ def test_steady_state_frame_invariance():
     for delta_c in (2350.0, 2365.0):
         p = SystemParams(2, 2350.0, delta_c, 5.0, 50.0, 1.0, 0.1, 1.0)
         h = HilbertConfig(3, 2)
-        rho_aw = steady_state_exact(build_liouvillian(p, h))
-        rho_rot = steady_state_exact(build_liouvillian(p, h, frame="rotating"))
+        rho_aw = steady_state_exact(build_symmetric_liouvillian(p, h))
+        rho_rot = steady_state_exact(build_symmetric_liouvillian(p, h, frame="rotating"))
         for which, idx in [("photon_number", ()), ("sigma_z", (0,)),
                            ("cross_pm", (0, 1)), ("field_coherence", (0,))]:
             a = expectation(rho_aw, which, h, *idx)
@@ -661,11 +572,16 @@ def test_steady_state_frame_invariance():
             assert a == pytest.approx(b, abs=1e-9)
 
 
+def _random_state(rng, h):
+    """A random full-rank d x d state, averaged onto the unknowns (see symmetric_state)."""
+    return symmetric_state(random_density_matrix(rng, h.dim), h)
+
+
 def test_time_evolve_zero_time_is_identity():
     rng = np.random.default_rng(2)
     h = HilbertConfig(2, 1)
-    liou = build_liouvillian(regression_params(1), h)
-    rho0 = random_density_matrix(rng, h.dim)
+    liou = build_symmetric_liouvillian(regression_params(1), h)
+    rho0 = _random_state(rng, h)
     rho1 = time_evolve(liou, rho0, 0.0)
     assert np.abs(rho1.mat - rho0.mat).max() == 0.0
 
@@ -674,82 +590,68 @@ def test_time_evolve_trace_drift():
     rng = np.random.default_rng(3)
     p = random_params(rng, 2, delta_scale=5.0)
     h = HilbertConfig(2, 2)
-    liou = build_liouvillian(p, h)
-    rho0 = random_density_matrix(rng, h.dim)
-    rho_t = time_evolve(liou, rho0, 100.0)
-    assert abs(np.trace(rho_t.mat) - 1.0) <= 1e-9
+    liou = build_symmetric_liouvillian(p, h)
+    rho_t = time_evolve(liou, _random_state(rng, h), 100.0)
+    assert abs(liou.pattern.trace_weights @ rho_t.mat - 1.0) <= 1e-9
     rho_t.validate()
 
 
-@pytest.mark.parametrize("t_final", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("t_final", [np.nan, np.inf, -np.inf, True])
 def test_time_evolve_rejects_non_finite_time(t_final):
     h = HilbertConfig(2, 1)
-    liou = build_liouvillian(regression_params(1), h)
-    with pytest.raises(InvalidValue):
-        time_evolve(liou, DensityMatrix.vacuum(h), t_final)
+    liou = build_symmetric_liouvillian(regression_params(1), h)
+    with pytest.raises(InvalidValue, match="t_final must be finite"):
+        time_evolve(liou, SymmetricState.vacuum(h), t_final)
 
 
 def test_time_evolve_rejects_state_of_another_size():
-    liou = build_liouvillian(regression_params(1), HilbertConfig(2, 1))
+    liou = build_symmetric_liouvillian(regression_params(1), HilbertConfig(2, 1))
     with pytest.raises(InvalidValue):
-        time_evolve(liou, DensityMatrix.vacuum(HilbertConfig(3, 1)), 1.0)
+        time_evolve(liou, SymmetricState.vacuum(HilbertConfig(3, 1)), 1.0)
 
 
-def _full_space_evolution(liou, rho0, t):
-    """exp(t L) vec(rho0) with one dense exponential of the whole d^2 x d^2 matrix."""
-    propagator = scipy.linalg.expm(t * liou.matrix.toarray())
-    return DensityMatrix(unvec(propagator @ vec(rho0.mat), liou.dim))
+@pytest.mark.parametrize("t_final", [1e6, 1e50])
+def test_time_evolve_refuses_the_state_a_long_exponential_loses(t_final):
+    # the dense exponential's rounding grows with t: at 1e6 the trace is off by
+    # about 2.6e-9, past TRACE_TOL, and at 1e50 every entry is inf or nan
+    h = HilbertConfig(3, 2)
+    liou = build_symmetric_liouvillian(regression_params(2), h, "rotating")
+    with pytest.raises(InvalidValue, match="trace|non-finite"):
+        time_evolve(liou, SymmetricState.vacuum(h), t_final)
 
 
 @pytest.mark.parametrize("frame", ["as_written", "rotating"])
 @pytest.mark.parametrize("n_em", [1, 2])
 def test_time_evolve_matches_full_space_exponential(n_em, frame):
-    # a random full-rank start occupies every charge block
     rng = np.random.default_rng(40 + n_em)
     h = HilbertConfig(2, n_em)
     for p in (regression_params(n_em), random_params(rng, n_em)):
-        liou = build_liouvillian(p, h, frame)
-        rho0 = random_density_matrix(rng, h.dim)
+        liou = build_symmetric_liouvillian(p, h, frame)
+        rho0 = _random_state(rng, h)
         for t in (0.3, 4.0):
-            ref = _full_space_evolution(liou, rho0, t)
-            assert trace_distance(time_evolve(liou, rho0, t), ref) <= 1e-12
+            ref = full_space_evolution(kron_liouvillian(p, h, frame), expand(rho0), t)
+            assert dense_trace_distance(expand(time_evolve(liou, rho0, t)), ref) <= 1e-12
 
 
-def test_time_evolve_keeps_a_coherence_in_its_charge_blocks():
-    # |1 photon><vacuum| has charge +1; a Hermitian start pairs it with its adjoint (charge -1)
-    h = HilbertConfig(2, 2)
-    liou = build_liouvillian(regression_params(2), h, "rotating")
-    one_photon = 2**h.n_emitters  # basis index n * 2^N + s of one photon, no excited emitter
-    mat = np.zeros((h.dim, h.dim), dtype=complex)
-    mat[one_photon, 0] = mat[0, one_photon] = 0.5
-    rho0 = DensityMatrix(mat)
-    rho_t = time_evolve(liou, rho0, 0.05)
-    ref = _full_space_evolution(liou, rho0, 0.05)
-    outside = np.abs(exact._charge(h.n_max, h.n_emitters)) != 1
-    assert np.all(vec(rho_t.mat)[outside] == 0.0)
-    assert np.abs(vec(ref.mat)[outside]).max() <= 1e-15
-    assert np.abs(rho_t.mat[one_photon, 0]) > 0.1
-    assert np.abs(rho_t.mat - ref.mat).max() <= 1e-13
+def test_time_evolve_relaxes_to_the_steady_state_at_ten_emitters():
+    # 464 unknowns; the full space would hold d^2 = 4096^2 elements.  Leaky
+    # cavity: g sqrt(N) = 2 meV, kappa = 10 g sqrt(N)
+    p = SystemParams(10, 2000.0, 2000.0, 2.0 / np.sqrt(10), 20.0, 0.3, 0.1, 0.5)
+    h = HilbertConfig(3, 10)
+    liou = build_symmetric_liouvillian(p, h, "rotating")
+    assert h.symmetric_unknowns == 464
+    rho_t = time_evolve(liou, SymmetricState.vacuum(h), 120.0)
+    assert trace_distance(rho_t, steady_state_exact(liou)) <= 1e-7
 
 
 def test_time_evolve_rejects_a_lone_coherence():
-    # |1 photon><vacuum| alone is not Hermitian; symmetrising it would invent a charge -1 part
+    # the coherence u(0, 1, (0, 1, 0, 1)) without its adjoint is not Hermitian
     h = HilbertConfig(2, 2)
-    liou = build_liouvillian(regression_params(2), h, "rotating")
-    mat = np.zeros((h.dim, h.dim), dtype=complex)
-    mat[2**h.n_emitters, 0] = 1.0
+    liou = build_symmetric_liouvillian(regression_params(2), h, "rotating")
+    u = SymmetricState.vacuum(h).mat
+    u[exact._symmetric_pattern(h.n_max, h.n_emitters).index[0, 0, 1, 0]] = 0.5
     with pytest.raises(InvalidValue, match="not Hermitian"):
-        time_evolve(liou, DensityMatrix(mat), 0.05)
-
-
-def test_time_evolve_caps_the_dense_block():
-    # the 58 permutation-symmetric unknowns fit the cap, but the charge-0 block
-    # of a vacuum start holds 196 unknowns
-    h = HilbertConfig(3, 3, cap=64)
-    liou = build_liouvillian(regression_params(3), h, "rotating")
-    assert len(liou.pattern.unknowns) == 196
-    with pytest.raises(DimensionCap):
-        time_evolve(liou, DensityMatrix.vacuum(h), 1.0)
+        time_evolve(liou, SymmetricState(u, h), 0.05)
 
 
 def test_pure_dephasing_keeps_populations_fixed():
@@ -757,49 +659,50 @@ def test_pure_dephasing_keeps_populations_fixed():
     rng = np.random.default_rng(4)
     p = SystemParams(2, 6.0, 6.0, 0.0, 0.0, 0.0, 0.0, 1.3)
     h = HilbertConfig(2, 2)
-    liou = build_liouvillian(p, h)
-    rho0 = random_density_matrix(rng, h.dim)
+    liou = build_symmetric_liouvillian(p, h)
+    rho0 = _random_state(rng, h)
     rho_t = time_evolve(liou, rho0, 5.0)
-    assert np.abs(np.diag(rho_t.mat) - np.diag(rho0.mat)).max() <= 1e-9
+    populations = np.flatnonzero(liou.pattern.trace_weights)
+    assert np.abs(rho_t.mat[populations] - rho0.mat[populations]).max() <= 1e-9
 
 
 def test_expectation_examples():
     h = HilbertConfig(2, 2)
-    vac = DensityMatrix.vacuum(h)
-    assert expectation(vac, "photon_number", h) == pytest.approx(0.0)
+    assert expectation(SymmetricState.vacuum(h), "photon_number", h) == pytest.approx(0.0)
 
     # all emitters excited: |0_field> x |e e>
     state = np.zeros(h.dim, dtype=complex)
     state[3] = 1.0  # field 0, both spins at index 1 -> 0*4 + 1*2 + 1
-    rho_exc = DensityMatrix.pure(state)
+    rho_exc = symmetric_state(np.outer(state, state.conj()), h)
     assert expectation(rho_exc, "sigma_z", h, 0).real == pytest.approx(1.0)
 
     # symmetric one-excitation state (|eg> + |ge>)/sqrt(2): <s+_0 s-_1> = 1/2
     psi = np.zeros(h.dim, dtype=complex)
     psi[2] = 1.0 / np.sqrt(2)  # |g e>... field 0: indices: spin0*2 + spin1
     psi[1] = 1.0 / np.sqrt(2)
-    rho_dicke = DensityMatrix.pure(psi)
+    rho_dicke = symmetric_state(np.outer(psi, psi.conj()), h)
     assert expectation(rho_dicke, "cross_pm", h, 0, 1).real == pytest.approx(0.5)
 
 
 def test_photon_pair_observable():
     # <a'a'aa> = n(n-1) on a Fock state
     h = HilbertConfig(3, 1)
-    two_photons = np.zeros(h.dim, dtype=complex)
-    two_photons[2 * 2] = 1.0  # field index 2, spin ground
-    rho = DensityMatrix.pure(two_photons)
+    two_photons = np.zeros((h.dim, h.dim), dtype=complex)
+    two_photons[2 * 2, 2 * 2] = 1.0  # field index 2, spin ground
+    rho = symmetric_state(two_photons, h)
     assert expectation(rho, "photon_pair", h).real == pytest.approx(2.0)
-    assert expectation(DensityMatrix.vacuum(h), "photon_pair", h) == pytest.approx(0.0)
+    assert expectation(SymmetricState.vacuum(h), "photon_pair", h) == pytest.approx(0.0)
 
 
 def test_expectation_errors():
-    # both state kinds go through one check of the name and the indices
     h = HilbertConfig(2, 2)
-    states = [DensityMatrix.vacuum(h),
+    states = [SymmetricState.vacuum(h),
               steady_state_exact(build_symmetric_liouvillian(regression_params(2), h))]
     for which, idx, error in [("parity", (), UnknownObservable), ("sigma_z", (), IndexOutOfRange),
                               ("sigma_z", (5,), IndexOutOfRange),
                               ("sigma_z", (1.5,), IndexOutOfRange),
+                              ("sigma_z", (True,), IndexOutOfRange),
+                              ("cross_pm", (False, True), IndexOutOfRange),
                               ("field_coherence", (-1,), IndexOutOfRange),
                               ("cross_zz", (0,), IndexOutOfRange),
                               ("cross_pm", (1, 1), IndexOutOfRange)]:
@@ -813,12 +716,11 @@ def test_expectation_errors():
 
 def test_expectation_rejects_a_state_of_another_configuration():
     small, big = HilbertConfig(1, 2), HilbertConfig(3, 2)
-    two_photons = np.zeros((big.dim, big.dim), dtype=complex)
-    two_photons[9, 9] = 1.0  # basis index 9 = 2 * 2^2 + 1: two photons, emitter 1 excited
     symmetric = steady_state_exact(build_symmetric_liouvillian(regression_params(2), small))
-    # unchecked, the first would read only rho's top-left block (0j), the second past its end
-    for rho, h in [(DensityMatrix(two_photons), small), (DensityMatrix.vacuum(small), big),
-                   (symmetric, big)]:
+    # unchecked, the first would read u's first unknowns as those of big, the
+    # others past its end or the wrong unknowns
+    for rho, h in [(symmetric, big), (SymmetricState.vacuum(big), small),
+                   (SymmetricState.vacuum(HilbertConfig(1, 3)), small)]:
         with pytest.raises(InvalidValue, match="read with"):
             expectation(rho, "photon_number", h)
 
@@ -928,9 +830,9 @@ def test_trace_preserved_on_random_states():
     for _ in range(20):
         n = int(rng.integers(1, 3))
         h = HilbertConfig(2, n)
-        liou = build_liouvillian(random_params(rng, n), h)
-        rho = random_density_matrix(rng, h.dim)
-        assert abs(liou.trace_row() @ (liou.matrix @ vec(rho.mat))) <= 1e-10
+        liou = build_symmetric_liouvillian(random_params(rng, n), h)
+        rho = _random_state(rng, h)
+        assert abs(liou.trace_row() @ (liou.matrix @ rho.mat)) <= 1e-10
 
 
 def test_hermiticity_preserved():
@@ -938,69 +840,49 @@ def test_hermiticity_preserved():
     for _ in range(20):
         n = int(rng.integers(1, 3))
         h = HilbertConfig(2, n)
-        liou = build_liouvillian(random_params(rng, n), h)
-        herm = random_hermitian(rng, h.dim)
-        out = unvec(liou.matrix @ vec(herm), h.dim)
-        assert np.abs(out - out.conj().T).max() <= 1e-10
+        liou = build_symmetric_liouvillian(random_params(rng, n), h)
+        out = liou.matrix @ symmetric_state(random_hermitian(rng, h.dim), h).mat
+        assert np.abs(out - out[liou.pattern.adjoint].conj()).max() <= 1e-10
 
 
 def test_permutation_symmetry_preserved():
+    # the full-space evolution keeps a permutation-symmetric state so, which is
+    # what lets the package evolve only the symmetric unknowns: its sigma_z
+    # matches theirs, since only charge-0 elements carry it
     rng = np.random.default_rng(8)
     p = random_params(rng, 2, delta_scale=5.0)
     h = HilbertConfig(2, 2)
-    liou = build_liouvillian(p, h)
+    ref = kron_liouvillian(p, h)
+    liou = build_symmetric_liouvillian(p, h)
     # symmetrize a random state over the two emitters
-    rho_raw = random_density_matrix(rng, h.dim).mat
+    rho_raw = random_density_matrix(rng, h.dim)
     swap = np.zeros((h.dim, h.dim))
     for f in range(h.n_max + 1):
         for s0 in range(2):
             for s1 in range(2):
                 swap[f * 4 + s1 * 2 + s0, f * 4 + s0 * 2 + s1] = 1.0
     rho_sym = (rho_raw + swap @ rho_raw @ swap.T) / 2
-    rho_sym = DensityMatrix(rho_sym / np.trace(rho_sym).real)
+    rho_sym = rho_sym / np.trace(rho_sym).real
     for t in (0.5, 2.0):
-        rho_t = time_evolve(liou, rho_sym, t)
-        sz0 = expectation(rho_t, "sigma_z", h, 0)
-        sz1 = expectation(rho_t, "sigma_z", h, 1)
+        rho_t = full_space_evolution(ref, rho_sym, t)
+        sz0 = dense_expectation(rho_t, "sigma_z", h, 0)
+        sz1 = dense_expectation(rho_t, "sigma_z", h, 1)
         assert abs(sz0 - sz1) <= 1e-9
+        evolved = time_evolve(liou, symmetric_state(rho_sym, h), t)
+        assert abs(expectation(evolved, "sigma_z", h, 0) - sz0) <= 1e-9
 
 
 def test_excitation_conserved_under_dephasing_only():
-    # kappa = omega = gamma_minus = 0: H and L[sz] conserve a'a + sum s+s-
+    # kappa = omega = gamma_minus = 0: H and L[sz] conserve E = a'a + sum s+s-,
+    # and <E> = <a'a> + (N/2)(<sz_0> + Tr rho) on a symmetric state
     rng = np.random.default_rng(9)
     for _ in range(10):
         p = SystemParams(2, rng.uniform(1, 10), rng.uniform(1, 10),
                          rng.uniform(0, 5), 0.0, 0.0, 0.0, rng.uniform(0.1, 3))
         h = HilbertConfig(2, 2)
-        liou = build_liouvillian(p, h)
-        n_tot = total_excitation_operator(h)
-        rho = random_density_matrix(rng, h.dim)
-        drho = unvec(liou.matrix @ vec(rho.mat), h.dim)
-        assert abs(np.trace(n_tot.toarray() @ drho)) <= 1e-8
-
-
-def test_site_operator_index_guard():
-    h = HilbertConfig(2, 2)
-    with pytest.raises(IndexOutOfRange):
-        site_operator(h, np.eye(2), 2)
-
-
-def test_expectation_builds_ladder_operators_once_per_config():
-    h = HilbertConfig(3, 2)
-    rho = random_density_matrix(np.random.default_rng(5), h.dim)
-    exact._ladder_operators.cache_clear()
-    exact._observable_operator.cache_clear()
-    expectation(rho, "photon_number", h)
-    expectation(rho, "photon_pair", h)
-    expectation(rho, "field_coherence", h, 1)
-    expectation(rho, "sigma_z", h, 0)
-    expectation(rho, "cross_zz", h, 0, 1)
-    info = exact._ladder_operators.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
-    # the shared operators cannot be changed through a returned reference
-    a, _, sigma_z_all = exact._ladder_operators(h.n_max, h.n_emitters)
-    sigma_z = sigma_z_all[0]
-    assert (sigma_z != site_operator(h, np.diag([-1.0, 1.0]), 0)).nnz == 0
-    for op in (a, sigma_z):
-        with pytest.raises(ValueError):
-            op.data[0] = 0.0
+        liou = build_symmetric_liouvillian(p, h)
+        du = liou.matrix @ _random_state(rng, h).mat
+        drho = SymmetricState(du, h)
+        d_excitation = expectation(drho, "photon_number", h) + h.n_emitters / 2 * (
+            expectation(drho, "sigma_z", h, 0) + liou.trace_row() @ du)
+        assert abs(d_excitation) <= 1e-8

@@ -1,50 +1,35 @@
-"""The permutation-symmetric exact oracle: agreement with the brute-force one, invariants, reach."""
+"""The permutation-symmetric exact oracle: agreement with the full-space reference, invariants, reach."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_params, regression_params
+from reference_liouvillian import (
+    dense_expectation,
+    dense_trace_distance,
+    expand,
+    full_space_steady_state,
+    kron_liouvillian,
+)
 from test_exact import assert_matches_complex_solve
 from superrad import exact
-from superrad.cli import main
 from superrad.cumulant import photon_flux_cumulant
 from superrad.errors import InvalidValue, VacuumState
 from superrad.exact import (
     OBSERVABLES,
-    DensityMatrix,
     HilbertConfig,
     SymmetricState,
-    build_liouvillian,
     build_symmetric_liouvillian,
     expectation,
-    g2_zero_converged,
     g2_zero_exact,
     photon_flux_exact,
     steady_state_exact,
     trace_distance,
 )
 from superrad.params import SystemParams
-
-
-def expand(state: SymmetricState) -> np.ndarray:
-    """The d x d density matrix of a symmetric state: rho_ij = u(n, m, k(i, j)) / M(k)."""
-    h = state.hilbert
-    n_em = h.n_emitters
-    index = exact._symmetric_pattern(h.n_max, n_em).index
-    photons, _ = exact._excitations(h.n_max, n_em)
-    bits = ((np.arange(h.dim) % 2**n_em)[:, None] >> np.arange(n_em)) & 1  # 1 = excited
-    ket, bra = bits[:, None, :], bits[None, :, :]
-    k = [(ket * bra).sum(-1), (ket * (1 - bra)).sum(-1), ((1 - ket) * bra).sum(-1)]
-    k.append(n_em - sum(k))
-    n, m = np.broadcast_arrays(photons[:, None], photons[None, :])
-    charge_zero = (n - m) + (k[1] - k[2]) == 0
-    factorial = np.array([math.factorial(x) for x in range(n_em + 1)], dtype=float)
-    multiplicity = math.factorial(n_em) / np.prod([factorial[t] for t in k], axis=0)
-    return np.where(charge_zero, state.mat[index[n, k[0], k[1], k[2]]] / multiplicity, 0.0)
 
 
 def _detuned(rng, n_em):
@@ -55,8 +40,8 @@ def _detuned(rng, n_em):
                         rng.uniform(0.05, 1.0))
 
 
-def _every_observable(rho, h):
-    """Every observable at every emitter and ordered pair of emitters."""
+def _every_observable(read, h):
+    """read(which, indices) of every observable at every emitter and ordered pair of emitters."""
     sites = range(h.n_emitters)
     indices = {
         "sigma_z": [(i,) for i in sites],
@@ -64,17 +49,17 @@ def _every_observable(rho, h):
         "cross_pm": [(i, j) for i in sites for j in sites if i != j],
         "cross_zz": [(i, j) for i in sites for j in sites if i != j],
     }
-    return {(which, idx): expectation(rho, which, h, *idx)
+    return {(which, idx): read(which, idx)
             for which in OBSERVABLES for idx in indices.get(which, [()])}
 
 
 def _assert_routes_agree(p, h, frame):
-    # each real solve also matches the complex solve of its own system
-    brute = assert_matches_complex_solve(build_liouvillian(p, h, frame))
+    # the real solve also matches the complex solve of its own system
     symmetric = assert_matches_complex_solve(build_symmetric_liouvillian(p, h, frame))
-    assert np.abs(expand(symmetric) - brute.mat).max() <= 1e-12
-    reference = _every_observable(brute, h)
-    values = _every_observable(symmetric, h)
+    brute = full_space_steady_state(kron_liouvillian(p, h, frame), h.dim)
+    assert np.abs(expand(symmetric) - brute).max() <= 1e-12
+    reference = _every_observable(lambda which, idx: dense_expectation(brute, which, h, *idx), h)
+    values = _every_observable(lambda which, idx: expectation(symmetric, which, h, *idx), h)
     assert values.keys() == reference.keys()
     for key, value in reference.items():
         assert abs(values[key] - value) <= 1e-12, key
@@ -112,7 +97,7 @@ def test_symmetric_trace_weights_annihilate_the_liouvillian():
             for p in (random_params(rng, n_em), _detuned(rng, n_em)):
                 liou = build_symmetric_liouvillian(p, h, frame)
                 assert liou.trace_residual() <= 1e-12
-                assert len(liou.pattern.unknowns) == h.symmetric_unknowns
+                assert liou.matrix.shape == (h.symmetric_unknowns,) * 2
 
 
 @pytest.mark.parametrize("n_em", [2, 3, 4])
@@ -135,26 +120,19 @@ def test_trace_distance_of_symmetric_states_matches_the_expanded_states(n_em):
     h = HilbertConfig(3, n_em)
     a, b = (steady_state_exact(build_symmetric_liouvillian(_detuned(rng, n_em), h))
             for _ in range(2))
-    expected = trace_distance(DensityMatrix(expand(a)), DensityMatrix(expand(b)))
+    expected = dense_trace_distance(expand(a), expand(b))
     assert expected > 1e-3
     assert trace_distance(a, b) == pytest.approx(expected, abs=1e-12)
     assert trace_distance(a, a) == 0.0
 
 
-def test_trace_distance_rejects_states_of_another_kind_or_configuration():
+def test_trace_distance_rejects_states_of_another_configuration():
     p = regression_params(2)
-    h = HilbertConfig(3, 2)
-    symmetric = steady_state_exact(build_symmetric_liouvillian(p, h))
-    brute = steady_state_exact(build_liouvillian(p, h))
-    with pytest.raises(InvalidValue, match="cannot compare a SymmetricState with a DensityMatrix"):
-        trace_distance(symmetric, brute)
-    with pytest.raises(InvalidValue, match="cannot compare a DensityMatrix with a SymmetricState"):
-        trace_distance(brute, symmetric)
-    wider = HilbertConfig(5, 2)
-    with pytest.raises(InvalidValue, match="cannot be compared"):
-        trace_distance(symmetric, steady_state_exact(build_symmetric_liouvillian(p, wider)))
-    with pytest.raises(InvalidValue, match="cannot be compared"):
-        trace_distance(brute, steady_state_exact(build_liouvillian(p, wider)))
+    symmetric = steady_state_exact(build_symmetric_liouvillian(p, HilbertConfig(3, 2)))
+    wider = steady_state_exact(build_symmetric_liouvillian(p, HilbertConfig(5, 2)))
+    for a, b in [(symmetric, wider), (wider, symmetric)]:
+        with pytest.raises(InvalidValue, match="cannot be compared"):
+            trace_distance(a, b)
 
 
 def test_symmetric_state_validate_rejects_broken_states():
@@ -240,29 +218,3 @@ def test_cumulant_flux_certified_at_the_paper_sweep_points(n_em, rule):
     p = SystemParams(n_em, 2350.0, 2350.0, 0.11, 134.0, omega, 0.3, 0.5)
     flux_exact = photon_flux_exact(p, HilbertConfig(1, n_em), frame="rotating")
     assert abs(photon_flux_cumulant(p) / flux_exact - 1.0) <= 1e-6
-
-
-_COMMAND_DOC = """
-command: {command}
-params: {{n_emitters: 3, delta: 2350.0, delta_c: 2350.0, g: 5.0, kappa: 50.0,
-         omega: 1.0, gamma_minus: 0.1, gamma_z: 1.0}}
-hilbert: {{n_max: 3}}
-"""
-
-
-def test_ladders_and_commands_never_build_the_brute_force_liouvillian(monkeypatch, tmp_path, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the brute-force Liouvillian was built")
-
-    monkeypatch.setattr(exact, "build_liouvillian", refuse)
-    p, h = regression_params(3), HilbertConfig(3, 3)
-    assert photon_flux_exact(p, h, frame="rotating") > 0
-    assert g2_zero_converged(p, h, frame="rotating")[0] > 0
-    assert g2_zero_exact(p, h) > 0
-    for command in ("exact", "g2"):
-        cfg = tmp_path / f"{command}.yaml"
-        cfg.write_text(_COMMAND_DOC.format(command=command), encoding="utf-8")
-        out = tmp_path / command
-        assert main([command, "--config", str(cfg), "--out-dir", str(out), "--format", "json"]) == 0
-        assert json.loads((out / f"{command}_result.json").read_text())["rows"][0]["flux_mev"] > 0
-    capsys.readouterr()
