@@ -14,13 +14,16 @@ one of them (see steady_state_exact).  L is affine in the parameters, and
 maps Hermitian operators to Hermitian ones, so the steady-state system is
 real, on the Hermitian coordinates of the unknowns.  The pattern of L is
 cached per (n_max, N), whatever the cap: its structure, term tags and
-weights, the inputs of its diagonal, and the unknowns' trace weights and
-adjoints.  A build only fills in the values, and the structure of the real
-system, with the sparse map from the entries of L to its values and the
-COLAMD column order of each set of kept entries, is cached per pattern.  A
-build makes no scipy matrix: L's CSR is built when Liouvillian.matrix is
-first read, and a steady-state solve builds only the CSC matrix that SuperLU
-factorises.  The cumulant module covers arbitrary N approximately.
+weights, the photon and excitation numbers of each unknown's ket and bra,
+which give the diagonal in one evaluation of H_eff, and the unknowns' trace
+weights and adjoints.  A build only fills in the values, and the structure
+of the real system, with the map from the entries of L to its values and,
+for each set of kept entries, the COLAMD column order and the CSC matrix
+that SuperLU factorises, is cached per pattern.  A build makes no scipy
+matrix: L's CSR is built when Liouvillian.matrix is first read, and a
+steady-state solve builds the CSC only on the first solve of its set of
+kept entries; a later one writes its values into the cached CSC.  The
+cumulant module covers arbitrary N approximately.
 
 scipy is imported inside the functions that use it, so importing this module
 costs only numpy, and scipy loads on the first exact-route call; the
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -135,8 +139,8 @@ class _Pattern:
     """Everything in L that does not depend on the parameters, read-only.
 
     L acts on the unknowns u(n, m, k) (see build_symmetric_liouvillian); the
-    diagonal of H_eff at the ket and at the bra of each unknown gives L's
-    diagonal.
+    diagonal of H_eff at the ket and at the bra of each unknown (sides) gives
+    L's diagonal.
     """
 
     indptr: np.ndarray    # CSR row pointers of every entry L can hold (int32)
@@ -144,8 +148,7 @@ class _Pattern:
     diagonal: np.ndarray  # position of the entry L[r, r] for each row r (int32)
     tags: np.ndarray      # term of each entry (int8), _DIAGONAL on the diagonal
     weights: np.ndarray   # real weight of each entry (the diagonal is overwritten)
-    ket: np.ndarray       # (photons, excited emitters) of each unknown's ket, shape (2, count)
-    bra: np.ndarray       # the same of its bra
+    sides: np.ndarray     # (photons, excited) at each unknown's (ket, bra), shape (2, 2, count)
     zz: np.ndarray        # sum_n z_n(ket) z_n(bra)
     trace_weights: np.ndarray  # Tr rho = trace_weights @ u; the first is nonzero
     adjoint: np.ndarray   # position of each unknown's Hermitian conjugate
@@ -226,8 +229,7 @@ def _symmetric_pattern(n_max: int, n_em: int) -> _Pattern:
         weights.append(weight[keep])
     arrays = dict(
         **_csr_pattern(*(np.concatenate(x) for x in (rows, cols, tags, weights)), count),
-        ket=np.stack([n, ee + eg]).astype(float),
-        bra=np.stack([m, ee + ge]).astype(float),
+        sides=np.array([[n, m], [ee + eg, ee + ge]], dtype=float),
         zz=(ee + gg - eg - ge).astype(float),
         trace_weights=((n == m) & (eg == 0) & (ge == 0)).astype(float),
         adjoint=index[m, ee, ge, eg].astype(np.intp),
@@ -322,9 +324,10 @@ def build_symmetric_liouvillian(
     k_eg - k_ge), with h the diagonal of H_eff at n photons and e excited
     emitters.  The parameter-free structure comes from _symmetric_pattern,
     cached per (n_max, N), so a build is one gather of the term coefficients
-    and one broadcast for the diagonal; L's entries in pattern order, zeros
-    included, are kept read-only.  A configuration with more unknowns than
-    its cap raises DimensionCap before anything is built.
+    and one evaluation of h at the ket and the bra together for the
+    diagonal; L's entries in pattern order, zeros included, are kept
+    read-only.  A configuration with more unknowns than its cap raises
+    DimensionCap before anything is built.
     """
     validate_params(p)
     if frame not in ("as_written", "rotating"):
@@ -336,8 +339,7 @@ def build_symmetric_liouvillian(
     h.check_cap()
     pattern = _symmetric_pattern(h.n_max, h.n_emitters)
     shift = p.delta if frame == "rotating" else 0.0
-    ket = _h_eff(p, shift, *pattern.ket, h.n_emitters)
-    bra = _h_eff(p, shift, *pattern.bra, h.n_emitters)
+    ket, bra = _h_eff(p, shift, *pattern.sides, h.n_emitters)
     coefficients = np.array([-1j * p.g, p.kappa, p.omega, p.gamma_minus, 0.0])
     entries = coefficients[pattern.tags] * pattern.weights
     entries[pattern.diagonal] = -1j * ket + 1j * bra.conj() + p.gamma_z * pattern.zz
@@ -430,16 +432,18 @@ def _spin_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, tuple[int, ...]]
 
 @functools.lru_cache(maxsize=16)
 def _excitation_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The map from u to the excitation sub-blocks of every rho_j, stacked and identity-padded.
+    """The map from u to every rho_j's excitation sub-blocks plus PSD_TOL I, stacked and padded.
 
     rho_j[(n, q), (m, q')] is zero unless n + q = m + q' (_spin_blocks holds
     only entries with n - m = q' - q), so rho_j is the direct sum of its
     sub-blocks at excitation e = n + q = 0 .. n_max + 2j, each on the rows
     (n, e - n) in ascending n, and rho >= 0 exactly when every sub-block is.
-    Returns S, the rows of _spin_blocks' T moved to the sub-blocks, and pad,
-    so that (S @ u).reshape(pad.shape) + pad stacks every sub-block (p, then
-    e order) in the top left of an s x s slice, s = min(n_max, N) + 1, whose
-    other diagonal entries are 1.
+    Returns S, the rows of _spin_blocks' T moved to the sub-blocks, and
+    shifted, so that (S @ u).reshape(shifted.shape) + shifted stacks every
+    sub-block plus PSD_TOL I (p, then e order) in the top left of an s x s
+    slice, s = min(n_max, N) + 1, whose other diagonal entries are 1 +
+    PSD_TOL: the matrices whose Cholesky factorisation SymmetricState.validate
+    tries.
     """
     import scipy.sparse as sp
     blocks, sizes = _spin_blocks(n_max, n_em)
@@ -457,10 +461,11 @@ def _excitation_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, np.ndarray
     stack = sp.csr_matrix((blocks.data, (np.concatenate(dest)[rows], blocks.indices)),
                           shape=(count * side * side, blocks.shape[1]))
     _read_only(stack)
-    pad = np.zeros((count, side, side))
-    pad[:, np.arange(side), np.arange(side)] = np.arange(side) >= np.concatenate(widths)[:, None]
-    pad.flags.writeable = False
-    return stack, pad
+    shifted = np.zeros((count, side, side))
+    shifted[:, np.arange(side), np.arange(side)] = (
+        (np.arange(side) >= np.concatenate(widths)[:, None]) + PSD_TOL)
+    shifted.flags.writeable = False
+    return stack, shifted
 
 
 @dataclass
@@ -484,7 +489,11 @@ class SymmetricState:
         return cls(u, h)
 
     def _checked_unknowns(self) -> np.ndarray:
-        """u, once it holds one value per unknown of its configuration."""
+        """u, once it is a numeric array with one value per unknown of its configuration."""
+        if not (isinstance(self.mat, np.ndarray) and self.mat.dtype.kind in "iufc"):
+            kind = (f"an array of {self.mat.dtype}" if isinstance(self.mat, np.ndarray)
+                    else type(self.mat).__name__)
+            raise InvalidValue(f"u must be a numeric numpy array, got {kind}")
         count = self.hilbert.symmetric_unknowns
         if self.mat.shape != (count,):
             raise InvalidValue(f"u has shape {self.mat.shape}, the configuration has {count} unknowns")
@@ -503,25 +512,26 @@ class SymmetricState:
     def validate(self) -> "SymmetricState":
         """Hermiticity and trace on u, positivity through every spin block.
 
-        One batched Cholesky factorisation of the Hermitian part of every
-        excitation sub-block (see _excitation_blocks) plus PSD_TOL I passes
-        a positive state; only when it fails are the eigenvalues of the
-        spin blocks computed, to decide against -PSD_TOL and report.
+        One batched Cholesky factorisation of every excitation sub-block (see
+        _excitation_blocks) of the Hermitian part (u + u^+)/2, plus PSD_TOL
+        I, passes a positive state; only when it fails are the eigenvalues
+        of the spin blocks computed, to decide against -PSD_TOL and report.
+        The Hermitian part is taken on u, with the u^+ that the Hermiticity
+        check gathers, so no sub-block is transposed.
         """
         pattern = _symmetric_pattern(self.hilbert.n_max, self.hilbert.n_emitters)
         u = self._checked_unknowns()
         _require_finite(u, "symmetric state u")
-        herm = float(np.abs(u - u[pattern.adjoint].conj()).max())
+        mate = u[pattern.adjoint].conj()
+        herm = float(np.abs(u - mate).max())
         if herm > HERMITICITY_TOL:
             raise InvalidValue(f"not Hermitian: max |rho - rho^+| = {herm:.3e}")
         tr = complex(pattern.trace_weights @ u)
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidValue(f"trace {tr} differs from 1 beyond tolerance")
-        stack, pad = _excitation_blocks(self.hilbert.n_max, self.hilbert.n_emitters)
-        sub = (stack @ u).reshape(pad.shape) + pad
+        stack, shifted = _excitation_blocks(self.hilbert.n_max, self.hilbert.n_emitters)
         try:
-            np.linalg.cholesky((sub + sub.conj().transpose(0, 2, 1)) / 2
-                               + PSD_TOL * np.eye(pad.shape[1]))
+            np.linalg.cholesky((stack @ ((u + mate) / 2)).reshape(shifted.shape) + shifted)
         except np.linalg.LinAlgError:
             min_eig = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min())
                           for b in self.spin_blocks())
@@ -553,7 +563,7 @@ def trace_distance(a: SymmetricState, b: SymmetricState) -> float:
 
 @dataclass(frozen=True)
 class _ColumnOrder:
-    """The column order COLAMD chose for one kept-entry mask of a _HermitianSystem, read-only.
+    """The column order COLAMD chose for one kept-entry mask of a _HermitianSystem, and its CSC.
 
     With A the system on the kept entries (data != 0) and q = argsort(perm),
     the reordered system is P' A P: its column j is A's column q[j], with
@@ -561,14 +571,16 @@ class _ColumnOrder:
     the largest entry of a column, and it takes the diagonal of A's column
     q[j] at row q[j]; renaming the rows too keeps that diagonal on it.  The
     rows of each column stay in A's stored order, which SuperLU's search
-    follows, so the indices are not sorted.
+    follows, so the indices are not sorted.  The order owns the one CSC
+    matrix of the reordered system, built once: every array is read-only
+    but its data, which each factorisation of the mask overwrites, so a
+    system must not be factorised from two threads at once.
     """
 
-    gather: np.ndarray   # positions in the full data of the reordered system's entries
-    indptr: np.ndarray   # its CSC column pointers
-    indices: np.ndarray  # its CSC row indices, renamed, in A's order within each column
-    perm: np.ndarray     # SuperLU's perm_c of A: w = y[perm] for the reordered solution y
-    inverse: np.ndarray  # q: the reordered right-hand side is b[q]
+    gather: np.ndarray       # positions in the full data of the reordered system's entries
+    system: sp.csc_matrix    # the reordered system; row indices renamed, in A's order
+    perm: np.ndarray         # SuperLU's perm_c of A: w = y[perm] for the reordered solution y
+    inverse: np.ndarray      # q: the reordered right-hand side is b[q]
 
 
 # kept-entry masks per system whose column order is kept; the zero parameters,
@@ -588,7 +600,11 @@ class _HermitianSystem:
     indptr: np.ndarray        # CSC column pointers of the m x m real system
     indices: np.ndarray       # CSC row indices
     columns: np.ndarray       # the column of each stored entry
-    entries: sp.csr_matrix    # data = entries @ (Re e_0, Im e_0, Re e_1, ...) for L's entries e
+    # data[slots[t]] sums factors[t] * x[sources[t]] in t order, with x = (Re e_0,
+    # Im e_0, Re e_1, ...) for L's entries e; each slot's sources ascend
+    slots: np.ndarray
+    sources: np.ndarray
+    factors: np.ndarray
     trace_at: np.ndarray      # positions in data of the trace row, which entries leave 0
     trace_values: np.ndarray  # the trace weights there
     pairs: np.ndarray         # (i, adjoint[i]) for each pair, shape (2, count)
@@ -606,16 +622,19 @@ class _HermitianSystem:
         kept entries, and the perm_c it returns already holds SuperLU's
         elimination-tree postorder, so a later one factorises the system
         reordered by perm_c (see _ColumnOrder) with NATURAL, which reorders
-        nothing: the same pivots, L and U, and a bitwise equal solve.  A
-        factorisation that raises records nothing.
+        nothing: the same pivots, L and U, and a bitwise equal solve.  Such a
+        warm factorisation builds no scipy matrix: it writes the values into
+        the order's own CSC, whose format scipy checked once, and hands that
+        to splu; SuperLU copies them into its factors, so a solve returned
+        earlier keeps its own.  A factorisation that raises records nothing.
         """
-        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
-        m = len(self.indptr) - 1
         kept = data != 0
         key = np.packbits(kept).tobytes()
         order = self.orders.get(key)
         if order is None:
+            import scipy.sparse as sp
+            m = len(self.indptr) - 1
             before = np.zeros(len(data) + 1, dtype=self.indptr.dtype)
             np.cumsum(kept, out=before[1:])
             system = sp.csc_matrix((data[kept], self.indices[kept], before[self.indptr]), shape=(m, m))
@@ -624,13 +643,13 @@ class _HermitianSystem:
             lu = spla.splu(system, permc_spec="COLAMD")
             self._record(key, kept, lu.perm_c)
             return lu.solve
-        system = sp.csc_matrix((data[order.gather], order.indices, order.indptr), shape=(m, m))
-        system.has_canonical_format = True  # no duplicates; keeps splu from sorting the rows
-        lu = spla.splu(system, permc_spec="NATURAL")
+        np.take(data, order.gather, out=order.system.data)
+        lu = spla.splu(order.system, permc_spec="NATURAL")
         return lambda b: lu.solve(b[order.inverse])[order.perm]
 
     def _record(self, key: bytes, kept: np.ndarray, perm: np.ndarray):
         """Keep the _ColumnOrder perm of the kept entries under key, dropping the oldest past the bound."""
+        import scipy.sparse as sp
         m = len(self.indptr) - 1
         rank = perm[np.repeat(np.arange(m), np.diff(self.indptr))[kept]]
         gather = np.flatnonzero(kept)[np.argsort(rank, kind="stable")]
@@ -642,8 +661,9 @@ class _HermitianSystem:
         csc = np.concatenate([indptr, perm[self.indices[gather]]]).astype(self.indices.dtype)
         positions.flags.writeable = csc.flags.writeable = False
         nnz = len(gather)
-        order = _ColumnOrder(positions[:nnz], csc[: m + 1], csc[m + 1:],
-                             positions[nnz: nnz + m], positions[nnz + m:])
+        system = sp.csc_matrix((np.empty(nnz), csc[m + 1:], csc[: m + 1]), shape=(m, m))
+        system.has_canonical_format = True  # no duplicates; keeps splu from sorting the rows
+        order = _ColumnOrder(positions[:nnz], system, positions[nnz: nnz + m], positions[nnz + m:])
         if len(self.orders) >= _ORDERS_PER_SYSTEM:
             self.orders.pop(next(iter(self.orders)), None)
         self.orders[key] = order
@@ -664,7 +684,6 @@ def _hermitian_system(pattern: _Pattern) -> _HermitianSystem:
     imaginary for every parameter, and one of kappa, omega or gamma_minus is
     real, so their other part adds nothing to the structure.
     """
-    import scipy.sparse as sp
     trace_weights, adjoint = pattern.trace_weights, pattern.adjoint
     m = len(pattern.indptr) - 1
     entry = np.arange(len(pattern.indices))
@@ -693,15 +712,13 @@ def _hermitian_system(pattern: _Pattern) -> _HermitianSystem:
     indices = (keys % m).astype(np.int32)
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
-    entries = sp.csr_matrix(
-        (factors, (slot[: len(rows)], sources)), shape=(len(keys), 2 * len(pattern.indices))
-    )
+    terms = np.lexsort((sources, slot[: len(rows)]))
     below = np.flatnonzero(adjoint > np.arange(m))
-    system = _HermitianSystem(indptr, indices, keys // m, entries, slot[len(rows):],
-                              trace_weights[traced], np.stack([below, adjoint[below]]))
-    _read_only(entries)
-    for arr in (indptr, indices, system.columns, system.trace_at, system.trace_values,
-                system.pairs):
+    system = _HermitianSystem(indptr, indices, keys // m, slot[terms], sources[terms],
+                              factors[terms], slot[len(rows):], trace_weights[traced],
+                              np.stack([below, adjoint[below]]))
+    for arr in (indptr, indices, system.columns, system.slots, system.sources, system.factors,
+                system.trace_at, system.trace_values, system.pairs):
         arr.flags.writeable = False
     return system
 
@@ -721,20 +738,21 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     unknowns u (see _hermitian_system): Re and Im of one equation of each
     conjugate pair and Re of each self-adjoint one, with the first equation,
     which has a trace weight and is redundant, replaced by the trace
-    functional with right-hand side 1.  Its structure, and the sparse map
-    from the entries of L to its values, are cached per L pattern, so a
-    solve is one sparse product, one real LU factorisation, up to three
+    functional with right-hand side 1.  Its structure, and the map from the
+    entries of L to its values, are cached per L pattern, so a solve is one
+    weighted bincount for the values, one real LU factorisation, up to three
     rounds of iterative refinement with that factor, and u from w, Hermitian
     by construction.  The residuals are sums over the stored entries, of the
-    system and of L, in numpy: the LU's CSC is the only scipy matrix built.
-    The factorisation drops the zero entries and runs COLAMD on the first
-    solve of each set of kept entries; the structure records that column
-    order, and later solves factorise in it (see _HermitianSystem.factorise),
-    with the same pivots, L and U, so w is bitwise the one COLAMD gives.  u
-    is normalised and the state validated (by one batched Cholesky
-    factorisation, see SymmetricState.validate).  A singular
-    factorisation, or a residual ||L v||_inf on all of L above
-    STEADY_RESIDUAL_TOL, signals a degenerate null space.
+    system and of L, in numpy.  The factorisation drops the zero entries and
+    runs COLAMD on the first solve of each set of kept entries, on the only
+    scipy matrix a solve builds; the structure records that column order
+    with its own CSC, and later solves write their values into that CSC and
+    factorise it (see _HermitianSystem.factorise), with the same pivots, L
+    and U, so w is bitwise the one COLAMD gives.  u is normalised and the
+    state validated (by one batched Cholesky factorisation, see
+    SymmetricState.validate).  A singular factorisation, or a residual
+    ||L v||_inf on all of L above STEADY_RESIDUAL_TOL, signals a degenerate
+    null space.
 
     Why the block is enough: L commutes with rho -> e^{i phi E} rho e^{-i phi E},
     so L and its adjoint L^dag are block diagonal in the charge, with equal
@@ -752,7 +770,9 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     pattern = liou.pattern
     m = len(pattern.indptr) - 1
     structure = _hermitian_system(pattern)
-    data = structure.entries @ liou.entries.view(np.float64)
+    parts = liou.entries.view(np.float64)  # Re e_0, Im e_0, Re e_1, ...
+    data = np.bincount(structure.slots, structure.factors * parts[structure.sources],
+                       minlength=len(structure.indices))
     data[structure.trace_at] = structure.trace_values
     rhs = np.zeros(m)
     rhs[0] = 1.0
@@ -803,13 +823,22 @@ def time_evolve(liou: Liouvillian, rho0: SymmetricState, t_final: float) -> Symm
     steady-state system, which the builder's cap bounds; it is computed by
     scaling and squaring (scipy.linalg.expm).  rho0 must be a state of
     liou's (n_max, N), Hermitian to HERMITICITY_TOL, since the result is
-    symmetrised; anything else, or a t_final that is not a finite number
-    >= 0, raises InvalidValue.  The result is validated, so a time so long
-    that the exponential loses the state raises InvalidValue too.
+    symmetrised; anything else, or a t_final that is not a real int or
+    float, finite and >= 0, raises InvalidValue.  The result is validated,
+    so a time so long that the exponential loses the state raises
+    InvalidValue too.  The exponential's rounding loses the trace about
+    linearly in t: from the vacuum at N=2, n_max=3 (resonant, g = 5, kappa =
+    50, omega = 1, gamma_minus = 0.1, gamma_z = 1, rotating frame), the
+    trace is 1 - 5.2e-12 at t = 1e3 and off by 2.6e-9, past TRACE_TOL, at
+    t = 1e6, which is refused.  A caller that needs long times steps the
+    evolution, or takes steady_state_exact for the limit.
     """
     from scipy.linalg import expm
-    if isinstance(t_final, bool) or not (np.isfinite(t_final) and t_final >= 0):
-        raise InvalidValue(f"t_final must be finite and >= 0, got {t_final!r}")
+    if isinstance(t_final, (np.integer, np.floating)):
+        t_final = t_final.item()
+    if (isinstance(t_final, bool) or not isinstance(t_final, (int, float))
+            or not 0 <= t_final <= sys.float_info.max):  # an int compares exactly
+        raise InvalidValue(f"t_final must be finite and >= 0, a real int or float, got {t_final!r}")
     h, held = liou.hilbert, rho0.hilbert
     if (held.n_max, held.n_emitters) != (h.n_max, h.n_emitters):
         raise InvalidValue(f"rho0 of n_max={held.n_max}, N={held.n_emitters} evolved with {h}")
@@ -862,7 +891,7 @@ def _symmetric_observable(which: str, n_max: int, n_em: int) -> tuple[np.ndarray
     one |e><g| at i, 1/N of the assignments with k_eg = 1, k_ge = 0.
     """
     pattern = _symmetric_pattern(n_max, n_em)
-    n, m = pattern.ket[0], pattern.bra[0]
+    n, m = pattern.sides[0]
     ee, eg, ge, gg = pattern.k
     population = (n == m) & (eg == 0) & (ge == 0)
     pairs = max(n_em * (n_em - 1), 1)

@@ -267,14 +267,21 @@ def test_hermitian_system_is_cached_and_read_only():
     hits = exact._hermitian_system.cache_info().hits
     steady_state_exact(build_symmetric_liouvillian(regression_params(3, omega=0.3), h, "rotating"))
     assert exact._hermitian_system.cache_info().hits == hits + 1
-    system = exact._hermitian_system(build_symmetric_liouvillian(p, h).pattern)
-    for arr in (system.indptr, system.indices, system.columns, system.trace_at,
-                system.trace_values, system.pairs, system.entries.data,
-                system.entries.indices, system.entries.indptr):
+    pattern = build_symmetric_liouvillian(p, h).pattern
+    system = exact._hermitian_system(pattern)
+    for arr in (system.indptr, system.indices, system.columns, system.slots, system.sources,
+                system.factors, system.trace_at, system.trace_values, system.pairs):
         assert not arr.flags.writeable
-    # the refinement residual's row sums are bitwise those of a CSC product
+    # the system's values, summed per slot, are bitwise those of a CSR product
+    # of the map from L's entries, as are the refinement residual's row sums
+    # of a CSC product
     m = len(system.indptr) - 1
     rng = np.random.default_rng(7)
+    parts = rng.normal(size=2 * len(pattern.indices))  # Re and Im of each entry of L
+    terms = sp.csr_matrix((system.factors, (system.slots, system.sources)),
+                          shape=(len(system.indices), len(parts)))
+    assert np.array_equal(np.bincount(system.slots, system.factors * parts[system.sources],
+                                      minlength=len(system.indices)), terms @ parts)
     data, w = rng.normal(size=len(system.indices)), rng.normal(size=m)
     product = sp.csc_matrix((data, system.indices, system.indptr), shape=(m, m)) @ w
     assert np.array_equal(np.bincount(system.indices, data * w[system.columns], minlength=m),
@@ -401,8 +408,9 @@ def test_charge_matches_total_excitation_operator(n_max, n_em):
     rows, cols = np.nonzero(unknown >= 0)
     energy = _excitations(h)
     held = unknown[rows, cols]
-    assert np.array_equal(pattern.ket.sum(axis=0)[held], energy[rows])
-    assert np.array_equal(pattern.bra.sum(axis=0)[held], energy[cols])
+    ket, bra = pattern.sides.sum(axis=0)
+    assert np.array_equal(ket[held], energy[rows])
+    assert np.array_equal(bra[held], energy[cols])
     assert np.array_equal(energy[rows], energy[cols])
 
 
@@ -497,8 +505,54 @@ def test_each_kept_entry_mask_runs_colamd_once(monkeypatch):
     orders = exact._hermitian_system(liou.pattern).orders
     assert len(orders) == 2
     for order in orders.values():
-        for arr in (order.gather, order.indptr, order.indices, order.perm, order.inverse):
+        for arr in (order.gather, order.system.indptr, order.system.indices, order.perm,
+                    order.inverse):
             assert not arr.flags.writeable
+
+
+def test_a_warm_lu_keeps_its_values_when_the_next_overwrites_the_csc(monkeypatch):
+    # two systems with one kept-entry mask share their order's CSC; a solve
+    # returned for the first must not see the values of the second
+    seen, factorise = [], exact._HermitianSystem.factorise
+
+    def keep(self, data):
+        seen.append(data.copy())
+        return factorise(self, data)
+
+    monkeypatch.setattr(exact._HermitianSystem, "factorise", keep)
+    h = HilbertConfig(3, 3)
+    first, second = (build_symmetric_liouvillian(regression_params(3, omega), h, "rotating")
+                     for omega in (1.0, 0.3))
+    steady_state_exact(first)
+    steady_state_exact(second)
+    first_data, second_data = seen
+    assert np.array_equal(first_data != 0, second_data != 0)
+    assert not np.array_equal(first_data, second_data)
+    exact._hermitian_system.cache_clear()
+    system = exact._hermitian_system(first.pattern)
+    rhs = np.random.default_rng(22).normal(size=len(system.indptr) - 1)
+    cold = factorise(system, first_data)(rhs)  # COLAMD, recording the order
+    warm = factorise(system, first_data)
+    factorise(system, second_data)
+    assert warm(rhs).tobytes() == cold.tobytes()
+
+
+def test_a_warm_solve_builds_no_scipy_matrix(monkeypatch):
+    built = []
+    for cls in (sp.csc_matrix, sp.csr_matrix, sp.coo_matrix, sp.csc_array, sp.csr_array,
+                sp.coo_array):
+        def spy(self, *args, init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    liou = build_symmetric_liouvillian(regression_params(3), HilbertConfig(3, 3), "rotating")
+    exact._hermitian_system.cache_clear()
+    steady_state_exact(liou)
+    assert "csc_matrix" in built  # the cold solve's, and the one its order keeps
+    built.clear()
+    steady_state_exact(liou)
+    assert built == []
 
 
 def test_recorded_column_orders_are_bounded(monkeypatch):
@@ -596,7 +650,8 @@ def test_time_evolve_trace_drift():
     rho_t.validate()
 
 
-@pytest.mark.parametrize("t_final", [np.nan, np.inf, -np.inf, True])
+@pytest.mark.parametrize("t_final", [np.nan, np.inf, -np.inf, True, "1", None, 1j, [1.0],
+                                     np.float32(np.inf), pytest.param(10**400, id="huge-int")])
 def test_time_evolve_rejects_non_finite_time(t_final):
     h = HilbertConfig(2, 1)
     liou = build_symmetric_liouvillian(regression_params(1), h)
@@ -737,6 +792,15 @@ def test_symmetric_state_of_the_wrong_length_is_refused():
         for a, b in [(short, good), (good, short)]:
             with pytest.raises(InvalidValue, match="the configuration has 32 unknowns"):
                 trace_distance(a, b)
+
+
+@pytest.mark.parametrize("mat, kind", [([1.0] + [0.0] * 31, "list"),
+                                       (np.zeros(32, dtype=object), "an array of object")])
+def test_symmetric_state_that_is_not_a_numeric_array_is_refused(mat, kind):
+    h = HilbertConfig(3, 2)
+    for read in (SymmetricState.validate, lambda rho: expectation(rho, "photon_number", h)):
+        with pytest.raises(InvalidValue, match=f"u must be a numeric numpy array, got {kind}$"):
+            read(SymmetricState(mat, h))
 
 
 def test_flux_zero_when_decoupled():

@@ -20,6 +20,7 @@ from superrad.cumulant import photon_flux_cumulant
 from superrad.errors import InvalidValue, VacuumState
 from superrad.exact import (
     OBSERVABLES,
+    PSD_TOL,
     HilbertConfig,
     SymmetricState,
     build_symmetric_liouvillian,
@@ -156,17 +157,49 @@ def test_symmetric_state_validate_rejects_broken_states():
     SymmetricState(vacuum, h).validate()
 
 
+def test_validate_accepts_exactly_the_states_whose_smallest_eigenvalue_passes():
+    # a seeded corpus of perturbed ladder steady states, Hermitian and of
+    # trace 1, so that positivity alone decides; the reference is the
+    # smallest eigenvalue of the full rho, which is the smallest over the
+    # spin blocks, and states within 1e-12 of -PSD_TOL are left out
+    rng = np.random.default_rng(2200)
+    decided = {True: 0, False: 0}
+    for n_em in (1, 2, 3, 4):
+        for n_max in (1, 2, 3, 4, 5):
+            h = HilbertConfig(n_max, n_em)
+            pattern = exact._symmetric_pattern(n_max, n_em)
+            u = steady_state_exact(build_symmetric_liouvillian(_detuned(rng, n_em), h)).mat
+            for scale in 10.0 ** rng.uniform(-12, -2, size=15):
+                d = rng.normal(size=len(u)) + 1j * rng.normal(size=len(u))
+                d = d + d[pattern.adjoint].conj()
+                d[0] -= pattern.trace_weights @ d  # u(0, 0, (0, 0, 0, N)) has trace weight 1
+                state = SymmetricState(u + scale / np.abs(d).max() * d, h)
+                smallest = np.linalg.eigvalsh(expand(state)).min()
+                if abs(smallest + PSD_TOL) <= 1e-12:
+                    continue
+                try:
+                    state.validate()
+                    accepted = True
+                except InvalidValue as e:
+                    assert "not positive semidefinite" in str(e)
+                    accepted = False
+                assert accepted == (smallest >= -PSD_TOL), (n_em, n_max, scale, smallest)
+                decided[accepted] += 1
+    assert sum(decided.values()) >= 290 and min(decided.values()) >= 50, decided
+
+
 @pytest.mark.parametrize("n_em", [1, 2, 3, 4])
 def test_excitation_blocks_stack_every_sub_block_of_the_spin_blocks(n_em):
     # rho_j[(n, q), (m, q')] is zero unless n + q = m + q'; the stack holds
-    # every sub-block of one e = n + q exactly, padded with the identity
+    # every sub-block of one e = n + q exactly, padded with the identity, all
+    # shifted by PSD_TOL I
     rng = np.random.default_rng(990 + n_em)
     for n_max in range(3, 8):
         h = HilbertConfig(n_max, n_em)
         rho = steady_state_exact(build_symmetric_liouvillian(_detuned(rng, n_em), h, "rotating"))
-        stack, pad = exact._excitation_blocks(n_max, n_em)
+        stack, shifted = exact._excitation_blocks(n_max, n_em)
         side = min(n_max, n_em) + 1
-        subs = iter((stack @ rho.mat).reshape(pad.shape) + pad)
+        subs = iter((stack @ rho.mat).reshape(shifted.shape) + shifted)
         for block in rho.spin_blocks():
             spins = len(block) // (n_max + 1) - 1
             n, q = np.divmod(np.arange(len(block)), spins + 1)
@@ -177,8 +210,9 @@ def test_excitation_blocks_stack_every_sub_block_of_the_spin_blocks(n_em):
                 rows = np.flatnonzero(e == level)  # ascending n
                 sub = next(subs)
                 width = len(rows)
-                assert np.array_equal(sub[:width, :width], block[np.ix_(rows, rows)])
-                assert np.array_equal(sub[width:, width:], np.eye(side - width))
+                assert np.array_equal(sub[:width, :width],
+                                      block[np.ix_(rows, rows)] + PSD_TOL * np.eye(width))
+                assert np.array_equal(sub[width:, width:], (1 + PSD_TOL) * np.eye(side - width))
                 assert not sub[:width, width:].any() and not sub[width:, :width].any()
         assert next(subs, None) is None
 
