@@ -22,8 +22,11 @@ for each set of kept entries, the COLAMD column order and the CSC matrix
 that SuperLU factorises, is cached per pattern.  A build makes no scipy
 matrix: L's CSR is built when Liouvillian.matrix is first read, and a
 steady-state solve builds the CSC only on the first solve of its set of
-kept entries; a later one writes its values into the cached CSC.  The
-cumulant module covers arbitrary N approximately.
+kept entries; a later one writes its values into the cached CSC.  One
+map from u to the excitation sub-blocks of the state's total-spin blocks,
+cached per (n_max, N), serves both the positivity check of every state and
+trace_distance (see _excitation_blocks).  The cumulant module covers
+arbitrary N approximately.
 
 scipy is imported inside the functions that use it, so importing this module
 costs only numpy, and scipy loads on the first exact-route call; the
@@ -280,14 +283,6 @@ class Liouvillian:
         """The state whose unknowns are v."""
         return SymmetricState(v, self.hilbert)
 
-    def trace_row(self) -> np.ndarray:
-        """The trace functional on u, the left null vector enforced by trace preservation."""
-        return self.pattern.trace_weights.copy()
-
-    def trace_residual(self) -> float:
-        """max |trace_row() L|, zero for a trace-preserving generator."""
-        return float(np.abs(self.trace_row() @ self.matrix).max())
-
 
 def _h_eff(p: SystemParams, shift: float, photons, excited, n_em: int) -> np.ndarray:
     """Diagonal of H_eff = H - (i/2) sum_k r_k A_k'A_k at n photons and e excited emitters."""
@@ -366,17 +361,9 @@ def _require_finite(values: np.ndarray, what: str):
                            f"{values[first]} at index {list(first)}")
 
 
-def _read_only(*ops: sp.csr_matrix):
-    """Sort each operator's indices, then freeze its arrays, so that a cached copy can be shared."""
-    for op in ops:
-        op.sum_duplicates()
-        for arr in (op.data, op.indices, op.indptr):
-            arr.flags.writeable = False
-
-
 @functools.lru_cache(maxsize=16)
-def _spin_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, tuple[int, ...]]:
-    """The linear map from u to the blocks rho_j of a permutation-symmetric rho, stacked.
+def _excitation_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """The linear map from u to the blocks of a permutation-symmetric rho, as excitation sub-blocks.
 
     By Schur-Weyl duality such a rho is the direct sum over total spin j
     (2j = N, N-2, ...) of rho_j (x) I_{d_j}, with d_j = C(N, p) - C(N, p-1) for
@@ -389,8 +376,18 @@ def _spin_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, tuple[int, ...]]
         F = sum_b C(p, b) (-1)^b (2j)! / (a! (q-a)! (q'-a)! (2j-q-q'+a)!)
             / sqrt(C(2j, q) C(2j, q')),  a = k_ee - p + b, k_eg = q - a + b.
 
-    Returns the map T, so that T @ u stacks each row-major block
-    ((n_max+1)(2j+1) square, in p order), and the block sizes.
+    rho_j[(n, q), (m, q')] is zero unless n + q = m + q', since n - m =
+    k_ge - k_eg = q' - q, so rho_j is the direct sum of its sub-blocks at
+    excitation e = n + q = 0 .. n_max + 2j, each on the rows (n, e - n) in
+    ascending n from low = max(e - 2j, 0), and rho >= 0 exactly when every
+    sub-block is.  Returns the map S, shifted and the multiplicities: (S @
+    u).reshape(shifted.shape) stacks every sub-block (p, then e order) in the
+    top left of an s x s slice, s = min(n_max, N) + 1, zero elsewhere.
+    rho_j[(n, q), (m, q')] is row ((c + e) s + n - low) s + m - low of S,
+    with c the number of slices of the blocks before rho_j.  shifted is
+    PSD_TOL I plus 1 on the diagonal off the sub-block, so that adding it
+    gives the matrices whose Cholesky factorisation SymmetricState.validate
+    tries; and each slice of rho_j appears d_j times in rho.
     """
     import scipy.sparse as sp
     index = _symmetric_pattern(n_max, n_em).index
@@ -399,8 +396,9 @@ def _spin_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, tuple[int, ...]]
     def log_binom(top, bottom):
         return log_fact[top] - log_fact[bottom] - log_fact[top - bottom]
 
-    rows, cols, values, sizes = [], [], [], []
-    offset = 0
+    side = min(n_max, n_em) + 1
+    rows, cols, values, widths, multiplicity = [], [], [], [], []
+    count = 0
     for p in range(n_em // 2 + 1):
         spins = n_em - 2 * p  # 2j
         q, qq, a, b = (x.ravel() for x in np.meshgrid(
@@ -418,54 +416,25 @@ def _spin_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, tuple[int, ...]]
         n = np.arange(n_max + 1)[:, None]
         m = n + q - qq
         present = (m >= 0) & (m <= n_max)
-        size = (n_max + 1) * (spins + 1)
-        rows.append(offset + ((n * (spins + 1) + q) * size + m * (spins + 1) + qq)[present])
+        e = n + q
+        low = np.maximum(e - spins, 0)
+        rows.append((((count + e) * side + n - low) * side + m - low)[present])
         cols.append(index[np.broadcast_to(n, m.shape), k[0], k[1], k[2]][present])
         values.append(np.broadcast_to(value, m.shape)[present])
-        sizes.append(size)
-        offset += size * size
-    rows, cols, values = (np.concatenate(x) for x in (rows, cols, values))
-    blocks = sp.csr_matrix((values, (rows, cols)), shape=(offset, index.max() + 1))
-    _read_only(blocks)
-    return blocks, tuple(sizes)
-
-
-@functools.lru_cache(maxsize=16)
-def _excitation_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The map from u to every rho_j's excitation sub-blocks plus PSD_TOL I, stacked and padded.
-
-    rho_j[(n, q), (m, q')] is zero unless n + q = m + q' (_spin_blocks holds
-    only entries with n - m = q' - q), so rho_j is the direct sum of its
-    sub-blocks at excitation e = n + q = 0 .. n_max + 2j, each on the rows
-    (n, e - n) in ascending n, and rho >= 0 exactly when every sub-block is.
-    Returns S, the rows of _spin_blocks' T moved to the sub-blocks, and
-    shifted, so that (S @ u).reshape(shifted.shape) + shifted stacks every
-    sub-block plus PSD_TOL I (p, then e order) in the top left of an s x s
-    slice, s = min(n_max, N) + 1, whose other diagonal entries are 1 +
-    PSD_TOL: the matrices whose Cholesky factorisation SymmetricState.validate
-    tries.
-    """
-    import scipy.sparse as sp
-    blocks, sizes = _spin_blocks(n_max, n_em)
-    side = min(n_max, n_em) + 1
-    dest, widths, count = [], [], 0
-    for size in sizes:
-        spins = size // (n_max + 1) - 1  # 2j
-        n, q = np.divmod(np.arange(size), spins + 1)
-        e = n + q
-        slot = n - np.maximum(e - spins, 0)  # the row of (n, q) in its sub-block
-        dest.append((((count + e)[:, None] * side + slot[:, None]) * side + slot).ravel())
-        widths.append(np.bincount(e))
-        count += n_max + spins + 1
-    rows = np.repeat(np.arange(blocks.shape[0]), np.diff(blocks.indptr))
-    stack = sp.csr_matrix((blocks.data, (np.concatenate(dest)[rows], blocks.indices)),
-                          shape=(count * side * side, blocks.shape[1]))
-    _read_only(stack)
+        levels = np.arange(n_max + spins + 1)
+        widths.append(np.minimum(levels, n_max) - np.maximum(levels - spins, 0) + 1)
+        d_j = math.comb(n_em, p) - (math.comb(n_em, p - 1) if p else 0)
+        multiplicity.append(np.full(len(levels), float(d_j)))
+        count += len(levels)
+    stack = sp.csr_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(count * side * side, index.max() + 1))
     shifted = np.zeros((count, side, side))
     shifted[:, np.arange(side), np.arange(side)] = (
         (np.arange(side) >= np.concatenate(widths)[:, None]) + PSD_TOL)
-    shifted.flags.writeable = False
-    return stack, shifted
+    multiplicity = np.concatenate(multiplicity)
+    for arr in (stack.data, stack.indices, stack.indptr, shifted, multiplicity):
+        arr.flags.writeable = False
+    return stack, shifted, multiplicity
 
 
 @dataclass
@@ -499,23 +468,13 @@ class SymmetricState:
             raise InvalidValue(f"u has shape {self.mat.shape}, the configuration has {count} unknowns")
         return self.mat
 
-    def spin_blocks(self) -> list[np.ndarray]:
-        """The blocks rho_j for 2j = N, N-2, ... (see _spin_blocks)."""
-        blocks, sizes = _spin_blocks(self.hilbert.n_max, self.hilbert.n_emitters)
-        flat = blocks @ self._checked_unknowns()
-        out, start = [], 0
-        for size in sizes:
-            out.append(flat[start:start + size * size].reshape(size, size))
-            start += size * size
-        return out
-
     def validate(self) -> "SymmetricState":
         """Hermiticity and trace on u, positivity through every spin block.
 
         One batched Cholesky factorisation of every excitation sub-block (see
         _excitation_blocks) of the Hermitian part (u + u^+)/2, plus PSD_TOL
         I, passes a positive state; only when it fails are the eigenvalues
-        of the spin blocks computed, to decide against -PSD_TOL and report.
+        of the same stack computed, to decide against -PSD_TOL and report.
         The Hermitian part is taken on u, with the u^+ that the Hermiticity
         check gathers, so no sub-block is transposed.
         """
@@ -529,12 +488,13 @@ class SymmetricState:
         tr = complex(pattern.trace_weights @ u)
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidValue(f"trace {tr} differs from 1 beyond tolerance")
-        stack, shifted = _excitation_blocks(self.hilbert.n_max, self.hilbert.n_emitters)
+        stack, shifted, _ = _excitation_blocks(self.hilbert.n_max, self.hilbert.n_emitters)
+        blocks = (stack @ ((u + mate) / 2)).reshape(shifted.shape) + shifted
         try:
-            np.linalg.cholesky((stack @ ((u + mate) / 2)).reshape(shifted.shape) + shifted)
+            np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError:
-            min_eig = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min())
-                          for b in self.spin_blocks())
+            # the pads read 1 here, so only a sub-block can give a negative minimum
+            min_eig = float(np.linalg.eigvalsh(blocks).min()) - PSD_TOL
             if min_eig < -PSD_TOL:
                 raise InvalidValue(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
         return self
@@ -543,20 +503,20 @@ class SymmetricState:
 def trace_distance(a: SymmetricState, b: SymmetricState) -> float:
     """(1/2) * sum of singular values of (a - b), for two states of one (n_max, N).
 
-    The states are compared on their spin blocks (see _spin_blocks) without
-    expanding rho: (1/2) sum_j d_j ||rho_j - sigma_j||_1, where d_j =
-    C(N, p) - C(N, p-1) is the multiplicity of rho_j.
+    The states are compared on the excitation sub-blocks of their spin blocks
+    (see _excitation_blocks) without expanding rho: (1/2) sum_j d_j
+    ||rho_j - sigma_j||_1 from one batched eigvalsh of the stacked sub-blocks
+    of the Hermitian part of a - b, whose zero pads add nothing.
     """
     h, hb = a.hilbert, b.hilbert
     if (h.n_max, h.n_emitters) != (hb.n_max, hb.n_emitters):
         raise InvalidValue(f"states of n_max={h.n_max}, N={h.n_emitters} and "
                            f"n_max={hb.n_max}, N={hb.n_emitters} cannot be compared")
-    n_em = h.n_emitters
-    multiplicity = [math.comb(n_em, p) - (math.comb(n_em, p - 1) if p else 0)
-                    for p in range(n_em // 2 + 1)]
-    diffs = (x - y for x, y in zip(a.spin_blocks(), b.spin_blocks()))
-    return 0.5 * sum(d_j * float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum())
-                     for diff, d_j in zip(diffs, multiplicity))
+    stack, shifted, multiplicity = _excitation_blocks(h.n_max, h.n_emitters)
+    diff = a._checked_unknowns() - b._checked_unknowns()
+    diff = (diff + diff[_symmetric_pattern(h.n_max, h.n_emitters).adjoint].conj()) / 2
+    spectra = np.linalg.eigvalsh((stack @ diff).reshape(shifted.shape))
+    return 0.5 * float(multiplicity @ np.abs(spectra).sum(axis=1))
 
 
 # --- steady state and dynamics --------------------------------------------------
@@ -989,12 +949,6 @@ def _number_and_g2(rho: SymmetricState, h: HilbertConfig) -> tuple[float, float]
         raise VacuumState(f"steady-state photon number {n_phot:.3e} is below threshold")
     pair = expectation(rho, "photon_pair", h).real
     return n_phot, pair / n_phot**2
-
-
-def g2_zero_exact(p: SystemParams, h: HilbertConfig, frame: str = "as_written") -> float:
-    """Equal-time second-order correlation <a'a'aa> / <a'a>^2 at steady state."""
-    rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame=frame))
-    return _number_and_g2(rho, h)[1]
 
 
 def g2_zero_converged(

@@ -252,7 +252,7 @@ def test_criterion_11_invariant_suite():
         h = HilbertConfig(int(rng.integers(1, 3)), n_em)
         liou = build_symmetric_liouvillian(random_params(rng, n_em), h)
         u = symmetric_state(random_density_matrix(rng, h.dim), h).mat
-        worst_trace = max(worst_trace, abs(liou.trace_row() @ (liou.matrix @ u)))
+        worst_trace = max(worst_trace, abs(liou.pattern.trace_weights @ (liou.matrix @ u)))
 
     # Hermiticity preservation
     worst_herm = 0.0
@@ -299,7 +299,7 @@ def test_criterion_11_invariant_suite():
         du = liou.matrix @ symmetric_state(random_density_matrix(rng, h2.dim), h2).mat
         drho = SymmetricState(du, h2)
         d_excitation = expectation(drho, "photon_number", h2) + h2.n_emitters / 2 * (
-            expectation(drho, "sigma_z", h2, 0) + liou.trace_row() @ du)
+            expectation(drho, "sigma_z", h2, 0) + liou.pattern.trace_weights @ du)
         worst_exc = max(worst_exc, abs(d_excitation))
 
     # reflectance bounds and eigenvalue trace identity

@@ -1,8 +1,9 @@
 """Static checks on the package source: typed errors only, no dead error class, no
 cache keyed by a HilbertConfig, no numpy polynomial helper in the optics, a consistent
-export list, and a light import."""
+export list, every function the benchmark captures, and a light import."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -153,6 +154,19 @@ def test_optics_calls_no_numpy_polynomial_helper():
 def test_public_names_exist_once():
     assert len(superrad.__all__) == len(set(superrad.__all__))
     assert [name for name in superrad.__all__ if not hasattr(superrad, name)] == []
+
+
+def test_every_function_the_benchmark_captures_exists():
+    # the benchmark checks the steady states, moment states and maps that these
+    # functions return; a missing one leaves its checks without a signature
+    layers = Path(superrad.__file__).parent.parent.parent / "perfbench" / "layers.py"
+    tree = ast.parse(layers.read_text(), filename=str(layers))
+    captured = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [ast.unparse(t) for t in node.targets] == ["CAPTURED"])
+    assert captured
+    assert [f"{module}.{fn}" for module, fn, _ in captured
+            if not hasattr(importlib.import_module(f"superrad.{module}"), fn)] == []
 
 
 def test_import_loads_no_scipy_optimize_or_integrate():
