@@ -174,3 +174,28 @@ def expansion(h) -> sp.csr_matrix:
 def expand(state: SymmetricState) -> np.ndarray:
     """The d x d density matrix of a symmetric state."""
     return unvec(expansion(state.hilbert) @ state.mat, state.hilbert.dim)
+
+
+def spin_blocks(state: SymmetricState) -> list[np.ndarray]:
+    """The blocks rho_j of a symmetric state, 2j = N, N-2, ..., projected out of its d x d rho.
+
+    rho_j[(n, q), (m, q')] = <n, psi_jq| rho |m, psi_jq'>, row-major in (n, q),
+    with |psi_jq> = |singlet>^(x)p (x) |Dicke_2j, q> for p = N/2 - j: the
+    singlets (|ge> - |eg>)/sqrt 2 on emitters (0, 1), (2, 3), ..., and the
+    normalised sum of the C(2j, q) product states with q of the other 2j
+    emitters excited.
+    """
+    h = state.hilbert
+    rho = expand(state)
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
+    blocks = []
+    for p in range(h.n_emitters // 2 + 1):
+        spins = h.n_emitters - 2 * p
+        excited = np.array([bin(i).count("1") for i in range(2**spins)])
+        pairs = functools.reduce(np.kron, [singlet] * p, np.ones(1))
+        columns = [np.kron(np.eye(h.n_max + 1)[n],
+                           np.kron(pairs, (excited == q) / math.sqrt(math.comb(spins, q))))
+                   for n in range(h.n_max + 1) for q in range(spins + 1)]
+        basis = np.stack(columns, axis=1)
+        blocks.append(basis.T @ rho @ basis)
+    return blocks

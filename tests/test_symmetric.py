@@ -13,6 +13,7 @@ from reference_liouvillian import (
     expand,
     full_space_steady_state,
     kron_liouvillian,
+    spin_blocks,
 )
 from test_exact import assert_matches_complex_solve
 from superrad import exact
@@ -195,6 +196,37 @@ def test_validate_accepts_exactly_the_states_whose_smallest_eigenvalue_passes():
                 assert accepted == (smallest >= -PSD_TOL), (n_em, n_max, scale, smallest)
                 decided[accepted] += 1
     assert sum(decided.values()) >= 290 and min(decided.values()) >= 50, decided
+
+
+@pytest.mark.parametrize("n_em", [1, 2, 3, 4])
+def test_excitation_blocks_stack_every_sub_block_of_the_spin_blocks(n_em):
+    # rho_j[(n, q), (m, q')] is zero unless n + q = m + q'; the stack holds
+    # every sub-block of one e = n + q, padded with the identity, all shifted
+    # by PSD_TOL I, and each slice of rho_j appears d_j times in rho
+    rng = np.random.default_rng(990 + n_em)
+    for n_max in range(3, 8):
+        h = HilbertConfig(n_max, n_em)
+        rho = steady_state_exact(build_symmetric_liouvillian(_detuned(rng, n_em), h, "rotating"))
+        stack, shifted, multiplicity = exact._excitation_blocks(n_max, n_em)
+        side = min(n_max, n_em) + 1
+        subs = iter(zip((stack @ rho.mat).reshape(shifted.shape) + shifted, multiplicity))
+        for p, block in enumerate(spin_blocks(rho)):
+            spins = n_em - 2 * p
+            d_j = math.comb(n_em, p) - (math.comb(n_em, p - 1) if p else 0)
+            n, q = np.divmod(np.arange(len(block)), spins + 1)
+            e = n + q
+            assert np.all(block[e[:, None] != e] == 0)
+            assert np.abs(block).max() > 0
+            for level in range(n_max + spins + 1):
+                rows = np.flatnonzero(e == level)  # ascending n
+                sub, count = next(subs)
+                width = len(rows)
+                assert count == d_j
+                assert np.abs(sub[:width, :width] - block[np.ix_(rows, rows)]
+                              - PSD_TOL * np.eye(width)).max() <= 1e-13
+                assert np.array_equal(sub[width:, width:], (1 + PSD_TOL) * np.eye(side - width))
+                assert not sub[:width, width:].any() and not sub[width:, :width].any()
+        assert next(subs, None) is None
 
 
 @pytest.mark.parametrize("n_em", [3, 4])
