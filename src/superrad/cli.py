@@ -9,12 +9,12 @@ byte-identical across runs with the same config and seed.  On failure nothing
 is written and a machine-readable error record goes to stdout.
 
 Each command handler returns its result table as columns: one mapping from
-column name to a list, or to a float64 array for the large tables.  Each
-column is turned into text once, a float array with each distinct value
-(by bit pattern, so -0.0 and 0.0 stay apart) encoded once, and the table is
-written from that text: CSV as comma-joined lines, and the JSON "rows" array
-from one per-row template that is spliced into the payload.  The text is the
-same as `csv.writer` over `repr` cells and `json.dumps(indent=2,
+column name to a list, to a float64 array, or to an `_Axis` of a grid.  Each
+column is turned into text once: a float array cell by cell with
+`float.__repr__`, a grid axis by formatting its distinct values once.  Each
+data file is one join over its cells, the separators between them and, at
+either end, the CSV header or the JSON payload around its "rows" array.  The
+text is the same as `csv.writer` over `repr` cells and `json.dumps(indent=2,
 sort_keys=True)` would write, with nan and infinities spelled `nan`/`inf` in
 CSV and `NaN`/`Infinity` in JSON.  The stdlib encoder still writes the small
 objects: summary, sidecars and manifest.
@@ -28,7 +28,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,20 +60,39 @@ def _cell_text(value) -> str:
     return float.__repr__(value) if isinstance(value, float) else str(value)
 
 
-def _column_text(column, nonfinite) -> list[str]:
-    """The text of each cell of one column, with nan and the infinities respelled.
+@dataclass(frozen=True)
+class _Axis:
+    """A grid table's column: each of `values` repeated `each` times, the whole `times` times."""
+    values: np.ndarray
+    each: int
+    times: int
 
-    A float64 array, as the large tables give, is deduplicated on its bit
-    pattern, never on ==, so that -0.0 and 0.0 keep their own spellings, and
-    each distinct value is encoded once.  A list, as the one-row tables give,
-    is mapped cell by cell.
-    """
+
+def _column_text(column, nonfinite) -> list[str]:
+    """Each cell's text, nan and infinities respelled; a grid axis formats each value once."""
+    if isinstance(column, _Axis):
+        texts = _column_text(column.values, nonfinite)
+        return [t for t in texts for _ in range(column.each)] * column.times
     if isinstance(column, np.ndarray):
-        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
-        floats = distinct.view(np.float64).tolist()
-        texts = [nonfinite.get(t, t) for t in map(float.__repr__, floats)]
-        return [texts[i] for i in index.tolist()]
+        texts = list(map(float.__repr__, column.tolist()))
+        return texts if np.isfinite(column).all() else [nonfinite.get(t, t) for t in texts]
     return [nonfinite.get(t, t) for t in map(_cell_text, column)]
+
+
+def _joined(columns, seps, lead, tail, nonfinite) -> str:
+    """`lead`, each cell after its column's separator (the lead replaces the first), `tail`.
+
+    A table has at least one row: the config schema refuses empty lists and grids.
+    """
+    texts = [_column_text(column, nonfinite) for column in columns]
+    n, width = len(texts[0]), 2 * len(texts)
+    flat = [""] * (n * width)
+    for k, (sep, part) in enumerate(zip(seps, texts)):
+        flat[2 * k::width] = [sep] * n
+        flat[2 * k + 1::width] = part
+    flat[0] = lead
+    flat.append(tail)
+    return "".join(flat)
 
 
 def _atomic_write(path: Path, data: str):
@@ -90,8 +109,8 @@ def _atomic_write(path: Path, data: str):
 
 def _csv_text(rows) -> str:
     """CSV of a column table, with its column names as the header."""
-    cells = zip(*(_column_text(column, _CSV_NONFINITE) for column in rows.values()))
-    return ",".join(rows) + "\n" + "\n".join(map(",".join, cells)) + "\n"
+    seps = ["\n"] + [","] * (len(rows) - 1)
+    return _joined(rows.values(), seps, ",".join(rows) + "\n", "\n", _CSV_NONFINITE)
 
 
 def _json_text(obj) -> str:
@@ -101,13 +120,12 @@ def _json_text(obj) -> str:
 def _json_result_text(rows, payload) -> str:
     """`_json_text` of `payload` with the column table `rows` as its "rows" list of objects."""
     names = sorted(rows)
-    fields = ",\n".join(f"      {json.dumps(name)}: %s" for name in names)
-    template = "    {\n" + fields + "\n    }"
-    cells = zip(*(_column_text(rows[name], _JSON_NONFINITE) for name in names))
-    table = "[\n" + ",\n".join(map(template.__mod__, cells)) + "\n  ]"
+    keys = [f"\n      {json.dumps(name)}: " for name in names]
+    seps = ["\n    },\n    {" + keys[0]] + ["," + key for key in keys[1:]]
     # a newline inside a JSON string is escaped, so this matches only the top-level key
-    text = _json_text({**payload, "rows": None})
-    return text.replace('\n  "rows": null', '\n  "rows": ' + table, 1)
+    head, _, rest = _json_text({**payload, "rows": None}).partition('\n  "rows": null')
+    return _joined([rows[name] for name in names], seps, head + '\n  "rows": [\n    {' + keys[0],
+                   "\n    }\n  ]" + rest, _JSON_NONFINITE)
 
 
 def _one_row(**cells):
@@ -192,8 +210,8 @@ def _cmd_reflectance(config: RunConfig, _rng):
     rmap = compute_reflectance_map(params, thetas, energies)
     nt, ne = rmap.r_values.shape
     rows = {
-        "theta_deg": np.repeat(rmap.thetas, ne),
-        "energy_mev": np.tile(rmap.energies, nt),
+        "theta_deg": _Axis(rmap.thetas, ne, 1),
+        "energy_mev": _Axis(rmap.energies, 1, nt),
         "reflectance": rmap.r_values.ravel(),
     }
     branches = {

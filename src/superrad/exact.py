@@ -514,6 +514,7 @@ def trace_distance(a: SymmetricState, b: SymmetricState) -> float:
                            f"n_max={hb.n_max}, N={hb.n_emitters} cannot be compared")
     stack, shifted, multiplicity = _excitation_blocks(h.n_max, h.n_emitters)
     diff = a._checked_unknowns() - b._checked_unknowns()
+    _require_finite(diff, "trace_distance: a - b has")
     diff = (diff + diff[_symmetric_pattern(h.n_max, h.n_emitters).adjoint].conj()) / 2
     spectra = np.linalg.eigvalsh((stack @ diff).reshape(shifted.shape))
     return 0.5 * float(multiplicity @ np.abs(spectra).sum(axis=1))

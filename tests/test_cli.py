@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superrad.cli import _HANDLERS, _csv_text, _json_result_text, main, run
+from superrad.cli import _HANDLERS, _Axis, _csv_text, _json_result_text, main, run
 from superrad.config import COMMANDS, parse_config
 from superrad.exact import HilbertConfig, photon_flux_exact
+from superrad.optics import OpticalParams, compute_reflectance_map
 from superrad.params import SystemParams
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
@@ -438,16 +439,60 @@ TABLES = {
     "one_row": {"n_emitters": [3], "g2_zero": [np.float64(0.026468058264284194)],
                 "cross_pm": [float("nan")], "flux_mev": [-0.0]},
     "one_column": {"ratio": np.array([-float("inf"), 1.0, 1.0])},
+    "grid": {
+        "theta": _Axis(np.array([-0.0, 0.0, float("nan"), float("inf"), 0.1]), 3, 2),
+        "energy": _Axis(np.array([2.5, -float("inf"), -0.0, float("nan"), 1e300, 0.0]), 5, 1),
+        "count": list(range(30)),
+        "r": np.linspace(-1.0, 1.0, 30),
+    },
 }
+
+
+def _expanded(column):
+    """The cells of a column, an axis repeated as the grid's rows see it."""
+    if isinstance(column, _Axis):
+        return [v for v in column.values.tolist() for _ in range(column.each)] * column.times
+    return list(column)
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_column_writers_match_the_stdlib_writers(name):
     columns = TABLES[name]
-    rows = [dict(zip(columns, cells)) for cells in zip(*(list(c) for c in columns.values()))]
+    rows = [dict(zip(columns, cells))
+            for cells in zip(*map(_expanded, columns.values()), strict=True)]
     assert _csv_text(columns) == _reference_csv(rows)
     rest = {"summary": {"alpha": 0.25, "rmsd": float("nan")},
             "reflectance_branches": {"theta_deg": [0.0, -0.0, float("inf")]}}
     for payload in (rest, {"summary": None}):
         expected = json.dumps({**payload, "rows": rows}, indent=2, sort_keys=True) + "\n"
         assert _json_result_text(columns, payload) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_reflectance_files_match_the_stdlib_writers_over_the_map(tmp_path, fmt):
+    optics = dict(e_c0=2300.0, n_eff=1.8, delta=2350.0, g_coll=11.0, kappa=134.0,
+                  kappa_ext=67.0, gamma_perp=331.0)
+    doc = "command: reflectance\noptics:\n" + "".join(f"  {k}: {v}\n" for k, v in optics.items())
+    doc += "  theta_min: 0.0\n  theta_max: 48.0\n  n_theta: 4\n"
+    doc += "  e_min: 2100.0\n  e_max: 2600.0\n  n_energy: 5\n"
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "r.yaml", doc)
+    assert main(["reflectance", "--config", str(cfg), "--out-dir", str(out), "--format", fmt]) == 0
+    rmap = compute_reflectance_map(OpticalParams(**optics), np.linspace(0.0, 48.0, 4),
+                                   np.linspace(2100.0, 2600.0, 5))
+    rows = [{"theta_deg": theta, "energy_mev": energy, "reflectance": r}
+            for theta, line in zip(rmap.thetas.tolist(), rmap.r_values.tolist())
+            for energy, r in zip(rmap.energies.tolist(), line)]
+    assert len(rows) == 20 and rows[0]["theta_deg"] == 0.0
+    branches = {"theta_deg": rmap.thetas.tolist(),
+                "lp_re_mev": rmap.lp_branch.real.tolist(), "lp_im_mev": rmap.lp_branch.imag.tolist(),
+                "up_re_mev": rmap.up_branch.real.tolist(), "up_im_mev": rmap.up_branch.imag.tolist()}
+    if fmt == "csv":
+        assert (out / "reflectance_result.csv").read_text(encoding="utf-8") == _reference_csv(rows)
+        expected = {"reflectance_branches.json": branches}
+    else:
+        expected = {"reflectance_result.json": {"summary": None, "reflectance_branches": branches,
+                                                "rows": rows}}
+    for name, obj in expected.items():
+        text = (out / name).read_text(encoding="utf-8")
+        assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"

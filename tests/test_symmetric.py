@@ -146,6 +146,18 @@ def test_trace_distance_rejects_states_of_another_configuration():
             trace_distance(a, b)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_trace_distance_rejects_a_non_finite_state(bad):
+    # unchecked, eigvalsh ends in a bare LinAlgError: Eigenvalues did not converge
+    h = HilbertConfig(3, 3)
+    vacuum = SymmetricState.vacuum(h)
+    u = vacuum.mat.copy()
+    u[5] = bad
+    for a, b in [(vacuum, SymmetricState(u, h)), (SymmetricState(u, h), vacuum)]:
+        with pytest.raises(InvalidValue, match=r"a - b has non-finite entries: 1; .* at index \[5\]"):
+            trace_distance(a, b)
+
+
 def test_symmetric_state_validate_rejects_broken_states():
     h = HilbertConfig(3, 3)
     p = SystemParams(3, 2000.0, 2000.0, 1.2, 30.0, 0.0, 0.2, 0.5)  # no pump: the vacuum
