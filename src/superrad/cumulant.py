@@ -148,10 +148,12 @@ def moment_rhs(p: SystemParams, m: MomentState) -> MomentState:
     return MomentState.from_vector(_rhs_vector(p, m.to_vector()))
 
 
-def _rhs_vector(p: SystemParams, y: np.ndarray) -> np.ndarray:
+def _rhs_vector(p: SystemParams, y: list[float] | np.ndarray) -> list[float] | np.ndarray:
     """The closed moment equations on y = (n, s, Re c, Im c, Re x, Im x, z).
 
-    y holds 7 numbers, or has shape (7, k) with one state per column.
+    y holds 7 numbers, or has shape (7, k) with one state per column.  A list
+    of 7 floats gives a list of 7 floats, computed without numpy, with the
+    same values the array path gives; anything else gives an array.
     """
     n_em = p.n_emitters
     n, s, cr, ci, xr, xi, z = y
@@ -177,8 +179,9 @@ def _rhs_vector(p: SystemParams, y: np.ndarray) -> np.ndarray:
             - 8.0 * p.g * s * ci
         )
     else:
-        dxr = dxi = dz = np.zeros_like(n)
-    return np.array([dn, ds, dcr, dci, dxr, dxi, dz])
+        dxr = dxi = dz = 0.0 if isinstance(y, list) else np.zeros_like(n)
+    rates = [dn, ds, dcr, dci, dxr, dxi, dz]
+    return rates if isinstance(y, list) else np.array(rates)
 
 
 def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> MomentState:
@@ -187,7 +190,8 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
     Im(c) is the non-negative root of the stationary quadratic (see the module
     docstring); the other moments follow from it.  Stability is decided by the
     Routh-Hurwitz test on the characteristic polynomial of the Jacobian; only a
-    point it does not certify computes that polynomial's roots.  Raises
+    point it does not certify computes that polynomial's roots.  A certified
+    point runs on Python floats and calls no numpy.  Raises
     NoConvergence when that fixed point is unstable (a root with a positive
     real part), does not exist (kappa = 0 with g > 0 and
     omega >= gamma_minus) or leaves a derivative norm above
@@ -207,7 +211,7 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
         growth = np.roots([1.0, *coefficients]).real.max()
         if growth > 0:
             raise NoConvergence(f"stationary state is unstable: growth rate {growth:.3e} meV")
-    rates = _rhs_vector(p, y).tolist()
+    rates = _rhs_vector(p, y)
     bound = tol * max(1.0, p.kappa * n)
     if not all(abs(rate) <= bound for rate in rates):  # a NaN rate fails too
         raise NoConvergence(

@@ -35,6 +35,11 @@ class SystemParams:
         return self.delta_c - self.delta
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; a bool is not an emitter count."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def validate_params(p: SystemParams) -> SystemParams:
     """Check every invariant of a parameter record.
 
@@ -46,7 +51,7 @@ def validate_params(p: SystemParams) -> SystemParams:
     """
     problems: list[InvalidParams] = []
     n_em = p.n_emitters
-    if isinstance(n_em, bool) or not isinstance(n_em, (int, np.integer)):
+    if not is_integer(n_em):
         problems.append(InvalidParams([f"'n_emitters' must be an integer, got {n_em!r}"]))
     elif n_em < 1:
         problems.append(ZeroEmitters())

@@ -4,10 +4,15 @@ Sweeps the emitter number with the pump either scaled proportionally to N or
 held fixed, computes the cavity photon flux from the cumulant solver and an
 extensive free-space control, and fits the enhancement exponent alpha of
 ratio ~ N^alpha by least squares in log-log space.
+
+A sweep point and the fit run on Python floats: on a dozen numbers the cost
+of entering numpy, not the arithmetic, would dominate.  synth_power_law, which
+draws test data, is the only numpy user here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +25,7 @@ from .errors import (
     NoConvergence,
     NonPositiveValue,
 )
-from .params import SystemParams, validate_params
+from .params import SystemParams, is_integer, validate_params
 
 DRIVE_RULES = ("scaled", "fixed")
 
@@ -39,14 +44,17 @@ class SweepSpec:
             raise InvalidValue(f"drive_rule must be one of {DRIVE_RULES}")
         if len(self.n_values) == 0:
             raise InvalidValue("n_values must be non-empty")
+        bad = [n for n in self.n_values if not is_integer(n)]
+        if bad:
+            raise InvalidValue(f"n_values must be integers, got {bad[0]!r}")
         if any(n < 1 for n in self.n_values):
             raise InvalidValue("all n_values must be >= 1")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise InvalidValue("n_values must be strictly increasing")
         if not self.base_params.omega > 0:
             raise InvalidValue("base omega must be > 0")
-        if not self.gamma_r > 0:
-            raise InvalidValue("gamma_r must be > 0")
+        if not 0 < self.gamma_r < math.inf:
+            raise InvalidValue(f"gamma_r must be finite and > 0, got {self.gamma_r!r}")
 
 
 @dataclass(frozen=True)
@@ -104,23 +112,45 @@ def run_concentration_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def fit_power_law(points) -> PowerLawFit:
-    """Least-squares line in (ln n, ln ratio); alpha is the slope.
+    """Least-squares line ln ratio = ln prefactor + alpha ln n, in closed form.
 
-    points: iterable of (n, ratio) pairs, all strictly positive, >= 2 of them.
+    points: iterable of (n, ratio) pairs, each finite and strictly positive.
+    With x = ln n and y = ln ratio, and dx, dy their offsets from the means,
+    alpha = sum(dx dy) / sum(dx^2), ln prefactor = mean(y) - alpha mean(x) and
+    rmsd = sqrt(mean((dy - alpha dx)^2)).  Centering first keeps sum(dx^2)
+    free of the cancellation in sum(x^2) - len * mean(x)^2.
+
+    Raises InsufficientPoints for fewer than two distinct n (sum(dx^2) = 0,
+    where the slope is undefined), InvalidValue for a non-finite n or ratio
+    or a prefactor past the float range, and NonPositiveValue for an n or a
+    ratio <= 0.
     """
     pts = [(float(n), float(r)) for n, r in points]
     if len(pts) < 2:
         raise InsufficientPoints(f"power-law fit needs >= 2 points, got {len(pts)}")
+    bad = [pt for pt in pts if not all(map(math.isfinite, pt))]
+    if bad:
+        raise InvalidValue(f"power-law fit needs finite n and ratio, got {bad[0]}")
     if any(n <= 0 or r <= 0 for n, r in pts):
         raise NonPositiveValue("power-law fit needs strictly positive n and ratio")
-    log_n = np.log([n for n, _ in pts])
-    log_r = np.log([r for _, r in pts])
-    design = np.column_stack([np.ones_like(log_n), log_n])
-    coeffs, *_ = np.linalg.lstsq(design, log_r, rcond=None)
-    intercept, slope = coeffs
-    residuals = log_r - design @ coeffs
-    rmsd = float(np.sqrt(np.mean(residuals**2)))
-    return PowerLawFit(alpha=float(slope), prefactor=float(np.exp(intercept)), rmsd=rmsd)
+    log_n = [math.log(n) for n, _ in pts]
+    log_r = [math.log(r) for _, r in pts]
+    # compared before centering: a rounded mean can leave dx of one ulp at equal n
+    if min(log_n) == max(log_n):
+        raise InsufficientPoints(f"power-law fit needs >= 2 distinct n, got only n = {pts[0][0]}")
+    mean_x, mean_y = math.fsum(log_n) / len(pts), math.fsum(log_r) / len(pts)
+    dx = [x - mean_x for x in log_n]
+    dy = [y - mean_y for y in log_r]
+    slope = math.fsum(u * v for u, v in zip(dx, dy)) / math.fsum(u * u for u in dx)
+    rmsd = math.sqrt(math.fsum((v - slope * u) ** 2 for u, v in zip(dx, dy)) / len(pts))
+    intercept = mean_y - slope * mean_x
+    try:
+        prefactor = math.exp(intercept)
+    except OverflowError:
+        raise InvalidValue(
+            f"power-law prefactor exp({intercept:.6g}) is past the float range"
+        ) from None
+    return PowerLawFit(alpha=slope, prefactor=prefactor, rmsd=rmsd)
 
 
 def synth_power_law(

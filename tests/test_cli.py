@@ -219,6 +219,21 @@ fit:
     assert (out_a / "fit_result.csv").read_bytes() != (out_c / "fit_result.csv").read_bytes()
 
 
+@pytest.mark.parametrize("points, error", [
+    ("[[10, 1.0], [10, 2.0]]", "InsufficientPoints"),
+    ("[[10, .inf], [100, 2.0]]", "InvalidValue"),
+    ("[[.inf, 1.0], [100, 2.0]]", "InvalidValue"),
+], ids=["one_n", "inf_ratio", "inf_n"])
+def test_fit_without_a_slope_is_a_typed_error_record(tmp_path, capfd, points, error):
+    cfg = _write(tmp_path, "bad.yaml", f"command: fit\nfit:\n  points: {points}\n")
+    out = tmp_path / "out"
+    assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    captured = capfd.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 1
+    assert json.loads(captured.out)["error"] == error
+    assert not out.exists() or not any(out.glob("*"))
+
+
 def test_validate_command_round_trip_config(tmp_path):
     doc = "command: validate\nformat: json\n" + """
 params: {n_emitters: 10000, delta: 2350.0, delta_c: 2350.0, g: 0.11, kappa: 134.0,

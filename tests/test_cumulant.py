@@ -91,8 +91,15 @@ def test_rhs_vector_on_columns_equals_per_column_evaluation(n_em):
     rng = np.random.default_rng(n_em)
     p = random_params(rng, n_em)
     ys = rng.normal(size=(7, 9))
+    # an infinite photon number: at N = 1 the list path must keep the pair rates 0.0, not nan
+    ys[0, -1] = np.inf
     per_column = np.column_stack([_rhs_vector(p, ys[:, k]) for k in range(ys.shape[1])])
     assert np.array_equal(_rhs_vector(p, ys), per_column)
+    # a list of floats, as the fixed point passes, gives the same floats bit for bit
+    for k in range(ys.shape[1]):
+        rates = _rhs_vector(p, ys[:, k].tolist())
+        assert type(rates) is list and all(type(r) is float for r in rates)
+        assert list(map(float.hex, rates)) == list(map(float.hex, per_column[:, k].tolist()))
 
 
 def test_integration_returns_dark_state_immediately_when_converged():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from superrad.errors import DegenerateRates, InsufficientPoints, NonPositiveValue
+from superrad import cumulant, sweep
+from superrad.errors import DegenerateRates, InsufficientPoints, InvalidValue, NonPositiveValue
 from superrad.params import SystemParams
 from superrad.sweep import (
     SweepSpec,
@@ -91,6 +92,71 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(n_values=(10,), drive_rule="scaled",
                   base_params=sweep_base(), gamma_r=0.0)
+    # an infinite radiative rate would make every control flux, ratio and the fit nan
+    for gamma_r in (np.inf, np.nan):
+        with pytest.raises(InvalidValue, match="gamma_r must be finite"):
+            SweepSpec(n_values=(10,), drive_rule="scaled",
+                      base_params=sweep_base(), gamma_r=gamma_r)
+
+
+@pytest.mark.parametrize("n_values", [(2.5,), (True,), (10, 100.0), ("10",)],
+                         ids=["float", "bool", "integral_float", "str"])
+def test_sweep_spec_refuses_a_non_integer_count(n_values):
+    # the rule validate_params applies to n_emitters: an int or numpy integer, not a bool
+    with pytest.raises(InvalidValue, match="n_values must be integers"):
+        SweepSpec(n_values=n_values, drive_rule="scaled", base_params=sweep_base(), gamma_r=1e-3)
+
+
+def test_sweep_spec_takes_numpy_integers():
+    spec = SweepSpec(n_values=tuple(np.array([10, 100])), drive_rule="scaled",
+                     base_params=sweep_base(), gamma_r=1e-3)
+    assert [r.n for r in run_concentration_sweep(spec)] == [10, 100]
+
+
+class _NoNumpy:
+    """Stands in for a module's numpy; any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used")
+
+
+# the benchmark's closure_sweep grid: 12 log-spaced N from 1 to 3e4
+CLOSURE_SWEEP_N = tuple(int(n) for n in np.round(3.0e4 ** (np.arange(12) / 11)))
+
+
+@pytest.mark.parametrize("rule", ["scaled", "fixed"])
+def test_a_sweep_and_its_fit_call_no_numpy(monkeypatch, rule):
+    spec = SweepSpec(n_values=CLOSURE_SWEEP_N, drive_rule=rule,
+                     base_params=sweep_base(), gamma_r=1e-3)
+    rows = run_concentration_sweep(spec)
+    points = [(r.n, r.ratio) for r in rows]
+    fit = fit_power_law(points)
+    monkeypatch.setattr(cumulant, "np", _NoNumpy())
+    monkeypatch.setattr(sweep, "np", _NoNumpy())
+    assert run_concentration_sweep(spec) == rows
+    assert fit_power_law(points) == fit
+
+
+def _lstsq_fit(n, ratios):
+    """The fit through numpy's least-squares solver on the design matrix [1, ln n]."""
+    design = np.column_stack([np.ones(len(n)), np.log(n)])
+    log_r = np.log(ratios)
+    (intercept, slope), *_ = np.linalg.lstsq(design, log_r, rcond=None)
+    rmsd = np.sqrt(np.mean((log_r - design @ [intercept, slope]) ** 2))
+    return slope, np.exp(intercept), rmsd
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fit_matches_a_least_squares_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = np.exp(rng.uniform(0.0, 12.0, size=rng.integers(5, 25)))
+    alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+    ratios = synth_power_law(n, alpha, np.exp(rng.uniform(-5.0, 5.0)), rng.uniform(0.0, 0.2), rng)
+    fit = fit_power_law(zip(n, ratios))
+    slope, prefactor, rmsd = _lstsq_fit(n, ratios)
+    assert fit.alpha == pytest.approx(slope, rel=1e-12, abs=0.0)
+    assert fit.prefactor == pytest.approx(prefactor, rel=1e-12, abs=0.0)
+    assert fit.rmsd == pytest.approx(rmsd, rel=0.0, abs=1e-12)
 
 
 def test_fit_planted_exponent():
@@ -134,6 +200,23 @@ def test_fit_guards():
         fit_power_law([(10, 1.0), (100, -2.0)])
     with pytest.raises(NonPositiveValue):
         fit_power_law([(0, 1.0), (100, 2.0)])
+
+
+@pytest.mark.parametrize("points, error", [
+    ([(10, 1.0), (10, 2.0)], InsufficientPoints),
+    # the mean of five ln 7 rounds off ln 7, so a centered sum(dx^2) is not 0 here
+    ([(7, r) for r in (1.0, 2.0, 3.0, 4.0, 5.0)], InsufficientPoints),
+    ([(10, np.inf), (100, 2.0)], InvalidValue),
+    ([(np.inf, 1.0), (100, 2.0)], InvalidValue),
+    ([(10, 1.0), (100, np.nan)], InvalidValue),
+    ([(10, 1.0), (100, -np.inf)], InvalidValue),
+    # finite, but ln n differs by a few ulp: the intercept's exp overflows
+    ([(np.exp(10.0), 1e300), (np.exp(10.0) * (1 + 1e-14), 1e-300)], InvalidValue),
+], ids=["two_at_one_n", "five_at_one_n", "inf_ratio", "inf_n", "nan_ratio",
+        "minus_inf_ratio", "prefactor_overflow"])
+def test_fit_refuses_a_degenerate_or_non_finite_set(points, error):
+    with pytest.raises(error):
+        fit_power_law(points)
 
 
 def test_fit_noise_recovery_monte_carlo():
