@@ -28,7 +28,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from .exact import (
     steady_state_exact,
 )
 from .optics import OpticalParams, compute_reflectance_map
-from .params import validate_params
+from .params import SystemParams
 from .sweep import SweepSpec, fit_power_law, run_concentration_sweep
 from .units import TIME_UNIT_PS
 
@@ -135,7 +135,7 @@ def _one_row(**cells):
 # --- command handlers: each returns (columns, summary, sidecars) ---------------
 
 def _cmd_validate(config: RunConfig, _rng):
-    p = validate_params(config.effective_params())
+    p = config.effective_params()
     rows = _one_row(
         n_emitters=p.n_emitters, delta_mev=p.delta, delta_c_mev=p.delta_c,
         g_mev=p.g, kappa_mev=p.kappa, omega_mev=p.omega,
@@ -144,19 +144,18 @@ def _cmd_validate(config: RunConfig, _rng):
     return rows, {"valid": True, "time_unit_ps": TIME_UNIT_PS}, {}
 
 
-def _hilbert_config(config: RunConfig) -> HilbertConfig:
+def _hilbert_config(config: RunConfig, p: SystemParams) -> HilbertConfig:
     section = config.hilbert or HilbertSection()
-    return HilbertConfig(n_max=section.n_max, n_emitters=config.effective_params().n_emitters,
-                         cap=section.cap)
+    return HilbertConfig(n_max=section.n_max, n_emitters=p.n_emitters, cap=section.cap)
 
 
 def _cmd_exact(config: RunConfig, _rng):
-    p = validate_params(config.effective_params())
-    h = _hilbert_config(config)
+    p = config.effective_params()
+    h = _hilbert_config(config, p)
     rho = steady_state_exact(build_symmetric_liouvillian(p, h))
     n_phot = expectation(rho, "photon_number", h).real
-    s_z = expectation(rho, "sigma_z", h, 0).real
-    x_pm = expectation(rho, "cross_pm", h, 0, 1).real if p.n_emitters >= 2 else float("nan")
+    s_z = expectation(rho, "sigma_z", h).real
+    x_pm = expectation(rho, "cross_pm", h).real if p.n_emitters >= 2 else float("nan")
     rows = _one_row(
         n_emitters=p.n_emitters, n_max=h.n_max, photon_number=n_phot,
         flux_mev=p.kappa * n_phot, sigma_z=s_z, cross_pm=x_pm,
@@ -165,7 +164,7 @@ def _cmd_exact(config: RunConfig, _rng):
 
 
 def _cmd_cumulant(config: RunConfig, _rng):
-    p = validate_params(config.effective_params())
+    p = config.effective_params()
     m = integrate_to_steady_state(p)
     rows = _one_row(
         n_emitters=p.n_emitters, omega_mev=p.omega, n_photon=m.n_photon,
@@ -177,7 +176,7 @@ def _cmd_cumulant(config: RunConfig, _rng):
 
 
 def _cmd_sweep(config: RunConfig, _rng):
-    p = validate_params(config.effective_params())
+    p = config.effective_params()
     spec = SweepSpec(
         n_values=config.sweep.n_values,
         drive_rule=config.sweep.drive_rule,
@@ -236,8 +235,8 @@ def _cmd_fit(config: RunConfig, rng):
 
 
 def _cmd_g2(config: RunConfig, _rng):
-    p = validate_params(config.effective_params())
-    (n_phot, g2), h, _ = converge_in_cutoff(p, _hilbert_config(config), _number_and_g2)
+    p = config.effective_params()
+    (n_phot, g2), h, _ = converge_in_cutoff(p, _hilbert_config(config, p), _number_and_g2)
     rows = _one_row(
         n_emitters=p.n_emitters, n_max_converged=h.n_max,
         photon_number=n_phot, flux_mev=p.kappa * n_phot, g2_zero=g2,
@@ -306,11 +305,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=sorted(_HANDLERS))
     parser.add_argument("--config", required=True, help="path to the YAML configuration")
-    parser.add_argument("--out-dir", default=None, help="override config output_dir")
-    parser.add_argument("--format", default=None, choices=["csv", "json"],
-                        help="override config format")
-    parser.add_argument("--seed", default=None, type=int, help="override config seed")
+    parser.add_argument("--out-dir", help="override config output_dir")
+    parser.add_argument("--format", help="override config format")
+    parser.add_argument("--seed", type=int, help="override config seed")
     args = parser.parse_args(argv)
+    flags = {"output_dir": args.out_dir, "format": args.format, "seed": args.seed}
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
@@ -319,20 +318,13 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        config = parse_config(text)
+        # the flags are top-level keys of the document, checked by its schema
+        config = parse_config(text, {k: v for k, v in flags.items() if v is not None})
         if config.command != args.command:
             raise ConfigError(
                 f"config document is for command '{config.command}', "
                 f"but '{args.command}' was requested"
             )
-        if args.out_dir is not None:
-            config = replace(config, output_dir=args.out_dir)
-        if args.format is not None:
-            config = replace(config, format=args.format)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be non-negative")
-            config = replace(config, seed=args.seed)
         written = run(config)
     except SuperradError as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}))

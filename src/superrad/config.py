@@ -21,7 +21,7 @@ import yaml
 
 from .errors import ConfigSyntaxError, MissingSection, TypeMismatch, UnknownKey
 from .exact import DEFAULT_UNKNOWNS_CAP
-from .params import DriveMap, SystemParams, omega_of_voltage
+from .params import DriveMap, SystemParams, omega_of_voltage, validate_params
 from .sweep import DRIVE_RULES
 
 # libyaml's loader when PyYAML was built with it: the same documents and error
@@ -99,14 +99,15 @@ class RunConfig:
     fit: FitSection | None = None
 
     def effective_params(self) -> SystemParams:
-        """System parameters with the drive section (if any) applied to omega."""
+        """Validated system parameters with the drive section (if any) applied to omega."""
         if self.params is None:
             raise MissingSection("params")
-        if self.drive is None:
-            return self.params
-        omega = omega_of_voltage(DriveMap(self.drive.v_on, self.drive.slope_mu),
-                                 self.drive.voltage)
-        return replace(self.params, omega=omega)
+        params = self.params
+        if self.drive is not None:
+            omega = omega_of_voltage(DriveMap(self.drive.v_on, self.drive.slope_mu),
+                                     self.drive.voltage)
+            params = replace(params, omega=omega)
+        return validate_params(params)
 
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string"}
@@ -158,7 +159,10 @@ def _convert(value, hint, path: str, meta):
     accepted = (int, float) if hint is float else hint
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise TypeMismatch(path, _EXPECTED[hint], value)
-    value = hint(value)
+    try:
+        value = hint(value)
+    except OverflowError:  # an int literal past the float range
+        raise TypeMismatch(path, "a number within the float range", value) from None
     if "choices" in meta and value not in meta["choices"]:
         raise TypeMismatch(path, f"one of {meta['choices']}", value)
     if "min" in meta and value < meta["min"]:
@@ -166,8 +170,12 @@ def _convert(value, hint, path: str, meta):
     return value
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML configuration document into a RunConfig."""
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate a YAML configuration document into a RunConfig.
+
+    Each key of overrides replaces the document's top-level key of that name
+    before the walk, so the schema checks it as it checks the document.
+    """
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as e:
@@ -178,6 +186,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigSyntaxError(str(problem)) from e
     if doc is None:
         raise MissingSection("command")
+    if overrides and isinstance(doc, dict):
+        doc = {**doc, **overrides}
     config = _build(RunConfig, doc, "")
     for section in _REQUIRED_SECTIONS[config.command]:
         if getattr(config, section) is None:

@@ -57,10 +57,6 @@ class UnknownObservable(SuperradError):
     pass
 
 
-class IndexOutOfRange(SuperradError):
-    pass
-
-
 class CutoffNotConverged(SuperradError):
     """Photon-number cutoff sweep hit the dimension cap before converging."""
 

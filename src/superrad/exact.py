@@ -61,12 +61,11 @@ from .errors import (
     CutoffNotConverged,
     DegenerateSteadyState,
     DimensionCap,
-    IndexOutOfRange,
     InvalidValue,
     UnknownObservable,
     VacuumState,
 )
-from .params import SystemParams, validate_params
+from .params import SystemParams, is_integer, validate_params
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -90,7 +89,7 @@ class HilbertConfig:
     def __post_init__(self):
         for name in ("n_max", "n_emitters", "cap"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_integer(value):
                 raise InvalidValue(f"{name} must be an integer, got {value!r}")
         if self.n_max < 1:
             raise InvalidValue("n_max must be >= 1")
@@ -118,18 +117,23 @@ class HilbertConfig:
         return self
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64)  # every state check reads it, on the expectation path
 def _symmetric_count(n_max: int, n_em: int) -> int:
     """Number of unknowns u(n, m, k) (see _symmetric_pattern), without listing them.
 
-    Each k = (k_ee, k_eg, k_ge, k_gg) pairs with n_max + 1 - |k_eg - k_ge|
-    photon pairs (n, m), and N - k_eg - k_ge + 1 values of k_ee go with each
-    (k_eg, k_ge).
+    Each k = (k_ee, k_eg, k_ge, k_gg) pairs with n_max + 1 - |d| photon pairs
+    (n, m), d = k_eg - k_ge, and N - k_eg - k_ge + 1 values of k_ee go with
+    each (k_eg, k_ge).  At a given d, k_ge runs over 0..T with M = N - |d|
+    and T = M // 2, which sums to (T + 1)(M + 1 - T) values of k; d and -d
+    count alike.  The sum runs over |d| <= min(n_max, N) on Python ints, so
+    a large N is counted without an (N+1) x (N+1) grid.
     """
-    eg, ge = np.ogrid[: n_em + 1, : n_em + 1]
-    rest = n_em - eg - ge
-    pairs = np.maximum(n_max + 1 - abs(eg - ge), 0)
-    return int(np.where(rest >= 0, (rest + 1) * pairs, 0).sum())
+    n_max, n_em, total = int(n_max), int(n_em), 0
+    for d in range(min(n_max, n_em) + 1):
+        m = n_em - d
+        t = m // 2
+        total += (2 if d else 1) * (n_max + 1 - d) * (t + 1) * (m + 1 - t)
+    return total
 
 
 # term tags of the entries of L: the off-diagonal terms scale with -i g, kappa,
@@ -816,28 +820,16 @@ def time_evolve(liou: Liouvillian, rho0: SymmetricState, t_final: float) -> Symm
 
 # --- observables -----------------------------------------------------------------
 
-# each observable, and the number of emitter indices it reads
-OBSERVABLES = {
-    "photon_number": 0,     # a'a
-    "sigma_z": 1,           # sz_i
-    "cross_pm": 2,          # s+_i s-_j, i != j
-    "cross_zz": 2,          # sz_i sz_j, i != j
-    "field_coherence": 1,   # a' s-_i
-    "photon_pair": 0,       # a'a'aa
-}
-
-
-def _check_indices(which: str, h: HilbertConfig, i, j):
-    """Raise unless which is an observable and the emitter indices it reads of (i, j) fit h."""
-    if which not in OBSERVABLES:
-        raise UnknownObservable(f"unknown observable {which!r}; choose from {tuple(OBSERVABLES)}")
-    indices = (i, j)[: OBSERVABLES[which]]
-    for k in indices:
-        if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
-                or not 0 <= k < h.n_emitters):
-            raise IndexOutOfRange(f"{which}: emitter index {k!r} not in 0..{h.n_emitters - 1}")
-    if len(indices) == 2 and i == j:
-        raise IndexOutOfRange("cross observables need two distinct emitters")
+# every emitter, and every pair of distinct emitters, reads the same value in
+# a permutation-symmetric state, so no observable takes emitter indices
+OBSERVABLES = (
+    "photon_number",    # a'a
+    "sigma_z",          # sz_i
+    "cross_pm",         # s+_i s-_j, i != j
+    "cross_zz",         # sz_i sz_j, i != j
+    "field_coherence",  # a' s-_i
+    "photon_pair",      # a'a'aa
+)
 
 
 @functools.lru_cache(maxsize=64)
@@ -855,7 +847,7 @@ def _symmetric_observable(which: str, n_max: int, n_em: int) -> tuple[np.ndarray
     n, m = pattern.sides[0]
     ee, eg, ge, gg = pattern.k
     population = (n == m) & (eg == 0) & (ge == 0)
-    pairs = max(n_em * (n_em - 1), 1)
+    pairs = max(n_em * (n_em - 1), 1)  # at N = 1 expectation refuses the cross observables
     keep, weights = {
         "photon_number": (population, n),
         "photon_pair": (population, n * (n - 1)),
@@ -871,22 +863,20 @@ def _symmetric_observable(which: str, n_max: int, n_em: int) -> tuple[np.ndarray
     return positions, weights
 
 
-def expectation(
-    rho: SymmetricState,
-    which: str,
-    h: HilbertConfig,
-    i: int | None = None,
-    j: int | None = None,
-) -> complex:
-    """Tr(O rho) for the named observable, its indices checked against h.
+def expectation(rho: SymmetricState, which: str, h: HilbertConfig) -> complex:
+    """Tr(O rho) for the named observable, the same at every emitter and pair.
 
     rho must be a state of h's (n_max, N) with one value per unknown; any
-    other raises InvalidValue.
+    other raises InvalidValue, as does a cross observable at N = 1, which has
+    no pair of emitters.
     """
     held = (rho.hilbert.n_max, rho.hilbert.n_emitters)
     if held != (h.n_max, h.n_emitters):
         raise InvalidValue(f"SymmetricState of (n_max, N) {held} read with {h}")
-    _check_indices(which, h, i, j)
+    if which not in OBSERVABLES:
+        raise UnknownObservable(f"unknown observable {which!r}; choose from {OBSERVABLES}")
+    if which.startswith("cross_") and h.n_emitters == 1:
+        raise InvalidValue(f"{which} needs two emitters, the configuration has 1")
     positions, weights = _symmetric_observable(which, h.n_max, h.n_emitters)
     return complex(weights @ rho._checked_unknowns()[positions])
 

@@ -72,11 +72,11 @@ def exact_moment_derivatives(p, h, rho):
     """d/dt of (n, s, Re c, Im c, Re x, Im x, z) at the symmetric state rho, from the exact L."""
     drho = SymmetricState(build_symmetric_liouvillian(p, h).matrix @ rho.mat, h)
     dn = expectation(drho, "photon_number", h)
-    ds = expectation(drho, "sigma_z", h, 0)
-    dc = expectation(drho, "field_coherence", h, 0)
+    ds = expectation(drho, "sigma_z", h)
+    dc = expectation(drho, "field_coherence", h)
     if h.n_emitters >= 2:
-        dx = expectation(drho, "cross_pm", h, 0, 1)
-        dz = expectation(drho, "cross_zz", h, 0, 1)
+        dx = expectation(drho, "cross_pm", h)
+        dz = expectation(drho, "cross_zz", h)
     else:
         dx, dz = 0j, 0j
     return np.array([dn.real, ds.real, dc.real, dc.imag, dx.real, dx.imag, dz.real])

@@ -89,17 +89,20 @@ def test_sweep_determinism_byte_identical(tmp_path):
 def test_exact_dimension_cap_error_record(tmp_path, capsys):
     doc = """
 command: exact
-params: {n_emitters: 6, delta: 2350.0, delta_c: 2350.0, g: 5.0, kappa: 50.0,
-         omega: 1.0, gamma_minus: 0.1, gamma_z: 1.0}
-hilbert: {n_max: 10, cap: 512}
+params: {{n_emitters: {n_em}, delta: 2350.0, delta_c: 2350.0, g: 5.0, kappa: 50.0,
+         omega: 1.0, gamma_minus: 0.1, gamma_z: 1.0}}
+hilbert: {hilbert}
 """
-    cfg = _write(tmp_path, "e.yaml", doc)
-    out = tmp_path / "out"
-    code = main(["exact", "--config", str(cfg), "--out-dir", str(out)])
-    assert code != 0
-    record = json.loads(capsys.readouterr().out.strip())
-    assert record["error"] == "DimensionCap"
-    assert not out.exists() or not any(out.glob("*_result.*"))
+    # N = 10000, as in configs/cumulant_collective.yaml, is counted without a grid
+    for n_em, hilbert, count in [(6, "{n_max: 10, cap: 512}", 764), (10000, "{}", 400060004)]:
+        cfg = _write(tmp_path, "e.yaml", doc.format(n_em=n_em, hilbert=hilbert))
+        out = tmp_path / "out"
+        code = main(["exact", "--config", str(cfg), "--out-dir", str(out)])
+        assert code != 0
+        record = json.loads(capsys.readouterr().out.strip())
+        assert record["error"] == "DimensionCap"
+        assert record["message"].startswith(f"{count} permutation-symmetric unknowns")
+        assert not out.exists() or not any(out.glob("*_result.*"))
 
 
 def test_exact_out_of_memory_error_record(tmp_path, capsys, monkeypatch):
@@ -138,6 +141,30 @@ def test_command_mismatch_rejected(tmp_path, capsys):
     assert main(["exact", "--config", str(cfg)]) != 0
     record = json.loads(capsys.readouterr().out.strip())
     assert record["error"] == "ConfigError"
+
+
+def _error_record(capfd, argv, out):
+    """The one-line JSON record main prints for argv, checking it exits 1 and writes nothing."""
+    assert main(argv) == 1
+    captured = capfd.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 1
+    assert not out.exists()
+    return json.loads(captured.out)
+
+
+def test_flags_are_checked_by_the_config_schema(tmp_path, capfd):
+    doc = CUMULANT_DOC.format(omega="1.0")
+    cfg, bad = _write(tmp_path, "c.yaml", doc), _write(tmp_path, "bad.yaml", "seed: -1\n" + doc)
+    out = tmp_path / "out"
+    from_flag = _error_record(capfd, ["cumulant", "--config", str(cfg), "--out-dir", str(out),
+                                      "--seed", "-1"], out)
+    from_doc = _error_record(capfd, ["cumulant", "--config", str(bad), "--out-dir", str(out)], out)
+    assert from_flag == from_doc == {
+        "error": "TypeMismatch", "message": "key 'seed' expects a value >= 0, got -1"}
+    record = _error_record(capfd, ["cumulant", "--config", str(cfg), "--out-dir", str(out),
+                                   "--format", "xml"], out)
+    assert record == {"error": "TypeMismatch",
+                      "message": "key 'format' expects one of ('csv', 'json'), got 'xml'"}
 
 
 def test_exact_command_observables(tmp_path):

@@ -165,6 +165,8 @@ def test_round_trip_is_stable_under_reserialization():
     assert text_once == text_twice
 
 
+BEYOND_FLOAT = "1" + "0" * 400  # a 401-digit int literal
+
 SWEEP_BLOCK = """
 sweep:
   n_values: [100, 1000]
@@ -209,6 +211,10 @@ optics:
     ("command: exact\n" + PARAMS_BLOCK + "hilbert:\n  cap: -5\n", TypeMismatch, "hilbert.cap"),
     ("command: fit\nfit:\n  points: [[100, 1.0], [1000, 2.0]]\n  noise_sigma: -0.3\n",
      TypeMismatch, "fit.noise_sigma"),
+    # int literals past the float range, which float() refuses with OverflowError
+    (f"command: fit\nfit:\n  points: [[{BEYOND_FLOAT}, 1.0], [1000, 2.0]]\n",
+     TypeMismatch, "fit.points[].n"),
+    ("command: exact\n" + PARAMS_BLOCK.replace("134.0", BEYOND_FLOAT), TypeMismatch, "params.kappa"),
 ])
 def test_schema_error_paths(text, error, key):
     with pytest.raises(error) as err:

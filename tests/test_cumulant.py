@@ -75,8 +75,8 @@ def test_moment_rhs_photon_and_inversion_rows_match_exact_at_coherent_states():
             rho = symmetric_state(random_density_matrix(rng, h.dim), h)
             m = MomentState(
                 n_photon=expectation(rho, "photon_number", h).real,
-                s_z=expectation(rho, "sigma_z", h, 0).real,
-                coh=complex(expectation(rho, "field_coherence", h, 0)),
+                s_z=expectation(rho, "sigma_z", h).real,
+                coh=complex(expectation(rho, "field_coherence", h)),
                 x_pm=0j,
                 z_zz=1.0,
             )
@@ -344,9 +344,9 @@ def test_weak_drive_linear_response_matches_exact():
         h = HilbertConfig(3, n_em)
         rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame="rotating"))
         n_e = expectation(rho, "photon_number", h).real
-        x_e = expectation(rho, "cross_pm", h, 0, 1).real
-        c_e = expectation(rho, "field_coherence", h, 0)
-        s_e = expectation(rho, "sigma_z", h, 0).real
+        x_e = expectation(rho, "cross_pm", h).real
+        c_e = expectation(rho, "field_coherence", h)
+        s_e = expectation(rho, "sigma_z", h).real
         assert m.n_photon == pytest.approx(n_e, rel=1e-3)
         assert m.x_pm.real == pytest.approx(x_e, rel=1e-3)
         assert m.coh.imag == pytest.approx(c_e.imag, rel=1e-3)

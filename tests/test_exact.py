@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from superrad.errors import (
     CutoffNotConverged,
     DegenerateSteadyState,
     DimensionCap,
-    IndexOutOfRange,
     InvalidValue,
     UnknownObservable,
     VacuumState,
@@ -118,7 +118,7 @@ def test_steady_state_no_pump_is_vacuum():
     h = HilbertConfig(3, 2)
     rho = steady_state_exact(build_symmetric_liouvillian(p, h))
     assert expectation(rho, "photon_number", h).real == pytest.approx(0.0, abs=1e-12)
-    assert expectation(rho, "sigma_z", h, 0).real == pytest.approx(-1.0, abs=1e-12)
+    assert expectation(rho, "sigma_z", h).real == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_steady_state_rate_equation_fixed_point():
@@ -126,7 +126,7 @@ def test_steady_state_rate_equation_fixed_point():
     p = SystemParams(1, 2350.0, 2350.0, 0.0, 1.0, 1.0, 3.0, 0.0)
     h = HilbertConfig(2, 1)
     rho = steady_state_exact(build_symmetric_liouvillian(p, h))
-    population = (1.0 + expectation(rho, "sigma_z", h, 0).real) / 2.0
+    population = (1.0 + expectation(rho, "sigma_z", h).real) / 2.0
     assert population == pytest.approx(0.25, abs=1e-9)
 
 
@@ -334,6 +334,25 @@ def test_liouvillian_pattern_is_cached_and_read_only():
         for arr in (positions, weights):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+def test_unknowns_are_counted_as_the_pattern_lists_them():
+    for n_max in range(1, 6):
+        for n_em in range(1, 12):
+            pattern = exact._symmetric_pattern(n_max, n_em)
+            assert HilbertConfig(n_max, n_em).symmetric_unknowns == len(pattern.trace_weights)
+
+
+def test_cap_check_at_a_large_n_is_arithmetic():
+    # counting on an (N+1) x (N+1) grid would need 8 TB at N = 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCap, match="^4000006000004 permutation-symmetric unknowns"):
+            HilbertConfig(3, 10**6).check_cap()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_caches_are_shared_by_configurations_that_differ_only_in_cap():
@@ -618,10 +637,9 @@ def test_steady_state_frame_invariance():
         h = HilbertConfig(3, 2)
         rho_aw = steady_state_exact(build_symmetric_liouvillian(p, h))
         rho_rot = steady_state_exact(build_symmetric_liouvillian(p, h, frame="rotating"))
-        for which, idx in [("photon_number", ()), ("sigma_z", (0,)),
-                           ("cross_pm", (0, 1)), ("field_coherence", (0,))]:
-            a = expectation(rho_aw, which, h, *idx)
-            b = expectation(rho_rot, which, h, *idx)
+        for which in ("photon_number", "sigma_z", "cross_pm", "field_coherence"):
+            a = expectation(rho_aw, which, h)
+            b = expectation(rho_rot, which, h)
             assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -728,14 +746,14 @@ def test_expectation_examples():
     state = np.zeros(h.dim, dtype=complex)
     state[3] = 1.0  # field 0, both spins at index 1 -> 0*4 + 1*2 + 1
     rho_exc = symmetric_state(np.outer(state, state.conj()), h)
-    assert expectation(rho_exc, "sigma_z", h, 0).real == pytest.approx(1.0)
+    assert expectation(rho_exc, "sigma_z", h).real == pytest.approx(1.0)
 
     # symmetric one-excitation state (|eg> + |ge>)/sqrt(2): <s+_0 s-_1> = 1/2
     psi = np.zeros(h.dim, dtype=complex)
     psi[2] = 1.0 / np.sqrt(2)  # |g e>... field 0: indices: spin0*2 + spin1
     psi[1] = 1.0 / np.sqrt(2)
     rho_dicke = symmetric_state(np.outer(psi, psi.conj()), h)
-    assert expectation(rho_dicke, "cross_pm", h, 0, 1).real == pytest.approx(0.5)
+    assert expectation(rho_dicke, "cross_pm", h).real == pytest.approx(0.5)
 
 
 def test_photon_pair_observable():
@@ -749,23 +767,18 @@ def test_photon_pair_observable():
 
 
 def test_expectation_errors():
-    h = HilbertConfig(2, 2)
-    states = [SymmetricState.vacuum(h),
-              steady_state_exact(build_symmetric_liouvillian(regression_params(2), h))]
-    for which, idx, error in [("parity", (), UnknownObservable), ("sigma_z", (), IndexOutOfRange),
-                              ("sigma_z", (5,), IndexOutOfRange),
-                              ("sigma_z", (1.5,), IndexOutOfRange),
-                              ("sigma_z", (True,), IndexOutOfRange),
-                              ("cross_pm", (False, True), IndexOutOfRange),
-                              ("field_coherence", (-1,), IndexOutOfRange),
-                              ("cross_zz", (0,), IndexOutOfRange),
-                              ("cross_pm", (1, 1), IndexOutOfRange)]:
+    for h in (HilbertConfig(2, 1), HilbertConfig(2, 2)):
+        states = [SymmetricState.vacuum(h), steady_state_exact(
+            build_symmetric_liouvillian(regression_params(h.n_emitters), h))]
         for rho in states:
-            with pytest.raises(error):
-                expectation(rho, which, h, *idx)
-    for rho in states:  # an index the observable does not read is ignored
-        assert expectation(rho, "photon_number", h, 7) == expectation(rho, "photon_number", h)
-        assert expectation(rho, "sigma_z", h, 1, 1) == expectation(rho, "sigma_z", h, 1)
+            with pytest.raises(UnknownObservable):
+                expectation(rho, "parity", h)
+            for which in ("cross_pm", "cross_zz"):
+                if h.n_emitters == 1:  # no pair of emitters to read
+                    with pytest.raises(InvalidValue, match="needs two emitters"):
+                        expectation(rho, which, h)
+                else:
+                    assert np.isfinite(expectation(rho, which, h))
 
 
 def test_expectation_rejects_a_state_of_another_configuration():
@@ -932,7 +945,7 @@ def test_permutation_symmetry_preserved():
         sz1 = dense_expectation(rho_t, "sigma_z", h, 1)
         assert abs(sz0 - sz1) <= 1e-9
         evolved = time_evolve(liou, symmetric_state(rho_sym, h), t)
-        assert abs(expectation(evolved, "sigma_z", h, 0) - sz0) <= 1e-9
+        assert abs(expectation(evolved, "sigma_z", h) - sz0) <= 1e-9
 
 
 def test_excitation_conserved_under_dephasing_only():
@@ -947,5 +960,5 @@ def test_excitation_conserved_under_dephasing_only():
         du = liou.matrix @ _random_state(rng, h).mat
         drho = SymmetricState(du, h)
         d_excitation = expectation(drho, "photon_number", h) + h.n_emitters / 2 * (
-            expectation(drho, "sigma_z", h, 0) + liou.pattern.trace_weights @ du)
+            expectation(drho, "sigma_z", h) + liou.pattern.trace_weights @ du)
         assert abs(d_excitation) <= 1e-8
