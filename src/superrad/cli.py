@@ -23,6 +23,7 @@ objects: summary, sidecars and manifest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -307,9 +308,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the YAML configuration")
     parser.add_argument("--out-dir", help="override config output_dir")
     parser.add_argument("--format", help="override config format")
-    parser.add_argument("--seed", type=int, help="override config seed")
+    parser.add_argument("--seed", help="override config seed")
     args = parser.parse_args(argv)
     flags = {"output_dir": args.out_dir, "format": args.format, "seed": args.seed}
+    if args.seed is not None:
+        with contextlib.suppress(ValueError):  # other text goes on, for the schema to refuse
+            flags["seed"] = int(args.seed)
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")

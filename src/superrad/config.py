@@ -184,6 +184,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         if mark is not None:
             raise ConfigSyntaxError(str(problem), mark.line + 1, mark.column + 1) from e
         raise ConfigSyntaxError(str(problem)) from e
+    except ValueError as e:  # an int literal past Python's digit limit for int()
+        raise ConfigSyntaxError(str(e)) from e
     if doc is None:
         raise MissingSection("command")
     if overrides and isinstance(doc, dict):

@@ -16,17 +16,18 @@ real, on the Hermitian coordinates of the unknowns.  The pattern of L is
 cached per (n_max, N), whatever the cap: its structure, term tags and
 weights, the photon and excitation numbers of each unknown's ket and bra,
 which give the diagonal in one evaluation of H_eff, and the unknowns' trace
-weights and adjoints.  A build only fills in the values, and the structure
-of the real system, with the map from the entries of L to its values and,
-for each set of kept entries, the COLAMD column order and the CSC matrix
-that SuperLU factorises, is cached per pattern.  A build makes no scipy
-matrix: L's CSR is built when Liouvillian.matrix is first read, and a
-steady-state solve builds the CSC only on the first solve of its set of
-kept entries; a later one writes its values into the cached CSC.  One
-map from u to the excitation sub-blocks of the state's total-spin blocks,
-cached per (n_max, N), serves both the positivity check of every state and
-trace_distance (see _excitation_blocks).  The cumulant module covers
-arbitrary N approximately.
+weights and adjoints.  A build only fills in the values.  The structure of
+the real system is cached per pattern: the map from the entries of L to its
+values, a nested-dissection order of the unknowns from their points on a
+small lattice (see _lattice_order), and, for each set of kept entries, the
+CSC matrix in that order that SuperLU factorises with no further
+reordering.  A build makes no scipy matrix: L's CSR is built when
+Liouvillian.matrix is first read, and a steady-state solve builds the CSC
+only on the first solve of its set of kept entries; a later one writes its
+values into the cached CSC.  One map from u to the excitation sub-blocks of
+the state's total-spin blocks, cached per (n_max, N), serves both the
+positivity check of every state and trace_distance (see _excitation_blocks).
+The cumulant module covers arbitrary N approximately.
 
 scipy is imported inside the functions that use it, so importing this module
 costs only numpy, and scipy loads on the first exact-route call; the
@@ -124,16 +125,22 @@ def _symmetric_count(n_max: int, n_em: int) -> int:
     Each k = (k_ee, k_eg, k_ge, k_gg) pairs with n_max + 1 - |d| photon pairs
     (n, m), d = k_eg - k_ge, and N - k_eg - k_ge + 1 values of k_ee go with
     each (k_eg, k_ge).  At a given d, k_ge runs over 0..T with M = N - |d|
-    and T = M // 2, which sums to (T + 1)(M + 1 - T) values of k; d and -d
-    count alike.  The sum runs over |d| <= min(n_max, N) on Python ints, so
-    a large N is counted without an (N+1) x (N+1) grid.
+    and T = M // 2, which sums to (T + 1)(M + 1 - T) = floor((M + 2)^2 / 4)
+    values of k; d and -d count alike, for |d| <= min(n_max, N).  With j =
+    M + 2, a term is (j + n_max - N - 1)(j^2 - j mod 2) / 4, so the sum over d
+    is a difference of power sums of j, on Python ints: a large N or n_max is
+    counted with no loop and no (N+1) x (N+1) grid.
     """
-    n_max, n_em, total = int(n_max), int(n_em), 0
-    for d in range(min(n_max, n_em) + 1):
-        m = n_em - d
-        t = m // 2
-        total += (2 if d else 1) * (n_max + 1 - d) * (t + 1) * (m + 1 - t)
-    return total
+    n_max, n_em = int(n_max), int(n_em)
+    shift = n_max - n_em - 1
+
+    def four_times_sum(top: int) -> int:  # 4 sum_{j=1}^{top} (j + shift) floor(j^2 / 4)
+        odd = (top + 1) // 2  # odd j <= top, which sum to odd^2
+        return ((top * (top + 1) // 2) ** 2 + shift * top * (top + 1) * (2 * top + 1) // 6
+                - odd * odd - shift * odd)
+
+    half = (four_times_sum(n_em + 2) - four_times_sum(n_em - min(n_max, n_em) + 1)) // 4
+    return 2 * half - (n_max + 1) * ((n_em + 2) ** 2 // 4)
 
 
 # term tags of the entries of L: the off-diagonal terms scale with -i g, kappa,
@@ -526,36 +533,51 @@ def trace_distance(a: SymmetricState, b: SymmetricState) -> float:
 
 # --- steady state and dynamics --------------------------------------------------
 
-@dataclass(frozen=True)
-class _ColumnOrder:
-    """The column order COLAMD chose for one kept-entry mask of a _HermitianSystem, and its CSC.
+# how far one entry of L moves an unknown along each coordinate of its lattice
+# point (see _lattice_order): kappa moves n + m by 2, no term any other by more than 1
+_REACH = np.array([2, 1, 1, 1])
+_LEAF = 32  # most unknowns a part of the lattice order keeps in enumeration order
 
-    With A the system on the kept entries (data != 0) and q = argsort(perm),
-    the reordered system is P' A P: its column j is A's column q[j], with
-    row r renamed perm[r].  SuperLU prefers the diagonal pivot on a tie with
-    the largest entry of a column, and it takes the diagonal of A's column
-    q[j] at row q[j]; renaming the rows too keeps that diagonal on it.  The
-    rows of each column stay in A's stored order, which SuperLU's search
-    follows, so the indices are not sorted.  The order owns the one CSC
-    matrix of the reordered system, built once: every array is read-only
-    but its data, which each factorisation of the mask overwrites, so a
-    system must not be factorised from two threads at once.
+
+def _lattice_order(pattern: _Pattern) -> np.ndarray:
+    """A nested-dissection order of the unknowns of a pattern, from their lattice points.
+
+    Each unknown sits at the point (n + m, |k_eg - k_ge|, k_ee, k_eg + k_ge),
+    which it shares with its adjoint, as do the rows and columns of the real
+    system that it gives.  An entry of L joins points at most _REACH apart
+    along each coordinate, so the slab one reach wide at the median of a
+    part's widest coordinate, in reaches, separates the points below it from
+    those above.  Those two parts come first, each dissected in turn, then
+    the slab (George, SIAM J. Numer. Anal. 10, 345, 1973).  A part of at most
+    _LEAF unknowns keeps the enumeration order, and unknown 0, whose row is
+    the trace row, goes last.
     """
+    n, m = pattern.sides[0].astype(np.intp)
+    ee, eg, ge, _ = pattern.k
+    points = np.stack([n + m, np.abs(eg - ge), ee, eg + ge])
 
-    gather: np.ndarray       # positions in the full data of the reordered system's entries
-    system: sp.csc_matrix    # the reordered system; row indices renamed, in A's order
-    perm: np.ndarray         # SuperLU's perm_c of A: w = y[perm] for the reordered solution y
-    inverse: np.ndarray      # q: the reordered right-hand side is b[q]
+    def dissect(members: np.ndarray) -> list[np.ndarray]:
+        if len(members) <= _LEAF:
+            return [members]
+        held = points[:, members]
+        axis = int(np.argmax(np.ptp(held, axis=1) / _REACH))
+        at = held[axis]
+        low = np.partition(at, len(at) // 2)[len(at) // 2]  # a member's, so both parts shrink
+        high = low + _REACH[axis]
+        return (dissect(members[at < low]) + dissect(members[at >= high])
+                + [members[(at >= low) & (at < high)]])
+
+    return np.concatenate(dissect(np.arange(1, len(n))) + [np.zeros(1, dtype=np.intp)])
 
 
-# kept-entry masks per system whose column order is kept; the zero parameters,
+# kept-entry masks per system whose reordered CSC is kept; the zero parameters,
 # and whether the detuning is zero, make the mask
 _ORDERS_PER_SYSTEM = 8
 
 
 @dataclass(frozen=True)
 class _HermitianSystem:
-    """The real trace-replaced steady-state system of one L pattern, read-only but for its orders.
+    """The real trace-replaced steady-state system of one L pattern, read-only but for its CSCs.
 
     Its unknowns are the Hermitian coordinates w of the unknowns u (see
     steady_state_exact): a pair i < j = adjoint[i] has u_i = w_i + i w_j
@@ -573,65 +595,49 @@ class _HermitianSystem:
     trace_at: np.ndarray      # positions in data of the trace row, which entries leave 0
     trace_values: np.ndarray  # the trace weights there
     pairs: np.ndarray         # (i, adjoint[i]) for each pair, shape (2, count)
-    # the _ColumnOrder of each kept-entry mask factorised so far, keyed by the
-    # packed mask, oldest first; at most _ORDERS_PER_SYSTEM of them
-    orders: dict = field(default_factory=dict)
+    order: np.ndarray         # _lattice_order: row and column j of the factorised system are order[j]
+    rank: np.ndarray          # the inverse of order
+    # (positions in data of its entries, CSC) of the reordered system of each
+    # kept-entry mask factorised so far, keyed by the packed mask, oldest
+    # first; at most _ORDERS_PER_SYSTEM of them
+    reordered: dict = field(default_factory=dict)
 
     def factorise(self, data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """The solve b -> w of the system with values data, as COLAMD on its kept entries gives it.
+        """The solve b -> w of the system with values data, LU-factorised in the lattice order.
 
         The zeros that a zero parameter or a real diagonal leaves are dropped;
-        kept, they slow the factorisation (3x at N=40, n_max=5, in the
-        rotating frame).  The first factorisation of a kept-entry mask runs
-        COLAMD and records its order.  COLAMD reads only the positions of the
-        kept entries, and the perm_c it returns already holds SuperLU's
-        elimination-tree postorder, so a later one factorises the system
-        reordered by perm_c (see _ColumnOrder) with NATURAL, which reorders
-        nothing: the same pivots, L and U, and a bitwise equal solve.  Such a
-        warm factorisation builds no scipy matrix: it writes the values into
-        the order's own CSC, whose format scipy checked once, and hands that
-        to splu; SuperLU copies them into its factors, so a solve returned
-        earlier keeps its own.  A factorisation that raises records nothing.
+        kept, they slow the factorisation (1.5x at N=40, n_max=5, in the
+        rotating frame).  SuperLU factorises the kept entries, permuted
+        symmetrically by order, with NATURAL, which reorders no column, and
+        takes the diagonal pivot unless it is below 0.1 times the largest in
+        its column; steady_state_exact's refinement and residual check guard a
+        small pivot.  Each kept-entry mask builds its CSC once, with read-only
+        indices.  A factorisation writes its values into it, and SuperLU copies
+        them, so a solve returned earlier keeps its own, but a system must not
+        be factorised from two threads at once.
         """
+        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
         kept = data != 0
         key = np.packbits(kept).tobytes()
-        order = self.orders.get(key)
-        if order is None:
-            import scipy.sparse as sp
+        if key not in self.reordered:
             m = len(self.indptr) - 1
-            before = np.zeros(len(data) + 1, dtype=self.indptr.dtype)
-            np.cumsum(kept, out=before[1:])
-            system = sp.csc_matrix((data[kept], self.indices[kept], before[self.indptr]), shape=(m, m))
-            # COLAMD: on the symmetric unknowns it factorises 2.5-4x faster than
-            # MMD_AT_PLUS_A at N=20 (53 against 203 ms at n_max=5) and as fast at N=4
-            lu = spla.splu(system, permc_spec="COLAMD")
-            self._record(key, kept, lu.perm_c)
-            return lu.solve
-        np.take(data, order.gather, out=order.system.data)
-        lu = spla.splu(order.system, permc_spec="NATURAL")
-        return lambda b: lu.solve(b[order.inverse])[order.perm]
-
-    def _record(self, key: bytes, kept: np.ndarray, perm: np.ndarray):
-        """Keep the _ColumnOrder perm of the kept entries under key, dropping the oldest past the bound."""
-        import scipy.sparse as sp
-        m = len(self.indptr) - 1
-        rank = perm[np.repeat(np.arange(m), np.diff(self.indptr))[kept]]
-        gather = np.flatnonzero(kept)[np.argsort(rank, kind="stable")]
-        indptr = np.zeros(m + 1, dtype=self.indptr.dtype)
-        np.cumsum(np.bincount(rank, minlength=m), out=indptr[1:])
-        # two blocks, not five arrays: in the oracle benchmark five small arrays
-        # kept per order raised the peak RSS by 1.4 MB, the two blocks by about 0.3 MB
-        positions = np.concatenate([gather, perm, np.argsort(perm)])
-        csc = np.concatenate([indptr, perm[self.indices[gather]]]).astype(self.indices.dtype)
-        positions.flags.writeable = csc.flags.writeable = False
-        nnz = len(gather)
-        system = sp.csc_matrix((np.empty(nnz), csc[m + 1:], csc[: m + 1]), shape=(m, m))
-        system.has_canonical_format = True  # no duplicates; keeps splu from sorting the rows
-        order = _ColumnOrder(positions[:nnz], system, positions[nnz: nnz + m], positions[nnz + m:])
-        if len(self.orders) >= _ORDERS_PER_SYSTEM:
-            self.orders.pop(next(iter(self.orders)), None)
-        self.orders[key] = order
+            rows, cols = self.rank[self.indices[kept]], self.rank[self.columns[kept]]
+            ranked = np.lexsort((rows, cols))
+            gather, indices = np.flatnonzero(kept)[ranked], rows[ranked].astype(self.indices.dtype)
+            indptr = np.zeros(m + 1, dtype=self.indptr.dtype)
+            np.cumsum(np.bincount(cols, minlength=m), out=indptr[1:])
+            gather.flags.writeable = indices.flags.writeable = indptr.flags.writeable = False
+            system = sp.csc_matrix((np.empty(len(gather)), indices, indptr), shape=(m, m))
+            system.has_canonical_format = True  # sorted, no duplicates: splu leaves it as it is
+            if len(self.reordered) >= _ORDERS_PER_SYSTEM:
+                self.reordered.pop(next(iter(self.reordered)))
+            self.reordered[key] = gather, system
+        gather, system = self.reordered[key]
+        np.take(data, gather, out=system.data)
+        lu = spla.splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                       options=dict(SymmetricMode=True))
+        return lambda b: lu.solve(b[self.order])[self.rank]
 
 
 @functools.lru_cache(maxsize=16)
@@ -679,11 +685,12 @@ def _hermitian_system(pattern: _Pattern) -> _HermitianSystem:
     np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
     terms = np.lexsort((sources, slot[: len(rows)]))
     below = np.flatnonzero(adjoint > np.arange(m))
+    order = _lattice_order(pattern)
     system = _HermitianSystem(indptr, indices, keys // m, slot[terms], sources[terms],
                               factors[terms], slot[len(rows):], trace_weights[traced],
-                              np.stack([below, adjoint[below]]))
+                              np.stack([below, adjoint[below]]), order, np.argsort(order))
     for arr in (indptr, indices, system.columns, system.slots, system.sources, system.factors,
-                system.trace_at, system.trace_values, system.pairs):
+                system.trace_at, system.trace_values, system.pairs, order, system.rank):
         arr.flags.writeable = False
     return system
 
@@ -709,15 +716,18 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     rounds of iterative refinement with that factor, and u from w, Hermitian
     by construction.  The residuals are sums over the stored entries, of the
     system and of L, in numpy.  The factorisation drops the zero entries and
-    runs COLAMD on the first solve of each set of kept entries, on the only
-    scipy matrix a solve builds; the structure records that column order
-    with its own CSC, and later solves write their values into that CSC and
-    factorise it (see _HermitianSystem.factorise), with the same pivots, L
-    and U, so w is bitwise the one COLAMD gives.  u is normalised and the
-    state validated (by one batched Cholesky factorisation, see
-    SymmetricState.validate).  A singular factorisation, or a residual
-    ||L v||_inf on all of L above STEADY_RESIDUAL_TOL, signals a degenerate
-    null space.
+    permutes the rest symmetrically by a nested-dissection order of the
+    unknowns, cached with the structure: the unknowns sit on a lattice of
+    points (n + m, |k_eg - k_ge|, k_ee, k_eg + k_ge), and L joins only
+    nearby points, so slabs of the lattice separate it (see _lattice_order).
+    SuperLU reorders nothing further and prefers the diagonal pivot (see
+    _HermitianSystem.factorise); at N=40, n_max=5 the factors hold 0.65 times
+    the entries that COLAMD's order gives.  The CSC of each set of kept
+    entries is built on its first solve, and later solves write their values
+    into it.  u is normalised and the state validated (by one batched
+    Cholesky factorisation, see SymmetricState.validate).  A singular
+    factorisation, or a residual ||L v||_inf on all of L above
+    STEADY_RESIDUAL_TOL, signals a degenerate null space.
 
     Why the block is enough: L commutes with rho -> e^{i phi E} rho e^{-i phi E},
     so L and its adjoint L^dag are block diagonal in the charge, with equal

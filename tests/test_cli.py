@@ -167,6 +167,16 @@ def test_flags_are_checked_by_the_config_schema(tmp_path, capfd):
                       "message": "key 'format' expects one of ('csv', 'json'), got 'xml'"}
 
 
+def test_a_seed_flag_that_is_not_an_integer_is_a_type_mismatch_record(tmp_path, capfd):
+    cfg, out = _write(tmp_path, "c.yaml", CUMULANT_DOC.format(omega="1.0")), tmp_path / "out"
+    for text in ("abc", "7.0", ""):
+        record = _error_record(capfd, ["cumulant", "--config", str(cfg), "--out-dir", str(out),
+                                       "--seed", text], out)
+        assert record == {"error": "TypeMismatch",
+                          "message": f"key 'seed' expects an integer, got {text!r}"}
+    assert main(["cumulant", "--config", str(cfg), "--out-dir", str(out), "--seed", "7"]) == 0
+
+
 def test_exact_command_observables(tmp_path):
     doc = """
 command: exact

@@ -222,6 +222,15 @@ def test_schema_error_paths(text, error, key):
     assert getattr(err.value, "key", getattr(err.value, "section", None)) == key
 
 
+def test_an_int_literal_past_the_digit_limit_is_a_syntax_error(monkeypatch):
+    # PyYAML's int constructor calls int(), which refuses more than 4300 digits
+    text = "command: exact\n" + PARAMS_BLOCK.replace("134.0", "1" + "0" * 4400)
+    for loader in (_YAML_LOADER, yaml.SafeLoader):
+        monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+        with pytest.raises(ConfigSyntaxError, match="limit .4300 digits. for integer string"):
+            parse_config(text)
+
+
 @pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "configs").glob("*.yaml")),
                          ids=lambda p: p.name)
 def test_shipped_configs_round_trip(path):

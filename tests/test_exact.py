@@ -343,6 +343,24 @@ def test_unknowns_are_counted_as_the_pattern_lists_them():
             assert HilbertConfig(n_max, n_em).symmetric_unknowns == len(pattern.trace_weights)
 
 
+def _symmetric_count_by_terms(n_max, n_em):
+    """The unknowns counted as a sum over |d| = |k_eg - k_ge| <= min(n_max, N), the reference."""
+    total = 0
+    for d in range(min(n_max, n_em) + 1):
+        m = n_em - d
+        t = m // 2
+        total += (2 if d else 1) * (n_max + 1 - d) * (t + 1) * (m + 1 - t)
+    return total
+
+
+def test_the_closed_form_count_is_the_sum_of_its_terms():
+    cases = [(n_max, n_em) for n_max in range(1, 41) for n_em in range(1, 201)]
+    cases += [(3, 10**8), (40, 10**8 + 1), (10**8, 7), (10**8 - 1, 200), (123_457, 10**8 + 3),
+              (10**8 + 2, 98_765)]
+    for n_max, n_em in cases:
+        assert exact._symmetric_count(n_max, n_em) == _symmetric_count_by_terms(n_max, n_em)
+
+
 def test_cap_check_at_a_large_n_is_arithmetic():
     # counting on an (N+1) x (N+1) grid would need 8 TB at N = 10**6
     tracemalloc.start()
@@ -472,28 +490,28 @@ def test_steady_state_out_of_memory_is_a_dimension_cap(monkeypatch):
 
 
 def _cold_and_warm(liou):
-    """The steady state with no recorded column order, then solved again with the one recorded."""
+    """The steady state solved with no reordered system kept, then solved again with the one kept."""
     exact._hermitian_system.cache_clear()
     return steady_state_exact(liou), steady_state_exact(liou)
 
 
 def _spy_on_splu(monkeypatch):
-    """Patch splu to log the permc_spec of each factorisation that succeeds into the returned list."""
-    specs, splu = [], spla.splu
+    """Patch splu to log (matrix, permc_spec, LU) of each factorisation that succeeds into the returned list."""
+    calls, splu = [], spla.splu
 
     def spy(a, permc_spec=None, **kwargs):
         lu = splu(a, permc_spec=permc_spec, **kwargs)
-        specs.append(permc_spec)
+        calls.append((a, permc_spec, lu))
         return lu
 
     monkeypatch.setattr(spla, "splu", spy)
-    return specs
+    return calls
 
 
 @pytest.mark.parametrize("frame", ["as_written", "rotating"])
-def test_a_recorded_column_order_solves_bitwise_as_colamd(frame):
-    # at the reference point SuperLU meets exact pivot ties, which it breaks
-    # toward the diagonal, so the reordered system must keep COLAMD's diagonal
+def test_a_repeated_solve_is_bitwise_the_first(frame):
+    # at the reference point SuperLU meets exact pivot ties; the second solve
+    # writes into the CSC the first built, and must factorise it the same way
     rng = np.random.default_rng(16)
     draws = [regression_params(1), regression_params(2)]
     for n_em in (1, 2, 3):
@@ -506,25 +524,34 @@ def test_a_recorded_column_order_solves_bitwise_as_colamd(frame):
             assert warm.mat.tobytes() == cold.mat.tobytes()
 
 
-def test_each_kept_entry_mask_runs_colamd_once(monkeypatch):
-    specs = _spy_on_splu(monkeypatch)
+def test_each_kept_entry_mask_builds_its_csc_once_and_factorises_it_naturally(monkeypatch):
+    calls = _spy_on_splu(monkeypatch)
     exact._hermitian_system.cache_clear()
     h = HilbertConfig(3, 2)
     liou = build_symmetric_liouvillian(regression_params(2), h, "rotating")
     steady_state_exact(liou)
     steady_state_exact(build_symmetric_liouvillian(regression_params(2, omega=0.3), h, "rotating"))
-    assert specs == ["COLAMD", "NATURAL"]
     # on the charge-0 unknowns the diagonal's imaginary part is the detuning
     # times a photon-number difference: the same structure with another mask
     detuned = dataclasses.replace(regression_params(2), delta_c=2353.0)
     steady_state_exact(build_symmetric_liouvillian(detuned, h, "rotating"))
     steady_state_exact(build_symmetric_liouvillian(detuned, h, "as_written"))
-    assert specs == ["COLAMD", "NATURAL", "COLAMD", "NATURAL"]
-    orders = exact._hermitian_system(liou.pattern).orders
-    assert len(orders) == 2
-    for order in orders.values():
-        for arr in (order.gather, order.system.indptr, order.system.indices, order.perm,
-                    order.inverse):
+    assert [spec for _, spec, _ in calls] == ["NATURAL"] * 4
+    matrices = [a for a, _, _ in calls]
+    assert matrices[0] is matrices[1] and matrices[2] is matrices[3]
+    assert matrices[0] is not matrices[2]
+    system = exact._hermitian_system(liou.pattern)
+    assert [csc for _, csc in system.reordered.values()] == [matrices[0], matrices[2]]
+    # the CSC is the system permuted symmetrically by the lattice order, trace row last
+    order = system.order
+    assert system.rank[0] == len(order) - 1
+    assert np.array_equal(np.sort(order), np.arange(len(order)))
+    for gather, csc in system.reordered.values():
+        data = np.zeros(len(system.indices))
+        data[gather] = csc.data
+        full = sp.csc_matrix((data, system.indices, system.indptr), shape=csc.shape)
+        assert abs(full[order][:, order] - csc).max() == 0
+        for arr in (gather, csc.indptr, csc.indices, order, system.rank):
             assert not arr.flags.writeable
 
 
@@ -549,7 +576,7 @@ def test_a_warm_lu_keeps_its_values_when_the_next_overwrites_the_csc(monkeypatch
     exact._hermitian_system.cache_clear()
     system = exact._hermitian_system(first.pattern)
     rhs = np.random.default_rng(22).normal(size=len(system.indptr) - 1)
-    cold = factorise(system, first_data)(rhs)  # COLAMD, recording the order
+    cold = factorise(system, first_data)(rhs)  # building the mask's CSC
     warm = factorise(system, first_data)
     factorise(system, second_data)
     assert warm(rhs).tobytes() == cold.tobytes()
@@ -567,17 +594,42 @@ def test_a_warm_solve_builds_no_scipy_matrix(monkeypatch):
     liou = build_symmetric_liouvillian(regression_params(3), HilbertConfig(3, 3), "rotating")
     exact._hermitian_system.cache_clear()
     steady_state_exact(liou)
-    assert "csc_matrix" in built  # the cold solve's, and the one its order keeps
+    assert "csc_matrix" in built  # the reordered CSC that the mask keeps
     built.clear()
     steady_state_exact(liou)
     assert built == []
 
 
-def test_recorded_column_orders_are_bounded(monkeypatch):
-    specs = _spy_on_splu(monkeypatch)
+def test_the_lattice_order_fills_no_more_than_colamd(monkeypatch):
+    # N=20, n_max=5, kappa = 10 g sqrt(N): 0.59M against COLAMD's 0.71M
+    splu, calls = spla.splu, _spy_on_splu(monkeypatch)
+    p = SystemParams(20, 2000.0, 2000.0, 2.0 / np.sqrt(20), 20.0, 0.3, 0.1, 0.5)
+    liou = build_symmetric_liouvillian(p, HilbertConfig(5, 20), "rotating")
+    steady_state_exact(liou)
+    (a, _, lu), rank = calls[0], exact._hermitian_system(liou.pattern).rank
+    colamd = splu(a[rank][:, rank].tocsc(), permc_spec="COLAMD")
+    assert lu.L.nnz + lu.U.nnz <= colamd.L.nnz + colamd.U.nnz
+
+
+def test_a_small_diagonal_pivot_still_solves_the_steady_state(monkeypatch):
+    # the diagonal pivot is kept down to 0.1 times the largest in its column:
+    # partial pivoting would take another row of this system
+    splu, calls = spla.splu, _spy_on_splu(monkeypatch)
+    liou = build_symmetric_liouvillian(regression_params(2), HilbertConfig(3, 2), "rotating")
+    exact._hermitian_system.cache_clear()
+    assert_matches_complex_solve(liou)
+    a, _, lu = calls[0]
+    partial = splu(a.copy(), permc_spec="NATURAL", diag_pivot_thresh=1.0,
+                   options=dict(SymmetricMode=True))
+    assert not np.array_equal(lu.perm_r, partial.perm_r)
+
+
+def test_recorded_reordered_systems_are_bounded(monkeypatch):
+    calls = _spy_on_splu(monkeypatch)
     exact._hermitian_system.cache_clear()
     h = HilbertConfig(2, 2)
     names = ("kappa", "omega", "gamma_minus", "gamma_z")
+    degenerate = set()
     for delta_c in (_PATTERN_BASE.delta_c, _PATTERN_BASE.delta):
         for k in range(2 ** len(names)):
             zeroed = dict.fromkeys([name for j, name in enumerate(names) if k >> j & 1], 0.0)
@@ -586,13 +638,15 @@ def test_recorded_column_orders_are_bounded(monkeypatch):
             try:
                 steady_state_exact(liou)
             except DegenerateSteadyState:
-                pass
-    orders = exact._hermitian_system(liou.pattern).orders
-    assert specs.count("COLAMD") > exact._ORDERS_PER_SYSTEM
-    assert len(orders) == exact._ORDERS_PER_SYSTEM
+                degenerate.add((delta_c, k))
+    # no pump and no emitter decay, and no cavity loss or no dephasing
+    assert degenerate == {(d, k) for d in (_PATTERN_BASE.delta_c, _PATTERN_BASE.delta)
+                          for k in (7, 14, 15)}
+    assert len({id(a) for a, _, _ in calls}) > exact._ORDERS_PER_SYSTEM
+    assert len(exact._hermitian_system(liou.pattern).reordered) == exact._ORDERS_PER_SYSTEM
 
 
-def test_an_exhausted_first_factorisation_records_no_order(monkeypatch):
+def test_an_exhausted_factorisation_leaves_the_next_solve_correct(monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
@@ -602,9 +656,8 @@ def test_an_exhausted_first_factorisation_records_no_order(monkeypatch):
     monkeypatch.setattr(spla, "splu", exhausted)
     with pytest.raises(DimensionCap, match="ran out of memory"):
         steady_state_exact(liou)
-    assert not exact._hermitian_system(liou.pattern).orders
     monkeypatch.setattr(spla, "splu", splu)
-    after = steady_state_exact(liou)
+    after = assert_matches_complex_solve(liou)
     cold, _ = _cold_and_warm(liou)
     assert after.mat.tobytes() == cold.mat.tobytes()
 
