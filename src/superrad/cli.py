@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .config import HilbertSection, RunConfig, _to_plain, parse_config
 from .cumulant import integrate_to_steady_state
-from .errors import ConfigError, SuperradError
+from .errors import ConfigError, OutputUnwritable, SuperradError
 from .exact import (
     HilbertConfig,
     _number_and_g2,
@@ -260,7 +260,9 @@ def run(config: RunConfig) -> list[Path]:
     """Execute a parsed configuration and write its artifacts.
 
     All payloads are computed before anything is written, and each file is
-    written atomically, so a failing run leaves no partial result files.
+    written atomically, so a failing run leaves no partial result files.  An
+    output directory that cannot be made, such as an existing file or a path
+    under one, or a file that cannot be written raises OutputUnwritable.
     Returns the written paths.
     """
     started = time.monotonic()
@@ -268,7 +270,6 @@ def run(config: RunConfig) -> list[Path]:
     rows, summary, sidecars = _HANDLERS[config.command](config, rng)
 
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: list[tuple[Path, str]] = []
     if config.format == "csv":
         artifacts.append((out_dir / f"{config.command}_result.csv", _csv_text(rows)))
@@ -293,9 +294,13 @@ def run(config: RunConfig) -> list[Path]:
     artifacts.append((out_dir / "run_manifest.json", _json_text(manifest)))
 
     written = []
-    for path, text in artifacts:
-        _atomic_write(path, text)
-        written.append(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path, text in artifacts:
+            _atomic_write(path, text)
+            written.append(path)
+    except OSError as e:
+        raise OutputUnwritable(f"cannot write the results to {str(out_dir)!r}: {e}") from e
     return written
 
 
@@ -317,7 +322,7 @@ def main(argv=None) -> int:
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(json.dumps({"error": "ConfigFileUnreadable", "message": str(e)}))
         return 1
 

@@ -110,6 +110,10 @@ class ConfigError(SuperradError):
     """Base class for configuration-document problems."""
 
 
+class OutputUnwritable(SuperradError):
+    """The output directory cannot be made, or a result file cannot be written in it."""
+
+
 class ConfigSyntaxError(ConfigError):
     def __init__(self, message, line=None, column=None):
         self.line = line

@@ -14,13 +14,14 @@ one of them (see steady_state_exact).  L is affine in the parameters, and
 maps Hermitian operators to Hermitian ones, so the steady-state system is
 real, on the Hermitian coordinates of the unknowns.  The pattern of L is
 cached per (n_max, N), whatever the cap: its structure, term tags and
-weights, the photon and excitation numbers of each unknown's ket and bra,
-which give the diagonal in one evaluation of H_eff, and the unknowns' trace
+weights, L's diagonal as a table affine in the rates and the detunings,
+the photon numbers of each unknown's ket and bra, and the unknowns' trace
 weights and adjoints.  A build only fills in the values.  The structure of
-the real system is cached per pattern: the map from the entries of L to its
-values, a nested-dissection order of the unknowns from their points on a
-small lattice (see _lattice_order), and, for each set of kept entries, the
-CSC matrix in that order that SuperLU factorises with no further
+the real system is cached per pattern, its rows and columns numbered in a
+nested-dissection order of the unknowns from their points on a small
+lattice (see _lattice_order): the map from the entries of L to its values,
+the map from its solution to u, and, for each set of kept entries, the CSC
+matrix of those entries, which SuperLU factorises with no further
 reordering.  A build makes no scipy matrix: L's CSR is built when
 Liouvillian.matrix is first read, and a steady-state solve builds the CSC
 only on the first solve of its set of kept entries; a later one writes its
@@ -152,9 +153,8 @@ _G, _KAPPA, _OMEGA, _GAMMA_MINUS, _DIAGONAL = range(5)
 class _Pattern:
     """Everything in L that does not depend on the parameters, read-only.
 
-    L acts on the unknowns u(n, m, k) (see build_symmetric_liouvillian); the
-    diagonal of H_eff at the ket and at the bra of each unknown (sides) gives
-    L's diagonal.
+    L acts on the unknowns u(n, m, k); see build_symmetric_liouvillian for
+    the diagonal that decay and shifts give.
     """
 
     indptr: np.ndarray    # CSR row pointers of every entry L can hold (int32)
@@ -162,8 +162,9 @@ class _Pattern:
     diagonal: np.ndarray  # position of the entry L[r, r] for each row r (int32)
     tags: np.ndarray      # term of each entry (int8), _DIAGONAL on the diagonal
     weights: np.ndarray   # real weight of each entry (the diagonal is overwritten)
-    sides: np.ndarray     # (photons, excited) at each unknown's (ket, bra), shape (2, 2, count)
-    zz: np.ndarray        # sum_n z_n(ket) z_n(bra)
+    photons: np.ndarray   # photon numbers (n, m) of each unknown's ket and bra, shape (2, count)
+    decay: np.ndarray     # the diagonal's real part per unit kappa, omega, gamma_minus, gamma_z
+    shifts: np.ndarray    # n - m and e - e', shape (2, count)
     trace_weights: np.ndarray  # Tr rho = trace_weights @ u; the first is nonzero
     adjoint: np.ndarray   # position of each unknown's Hermitian conjugate
     k: np.ndarray         # (k_ee, k_eg, k_ge, k_gg) of each unknown, shape (4, count)
@@ -222,6 +223,7 @@ def _symmetric_pattern(n_max: int, n_em: int) -> _Pattern:
     index[present] = np.arange(count)
     n, ee, eg, ge = (arr[present] for arr in np.broadcast_arrays(n, ee, eg, ge))
     m, gg = n + eg - ge, n_em - ee - eg - ge
+    ket_excited, bra_excited = ee + eg, ee + ge
     k = np.stack([ee, eg, ge, gg])
     # the field factor of each move: sqrt of the photon number a or a' meets on
     # the ket or the bra, negative on the bra; sqrt(n * m) keeps kappa n exact
@@ -243,8 +245,10 @@ def _symmetric_pattern(n_max: int, n_em: int) -> _Pattern:
         weights.append(weight[keep])
     arrays = dict(
         **_csr_pattern(*(np.concatenate(x) for x in (rows, cols, tags, weights)), count),
-        sides=np.array([[n, m], [ee + eg, ee + ge]], dtype=float),
-        zz=(ee + gg - eg - ge).astype(float),
+        photons=np.stack([n, m]),
+        decay=-0.5 * np.array([n + m, 2 * n_em - ket_excited - bra_excited,
+                               ket_excited + bra_excited, 4 * (eg + ge)], dtype=float),
+        shifts=np.array([n - m, ket_excited - bra_excited], dtype=float),
         trace_weights=((n == m) & (eg == 0) & (ge == 0)).astype(float),
         adjoint=index[m, ee, ge, eg].astype(np.intp),
         k=k,
@@ -295,13 +299,6 @@ class Liouvillian:
         return SymmetricState(v, self.hilbert)
 
 
-def _h_eff(p: SystemParams, shift: float, photons, excited, n_em: int) -> np.ndarray:
-    """Diagonal of H_eff = H - (i/2) sum_k r_k A_k'A_k at n photons and e excited emitters."""
-    return (p.delta_c - shift) * photons + (p.delta - shift) * excited - 0.5j * (
-        p.kappa * photons + p.omega * (n_em - excited) + p.gamma_minus * excited + p.gamma_z * n_em
-    )
-
-
 def build_symmetric_liouvillian(
     p: SystemParams, h: HilbertConfig, frame: str = "as_written"
 ) -> Liouvillian:
@@ -326,14 +323,20 @@ def build_symmetric_liouvillian(
     summed over the emitters moves u(k) to u(k - e_t + e_t') with weight
     S[t' <- t] k_t times a field factor (see _MOVES), at -i g for C and at
     kappa, omega and gamma_minus for the jumps.  The diagonal at u(n, m, k)
-    is -i h(n, k_ee + k_eg) + i h*(m, k_ee + k_ge) + gamma_z (k_ee + k_gg -
-    k_eg - k_ge), with h the diagonal of H_eff at n photons and e excited
-    emitters.  The parameter-free structure comes from _symmetric_pattern,
-    cached per (n_max, N), so a build is one gather of the term coefficients
-    and one evaluation of h at the ket and the bra together for the
-    diagonal; L's entries in pattern order, zeros included, are kept
-    read-only.  A configuration with more unknowns than its cap raises
-    DimensionCap before anything is built.
+    is -i h(n, e) + i h*(m, e') + gamma_z (k_ee + k_gg - k_eg - k_ge), with
+    h the diagonal of H_eff at n photons and e excited emitters, e = k_ee +
+    k_eg on the ket and e' = k_ee + k_ge on the bra.  Its real part is the
+    rates (kappa, omega, gamma_minus, gamma_z) times the table decay, rows
+    -(n + m)/2, -(2N - e - e')/2, -(e + e')/2 and -2 (k_eg + k_ge); its
+    imaginary part is -(delta_c - shift)(n - m) - (delta - shift)(e - e'),
+    from the table shifts.  On charge-0 unknowns e - e' = -(n - m), so with
+    delta_c = delta that part is an exact 0 in either frame.  The
+    parameter-free structure comes from _symmetric_pattern, cached per
+    (n_max, N), so a build is one gather of the term coefficients, one
+    product of the rates with decay and two scaled shifts for the diagonal;
+    L's entries in pattern order, zeros included, are kept read-only.  A
+    configuration with more unknowns than its cap raises DimensionCap
+    before anything is built.
     """
     validate_params(p)
     if frame not in ("as_written", "rotating"):
@@ -345,10 +348,14 @@ def build_symmetric_liouvillian(
     h.check_cap()
     pattern = _symmetric_pattern(h.n_max, h.n_emitters)
     shift = p.delta if frame == "rotating" else 0.0
-    ket, bra = _h_eff(p, shift, *pattern.sides, h.n_emitters)
     coefficients = np.array([-1j * p.g, p.kappa, p.omega, p.gamma_minus, 0.0])
     entries = coefficients[pattern.tags] * pattern.weights
-    entries[pattern.diagonal] = -1j * ket + 1j * bra.conj() + p.gamma_z * pattern.zz
+    entries.real[pattern.diagonal] = (
+        np.array([p.kappa, p.omega, p.gamma_minus, p.gamma_z]) @ pattern.decay)
+    # two products and a sum, unfused: with delta_c = delta the terms cancel exactly
+    photon_shift, excited_shift = pattern.shifts
+    entries.imag[pattern.diagonal] = ((shift - p.delta_c) * photon_shift
+                                      + (shift - p.delta) * excited_shift)
     entries.flags.writeable = False
     return Liouvillian(h, p, frame, entries, pattern)
 
@@ -552,7 +559,7 @@ def _lattice_order(pattern: _Pattern) -> np.ndarray:
     _LEAF unknowns keeps the enumeration order, and unknown 0, whose row is
     the trace row, goes last.
     """
-    n, m = pattern.sides[0].astype(np.intp)
+    n, m = pattern.photons
     ee, eg, ge, _ = pattern.k
     points = np.stack([n + m, np.abs(eg - ge), ee, eg + ge])
 
@@ -570,8 +577,8 @@ def _lattice_order(pattern: _Pattern) -> np.ndarray:
     return np.concatenate(dissect(np.arange(1, len(n))) + [np.zeros(1, dtype=np.intp)])
 
 
-# kept-entry masks per system whose reordered CSC is kept; the zero parameters,
-# and whether the detuning is zero, make the mask
+# kept-entry masks per system whose CSC is kept; the zero parameters, and
+# whether the detuning is zero, make the mask
 _ORDERS_PER_SYSTEM = 8
 
 
@@ -581,7 +588,9 @@ class _HermitianSystem:
 
     Its unknowns are the Hermitian coordinates w of the unknowns u (see
     steady_state_exact): a pair i < j = adjoint[i] has u_i = w_i + i w_j
-    and u_j = w_i - i w_j, and a self-adjoint u_s = w_s is real.
+    and u_j = w_i - i w_j, and a self-adjoint u_s = w_s is real.  Its rows
+    and columns are numbered in the lattice order: row and column r are
+    those of unknown order[r], so the trace row, unknown 0's, is the last.
     """
 
     indptr: np.ndarray        # CSC column pointers of the m x m real system
@@ -594,12 +603,15 @@ class _HermitianSystem:
     factors: np.ndarray
     trace_at: np.ndarray      # positions in data of the trace row, which entries leave 0
     trace_values: np.ndarray  # the trace weights there
-    pairs: np.ndarray         # (i, adjoint[i]) for each pair, shape (2, count)
-    order: np.ndarray         # _lattice_order: row and column j of the factorised system are order[j]
-    rank: np.ndarray          # the inverse of order
-    # (positions in data of its entries, CSC) of the reordered system of each
-    # kept-entry mask factorised so far, keyed by the packed mask, oldest
-    # first; at most _ORDERS_PER_SYSTEM of them
+    rhs: np.ndarray           # the right-hand side: 1 in the trace row, 0 elsewhere
+    # u = (w[u_sources] * u_signs) read as complex: the real and the imaginary
+    # source of each unknown, and the imaginary part's sign, 0 if self-adjoint
+    u_sources: np.ndarray     # shape (count, 2)
+    u_signs: np.ndarray       # shape (count, 2)
+    order: np.ndarray         # _lattice_order: row and column r belong to unknown order[r]
+    # (positions in data of its entries, CSC) of each kept-entry mask
+    # factorised so far, keyed by the packed mask, oldest first; at most
+    # _ORDERS_PER_SYSTEM of them
     reordered: dict = field(default_factory=dict)
 
     def factorise(self, data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -607,14 +619,15 @@ class _HermitianSystem:
 
         The zeros that a zero parameter or a real diagonal leaves are dropped;
         kept, they slow the factorisation (1.5x at N=40, n_max=5, in the
-        rotating frame).  SuperLU factorises the kept entries, permuted
-        symmetrically by order, with NATURAL, which reorders no column, and
-        takes the diagonal pivot unless it is below 0.1 times the largest in
-        its column; steady_state_exact's refinement and residual check guard a
-        small pivot.  Each kept-entry mask builds its CSC once, with read-only
-        indices.  A factorisation writes its values into it, and SuperLU copies
-        them, so a solve returned earlier keeps its own, but a system must not
-        be factorised from two threads at once.
+        rotating frame).  The system is numbered in the lattice order, so the
+        CSC of a kept-entry mask is the system's kept entries in their stored
+        order.  SuperLU factorises it with NATURAL, which reorders no column,
+        and takes the diagonal pivot unless it is below 0.1 times the largest
+        in its column; steady_state_exact's refinement and residual check
+        guard a small pivot.  Each kept-entry mask builds its CSC once, with
+        read-only indices.  A factorisation writes its values into it, and
+        SuperLU copies them, so a solve returned earlier keeps its own, but a
+        system must not be factorised from two threads at once.
         """
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
@@ -622,11 +635,10 @@ class _HermitianSystem:
         key = np.packbits(kept).tobytes()
         if key not in self.reordered:
             m = len(self.indptr) - 1
-            rows, cols = self.rank[self.indices[kept]], self.rank[self.columns[kept]]
-            ranked = np.lexsort((rows, cols))
-            gather, indices = np.flatnonzero(kept)[ranked], rows[ranked].astype(self.indices.dtype)
-            indptr = np.zeros(m + 1, dtype=self.indptr.dtype)
-            np.cumsum(np.bincount(cols, minlength=m), out=indptr[1:])
+            gather = np.flatnonzero(kept)
+            indices = self.indices[gather]
+            # each column starts after the kept entries of those before it
+            indptr = np.searchsorted(gather, self.indptr).astype(self.indptr.dtype)
             gather.flags.writeable = indices.flags.writeable = indptr.flags.writeable = False
             system = sp.csc_matrix((np.empty(len(gather)), indices, indptr), shape=(m, m))
             system.has_canonical_format = True  # sorted, no duplicates: splu leaves it as it is
@@ -637,7 +649,7 @@ class _HermitianSystem:
         np.take(data, gather, out=system.data)
         lu = spla.splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1,
                        options=dict(SymmetricMode=True))
-        return lambda b: lu.solve(b[self.order])[self.rank]
+        return lu.solve
 
 
 @functools.lru_cache(maxsize=16)
@@ -653,7 +665,8 @@ def _hermitian_system(pattern: _Pattern) -> _HermitianSystem:
     pair are the conjugates of others and are not read; row 0, whose unknown
     carries a trace weight, becomes the trace row.  An entry of term g is
     imaginary for every parameter, and one of kappa, omega or gamma_minus is
-    real, so their other part adds nothing to the structure.
+    real, so their other part adds nothing to the structure.  Rows and
+    columns are then renumbered by their place in _lattice_order.
     """
     trace_weights, adjoint = pattern.trace_weights, pattern.adjoint
     m = len(pattern.indptr) - 1
@@ -678,19 +691,26 @@ def _hermitian_system(pattern: _Pattern) -> _HermitianSystem:
     ]
     rows, cols, sources, factors = (np.concatenate([part[k][part[4]] for part in parts])
                                     for k in range(4))
-    traced = np.flatnonzero(trace_weights)
-    keys, slot = np.unique(np.concatenate([cols * m + rows, traced * m]), return_inverse=True)
+    order = _lattice_order(pattern)
+    rank = np.empty(m, dtype=np.intp)
+    rank[order] = np.arange(m)
+    rows, cols, traced = rank[rows], rank[cols], np.flatnonzero(trace_weights)
+    keys, slot = np.unique(np.concatenate([cols * m + rows, rank[traced] * m + rank[0]]),
+                           return_inverse=True)
     indices = (keys % m).astype(np.int32)
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
     terms = np.lexsort((sources, slot[: len(rows)]))
-    below = np.flatnonzero(adjoint > np.arange(m))
-    order = _lattice_order(pattern)
+    rhs = np.zeros(m)
+    rhs[rank[0]] = 1.0
+    unknown = np.arange(m)
+    u_sources = rank[np.stack([np.minimum(unknown, adjoint), np.maximum(unknown, adjoint)], axis=1)]
+    u_signs = np.stack([np.ones(m), np.sign(adjoint - unknown)], axis=1)
     system = _HermitianSystem(indptr, indices, keys // m, slot[terms], sources[terms],
-                              factors[terms], slot[len(rows):], trace_weights[traced],
-                              np.stack([below, adjoint[below]]), order, np.argsort(order))
+                              factors[terms], slot[len(rows):], trace_weights[traced], rhs,
+                              u_sources, u_signs, order)
     for arr in (indptr, indices, system.columns, system.slots, system.sources, system.factors,
-                system.trace_at, system.trace_values, system.pairs, order, system.rank):
+                system.trace_at, system.trace_values, rhs, u_sources, u_signs, order):
         arr.flags.writeable = False
     return system
 
@@ -715,16 +735,18 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     weighted bincount for the values, one real LU factorisation, up to three
     rounds of iterative refinement with that factor, and u from w, Hermitian
     by construction.  The residuals are sums over the stored entries, of the
-    system and of L, in numpy.  The factorisation drops the zero entries and
-    permutes the rest symmetrically by a nested-dissection order of the
-    unknowns, cached with the structure: the unknowns sit on a lattice of
-    points (n + m, |k_eg - k_ge|, k_ee, k_eg + k_ge), and L joins only
-    nearby points, so slabs of the lattice separate it (see _lattice_order).
-    SuperLU reorders nothing further and prefers the diagonal pivot (see
-    _HermitianSystem.factorise); at N=40, n_max=5 the factors hold 0.65 times
-    the entries that COLAMD's order gives.  The CSC of each set of kept
-    entries is built on its first solve, and later solves write their values
-    into it.  u is normalised and the state validated (by one batched
+    system and of L, in numpy.  The system's rows and columns are numbered,
+    once per pattern, in a nested-dissection order of the unknowns: the
+    unknowns sit on a lattice of points (n + m, |k_eg - k_ge|, k_ee, k_eg +
+    k_ge), and L joins only nearby points, so slabs of the lattice separate
+    it (see _lattice_order).  The trace row comes last, so the right-hand
+    side is a cached unit vector, and a solve permutes neither it nor w; u
+    is read from w through a cached map.  The factorisation drops the zero
+    entries, SuperLU reorders nothing further and prefers the diagonal pivot
+    (see _HermitianSystem.factorise); at N=40, n_max=5 the factors hold 0.65
+    times the entries that COLAMD's order gives.  The CSC of each set of
+    kept entries is built on its first solve, and later solves write their
+    values into it.  u is normalised and the state validated (by one batched
     Cholesky factorisation, see SymmetricState.validate).  A singular
     factorisation, or a residual ||L v||_inf on all of L above
     STEADY_RESIDUAL_TOL, signals a degenerate null space.
@@ -749,8 +771,7 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     data = np.bincount(structure.slots, structure.factors * parts[structure.sources],
                        minlength=len(structure.indices))
     data[structure.trace_at] = structure.trace_values
-    rhs = np.zeros(m)
-    rhs[0] = 1.0
+    rhs = structure.rhs
 
     try:
         solve = structure.factorise(data)
@@ -765,19 +786,17 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
         # each row sums its entries in the stored order, as a CSC product does,
         # and a zero the factorisation drops adds an exact 0
         resid = rhs - np.bincount(structure.indices, data * w[structure.columns], minlength=m)
-        if np.abs(resid).max() < 1e-14:
+        if np.abs(resid).max() < 1e-14:  # false for a non-finite w
             break
         w = w + solve(resid)
-    if not np.all(np.isfinite(w)):
-        raise DegenerateSteadyState("steady-state solve returned non-finite values")
+    else:  # no round passed, so w may be non-finite
+        if not np.isfinite(w).all():
+            raise DegenerateSteadyState("steady-state solve returned non-finite values")
 
-    tr = pattern.trace_weights @ w
-    if not np.isfinite(tr) or abs(tr) < 1e-12:
+    u = (w[structure.u_sources] * structure.u_signs).view(complex).ravel()
+    tr = pattern.trace_weights @ u.real
+    if not math.isfinite(tr) or abs(tr) < 1e-12:
         raise DegenerateSteadyState("steady-state trace collapsed to zero")
-    lower, upper = structure.pairs
-    u = w.astype(complex)
-    u[lower] += 1j * w[upper]
-    u[upper] = u[lower].conj()
     v = u / tr
 
     # ||L v||_inf on L's entries; every row holds its diagonal, so none is empty
@@ -854,7 +873,7 @@ def _symmetric_observable(which: str, n_max: int, n_em: int) -> tuple[np.ndarray
     one |e><g| at i, 1/N of the assignments with k_eg = 1, k_ge = 0.
     """
     pattern = _symmetric_pattern(n_max, n_em)
-    n, m = pattern.sides[0]
+    n, m = pattern.photons
     ee, eg, ge, gg = pattern.k
     population = (n == m) & (eg == 0) & (ge == 0)
     pairs = max(n_em * (n_em - 1), 1)  # at N = 1 expectation refuses the cross observables

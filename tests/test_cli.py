@@ -177,6 +177,30 @@ def test_a_seed_flag_that_is_not_an_integer_is_a_type_mismatch_record(tmp_path, 
     assert main(["cumulant", "--config", str(cfg), "--out-dir", str(out), "--seed", "7"]) == 0
 
 
+def test_a_config_that_is_not_utf8_is_a_config_file_unreadable_record(tmp_path, capfd):
+    cfg, out = tmp_path / "c.yaml", tmp_path / "out"
+    cfg.write_bytes(b"\xff\xfe" + CUMULANT_DOC.format(omega="1.0").encode())
+    record = _error_record(capfd, ["cumulant", "--config", str(cfg), "--out-dir", str(out)], out)
+    assert record["error"] == "ConfigFileUnreadable"
+
+
+@pytest.mark.parametrize("target", ["file", "under_file", "result_is_a_directory"])
+def test_an_unwritable_output_is_an_output_unwritable_record(tmp_path, capfd, target):
+    # an existing file as --out-dir, a path under one, and a result path that
+    # is a directory, so that the file write itself fails
+    config = next(c for c in CONFIGS if c.stem == "exact_small")
+    blocker = _write(tmp_path, "taken", "kept\n")
+    out = {"file": blocker, "under_file": blocker / "out", "result_is_a_directory": tmp_path}[target]
+    (tmp_path / "exact_result.csv").mkdir()
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    assert main(["exact", "--config", str(config), "--out-dir", str(out), "--format", "csv"]) == 1
+    captured = capfd.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 1
+    assert json.loads(captured.out)["error"] == "OutputUnwritable"
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "kept\n"
+
+
 def test_exact_command_observables(tmp_path):
     doc = """
 command: exact

@@ -269,7 +269,8 @@ def test_hermitian_system_is_cached_and_read_only():
     pattern = build_symmetric_liouvillian(p, h).pattern
     system = exact._hermitian_system(pattern)
     for arr in (system.indptr, system.indices, system.columns, system.slots, system.sources,
-                system.factors, system.trace_at, system.trace_values, system.pairs):
+                system.factors, system.trace_at, system.trace_values, system.rhs,
+                system.u_sources, system.u_signs, system.order):
         assert not arr.flags.writeable
     # the system's values, summed per slot, are bitwise those of a CSR product
     # of the map from L's entries, as are the refinement residual's row sums
@@ -444,7 +445,9 @@ def test_charge_matches_total_excitation_operator(n_max, n_em):
     rows, cols = np.nonzero(unknown >= 0)
     energy = _excitations(h)
     held = unknown[rows, cols]
-    ket, bra = pattern.sides.sum(axis=0)
+    n, m = pattern.photons
+    ee, eg, ge, _ = pattern.k
+    ket, bra = n + ee + eg, m + ee + ge
     assert np.array_equal(ket[held], energy[rows])
     assert np.array_equal(bra[held], energy[cols])
     assert np.array_equal(energy[rows], energy[cols])
@@ -542,16 +545,17 @@ def test_each_kept_entry_mask_builds_its_csc_once_and_factorises_it_naturally(mo
     assert matrices[0] is not matrices[2]
     system = exact._hermitian_system(liou.pattern)
     assert [csc for _, csc in system.reordered.values()] == [matrices[0], matrices[2]]
-    # the CSC is the system permuted symmetrically by the lattice order, trace row last
+    # the system is numbered in the lattice order, trace row last, and each
+    # mask's CSC is its kept entries in their stored order
     order = system.order
-    assert system.rank[0] == len(order) - 1
+    assert order[-1] == 0 and np.array_equal(system.rhs, np.eye(len(order))[-1])
     assert np.array_equal(np.sort(order), np.arange(len(order)))
     for gather, csc in system.reordered.values():
-        data = np.zeros(len(system.indices))
-        data[gather] = csc.data
-        full = sp.csc_matrix((data, system.indices, system.indptr), shape=csc.shape)
-        assert abs(full[order][:, order] - csc).max() == 0
-        for arr in (gather, csc.indptr, csc.indices, order, system.rank):
+        assert np.all(np.diff(gather) > 0)
+        assert np.array_equal(csc.indices, system.indices[gather])
+        assert np.array_equal(csc.indptr, np.searchsorted(gather, system.indptr))
+        assert np.all(csc.data != 0)
+        for arr in (gather, csc.indptr, csc.indices, order):
             assert not arr.flags.writeable
 
 
@@ -606,7 +610,7 @@ def test_the_lattice_order_fills_no_more_than_colamd(monkeypatch):
     p = SystemParams(20, 2000.0, 2000.0, 2.0 / np.sqrt(20), 20.0, 0.3, 0.1, 0.5)
     liou = build_symmetric_liouvillian(p, HilbertConfig(5, 20), "rotating")
     steady_state_exact(liou)
-    (a, _, lu), rank = calls[0], exact._hermitian_system(liou.pattern).rank
+    (a, _, lu), rank = calls[0], np.argsort(exact._hermitian_system(liou.pattern).order)
     colamd = splu(a[rank][:, rank].tocsc(), permc_spec="COLAMD")
     assert lu.L.nnz + lu.U.nnz <= colamd.L.nnz + colamd.U.nnz
 
@@ -672,6 +676,18 @@ def test_a_failing_reordered_factorisation_is_typed(monkeypatch, error, typed):
     steady_state_exact(liou)
     monkeypatch.setattr(spla, "splu", fail)
     with pytest.raises(typed):
+        steady_state_exact(liou)
+
+
+def test_a_non_finite_solve_is_a_degenerate_steady_state(monkeypatch):
+    # the refinement cannot pass on a NaN w, so every round runs and the
+    # finiteness check after them names it
+    def factorise(self, data):
+        return lambda b: np.full(len(b), np.nan)
+
+    monkeypatch.setattr(exact._HermitianSystem, "factorise", factorise)
+    liou = build_symmetric_liouvillian(regression_params(2), HilbertConfig(3, 2))
+    with pytest.raises(DegenerateSteadyState, match="non-finite"):
         steady_state_exact(liou)
 
 
