@@ -5,19 +5,23 @@ Usage:
 
 Each run writes `<command>_result.(csv|json)` plus `run_manifest.json`; some
 commands add JSON sidecars (fit summary, polariton branches).  Data files are
-byte-identical across runs with the same config and seed.  On failure nothing
-is written and a machine-readable error record goes to stdout.
+byte-identical across runs with the same config and seed.  On failure, an I/O
+error included, nothing is written and a machine-readable error record goes
+to stdout: every file goes to a temp file first, and all are renamed into
+place only once each is written.
 
 Each command handler returns its result table as columns: one mapping from
-column name to a list, to a float64 array, or to an `_Axis` of a grid.  Each
-column is turned into text once: a float array cell by cell with
-`float.__repr__`, a grid axis by formatting its distinct values once.  Each
-data file is one join over its cells, the separators between them and, at
-either end, the CSV header or the JSON payload around its "rows" array.  The
-text is the same as `csv.writer` over `repr` cells and `json.dumps(indent=2,
-sort_keys=True)` would write, with nan and infinities spelled `nan`/`inf` in
-CSV and `NaN`/`Infinity` in JSON.  The stdlib encoder still writes the small
-objects: summary, sidecars and manifest.
+column name to a list, to a float64 array, or to an `_Axis` of a grid.  A
+data file is written in chunks of at most `_ROWS_PER_CHUNK` rows, each one
+join over its cells and the separators between them, with the CSV header or
+the head of the JSON payload before the first and the rest of the payload
+after the last.  A float column becomes text a chunk at a time with
+`float.__repr__`; a grid axis formats its distinct values once.  So no
+run holds the text of a whole table.  The text is the same as `csv.writer`
+over `repr` cells and `json.dumps(indent=2, sort_keys=True)` would write,
+with nan and infinities spelled `nan`/`inf` in CSV and `NaN`/`Infinity` in
+JSON.  The stdlib encoder still writes the small objects: summary, sidecars
+and manifest.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .units import TIME_UNIT_PS
 
 _CSV_NONFINITE = {}  # keeps repr's nan, inf, -inf
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_ROWS_PER_CHUNK = 4096  # rows turned into text and written at a time
 
 
 def _cell_text(value) -> str:
@@ -69,47 +74,63 @@ class _Axis:
     times: int
 
 
-def _column_text(column, nonfinite) -> list[str]:
-    """Each cell's text, nan and infinities respelled; a grid axis formats each value once."""
+def _column_chunks(column, nonfinite):
+    """The text of each `_ROWS_PER_CHUNK` cells in turn, nan and infinities respelled.
+
+    A grid axis formats each of its values once.
+    """
     if isinstance(column, _Axis):
-        texts = _column_text(column.values, nonfinite)
-        return [t for t in texts for _ in range(column.each)] * column.times
-    if isinstance(column, np.ndarray):
-        texts = list(map(float.__repr__, column.tolist()))
-        return texts if np.isfinite(column).all() else [nonfinite.get(t, t) for t in texts]
-    return [nonfinite.get(t, t) for t in map(_cell_text, column)]
+        texts = np.array([t for part in _column_chunks(column.values, nonfinite) for t in part],
+                         dtype=object)
+        rows = len(texts) * column.each * column.times
+        for start in range(0, rows, _ROWS_PER_CHUNK):
+            at = np.arange(start, min(start + _ROWS_PER_CHUNK, rows)) // column.each
+            yield texts[at % len(texts)].tolist()
+    elif isinstance(column, np.ndarray):
+        for start in range(0, len(column), _ROWS_PER_CHUNK):
+            part = column[start:start + _ROWS_PER_CHUNK]
+            texts = list(map(float.__repr__, part.tolist()))
+            yield texts if np.isfinite(part).all() else [nonfinite.get(t, t) for t in texts]
+    else:
+        for start in range(0, len(column), _ROWS_PER_CHUNK):
+            cells = column[start:start + _ROWS_PER_CHUNK]
+            yield [nonfinite.get(t, t) for t in map(_cell_text, cells)]
 
 
-def _joined(columns, seps, lead, tail, nonfinite) -> str:
+def _joined(columns, seps, lead, tail, nonfinite):
     """`lead`, each cell after its column's separator (the lead replaces the first), `tail`.
 
-    A table has at least one row: the config schema refuses empty lists and grids.
+    Yields the text a chunk of rows at a time, then `tail`.  A table has at
+    least one row: the config schema refuses empty lists and grids.
     """
-    texts = [_column_text(column, nonfinite) for column in columns]
-    n, width = len(texts[0]), 2 * len(texts)
-    flat = [""] * (n * width)
-    for k, (sep, part) in enumerate(zip(seps, texts)):
-        flat[2 * k::width] = [sep] * n
-        flat[2 * k + 1::width] = part
-    flat[0] = lead
-    flat.append(tail)
-    return "".join(flat)
+    for texts in zip(*(_column_chunks(column, nonfinite) for column in columns), strict=True):
+        n, width = len(texts[0]), 2 * len(texts)
+        flat = [""] * (n * width)
+        for k, (sep, part) in enumerate(zip(seps, texts)):
+            flat[2 * k::width] = [sep] * n
+            flat[2 * k + 1::width] = part
+        flat[0], lead = lead, seps[0]
+        yield "".join(flat)
+    yield tail
 
 
-def _atomic_write(path: Path, data: str):
+def _stage(path: Path, chunks) -> str:
+    """Write the text chunks to a new temp file beside `path` and return its name.
+
+    On an error the temp file is removed.
+    """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+            fh.writelines(chunks)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+    return tmp
 
 
-def _csv_text(rows) -> str:
-    """CSV of a column table, with its column names as the header."""
+def _csv_text(rows):
+    """CSV of a column table, with its column names as the header, in chunks of text."""
     seps = ["\n"] + [","] * (len(rows) - 1)
     return _joined(rows.values(), seps, ",".join(rows) + "\n", "\n", _CSV_NONFINITE)
 
@@ -118,8 +139,11 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _json_result_text(rows, payload) -> str:
-    """`_json_text` of `payload` with the column table `rows` as its "rows" list of objects."""
+def _json_result_text(rows, payload):
+    """`_json_text` of `payload` with the column table `rows` as its "rows" list of objects.
+
+    The text comes in chunks, as from `_joined`.
+    """
     names = sorted(rows)
     keys = [f"\n      {json.dumps(name)}: " for name in names]
     seps = ["\n    },\n    {" + keys[0]] + ["," + key for key in keys[1:]]
@@ -259,24 +283,26 @@ _HANDLERS = {
 def run(config: RunConfig) -> list[Path]:
     """Execute a parsed configuration and write its artifacts.
 
-    All payloads are computed before anything is written, and each file is
-    written atomically, so a failing run leaves no partial result files.  An
-    output directory that cannot be made, such as an existing file or a path
-    under one, or a file that cannot be written raises OutputUnwritable.
-    Returns the written paths.
+    The results are computed before anything is written.  Each artifact is
+    written to a temp file in the output directory, the data file first and
+    the manifest last, and only then are they all renamed into place; on any
+    error every temp file, and every artifact already renamed, is removed, so
+    a failing run leaves no result files.  An output directory that cannot be
+    made, such as an existing file or a path under one, or a file that
+    cannot be written raises OutputUnwritable.  Returns the written paths.
     """
     started = time.monotonic()
     rng = np.random.default_rng(config.seed)
     rows, summary, sidecars = _HANDLERS[config.command](config, rng)
 
     out_dir = Path(config.output_dir)
-    artifacts: list[tuple[Path, str]] = []
+    artifacts = []  # (path, text chunks) of each data file and sidecar
     if config.format == "csv":
         artifacts.append((out_dir / f"{config.command}_result.csv", _csv_text(rows)))
         if summary is not None:
-            artifacts.append((out_dir / f"{config.command}_summary.json", _json_text(summary)))
+            artifacts.append((out_dir / f"{config.command}_summary.json", [_json_text(summary)]))
         for name, obj in sidecars.items():
-            artifacts.append((out_dir / name, _json_text(obj)))
+            artifacts.append((out_dir / name, [_json_text(obj)]))
     else:
         payload = {"summary": summary}
         for name, obj in sidecars.items():
@@ -284,24 +310,32 @@ def run(config: RunConfig) -> list[Path]:
         artifacts.append((out_dir / f"{config.command}_result.json",
                           _json_result_text(rows, payload)))
 
-    manifest = {
-        "command": config.command,
-        "tool_version": __version__,
-        "wall_time_s": time.monotonic() - started,
-        "config": _to_plain(config),
-        "artifacts": [p.name for p, _ in artifacts],
-    }
-    artifacts.append((out_dir / "run_manifest.json", _json_text(manifest)))
-
-    written = []
+    staged = {}  # each artifact's path and its temp file, in the order written
+    placed = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for path, text in artifacts:
-            _atomic_write(path, text)
-            written.append(path)
-    except OSError as e:
-        raise OutputUnwritable(f"cannot write the results to {str(out_dir)!r}: {e}") from e
-    return written
+        for path, chunks in artifacts:
+            staged[path] = _stage(path, chunks)
+        manifest = {
+            "command": config.command,
+            "tool_version": __version__,
+            "wall_time_s": time.monotonic() - started,
+            "config": _to_plain(config),
+            "artifacts": [path.name for path, _ in artifacts],
+        }
+        path = out_dir / "run_manifest.json"
+        staged[path] = _stage(path, [_json_text(manifest)])
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException as e:
+        for path, tmp in staged.items():
+            with contextlib.suppress(OSError):
+                os.unlink(path if path in placed else tmp)
+        if isinstance(e, OSError):
+            raise OutputUnwritable(f"cannot write the results to {str(out_dir)!r}: {e}") from e
+        raise
+    return placed
 
 
 def main(argv=None) -> int:

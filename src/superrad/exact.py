@@ -749,7 +749,11 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     values into it.  u is normalised and the state validated (by one batched
     Cholesky factorisation, see SymmetricState.validate).  A singular
     factorisation, or a residual ||L v||_inf on all of L above
-    STEADY_RESIDUAL_TOL, signals a degenerate null space.
+    STEADY_RESIDUAL_TOL, signals a degenerate null space.  With g = kappa =
+    0 the cavity is decoupled and lossless, so every photon-number
+    population is stationary and the null space is (n_max+1)-fold; such an
+    L is refused before any system is built, since whether a factorisation
+    meets an exact zero pivot there depends on rounding.
 
     Why the block is enough: L commutes with rho -> e^{i phi E} rho e^{-i phi E},
     so L and its adjoint L^dag are block diagonal in the charge, with equal
@@ -764,6 +768,10 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     unitary with X' E X = E + k, which no finite spectrum allows.  So a
     one-dimensional null space in the block certifies a unique steady state.
     """
+    if liou.params.g == 0 and liou.params.kappa == 0:
+        raise DegenerateSteadyState(
+            "g = kappa = 0 conserves the photon number, so the steady state is not unique"
+        )
     pattern = liou.pattern
     m = len(pattern.indptr) - 1
     structure = _hermitian_system(pattern)

@@ -1,12 +1,24 @@
 import csv
+import errno
 import io
 import json
+import os
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from superrad.cli import _HANDLERS, _Axis, _csv_text, _json_result_text, main, run
+from superrad.cli import (
+    _HANDLERS,
+    _ROWS_PER_CHUNK,
+    _Axis,
+    _csv_text,
+    _json_result_text,
+    main,
+    run,
+)
 from superrad.config import COMMANDS, parse_config
 from superrad.exact import HilbertConfig, photon_flux_exact
 from superrad.optics import OpticalParams, compute_reflectance_map
@@ -184,14 +196,18 @@ def test_a_config_that_is_not_utf8_is_a_config_file_unreadable_record(tmp_path, 
     assert record["error"] == "ConfigFileUnreadable"
 
 
-@pytest.mark.parametrize("target", ["file", "under_file", "result_is_a_directory"])
+@pytest.mark.parametrize("target", ["file", "under_file", "result_is_a_directory",
+                                    "manifest_is_a_directory"])
 def test_an_unwritable_output_is_an_output_unwritable_record(tmp_path, capfd, target):
-    # an existing file as --out-dir, a path under one, and a result path that
-    # is a directory, so that the file write itself fails
+    # an existing file as --out-dir, a path under one, a result path that is
+    # a directory, so that the file write itself fails, and a manifest path
+    # that is one, so that its rename fails after the result's
     config = next(c for c in CONFIGS if c.stem == "exact_small")
     blocker = _write(tmp_path, "taken", "kept\n")
-    out = {"file": blocker, "under_file": blocker / "out", "result_is_a_directory": tmp_path}[target]
+    out = {"file": blocker, "under_file": blocker / "out", "result_is_a_directory": tmp_path,
+           "manifest_is_a_directory": tmp_path / "other"}[target]
     (tmp_path / "exact_result.csv").mkdir()
+    (tmp_path / "other" / "run_manifest.json").mkdir(parents=True)
     before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
     assert main(["exact", "--config", str(config), "--out-dir", str(out), "--format", "csv"]) == 1
     captured = capfd.readouterr()
@@ -199,6 +215,45 @@ def test_an_unwritable_output_is_an_output_unwritable_record(tmp_path, capfd, ta
     assert json.loads(captured.out)["error"] == "OutputUnwritable"
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
     assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("failing", ["sweep_summary.json", "run_manifest.json"])
+def test_no_space_for_any_file_writes_nothing(tmp_path, capfd, monkeypatch, failing):
+    # the data file is written before either fails
+    mkstemp = tempfile.mkstemp
+
+    def full(*args, prefix, **kwargs):
+        if prefix.startswith(f".{failing}."):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return mkstemp(*args, prefix=prefix, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkstemp", full)
+    config = next(c for c in CONFIGS if c.stem == "sweep_scaled")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out-dir", str(out), "--format", "csv"]) == 1
+    captured = capfd.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 1
+    assert json.loads(captured.out)["error"] == "OutputUnwritable"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_reflectance_run_never_holds_its_whole_table_as_text(tmp_path, fmt):
+    # the bound of 64 traced bytes per grid cell was fixed before the run
+    # (measured: 24 in csv, 30 in json; 210 and 285 with each cell's text,
+    # the file text and its bytes all held at once)
+    config = next(c for c in CONFIGS if c.stem == "reflectance_d4")
+    doc = config.read_text(encoding="utf-8")
+    doc = doc.replace("n_theta: 65", "n_theta: 100").replace("n_energy: 301", "n_energy: 1000")
+    run(parse_config(doc, {"output_dir": str(tmp_path / "warm"), "format": fmt}))
+    config = parse_config(doc, {"output_dir": str(tmp_path / "out"), "format": fmt})
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 100 * 1000
 
 
 def test_exact_command_observables(tmp_path):
@@ -521,6 +576,23 @@ TABLES = {
         "count": list(range(30)),
         "r": np.linspace(-1.0, 1.0, 30),
     },
+    "one_chunk": {
+        "n": list(range(_ROWS_PER_CHUNK)),
+        "x": np.linspace(-3.0, 3.0, _ROWS_PER_CHUNK),
+        "y": [k / 7 for k in range(_ROWS_PER_CHUNK)],
+    },
+    "one_chunk_and_a_row": {
+        "n": list(range(_ROWS_PER_CHUNK + 1)),
+        "x": np.append(np.linspace(0.0, 1.0, _ROWS_PER_CHUNK), float("nan")),
+        "y": [k / 7 for k in range(_ROWS_PER_CHUNK)] + [-float("inf")],
+    },
+    # 10000 rows, so three chunks; every nan and infinity is in the last
+    "grid_over_three_chunks": {
+        "theta": _Axis(np.append(np.linspace(0.0, 60.0, 99), float("inf")), 100, 1),
+        "energy": _Axis(np.linspace(1900.0, 2800.0, 100), 1, 100),
+        "r": np.concatenate([np.linspace(0.0, 1.0, 9997),
+                             [float("nan"), float("inf"), -float("inf")]]),
+    },
 }
 
 
@@ -536,12 +608,18 @@ def test_column_writers_match_the_stdlib_writers(name):
     columns = TABLES[name]
     rows = [dict(zip(columns, cells))
             for cells in zip(*map(_expanded, columns.values()), strict=True)]
-    assert _csv_text(columns) == _reference_csv(rows)
+    # the rows come in chunks of at most _ROWS_PER_CHUNK, then the tail
+    chunks = -(-len(rows) // _ROWS_PER_CHUNK) + 1
+    csv_chunks = list(_csv_text(columns))
+    assert len(csv_chunks) == chunks
+    assert "".join(csv_chunks) == _reference_csv(rows)
     rest = {"summary": {"alpha": 0.25, "rmsd": float("nan")},
             "reflectance_branches": {"theta_deg": [0.0, -0.0, float("inf")]}}
     for payload in (rest, {"summary": None}):
         expected = json.dumps({**payload, "rows": rows}, indent=2, sort_keys=True) + "\n"
-        assert _json_result_text(columns, payload) == expected
+        json_chunks = list(_json_result_text(columns, payload))
+        assert len(json_chunks) == chunks
+        assert "".join(json_chunks) == expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -691,6 +691,31 @@ def test_a_non_finite_solve_is_a_degenerate_steady_state(monkeypatch):
         steady_state_exact(liou)
 
 
+def _decoupled_lossless_points():
+    """120 seeded L with g = kappa = 0: N 1-4, n_max 1-5, rates in [0.05, 1], both frames."""
+    rng = np.random.default_rng(2910)
+    for _ in range(60):
+        n_em, n_max = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        p = SystemParams(n_em, rng.uniform(0.5, 20.0), rng.uniform(0.5, 20.0), 0.0, 0.0,
+                         *rng.uniform(0.05, 1.0, 3))
+        for frame in ("as_written", "rotating"):
+            yield build_symmetric_liouvillian(p, HilbertConfig(n_max, n_em), frame)
+
+
+def test_a_decoupled_lossless_cavity_is_refused_before_any_solve(monkeypatch):
+    # every photon-number population is stationary, so whether a solve met an
+    # exact zero pivot, returned a state or failed validation was rounding
+    def solved(*args, **kwargs):
+        raise AssertionError("the steady-state system was built or factorised")
+
+    points = list(_decoupled_lossless_points())
+    monkeypatch.setattr(spla, "splu", solved)
+    monkeypatch.setattr(exact, "_hermitian_system", solved)
+    for liou in points:
+        with pytest.raises(DegenerateSteadyState, match="conserves the photon number"):
+            steady_state_exact(liou)
+
+
 def test_degenerate_steady_state_detected():
     # g = 0, kappa = 0, omega = 0: every diagonal field state is stationary
     p = SystemParams(1, 5.0, 5.0, 0.0, 0.0, 0.0, 0.4, 0.0)
