@@ -30,8 +30,8 @@ import argparse
 import contextlib
 import json
 import os
+import secrets
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,14 +114,17 @@ def _joined(columns, seps, lead, tail, nonfinite):
     yield tail
 
 
-def _stage(path: Path, chunks) -> str:
-    """Write the text chunks to a new temp file beside `path` and return its name.
+def _stage(path: Path, chunks) -> Path:
+    """Write the text chunks to a new temp file beside `path` and return its path.
 
-    On an error the temp file is removed.
+    The temp file is created under a random dot-name, and only if no file
+    has that name, with the mode that the umask gives any new file.  On an
+    error it is removed.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             fh.writelines(chunks)
     except BaseException:
         os.unlink(tmp)
@@ -286,10 +289,11 @@ def run(config: RunConfig) -> list[Path]:
     The results are computed before anything is written.  Each artifact is
     written to a temp file in the output directory, the data file first and
     the manifest last, and only then are they all renamed into place; on any
-    error every temp file, and every artifact already renamed, is removed, so
-    a failing run leaves no result files.  An output directory that cannot be
-    made, such as an existing file or a path under one, or a file that
-    cannot be written raises OutputUnwritable.  Returns the written paths.
+    error every temp file, every artifact already renamed and every directory
+    the run made are removed, so a failing run leaves the tree as it found
+    it.  An output directory that cannot be made, such as an existing file
+    or a path under one, or a file that cannot be written raises
+    OutputUnwritable.  Returns the written paths.
     """
     started = time.monotonic()
     rng = np.random.default_rng(config.seed)
@@ -312,6 +316,7 @@ def run(config: RunConfig) -> list[Path]:
 
     staged = {}  # each artifact's path and its temp file, in the order written
     placed = []
+    made = [d for d in (out_dir, *out_dir.parents) if not os.path.exists(d)]  # deepest first
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for path, chunks in artifacts:
@@ -332,6 +337,9 @@ def run(config: RunConfig) -> list[Path]:
         for path, tmp in staged.items():
             with contextlib.suppress(OSError):
                 os.unlink(path if path in placed else tmp)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         if isinstance(e, OSError):
             raise OutputUnwritable(f"cannot write the results to {str(out_dir)!r}: {e}") from e
         raise

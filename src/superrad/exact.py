@@ -17,17 +17,17 @@ cached per (n_max, N), whatever the cap: its structure, term tags and
 weights, L's diagonal as a table affine in the rates and the detunings,
 the photon numbers of each unknown's ket and bra, and the unknowns' trace
 weights and adjoints.  A build only fills in the values.  The structure of
-the real system is cached per pattern, its rows and columns numbered in a
-nested-dissection order of the unknowns from their points on a small
-lattice (see _lattice_order): the map from the entries of L to its values,
-the map from its solution to u, and, for each set of kept entries, the CSC
-matrix of those entries, which SuperLU factorises with no further
-reordering.  A build makes no scipy matrix: L's CSR is built when
-Liouvillian.matrix is first read, and a steady-state solve builds the CSC
-only on the first solve of its set of kept entries; a later one writes its
-values into the cached CSC.  One map from u to the excitation sub-blocks of
-the state's total-spin blocks, cached per (n_max, N), serves both the
-positivity check of every state and trace_distance (see _excitation_blocks).
+the real system is cached per (n_max, N) and active set, which of g, the
+rates and delta - delta_c are nonzero, its rows and columns numbered in a
+nested-dissection order of the unknowns from their points on a small lattice
+(see _lattice_order): the map from the entries of L to its values, the map
+from its solution to u, and the CSC matrix of the entries that the active
+set can make nonzero, which SuperLU factorises with no further reordering.
+A build makes no scipy matrix: L's CSR is built when Liouvillian.matrix is
+first read, and a steady-state solve writes its values into the cached CSC.
+One map from u to the excitation sub-blocks of the state's total-spin
+blocks, cached per (n_max, N), serves both the positivity check of every
+state and trace_distance (see _excitation_blocks).
 The cumulant module covers arbitrary N approximately.
 
 scipy is imported inside the functions that use it, so importing this module
@@ -54,7 +54,7 @@ import functools
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -149,7 +149,7 @@ def _symmetric_count(n_max: int, n_em: int) -> int:
 _G, _KAPPA, _OMEGA, _GAMMA_MINUS, _DIAGONAL = range(5)
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity, the key of _hermitian_system
+@dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
 class _Pattern:
     """Everything in L that does not depend on the parameters, read-only.
 
@@ -419,10 +419,15 @@ def _excitation_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, np.ndarray
     count = 0
     for p in range(n_em // 2 + 1):
         spins = n_em - 2 * p  # 2j
-        q, qq, a, b = (x.ravel() for x in np.meshgrid(
-            *[np.arange(spins + 1)] * 3, np.arange(p + 1), indexing="ij"))
+        # only q' - q = n - m in -n_max .. n_max can hold an entry; the entries
+        # keep their (q, q', a, b) order, so the stack sums them as it did
+        reach = min(n_max, spins)
+        q, dq, a, b = (x.ravel() for x in np.meshgrid(
+            np.arange(spins + 1), np.arange(-reach, reach + 1), np.arange(spins + 1),
+            np.arange(p + 1), indexing="ij"))
+        qq = q + dq
         rest = spins - q - qq + a
-        ok = (a <= q) & (a <= qq) & (rest >= 0)
+        ok = (qq >= 0) & (qq <= spins) & (a <= q) & (a <= qq) & (rest >= 0)
         q, qq, a, b, rest = q[ok], qq[ok], a[ok], b[ok], rest[ok]
         k = np.stack([a + p - b, q - a + b, qq - a + b, rest + p - b])
         log_value = (log_binom(p, b) + log_fact[spins] - log_fact[a] - log_fact[q - a]
@@ -577,24 +582,20 @@ def _lattice_order(pattern: _Pattern) -> np.ndarray:
     return np.concatenate(dissect(np.arange(1, len(n))) + [np.zeros(1, dtype=np.intp)])
 
 
-# kept-entry masks per system whose CSC is kept; the zero parameters, and
-# whether the detuning is zero, make the mask
-_ORDERS_PER_SYSTEM = 8
-
-
 @dataclass(frozen=True)
 class _HermitianSystem:
-    """The real trace-replaced steady-state system of one L pattern, read-only but for its CSCs.
+    """The real trace-replaced steady-state system of one (n_max, N) and active set.
 
     Its unknowns are the Hermitian coordinates w of the unknowns u (see
     steady_state_exact): a pair i < j = adjoint[i] has u_i = w_i + i w_j
     and u_j = w_i - i w_j, and a self-adjoint u_s = w_s is real.  Its rows
     and columns are numbered in the lattice order: row and column r are
     those of unknown order[r], so the trace row, unknown 0's, is the last.
+    It stores only the entries that can be nonzero under its active set, and
+    it is read-only but for the values of its CSC.
     """
 
-    indptr: np.ndarray        # CSC column pointers of the m x m real system
-    indices: np.ndarray       # CSC row indices
+    matrix: sp.csc_matrix     # the m x m system: its data are written per factorisation
     columns: np.ndarray       # the column of each stored entry
     # data[slots[t]] sums factors[t] * x[sources[t]] in t order, with x = (Re e_0,
     # Im e_0, Re e_1, ...) for L's entries e; each slot's sources ascend
@@ -609,78 +610,68 @@ class _HermitianSystem:
     u_sources: np.ndarray     # shape (count, 2)
     u_signs: np.ndarray       # shape (count, 2)
     order: np.ndarray         # _lattice_order: row and column r belong to unknown order[r]
-    # (positions in data of its entries, CSC) of each kept-entry mask
-    # factorised so far, keyed by the packed mask, oldest first; at most
-    # _ORDERS_PER_SYSTEM of them
-    reordered: dict = field(default_factory=dict)
 
     def factorise(self, data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """The solve b -> w of the system with values data, LU-factorised in the lattice order.
 
-        The zeros that a zero parameter or a real diagonal leaves are dropped;
-        kept, they slow the factorisation (1.5x at N=40, n_max=5, in the
-        rotating frame).  The system is numbered in the lattice order, so the
-        CSC of a kept-entry mask is the system's kept entries in their stored
-        order.  SuperLU factorises it with NATURAL, which reorders no column,
-        and takes the diagonal pivot unless it is below 0.1 times the largest
-        in its column; steady_state_exact's refinement and residual check
-        guard a small pivot.  Each kept-entry mask builds its CSC once, with
-        read-only indices.  A factorisation writes its values into it, and
-        SuperLU copies them, so a solve returned earlier keeps its own, but a
-        system must not be factorised from two threads at once.
+        The system is numbered in the lattice order, so SuperLU factorises it
+        with NATURAL, which reorders no column, and takes the diagonal pivot
+        unless it is below 0.1 times the largest in its column;
+        steady_state_exact's refinement and residual check guard a small
+        pivot.  The values are written into the system's one CSC, and SuperLU
+        copies them, so a solve returned earlier keeps its own, but a system
+        must not be factorised from two threads at once.
         """
-        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
-        kept = data != 0
-        key = np.packbits(kept).tobytes()
-        if key not in self.reordered:
-            m = len(self.indptr) - 1
-            gather = np.flatnonzero(kept)
-            indices = self.indices[gather]
-            # each column starts after the kept entries of those before it
-            indptr = np.searchsorted(gather, self.indptr).astype(self.indptr.dtype)
-            gather.flags.writeable = indices.flags.writeable = indptr.flags.writeable = False
-            system = sp.csc_matrix((np.empty(len(gather)), indices, indptr), shape=(m, m))
-            system.has_canonical_format = True  # sorted, no duplicates: splu leaves it as it is
-            if len(self.reordered) >= _ORDERS_PER_SYSTEM:
-                self.reordered.pop(next(iter(self.reordered)))
-            self.reordered[key] = gather, system
-        gather, system = self.reordered[key]
-        np.take(data, gather, out=system.data)
-        lu = spla.splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+        self.matrix.data[:] = data
+        lu = spla.splu(self.matrix, permc_spec="NATURAL", diag_pivot_thresh=0.1,
                        options=dict(SymmetricMode=True))
         return lu.solve
 
 
 @functools.lru_cache(maxsize=16)
-def _hermitian_system(pattern: _Pattern) -> _HermitianSystem:
-    """The structure of the real system on the unknowns of an L pattern, once per pattern.
+def _hermitian_system(n_max: int, n_em: int, active: tuple[bool, ...]) -> _HermitianSystem:
+    """The structure of the real system on the unknowns of (n_max, N), for one active set.
 
-    For u Hermitian, (L u)_j is the conjugate of (L u)_i for a pair and (L u)_s
-    is real, so the equations are Re (L u)_i in row i and Im (L u)_i in row j
-    for each pair, and Re (L u)_s in row s.  An entry e of L at row i and a
-    column c with u_c = w_lo + sigma i w_hi (sigma = +1 if c is the lower of
-    its pair, -1 if the upper) adds Re e to (i, lo), -sigma Im e to (i, hi),
-    Im e to (j, lo) and sigma Re e to (j, hi).  Rows of L at the upper of a
-    pair are the conjugates of others and are not read; row 0, whose unknown
-    carries a trace weight, becomes the trace row.  An entry of term g is
-    imaginary for every parameter, and one of kappa, omega or gamma_minus is
-    real, so their other part adds nothing to the structure.  Rows and
-    columns are then renumbered by their place in _lattice_order.
+    active is (g != 0, kappa != 0, omega != 0, gamma_minus != 0, gamma_z !=
+    0, delta != delta_c).  For u Hermitian, (L u)_j is the conjugate of (L
+    u)_i for a pair and (L u)_s is real, so the equations are Re (L u)_i in
+    row i and Im (L u)_i in row j for each pair, and Re (L u)_s in row s.  An
+    entry e of L at row i and a column c with u_c = w_lo + sigma i w_hi
+    (sigma = +1 if c is the lower of its pair, -1 if the upper) adds Re e to
+    (i, lo), -sigma Im e to (i, hi), Im e to (j, lo) and sigma Re e to (j,
+    hi).  Rows of L at the upper of a pair are the conjugates of others and
+    are not read; row 0, whose unknown carries a trace weight, becomes the
+    trace row.  Only the parts that active lets be nonzero are kept, as
+    stored zeros slow the factorisation (1.5x at N=40, n_max=5, rotating).
+    Re e of an entry of term kappa, omega or gamma_minus, and Im e of one of
+    term g, is its rate times a weight of at least 1; Re e on the diagonal
+    sums the rates times rows of decay, none positive, and Im e there is
+    (delta - delta_c)(n - m) up to rounding.  A slot is stored when a kept
+    part feeds it, and the trace row's slots always are; a zero that
+    rounding alone makes stays stored, which SuperLU accepts.
+    Rows and columns are then renumbered by their place in _lattice_order.
     """
+    import scipy.sparse as sp
+    pattern = _symmetric_pattern(n_max, n_em)
+    g, kappa, omega, gamma_minus, gamma_z, detuned = active
     trace_weights, adjoint = pattern.trace_weights, pattern.adjoint
     m = len(pattern.indptr) - 1
+    # whether Re e and Im e of each entry of L can be nonzero
+    real = np.array([False, kappa, omega, gamma_minus, False])[pattern.tags]
+    real[pattern.diagonal] = pattern.decay[[kappa, omega, gamma_minus, gamma_z]].any(axis=0)
+    imag = (pattern.tags == _G) & g
+    imag[pattern.diagonal] = detuned & (pattern.photons[0] != pattern.photons[1])
     entry = np.arange(len(pattern.indices))
     row = np.repeat(np.arange(m), np.diff(pattern.indptr))
     col = pattern.indices.astype(np.intp)
     # the rows read: not row 0, nor one at the upper of a pair
     keep = row > 0
     keep[keep] = adjoint[row[keep]] >= row[keep]
-    entry, row, col, tag = entry[keep], row[keep], col[keep], pattern.tags[keep]
+    entry, row, col, real, imag = entry[keep], row[keep], col[keep], real[keep], imag[keep]
     row_mate, col_mate = adjoint[row], adjoint[col]
     lo, hi = np.minimum(col, col_mate), np.maximum(col, col_mate)
     one, sigma = np.ones(len(entry)), np.where(col == lo, 1.0, -1.0)
-    real, imag = tag != _G, (tag == _G) | (tag == _DIAGONAL)
     row_pair, col_pair = row_mate != row, col_mate != col
     # (system row, system column, source 2e or 2e + 1 for Re e or Im e, factor, present)
     parts = [
@@ -697,20 +688,23 @@ def _hermitian_system(pattern: _Pattern) -> _HermitianSystem:
     rows, cols, traced = rank[rows], rank[cols], np.flatnonzero(trace_weights)
     keys, slot = np.unique(np.concatenate([cols * m + rows, rank[traced] * m + rank[0]]),
                            return_inverse=True)
-    indices = (keys % m).astype(np.int32)
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
+    indices = (keys % m).astype(np.int32)
+    indptr.flags.writeable = indices.flags.writeable = False
+    matrix = sp.csc_matrix((np.empty(len(keys)), indices, indptr), shape=(m, m))
+    matrix.has_canonical_format = True  # sorted, no duplicates: splu leaves it as it is
     terms = np.lexsort((sources, slot[: len(rows)]))
     rhs = np.zeros(m)
     rhs[rank[0]] = 1.0
     unknown = np.arange(m)
     u_sources = rank[np.stack([np.minimum(unknown, adjoint), np.maximum(unknown, adjoint)], axis=1)]
     u_signs = np.stack([np.ones(m), np.sign(adjoint - unknown)], axis=1)
-    system = _HermitianSystem(indptr, indices, keys // m, slot[terms], sources[terms],
-                              factors[terms], slot[len(rows):], trace_weights[traced], rhs,
-                              u_sources, u_signs, order)
-    for arr in (indptr, indices, system.columns, system.slots, system.sources, system.factors,
-                system.trace_at, system.trace_values, rhs, u_sources, u_signs, order):
+    system = _HermitianSystem(matrix, keys // m, slot[terms], sources[terms], factors[terms],
+                              slot[len(rows):], trace_weights[traced], rhs, u_sources, u_signs,
+                              order)
+    for arr in (system.columns, system.slots, system.sources, system.factors, system.trace_at,
+                system.trace_values, rhs, u_sources, u_signs, order):
         arr.flags.writeable = False
     return system
 
@@ -731,22 +725,21 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     conjugate pair and Re of each self-adjoint one, with the first equation,
     which has a trace weight and is redundant, replaced by the trace
     functional with right-hand side 1.  Its structure, and the map from the
-    entries of L to its values, are cached per L pattern, so a solve is one
-    weighted bincount for the values, one real LU factorisation, up to three
-    rounds of iterative refinement with that factor, and u from w, Hermitian
-    by construction.  The residuals are sums over the stored entries, of the
-    system and of L, in numpy.  The system's rows and columns are numbered,
-    once per pattern, in a nested-dissection order of the unknowns: the
+    entries of L to its values, are cached per (n_max, N) and active set,
+    with only the entries that the set can make nonzero, so a solve is
+    one weighted bincount for the values, one real LU factorisation, up to
+    three rounds of iterative refinement with that factor, and u from w,
+    Hermitian by construction.  The residuals are sums over the stored
+    entries, of the system and of L, in numpy.  The system's rows and
+    columns are numbered in a nested-dissection order of the unknowns: the
     unknowns sit on a lattice of points (n + m, |k_eg - k_ge|, k_ee, k_eg +
     k_ge), and L joins only nearby points, so slabs of the lattice separate
     it (see _lattice_order).  The trace row comes last, so the right-hand
     side is a cached unit vector, and a solve permutes neither it nor w; u
-    is read from w through a cached map.  The factorisation drops the zero
-    entries, SuperLU reorders nothing further and prefers the diagonal pivot
-    (see _HermitianSystem.factorise); at N=40, n_max=5 the factors hold 0.65
-    times the entries that COLAMD's order gives.  The CSC of each set of
-    kept entries is built on its first solve, and later solves write their
-    values into it.  u is normalised and the state validated (by one batched
+    is read from w through a cached map.  SuperLU reorders nothing further
+    and prefers the diagonal pivot (see _HermitianSystem.factorise); at
+    N=40, n_max=5 the factors hold 0.65 times the entries that COLAMD's
+    order gives.  u is normalised and the state validated (by one batched
     Cholesky factorisation, see SymmetricState.validate).  A singular
     factorisation, or a residual ||L v||_inf on all of L above
     STEADY_RESIDUAL_TOL, signals a degenerate null space.  With g = kappa =
@@ -768,16 +761,19 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     unitary with X' E X = E + k, which no finite spectrum allows.  So a
     one-dimensional null space in the block certifies a unique steady state.
     """
-    if liou.params.g == 0 and liou.params.kappa == 0:
+    p, h, pattern = liou.params, liou.hilbert, liou.pattern
+    if p.g == 0 and p.kappa == 0:
         raise DegenerateSteadyState(
             "g = kappa = 0 conserves the photon number, so the steady state is not unique"
         )
-    pattern = liou.pattern
     m = len(pattern.indptr) - 1
-    structure = _hermitian_system(pattern)
+    active = (p.g != 0, p.kappa != 0, p.omega != 0, p.gamma_minus != 0, p.gamma_z != 0,
+              p.delta != p.delta_c)
+    structure = _hermitian_system(h.n_max, h.n_emitters, active)
+    indices = structure.matrix.indices
     parts = liou.entries.view(np.float64)  # Re e_0, Im e_0, Re e_1, ...
     data = np.bincount(structure.slots, structure.factors * parts[structure.sources],
-                       minlength=len(structure.indices))
+                       minlength=len(indices))
     data[structure.trace_at] = structure.trace_values
     rhs = structure.rhs
 
@@ -793,7 +789,7 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     for _ in range(3):
         # each row sums its entries in the stored order, as a CSC product does,
         # and a zero the factorisation drops adds an exact 0
-        resid = rhs - np.bincount(structure.indices, data * w[structure.columns], minlength=m)
+        resid = rhs - np.bincount(indices, data * w[structure.columns], minlength=m)
         if np.abs(resid).max() < 1e-14:  # false for a non-finite w
             break
         w = w + solve(resid)

@@ -3,13 +3,13 @@ import errno
 import io
 import json
 import os
-import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from superrad import cli
 from superrad.cli import (
     _HANDLERS,
     _ROWS_PER_CHUNK,
@@ -219,22 +219,36 @@ def test_an_unwritable_output_is_an_output_unwritable_record(tmp_path, capfd, ta
 
 @pytest.mark.parametrize("failing", ["sweep_summary.json", "run_manifest.json"])
 def test_no_space_for_any_file_writes_nothing(tmp_path, capfd, monkeypatch, failing):
-    # the data file is written before either fails
-    mkstemp = tempfile.mkstemp
-
-    def full(*args, prefix, **kwargs):
-        if prefix.startswith(f".{failing}."):
+    # the data file is written before either fails, and the run removes the
+    # output directory, and the parents of it, that it made
+    def full(file, mode="r", *args, **kwargs):
+        if mode == "x" and Path(file).name.startswith(f".{failing}."):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return mkstemp(*args, prefix=prefix, **kwargs)
+        return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(tempfile, "mkstemp", full)
+    monkeypatch.setattr(cli, "open", full, raising=False)
     config = next(c for c in CONFIGS if c.stem == "sweep_scaled")
+    for out in (tmp_path / "out", tmp_path / "a" / "b" / "out"):
+        argv = ["sweep", "--config", str(config), "--out-dir", str(out), "--format", "csv"]
+        assert main(argv) == 1
+        captured = capfd.readouterr()
+        assert captured.err == "" and captured.out.count("\n") == 1
+        assert json.loads(captured.out)["error"] == "OutputUnwritable"
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_written_files_take_their_mode_from_the_umask(tmp_path):
+    config = next(c for c in CONFIGS if c.stem == "exact_small")
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(config), "--out-dir", str(out), "--format", "csv"]) == 1
-    captured = capfd.readouterr()
-    assert captured.err == "" and captured.out.count("\n") == 1
-    assert json.loads(captured.out)["error"] == "OutputUnwritable"
-    assert list(out.iterdir()) == []
+    old = os.umask(0o022)
+    try:
+        assert main(["exact", "--config", str(config), "--out-dir", str(out),
+                     "--format", "csv"]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
+    assert modes == {"exact_result.csv": 0o644, "run_manifest.json": 0o644}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

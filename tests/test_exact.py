@@ -259,6 +259,23 @@ def test_real_solve_matches_complex_solve_at_twenty_emitters():
     assert_matches_complex_solve(build_symmetric_liouvillian(p, HilbertConfig(5, 20), "rotating"))
 
 
+def _active(p):
+    """The active set of p, the key of its steady-state system: which of g, the rates and
+    delta - delta_c are nonzero."""
+    return (p.g != 0, p.kappa != 0, p.omega != 0, p.gamma_minus != 0, p.gamma_z != 0,
+            p.delta != p.delta_c)
+
+
+def _system_values(system, liou):
+    """The values of a steady-state system of liou, as steady_state_exact sums them."""
+    parts = liou.entries.view(np.float64)
+    # with no rate at all no part is kept, and bincount counts in ints
+    data = np.bincount(system.slots, system.factors * parts[system.sources],
+                       minlength=len(system.columns)).astype(float, copy=False)
+    data[system.trace_at] = system.trace_values
+    return data
+
+
 def test_hermitian_system_is_cached_and_read_only():
     p = regression_params(3)
     h = HilbertConfig(3, 3)
@@ -267,25 +284,63 @@ def test_hermitian_system_is_cached_and_read_only():
     steady_state_exact(build_symmetric_liouvillian(regression_params(3, omega=0.3), h, "rotating"))
     assert exact._hermitian_system.cache_info().hits == hits + 1
     pattern = build_symmetric_liouvillian(p, h).pattern
-    system = exact._hermitian_system(pattern)
-    for arr in (system.indptr, system.indices, system.columns, system.slots, system.sources,
-                system.factors, system.trace_at, system.trace_values, system.rhs,
-                system.u_sources, system.u_signs, system.order):
+    system = exact._hermitian_system(h.n_max, h.n_emitters, _active(p))
+    for arr in (system.matrix.indptr, system.matrix.indices, system.columns, system.slots,
+                system.sources, system.factors, system.trace_at, system.trace_values,
+                system.rhs, system.u_sources, system.u_signs, system.order):
         assert not arr.flags.writeable
     # the system's values, summed per slot, are bitwise those of a CSR product
     # of the map from L's entries, as are the refinement residual's row sums
     # of a CSC product
-    m = len(system.indptr) - 1
+    indptr, indices = system.matrix.indptr, system.matrix.indices
+    m = len(indptr) - 1
     rng = np.random.default_rng(7)
     parts = rng.normal(size=2 * len(pattern.indices))  # Re and Im of each entry of L
     terms = sp.csr_matrix((system.factors, (system.slots, system.sources)),
-                          shape=(len(system.indices), len(parts)))
+                          shape=(len(indices), len(parts)))
     assert np.array_equal(np.bincount(system.slots, system.factors * parts[system.sources],
-                                      minlength=len(system.indices)), terms @ parts)
-    data, w = rng.normal(size=len(system.indices)), rng.normal(size=m)
-    product = sp.csc_matrix((data, system.indices, system.indptr), shape=(m, m)) @ w
-    assert np.array_equal(np.bincount(system.indices, data * w[system.columns], minlength=m),
-                          product)
+                                      minlength=len(indices)), terms @ parts)
+    data, w = rng.normal(size=len(indices)), rng.normal(size=m)
+    product = sp.csc_matrix((data, indices, indptr), shape=(m, m)) @ w
+    assert np.array_equal(np.bincount(indices, data * w[system.columns], minlength=m), product)
+
+
+def _zero_pattern_points():
+    """L at every zero pattern of (g, kappa, omega, gamma_minus, gamma_z), resonant and
+    detuned, in both frames at N = 1-3 and n_max 2-3, then 20 seeded draws at N <= 10 in both."""
+    names = ("g", "kappa", "omega", "gamma_minus", "gamma_z")
+    for n_em in (1, 2, 3):
+        for k in range(2 ** len(names)):
+            zeroed = dict.fromkeys([name for j, name in enumerate(names) if k >> j & 1], 0.0)
+            for delta_c in (_PATTERN_BASE.delta, _PATTERN_BASE.delta_c):
+                p = dataclasses.replace(_PATTERN_BASE, n_emitters=n_em, delta_c=delta_c, **zeroed)
+                for n_max in (2, 3):
+                    for frame in ("as_written", "rotating"):
+                        yield build_symmetric_liouvillian(p, HilbertConfig(n_max, n_em), frame)
+    rng = np.random.default_rng(3101)
+    for _ in range(20):
+        p = random_params(rng, int(rng.integers(1, 11)))
+        p = dataclasses.replace(p, **{name: 0.0 for name in names if rng.random() < 0.3})
+        if rng.random() < 0.5:
+            p = dataclasses.replace(p, delta_c=p.delta)
+        for frame in ("as_written", "rotating"):
+            yield build_symmetric_liouvillian(p, HilbertConfig(int(rng.integers(1, 4)),
+                                                               p.n_emitters), frame)
+
+
+def test_the_kept_entries_of_an_active_set_are_the_nonzero_values():
+    # the system with every part kept holds every slot L can fill; the system
+    # of an L's active set must keep exactly the slots where its values are
+    # not 0, with the same values
+    for liou in _zero_pattern_points():
+        h = liou.hilbert
+        full = exact._hermitian_system(h.n_max, h.n_emitters, (True,) * 6)
+        kept = exact._hermitian_system(h.n_max, h.n_emitters, _active(liou.params))
+        values = _system_values(full, liou)
+        nonzero = values != 0
+        assert np.array_equal(kept.matrix.indices, full.matrix.indices[nonzero])
+        assert np.array_equal(kept.columns, full.columns[nonzero])
+        assert _system_values(kept, liou).tobytes() == values[nonzero].tobytes()
 
 
 def test_solves_build_the_csr_of_l_only_when_it_is_read(monkeypatch):
@@ -374,7 +429,8 @@ def test_cap_check_at_a_large_n_is_arithmetic():
     assert peak < 100_000
 
 
-def test_caches_are_shared_by_configurations_that_differ_only_in_cap():
+def test_caches_are_shared_by_configurations_that_differ_only_in_cap(monkeypatch):
+    calls = _spy_on_splu(monkeypatch)
     for cache in (exact._symmetric_pattern, exact._hermitian_system):
         cache.cache_clear()
     p = regression_params(3)
@@ -382,7 +438,7 @@ def test_caches_are_shared_by_configurations_that_differ_only_in_cap():
     for each in liou:
         steady_state_exact(each)
     assert liou[0].pattern is liou[1].pattern
-    assert exact._hermitian_system(liou[0].pattern) is exact._hermitian_system(liou[1].pattern)
+    assert calls[0][0] is calls[1][0] is exact._hermitian_system(3, 3, _active(p)).matrix
     assert exact._symmetric_pattern.cache_info().misses == 1
     assert exact._hermitian_system.cache_info().misses == 1
 
@@ -493,7 +549,7 @@ def test_steady_state_out_of_memory_is_a_dimension_cap(monkeypatch):
 
 
 def _cold_and_warm(liou):
-    """The steady state solved with no reordered system kept, then solved again with the one kept."""
+    """The steady state solved with no steady-state system cached, then again with it cached."""
     exact._hermitian_system.cache_clear()
     return steady_state_exact(liou), steady_state_exact(liou)
 
@@ -528,14 +584,15 @@ def test_a_repeated_solve_is_bitwise_the_first(frame):
 
 
 def test_each_kept_entry_mask_builds_its_csc_once_and_factorises_it_naturally(monkeypatch):
+    # the kept entries are those of an active set, so each (n_max, N, active)
+    # builds one CSC, on its first solve
     calls = _spy_on_splu(monkeypatch)
     exact._hermitian_system.cache_clear()
     h = HilbertConfig(3, 2)
-    liou = build_symmetric_liouvillian(regression_params(2), h, "rotating")
-    steady_state_exact(liou)
+    steady_state_exact(build_symmetric_liouvillian(regression_params(2), h, "rotating"))
     steady_state_exact(build_symmetric_liouvillian(regression_params(2, omega=0.3), h, "rotating"))
     # on the charge-0 unknowns the diagonal's imaginary part is the detuning
-    # times a photon-number difference: the same structure with another mask
+    # times a photon-number difference: the same structure with more kept
     detuned = dataclasses.replace(regression_params(2), delta_c=2353.0)
     steady_state_exact(build_symmetric_liouvillian(detuned, h, "rotating"))
     steady_state_exact(build_symmetric_liouvillian(detuned, h, "as_written"))
@@ -543,25 +600,28 @@ def test_each_kept_entry_mask_builds_its_csc_once_and_factorises_it_naturally(mo
     matrices = [a for a, _, _ in calls]
     assert matrices[0] is matrices[1] and matrices[2] is matrices[3]
     assert matrices[0] is not matrices[2]
-    system = exact._hermitian_system(liou.pattern)
-    assert [csc for _, csc in system.reordered.values()] == [matrices[0], matrices[2]]
-    # the system is numbered in the lattice order, trace row last, and each
-    # mask's CSC is its kept entries in their stored order
-    order = system.order
-    assert order[-1] == 0 and np.array_equal(system.rhs, np.eye(len(order))[-1])
-    assert np.array_equal(np.sort(order), np.arange(len(order)))
-    for gather, csc in system.reordered.values():
-        assert np.all(np.diff(gather) > 0)
-        assert np.array_equal(csc.indices, system.indices[gather])
-        assert np.array_equal(csc.indptr, np.searchsorted(gather, system.indptr))
+    assert exact._hermitian_system.cache_info().misses == 2
+    systems = [exact._hermitian_system(h.n_max, h.n_emitters, _active(p))
+               for p in (regression_params(2), detuned)]
+    assert [system.matrix for system in systems] == [matrices[0], matrices[2]]
+    assert len(matrices[0].indices) < len(matrices[2].indices)
+    # the system is numbered in the lattice order, trace row last, and its
+    # CSC is canonical, with no stored zero on these draws
+    for system in systems:
+        order, csc = system.order, system.matrix
+        assert order[-1] == 0 and np.array_equal(system.rhs, np.eye(len(order))[-1])
+        assert np.array_equal(np.sort(order), np.arange(len(order)))
+        columns = np.split(csc.indices, csc.indptr[1:-1])  # none empty, each ascending
+        assert csc.has_canonical_format and all(np.all(np.diff(c) > 0) for c in columns)
+        assert np.all(np.diff(csc.indptr) > 0)
         assert np.all(csc.data != 0)
-        for arr in (gather, csc.indptr, csc.indices, order):
+        for arr in (csc.indptr, csc.indices, order):
             assert not arr.flags.writeable
 
 
 def test_a_warm_lu_keeps_its_values_when_the_next_overwrites_the_csc(monkeypatch):
-    # two systems with one kept-entry mask share their order's CSC; a solve
-    # returned for the first must not see the values of the second
+    # two L with one active set share one CSC; a solve returned for the
+    # first must not see the values of the second
     seen, factorise = [], exact._HermitianSystem.factorise
 
     def keep(self, data):
@@ -578,9 +638,9 @@ def test_a_warm_lu_keeps_its_values_when_the_next_overwrites_the_csc(monkeypatch
     assert np.array_equal(first_data != 0, second_data != 0)
     assert not np.array_equal(first_data, second_data)
     exact._hermitian_system.cache_clear()
-    system = exact._hermitian_system(first.pattern)
-    rhs = np.random.default_rng(22).normal(size=len(system.indptr) - 1)
-    cold = factorise(system, first_data)(rhs)  # building the mask's CSC
+    system = exact._hermitian_system(h.n_max, h.n_emitters, _active(first.params))
+    rhs = np.random.default_rng(22).normal(size=len(system.rhs))
+    cold = factorise(system, first_data)(rhs)  # the first values the new CSC holds
     warm = factorise(system, first_data)
     factorise(system, second_data)
     assert warm(rhs).tobytes() == cold.tobytes()
@@ -598,7 +658,7 @@ def test_a_warm_solve_builds_no_scipy_matrix(monkeypatch):
     liou = build_symmetric_liouvillian(regression_params(3), HilbertConfig(3, 3), "rotating")
     exact._hermitian_system.cache_clear()
     steady_state_exact(liou)
-    assert "csc_matrix" in built  # the reordered CSC that the mask keeps
+    assert "csc_matrix" in built  # the CSC that the system keeps
     built.clear()
     steady_state_exact(liou)
     assert built == []
@@ -610,7 +670,8 @@ def test_the_lattice_order_fills_no_more_than_colamd(monkeypatch):
     p = SystemParams(20, 2000.0, 2000.0, 2.0 / np.sqrt(20), 20.0, 0.3, 0.1, 0.5)
     liou = build_symmetric_liouvillian(p, HilbertConfig(5, 20), "rotating")
     steady_state_exact(liou)
-    (a, _, lu), rank = calls[0], np.argsort(exact._hermitian_system(liou.pattern).order)
+    order = exact._hermitian_system(5, 20, _active(p)).order
+    (a, _, lu), rank = calls[0], np.argsort(order)
     colamd = splu(a[rank][:, rank].tocsc(), permc_spec="COLAMD")
     assert lu.L.nnz + lu.U.nnz <= colamd.L.nnz + colamd.U.nnz
 
@@ -629,6 +690,8 @@ def test_a_small_diagonal_pivot_still_solves_the_steady_state(monkeypatch):
 
 
 def test_recorded_reordered_systems_are_bounded(monkeypatch):
+    # each zero pattern of the rates, resonant or detuned, is an active set of
+    # its own, with its own CSC; the cache keeps the last 16 of them
     calls = _spy_on_splu(monkeypatch)
     exact._hermitian_system.cache_clear()
     h = HilbertConfig(2, 2)
@@ -646,8 +709,8 @@ def test_recorded_reordered_systems_are_bounded(monkeypatch):
     # no pump and no emitter decay, and no cavity loss or no dephasing
     assert degenerate == {(d, k) for d in (_PATTERN_BASE.delta_c, _PATTERN_BASE.delta)
                           for k in (7, 14, 15)}
-    assert len({id(a) for a, _, _ in calls}) > exact._ORDERS_PER_SYSTEM
-    assert len(exact._hermitian_system(liou.pattern).reordered) == exact._ORDERS_PER_SYSTEM
+    assert len(calls) == len({id(a) for a, _, _ in calls}) == 2 * 16 - len(degenerate)
+    assert exact._hermitian_system.cache_info().currsize == 16
 
 
 def test_an_exhausted_factorisation_leaves_the_next_solve_correct(monkeypatch):
