@@ -181,9 +181,9 @@ def _cmd_exact(config: RunConfig, _rng):
     p = config.effective_params()
     h = _hilbert_config(config, p)
     rho = steady_state_exact(build_symmetric_liouvillian(p, h))
-    n_phot = expectation(rho, "photon_number", h).real
-    s_z = expectation(rho, "sigma_z", h).real
-    x_pm = expectation(rho, "cross_pm", h).real if p.n_emitters >= 2 else float("nan")
+    n_phot = expectation(rho, "photon_number").real
+    s_z = expectation(rho, "sigma_z").real
+    x_pm = expectation(rho, "cross_pm").real if p.n_emitters >= 2 else float("nan")
     rows = _one_row(
         n_emitters=p.n_emitters, n_max=h.n_max, photon_number=n_phot,
         flux_mev=p.kappa * n_phot, sigma_z=s_z, cross_pm=x_pm,
@@ -264,9 +264,9 @@ def _cmd_fit(config: RunConfig, rng):
 
 def _cmd_g2(config: RunConfig, _rng):
     p = config.effective_params()
-    (n_phot, g2), h, _ = converge_in_cutoff(p, _hilbert_config(config, p), _number_and_g2)
+    (n_phot, g2), rho = converge_in_cutoff(p, _hilbert_config(config, p), _number_and_g2)
     rows = _one_row(
-        n_emitters=p.n_emitters, n_max_converged=h.n_max,
+        n_emitters=p.n_emitters, n_max_converged=rho.hilbert.n_max,
         photon_number=n_phot, flux_mev=p.kappa * n_phot, g2_zero=g2,
     )
     return rows, None, {}

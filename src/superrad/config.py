@@ -21,7 +21,7 @@ import yaml
 
 from .errors import ConfigSyntaxError, MissingSection, TypeMismatch, UnknownKey
 from .exact import DEFAULT_UNKNOWNS_CAP
-from .params import DriveMap, SystemParams, omega_of_voltage, validate_params
+from .params import DriveMap, SystemParams, omega_of_voltage
 from .sweep import DRIVE_RULES
 
 # libyaml's loader when PyYAML was built with it: the same documents and error
@@ -99,15 +99,14 @@ class RunConfig:
     fit: FitSection | None = None
 
     def effective_params(self) -> SystemParams:
-        """Validated system parameters with the drive section (if any) applied to omega."""
+        """The system parameters with the drive section (if any) applied to omega."""
         if self.params is None:
             raise MissingSection("params")
-        params = self.params
-        if self.drive is not None:
-            omega = omega_of_voltage(DriveMap(self.drive.v_on, self.drive.slope_mu),
-                                     self.drive.voltage)
-            params = replace(params, omega=omega)
-        return validate_params(params)
+        if self.drive is None:
+            return self.params
+        omega = omega_of_voltage(DriveMap(self.drive.v_on, self.drive.slope_mu),
+                                 self.drive.voltage)
+        return replace(self.params, omega=omega)
 
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string"}

@@ -81,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValue, NoConvergence, NonFiniteState
-from .params import SystemParams, validate_params
+from .params import SystemParams
 
 DEFAULT_TOL = 1e-10
 
@@ -144,7 +144,6 @@ class MomentState:
 
 def moment_rhs(p: SystemParams, m: MomentState) -> MomentState:
     """Time derivatives of all moment fields (returned in MomentState slots)."""
-    validate_params(p)
     return MomentState.from_vector(_rhs_vector(p, m.to_vector()))
 
 
@@ -199,7 +198,6 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
     the size of the photon-balance terms, because at large flux their rounding
     alone exceeds any fixed absolute tol.
     """
-    validate_params(p)
     if tol <= 0:
         raise InvalidValue("tol must be > 0")
     if p.omega == 0:
@@ -336,7 +334,6 @@ def flux_decomposition(p: SystemParams, m: MomentState) -> tuple[float, float]:
     converged state up to integration tolerance.  Raises InvalidValue for
     kappa = 0, where there is no outcoupled flux to split.
     """
-    validate_params(p)
     if p.kappa == 0:
         raise InvalidValue("flux_decomposition needs kappa > 0; kappa = 0 emits no flux")
     n_em = p.n_emitters

@@ -67,7 +67,7 @@ from .errors import (
     UnknownObservable,
     VacuumState,
 )
-from .params import SystemParams, is_integer, validate_params
+from .params import SystemParams, is_integer
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -119,7 +119,7 @@ class HilbertConfig:
         return self
 
 
-@functools.lru_cache(maxsize=64)  # every state check reads it, on the expectation path
+@functools.lru_cache(maxsize=64)  # every SymmetricState reads it when it is made
 def _symmetric_count(n_max: int, n_em: int) -> int:
     """Number of unknowns u(n, m, k) (see _symmetric_pattern), without listing them.
 
@@ -294,10 +294,6 @@ class Liouvillian:
         """Dimension d of the Hilbert space the state lives in (not of L)."""
         return self.hilbert.dim
 
-    def state(self, v: np.ndarray) -> "SymmetricState":
-        """The state whose unknowns are v."""
-        return SymmetricState(v, self.hilbert)
-
 
 def build_symmetric_liouvillian(
     p: SystemParams, h: HilbertConfig, frame: str = "as_written"
@@ -338,7 +334,6 @@ def build_symmetric_liouvillian(
     configuration with more unknowns than its cap raises DimensionCap
     before anything is built.
     """
-    validate_params(p)
     if frame not in ("as_written", "rotating"):
         raise InvalidValue(f"unknown frame {frame!r}")
     if p.n_emitters != h.n_emitters:
@@ -460,28 +455,21 @@ def _excitation_blocks(n_max: int, n_em: int) -> tuple[sp.csr_matrix, np.ndarray
     return stack, shifted, multiplicity
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SymmetricState:
     """A permutation-symmetric joint state, held as its unknowns u(n, m, k).
 
     mat is u in the order of build_symmetric_liouvillian, the vector that
     its L acts on; see build_symmetric_liouvillian for rho in terms of u.
     Only charge-0 elements are held, so every element of rho with E_i != E_j
-    is zero.
+    is zero.  A state checks when made that mat holds one number per unknown
+    of hilbert (InvalidValue if not); validate checks that rho is a state.
     """
 
     mat: np.ndarray
     hilbert: HilbertConfig
 
-    @classmethod
-    def vacuum(cls, h: HilbertConfig) -> "SymmetricState":
-        """Empty cavity, all emitters in the ground state: u = 1 at u(0, 0, (0, 0, 0, N)), the first."""
-        u = np.zeros(h.symmetric_unknowns, dtype=complex)
-        u[0] = 1.0
-        return cls(u, h)
-
-    def _checked_unknowns(self) -> np.ndarray:
-        """u, once it is a numeric array with one value per unknown of its configuration."""
+    def __post_init__(self):
         if not (isinstance(self.mat, np.ndarray) and self.mat.dtype.kind in "iufc"):
             kind = (f"an array of {self.mat.dtype}" if isinstance(self.mat, np.ndarray)
                     else type(self.mat).__name__)
@@ -489,7 +477,13 @@ class SymmetricState:
         count = self.hilbert.symmetric_unknowns
         if self.mat.shape != (count,):
             raise InvalidValue(f"u has shape {self.mat.shape}, the configuration has {count} unknowns")
-        return self.mat
+
+    @classmethod
+    def vacuum(cls, h: HilbertConfig) -> "SymmetricState":
+        """Empty cavity, all emitters in the ground state: u = 1 at u(0, 0, (0, 0, 0, N)), the first."""
+        u = np.zeros(h.symmetric_unknowns, dtype=complex)
+        u[0] = 1.0
+        return cls(u, h)
 
     def validate(self) -> "SymmetricState":
         """Hermiticity and trace on u, positivity through every spin block.
@@ -502,7 +496,7 @@ class SymmetricState:
         check gathers, so no sub-block is transposed.
         """
         pattern = _symmetric_pattern(self.hilbert.n_max, self.hilbert.n_emitters)
-        u = self._checked_unknowns()
+        u = self.mat
         _require_finite(u, "symmetric state u")
         mate = u[pattern.adjoint].conj()
         herm = float(np.abs(u - mate).max())
@@ -536,7 +530,7 @@ def trace_distance(a: SymmetricState, b: SymmetricState) -> float:
         raise InvalidValue(f"states of n_max={h.n_max}, N={h.n_emitters} and "
                            f"n_max={hb.n_max}, N={hb.n_emitters} cannot be compared")
     stack, shifted, multiplicity = _excitation_blocks(h.n_max, h.n_emitters)
-    diff = a._checked_unknowns() - b._checked_unknowns()
+    diff = a.mat - b.mat
     _require_finite(diff, "trace_distance: a - b has")
     diff = (diff + diff[_symmetric_pattern(h.n_max, h.n_emitters).adjoint].conj()) / 2
     spectra = np.linalg.eigvalsh((stack @ diff).reshape(shifted.shape))
@@ -811,7 +805,7 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
             f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}; "
             "null space is likely degenerate"
         )
-    return liou.state(v).validate()
+    return SymmetricState(v, liou.hilbert).validate()
 
 
 def time_evolve(liou: Liouvillian, rho0: SymmetricState, t_final: float) -> SymmetricState:
@@ -840,7 +834,7 @@ def time_evolve(liou: Liouvillian, rho0: SymmetricState, t_final: float) -> Symm
     h, held = liou.hilbert, rho0.hilbert
     if (held.n_max, held.n_emitters) != (h.n_max, h.n_emitters):
         raise InvalidValue(f"rho0 of n_max={held.n_max}, N={held.n_emitters} evolved with {h}")
-    u = rho0._checked_unknowns()
+    u = rho0.mat
     adjoint = liou.pattern.adjoint
     herm = float(np.abs(u - u[adjoint].conj()).max())
     if herm > HERMITICITY_TOL:
@@ -896,22 +890,19 @@ def _symmetric_observable(which: str, n_max: int, n_em: int) -> tuple[np.ndarray
     return positions, weights
 
 
-def expectation(rho: SymmetricState, which: str, h: HilbertConfig) -> complex:
+def expectation(rho: SymmetricState, which: str) -> complex:
     """Tr(O rho) for the named observable, the same at every emitter and pair.
 
-    rho must be a state of h's (n_max, N) with one value per unknown; any
-    other raises InvalidValue, as does a cross observable at N = 1, which has
-    no pair of emitters.
+    rho is read in its own configuration, rho.hilbert.  A cross observable
+    at N = 1, which has no pair of emitters, raises InvalidValue.
     """
-    held = (rho.hilbert.n_max, rho.hilbert.n_emitters)
-    if held != (h.n_max, h.n_emitters):
-        raise InvalidValue(f"SymmetricState of (n_max, N) {held} read with {h}")
+    h = rho.hilbert
     if which not in OBSERVABLES:
         raise UnknownObservable(f"unknown observable {which!r}; choose from {OBSERVABLES}")
     if which.startswith("cross_") and h.n_emitters == 1:
         raise InvalidValue(f"{which} needs two emitters, the configuration has 1")
     positions, weights = _symmetric_observable(which, h.n_max, h.n_emitters)
-    return complex(weights @ rho._checked_unknowns()[positions])
+    return complex(weights @ rho.mat[positions])
 
 
 # --- steady-state photon flux and statistics -----------------------------------
@@ -923,28 +914,28 @@ VACUUM_THRESHOLD = 1e-12  # photon number below which g2(0) is undefined
 def converge_in_cutoff(
     p: SystemParams,
     h: HilbertConfig,
-    observe: Callable[[SymmetricState, HilbertConfig], tuple[float, ...]],
+    observe: Callable[[SymmetricState], tuple[float, ...]],
     frame: str = "as_written",
-) -> tuple[tuple[float, ...], HilbertConfig, SymmetricState]:
-    """The values observe(rho, h) at the exact steady state, converged in the Fock cutoff.
+) -> tuple[tuple[float, ...], SymmetricState]:
+    """The values observe(rho) at the exact steady state, converged in the Fock cutoff.
 
     Each rung solves on the permutation-symmetric unknowns
     (build_symmetric_liouvillian).  Starting from h.n_max the cutoff is
     raised by 2 until every value changes by less than FLUX_CUTOFF_RTOL
-    relatively.  Returns the values with the HilbertConfig and the steady
-    state of the last cutoff.  A next rung with more unknowns than the cap
-    raises CutoffNotConverged; an initial configuration beyond the cap raises
-    DimensionCap.
+    relatively.  Returns the values with the steady state of the last
+    cutoff, whose rho.hilbert is that rung.  A next rung with more unknowns
+    than the cap raises CutoffNotConverged; an initial configuration beyond
+    the cap raises DimensionCap.
     """
     values = None
     while True:
         rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame=frame))
-        values_next = observe(rho, h)
+        values_next = observe(rho)
         if values is not None and all(
             abs(new - old) <= FLUX_CUTOFF_RTOL * max(abs(new), 1e-300)
             for old, new in zip(values, values_next)
         ):
-            return values_next, h, rho
+            return values_next, rho
         values = values_next
         bigger = HilbertConfig(h.n_max + 2, h.n_emitters, h.cap)
         if bigger.symmetric_unknowns > h.cap:
@@ -960,18 +951,18 @@ def photon_flux_exact(p: SystemParams, h: HilbertConfig, frame: str = "as_writte
     See converge_in_cutoff for the ladder and the errors it raises.
     """
 
-    def flux(rho, hh):
-        return (p.kappa * expectation(rho, "photon_number", hh).real,)
+    def flux(rho):
+        return (p.kappa * expectation(rho, "photon_number").real,)
 
     return converge_in_cutoff(p, h, flux, frame)[0][0]
 
 
-def _number_and_g2(rho: SymmetricState, h: HilbertConfig) -> tuple[float, float]:
+def _number_and_g2(rho: SymmetricState) -> tuple[float, float]:
     """(<a'a>, g2(0)) of a state; VacuumState if <a'a> is at most VACUUM_THRESHOLD."""
-    n_phot = expectation(rho, "photon_number", h).real
+    n_phot = expectation(rho, "photon_number").real
     if n_phot <= VACUUM_THRESHOLD:
         raise VacuumState(f"steady-state photon number {n_phot:.3e} is below threshold")
-    pair = expectation(rho, "photon_pair", h).real
+    pair = expectation(rho, "photon_pair").real
     return n_phot, pair / n_phot**2
 
 
@@ -979,7 +970,5 @@ def g2_zero_converged(
     p: SystemParams, h: HilbertConfig, frame: str = "as_written"
 ) -> tuple[float, int]:
     """g2(0) converged in the Fock cutoff; returns (value, n_max used)."""
-    (g2,), h_used, _ = converge_in_cutoff(
-        p, h, lambda rho, hh: _number_and_g2(rho, hh)[1:], frame
-    )
-    return g2, h_used.n_max
+    (g2,), rho = converge_in_cutoff(p, h, lambda rho: _number_and_g2(rho)[1:], frame)
+    return g2, rho.hilbert.n_max

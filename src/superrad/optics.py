@@ -323,8 +323,10 @@ def emission_fwhm(p: OpticalParams, theta_deg: float) -> tuple[float, float]:
 
 def coherence_length(lambda_nm: float, delta_lambda_nm: float) -> float:
     """Coherence length lambda^2 / d_lambda, returned in micrometres."""
-    if lambda_nm <= 0:
-        raise InvalidValue("wavelength must be > 0")
+    if not 0 < lambda_nm < math.inf:
+        raise InvalidValue(f"wavelength must be finite and > 0, got {lambda_nm!r}")
+    if not math.isfinite(delta_lambda_nm):
+        raise InvalidValue(f"spectral width must be finite, got {delta_lambda_nm!r}")
     if delta_lambda_nm <= 0:
         raise ZeroLinewidth("spectral width must be > 0")
     return lambda_nm**2 / delta_lambda_nm / 1000.0

@@ -18,7 +18,10 @@ from .errors import InvalidParams, InvalidValue, NegativeRate, NonPositiveEnergy
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Full parameter set of the driven-dissipative Tavis-Cummings model."""
+    """Full parameter set of the driven-dissipative Tavis-Cummings model.
+
+    Each record checks itself by validate_params when made, by replace too.
+    """
 
     n_emitters: int
     delta: float        # emitter transition energy, meV
@@ -28,6 +31,9 @@ class SystemParams:
     omega: float        # incoherent pump rate per emitter, meV
     gamma_minus: float  # non-radiative relaxation rate, meV
     gamma_z: float      # pure dephasing rate, meV
+
+    def __post_init__(self):
+        validate_params(self)
 
     @property
     def detuning(self) -> float:
@@ -43,11 +49,12 @@ def is_integer(value) -> bool:
 def validate_params(p: SystemParams) -> SystemParams:
     """Check every invariant of a parameter record.
 
-    Returns the same record when valid.  Raises an error naming every
-    violated invariant; when exactly one invariant fails the specific
-    exception class (NegativeRate, ZeroEmitters, NonPositiveEnergy) is
-    raised so callers can branch on it.  n_emitters must be an int or a
-    numpy integer, not a bool, as in exact.HilbertConfig.
+    SystemParams runs it on every record it makes.  Returns the same record
+    when valid.  Raises an error naming every violated invariant; when
+    exactly one invariant fails the specific exception class (NegativeRate,
+    ZeroEmitters, NonPositiveEnergy) is raised so callers can branch on it.
+    n_emitters must be an int or a numpy integer, not a bool, as in
+    exact.HilbertConfig.
     """
     problems: list[InvalidParams] = []
     n_em = p.n_emitters
@@ -79,6 +86,8 @@ class DriveMap:
     slope_mu: float  # pump rate per volt above onset, meV/V
 
     def __post_init__(self):
+        if not (math.isfinite(self.v_on) and math.isfinite(self.slope_mu)):
+            raise InvalidValue(f"drive onset and slope must be finite, got {self}")
         if self.slope_mu < 0:
             raise NegativeRate("slope_mu")
 

@@ -25,7 +25,7 @@ from .errors import (
     NoConvergence,
     NonPositiveValue,
 )
-from .params import SystemParams, is_integer, validate_params
+from .params import SystemParams, is_integer
 
 DRIVE_RULES = ("scaled", "fixed")
 
@@ -79,8 +79,8 @@ def control_luminance(n: int, omega: float, gamma_r: float, gamma_minus: float) 
     Each emitter holds excited population omega / (omega + gamma_minus + gamma_r)
     and radiates it at gamma_r; the total is extensive in n.
     """
-    if omega < 0 or gamma_r < 0 or gamma_minus < 0:
-        raise InvalidValue("rates must be >= 0")
+    if not (0 <= omega < math.inf and 0 <= gamma_r < math.inf and 0 <= gamma_minus < math.inf):
+        raise InvalidValue(f"rates must be finite and >= 0, got {omega, gamma_r, gamma_minus}")
     denom = omega + gamma_minus + gamma_r
     if denom == 0:
         raise DegenerateRates("omega + gamma_minus + gamma_r must be > 0")
@@ -89,7 +89,6 @@ def control_luminance(n: int, omega: float, gamma_r: float, gamma_minus: float) 
 
 def run_concentration_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One SweepRow per emitter count, in increasing n order (deterministic)."""
-    validate_params(spec.base_params)
     rows = []
     for n in spec.n_values:
         omega = spec.base_params.omega * (n if spec.drive_rule == "scaled" else 1)

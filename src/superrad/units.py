@@ -5,6 +5,8 @@ One time unit is then hbar / (1 meV) ~ 0.6582 ps.  Wavelengths convert via
 E[meV] = MEV_NM / lambda[nm].
 """
 
+import math
+
 from .errors import InvalidValue
 
 # hbar in meV * ps; equivalently the duration of one time unit in ps.
@@ -16,8 +18,8 @@ MEV_NM = 1_239_842.0
 
 def energy_mev_from_nm(wavelength_nm: float) -> float:
     """Photon energy in meV for a vacuum wavelength in nm."""
-    if wavelength_nm <= 0:
-        raise InvalidValue("wavelength must be > 0")
+    if not 0 < wavelength_nm < math.inf:
+        raise InvalidValue(f"wavelength must be finite and > 0, got {wavelength_nm!r}")
     return MEV_NM / wavelength_nm
 
 
@@ -26,6 +28,8 @@ def fwhm_mev_from_nm(center_nm: float, fwhm_nm: float) -> float:
 
     Uses the first-order relation dE = MEV_NM * d_lambda / lambda^2.
     """
-    if center_nm <= 0:
-        raise InvalidValue("center wavelength must be > 0")
+    if not 0 < center_nm < math.inf:
+        raise InvalidValue(f"center wavelength must be finite and > 0, got {center_nm!r}")
+    if not math.isfinite(fwhm_nm):
+        raise InvalidValue(f"spectral width must be finite, got {fwhm_nm!r}")
     return MEV_NM * fwhm_nm / center_nm**2

@@ -71,12 +71,12 @@ def cutoff_safe_product_state(rng, h):
 def exact_moment_derivatives(p, h, rho):
     """d/dt of (n, s, Re c, Im c, Re x, Im x, z) at the symmetric state rho, from the exact L."""
     drho = SymmetricState(build_symmetric_liouvillian(p, h).matrix @ rho.mat, h)
-    dn = expectation(drho, "photon_number", h)
-    ds = expectation(drho, "sigma_z", h)
-    dc = expectation(drho, "field_coherence", h)
+    dn = expectation(drho, "photon_number")
+    ds = expectation(drho, "sigma_z")
+    dc = expectation(drho, "field_coherence")
     if h.n_emitters >= 2:
-        dx = expectation(drho, "cross_pm", h)
-        dz = expectation(drho, "cross_zz", h)
+        dx = expectation(drho, "cross_pm")
+        dz = expectation(drho, "cross_zz")
     else:
         dx, dz = 0j, 0j
     return np.array([dn.real, ds.real, dc.real, dc.imag, dx.real, dx.imag, dz.real])

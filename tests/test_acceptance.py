@@ -97,7 +97,7 @@ def test_criterion_02_analytic_fixed_point():
     p = SystemParams(1, 2350.0, 2350.0, 0.0, 1.0, 1.0, 3.0, 0.0)
     h = HilbertConfig(2, 1)
     rho = steady_state_exact(build_symmetric_liouvillian(p, h))
-    population = (1.0 + expectation(rho, "sigma_z", h).real) / 2.0
+    population = (1.0 + expectation(rho, "sigma_z").real) / 2.0
     ok = abs(population - 0.25) <= 1e-9
     _criterion(2, "analytic rate-equation fixed point", ok, f"<s+s-> = {population!r}")
 
@@ -298,8 +298,8 @@ def test_criterion_11_invariant_suite():
         liou = build_symmetric_liouvillian(p, h2)
         du = liou.matrix @ symmetric_state(random_density_matrix(rng, h2.dim), h2).mat
         drho = SymmetricState(du, h2)
-        d_excitation = expectation(drho, "photon_number", h2) + h2.n_emitters / 2 * (
-            expectation(drho, "sigma_z", h2) + liou.pattern.trace_weights @ du)
+        d_excitation = expectation(drho, "photon_number") + h2.n_emitters / 2 * (
+            expectation(drho, "sigma_z") + liou.pattern.trace_weights @ du)
         worst_exc = max(worst_exc, abs(d_excitation))
 
     # reflectance bounds and eigenvalue trace identity

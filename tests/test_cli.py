@@ -148,6 +148,18 @@ def test_error_leaves_no_partial_result(tmp_path, capsys):
     assert not out.exists() or not any(out.glob("*"))
 
 
+@pytest.mark.parametrize("old, new", [("v_on: 2.0", "v_on: .nan"), ("v_on: 2.0", "v_on: .inf"),
+                                      ("slope_mu: 0.5", "slope_mu: -.inf")])
+def test_a_non_finite_drive_is_an_invalid_value_record(tmp_path, capfd, old, new):
+    # unchecked, max(0.0, v - nan) read 0.0: a run with omega = 0 and zero flux
+    shipped = next(c for c in CONFIGS if c.name == "cumulant_collective.yaml").read_text()
+    assert old in shipped
+    cfg = _write(tmp_path, "bad.yaml", shipped.replace(old, new))
+    out = tmp_path / "out"
+    record = _error_record(capfd, ["cumulant", "--config", str(cfg), "--out-dir", str(out)], out)
+    assert record["error"] == "InvalidValue" and "must be finite" in record["message"]
+
+
 def test_command_mismatch_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, "c.yaml", CUMULANT_DOC.format(omega="1.0"))
     assert main(["exact", "--config", str(cfg)]) != 0

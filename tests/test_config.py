@@ -16,7 +16,9 @@ from superrad.config import (
 )
 from superrad.errors import (
     ConfigSyntaxError,
+    InvalidParams,
     MissingSection,
+    NegativeRate,
     TypeMismatch,
     UnknownKey,
 )
@@ -130,6 +132,22 @@ drive:
 """
     config = parse_config(text)
     assert config.effective_params().omega == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("omega, error, message", [
+    ("-1.0", NegativeRate, "rate 'omega' must be >= 0"),
+    (".nan", InvalidParams, "'omega' must be finite"),
+])
+def test_an_invalid_params_section_is_refused_when_parsed(omega, error, message):
+    # the params record checks itself, so the parse refuses it even where a
+    # drive section would replace omega, or the command reads no params
+    drive = "drive: {v_on: 2.0, slope_mu: 0.5, voltage: 4.0}\n"
+    block = PARAMS_BLOCK.replace("omega: 1.0", f"omega: {omega}")
+    for text in ("command: validate\n" + block + drive,
+                 "command: fit\nfit: {points: [[1, 1.0], [2, 2.0]]}\n" + block):
+        with pytest.raises(error) as err:
+            parse_config(text)
+        assert type(err.value) is error and str(err.value) == message
 
 
 def _full_config():

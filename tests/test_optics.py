@@ -626,6 +626,16 @@ def test_coherence_length_guards():
         coherence_length(0.0, 10.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 1])
+def test_coherence_length_refuses_a_non_finite_argument(value, at):
+    # unchecked, a nan wavelength read nan and an infinite width read 0.0
+    args = [527.0, 30.0]
+    args[at] = value
+    with pytest.raises(InvalidValue, match="must be finite"):
+        coherence_length(*args)
+
+
 def test_coupling_scaling_fit():
     ns = np.array([100, 300, 1000, 3000, 10000])
     assert fit_coupling_scaling(list(zip(ns, 0.11 * np.sqrt(ns)))) == pytest.approx(0.5, abs=1e-9)

@@ -1,9 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from superrad.errors import InvalidParams, NegativeRate, NonPositiveEnergy, ZeroEmitters
+from superrad.errors import (
+    InvalidParams,
+    InvalidValue,
+    NegativeRate,
+    NonPositiveEnergy,
+    ZeroEmitters,
+)
 from superrad.params import (
     DriveMap,
     SystemParams,
@@ -21,9 +28,8 @@ def test_all_zero_rate_boundary_is_valid():
 
 
 def test_negative_kappa_names_the_field():
-    p = SystemParams(2, 2350.0, 2350.0, 1.0, -1.0, 0.0, 0.0, 0.0)
     with pytest.raises(NegativeRate) as err:
-        validate_params(p)
+        SystemParams(2, 2350.0, 2350.0, 1.0, -1.0, 0.0, 0.0, 0.0)
     assert "kappa" in str(err.value)
 
 
@@ -61,11 +67,44 @@ def test_non_positive_energy_rejected():
 
 
 def test_multiple_violations_all_named():
-    p = SystemParams(0, -5.0, 1.0, -1.0, -2.0, 0.0, 0.0, 0.0)
     with pytest.raises(InvalidParams) as err:
-        validate_params(p)
+        SystemParams(0, -5.0, 1.0, -1.0, -2.0, 0.0, 0.0, 0.0)
     msg = str(err.value)
     assert "n_emitters" in msg and "delta" in msg and "g" in msg and "kappa" in msg
+
+
+VALID = SystemParams(3, 2350.0, 2350.0, 0.1, 5.0, 0.5, 0.1, 0.2)
+
+# (fields to change, error class, message): the record validate_params refused
+# before SystemParams checked itself, with the error it raised
+INVALID = [
+    ({"n_emitters": 0}, ZeroEmitters, "n_emitters must be >= 1"),
+    ({"kappa": -1.0}, NegativeRate, "rate 'kappa' must be >= 0"),
+    ({"gamma_z": -math.inf}, InvalidParams,
+     "rate 'gamma_z' must be >= 0; 'gamma_z' must be finite"),
+    ({"delta_c": 0.0}, NonPositiveEnergy, "energy 'delta_c' must be > 0"),
+    ({"omega": math.nan}, InvalidParams, "'omega' must be finite"),
+    ({"n_emitters": 2.0}, InvalidParams, "'n_emitters' must be an integer, got 2.0"),
+    ({"n_emitters": 0, "delta": -5.0, "g": -1.0}, InvalidParams,
+     "n_emitters must be >= 1; energy 'delta' must be > 0; rate 'g' must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("changes, cls, message", INVALID)
+def test_an_invalid_record_cannot_be_made_or_replaced_into(changes, cls, message):
+    fields = {**dataclasses.asdict(VALID), **changes}
+    for make in (lambda: SystemParams(**fields), lambda: dataclasses.replace(VALID, **changes)):
+        with pytest.raises(cls) as err:
+            make()
+        assert type(err.value) is cls and str(err.value) == message
+    # validate_params, the rule the record runs, raises the same on a record
+    # whose fields were changed past the frozen dataclass
+    p = dataclasses.replace(VALID)
+    for name, value in changes.items():
+        object.__setattr__(p, name, value)
+    with pytest.raises(cls) as err:
+        validate_params(p)
+    assert type(err.value) is cls and str(err.value) == message
 
 
 def test_validate_is_idempotent():
@@ -99,6 +138,15 @@ def test_negative_slope_rejected():
         DriveMap(v_on=0.0, slope_mu=-1.0)
 
 
+@pytest.mark.parametrize("name", ["v_on", "slope_mu"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_drive_is_refused(name, value):
+    # unchecked, max(0.0, v - nan) and max(0.0, v - inf) read 0.0: a dark run
+    fields = {"v_on": 2.0, "slope_mu": 0.5, name: value}
+    with pytest.raises(InvalidValue, match=f"drive onset and slope must be finite, got .*{name}={value!r}"):
+        DriveMap(**fields)
+
+
 def test_collective_coupling_examples():
     assert collective_coupling(0.11, 10_000) == pytest.approx(11.0)
     assert collective_coupling(5.0, 1) == 5.0
@@ -127,6 +175,17 @@ def test_wavelength_energy_conversion():
     assert fwhm_mev_from_nm(527.0, 30.0) == pytest.approx(134.0, abs=0.5)
     # the emitter transition at 527 nm sits near 2.35 eV
     assert energy_mev_from_nm(527.0) == pytest.approx(2352.6, abs=0.5)
+
+
+@pytest.mark.parametrize("convert", [
+    energy_mev_from_nm,
+    lambda x: fwhm_mev_from_nm(x, 30.0),
+    lambda x: fwhm_mev_from_nm(527.0, x),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_unit_conversions_refuse_a_non_finite_argument(convert, value):
+    with pytest.raises(InvalidValue, match="must be finite"):
+        convert(value)
 
 
 def test_per_emitter_collective_roundtrip():

@@ -1,6 +1,7 @@
 """Static checks on the package source: typed errors only, no dead error class, no
-cache keyed by a HilbertConfig, no numpy polynomial helper in the optics, a consistent
-export list, every function the benchmark captures, and a light import."""
+cache keyed by a HilbertConfig, no numpy polynomial helper in the optics, parameter
+records checked only where they are made, a consistent export list, every function
+the benchmark captures, and a light import."""
 
 import ast
 import importlib
@@ -149,6 +150,31 @@ def test_optics_calls_no_numpy_polynomial_helper():
     # calls; each helper costs more than the 3x3 and 4x4 eigenproblems it wraps
     path = Path(superrad.__file__).parent / "optics.py"
     assert list(_numpy_polynomial_calls(ast.parse(path.read_text(), filename=str(path)))) == []
+
+
+def _calls_of(tree: ast.AST, name: str):
+    """Lines that call name, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == name:
+                yield node.lineno
+
+
+def test_guard_flags_calls_of_a_name():
+    source = ("validate_params(p)\nparams.validate_params(q)\nf = validate_params\n"
+              "validate_params_of(p)\nx.validate(p)")
+    assert list(_calls_of(ast.parse(source), "validate_params")) == [1, 2]
+
+
+def test_only_params_calls_validate_params():
+    # a SystemParams checks itself when it is made, so a solver that checked it
+    # again would only repeat the rule
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line in _calls_of(ast.parse(path.read_text(), filename=str(path)),
+                                   "validate_params")]
+    assert found and all(where.startswith("params.py:") for where in found)
 
 
 def test_public_names_exist_once():

@@ -32,6 +32,16 @@ def test_control_luminance_arithmetic():
     assert control_luminance(100, 1.0, 1.0, 1.0) == pytest.approx(100.0 / 3.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_control_luminance_refuses_a_non_finite_rate(value, at):
+    # unchecked, a nan pump read nan
+    rates = [1e-3, 1e-3, 0.3]
+    rates[at] = value
+    with pytest.raises(InvalidValue, match="rates must be finite and >= 0"):
+        control_luminance(3, *rates)
+
+
 def test_control_luminance_degenerate_rates():
     with pytest.raises(DegenerateRates):
         control_luminance(5, 0.0, 0.0, 0.0)
