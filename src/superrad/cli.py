@@ -3,12 +3,13 @@
 Usage:
     superrad <command> --config <path> [--out-dir <path>] [--format csv|json] [--seed <u64>]
 
-Each run writes `<command>_result.(csv|json)` plus `run_manifest.json`; some
-commands add JSON sidecars (fit summary, polariton branches).  Data files are
-byte-identical across runs with the same config and seed.  On failure, an I/O
-error included, nothing is written and a machine-readable error record goes
-to stdout: every file goes to a temp file first, and all are renamed into
-place only once each is written.
+Each run writes `<command>_result.(csv|json)` plus `run_manifest.json`, which
+echoes the config as run; some commands add JSON sidecars (fit summary,
+polariton branches).  Data files are byte-identical across runs with the same
+config and seed.  Every failure, an unreadable config file or an I/O error
+included, is a SuperradError: nothing is written and its record goes to stdout
+as one JSON line.  Every file goes to a temp file first, and all are renamed
+into place only once each is written.
 
 Each command handler returns its result table as columns: one mapping from
 column name to a list, to a float64 array, or to an `_Axis` of a grid.  A
@@ -33,7 +34,7 @@ import os
 import secrets
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ import numpy as np
 from . import __version__
 from .config import HilbertSection, RunConfig, _to_plain, parse_config
 from .cumulant import integrate_to_steady_state
-from .errors import ConfigError, OutputUnwritable, SuperradError
+from .errors import ConfigError, ConfigFileUnreadable, OutputUnwritable, SuperradError
 from .exact import (
     HilbertConfig,
     _number_and_g2,
@@ -51,7 +52,6 @@ from .exact import (
     steady_state_exact,
 )
 from .optics import OpticalParams, compute_reflectance_map
-from .params import SystemParams
 from .sweep import SweepSpec, fit_power_law, run_concentration_sweep
 from .units import TIME_UNIT_PS
 
@@ -162,8 +162,8 @@ def _one_row(**cells):
 
 # --- command handlers: each returns (columns, summary, sidecars) ---------------
 
-def _cmd_validate(config: RunConfig, _rng):
-    p = config.effective_params()
+def _cmd_validate(config: RunConfig):
+    p = config.params
     rows = _one_row(
         n_emitters=p.n_emitters, delta_mev=p.delta, delta_c_mev=p.delta_c,
         g_mev=p.g, kappa_mev=p.kappa, omega_mev=p.omega,
@@ -172,14 +172,14 @@ def _cmd_validate(config: RunConfig, _rng):
     return rows, {"valid": True, "time_unit_ps": TIME_UNIT_PS}, {}
 
 
-def _hilbert_config(config: RunConfig, p: SystemParams) -> HilbertConfig:
+def _hilbert_config(config: RunConfig) -> HilbertConfig:
     section = config.hilbert or HilbertSection()
-    return HilbertConfig(n_max=section.n_max, n_emitters=p.n_emitters, cap=section.cap)
+    return HilbertConfig(n_max=section.n_max, n_emitters=config.params.n_emitters, cap=section.cap)
 
 
-def _cmd_exact(config: RunConfig, _rng):
-    p = config.effective_params()
-    h = _hilbert_config(config, p)
+def _cmd_exact(config: RunConfig):
+    p = config.params
+    h = _hilbert_config(config)
     rho = steady_state_exact(build_symmetric_liouvillian(p, h))
     n_phot = expectation(rho, "photon_number").real
     s_z = expectation(rho, "sigma_z").real
@@ -191,8 +191,8 @@ def _cmd_exact(config: RunConfig, _rng):
     return rows, None, {}
 
 
-def _cmd_cumulant(config: RunConfig, _rng):
-    p = config.effective_params()
+def _cmd_cumulant(config: RunConfig):
+    p = config.params
     m = integrate_to_steady_state(p)
     rows = _one_row(
         n_emitters=p.n_emitters, omega_mev=p.omega, n_photon=m.n_photon,
@@ -203,14 +203,10 @@ def _cmd_cumulant(config: RunConfig, _rng):
     return rows, None, {}
 
 
-def _cmd_sweep(config: RunConfig, _rng):
-    p = config.effective_params()
-    spec = SweepSpec(
-        n_values=config.sweep.n_values,
-        drive_rule=config.sweep.drive_rule,
-        base_params=p,
-        gamma_r=config.sweep.gamma_r,
-    )
+def _cmd_sweep(config: RunConfig):
+    s = config.sweep
+    spec = SweepSpec(n_values=s.n_values, drive_rule=s.drive_rule, base_params=config.params,
+                     gamma_r=s.gamma_r)
     sweep_rows = run_concentration_sweep(spec)
     fit = fit_power_law([(r.n, r.ratio) for r in sweep_rows])
     rows = {
@@ -219,21 +215,14 @@ def _cmd_sweep(config: RunConfig, _rng):
         "l_control_mev": [r.l_control for r in sweep_rows],
         "ratio": [r.ratio for r in sweep_rows],
     }
-    summary = {"alpha": fit.alpha, "prefactor": fit.prefactor, "rmsd": fit.rmsd}
-    return rows, summary, {}
+    return rows, asdict(fit), {}
 
 
-def _cmd_reflectance(config: RunConfig, _rng):
+def _cmd_reflectance(config: RunConfig):
     o = config.optics
-    params = OpticalParams(
-        e_c0=o.e_c0, n_eff=o.n_eff, delta=o.delta, g_coll=o.g_coll, kappa=o.kappa,
-        kappa_ext=o.kappa_ext if o.kappa_ext is not None else o.kappa / 2,
-        gamma_perp=o.gamma_perp,
-    )
+    params = OpticalParams(**{f.name: getattr(o, f.name) for f in fields(OpticalParams)})
     thetas = np.linspace(o.theta_min, o.theta_max, o.n_theta)
-    e_lo = o.e_min if o.e_min is not None else o.delta - 500.0
-    e_hi = o.e_max if o.e_max is not None else o.delta + 500.0
-    energies = np.linspace(e_lo, e_hi, o.n_energy)
+    energies = np.linspace(o.e_min, o.e_max, o.n_energy)
     rmap = compute_reflectance_map(params, thetas, energies)
     nt, ne = rmap.r_values.shape
     rows = {
@@ -251,20 +240,20 @@ def _cmd_reflectance(config: RunConfig, _rng):
     return rows, None, {"reflectance_branches.json": branches}
 
 
-def _cmd_fit(config: RunConfig, rng):
+def _cmd_fit(config: RunConfig):
     points = [(n, r) for n, r in config.fit.points]
     if config.fit.noise_sigma > 0:
+        rng = np.random.default_rng(config.seed)
         noise = np.exp(rng.normal(0.0, config.fit.noise_sigma, len(points)))
         points = [(n, r * w) for (n, r), w in zip(points, noise)]
     fit = fit_power_law(points)
     rows = {"n": [n for n, _ in points], "ratio": [r for _, r in points]}
-    summary = {"alpha": fit.alpha, "prefactor": fit.prefactor, "rmsd": fit.rmsd}
-    return rows, summary, {}
+    return rows, asdict(fit), {}
 
 
-def _cmd_g2(config: RunConfig, _rng):
-    p = config.effective_params()
-    (n_phot, g2), rho = converge_in_cutoff(p, _hilbert_config(config, p), _number_and_g2)
+def _cmd_g2(config: RunConfig):
+    p = config.params
+    (n_phot, g2), rho = converge_in_cutoff(p, _hilbert_config(config), _number_and_g2)
     rows = _one_row(
         n_emitters=p.n_emitters, n_max_converged=rho.hilbert.n_max,
         photon_number=n_phot, flux_mev=p.kappa * n_phot, g2_zero=g2,
@@ -296,8 +285,7 @@ def run(config: RunConfig) -> list[Path]:
     OutputUnwritable.  Returns the written paths.
     """
     started = time.monotonic()
-    rng = np.random.default_rng(config.seed)
-    rows, summary, sidecars = _HANDLERS[config.command](config, rng)
+    rows, summary, sidecars = _HANDLERS[config.command](config)
 
     out_dir = Path(config.output_dir)
     artifacts = []  # (path, text chunks) of each data file and sidecar
@@ -363,12 +351,10 @@ def main(argv=None) -> int:
             flags["seed"] = int(args.seed)
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        print(json.dumps({"error": "ConfigFileUnreadable", "message": str(e)}))
-        return 1
-
-    try:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigFileUnreadable(str(e)) from e
         # the flags are top-level keys of the document, checked by its schema
         config = parse_config(text, {k: v for k, v in flags.items() if v is not None})
         if config.command != args.command:

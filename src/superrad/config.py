@@ -6,7 +6,9 @@ back into plain data; enumerated and bounded values carry their constraint in
 the field metadata ("choices", "min").  Unknown keys are hard errors at every
 nesting level: silent typos in physics parameters are the costliest bug
 class, so nothing is ignored.  parse_config and serialize_config round-trip
-exactly.
+exactly.  A record holds the values its run uses, set when it is made: a
+`drive` section sets `params.omega` to the pump at its voltage, and `optics`
+fills in the `kappa_ext`, `e_min` and `e_max` that the document leaves out.
 """
 
 from __future__ import annotations
@@ -78,6 +80,12 @@ class OpticsSection:
     e_max: float | None = None      # defaults to delta + 500
     n_energy: int = field(default=201, metadata={"min": 1})
 
+    def __post_init__(self):
+        for name, value in (("kappa_ext", self.kappa / 2), ("e_min", self.delta - 500.0),
+                            ("e_max", self.delta + 500.0)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+
 
 @dataclass(frozen=True)
 class FitSection:
@@ -98,15 +106,13 @@ class RunConfig:
     optics: OpticsSection | None = None
     fit: FitSection | None = None
 
-    def effective_params(self) -> SystemParams:
-        """The system parameters with the drive section (if any) applied to omega."""
-        if self.params is None:
-            raise MissingSection("params")
-        if self.drive is None:
-            return self.params
-        omega = omega_of_voltage(DriveMap(self.drive.v_on, self.drive.slope_mu),
-                                 self.drive.voltage)
-        return replace(self.params, omega=omega)
+    def __post_init__(self):
+        # the drive is checked with or without params; it sets the omega they run at
+        if self.drive is not None:
+            omega = omega_of_voltage(DriveMap(self.drive.v_on, self.drive.slope_mu),
+                                     self.drive.voltage)
+            if self.params is not None:
+                object.__setattr__(self, "params", replace(self.params, omega=omega))
 
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string"}

@@ -190,16 +190,16 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
     docstring); the other moments follow from it.  Stability is decided by the
     Routh-Hurwitz test on the characteristic polynomial of the Jacobian; only a
     point it does not certify computes that polynomial's roots.  A certified
-    point runs on Python floats and calls no numpy.  Raises
-    NoConvergence when that fixed point is unstable (a root with a positive
-    real part), does not exist (kappa = 0 with g > 0 and
-    omega >= gamma_minus) or leaves a derivative norm above
-    tol * max(1, kappa n).  The tolerance is relative to kappa n = 2 g N Im(c),
-    the size of the photon-balance terms, because at large flux their rounding
-    alone exceeds any fixed absolute tol.
+    point runs on Python floats and calls no numpy.  Raises NoConvergence
+    when that fixed point is unstable (a root with a positive real part), does
+    not exist (kappa = 0 with g > 0 and omega >= gamma_minus) or leaves a
+    derivative norm above tol * max(1, kappa n).  The tolerance is relative to
+    kappa n = 2 g N Im(c), the size of the photon-balance terms, because at
+    large flux their rounding alone exceeds any fixed absolute tol; a tol that
+    is not finite and > 0 raises InvalidValue.
     """
-    if tol <= 0:
-        raise InvalidValue("tol must be > 0")
+    if not 0 < tol < math.inf:
+        raise InvalidValue(f"tol must be finite and > 0, got {tol!r}")
     if p.omega == 0:
         return MomentState.dark()
     y = _stationary_vector(p)

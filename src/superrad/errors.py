@@ -26,21 +26,18 @@ class InvalidParams(SuperradError):
 class NegativeRate(InvalidParams):
     def __init__(self, field):
         self.field = field
-        SuperradError.__init__(self, f"rate '{field}' must be >= 0")
-        self.violations = [str(self)]
+        super().__init__([f"rate '{field}' must be >= 0"])
 
 
 class ZeroEmitters(InvalidParams):
     def __init__(self):
-        SuperradError.__init__(self, "n_emitters must be >= 1")
-        self.violations = [str(self)]
+        super().__init__(["n_emitters must be >= 1"])
 
 
 class NonPositiveEnergy(InvalidParams):
     def __init__(self, field):
         self.field = field
-        SuperradError.__init__(self, f"energy '{field}' must be > 0")
-        self.violations = [str(self)]
+        super().__init__([f"energy '{field}' must be > 0"])
 
 
 # --- exact Lindblad solver ---------------------------------------------------
@@ -108,6 +105,10 @@ class ZeroLinewidth(SuperradError):
 
 class ConfigError(SuperradError):
     """Base class for configuration-document problems."""
+
+
+class ConfigFileUnreadable(ConfigError):
+    """The config file cannot be opened or read, or is not UTF-8 text."""
 
 
 class OutputUnwritable(SuperradError):

@@ -204,15 +204,6 @@ class ReflectanceMap:
     lp_branch: np.ndarray   # complex eigenvalues per angle, meV
     up_branch: np.ndarray
 
-    def validate(self) -> "ReflectanceMap":
-        if self.r_values.shape != (len(self.thetas), len(self.energies)):
-            raise InvalidValue("r_values shape does not match the grid")
-        if len(self.lp_branch) != len(self.thetas) or len(self.up_branch) != len(self.thetas):
-            raise InvalidValue("branch arrays must have one entry per angle")
-        if np.any(self.lp_branch.real > self.up_branch.real + 1e-12):
-            raise InvalidValue("LP branch must lie below UP branch")
-        return self
-
 
 def compute_reflectance_map(p: OpticalParams, thetas, energies) -> ReflectanceMap:
     """Evaluate the reflectance model over an angle x energy grid.
@@ -220,14 +211,15 @@ def compute_reflectance_map(p: OpticalParams, thetas, energies) -> ReflectanceMa
     R is reflectance_spectrum's real form, in [0, 1] by construction, over
     the whole grid in one broadcast: the emitter term and the other
     energy-only factors are computed once, and the range is checked once.
+    Grids that are not 1-D raise InvalidValue.
     """
     thetas = np.asarray(thetas, dtype=float)
     energies = np.asarray(energies, dtype=float)
+    if thetas.ndim != 1 or energies.ndim != 1:
+        raise InvalidValue(f"grids must be 1-D, got shapes {thetas.shape}, {energies.shape}")
     r_values = _reflectance(p, thetas, energies)
     lp, up = _branches(p, thetas)
-    return ReflectanceMap(
-        thetas=thetas, energies=energies, r_values=r_values, lp_branch=lp, up_branch=up
-    ).validate()
+    return ReflectanceMap(thetas, energies, r_values, lp, up)
 
 
 def minimum_branch_splitting(p: OpticalParams, theta_max_deg: float = 64.0) -> float:

@@ -99,19 +99,29 @@ def omega_of_voltage(d: DriveMap, v: float) -> float:
     return d.slope_mu * max(0.0, v - d.v_on)
 
 
-def collective_coupling(g_single: float, n: int) -> float:
-    """Collective coupling g * sqrt(n) of n identical emitters."""
-    if g_single < 0:
-        raise NegativeRate("g_single")
+def checked_emitter_count(n: int) -> int:
+    """n, if it is an integer >= 1; InvalidValue or ZeroEmitters otherwise."""
+    if not is_integer(n):
+        raise InvalidValue(f"emitter count must be an integer, got {n!r}")
     if n < 1:
         raise ZeroEmitters()
-    return g_single * math.sqrt(n)
+    return n
+
+
+def _checked_coupling(g: float, name: str) -> float:
+    """g, if it is finite and >= 0; InvalidValue or NegativeRate otherwise."""
+    if not math.isfinite(g):
+        raise InvalidValue(f"'{name}' must be finite, got {g!r}")
+    if g < 0:
+        raise NegativeRate(name)
+    return g
+
+
+def collective_coupling(g_single: float, n: int) -> float:
+    """Collective coupling g * sqrt(n) of n identical emitters."""
+    return _checked_coupling(g_single, "g_single") * math.sqrt(checked_emitter_count(n))
 
 
 def per_emitter_coupling(g_collective: float, n: int) -> float:
     """Invert collective_coupling: the single-emitter g giving g_collective at count n."""
-    if g_collective < 0:
-        raise NegativeRate("g_collective")
-    if n < 1:
-        raise ZeroEmitters()
-    return g_collective / math.sqrt(n)
+    return _checked_coupling(g_collective, "g_collective") / math.sqrt(checked_emitter_count(n))

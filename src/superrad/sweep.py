@@ -25,7 +25,7 @@ from .errors import (
     NoConvergence,
     NonPositiveValue,
 )
-from .params import SystemParams, is_integer
+from .params import SystemParams, checked_emitter_count, is_integer
 
 DRIVE_RULES = ("scaled", "fixed")
 
@@ -79,6 +79,7 @@ def control_luminance(n: int, omega: float, gamma_r: float, gamma_minus: float) 
     Each emitter holds excited population omega / (omega + gamma_minus + gamma_r)
     and radiates it at gamma_r; the total is extensive in n.
     """
+    checked_emitter_count(n)
     if not (0 <= omega < math.inf and 0 <= gamma_r < math.inf and 0 <= gamma_minus < math.inf):
         raise InvalidValue(f"rates must be finite and >= 0, got {omega, gamma_r, gamma_minus}")
     denom = omega + gamma_minus + gamma_r

@@ -30,6 +30,6 @@ def fwhm_mev_from_nm(center_nm: float, fwhm_nm: float) -> float:
     """
     if not 0 < center_nm < math.inf:
         raise InvalidValue(f"center wavelength must be finite and > 0, got {center_nm!r}")
-    if not math.isfinite(fwhm_nm):
-        raise InvalidValue(f"spectral width must be finite, got {fwhm_nm!r}")
+    if not 0 <= fwhm_nm < math.inf:
+        raise InvalidValue(f"spectral width must be finite and >= 0, got {fwhm_nm!r}")
     return MEV_NM * fwhm_nm / center_nm**2

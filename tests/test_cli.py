@@ -20,6 +20,7 @@ from superrad.cli import (
     run,
 )
 from superrad.config import COMMANDS, parse_config
+from superrad.errors import ConfigError, ConfigFileUnreadable
 from superrad.exact import HilbertConfig, photon_flux_exact
 from superrad.optics import OpticalParams, compute_reflectance_map
 from superrad.params import SystemParams
@@ -205,7 +206,17 @@ def test_a_config_that_is_not_utf8_is_a_config_file_unreadable_record(tmp_path, 
     cfg, out = tmp_path / "c.yaml", tmp_path / "out"
     cfg.write_bytes(b"\xff\xfe" + CUMULANT_DOC.format(omega="1.0").encode())
     record = _error_record(capfd, ["cumulant", "--config", str(cfg), "--out-dir", str(out)], out)
-    assert record["error"] == "ConfigFileUnreadable"
+    assert record == {"error": "ConfigFileUnreadable", "message": "'utf-8' codec can't decode "
+                      "byte 0xff in position 0: invalid start byte"}
+
+
+def test_a_missing_config_is_a_typed_config_file_unreadable_record(tmp_path, capfd):
+    assert issubclass(ConfigFileUnreadable, ConfigError)
+    cfg, out = tmp_path / "absent.yaml", tmp_path / "out"
+    record = _error_record(capfd, ["cumulant", "--config", str(cfg), "--out-dir", str(out)], out)
+    assert record == {"error": "ConfigFileUnreadable",
+                      "message": f"[Errno 2] No such file or directory: {str(cfg)!r}"}
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("target", ["file", "under_file", "result_is_a_directory",
@@ -390,6 +401,19 @@ params: {n_emitters: 10000, delta: 2350.0, delta_c: 2350.0, g: 0.11, kappa: 134.
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "validate"
     assert manifest["config"]["params"]["g"] == pytest.approx(0.11)
+
+
+@pytest.mark.parametrize("config, section, resolved", [
+    ("cumulant_collective.yaml", "params", {"omega": 2.0}),
+    ("reflectance_d4.yaml", "optics", {"kappa_ext": 67.0, "e_min": 1900.0, "e_max": 2800.0}),
+])
+def test_the_manifest_echoes_the_config_as_run(tmp_path, config, section, resolved):
+    # the drive's omega and the optics defaults, not the document's placeholders
+    path = next(p for p in CONFIGS if p.name == config)
+    command = parse_config(path.read_text(encoding="utf-8")).command
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    echoed = json.loads((tmp_path / "run_manifest.json").read_text())["config"][section]
+    assert {key: echoed[key] for key in resolved} == resolved
 
 
 def test_run_config_objects_directly(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import yaml
 import superrad.config as config_module
 from superrad.config import (
     _YAML_LOADER,
+    DriveSection,
     FitSection,
     HilbertSection,
     OpticsSection,
@@ -17,6 +19,7 @@ from superrad.config import (
 from superrad.errors import (
     ConfigSyntaxError,
     InvalidParams,
+    InvalidValue,
     MissingSection,
     NegativeRate,
     TypeMismatch,
@@ -131,7 +134,46 @@ drive:
   voltage: 4.0
 """
     config = parse_config(text)
-    assert config.effective_params().omega == pytest.approx(1.0)
+    assert config.params.omega == pytest.approx(1.0)
+
+
+def test_a_record_with_a_drive_holds_the_omega_of_its_voltage():
+    params = SystemParams(4, 2350.0, 2350.0, 0.11, 134.0, 0.0, 1.0, 10.0)
+    config = RunConfig(command="cumulant", params=params,
+                       drive=DriveSection(v_on=2.0, slope_mu=0.5, voltage=6.0))
+    assert config.params == dataclasses.replace(params, omega=2.0)
+    assert parse_config(serialize_config(config)) == config
+    below_onset = RunConfig(command="cumulant", params=config.params,
+                            drive=DriveSection(v_on=2.0, slope_mu=0.5, voltage=1.0))
+    assert below_onset.params.omega == 0.0
+
+
+@pytest.mark.parametrize("text", [
+    "command: sweep\n" + PARAMS_BLOCK,                 # no sweep section
+    "command: fit\nfit: {points: [[1, 1.0], [2, 2.0]]}\n",  # no params for the drive to set
+])
+def test_a_bad_drive_is_refused_when_parsed(text):
+    # before a missing section, and whether or not there are params to set
+    with pytest.raises(InvalidValue, match="drive onset and slope must be finite"):
+        parse_config(text + "drive: {v_on: .nan, slope_mu: 0.5, voltage: 4.0}\n")
+
+
+def test_an_optics_section_fills_in_the_values_the_document_leaves_out():
+    config = parse_config("command: reflectance\n" + OPTICS_BLOCK)
+    assert (config.optics.kappa_ext, config.optics.e_min, config.optics.e_max) == (
+        67.0, 1850.0, 2850.0)
+    given = parse_config("command: reflectance\n" + OPTICS_BLOCK
+                         + "  kappa_ext: 20.0\n  e_min: 2000.0\n  e_max: 2100.0\n")
+    assert (given.optics.kappa_ext, given.optics.e_min, given.optics.e_max) == (
+        20.0, 2000.0, 2100.0)
+    assert parse_config(serialize_config(config)) == config
+
+
+@pytest.mark.parametrize("text", ["", "# a comment only\n"])
+def test_an_empty_document_misses_its_command(text):
+    with pytest.raises(MissingSection) as err:
+        parse_config(text)
+    assert err.value.section == "command"
 
 
 @pytest.mark.parametrize("omega, error, message", [

@@ -334,6 +334,27 @@ def test_tol_must_be_positive():
         integrate_to_steady_state(regression_params(2), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+def test_tol_must_be_finite_and_positive(tol):
+    # unchecked, tol = nan was a NoConvergence and tol = inf switched the
+    # derivative gate off
+    with pytest.raises(InvalidValue, match=f"tol must be finite and > 0, got {tol!r}"):
+        integrate_to_steady_state(regression_params(2), tol=tol)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n_photon": -1e-6}, "n_photon = -1e-06 below numerical floor"),
+    ({"s_z": 1.1}, "inversion moments outside"),
+    ({"z_zz": -1.1}, "inversion moments outside"),
+    ({"x_pm": 0.9 + 0.9j}, "exceeds loose bound 1"),
+])
+def test_validate_rejects_a_moment_out_of_range(fields, message):
+    m = replace(MomentState(n_photon=0.8, s_z=0.1, coh=0.05j, x_pm=0.01, z_zz=0.0), **fields)
+    with pytest.raises(InvalidValue, match=message):
+        m.validate()
+    m.validate(slack=1.0)  # each lies within a slack of 1
+
+
 def test_weak_drive_linear_response_matches_exact():
     # closure corrections are higher order in the drive, so every moment must
     # track the exact steady state at O(omega) accuracy; this pins the damping

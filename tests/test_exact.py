@@ -754,6 +754,27 @@ def test_a_non_finite_solve_is_a_degenerate_steady_state(monkeypatch):
         steady_state_exact(liou)
 
 
+@pytest.mark.parametrize("shift, message", [
+    (1e-6, r"steady-state residual 1\.828e-04 exceeds 1e-10; null space is likely degenerate"),
+    (None, "steady-state trace collapsed to zero"),
+], ids=["offset_solve", "zero_solve"])
+def test_a_wrong_solve_is_refused_by_the_oracle_guards(monkeypatch, shift, message):
+    # a finite but wrong solution passes the refinement rounds, so the trace
+    # and the residual of L v are the last guards before a state is returned
+    factorise = exact._HermitianSystem.factorise
+
+    def wrong(self, data):
+        solve = factorise(self, data)
+        if shift is None:
+            return lambda b: np.zeros(len(b))
+        return lambda b: solve(b) + shift
+
+    monkeypatch.setattr(exact._HermitianSystem, "factorise", wrong)
+    liou = build_symmetric_liouvillian(regression_params(2), HilbertConfig(3, 2))
+    with pytest.raises(DegenerateSteadyState, match=f"^{message}$"):
+        steady_state_exact(liou)
+
+
 def _decoupled_lossless_points():
     """120 seeded L with g = kappa = 0: N 1-4, n_max 1-5, rates in [0.05, 1], both frames."""
     rng = np.random.default_rng(2910)

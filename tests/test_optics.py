@@ -459,6 +459,36 @@ def test_optical_params_reject_a_coupling_without_a_finite_square():
     assert OpticalParams(g_coll=1e150, **fields).g_coll == 1e150
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("gamma_perp", -1.0, "linewidths and coupling must be >= 0"),
+    ("g_coll", -1.0, "linewidths and coupling must be >= 0"),
+    ("e_c0", -2300.0, "energies must be > 0"),
+    ("delta", 0.0, "energies must be > 0"),
+])
+def test_optical_params_reject_a_negative_linewidth_or_energy(name, value, message):
+    fields = dict(e_c0=2300.0, n_eff=1.8, delta=2350.0, g_coll=11.0,
+                  kappa=134.0, kappa_ext=67.0, gamma_perp=331.0)
+    with pytest.raises(InvalidValue, match=f"^{message}$"):
+        OpticalParams(**{**fields, name: value})
+
+
+def test_emission_fwhm_needs_a_cavity_linewidth():
+    with pytest.raises(ZeroLinewidth, match="needs gamma_perp > 0 and kappa > 0"):
+        emission_fwhm(d4_like(0.0, 331.0), 20.0)
+
+
+@pytest.mark.parametrize("thetas, energies", [
+    (np.zeros((2, 3)), np.linspace(2000.0, 2500.0, 5)),
+    (10.0, np.linspace(2000.0, 2500.0, 5)),
+    (np.zeros(3), 2100.0),
+    (np.zeros(3), np.full((2, 2), 2100.0)),
+], ids=["2d_angles", "one_angle", "one_energy", "2d_energies"])
+def test_a_reflectance_map_needs_1d_grids(thetas, energies):
+    # the grids set the map's shape, (len(thetas), len(energies))
+    with pytest.raises(InvalidValue, match="grids must be 1-D"):
+        compute_reflectance_map(d4_like(134.0, 331.0), thetas, energies)
+
+
 def test_emission_fwhm_transparent_cavity():
     p = d4_like(1e6 * 20.0, 20.0, g_coll=0.0, kappa_ext=0.0)
     # put the cavity exactly on the emitter to stay inside the guard

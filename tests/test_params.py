@@ -192,3 +192,45 @@ def test_per_emitter_collective_roundtrip():
     for n in (1, 7, 144, 10_000):
         g = 0.37
         assert per_emitter_coupling(collective_coupling(g, n), n) == pytest.approx(g)
+
+
+@pytest.mark.parametrize("helper", [collective_coupling, per_emitter_coupling])
+@pytest.mark.parametrize("g, n, message", [
+    (math.nan, 4, "must be finite, got nan"),
+    (math.inf, 4, "must be finite, got inf"),
+    (1.0, 2.5, "emitter count must be an integer, got 2.5"),
+    (1.0, True, "emitter count must be an integer, got True"),
+])
+def test_coupling_helpers_refuse_a_non_finite_coupling_or_count(helper, g, n, message):
+    # unchecked, collective_coupling(nan, 4) read nan and (1.0, 2.5) read 1.58
+    with pytest.raises(InvalidValue, match=message):
+        helper(g, n)
+
+
+def test_coupling_helpers_keep_their_negative_and_zero_refusals():
+    for helper, name in ((collective_coupling, "g_single"), (per_emitter_coupling, "g_collective")):
+        with pytest.raises(NegativeRate) as err:
+            helper(-1.0, 4)
+        assert err.value.field == name
+        with pytest.raises(ZeroEmitters):
+            helper(1.0, 0)
+    assert collective_coupling(2.0, np.int64(4)) == 4.0
+
+
+def test_a_negative_spectral_width_is_refused():
+    # unchecked, fwhm_mev_from_nm(527.0, -30.0) read -133.9 meV
+    with pytest.raises(InvalidValue, match="spectral width must be finite and >= 0, got -30.0"):
+        fwhm_mev_from_nm(527.0, -30.0)
+    assert fwhm_mev_from_nm(527.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("error, field, message", [
+    (NegativeRate("kappa"), "kappa", "rate 'kappa' must be >= 0"),
+    (NonPositiveEnergy("delta"), "delta", "energy 'delta' must be > 0"),
+    (ZeroEmitters(), None, "n_emitters must be >= 1"),
+])
+def test_each_invalid_params_error_holds_its_one_message(error, field, message):
+    assert isinstance(error, InvalidParams)
+    assert str(error) == message and error.args == (message,)
+    assert error.violations == [message]
+    assert getattr(error, "field", None) == field

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from superrad import cumulant, sweep
-from superrad.errors import DegenerateRates, InsufficientPoints, InvalidValue, NonPositiveValue
+from superrad.errors import (
+    DegenerateRates,
+    InsufficientPoints,
+    InvalidValue,
+    NoConvergence,
+    NonPositiveValue,
+    ZeroEmitters,
+)
 from superrad.params import SystemParams
 from superrad.sweep import (
     SweepSpec,
@@ -30,6 +37,7 @@ def test_control_luminance_saturates():
 
 def test_control_luminance_arithmetic():
     assert control_luminance(100, 1.0, 1.0, 1.0) == pytest.approx(100.0 / 3.0)
+    assert control_luminance(np.int64(3), 1.0, 1.0, 1.0) == 1.0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -40,6 +48,16 @@ def test_control_luminance_refuses_a_non_finite_rate(value, at):
     rates[at] = value
     with pytest.raises(InvalidValue, match="rates must be finite and >= 0"):
         control_luminance(3, *rates)
+
+
+@pytest.mark.parametrize("n, error", [
+    (float("nan"), InvalidValue), (2.5, InvalidValue), (True, InvalidValue), (3.0, InvalidValue),
+    (0, ZeroEmitters), (-3, ZeroEmitters),
+])
+def test_control_luminance_refuses_a_count_that_is_not_a_positive_integer(n, error):
+    # unchecked, n = nan read nan and n = -3 read -0.0023
+    with pytest.raises(error):
+        control_luminance(n, 1e-3, 1e-3, 0.3)
 
 
 def test_control_luminance_degenerate_rates():
@@ -90,6 +108,15 @@ def test_sweep_is_deterministic():
     rows_a = run_concentration_sweep(spec)
     rows_b = run_concentration_sweep(spec)
     assert rows_a == rows_b
+
+
+def test_a_point_without_a_stationary_state_names_its_n():
+    # kappa = 0 with g > 0 and omega >= gamma_minus: the photon number is unbounded
+    base = SystemParams(1, 2350.0, 2350.0, 0.11, 0.0, 0.3, 0.3, 0.5)
+    spec = SweepSpec(n_values=(1, 10), drive_rule="fixed", base_params=base, gamma_r=1e-3)
+    with pytest.raises(NoConvergence, match="^sweep point n=1 did not converge: kappa = 0 with "
+                                            "g > 0 and omega >= gamma_minus"):
+        run_concentration_sweep(spec)
 
 
 def test_sweep_spec_validation():
