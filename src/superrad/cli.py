@@ -34,7 +34,7 @@ import os
 import secrets
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +51,8 @@ from .exact import (
     expectation,
     steady_state_exact,
 )
-from .optics import OpticalParams, compute_reflectance_map
-from .sweep import SweepSpec, fit_power_law, run_concentration_sweep
+from .optics import compute_reflectance_map
+from .sweep import fit_power_law, run_concentration_sweep
 from .units import TIME_UNIT_PS
 
 
@@ -204,10 +204,7 @@ def _cmd_cumulant(config: RunConfig):
 
 
 def _cmd_sweep(config: RunConfig):
-    s = config.sweep
-    spec = SweepSpec(n_values=s.n_values, drive_rule=s.drive_rule, base_params=config.params,
-                     gamma_r=s.gamma_r)
-    sweep_rows = run_concentration_sweep(spec)
+    sweep_rows = run_concentration_sweep(config.sweep_spec())
     fit = fit_power_law([(r.n, r.ratio) for r in sweep_rows])
     rows = {
         "n": [r.n for r in sweep_rows], "omega_mev": [r.omega for r in sweep_rows],
@@ -220,7 +217,7 @@ def _cmd_sweep(config: RunConfig):
 
 def _cmd_reflectance(config: RunConfig):
     o = config.optics
-    params = OpticalParams(**{f.name: getattr(o, f.name) for f in fields(OpticalParams)})
+    params = o.optical_params()
     thetas = np.linspace(o.theta_min, o.theta_max, o.n_theta)
     energies = np.linspace(o.e_min, o.e_max, o.n_energy)
     rmap = compute_reflectance_map(params, thetas, energies)

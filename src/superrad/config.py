@@ -9,6 +9,9 @@ class, so nothing is ignored.  parse_config and serialize_config round-trip
 exactly.  A record holds the values its run uses, set when it is made: a
 `drive` section sets `params.omega` to the pump at its voltage, and `optics`
 fills in the `kappa_ext`, `e_min` and `e_max` that the document leaves out.
+Every section is checked when the record is made, whichever command reads
+it: `optics` as the `OpticalParams` it gives, and `sweep` with `params` as
+the `SweepSpec` they give.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import yaml
 
 from .errors import ConfigSyntaxError, MissingSection, TypeMismatch, UnknownKey
 from .exact import DEFAULT_UNKNOWNS_CAP
+from .optics import OpticalParams
 from .params import DriveMap, SystemParams, omega_of_voltage
-from .sweep import DRIVE_RULES
+from .sweep import DRIVE_RULES, SweepSpec
 
 # libyaml's loader when PyYAML was built with it: the same documents and error
 # marks as the pure-Python SafeLoader, several times faster
@@ -86,6 +90,11 @@ class OpticsSection:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
 
+    def optical_params(self) -> OpticalParams:
+        """The model inputs of the section, which OpticalParams checks."""
+        return OpticalParams(**{f.name: getattr(self, f.name)
+                                for f in dataclasses.fields(OpticalParams)})
+
 
 @dataclass(frozen=True)
 class FitSection:
@@ -113,6 +122,17 @@ class RunConfig:
                                      self.drive.voltage)
             if self.params is not None:
                 object.__setattr__(self, "params", replace(self.params, omega=omega))
+        # a section is checked whichever command reads it; sweep needs params
+        if self.optics is not None:
+            self.optics.optical_params()
+        if self.sweep is not None and self.params is not None:
+            self.sweep_spec()
+
+    def sweep_spec(self) -> SweepSpec:
+        """The concentration sweep of the sweep section from params, which SweepSpec checks."""
+        s = self.sweep
+        return SweepSpec(n_values=s.n_values, drive_rule=s.drive_rule, base_params=self.params,
+                         gamma_r=s.gamma_r)
 
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string"}

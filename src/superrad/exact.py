@@ -12,15 +12,19 @@ N=4 and 1724 at N=20, both at n_max=3; they grow as (n_max+1)^2 N^2/4, not
 as 4^N.  The master equation keeps such states so, and the steady state is
 one of them (see steady_state_exact).  L is affine in the parameters, and
 maps Hermitian operators to Hermitian ones, so the steady-state system is
-real, on the Hermitian coordinates of the unknowns.  The pattern of L is
-cached per (n_max, N), whatever the cap: its structure, term tags and
-weights, L's diagonal as a table affine in the rates and the detunings,
-the photon numbers of each unknown's ket and bra, and the unknowns' trace
-weights and adjoints.  A build only fills in the values.  The structure of
-the real system is cached per (n_max, N) and active set, which of g, the
-rates and delta - delta_c are nonzero, its rows and columns numbered in a
-nested-dissection order of the unknowns from their points on a small lattice
-(see _lattice_order): the map from the entries of L to its values, the map
+real, on the Hermitian coordinates of the unknowns.  At resonance, delta =
+delta_c, L also commutes with the antiunitary map rho -> P rho* P, P =
+(-1)^{a'a}, so the steady state is real where n - m is even and imaginary
+where it is odd, and the system keeps only those coordinates, about half of
+them (see _hermitian_system).  The pattern of L is cached per (n_max, N),
+whatever the cap: its structure, term tags and weights, L's diagonal as a
+table affine in the rates and the detunings, the photon numbers of each
+unknown's ket and bra, and the unknowns' trace weights and adjoints.  A
+build only fills in the values.  The structure of the real system is
+cached per (n_max, N) and active set, which of g, the rates and delta -
+delta_c are nonzero, its rows and columns numbered in a nested-dissection
+order of the kept unknowns from their points on a small lattice (see
+_lattice_order): the map from the entries of L to its values, the map
 from its solution to u, and the CSC matrix of the entries that the active
 set can make nonzero, which SuperLU factorises with no further reordering.
 A build makes no scipy matrix: L's CSR is built when Liouvillian.matrix is
@@ -545,15 +549,16 @@ _REACH = np.array([2, 1, 1, 1])
 _LEAF = 32  # most unknowns a part of the lattice order keeps in enumeration order
 
 
-def _lattice_order(pattern: _Pattern) -> np.ndarray:
-    """A nested-dissection order of the unknowns of a pattern, from their lattice points.
+def _lattice_order(pattern: _Pattern, kept: np.ndarray) -> np.ndarray:
+    """A nested-dissection order of the kept unknowns of a pattern, from their lattice points.
 
-    Each unknown sits at the point (n + m, |k_eg - k_ge|, k_ee, k_eg + k_ge),
-    which it shares with its adjoint, as do the rows and columns of the real
-    system that it gives.  An entry of L joins points at most _REACH apart
-    along each coordinate, so the slab one reach wide at the median of a
-    part's widest coordinate, in reaches, separates the points below it from
-    those above.  Those two parts come first, each dissected in turn, then
+    kept marks the unknowns whose rows and columns the real system holds
+    (see _hermitian_system); unknown 0 is always one.  Each unknown sits at
+    the point (n + m, |k_eg - k_ge|, k_ee, k_eg + k_ge), which it shares with
+    its adjoint, as do the rows and columns of the real system that it gives.
+    An entry of L joins points at most _REACH apart along each coordinate,
+    so the slab one reach wide at the median of a part's widest coordinate,
+    in reaches, separates the points below it from those above.  Those two parts come first, each dissected in turn, then
     the slab (George, SIAM J. Numer. Anal. 10, 345, 1973).  A part of at most
     _LEAF unknowns keeps the enumeration order, and unknown 0, whose row is
     the trace row, goes last.
@@ -573,7 +578,7 @@ def _lattice_order(pattern: _Pattern) -> np.ndarray:
         return (dissect(members[at < low]) + dissect(members[at >= high])
                 + [members[(at >= low) & (at < high)]])
 
-    return np.concatenate(dissect(np.arange(1, len(n))) + [np.zeros(1, dtype=np.intp)])
+    return np.concatenate(dissect(np.flatnonzero(kept)[1:]) + [np.zeros(1, dtype=np.intp)])
 
 
 @dataclass(frozen=True)
@@ -582,7 +587,9 @@ class _HermitianSystem:
 
     Its unknowns are the Hermitian coordinates w of the unknowns u (see
     steady_state_exact): a pair i < j = adjoint[i] has u_i = w_i + i w_j
-    and u_j = w_i - i w_j, and a self-adjoint u_s = w_s is real.  Its rows
+    and u_j = w_i - i w_j, and a self-adjoint u_s = w_s is real.  At
+    resonance it holds only the coordinates that can be nonzero (see
+    _hermitian_system), and u reads a dropped one with sign 0.  Its rows
     and columns are numbered in the lattice order: row and column r are
     those of unknown order[r], so the trace row, unknown 0's, is the last.
     It stores only the entries that can be nonzero under its active set, and
@@ -600,7 +607,7 @@ class _HermitianSystem:
     trace_values: np.ndarray  # the trace weights there
     rhs: np.ndarray           # the right-hand side: 1 in the trace row, 0 elsewhere
     # u = (w[u_sources] * u_signs) read as complex: the real and the imaginary
-    # source of each unknown, and the imaginary part's sign, 0 if self-adjoint
+    # source of each unknown, and their signs, 0 for a part that is always 0
     u_sources: np.ndarray     # shape (count, 2)
     u_signs: np.ndarray       # shape (count, 2)
     order: np.ndarray         # _lattice_order: row and column r belong to unknown order[r]
@@ -644,7 +651,24 @@ def _hermitian_system(n_max: int, n_em: int, active: tuple[bool, ...]) -> _Hermi
     (delta - delta_c)(n - m) up to rounding.  A slot is stored when a kept
     part feeds it, and the trace row's slots always are; a zero that
     rounding alone makes stays stored, which SuperLU accepts.
-    Rows and columns are then renumbered by their place in _lattice_order.
+
+    Without detuning, the system keeps about half of its coordinates.  Let
+    Theta rho = P rho* P, with P = (-1)^{a'a} and rho* conjugated in the
+    Fock and emitter basis: Theta u(n, m, k) = (-1)^{n - m} u(n, m, k)*.
+    The imaginary diagonal is an exact 0 in either frame (see
+    build_symmetric_liouvillian); the g entries are imaginary and change
+    the parity of n - m, and the kappa, omega and gamma_minus entries and
+    the rest of the diagonal are real and keep it.  So L Theta = Theta L,
+    Theta maps a steady state to a steady state, and with a one-dimensional
+    null space Theta rho_ss = rho_ss: u is real where n - m is even and
+    imaginary where it is odd.  Only w_lo of each even unknown and w_hi of
+    each odd pair can then be nonzero, and only their equations, row i of an
+    even pair and row j of an odd one, can read a nonzero value.  By the
+    same parities no entry joins a kept and a dropped coordinate, and the
+    dropped block's right-hand side is 0, so the kept block alone gives the
+    w of the whole system.  A detuned system keeps every coordinate.  Rows
+    and columns are then renumbered by their place in the _lattice_order of
+    the kept unknowns.
     """
     import scipy.sparse as sp
     pattern = _symmetric_pattern(n_max, n_em)
@@ -676,25 +700,31 @@ def _hermitian_system(n_max: int, n_em: int, active: tuple[bool, ...]) -> _Hermi
     ]
     rows, cols, sources, factors = (np.concatenate([part[k][part[4]] for part in parts])
                                     for k in range(4))
-    order = _lattice_order(pattern)
-    rank = np.empty(m, dtype=np.intp)
-    rank[order] = np.arange(m)
+    # at resonance the kept coordinates: w_lo where n - m is even, w_hi where it is odd
+    unknown = np.arange(m)
+    kept = detuned | ((adjoint >= unknown) == (pattern.photons.sum(axis=0) % 2 == 0))
+    inside = kept[rows] & kept[cols]
+    rows, cols, sources, factors = rows[inside], cols[inside], sources[inside], factors[inside]
+    order = _lattice_order(pattern, kept)
+    size = len(order)
+    rank = np.zeros(m, dtype=np.intp)  # a dropped coordinate is read with sign 0
+    rank[order] = np.arange(size)
     rows, cols, traced = rank[rows], rank[cols], np.flatnonzero(trace_weights)
-    keys, slot = np.unique(np.concatenate([cols * m + rows, rank[traced] * m + rank[0]]),
+    keys, slot = np.unique(np.concatenate([cols * size + rows, rank[traced] * size + rank[0]]),
                            return_inverse=True)
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
-    indices = (keys % m).astype(np.int32)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // size, minlength=size), out=indptr[1:])
+    indices = (keys % size).astype(np.int32)
     indptr.flags.writeable = indices.flags.writeable = False
-    matrix = sp.csc_matrix((np.empty(len(keys)), indices, indptr), shape=(m, m))
+    matrix = sp.csc_matrix((np.empty(len(keys)), indices, indptr), shape=(size, size))
     matrix.has_canonical_format = True  # sorted, no duplicates: splu leaves it as it is
     terms = np.lexsort((sources, slot[: len(rows)]))
-    rhs = np.zeros(m)
+    rhs = np.zeros(size)
     rhs[rank[0]] = 1.0
-    unknown = np.arange(m)
-    u_sources = rank[np.stack([np.minimum(unknown, adjoint), np.maximum(unknown, adjoint)], axis=1)]
-    u_signs = np.stack([np.ones(m), np.sign(adjoint - unknown)], axis=1)
-    system = _HermitianSystem(matrix, keys // m, slot[terms], sources[terms], factors[terms],
+    coordinates = np.stack([np.minimum(unknown, adjoint), np.maximum(unknown, adjoint)], axis=1)
+    u_sources = rank[coordinates]
+    u_signs = np.stack([np.ones(m), np.sign(adjoint - unknown)], axis=1) * kept[coordinates]
+    system = _HermitianSystem(matrix, keys // size, slot[terms], sources[terms], factors[terms],
                               slot[len(rows):], trace_weights[traced], rhs, u_sources, u_signs,
                               order)
     for arr in (system.columns, system.slots, system.sources, system.factors, system.trace_at,
@@ -718,7 +748,16 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     unknowns u (see _hermitian_system): Re and Im of one equation of each
     conjugate pair and Re of each self-adjoint one, with the first equation,
     which has a trace weight and is redundant, replaced by the trace
-    functional with right-hand side 1.  Its structure, and the map from the
+    functional with right-hand side 1.  At resonance L also commutes with
+    the antiunitary Theta rho = P rho* P, P = (-1)^{a'a}, so Theta maps
+    the steady state to a steady state, and with a one-dimensional null
+    space fixes it: u is real where n - m is even and imaginary where it
+    is odd.  The system then holds only those coordinates and their
+    equations (8550 of 14454 at N=40, n_max=5), and the full system's
+    solution is 0 on the others.  The reduced system still shows a second
+    steady state when (rho + Theta rho)/2 tells the two apart, as in every
+    degenerate rate pattern the tests meet; one that only a Theta-odd part
+    tells apart would pass unseen.  Its structure, and the map from the
     entries of L to its values, are cached per (n_max, N) and active set,
     with only the entries that the set can make nonzero, so a solve is
     one weighted bincount for the values, one real LU factorisation, up to
@@ -732,9 +771,10 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     side is a cached unit vector, and a solve permutes neither it nor w; u
     is read from w through a cached map.  SuperLU reorders nothing further
     and prefers the diagonal pivot (see _HermitianSystem.factorise); at
-    N=40, n_max=5 the factors hold 0.65 times the entries that COLAMD's
-    order gives.  u is normalised and the state validated (by one batched
-    Cholesky factorisation, see SymmetricState.validate).  A singular
+    N=40, n_max=5 the factors hold 0.59 times the entries that COLAMD's
+    order gives at resonance and 0.65 times detuned.  u is normalised and
+    the state validated (by one batched Cholesky factorisation, see
+    SymmetricState.validate).  A singular
     factorisation, or a residual ||L v||_inf on all of L above
     STEADY_RESIDUAL_TOL, signals a degenerate null space.  With g = kappa =
     0 the cavity is decoupled and lossless, so every photon-number
@@ -760,11 +800,10 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
         raise DegenerateSteadyState(
             "g = kappa = 0 conserves the photon number, so the steady state is not unique"
         )
-    m = len(pattern.indptr) - 1
     active = (p.g != 0, p.kappa != 0, p.omega != 0, p.gamma_minus != 0, p.gamma_z != 0,
               p.delta != p.delta_c)
     structure = _hermitian_system(h.n_max, h.n_emitters, active)
-    indices = structure.matrix.indices
+    indices, m = structure.matrix.indices, len(structure.rhs)
     parts = liou.entries.view(np.float64)  # Re e_0, Im e_0, Re e_1, ...
     data = np.bincount(structure.slots, structure.factors * parts[structure.sources],
                        minlength=len(indices))
@@ -777,7 +816,7 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
         raise DegenerateSteadyState(f"steady-state solve failed: {e}") from e
     except MemoryError as e:
         raise DimensionCap(
-            f"factorising the steady-state system of {m} sector unknowns ran out of memory"
+            f"factorising the steady-state system of {m} real sector unknowns ran out of memory"
         ) from e
     w = solve(rhs)
     for _ in range(3):

@@ -161,6 +161,25 @@ def test_a_non_finite_drive_is_an_invalid_value_record(tmp_path, capfd, old, new
     assert record["error"] == "InvalidValue" and "must be finite" in record["message"]
 
 
+@pytest.mark.parametrize("command, section, message", [
+    ("fit", "optics: {e_c0: 2300.0, n_eff: 0.9, delta: 2350.0, g_coll: 11.0, kappa: 134.0, "
+            "gamma_perp: 331.0}\n", "n_eff must be > 1"),
+    ("validate", "sweep: {n_values: [100, 10], drive_rule: scaled, gamma_r: 0.001}\n",
+     "n_values must be strictly increasing"),
+], ids=["fit_with_bad_optics", "validate_with_bad_sweep"])
+def test_a_section_the_command_does_not_read_is_still_checked(tmp_path, capfd, command, section,
+                                                              message):
+    # an optics or sweep section was checked only by the command that reads it
+    base = {"fit": "command: fit\nfit: {points: [[10, 1.0], [100, 2.0]]}\n",
+            "validate": CUMULANT_DOC.format(omega="1.0").replace("cumulant", "validate")}
+    cfg = _write(tmp_path, "c.yaml", base[command] + section)
+    out = tmp_path / "out"
+    record = _error_record(capfd, [command, "--config", str(cfg), "--out-dir", str(out)], out)
+    assert record == {"error": "InvalidValue", "message": message}
+    assert main([command, "--config", str(_write(tmp_path, "ok.yaml", base[command])),
+                 "--out-dir", str(out)]) == 0
+
+
 def test_command_mismatch_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, "c.yaml", CUMULANT_DOC.format(omega="1.0"))
     assert main(["exact", "--config", str(cfg)]) != 0

@@ -169,6 +169,26 @@ def test_an_optics_section_fills_in_the_values_the_document_leaves_out():
     assert parse_config(serialize_config(config)) == config
 
 
+def test_optics_and_sweep_sections_are_checked_whichever_command_reads_them():
+    optics = OpticsSection(e_c0=2300.0, n_eff=0.9, delta=2350.0, g_coll=11.0, kappa=134.0,
+                           gamma_perp=331.0)
+    with pytest.raises(InvalidValue, match="n_eff must be > 1"):
+        RunConfig(command="fit", fit=FitSection(points=((10.0, 1.0), (100.0, 2.0))),
+                  optics=optics)
+    params = SystemParams(1, 2350.0, 2350.0, 0.11, 134.0, 3e-4, 0.3, 0.5)
+    sweep = SweepSection(n_values=(100, 10), drive_rule="fixed", gamma_r=1e-3)
+    with pytest.raises(InvalidValue, match="n_values must be strictly increasing"):
+        RunConfig(command="validate", params=params, sweep=sweep)
+    # a sweep is checked against the params it runs at, after a drive sets omega
+    drive = DriveSection(v_on=2.0, slope_mu=0.5, voltage=1.0)  # below onset: omega 0
+    ok = dataclasses.replace(sweep, n_values=(10, 100))
+    assert RunConfig(command="validate", params=params, sweep=ok).sweep_spec().n_values == (10, 100)
+    with pytest.raises(InvalidValue, match="base omega must be > 0"):
+        RunConfig(command="validate", params=params, sweep=ok, drive=drive)
+    with pytest.raises(InvalidValue, match="n_eff must be > 1"):
+        parse_config("command: reflectance\n" + OPTICS_BLOCK.replace("n_eff: 1.8", "n_eff: 0.9"))
+
+
 @pytest.mark.parametrize("text", ["", "# a comment only\n"])
 def test_an_empty_document_misses_its_command(text):
     with pytest.raises(MissingSection) as err:

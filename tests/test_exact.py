@@ -328,19 +328,34 @@ def _zero_pattern_points():
                                                                p.n_emitters), frame)
 
 
+def _stored_by_coordinate(system, values):
+    """(row coordinate, column coordinate, value) of each stored entry, by column then row."""
+    rows, cols = system.order[system.matrix.indices], system.order[system.columns]
+    sort = np.lexsort((rows, cols))
+    return rows[sort], cols[sort], values[sort]
+
+
 def test_the_kept_entries_of_an_active_set_are_the_nonzero_values():
-    # the system with every part kept holds every slot L can fill; the system
-    # of an L's active set must keep exactly the slots where its values are
-    # not 0, with the same values
+    # the system with every part kept holds every slot L can fill, on every
+    # coordinate; the system of an L's active set must keep exactly the slots
+    # where its values are not 0, with the same values, on the coordinates
+    # it holds: all of them if detuned, and otherwise a set that no nonzero
+    # value joins to the others
     for liou in _zero_pattern_points():
         h = liou.hilbert
         full = exact._hermitian_system(h.n_max, h.n_emitters, (True,) * 6)
         kept = exact._hermitian_system(h.n_max, h.n_emitters, _active(liou.params))
-        values = _system_values(full, liou)
+        held = np.zeros(len(full.order), dtype=bool)
+        held[kept.order] = True
+        assert held.sum() == len(kept.order)
+        assert held.all() == _active(liou.params)[-1]
+        rows, cols, values = _stored_by_coordinate(full, _system_values(full, liou))
         nonzero = values != 0
-        assert np.array_equal(kept.matrix.indices, full.matrix.indices[nonzero])
-        assert np.array_equal(kept.columns, full.columns[nonzero])
-        assert _system_values(kept, liou).tobytes() == values[nonzero].tobytes()
+        assert np.array_equal(held[rows][nonzero], held[cols][nonzero])
+        inside = nonzero & held[rows]
+        got = _stored_by_coordinate(kept, _system_values(kept, liou))
+        for got_part, part in zip(got, (rows, cols, values)):
+            assert got_part.tobytes() == part[inside].tobytes()
 
 
 def test_solves_build_the_csr_of_l_only_when_it_is_read(monkeypatch):
@@ -539,12 +554,64 @@ def test_sector_solve_matches_full_space_solve(n_em, n_max):
         assert dense_trace_distance(rho, reference) <= 1e-12
 
 
+@pytest.mark.parametrize("frame", ["as_written", "rotating"])
+def test_a_resonant_full_space_steady_state_is_fixed_by_the_parity_conjugation(frame):
+    # Theta rho = P rho* P with P = (-1)^{a'a} fixes the steady state at delta =
+    # delta_c: the kron reference's rho is real where n_i + n_j is even and
+    # imaginary where it is odd, which the reduced system assumes; 3 meV off
+    # resonance it is not, so a reduction applied there would be caught
+    rng = np.random.default_rng(3401)
+    for n_em in (1, 2, 3):
+        for _ in range(3):
+            p = random_params(rng, n_em)
+            h = HilbertConfig(int(rng.integers(1, 4)), n_em)
+            photons = np.arange(h.dim) // 2**n_em  # the field factor comes first
+            odd = (photons[:, None] + photons[None, :]) % 2 == 1
+            broken = []
+            for delta_c in (p.delta, p.delta + 3.0):
+                lmat = kron_liouvillian(dataclasses.replace(p, delta_c=delta_c), h, frame)
+                rho = full_space_steady_state(lmat, h.dim)
+                broken.append(max(np.abs(rho.imag[~odd]).max(), np.abs(rho.real[odd]).max()))
+            assert broken[0] <= 1e-12 and broken[1] > 1e-5
+
+
+def _solve_on(system, liou):
+    """u from one solve of liou's steady state on system, and the solved w, unrefined."""
+    w = system.factorise(_system_values(system, liou))(system.rhs)
+    u = (w[system.u_sources] * system.u_signs).view(complex).ravel()
+    return u / (liou.pattern.trace_weights @ u.real), w
+
+
+@pytest.mark.parametrize("frame", ["as_written", "rotating"])
+def test_the_reduced_resonant_solve_is_the_solve_on_every_coordinate(frame):
+    # at resonance the system holds only the coordinates that Theta lets be
+    # nonzero; the solve on every coordinate puts exact zeros on the others
+    # and the same u within 1e-14; a detuned system holds every coordinate
+    rng = np.random.default_rng(3402)
+    for _ in range(30):
+        p = random_params(rng, int(rng.integers(1, 11)))
+        p = dataclasses.replace(p, delta_c=p.delta)
+        h = HilbertConfig(int(rng.integers(1, 4)), p.n_emitters)
+        liou = build_symmetric_liouvillian(p, h, frame)
+        full = exact._hermitian_system(h.n_max, h.n_emitters, (True,) * 6)
+        reduced = exact._hermitian_system(h.n_max, h.n_emitters, _active(p))
+        assert len(reduced.order) < len(full.order) == h.symmetric_unknowns
+        u, w = _solve_on(full, liou)
+        dropped = ~np.isin(full.order, reduced.order)
+        assert np.all(w[dropped] == 0)
+        state = steady_state_exact(liou).mat
+        assert np.abs(state - u).max() <= 1e-14 * np.abs(u).max()
+        detuned = exact._hermitian_system(h.n_max, h.n_emitters, _active(p)[:-1] + (True,))
+        assert np.array_equal(np.sort(detuned.order), np.arange(h.symmetric_unknowns))
+
+
 def test_steady_state_out_of_memory_is_a_dimension_cap(monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(spla, "splu", exhausted)
-    with pytest.raises(DimensionCap, match="92 sector unknowns"):
+    # N=4, n_max=3 has 92 unknowns; at resonance the system holds 64 of their coordinates
+    with pytest.raises(DimensionCap, match="of 64 real sector unknowns"):
         steady_state_exact(build_symmetric_liouvillian(regression_params(4), HilbertConfig(3, 4)))
 
 
@@ -605,12 +672,18 @@ def test_each_kept_entry_mask_builds_its_csc_once_and_factorises_it_naturally(mo
                for p in (regression_params(2), detuned)]
     assert [system.matrix for system in systems] == [matrices[0], matrices[2]]
     assert len(matrices[0].indices) < len(matrices[2].indices)
-    # the system is numbered in the lattice order, trace row last, and its
-    # CSC is canonical, with no stored zero on these draws
-    for system in systems:
+    # the system is numbered in the lattice order of the coordinates it holds,
+    # trace row last, and its CSC is canonical, with no stored zero on these
+    # draws; at resonance it holds w_lo of each unknown whose n - m is even and
+    # w_hi of each whose n - m is odd, and detuned every coordinate
+    pattern = exact._symmetric_pattern(h.n_max, h.n_emitters)
+    unknown = np.arange(h.symmetric_unknowns)
+    n, m = pattern.photons
+    invariant = (pattern.adjoint >= unknown) == ((n - m) % 2 == 0)
+    for system, held in zip(systems, (np.flatnonzero(invariant), unknown)):
         order, csc = system.order, system.matrix
         assert order[-1] == 0 and np.array_equal(system.rhs, np.eye(len(order))[-1])
-        assert np.array_equal(np.sort(order), np.arange(len(order)))
+        assert np.array_equal(np.sort(order), held)
         columns = np.split(csc.indices, csc.indptr[1:-1])  # none empty, each ascending
         assert csc.has_canonical_format and all(np.all(np.diff(c) > 0) for c in columns)
         assert np.all(np.diff(csc.indptr) > 0)
@@ -755,7 +828,7 @@ def test_a_non_finite_solve_is_a_degenerate_steady_state(monkeypatch):
 
 
 @pytest.mark.parametrize("shift, message", [
-    (1e-6, r"steady-state residual 1\.828e-04 exceeds 1e-10; null space is likely degenerate"),
+    (1e-6, r"steady-state residual 1\.492e-04 exceeds 1e-10; null space is likely degenerate"),
     (None, "steady-state trace collapsed to zero"),
 ], ids=["offset_solve", "zero_solve"])
 def test_a_wrong_solve_is_refused_by_the_oracle_guards(monkeypatch, shift, message):
