@@ -10,8 +10,9 @@ exactly.  A record holds the values its run uses, set when it is made: a
 `drive` section sets `params.omega` to the pump at its voltage, and `optics`
 fills in the `kappa_ext`, `e_min` and `e_max` that the document leaves out.
 Every section is checked when the record is made, whichever command reads
-it: `optics` as the `OpticalParams` it gives, and `sweep` with `params` as
-the `SweepSpec` they give.
+it: `optics` as the `OpticalParams` it gives, and `sweep` by its own fields
+and, with `params`, as the `SweepSpec` they give, which adds only that the
+base omega is > 0.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import ConfigSyntaxError, MissingSection, TypeMismatch, UnknownKey
 from .exact import DEFAULT_UNKNOWNS_CAP
 from .optics import OpticalParams
 from .params import DriveMap, SystemParams, omega_of_voltage
-from .sweep import DRIVE_RULES, SweepSpec
+from .sweep import DRIVE_RULES, SweepSpec, check_sweep
 
 # libyaml's loader when PyYAML was built with it: the same documents and error
 # marks as the pure-Python SafeLoader, several times faster
@@ -66,6 +67,9 @@ class SweepSection:
     n_values: tuple[int, ...]
     drive_rule: str = field(metadata={"choices": DRIVE_RULES})
     gamma_r: float
+
+    def __post_init__(self):
+        check_sweep(self.n_values, self.drive_rule, self.gamma_r)  # with or without params
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,8 @@ class RunConfig:
                                      self.drive.voltage)
             if self.params is not None:
                 object.__setattr__(self, "params", replace(self.params, omega=omega))
-        # a section is checked whichever command reads it; sweep needs params
+        # a section is checked whichever command reads it; a sweep section
+        # checks its own fields, and its base omega with params
         if self.optics is not None:
             self.optics.optical_params()
         if self.sweep is not None and self.params is not None:

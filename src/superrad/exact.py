@@ -26,7 +26,11 @@ delta_c are nonzero, its rows and columns numbered in a nested-dissection
 order of the kept unknowns from their points on a small lattice (see
 _lattice_order): the map from the entries of L to its values, the map
 from its solution to u, and the CSC matrix of the entries that the active
-set can make nonzero, which SuperLU factorises with no further reordering.
+set can make nonzero.  A system of at most _DENSE_MAX = 200 rows, such as
+every rung up to N=4, n_max=7 at resonance, is scattered into a dense array
+and factorised by LAPACK, where SuperLU's fixed cost per call would be most
+of the time; a larger one is factorised by SuperLU in the lattice order,
+with no further reordering (see _HermitianSystem.factorise).
 A build makes no scipy matrix: L's CSR is built when Liouvillian.matrix is
 first read, and a steady-state solve writes its values into the cached CSC.
 One map from u to the excitation sub-blocks of the state's total-spin
@@ -547,6 +551,7 @@ def trace_distance(a: SymmetricState, b: SymmetricState) -> float:
 # point (see _lattice_order): kappa moves n + m by 2, no term any other by more than 1
 _REACH = np.array([2, 1, 1, 1])
 _LEAF = 32  # most unknowns a part of the lattice order keeps in enumeration order
+_DENSE_MAX = 200  # most rows of a steady-state system factorised densely (see factorise)
 
 
 def _lattice_order(pattern: _Pattern, kept: np.ndarray) -> np.ndarray:
@@ -615,14 +620,42 @@ class _HermitianSystem:
     def factorise(self, data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """The solve b -> w of the system with values data, LU-factorised in the lattice order.
 
-        The system is numbered in the lattice order, so SuperLU factorises it
-        with NATURAL, which reorders no column, and takes the diagonal pivot
-        unless it is below 0.1 times the largest in its column;
-        steady_state_exact's refinement and residual check guard a small
-        pivot.  The values are written into the system's one CSC, and SuperLU
-        copies them, so a solve returned earlier keeps its own, but a system
-        must not be factorised from two threads at once.
+        A system of at most _DENSE_MAX rows is scattered into a dense m x m
+        array and factorised by LAPACK's dgetrf with partial pivoting: at
+        that size SuperLU's fixed cost per call, about 25 us, is most of the
+        work.  A whole steady-state solve took about 0.6 times as long with
+        the dense factor at 14 to 108 rows and 0.75 to 0.96 times at 142 to
+        204; from 218 rows the two traded places, and SuperLU was faster on
+        most shapes from 250 on (2 cores, OpenBLAS).  Partial pivoting mixes
+        rows whose unknowns differ by orders of magnitude: one dense solve
+        left a two-photon population of 6e-10 off by 9e-8 relatively with a
+        residual of 2e-16 already, so each dense solve takes one step of
+        iterative refinement against the dense matrix, which brought it to
+        3e-16.  An exact zero pivot raises DegenerateSteadyState, as
+        SuperLU's "exactly singular" does.  A larger system is numbered in
+        the lattice order, so SuperLU factorises it with NATURAL, which
+        reorders no column, and takes the diagonal pivot unless it is below
+        0.1 times the largest in its column; steady_state_exact's refinement
+        and residual check guard a small pivot.  The values are written into
+        the system's one CSC, and SuperLU copies them, so a solve returned
+        earlier keeps its own, but a system must not be factorised from two
+        threads at once.
         """
+        m = len(self.rhs)
+        if m <= _DENSE_MAX:
+            from scipy.linalg.lapack import dgetrf, dgetrs
+            dense = np.zeros((m, m), order="F")
+            dense[self.matrix.indices, self.columns] = data
+            lu, pivots, info = dgetrf(dense)
+            if info > 0:
+                raise DegenerateSteadyState(f"steady-state solve failed: exact zero pivot "
+                                            f"at row {info - 1} of the dense factor")
+
+            def solve(b: np.ndarray) -> np.ndarray:
+                x = dgetrs(lu, pivots, b)[0]
+                return x + dgetrs(lu, pivots, b - dense @ x)[0]
+
+            return solve
         import scipy.sparse.linalg as spla
         self.matrix.data[:] = data
         lu = spla.splu(self.matrix, permc_spec="NATURAL", diag_pivot_thresh=0.1,
@@ -769,10 +802,14 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     k_ge), and L joins only nearby points, so slabs of the lattice separate
     it (see _lattice_order).  The trace row comes last, so the right-hand
     side is a cached unit vector, and a solve permutes neither it nor w; u
-    is read from w through a cached map.  SuperLU reorders nothing further
-    and prefers the diagonal pivot (see _HermitianSystem.factorise); at
-    N=40, n_max=5 the factors hold 0.59 times the entries that COLAMD's
-    order gives at resonance and 0.65 times detuned.  u is normalised and
+    is read from w through a cached map.  A small system is factorised
+    densely, with partial pivoting and one step of refinement in each
+    solve, as SuperLU's fixed cost per call would dominate it; a system of
+    more than _DENSE_MAX rows goes to SuperLU, which reorders nothing
+    further and prefers the diagonal pivot (see
+    _HermitianSystem.factorise); at N=40, n_max=5 its factors hold 0.59
+    times the entries that COLAMD's order gives at resonance and 0.65 times
+    detuned.  u is normalised and
     the state validated (by one batched Cholesky factorisation, see
     SymmetricState.validate).  A singular
     factorisation, or a residual ||L v||_inf on all of L above

@@ -30,6 +30,28 @@ from .params import SystemParams, checked_emitter_count, is_integer
 DRIVE_RULES = ("scaled", "fixed")
 
 
+def check_sweep(n_values: tuple[int, ...], drive_rule: str, gamma_r: float) -> None:
+    """Raise InvalidValue unless a sweep's own fields are valid; its base params are not read.
+
+    n_values must be a non-empty, strictly increasing run of integers >= 1,
+    drive_rule one of DRIVE_RULES and gamma_r finite and > 0.  SweepSpec and
+    the config's sweep section both check their fields here.
+    """
+    if drive_rule not in DRIVE_RULES:
+        raise InvalidValue(f"drive_rule must be one of {DRIVE_RULES}")
+    if len(n_values) == 0:
+        raise InvalidValue("n_values must be non-empty")
+    bad = [n for n in n_values if not is_integer(n)]
+    if bad:
+        raise InvalidValue(f"n_values must be integers, got {bad[0]!r}")
+    if any(n < 1 for n in n_values):
+        raise InvalidValue("all n_values must be >= 1")
+    if any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise InvalidValue("n_values must be strictly increasing")
+    if not 0 < gamma_r < math.inf:
+        raise InvalidValue(f"gamma_r must be finite and > 0, got {gamma_r!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One concentration sweep; base_params.omega is the per-emitter pump at N=1."""
@@ -40,21 +62,9 @@ class SweepSpec:
     gamma_r: float               # free-space radiative rate of the control, meV
 
     def __post_init__(self):
-        if self.drive_rule not in DRIVE_RULES:
-            raise InvalidValue(f"drive_rule must be one of {DRIVE_RULES}")
-        if len(self.n_values) == 0:
-            raise InvalidValue("n_values must be non-empty")
-        bad = [n for n in self.n_values if not is_integer(n)]
-        if bad:
-            raise InvalidValue(f"n_values must be integers, got {bad[0]!r}")
-        if any(n < 1 for n in self.n_values):
-            raise InvalidValue("all n_values must be >= 1")
-        if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
-            raise InvalidValue("n_values must be strictly increasing")
+        check_sweep(self.n_values, self.drive_rule, self.gamma_r)
         if not self.base_params.omega > 0:
             raise InvalidValue("base omega must be > 0")
-        if not 0 < self.gamma_r < math.inf:
-            raise InvalidValue(f"gamma_r must be finite and > 0, got {self.gamma_r!r}")
 
 
 @dataclass(frozen=True)

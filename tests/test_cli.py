@@ -122,6 +122,7 @@ def test_exact_out_of_memory_error_record(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
+    monkeypatch.setattr("superrad.exact._DENSE_MAX", 0)  # a system this small goes to SuperLU
     monkeypatch.setattr("scipy.sparse.linalg.splu", exhausted)
     doc = """
 command: exact
@@ -166,12 +167,16 @@ def test_a_non_finite_drive_is_an_invalid_value_record(tmp_path, capfd, old, new
             "gamma_perp: 331.0}\n", "n_eff must be > 1"),
     ("validate", "sweep: {n_values: [100, 10], drive_rule: scaled, gamma_r: 0.001}\n",
      "n_values must be strictly increasing"),
-], ids=["fit_with_bad_optics", "validate_with_bad_sweep"])
+    ("reflectance", "sweep: {n_values: [-5, 10], drive_rule: scaled, gamma_r: 1.0e-3}\n",
+     "all n_values must be >= 1"),
+], ids=["fit_with_bad_optics", "validate_with_bad_sweep", "reflectance_with_bad_sweep_no_params"])
 def test_a_section_the_command_does_not_read_is_still_checked(tmp_path, capfd, command, section,
                                                               message):
-    # an optics or sweep section was checked only by the command that reads it
+    # an optics or sweep section was checked only by the command that reads
+    # it, and a sweep section beside no params section by no command but sweep
     base = {"fit": "command: fit\nfit: {points: [[10, 1.0], [100, 2.0]]}\n",
-            "validate": CUMULANT_DOC.format(omega="1.0").replace("cumulant", "validate")}
+            "validate": CUMULANT_DOC.format(omega="1.0").replace("cumulant", "validate"),
+            "reflectance": REFLECTANCE_DOC}
     cfg = _write(tmp_path, "c.yaml", base[command] + section)
     out = tmp_path / "out"
     record = _error_record(capfd, [command, "--config", str(cfg), "--out-dir", str(out)], out)

@@ -176,12 +176,13 @@ def test_optics_and_sweep_sections_are_checked_whichever_command_reads_them():
         RunConfig(command="fit", fit=FitSection(points=((10.0, 1.0), (100.0, 2.0))),
                   optics=optics)
     params = SystemParams(1, 2350.0, 2350.0, 0.11, 134.0, 3e-4, 0.3, 0.5)
-    sweep = SweepSection(n_values=(100, 10), drive_rule="fixed", gamma_r=1e-3)
+    # a sweep section checks its own fields when made, with or without params
     with pytest.raises(InvalidValue, match="n_values must be strictly increasing"):
-        RunConfig(command="validate", params=params, sweep=sweep)
+        RunConfig(command="validate", params=params,
+                  sweep=SweepSection(n_values=(100, 10), drive_rule="fixed", gamma_r=1e-3))
     # a sweep is checked against the params it runs at, after a drive sets omega
     drive = DriveSection(v_on=2.0, slope_mu=0.5, voltage=1.0)  # below onset: omega 0
-    ok = dataclasses.replace(sweep, n_values=(10, 100))
+    ok = SweepSection(n_values=(10, 100), drive_rule="fixed", gamma_r=1e-3)
     assert RunConfig(command="validate", params=params, sweep=ok).sweep_spec().n_values == (10, 100)
     with pytest.raises(InvalidValue, match="base omega must be > 0"):
         RunConfig(command="validate", params=params, sweep=ok, drive=drive)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -305,22 +306,29 @@ def test_hermitian_system_is_cached_and_read_only():
     assert np.array_equal(np.bincount(indices, data * w[system.columns], minlength=m), product)
 
 
-def _zero_pattern_points():
+_RATE_NAMES = ("g", "kappa", "omega", "gamma_minus", "gamma_z")
+
+
+def _rate_pattern_points():
     """L at every zero pattern of (g, kappa, omega, gamma_minus, gamma_z), resonant and
-    detuned, in both frames at N = 1-3 and n_max 2-3, then 20 seeded draws at N <= 10 in both."""
-    names = ("g", "kappa", "omega", "gamma_minus", "gamma_z")
+    detuned, in both frames at N = 1-3 and n_max 2-3: 768 points."""
     for n_em in (1, 2, 3):
-        for k in range(2 ** len(names)):
-            zeroed = dict.fromkeys([name for j, name in enumerate(names) if k >> j & 1], 0.0)
+        for k in range(2 ** len(_RATE_NAMES)):
+            zeroed = dict.fromkeys([name for j, name in enumerate(_RATE_NAMES) if k >> j & 1], 0.0)
             for delta_c in (_PATTERN_BASE.delta, _PATTERN_BASE.delta_c):
                 p = dataclasses.replace(_PATTERN_BASE, n_emitters=n_em, delta_c=delta_c, **zeroed)
                 for n_max in (2, 3):
                     for frame in ("as_written", "rotating"):
                         yield build_symmetric_liouvillian(p, HilbertConfig(n_max, n_em), frame)
+
+
+def _zero_pattern_points():
+    """The rate patterns of _rate_pattern_points, then 20 seeded draws at N <= 10 in both frames."""
+    yield from _rate_pattern_points()
     rng = np.random.default_rng(3101)
     for _ in range(20):
         p = random_params(rng, int(rng.integers(1, 11)))
-        p = dataclasses.replace(p, **{name: 0.0 for name in names if rng.random() < 0.3})
+        p = dataclasses.replace(p, **{name: 0.0 for name in _RATE_NAMES if rng.random() < 0.3})
         if rng.random() < 0.5:
             p = dataclasses.replace(p, delta_c=p.delta)
         for frame in ("as_written", "rotating"):
@@ -609,6 +617,7 @@ def test_steady_state_out_of_memory_is_a_dimension_cap(monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
+    monkeypatch.setattr(exact, "_DENSE_MAX", 0)  # every system goes to SuperLU
     monkeypatch.setattr(spla, "splu", exhausted)
     # N=4, n_max=3 has 92 unknowns; at resonance the system holds 64 of their coordinates
     with pytest.raises(DimensionCap, match="of 64 real sector unknowns"):
@@ -622,7 +631,11 @@ def _cold_and_warm(liou):
 
 
 def _spy_on_splu(monkeypatch):
-    """Patch splu to log (matrix, permc_spec, LU) of each factorisation that succeeds into the returned list."""
+    """Patch splu to log (matrix, permc_spec, LU) of each factorisation that succeeds into the returned list.
+
+    Every system is then factorised by SuperLU, whatever its size.
+    """
+    monkeypatch.setattr(exact, "_DENSE_MAX", 0)
     calls, splu = [], spla.splu
 
     def spy(a, permc_spec=None, **kwargs):
@@ -635,19 +648,22 @@ def _spy_on_splu(monkeypatch):
 
 
 @pytest.mark.parametrize("frame", ["as_written", "rotating"])
-def test_a_repeated_solve_is_bitwise_the_first(frame):
+def test_a_repeated_solve_is_bitwise_the_first(monkeypatch, frame):
     # at the reference point SuperLU meets exact pivot ties; the second solve
-    # writes into the CSC the first built, and must factorise it the same way
+    # writes into the CSC the first built, and must factorise it the same way;
+    # these systems are small enough for the dense factor too, so both paths run
     rng = np.random.default_rng(16)
     draws = [regression_params(1), regression_params(2)]
     for n_em in (1, 2, 3):
         p = random_params(rng, n_em)
         draws += [dataclasses.replace(p, gamma_z=0.0), dataclasses.replace(p, delta_c=p.delta + 3.0)]
-    for p in draws:
-        for n_max in (2, 3):
-            cold, warm = _cold_and_warm(
-                build_symmetric_liouvillian(p, HilbertConfig(n_max, p.n_emitters), frame))
-            assert warm.mat.tobytes() == cold.mat.tobytes()
+    for dense_max in (0, exact._DENSE_MAX):
+        monkeypatch.setattr(exact, "_DENSE_MAX", dense_max)
+        for p in draws:
+            for n_max in (2, 3):
+                cold, warm = _cold_and_warm(
+                    build_symmetric_liouvillian(p, HilbertConfig(n_max, p.n_emitters), frame))
+                assert warm.mat.tobytes() == cold.mat.tobytes()
 
 
 def test_each_kept_entry_mask_builds_its_csc_once_and_factorises_it_naturally(monkeypatch):
@@ -792,6 +808,7 @@ def test_an_exhausted_factorisation_leaves_the_next_solve_correct(monkeypatch):
 
     liou = build_symmetric_liouvillian(regression_params(3), HilbertConfig(3, 3))
     exact._hermitian_system.cache_clear()
+    monkeypatch.setattr(exact, "_DENSE_MAX", 0)  # every system goes to SuperLU
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", exhausted)
     with pytest.raises(DimensionCap, match="ran out of memory"):
@@ -809,10 +826,108 @@ def test_a_failing_reordered_factorisation_is_typed(monkeypatch, error, typed):
         raise error("Factor is exactly singular")
 
     liou = build_symmetric_liouvillian(regression_params(3), HilbertConfig(3, 3))
+    monkeypatch.setattr(exact, "_DENSE_MAX", 0)  # every system goes to SuperLU
     steady_state_exact(liou)
     monkeypatch.setattr(spla, "splu", fail)
     with pytest.raises(typed):
         steady_state_exact(liou)
+
+
+def _solve_on_both_paths(monkeypatch, liou):
+    """steady_state_exact(liou)'s u, or the DegenerateSteadyState it raised, by SuperLU and
+    by the dense factor, in that order."""
+    outcomes = []
+    for dense_max in (0, np.inf):
+        monkeypatch.setattr(exact, "_DENSE_MAX", dense_max)
+        try:
+            outcomes.append(steady_state_exact(liou).mat)
+        except DegenerateSteadyState as e:
+            outcomes.append(e)
+    return outcomes
+
+
+def test_a_singular_dense_factorisation_is_a_degenerate_steady_state(monkeypatch):
+    # no pump, no emitter decay and no dephasing leave every emitter
+    # population stationary: the dense factor meets an exact zero pivot where
+    # SuperLU finds the factor exactly singular
+    p = dataclasses.replace(_PATTERN_BASE, n_emitters=2, omega=0.0, gamma_minus=0.0, gamma_z=0.0)
+    liou = build_symmetric_liouvillian(p, HilbertConfig(3, 2))
+    assert len(exact._hermitian_system(3, 2, _active(p)).rhs) <= exact._DENSE_MAX
+    with pytest.raises(DegenerateSteadyState,
+                       match=r"^steady-state solve failed: exact zero pivot at row \d+ of the dense"):
+        steady_state_exact(liou)
+    monkeypatch.setattr(exact, "_DENSE_MAX", 0)
+    with pytest.raises(DegenerateSteadyState, match="Factor is exactly singular"):
+        steady_state_exact(liou)
+
+
+def test_an_exhausted_dense_factorisation_is_a_dimension_cap(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    liou = build_symmetric_liouvillian(regression_params(4), HilbertConfig(3, 4))
+    dgetrf = lapack.dgetrf
+    monkeypatch.setattr(lapack, "dgetrf", exhausted)
+    # N=4, n_max=3 has 92 unknowns; at resonance the system holds 64 of their coordinates
+    with pytest.raises(DimensionCap, match="of 64 real sector unknowns ran out of memory"):
+        steady_state_exact(liou)
+    monkeypatch.setattr(lapack, "dgetrf", dgetrf)
+    assert_matches_complex_solve(liou)
+
+
+@pytest.mark.parametrize("frame", ["as_written", "rotating"])
+def test_the_dense_and_sparse_factorisations_agree_on_seeded_draws(monkeypatch, frame):
+    # N 1-8 at n_max 2-6, resonant and detuned: systems on both sides of _DENSE_MAX
+    threshold, sizes = exact._DENSE_MAX, []
+    rng = np.random.default_rng(3503)
+    for _ in range(24):
+        p = random_params(rng, int(rng.integers(1, 9)))
+        if rng.random() < 0.5:
+            p = dataclasses.replace(p, delta_c=p.delta)
+        h = HilbertConfig(int(rng.integers(2, 7)), p.n_emitters)
+        sparse, dense = _solve_on_both_paths(monkeypatch, build_symmetric_liouvillian(p, h, frame))
+        assert np.abs(sparse - dense).max() <= 1e-14
+        sizes.append(len(exact._hermitian_system(h.n_max, h.n_emitters, _active(p)).rhs))
+    assert min(sizes) <= threshold < max(sizes)
+
+
+def test_the_two_factorisations_give_one_outcome_on_every_rate_pattern(monkeypatch):
+    # the same state within 1e-14, or DegenerateSteadyState on both paths
+    degenerate = 0
+    for liou in _rate_pattern_points():
+        sparse, dense = _solve_on_both_paths(monkeypatch, liou)
+        if isinstance(sparse, DegenerateSteadyState) or isinstance(dense, DegenerateSteadyState):
+            assert type(sparse) is type(dense)
+            degenerate += 1
+        else:
+            assert np.abs(sparse - dense).max() <= 1e-14
+    assert degenerate == 304
+
+
+def test_the_dense_factorisation_is_no_further_from_the_kron_reference(monkeypatch):
+    # flux and g2(0) at N <= 3 against the full-space steady state: the dense
+    # path's relative error is at most SuperLU's plus 4 ulps, as the two trade
+    # places at the reference's own rounding from draw to draw
+    slack = 8 * np.finfo(float).eps
+    rng = np.random.default_rng(3504)
+    for _ in range(16):
+        p = random_params(rng, int(rng.integers(1, 4)))
+        if rng.random() < 0.5:
+            p = dataclasses.replace(p, delta_c=p.delta)
+        h = HilbertConfig(int(rng.integers(2, 5)), p.n_emitters)
+        rho = full_space_steady_state(kron_liouvillian(p, h), h.dim)
+        n_ref = dense_expectation(rho, "photon_number", h).real
+        flux_ref = p.kappa * n_ref
+        g2_ref = dense_expectation(rho, "photon_pair", h).real / n_ref**2
+        errors = []
+        for u in _solve_on_both_paths(monkeypatch, build_symmetric_liouvillian(p, h)):
+            state = SymmetricState(u, h)
+            n = expectation(state, "photon_number").real
+            g2 = expectation(state, "photon_pair").real / n**2
+            errors.append(np.abs([p.kappa * n / flux_ref - 1, g2 / g2_ref - 1]))
+        sparse, dense = errors
+        assert np.all(sparse <= 1e-12)
+        assert np.all(dense <= sparse + slack)
 
 
 def test_a_non_finite_solve_is_a_degenerate_steady_state(monkeypatch):

@@ -248,8 +248,7 @@ def test_a_coherence_alone_makes_a_lower_spin_block_indefinite(n_em):
     # sum_{i != j} s+_i s-_j, the coherence u(0, 0, (0, 1, 1, N-2)), is N - 1 on
     # the one-excitation Dicke state and -1 on the states of spin N/2 - 1
     h = HilbertConfig(3, n_em)
-    p = SystemParams(n_em, 2000.0, 2000.0, 1.2, 30.0, 0.0, 0.2, 0.5)  # no pump: the vacuum
-    u = steady_state_exact(build_symmetric_liouvillian(p, h)).mat.copy()
+    u = SymmetricState.vacuum(h).mat  # the steady state with no pump
     u[exact._symmetric_pattern(h.n_max, n_em).index[0, 0, 1, 1]] = 1e-3 * n_em * (n_em - 1)
     state = SymmetricState(u, h)
     # the slices of 2j = N come first, one per excitation e = 0 .. n_max + N
