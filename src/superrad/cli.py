@@ -16,13 +16,20 @@ column name to a list, to a float64 array, or to an `_Axis` of a grid.  A
 data file is written in chunks of at most `_ROWS_PER_CHUNK` rows, each one
 join over its cells and the separators between them, with the CSV header or
 the head of the JSON payload before the first and the rest of the payload
-after the last.  A float column becomes text a chunk at a time with
-`float.__repr__`; a grid axis formats its distinct values once.  So no
-run holds the text of a whole table.  The text is the same as `csv.writer`
-over `repr` cells and `json.dumps(indent=2, sort_keys=True)` would write,
-with nan and infinities spelled `nan`/`inf` in CSV and `NaN`/`Infinity` in
-JSON.  The stdlib encoder still writes the small objects: summary, sidecars
-and manifest.
+after the last.  A float column becomes text a chunk at a time, and a grid
+axis formats its distinct values once, so no run holds the text of a whole
+table.  The text is the same as `csv.writer` over `repr` cells and
+`json.dumps(indent=2, sort_keys=True)` would write, with nan and infinities
+spelled `nan`/`inf` in CSV and `NaN`/`Infinity` in JSON.  The stdlib encoder
+still writes the small objects: summary, sidecars and manifest.
+
+A float array becomes text through `_float_texts`, which finds the digits
+that `float.__repr__` prints for a whole array at once: for |v| in
+[1e-4, 1e16), where repr writes fixed notation, the shortest decimal that
+reads back as v (the nearest one of that length, ties to even), found
+exactly with float arithmetic on a * 10^k held as a sum of two doubles.
+Every other value (0, -0.0, subnormals, |v| < 1e-4, |v| >= 1e16, nan and
+the infinities) is written by `float.__repr__` itself, one at a time.
 """
 
 from __future__ import annotations
@@ -66,6 +73,167 @@ def _cell_text(value) -> str:
     return float.__repr__(value) if isinstance(value, float) else str(value)
 
 
+# --- float text: the digits of float.__repr__ for a whole array -----------------
+
+_POW10 = np.array([float(10**k) for k in range(23)])  # 10^k, exact up to 10^22
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_ZERO, _DOT, _MINUS = ord("0"), ord("."), ord("-")
+
+
+def _quads() -> np.ndarray:
+    """The ASCII digits of 0000..9999, four bytes in each uint32, then the same with
+    their trailing zeros as NUL, which a `U` array drops from the end of a text."""
+    chars = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(_ZERO)
+    trailing = np.logical_and.accumulate(chars[:, ::-1] == _ZERO, axis=1)[:, ::-1]
+    table = np.vstack([chars, np.where(trailing, 0, chars)])
+    return np.ascontiguousarray(table).view(np.uint32).ravel()
+
+
+_QUADS = _quads()
+
+
+def _shortest_digits(a: np.ndarray):
+    """The decimal `float.__repr__` prints for each a in [1e-4, 1e16): (top, low, point).
+
+    That decimal is 0.d1...d17 x 10^point, with d1..d9 the whole float top
+    (1e8 <= top < 1e9) and d10..d17 the whole float low (< 1e8), trailing
+    zeros included: the shortest that reads back as a, the nearest to a of
+    that length, and of two as near the even one.
+    """
+    # V = a 10^k in [1e16, 1e17) is exactly hi + lo (Dekker's product); log10
+    # can miss k by one next to a power of ten, which the exact compare mends
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    sa = a * _SPLIT
+    a_hi = sa - (sa - a)
+    a_lo = a - a_hi
+
+    def scaled(k):
+        hi = a * _POW10[k]
+        p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+        return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+
+    hi, lo = scaled(k)
+    over = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    under = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    if over.any() or under.any():
+        k = k - over + under
+        hi, lo = scaled(k)
+    # a decimal reads back as a within half an ulp of it (10^k times a power of
+    # two when scaled: exact).  The interval's ends never decide in this range,
+    # so they count as inside, as does all the half ulp below a power of two,
+    # where only a quarter reads back: a decimal of at most 17 digits at an end
+    # needs a >= 2^52, a whole number as short and nearer, and a power of two
+    # here is a decimal of at most 16 digits with no shorter one that near
+    bits = a.view(np.int64)
+    half = _POW10[k] * (((bits >> 52) - 53) << 52).view(np.float64)
+    # V = top 1e8 + low + lo with top and low whole: hi / 1e8 never rounds up to
+    # a whole number, as hi falls short of one by its ulp or more, which is more
+    # than the quotient's half ulp
+    top = np.floor(hi / 1e8)
+    low = hi - top * 1e8
+    # the nearest 17-digit decimal, unless the nearest 16-digit one is inside,
+    # unless the nearest 15-digit one is; of two as near, the even one.  Each
+    # distance is a multiple of 2^-46 under 2^7, so exact in a double
+    for step in (1.0, 10.0, 100.0):
+        base = np.floor(low / step) * step
+        t = (low - base) + lo  # V - top 1e8 - base
+        shift = np.floor(t / step) * step
+        below = t - shift  # V's distance above the decimal below it
+        above = step - below
+        up = above < below
+        tie = above == below
+        if tie.any():
+            up |= tie & (np.remainder((base + shift) / step, 2.0) == 1.0)
+        nearest = base + shift + up * step
+        chosen = nearest if step == 1.0 else np.where(np.minimum(below, above) <= half,
+                                                      nearest, chosen)
+    # a carry past 10^8, or a borrow below 0, moves to top.  None reaches 10^17,
+    # which needs a power of ten within half an ulp above a, and from 1e-4 up
+    # each power of ten is a double or rounds up to one
+    carry = np.floor(chosen / 1e8)
+    return top + carry, chosen - carry * 1e8, 17 - k
+
+
+def _digit_chars(top: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The 17 digits of top 1e8 + low as ASCII, one row each, trailing zeros as NUL."""
+    lead = np.floor(top / 1e8)
+    rest = top - lead * 1e8
+    q1 = np.floor(rest / 1e4)
+    q2 = rest - q1 * 1e4
+    q3 = np.floor(low / 1e4)
+    q4 = low - q3 * 1e4
+    # "000" and the lead digit, then four groups of four; a group after which
+    # all are zero is spelled from the second half of _QUADS
+    quads = np.empty((len(top), 5), dtype=np.intp)
+    quads[:, 0] = lead
+    quads[:, 1] = q1 + ((low == 0) & (q2 == 0)) * 1e4
+    quads[:, 2] = q2 + (low == 0) * 1e4
+    quads[:, 3] = q3 + (q4 == 0) * 1e4
+    quads[:, 4] = q4 + 1e4
+    return _QUADS.take(quads).view(np.uint8).reshape(-1, 20)[:, 3:]
+
+
+def _text_width(kind: int) -> int:
+    """The characters of the longest text of a kind: its sign, then digits and point."""
+    point = kind // 2 - 3
+    return kind % 2 + (18 if point >= 1 else 19 - point)
+
+
+def _lay_out(out: np.ndarray, chars: np.ndarray, kind: int) -> np.ndarray:
+    """Write each row of digits into out as the text of a kind, NUL-padded; returns out.
+
+    A kind is (point + 3) * 2 + negative for the decimal point at -3..16: a
+    point >= 1 writes its digits before the decimal point and the rest after
+    it (at least one, so a whole number ends in ".0"), and a point <= 0
+    writes "0." and -point zeros first.
+    """
+    point, sign = kind // 2 - 3, kind % 2
+    if sign:
+        out[:, 0] = _MINUS
+    if point >= 1:
+        np.maximum(chars[:, :point + 1], _ZERO, out=out[:, sign:sign + point + 1])
+        out[:, sign + point + 1] = out[:, sign + point]
+        out[:, sign + point] = _DOT
+        out[:, sign + point + 2:sign + 18] = chars[:, point + 1:]
+    else:
+        out[:, sign:sign + 2 - point] = _ZERO
+        out[:, sign + 1] = _DOT
+        out[:, sign + 2 - point:sign + 19 - point] = chars
+    out[:, _text_width(kind):] = 0
+    return out
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """[float.__repr__(v) for v in values] for a 1-D float64 array.
+
+    The kernel writes |v| in [1e-4, 1e16); `float.__repr__` writes every
+    other value, one at a time.  The texts of the most common kind of a
+    chunk (decimal point and sign) are laid out by slicing all rows at once,
+    and each other kind then overwrites its own rows.
+    """
+    a = np.abs(values)
+    fixed = (a >= 1e-4) & (a < 1e16)  # where repr writes fixed notation
+    top, low, point = _shortest_digits(np.where(fixed, a, 1.0))
+    chars = _digit_chars(top, low)
+    kind = (point + 3) * 2 + (values < 0)
+    counts = np.bincount(kind, minlength=40)
+    kinds = np.flatnonzero(counts).tolist()
+    width = max(map(_text_width, kinds))
+    main = int(counts.argmax())
+    out = _lay_out(np.empty((len(values), width), dtype=np.uint32), chars, main)
+    for other in kinds:
+        if other != main:
+            rows = np.flatnonzero(kind == other)
+            out[rows] = _lay_out(np.empty((len(rows), width), dtype=np.uint32), chars[rows],
+                                 other)
+    texts = out.view(f"<U{width}").ravel().tolist()
+    for i in np.flatnonzero(~fixed).tolist():
+        texts[i] = float.__repr__(values[i])
+    return texts
+
+
 @dataclass(frozen=True)
 class _Axis:
     """A grid table's column: each of `values` repeated `each` times, the whole `times` times."""
@@ -89,7 +257,7 @@ def _column_chunks(column, nonfinite):
     elif isinstance(column, np.ndarray):
         for start in range(0, len(column), _ROWS_PER_CHUNK):
             part = column[start:start + _ROWS_PER_CHUNK]
-            texts = list(map(float.__repr__, part.tolist()))
+            texts = _float_texts(part)
             yield texts if np.isfinite(part).all() else [nonfinite.get(t, t) for t in texts]
     else:
         for start in range(0, len(column), _ROWS_PER_CHUNK):
@@ -331,17 +499,19 @@ def run(config: RunConfig) -> list[Path]:
     return placed
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="superrad",
+    description="Steady-state collective emission toolkit.",
+)
+_PARSER.add_argument("command", choices=sorted(_HANDLERS))
+_PARSER.add_argument("--config", required=True, help="path to the YAML configuration")
+_PARSER.add_argument("--out-dir", help="override config output_dir")
+_PARSER.add_argument("--format", help="override config format")
+_PARSER.add_argument("--seed", help="override config seed")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="superrad",
-        description="Steady-state collective emission toolkit.",
-    )
-    parser.add_argument("command", choices=sorted(_HANDLERS))
-    parser.add_argument("--config", required=True, help="path to the YAML configuration")
-    parser.add_argument("--out-dir", help="override config output_dir")
-    parser.add_argument("--format", help="override config format")
-    parser.add_argument("--seed", help="override config seed")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     flags = {"output_dir": args.out_dir, "format": args.format, "seed": args.seed}
     if args.seed is not None:
         with contextlib.suppress(ValueError):  # other text goes on, for the schema to refuse

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import re
 import types
 import typing
 from dataclasses import dataclass, field, replace
@@ -34,6 +35,26 @@ from .sweep import DRIVE_RULES, SweepSpec, check_sweep
 # libyaml's loader when PyYAML was built with it: the same documents and error
 # marks as the pure-Python SafeLoader, several times faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
+
+
+@functools.cache
+def _exponent_float_loader(loader):
+    """A private subclass of loader that also reads YAML 1.2's exponent floats.
+
+    YAML 1.1 reads a number with an exponent as a float only with a dot and
+    a signed exponent (1.0e-3), and 1e-3, 5E+2 or 1.0e308 as a string.  The
+    resolver is the subclass's own, so PyYAML's loaders are left as they are.
+    """
+    class Loader(loader):
+        pass
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
+                                 list("-+.0123456789"))
+    return Loader
+
 
 # the sections each command needs; its keys are the commands
 _REQUIRED_SECTIONS = {
@@ -207,7 +228,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     before the walk, so the schema checks it as it checks the document.
     """
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
+        doc = yaml.load(text, Loader=_exponent_float_loader(_YAML_LOADER))
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         problem = getattr(e, "problem", str(e))

@@ -43,7 +43,8 @@ class NonPositiveEnergy(InvalidParams):
 # --- exact Lindblad solver ---------------------------------------------------
 
 class DimensionCap(SuperradError):
-    """A solve or dense block would exceed the configured cap on its unknowns."""
+    """A solve or dense block would exceed the configured cap on its unknowns, or a
+    system or grid runs out of memory."""
 
 
 class DegenerateSteadyState(SuperradError):

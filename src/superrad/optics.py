@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import AngleOutOfRange, InvalidValue, PeakNotFound, ZeroLinewidth
+from .errors import AngleOutOfRange, DimensionCap, InvalidValue, PeakNotFound, ZeroLinewidth
 from .sweep import fit_power_law
 
 
@@ -211,13 +211,21 @@ def compute_reflectance_map(p: OpticalParams, thetas, energies) -> ReflectanceMa
     R is reflectance_spectrum's real form, in [0, 1] by construction, over
     the whole grid in one broadcast: the emitter term and the other
     energy-only factors are computed once, and the range is checked once.
-    Grids that are not 1-D raise InvalidValue.
+    Grids that are not 1-D raise InvalidValue, and a grid that runs out of
+    memory raises DimensionCap, naming its shape and bytes.
     """
     thetas = np.asarray(thetas, dtype=float)
     energies = np.asarray(energies, dtype=float)
     if thetas.ndim != 1 or energies.ndim != 1:
         raise InvalidValue(f"grids must be 1-D, got shapes {thetas.shape}, {energies.shape}")
-    r_values = _reflectance(p, thetas, energies)
+    try:
+        r_values = _reflectance(p, thetas, energies)
+    except MemoryError as e:
+        cells = thetas.size * energies.size
+        raise DimensionCap(
+            f"the {thetas.size} x {energies.size} reflectance grid of {cells} float64 cells "
+            f"({8 * cells} bytes) ran out of memory"
+        ) from e
     lp, up = _branches(p, thetas)
     return ReflectanceMap(thetas, energies, r_values, lp, up)
 

@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superrad import cli
+from superrad import cli, optics
 from superrad.cli import (
     _HANDLERS,
     _ROWS_PER_CHUNK,
     _Axis,
     _csv_text,
+    _float_texts,
     _json_result_text,
     main,
     run,
@@ -137,6 +138,28 @@ hilbert: {n_max: 3}
     assert record["error"] == "DimensionCap"
     assert "sector unknowns" in record["message"]
     assert not out.exists() or not any(out.glob("*"))
+
+
+def test_an_oversized_reflectance_grid_is_a_dimension_cap_record(tmp_path, capsys, monkeypatch):
+    # the grid's allocation is refused as numpy refuses 320 GB, without making it
+    denominator = optics._denominator
+
+    def refusing(e_c, energies, *args):
+        if e_c.size * energies.size > 10**9:
+            raise MemoryError(f"Unable to allocate {8 * e_c.size * energies.size} bytes")
+        return denominator(e_c, energies, *args)
+
+    monkeypatch.setattr(optics, "_denominator", refusing)
+    doc = REFLECTANCE_DOC.replace("n_theta: 5", "n_theta: 200000").replace("n_energy: 11",
+                                                                           "n_energy: 200000")
+    cfg = _write(tmp_path, "r.yaml", doc)
+    out = tmp_path / "out"
+    assert main(["reflectance", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "DimensionCap"
+    assert "200000 x 200000" in record["message"]
+    assert "320000000000 bytes" in record["message"]
+    assert not out.exists()
 
 
 def test_error_leaves_no_partial_result(tmp_path, capsys):
@@ -497,6 +520,16 @@ hilbert: {{n_max: 3}}
     assert float(row["flux_mev"]) == 50.0 * float(row["photon_number"])
 
 
+def test_main_builds_no_parser_of_its_own(tmp_path, monkeypatch):
+    # the argument parser is built once, when the module is imported
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", unbuildable)
+    cfg = _write(tmp_path, "c.yaml", CUMULANT_DOC.format(omega=1.0).replace("cumulant", "validate"))
+    assert main(["validate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+
+
 def test_every_command_has_one_handler():
     assert set(_HANDLERS) == set(COMMANDS)
 
@@ -698,29 +731,78 @@ def test_column_writers_match_the_stdlib_writers(name):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_reflectance_files_match_the_stdlib_writers_over_the_map(tmp_path, fmt):
+    # a small grid, then the shipped one, whose whole-number energies (1903.0)
+    # and 12 cells below 1e-4 take the float text's other paths
     optics = dict(e_c0=2300.0, n_eff=1.8, delta=2350.0, g_coll=11.0, kappa=134.0,
                   kappa_ext=67.0, gamma_perp=331.0)
-    doc = "command: reflectance\noptics:\n" + "".join(f"  {k}: {v}\n" for k, v in optics.items())
-    doc += "  theta_min: 0.0\n  theta_max: 48.0\n  n_theta: 4\n"
-    doc += "  e_min: 2100.0\n  e_max: 2600.0\n  n_energy: 5\n"
-    out = tmp_path / "out"
-    cfg = _write(tmp_path, "r.yaml", doc)
-    assert main(["reflectance", "--config", str(cfg), "--out-dir", str(out), "--format", fmt]) == 0
-    rmap = compute_reflectance_map(OpticalParams(**optics), np.linspace(0.0, 48.0, 4),
-                                   np.linspace(2100.0, 2600.0, 5))
-    rows = [{"theta_deg": theta, "energy_mev": energy, "reflectance": r}
-            for theta, line in zip(rmap.thetas.tolist(), rmap.r_values.tolist())
-            for energy, r in zip(rmap.energies.tolist(), line)]
-    assert len(rows) == 20 and rows[0]["theta_deg"] == 0.0
-    branches = {"theta_deg": rmap.thetas.tolist(),
-                "lp_re_mev": rmap.lp_branch.real.tolist(), "lp_im_mev": rmap.lp_branch.imag.tolist(),
-                "up_re_mev": rmap.up_branch.real.tolist(), "up_im_mev": rmap.up_branch.imag.tolist()}
-    if fmt == "csv":
-        assert (out / "reflectance_result.csv").read_text(encoding="utf-8") == _reference_csv(rows)
-        expected = {"reflectance_branches.json": branches}
-    else:
-        expected = {"reflectance_result.json": {"summary": None, "reflectance_branches": branches,
-                                                "rows": rows}}
-    for name, obj in expected.items():
-        text = (out / name).read_text(encoding="utf-8")
-        assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    small = "command: reflectance\noptics:\n" + "".join(f"  {k}: {v}\n" for k, v in optics.items())
+    small += "  theta_min: 0.0\n  theta_max: 48.0\n  n_theta: 4\n"
+    small += "  e_min: 2100.0\n  e_max: 2600.0\n  n_energy: 5\n"
+    shipped = next(c for c in CONFIGS if c.stem == "reflectance_d4").read_text(encoding="utf-8")
+    for name, doc, cells in (("small", small, 20), ("shipped", shipped, 65 * 301)):
+        out = tmp_path / name
+        cfg = _write(tmp_path, f"{name}.yaml", doc)
+        assert main(["reflectance", "--config", str(cfg), "--out-dir", str(out),
+                     "--format", fmt]) == 0
+        o = parse_config(doc).optics
+        rmap = compute_reflectance_map(o.optical_params(),
+                                       np.linspace(o.theta_min, o.theta_max, o.n_theta),
+                                       np.linspace(o.e_min, o.e_max, o.n_energy))
+        rows = [{"theta_deg": theta, "energy_mev": energy, "reflectance": r}
+                for theta, line in zip(rmap.thetas.tolist(), rmap.r_values.tolist())
+                for energy, r in zip(rmap.energies.tolist(), line)]
+        assert len(rows) == cells and rows[0]["theta_deg"] == 0.0
+        branches = {"theta_deg": rmap.thetas.tolist(),
+                    "lp_re_mev": rmap.lp_branch.real.tolist(),
+                    "lp_im_mev": rmap.lp_branch.imag.tolist(),
+                    "up_re_mev": rmap.up_branch.real.tolist(),
+                    "up_im_mev": rmap.up_branch.imag.tolist()}
+        if fmt == "csv":
+            text = (out / "reflectance_result.csv").read_text(encoding="utf-8")
+            assert text == _reference_csv(rows)
+            expected = {"reflectance_branches.json": branches}
+        else:
+            expected = {"reflectance_result.json": {"summary": None,
+                                                    "reflectance_branches": branches,
+                                                    "rows": rows}}
+        for file, obj in expected.items():
+            text = (out / file).read_text(encoding="utf-8")
+            assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert sum(r["reflectance"] < 1e-4 for r in rows) == 12
+    assert rows[1]["energy_mev"] == 1903.0
+
+
+def _float_corpus(rng):
+    """Seeded doubles for the float text, about 1.2 million, every kind of value."""
+    n = 200_000
+    anything = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    # exponent fields 1009..1076 hold |v| from 6.1e-5 to 3.6e16, the kernel's domain and its edges
+    domain = ((rng.integers(1009, 1077, n, dtype=np.uint64) << np.uint64(52))
+              | rng.integers(0, 2**52, n, dtype=np.uint64)
+              | (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))).view(np.float64)
+    scales = 10.0 ** rng.integers(-5, 17, (17, 15_000))
+    decimals = np.concatenate([np.round(rng.random(15_000) * scales[p], p) for p in range(17)])
+    decimals *= rng.choice([-1.0, 1.0], len(decimals))
+    # exact binary fractions, many with a tie between two nearest 17-digit decimals
+    dyadic = np.ldexp(rng.integers(1, 2**53, n).astype(np.float64), -rng.integers(0, 64, n))
+    whole = rng.integers(1, 10**16, n).astype(np.float64)
+    edges = np.array([float(2.0**e) for e in range(-1074, 1024)]
+                     + [float(f"1e{e}") for e in range(-323, 309)] + [1e-4, 1e16])
+    for _ in range(3):
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf,
+                        123456789012345.625, 0.3, 2.0**-14, 9999999999999998.0])
+    return np.concatenate([anything[np.isfinite(anything)], domain, decimals, dyadic, whole,
+                           edges, -edges, special])
+
+
+def test_float_texts_are_float_repr_on_a_corpus():
+    values = _float_corpus(np.random.default_rng(36))
+    assert len(values) > 10**6
+    for start in range(0, len(values), _ROWS_PER_CHUNK):
+        part = values[start:start + _ROWS_PER_CHUNK]
+        texts = _float_texts(part)
+        expected = list(map(float.__repr__, part.tolist()))
+        if texts != expected:
+            bad = next(k for k, (t, e) in enumerate(zip(texts, expected)) if t != e)
+            pytest.fail(f"{part[bad].tobytes().hex()}: {texts[bad]!r}, repr {expected[bad]!r}")

@@ -317,3 +317,22 @@ def test_an_int_literal_past_the_digit_limit_is_a_syntax_error(monkeypatch):
 def test_shipped_configs_round_trip(path):
     config = parse_config(path.read_text(encoding="utf-8"))
     assert parse_config(serialize_config(config)) == config
+
+
+@pytest.mark.parametrize("literal", ["1e-3", "5E+2", "-2e-1"])
+def test_a_number_in_exponent_form_is_a_float(monkeypatch, literal):
+    # YAML 1.1 reads these as strings, YAML 1.2 and the config loader as floats
+    text = f"command: fit\nfit:\n  points: [[10, 1.0], [100, {literal}]]\n"
+    for loader in (_YAML_LOADER, yaml.SafeLoader):
+        monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+        assert parse_config(text).fit.points[1] == (100.0, float(literal))
+    # PyYAML's own loaders are left as they are
+    assert yaml.safe_load(literal) == literal
+    assert yaml.load(literal, Loader=yaml.SafeLoader) == literal
+    assert yaml.load(literal, Loader=_YAML_LOADER) == literal
+
+
+def test_an_exponent_float_round_trips():
+    config = parse_config("command: exact\n" + PARAMS_BLOCK.replace("omega: 1.0", "omega: 1e-3"))
+    assert config.params.omega == 1e-3
+    assert parse_config(serialize_config(config)) == config

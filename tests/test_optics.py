@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from superrad import optics
 from superrad.errors import (
     AngleOutOfRange,
+    DimensionCap,
     InsufficientPoints,
     InvalidValue,
     PeakNotFound,
@@ -487,6 +489,25 @@ def test_a_reflectance_map_needs_1d_grids(thetas, energies):
     # the grids set the map's shape, (len(thetas), len(energies))
     with pytest.raises(InvalidValue, match="grids must be 1-D"):
         compute_reflectance_map(d4_like(134.0, 331.0), thetas, energies)
+
+
+def test_a_grid_that_runs_out_of_memory_is_a_dimension_cap(monkeypatch):
+    # the allocation is refused as numpy refuses one past the machine's memory,
+    # without making it: a 200000 x 200000 grid would need 320 GB
+    denominator = optics._denominator
+
+    def refusing(e_c, energies, *args):
+        if e_c.size * energies.size > 10**9:
+            raise MemoryError(f"Unable to allocate {8 * e_c.size * energies.size} bytes")
+        return denominator(e_c, energies, *args)
+
+    monkeypatch.setattr(optics, "_denominator", refusing)
+    with pytest.raises(DimensionCap) as err:
+        compute_reflectance_map(d4_like(KAPPA_BROAD, GAMMA_BROAD), np.linspace(0.0, 64.0, 200000),
+                                np.linspace(1900.0, 2800.0, 200000))
+    assert "200000 x 200000" in str(err.value)
+    assert "320000000000 bytes" in str(err.value)
+    assert isinstance(err.value.__cause__, MemoryError)
 
 
 def test_emission_fwhm_transparent_cavity():
