@@ -6,9 +6,10 @@ Usage:
 Each run writes `<command>_result.(csv|json)` plus `run_manifest.json`, which
 echoes the config as run; some commands add JSON sidecars (fit summary,
 polariton branches).  Data files are byte-identical across runs with the same
-config and seed.  Every failure, an unreadable config file or an I/O error
-included, is a SuperradError: nothing is written and its record goes to stdout
-as one JSON line.  Every file goes to a temp file first, and all are renamed
+config and seed.  Every failure, a command line that names no command or
+lacks --config, an unreadable config file or an I/O error included, is a
+SuperradError: nothing is written and its record goes to stdout as one JSON
+line.  Every file goes to a temp file first, and all are renamed
 into place only once each is written.
 
 Each command handler returns its result table as columns: one mapping from
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import secrets
@@ -49,15 +51,14 @@ import numpy as np
 from . import __version__
 from .config import HilbertSection, RunConfig, _to_plain, parse_config
 from .cumulant import integrate_to_steady_state
-from .errors import ConfigError, ConfigFileUnreadable, OutputUnwritable, SuperradError
-from .exact import (
-    HilbertConfig,
-    _number_and_g2,
-    build_symmetric_liouvillian,
-    converge_in_cutoff,
-    expectation,
-    steady_state_exact,
+from .errors import (
+    ConfigError,
+    ConfigFileUnreadable,
+    OutputUnwritable,
+    SuperradError,
+    UsageError,
 )
+from .exact import HilbertConfig, _steady_values, converge_in_cutoff
 from .optics import compute_reflectance_map
 from .sweep import fit_power_law, run_concentration_sweep
 from .units import TIME_UNIT_PS
@@ -347,14 +348,14 @@ def _hilbert_config(config: RunConfig) -> HilbertConfig:
 
 def _cmd_exact(config: RunConfig):
     p = config.params
-    h = _hilbert_config(config)
-    rho = steady_state_exact(build_symmetric_liouvillian(p, h))
-    n_phot = expectation(rho, "photon_number").real
-    s_z = expectation(rho, "sigma_z").real
-    x_pm = expectation(rho, "cross_pm").real if p.n_emitters >= 2 else float("nan")
+    values, rho = converge_in_cutoff(p, _hilbert_config(config), _steady_values)
+    # the ladder compared only the defined values; an undefined one is written as nan
+    n_phot, s_z, *rest = values
+    x_pm = rest.pop(0) if p.n_emitters >= 2 else float("nan")
+    g2 = rest.pop(0) if rest else float("nan")
     rows = _one_row(
-        n_emitters=p.n_emitters, n_max=h.n_max, photon_number=n_phot,
-        flux_mev=p.kappa * n_phot, sigma_z=s_z, cross_pm=x_pm,
+        n_emitters=p.n_emitters, n_max_converged=rho.hilbert.n_max, photon_number=n_phot,
+        flux_mev=p.kappa * n_phot, sigma_z=s_z, cross_pm=x_pm, g2_zero=g2,
     )
     return rows, None, {}
 
@@ -416,16 +417,6 @@ def _cmd_fit(config: RunConfig):
     return rows, asdict(fit), {}
 
 
-def _cmd_g2(config: RunConfig):
-    p = config.params
-    (n_phot, g2), rho = converge_in_cutoff(p, _hilbert_config(config), _number_and_g2)
-    rows = _one_row(
-        n_emitters=p.n_emitters, n_max_converged=rho.hilbert.n_max,
-        photon_number=n_phot, flux_mev=p.kappa * n_phot, g2_zero=g2,
-    )
-    return rows, None, {}
-
-
 _HANDLERS = {
     "validate": _cmd_validate,
     "exact": _cmd_exact,
@@ -433,7 +424,6 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
     "reflectance": _cmd_reflectance,
     "fit": _cmd_fit,
-    "g2": _cmd_g2,
 }
 
 
@@ -469,7 +459,8 @@ def run(config: RunConfig) -> list[Path]:
 
     staged = {}  # each artifact's path and its temp file, in the order written
     placed = []
-    made = [d for d in (out_dir, *out_dir.parents) if not os.path.exists(d)]  # deepest first
+    # deepest first; every ancestor of a directory that exists exists too
+    made = list(itertools.takewhile(lambda d: not os.path.exists(d), (out_dir, *out_dir.parents)))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for path, chunks in artifacts:
@@ -499,7 +490,14 @@ def run(config: RunConfig) -> list[Path]:
     return placed
 
 
-_PARSER = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise UsageError, not print usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+_PARSER = _Parser(
     prog="superrad",
     description="Steady-state collective emission toolkit.",
 )
@@ -511,13 +509,12 @@ _PARSER.add_argument("--seed", help="override config seed")
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    flags = {"output_dir": args.out_dir, "format": args.format, "seed": args.seed}
-    if args.seed is not None:
-        with contextlib.suppress(ValueError):  # other text goes on, for the schema to refuse
-            flags["seed"] = int(args.seed)
-
     try:
+        args = _PARSER.parse_args(argv)
+        flags = {"output_dir": args.out_dir, "format": args.format, "seed": args.seed}
+        if args.seed is not None:
+            with contextlib.suppress(ValueError):  # other text goes on, for the schema to refuse
+                flags["seed"] = int(args.seed)
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as e:

@@ -64,7 +64,6 @@ _REQUIRED_SECTIONS = {
     "sweep": ("params", "sweep"),
     "reflectance": ("optics",),
     "fit": ("fit",),
-    "g2": ("params",),
 }
 COMMANDS = tuple(_REQUIRED_SECTIONS)
 FORMATS = ("csv", "json")

@@ -112,6 +112,10 @@ class ConfigFileUnreadable(ConfigError):
     """The config file cannot be opened or read, or is not UTF-8 text."""
 
 
+class UsageError(SuperradError):
+    """The command line names no command, lacks --config or holds an unknown argument."""
+
+
 class OutputUnwritable(SuperradError):
     """The output directory cannot be made, or a result file cannot be written in it."""
 

@@ -1000,25 +1000,40 @@ def converge_in_cutoff(
     raised by 2 until every value changes by less than FLUX_CUTOFF_RTOL
     relatively.  Returns the values with the steady state of the last
     cutoff, whose rho.hilbert is that rung.  A next rung with more unknowns
-    than the cap raises CutoffNotConverged; an initial configuration beyond
-    the cap raises DimensionCap.
+    than the cap raises CutoffNotConverged, naming the last two rungs, their
+    values and the relative change between them; an initial configuration
+    beyond the cap raises DimensionCap.  Two rungs that observe a different
+    number of values, where a value is defined on only one, do not converge.
     """
     values = None
     while True:
         rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame=frame))
         values_next = observe(rho)
-        if values is not None and all(
+        if values is not None and len(values) == len(values_next) and all(
             abs(new - old) <= FLUX_CUTOFF_RTOL * max(abs(new), 1e-300)
             for old, new in zip(values, values_next)
         ):
             return values_next, rho
-        values = values_next
         bigger = HilbertConfig(h.n_max + 2, h.n_emitters, h.cap)
         if bigger.symmetric_unknowns > h.cap:
+            reached = f"n_max={h.n_max}: {_floats_text(values_next)}"
+            if values is None:
+                reached += ", the only rung under the cap"
+            else:
+                change = [abs(new - old) / max(abs(new), 1e-300)
+                          for old, new in zip(values, values_next)]
+                reached = (f"n_max={h.n_max - 2}: {_floats_text(values)}, {reached}, "
+                           f"relative change {_floats_text(change)}")
             raise CutoffNotConverged(
-                f"value not converged at n_max={h.n_max} before the cap of {h.cap} unknowns"
+                f"values not converged within {FLUX_CUTOFF_RTOL:g} before the cap of {h.cap} "
+                f"unknowns ({bigger.symmetric_unknowns} at n_max={bigger.n_max}); {reached}"
             )
-        h = bigger
+        values, h = values_next, bigger
+
+
+def _floats_text(values) -> str:
+    """Values as "(v1, v2, ...)", each to 10 significant digits."""
+    return "(" + ", ".join(f"{v:.10g}" for v in values) + ")"
 
 
 def photon_flux_exact(p: SystemParams, h: HilbertConfig, frame: str = "as_written") -> float:
@@ -1040,6 +1055,21 @@ def _number_and_g2(rho: SymmetricState) -> tuple[float, float]:
         raise VacuumState(f"steady-state photon number {n_phot:.3e} is below threshold")
     pair = expectation(rho, "photon_pair").real
     return n_phot, pair / n_phot**2
+
+
+def _steady_values(rho: SymmetricState) -> tuple[float, ...]:
+    """The values of a state that are defined: <a'a> and sigma_z, then cross_pm if
+    N >= 2 and g2(0) if <a'a> is above VACUUM_THRESHOLD.
+
+    A cutoff ladder compares only these, as a nan never settles.
+    """
+    n_phot = expectation(rho, "photon_number").real
+    values = (n_phot, expectation(rho, "sigma_z").real)
+    if rho.hilbert.n_emitters >= 2:
+        values += (expectation(rho, "cross_pm").real,)
+    if n_phot > VACUUM_THRESHOLD:
+        values += _number_and_g2(rho)[1:]
+    return values
 
 
 def g2_zero_converged(

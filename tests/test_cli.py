@@ -2,6 +2,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import tracemalloc
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superrad import cli, optics
+from superrad import cli, errors, optics
 from superrad.cli import (
     _HANDLERS,
     _ROWS_PER_CHUNK,
@@ -22,7 +23,15 @@ from superrad.cli import (
 )
 from superrad.config import COMMANDS, parse_config
 from superrad.errors import ConfigError, ConfigFileUnreadable
-from superrad.exact import HilbertConfig, photon_flux_exact
+from superrad.exact import (
+    FLUX_CUTOFF_RTOL,
+    VACUUM_THRESHOLD,
+    HilbertConfig,
+    build_symmetric_liouvillian,
+    expectation,
+    photon_flux_exact,
+    steady_state_exact,
+)
 from superrad.optics import OpticalParams, compute_reflectance_map
 from superrad.params import SystemParams
 
@@ -357,19 +366,62 @@ hilbert: {n_max: 2}
     assert row["flux_mev"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_g2_command(tmp_path):
+def test_exact_writes_an_antibunched_g2_zero(tmp_path):
     doc = """
-command: g2
+command: exact
 params: {n_emitters: 1, delta: 2350.0, delta_c: 2350.0, g: 5.0, kappa: 50.0,
          omega: 0.01, gamma_minus: 0.1, gamma_z: 1.0}
 hilbert: {n_max: 3}
 """
     cfg = _write(tmp_path, "g.yaml", doc)
     out = tmp_path / "out"
-    assert main(["g2", "--config", str(cfg), "--out-dir", str(out)]) == 0
-    lines = (out / "g2_result.csv").read_text().strip().splitlines()
+    assert main(["exact", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    lines = (out / "exact_result.csv").read_text().strip().splitlines()
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert float(row["g2_zero"]) < 0.5
+
+
+def _exact_row(tmp_path, doc, fmt):
+    """The one row `superrad exact` writes for a config document, read back from its file."""
+    cfg = _write(tmp_path, "e.yaml", doc)
+    out = tmp_path / f"out_{fmt}"
+    assert main(["exact", "--config", str(cfg), "--out-dir", str(out), "--format", fmt]) == 0
+    text = (out / f"exact_result.{fmt}").read_text()
+    if fmt == "json":
+        (row,) = json.loads(text)["rows"]
+        return row
+    return {k: float(v) for k, v in next(csv.DictReader(io.StringIO(text))).items()}
+
+
+def test_exact_converges_from_any_starting_cutoff(tmp_path):
+    # a single rung at n_max=1 is 1.39% low in flux; the ladder from there is not
+    shipped = next(c for c in CONFIGS if c.stem == "exact_small").read_text(encoding="utf-8")
+    assert "  n_max: 4 " in shipped
+    rows = [_exact_row(tmp_path, shipped.replace("  n_max: 4 ", f"  n_max: {n} "), "json")
+            for n in (1, 4)]
+    assert [row["n_max_converged"] for row in rows] == [7, 6]
+    for name in ("photon_number", "flux_mev", "sigma_z", "cross_pm", "g2_zero"):
+        assert rows[0][name] == pytest.approx(rows[1][name], rel=FLUX_CUTOFF_RTOL, abs=0.0)
+    p = parse_config(shipped).params
+    one_rung = steady_state_exact(build_symmetric_liouvillian(p, HilbertConfig(1, 2)))
+    flux = p.kappa * expectation(one_rung, "photon_number").real
+    assert 1 - flux / rows[1]["flux_mev"] == pytest.approx(0.0139, abs=5e-5)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_exact_writes_nan_for_undefined_values(tmp_path, fmt):
+    # g2(0) of a dark cavity and cross_pm of one emitter stay out of the ladder
+    doc = """
+command: exact
+params: {{n_emitters: {n_em}, delta: 2350.0, delta_c: 2350.0, g: 5.0, kappa: 50.0,
+         omega: {omega}, gamma_minus: 0.1, gamma_z: 1.0}}
+hilbert: {{n_max: 2}}
+"""
+    dark = _exact_row(tmp_path, doc.format(n_em=1, omega=0.0), fmt)
+    assert math.isnan(dark["g2_zero"]) and math.isnan(dark["cross_pm"])
+    assert dark["photon_number"] <= VACUUM_THRESHOLD and dark["n_max_converged"] == 4
+    pair = _exact_row(tmp_path, doc.format(n_em=2, omega=1.0), fmt)
+    assert math.isfinite(pair["g2_zero"]) and math.isfinite(pair["cross_pm"])
 
 
 def test_reflectance_long_form_and_sidecar(tmp_path):
@@ -473,8 +525,7 @@ def test_run_config_objects_directly(tmp_path):
     assert names == ["cumulant_result.csv", "run_manifest.json"]
 
 
-def test_g2_solves_each_ladder_rung_once(tmp_path, monkeypatch):
-    import superrad.cli
+def test_exact_solves_each_ladder_rung_once(tmp_path, monkeypatch):
     import superrad.exact
 
     solved = []
@@ -485,39 +536,70 @@ def test_g2_solves_each_ladder_rung_once(tmp_path, monkeypatch):
         return original(liou)
 
     monkeypatch.setattr(superrad.exact, "steady_state_exact", counting)
-    monkeypatch.setattr(superrad.cli, "steady_state_exact", counting, raising=False)
     doc = """
-command: g2
+command: exact
 params: {n_emitters: 1, delta: 2350.0, delta_c: 2350.0, g: 5.0, kappa: 50.0,
          omega: 0.01, gamma_minus: 0.1, gamma_z: 1.0}
 hilbert: {n_max: 3}
 """
     cfg = _write(tmp_path, "g.yaml", doc)
     out = tmp_path / "out"
-    assert main(["g2", "--config", str(cfg), "--out-dir", str(out)]) == 0
-    lines = (out / "g2_result.csv").read_text().strip().splitlines()
+    assert main(["exact", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    lines = (out / "exact_result.csv").read_text().strip().splitlines()
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert solved == list(range(3, int(row["n_max_converged"]) + 1, 2))
 
 
 @pytest.mark.parametrize("n_em, omega", [(1, 0.01), (2, 1.0), (3, 4.0)])
 def test_g2_flux_agrees_with_the_flux_ladder(tmp_path, n_em, omega):
-    # the g2 ladder converges <a'a> together with g2(0), so its flux is a
-    # converged value too; the two ladders may stop on different rungs
+    # the exact command converges <a'a> together with g2(0) and the rest, so
+    # its flux is a converged value too; the two ladders may stop on different rungs
     doc = f"""
-command: g2
+command: exact
 params: {{n_emitters: {n_em}, delta: 2350.0, delta_c: 2350.0, g: 5.0, kappa: 50.0,
          omega: {omega}, gamma_minus: 0.1, gamma_z: 1.0}}
 hilbert: {{n_max: 3}}
 """
     cfg = _write(tmp_path, "g.yaml", doc)
     out = tmp_path / "out"
-    assert main(["g2", "--config", str(cfg), "--out-dir", str(out)]) == 0
-    row = next(csv.DictReader(io.StringIO((out / "g2_result.csv").read_text())))
+    assert main(["exact", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    row = next(csv.DictReader(io.StringIO((out / "exact_result.csv").read_text())))
     p = SystemParams(n_em, 2350.0, 2350.0, 5.0, 50.0, omega, 0.1, 1.0)
     flux = photon_flux_exact(p, HilbertConfig(3, n_em))
-    assert float(row["flux_mev"]) == pytest.approx(flux, rel=1e-5)
+    assert float(row["flux_mev"]) == pytest.approx(flux, rel=FLUX_CUTOFF_RTOL)
     assert float(row["flux_mev"]) == 50.0 * float(row["photon_number"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["frob", "--config", "x.yaml"], "argument command: invalid choice: 'frob'"),
+    (["g2", "--config", "x.yaml"], "argument command: invalid choice: 'g2'"),
+    (["exact"], "the following arguments are required: --config"),
+    ([], "the following arguments are required: command, --config"),
+    (["exact", "--config", "x.yaml", "--frob", "1"], "unrecognized arguments: --frob 1"),
+], ids=["unknown_command", "g2", "no_config", "nothing", "unknown_flag"])
+def test_a_usage_error_is_a_usage_error_record(tmp_path, capfd, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    record = _error_record(capfd, argv, tmp_path / "out")
+    assert record["error"] == "UsageError" and record["message"].startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_prints_usage_and_exits_0(capfd):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    captured = capfd.readouterr()
+    assert captured.out.startswith("usage: superrad") and captured.err == ""
+
+
+def test_a_g2_document_is_a_config_error_record(tmp_path, capfd):
+    shipped = next(c for c in CONFIGS if c.stem == "g2_antibunching").read_text(encoding="utf-8")
+    assert "\ncommand: exact\n" in shipped
+    cfg = _write(tmp_path, "g.yaml", shipped.replace("\ncommand: exact\n", "\ncommand: g2\n"))
+    out = tmp_path / "out"
+    record = _error_record(capfd, ["exact", "--config", str(cfg), "--out-dir", str(out)], out)
+    assert issubclass(getattr(errors, record["error"]), ConfigError)
+    assert "'command'" in record["message"] and "'g2'" in record["message"]
 
 
 def test_main_builds_no_parser_of_its_own(tmp_path, monkeypatch):

@@ -36,6 +36,7 @@ from superrad.errors import (
     VacuumState,
 )
 from superrad.exact import (
+    FLUX_CUTOFF_RTOL,
     OBSERVABLES,
     HilbertConfig,
     SymmetricState,
@@ -1230,10 +1231,40 @@ def test_converge_in_cutoff_climbs_until_every_value_settles():
     assert values == (1.0, 7.0) and rho.hilbert.n_max == 9
 
 
+def test_converge_in_cutoff_compares_rungs_only_with_the_same_values_defined():
+    # a value defined from n_max=5 on is compared at 5 and 7, not missed at 5
+    rungs = []
+
+    def observe(rho):
+        rungs.append(rho.hilbert.n_max)
+        return (1.0,) if rho.hilbert.n_max == 3 else (1.0, 2.0)
+
+    values, rho = converge_in_cutoff(regression_params(1), HilbertConfig(3, 1), observe,
+                                     frame="rotating")
+    assert rungs == [3, 5, 7]
+    assert values == (1.0, 2.0) and rho.hilbert.n_max == 7
+
+
 def test_flux_cutoff_not_converged_when_capped():
     # 32 unknowns at n_max=3 fit the cap, the 52 of the next rung do not
     p = regression_params(2, omega=5.0)
     with pytest.raises(CutoffNotConverged):
+        photon_flux_exact(p, HilbertConfig(3, 2, cap=40), frame="rotating")
+
+
+def test_a_refused_ladder_names_its_last_two_rungs():
+    # 12 and 32 unknowns at n_max=1 and 3 fit the cap, the 52 of n_max=5 do not
+    p = regression_params(2, omega=5.0)
+    flux = [p.kappa * expectation(steady_state_exact(build_symmetric_liouvillian(
+        p, HilbertConfig(n, 2), frame="rotating")), "photon_number").real for n in (1, 3)]
+    with pytest.raises(CutoffNotConverged) as refused:
+        photon_flux_exact(p, HilbertConfig(1, 2, cap=40), frame="rotating")
+    change = abs(flux[1] - flux[0]) / flux[1]
+    assert change > FLUX_CUTOFF_RTOL
+    assert str(refused.value) == (
+        "values not converged within 1e-06 before the cap of 40 unknowns (52 at n_max=5); "
+        f"n_max=1: ({flux[0]:.10g}), n_max=3: ({flux[1]:.10g}), relative change ({change:.10g})")
+    with pytest.raises(CutoffNotConverged, match=r"; n_max=3: \(2\.59\d+\), the only rung"):
         photon_flux_exact(p, HilbertConfig(3, 2, cap=40), frame="rotating")
 
 
