@@ -30,7 +30,8 @@ set can make nonzero.  A system of at most _DENSE_MAX = 200 rows, such as
 every rung up to N=4, n_max=7 at resonance, is scattered into a dense array
 and factorised by LAPACK, where SuperLU's fixed cost per call would be most
 of the time; a larger one is factorised by SuperLU in the lattice order,
-with no further reordering (see _HermitianSystem.factorise).
+with no further reordering (see _HermitianSystem.factorise); either solves
+twice, the second time for one refinement step (see steady_state_exact).
 A build makes no scipy matrix: L's CSR is built when Liouvillian.matrix is
 first read, and a steady-state solve writes its values into the cached CSC.
 One map from u to the excitation sub-blocks of the state's total-spin
@@ -618,7 +619,7 @@ class _HermitianSystem:
     order: np.ndarray         # _lattice_order: row and column r belong to unknown order[r]
 
     def factorise(self, data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """The solve b -> w of the system with values data, LU-factorised in the lattice order.
+        """The bare solve b -> w of the system with values data, LU-factorised in the lattice order.
 
         A system of at most _DENSE_MAX rows is scattered into a dense m x m
         array and factorised by LAPACK's dgetrf with partial pivoting: at
@@ -626,17 +627,15 @@ class _HermitianSystem:
         work.  A whole steady-state solve took about 0.6 times as long with
         the dense factor at 14 to 108 rows and 0.75 to 0.96 times at 142 to
         204; from 218 rows the two traded places, and SuperLU was faster on
-        most shapes from 250 on (2 cores, OpenBLAS).  Partial pivoting mixes
-        rows whose unknowns differ by orders of magnitude: one dense solve
-        left a two-photon population of 6e-10 off by 9e-8 relatively with a
-        residual of 2e-16 already, so each dense solve takes one step of
-        iterative refinement against the dense matrix, which brought it to
-        3e-16.  An exact zero pivot raises DegenerateSteadyState, as
+        most shapes from 250 on (2 cores, OpenBLAS).  The dense array is
+        factorised in place, and neither solve refines: steady_state_exact
+        takes one refinement step with either, which partial pivoting needs
+        (see there).  An exact zero pivot raises DegenerateSteadyState, as
         SuperLU's "exactly singular" does.  A larger system is numbered in
         the lattice order, so SuperLU factorises it with NATURAL, which
         reorders no column, and takes the diagonal pivot unless it is below
-        0.1 times the largest in its column; steady_state_exact's refinement
-        and residual check guard a small pivot.  The values are written into
+        0.1 times the largest in its column; the refinement step and the
+        residual check guard a small pivot.  The values are written into
         the system's one CSC, and SuperLU copies them, so a solve returned
         earlier keeps its own, but a system must not be factorised from two
         threads at once.
@@ -646,16 +645,11 @@ class _HermitianSystem:
             from scipy.linalg.lapack import dgetrf, dgetrs
             dense = np.zeros((m, m), order="F")
             dense[self.matrix.indices, self.columns] = data
-            lu, pivots, info = dgetrf(dense)
+            lu, pivots, info = dgetrf(dense, overwrite_a=True)
             if info > 0:
                 raise DegenerateSteadyState(f"steady-state solve failed: exact zero pivot "
                                             f"at row {info - 1} of the dense factor")
-
-            def solve(b: np.ndarray) -> np.ndarray:
-                x = dgetrs(lu, pivots, b)[0]
-                return x + dgetrs(lu, pivots, b - dense @ x)[0]
-
-            return solve
+            return lambda b: dgetrs(lu, pivots, b)[0]
         import scipy.sparse.linalg as spla
         self.matrix.data[:] = data
         lu = spla.splu(self.matrix, permc_spec="NATURAL", diag_pivot_thresh=0.1,
@@ -793,9 +787,13 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     tells apart would pass unseen.  Its structure, and the map from the
     entries of L to its values, are cached per (n_max, N) and active set,
     with only the entries that the set can make nonzero, so a solve is
-    one weighted bincount for the values, one real LU factorisation, up to
-    three rounds of iterative refinement with that factor, and u from w,
-    Hermitian by construction.  The residuals are sums over the stored
+    one weighted bincount for the values A, one real LU factorisation, two
+    solves with it, w = solve(b) and one refinement step w += solve(b - A w),
+    and u from w, Hermitian by construction.  One step of fixed-precision
+    refinement after partial pivoting makes a solve componentwise backward
+    stable (Skeel, Math. Comp. 35, 817, 1980); unrefined, a dense solve left
+    a two-photon population of 6e-10 off by 9e-8 relatively.  A non-finite
+    w raises DegenerateSteadyState.  The residuals are sums over the stored
     entries, of the system and of L, in numpy.  The system's rows and
     columns are numbered in a nested-dissection order of the unknowns: the
     unknowns sit on a lattice of points (n + m, |k_eg - k_ge|, k_ee, k_eg +
@@ -803,15 +801,13 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
     it (see _lattice_order).  The trace row comes last, so the right-hand
     side is a cached unit vector, and a solve permutes neither it nor w; u
     is read from w through a cached map.  A small system is factorised
-    densely, with partial pivoting and one step of refinement in each
-    solve, as SuperLU's fixed cost per call would dominate it; a system of
+    densely, as SuperLU's fixed cost per call would dominate it; a system of
     more than _DENSE_MAX rows goes to SuperLU, which reorders nothing
     further and prefers the diagonal pivot (see
     _HermitianSystem.factorise); at N=40, n_max=5 its factors hold 0.59
     times the entries that COLAMD's order gives at resonance and 0.65 times
-    detuned.  u is normalised and
-    the state validated (by one batched Cholesky factorisation, see
-    SymmetricState.validate).  A singular
+    detuned.  u is normalised and the state validated (by one batched
+    Cholesky factorisation, see SymmetricState.validate).  A singular
     factorisation, or a residual ||L v||_inf on all of L above
     STEADY_RESIDUAL_TOL, signals a degenerate null space.  With g = kappa =
     0 the cavity is decoupled and lossless, so every photon-number
@@ -856,16 +852,11 @@ def steady_state_exact(liou: Liouvillian) -> SymmetricState:
             f"factorising the steady-state system of {m} real sector unknowns ran out of memory"
         ) from e
     w = solve(rhs)
-    for _ in range(3):
-        # each row sums its entries in the stored order, as a CSC product does,
-        # and a zero the factorisation drops adds an exact 0
-        resid = rhs - np.bincount(indices, data * w[structure.columns], minlength=m)
-        if np.abs(resid).max() < 1e-14:  # false for a non-finite w
-            break
-        w = w + solve(resid)
-    else:  # no round passed, so w may be non-finite
-        if not np.isfinite(w).all():
-            raise DegenerateSteadyState("steady-state solve returned non-finite values")
+    # one step of refinement; each row of A w sums its entries in the stored
+    # order, as a CSC product does, and a zero the factorisation drops adds an exact 0
+    w += solve(rhs - np.bincount(indices, data * w[structure.columns], minlength=m))
+    if not np.isfinite(w).all():
+        raise DegenerateSteadyState("steady-state solve returned non-finite values")
 
     u = (w[structure.u_sources] * structure.u_signs).view(complex).ravel()
     tr = pattern.trace_weights @ u.real
@@ -899,7 +890,8 @@ def time_evolve(liou: Liouvillian, rho0: SymmetricState, t_final: float) -> Symm
     50, omega = 1, gamma_minus = 0.1, gamma_z = 1, rotating frame), the
     trace is 1 - 5.2e-12 at t = 1e3 and off by 2.6e-9, past TRACE_TOL, at
     t = 1e6, which is refused.  A caller that needs long times steps the
-    evolution, or takes steady_state_exact for the limit.
+    evolution, or takes steady_state_exact for the limit.  Running out of
+    memory raises DimensionCap, naming the unknowns and the bytes of L.
     """
     from scipy.linalg import expm
     if isinstance(t_final, (np.integer, np.floating)):
@@ -917,7 +909,11 @@ def time_evolve(liou: Liouvillian, rho0: SymmetricState, t_final: float) -> Symm
         raise InvalidValue(f"rho0 is not Hermitian: max |rho0 - rho0^+| = {herm:.3e}")
     if t_final == 0.0:
         return SymmetricState(u.copy(), h).validate()
-    y = expm(t_final * liou.matrix.toarray()) @ u
+    try:
+        y = expm(t_final * liou.matrix.toarray()) @ u
+    except MemoryError as e:
+        raise DimensionCap(f"the dense exponential of L on {u.size} unknowns "
+                           f"({16 * u.size**2} bytes a copy) ran out of memory") from e
     return SymmetricState((y + y[adjoint].conj()) / 2, h).validate()
 
 
@@ -984,7 +980,7 @@ def expectation(rho: SymmetricState, which: str) -> complex:
 # --- steady-state photon flux and statistics -----------------------------------
 
 FLUX_CUTOFF_RTOL = 1e-6
-VACUUM_THRESHOLD = 1e-12  # photon number below which g2(0) is undefined
+VACUUM_THRESHOLD = 1e-12  # photon number below which g2(0) is undefined; the ladder's floor
 
 
 def converge_in_cutoff(
@@ -997,8 +993,9 @@ def converge_in_cutoff(
 
     Each rung solves on the permutation-symmetric unknowns
     (build_symmetric_liouvillian).  Starting from h.n_max the cutoff is
-    raised by 2 until every value changes by less than FLUX_CUTOFF_RTOL
-    relatively.  Returns the values with the steady state of the last
+    raised by 2 until every value changes by at most FLUX_CUTOFF_RTOL times
+    its size or VACUUM_THRESHOLD, whichever is larger, so that a value 0 up
+    to rounding settles.  Returns the values with the steady state of the last
     cutoff, whose rho.hilbert is that rung.  A next rung with more unknowns
     than the cap raises CutoffNotConverged, naming the last two rungs, their
     values and the relative change between them; an initial configuration
@@ -1010,7 +1007,7 @@ def converge_in_cutoff(
         rho = steady_state_exact(build_symmetric_liouvillian(p, h, frame=frame))
         values_next = observe(rho)
         if values is not None and len(values) == len(values_next) and all(
-            abs(new - old) <= FLUX_CUTOFF_RTOL * max(abs(new), 1e-300)
+            abs(new - old) <= FLUX_CUTOFF_RTOL * max(abs(new), VACUUM_THRESHOLD)
             for old, new in zip(values, values_next)
         ):
             return values_next, rho
@@ -1020,7 +1017,7 @@ def converge_in_cutoff(
             if values is None:
                 reached += ", the only rung under the cap"
             else:
-                change = [abs(new - old) / max(abs(new), 1e-300)
+                change = [abs(new - old) / max(abs(new), VACUUM_THRESHOLD)
                           for old, new in zip(values, values_next)]
                 reached = (f"n_max={h.n_max - 2}: {_floats_text(values)}, {reached}, "
                            f"relative change {_floats_text(change)}")

@@ -932,8 +932,8 @@ def test_the_dense_factorisation_is_no_further_from_the_kron_reference(monkeypat
 
 
 def test_a_non_finite_solve_is_a_degenerate_steady_state(monkeypatch):
-    # the refinement cannot pass on a NaN w, so every round runs and the
-    # finiteness check after them names it
+    # a NaN w stays NaN through the refinement step, and the finiteness
+    # check after it names it
     def factorise(self, data):
         return lambda b: np.full(len(b), np.nan)
 
@@ -948,8 +948,9 @@ def test_a_non_finite_solve_is_a_degenerate_steady_state(monkeypatch):
     (None, "steady-state trace collapsed to zero"),
 ], ids=["offset_solve", "zero_solve"])
 def test_a_wrong_solve_is_refused_by_the_oracle_guards(monkeypatch, shift, message):
-    # a finite but wrong solution passes the refinement rounds, so the trace
-    # and the residual of L v are the last guards before a state is returned
+    # the refinement step solves with the same wrong solve, so it cannot mend
+    # w, and the trace and the residual of L v are the last guards before a
+    # state is returned
     factorise = exact._HermitianSystem.factorise
 
     def wrong(self, data):
@@ -962,6 +963,31 @@ def test_a_wrong_solve_is_refused_by_the_oracle_guards(monkeypatch, shift, messa
     liou = build_symmetric_liouvillian(regression_params(2), HilbertConfig(3, 2))
     with pytest.raises(DegenerateSteadyState, match=f"^{message}$"):
         steady_state_exact(liou)
+
+
+@pytest.mark.parametrize("dense_max", [exact._DENSE_MAX, 0], ids=["dense", "superlu"])
+def test_each_steady_state_solves_twice_with_its_factor(monkeypatch, dense_max):
+    # one solve and one refinement step, whichever factorisation, resonant or detuned
+    calls, factorise = [], exact._HermitianSystem.factorise
+
+    def counted(self, data):
+        solve = factorise(self, data)
+        calls.append(0)
+
+        def count(b):
+            calls[-1] += 1
+            return solve(b)
+
+        return count
+
+    draws = (regression_params(2), dataclasses.replace(regression_params(3), delta_c=2353.0))
+    for p in draws:  # each small enough for the dense factor
+        assert len(exact._hermitian_system(3, p.n_emitters, _active(p)).rhs) <= exact._DENSE_MAX
+    monkeypatch.setattr(exact, "_DENSE_MAX", dense_max)
+    monkeypatch.setattr(exact._HermitianSystem, "factorise", counted)
+    for p in draws:
+        assert_matches_complex_solve(build_symmetric_liouvillian(p, HilbertConfig(3, p.n_emitters)))
+    assert calls == [2, 2]
 
 
 def _decoupled_lossless_points():
@@ -1081,6 +1107,19 @@ def test_time_evolve_relaxes_to_the_steady_state_at_ten_emitters():
     assert h.symmetric_unknowns == 464
     rho_t = time_evolve(liou, SymmetricState.vacuum(h), 120.0)
     assert trace_distance(rho_t, steady_state_exact(liou)) <= 1e-7
+
+
+def test_time_evolve_out_of_memory_is_a_dimension_cap(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("scipy.linalg.expm", exhausted)
+    h = HilbertConfig(3, 2)
+    liou = build_symmetric_liouvillian(regression_params(2), h)
+    with pytest.raises(DimensionCap, match=r"^the dense exponential of L on 32 unknowns "
+                                           r"\(16384 bytes a copy\) ran out of memory$") as err:
+        time_evolve(liou, SymmetricState.vacuum(h), 1.0)
+    assert isinstance(err.value.__cause__, MemoryError)
 
 
 def test_time_evolve_rejects_a_lone_coherence():
@@ -1266,6 +1305,16 @@ def test_a_refused_ladder_names_its_last_two_rungs():
         f"n_max=1: ({flux[0]:.10g}), n_max=3: ({flux[1]:.10g}), relative change ({change:.10g})")
     with pytest.raises(CutoffNotConverged, match=r"; n_max=3: \(2\.59\d+\), the only rung"):
         photon_flux_exact(p, HilbertConfig(3, 2, cap=40), frame="rotating")
+
+
+@pytest.mark.parametrize("n_em", [1, 3])
+def test_a_value_zero_up_to_rounding_settles_on_the_next_rung(n_em):
+    # at g = 0 the cavity stays empty: <a'a>, and cross_pm at N=3, are 0 up
+    # to rounding, and a change below FLUX_CUTOFF_RTOL * VACUUM_THRESHOLD passes
+    p = dataclasses.replace(regression_params(n_em), g=0.0)
+    values, rho = converge_in_cutoff(p, HilbertConfig(3, n_em), exact._steady_values)
+    assert rho.hilbert.n_max == 5
+    assert abs(values[0]) <= 1e-30 and len(values) == min(n_em, 2) + 1
 
 
 def test_g2_vacuum_guard():
