@@ -58,7 +58,7 @@ from .errors import (
     SuperradError,
     UsageError,
 )
-from .exact import HilbertConfig, _steady_values, converge_in_cutoff
+from .exact import VACUUM_THRESHOLD, HilbertConfig, _steady_values, converge_in_cutoff
 from .optics import compute_reflectance_map
 from .sweep import fit_power_law, run_concentration_sweep
 from .units import TIME_UNIT_PS
@@ -351,6 +351,8 @@ def _cmd_exact(config: RunConfig):
     values, rho = converge_in_cutoff(p, _hilbert_config(config), _steady_values)
     # the ladder compared only the defined values; an undefined one is written as nan
     n_phot, s_z, *rest = values
+    if -VACUUM_THRESHOLD <= n_phot <= 0.0:
+        n_phot = 0.0  # an empty cavity's <a'a>, 0 up to rounding; a larger deficit is a defect
     x_pm = rest.pop(0) if p.n_emitters >= 2 else float("nan")
     g2 = rest.pop(0) if rest else float("nan")
     rows = _one_row(

@@ -3,13 +3,17 @@
 Angle-dependent planar-cavity dispersion, polariton eigenmodes of the 2x2
 non-Hermitian cavity-emitter matrix, single-port input-output reflectance,
 cavity-filtered emission lineshape, and the coherence-length estimate
-L_coh = lambda^2 / d_lambda.  The splitting minimum is a closed form (the
-resonant angle), and the emission peak and FWHM come from two small
-companion-matrix eigenvalue solves (3x3 and 4x4), not searches.
+L_coh = lambda^2 / d_lambda.  The one-angle functions (polariton_eigenmodes,
+minimum_branch_splitting, emission_fwhm) work on Python floats with math and
+cmath, sharing each formula with the array path of the reflectance map.  The
+splitting minimum is a closed form (the resonant angle); the emission peak
+comes from the closed-form roots of a cubic and the FWHM from a safeguarded
+Newton solve between those roots, not a search over a grid.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 
@@ -54,6 +58,18 @@ class OpticalParams:
                                f"cavity mode past the float range below 90 deg")
 
 
+def _angle_error(first, count: int, size: int) -> AngleOutOfRange:
+    return AngleOutOfRange(f"theta = {first} deg outside [0, 90), "
+                           f"{count} of {size} angles out of range")
+
+
+def _mode_energy(p: OpticalParams, sin_t, sqrt):
+    """e_c0 / sqrt(1 - (sin(theta)/n_eff)^2) from sin(theta): a float with
+    math.sqrt or an array with np.sqrt."""
+    ratio = sin_t / p.n_eff
+    return p.e_c0 / sqrt(1.0 - ratio * ratio)
+
+
 def cavity_dispersion(p: OpticalParams, theta_deg: float | np.ndarray) -> float | np.ndarray:
     """Planar-cavity mode energy e_c0 / sqrt(1 - sin^2(theta)/n_eff^2), meV.
 
@@ -62,29 +78,62 @@ def cavity_dispersion(p: OpticalParams, theta_deg: float | np.ndarray) -> float 
     theta = np.asarray(theta_deg, dtype=float)
     outside = ~((theta >= 0) & (theta < 90))
     if outside.any():
-        raise AngleOutOfRange(f"theta = {theta[outside].flat[0]} deg outside [0, 90), "
-                              f"{np.count_nonzero(outside)} of {theta.size} angles out of range")
-    sin_t = np.sin(np.radians(theta))
-    return p.e_c0 / np.sqrt(1.0 - (sin_t / p.n_eff) ** 2)
+        raise _angle_error(theta[outside].flat[0], np.count_nonzero(outside), theta.size)
+    return _mode_energy(p, np.sin(np.radians(theta)), np.sqrt)
 
 
-def _branches(p: OpticalParams, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper polariton eigenvalues at each angle, as complex arrays."""
-    e_c = cavity_dispersion(p, thetas) - 0.5j * p.kappa
+def _one_angle_sin(theta_deg) -> float:
+    """sin(theta) of one angle in [0, 90) degrees, as a Python float."""
+    theta = None
+    if not getattr(theta_deg, "ndim", 0):
+        try:
+            theta = float(theta_deg)
+        except (TypeError, ValueError):
+            pass
+    if theta is None:
+        raise InvalidValue(f"theta_deg must be one angle in degrees, got {theta_deg!r:.40}")
+    if not 0.0 <= theta < 90.0:
+        raise _angle_error(theta, 1, 1)
+    return math.sin(math.radians(theta))
+
+
+def _branch_pair(p: OpticalParams, e_c, sqrt):
+    """The eigenvalues half_sum -+ root, unsorted, at cavity mode energy e_c: a
+    float with cmath.sqrt or an array with np.sqrt."""
+    e_c = e_c - 0.5j * p.kappa
     e_x = p.delta - 0.5j * p.gamma_perp
+    half_sum = 0.5 * (e_c + e_x)
+    half_diff = 0.5 * (e_c - e_x)
+    root = sqrt(half_diff * half_diff + p.g_coll**2 + 0j)
+    return half_sum - root, half_sum + root
+
+
+def _branch_overflow(p: OpticalParams, top_mode: float) -> InvalidValue:
+    """InvalidValue naming the largest input, e_c0 ranked by the highest mode it gives."""
+    sizes = {"e_c0": top_mode, "delta": p.delta, "kappa": p.kappa,
+             "gamma_perp": p.gamma_perp, "g_coll": p.g_coll}
+    name = max(sizes, key=sizes.get)
+    return InvalidValue(f"polariton branches leave the float range: '{name}' = "
+                        f"{getattr(p, name)} meV")
+
+
+def _branches(p: OpticalParams, e_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper polariton eigenvalues at each mode energy, as complex arrays."""
     with np.errstate(over="ignore", invalid="ignore"):
-        half_sum = 0.5 * (e_c + e_x)
-        root = np.sqrt((0.5 * (e_c - e_x)) ** 2 + p.g_coll**2 + 0j)
-        lo, hi = half_sum - root, half_sum + root
+        lo, hi = _branch_pair(p, e_c, np.sqrt)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        # name the largest input, e_c0 ranked by the highest mode it gives
-        sizes = {"e_c0": float(e_c.real.max()), "delta": p.delta, "kappa": p.kappa,
-                 "gamma_perp": p.gamma_perp, "g_coll": p.g_coll}
-        name = max(sizes, key=sizes.get)
-        raise InvalidValue(f"polariton branches leave the float range: '{name}' = "
-                           f"{getattr(p, name)} meV")
+        raise _branch_overflow(p, float(e_c.max()))
     swap = lo.real > hi.real
     return np.where(swap, hi, lo), np.where(swap, lo, hi)
+
+
+def _one_branch_pair(p: OpticalParams, sin_t: float) -> tuple[complex, complex]:
+    """_branches at one angle, given by its sine, on Python complex numbers."""
+    e_c = _mode_energy(p, sin_t, math.sqrt)
+    lo, hi = _branch_pair(p, e_c, cmath.sqrt)
+    if not (cmath.isfinite(lo) and cmath.isfinite(hi)):
+        raise _branch_overflow(p, e_c)
+    return (hi, lo) if lo.real > hi.real else (lo, hi)
 
 
 def polariton_eigenmodes(p: OpticalParams, theta_deg: float) -> tuple[complex, complex]:
@@ -92,11 +141,11 @@ def polariton_eigenmodes(p: OpticalParams, theta_deg: float) -> tuple[complex, c
 
     Returned sorted by real part (lower polariton first).  At resonance the
     real-part splitting is 2*sqrt(g^2 - (kappa - gamma_perp)^2/16) when the
-    radicand is positive and 0 otherwise.  Eigenvalues past the float range
-    raise InvalidValue naming the largest input.
+    radicand is positive and 0 otherwise.  theta_deg that is not one real
+    angle raises InvalidValue, and eigenvalues past the float range raise
+    InvalidValue naming the largest input.
     """
-    lo, hi = _branches(p, theta_deg)
-    return complex(lo), complex(hi)
+    return _one_branch_pair(p, _one_angle_sin(theta_deg))
 
 
 def _denominator(e_c: np.ndarray, energies: np.ndarray, im_em, shifted_sq) -> np.ndarray:
@@ -124,12 +173,11 @@ def _overflow(p: OpticalParams, e_c: np.ndarray, energies: np.ndarray, em) -> In
     return InvalidValue(f"reflectance leaves the float range: {max(terms, key=terms.get)}")
 
 
-def _reflectance(p: OpticalParams, thetas, energies: np.ndarray) -> np.ndarray:
-    """R (see reflectance_spectrum) with one row per angle; the grid is the only
-    grid-sized array, filled by in-place passes."""
+def _reflectance(p: OpticalParams, e_c: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """R (see reflectance_spectrum) with one row per mode energy E_c; the grid is
+    the only grid-sized array, filled by in-place passes."""
     if not np.all(np.isfinite(energies)):
         raise InvalidValue("energies must be finite")
-    e_c = np.atleast_1d(cavity_dispersion(p, thetas))
     em = re_em = im_em = 0.0
     if p.g_coll != 0:
         # gamma_perp = 0 puts a pole at E = delta, and a gamma_perp near 0 an overflow
@@ -191,7 +239,8 @@ def reflectance_spectrum(p: OpticalParams, theta_deg: float, energies) -> np.nda
     exceeds 1 on the grid, and the pole (ZeroLinewidth) otherwise.  Returns the
     row compute_reflectance_map gives at theta.
     """
-    return _reflectance(p, theta_deg, np.asarray(energies, dtype=float))[0]
+    e_c = np.atleast_1d(cavity_dispersion(p, theta_deg))
+    return _reflectance(p, e_c, np.asarray(energies, dtype=float))[0]
 
 
 @dataclass(frozen=True)
@@ -218,15 +267,16 @@ def compute_reflectance_map(p: OpticalParams, thetas, energies) -> ReflectanceMa
     energies = np.asarray(energies, dtype=float)
     if thetas.ndim != 1 or energies.ndim != 1:
         raise InvalidValue(f"grids must be 1-D, got shapes {thetas.shape}, {energies.shape}")
+    e_c = cavity_dispersion(p, thetas)
     try:
-        r_values = _reflectance(p, thetas, energies)
+        r_values = _reflectance(p, e_c, energies)
     except MemoryError as e:
         cells = thetas.size * energies.size
         raise DimensionCap(
             f"the {thetas.size} x {energies.size} reflectance grid of {cells} float64 cells "
             f"({8 * cells} bytes) ran out of memory"
         ) from e
-    lp, up = _branches(p, thetas)
+    lp, up = _branches(p, e_c)
     return ReflectanceMap(thetas, energies, r_values, lp, up)
 
 
@@ -243,9 +293,117 @@ def minimum_branch_splitting(p: OpticalParams, theta_max_deg: float = 64.0) -> f
     sin_res = 0.0  # e_c0 >= delta resonates at normal incidence; its ratio's square may overflow
     if p.e_c0 < p.delta:
         sin_res = p.n_eff * math.sqrt(1.0 - (p.e_c0 / p.delta) ** 2)
-    theta = min(math.degrees(math.asin(min(sin_res, 1.0))), theta_max_deg)
-    lo, hi = _branches(p, theta)
-    return float(hi.real - lo.real)
+    lo, hi = _one_branch_pair(p, min(sin_res, math.sin(math.radians(theta_max_deg))))
+    return hi.real - lo.real
+
+
+# two peaks of the emission line whose values of P lie within this many ulps are tied
+_TIE_ULPS = 8
+_MAX_NEWTON_STEPS = 100  # a safety cap: a crossing takes about five steps
+
+
+def _stationary_points(a: float, b: float, c: float) -> list[float]:
+    """Real stationary points of P(x) = (x^2 + a^2)((x - c)^2 + b^2), ascending.
+
+    P'/4 is a cubic, and x = c/2 + t makes it t^3 + s t + r with
+    s = (a^2 + b^2)/2 - c^2/4 and r = c (b^2 - a^2)/4.  Three real roots come
+    from the trigonometric form and one from Cardano's, written without
+    cancellation between its two cube roots; each is then polished by one
+    Newton step on P'/2 = x((x - c)^2 + b^2) + (x - c)(x^2 + a^2).
+    """
+    if c == 0.0:
+        return [0.0]  # P is even about x = 0 and grows with x^2
+    a2, b2 = a * a, b * b
+    s = 0.5 * (a2 + b2) - 0.25 * c * c
+    r = 0.25 * c * (b2 - a2)
+    disc = 0.25 * r * r + s * s * s / 27.0
+    if s < 0.0 and disc <= 0.0:
+        scale = 2.0 * math.sqrt(-s / 3.0)
+        cos_3phi = 1.5 * r / s * math.sqrt(-3.0 / s)
+        phi = math.acos(max(-1.0, min(1.0, cos_3phi))) / 3.0
+        roots = [scale * math.cos(phi - k * 2.0 * math.pi / 3.0) for k in (2, 1, 0)]
+    else:
+        u = -math.copysign((0.5 * abs(r) + math.sqrt(disc)) ** (1.0 / 3.0), r)
+        roots = [u - s / (3.0 * u) if u else 0.0]
+    points = []
+    for t in roots:
+        x = 0.5 * c + t
+        d = x - c
+        slope = x * (d * d + b2) + d * (x * x + a2)
+        curvature = d * d + b2 + x * x + a2 + 4.0 * x * d
+        points.append(x - slope / curvature if curvature else x)
+    return points
+
+
+def _peak(a: float, b: float, c: float, stationary: list[float]) -> float:
+    """The stationary point where P is smallest, the emission line highest.
+
+    Of three, the outer two are the peaks, compared in P's factored form,
+    which cancels nothing; when they lie within _TIE_ULPS ulps (as on a line
+    symmetric about c/2, kappa = gamma_perp), the lower-energy peak, the
+    smaller x, is the one reported.
+    """
+    if len(stationary) == 1:
+        return stationary[0]
+    lower, upper = ((x * x + a * a) * ((x - c) * (x - c) + b * b)
+                    for x in (stationary[0], stationary[-1]))
+    return stationary[-1] if lower - upper > _TIE_ULPS * math.ulp(upper) else stationary[0]
+
+
+def _crossings(a: float, b: float, c: float, x_peak: float,
+               stationary: list[float]) -> tuple[float, float] | None:
+    """Offsets below and above x_peak of its nearest half-maximum crossings.
+
+    They are the roots of Q(y) = P(x_peak + y) - 2 P(x_peak) nearest y = 0, in
+    Q's expansion about the peak, so that they keep their relative accuracy
+    when one line is far narrower.  Q' vanishes only at P's stationary points,
+    so Q is monotone between them: on each side, the first such bracket where
+    Q changes sign holds the crossing, which a dip below half maximum keeps
+    on the highest peak's own side.  The outermost bracket ends at Fujiwara's
+    bound on the roots.  None when P(x_peak) = 0, as a^2 or b^2 underflows:
+    every crossing is then the peak itself.
+    """
+    p1, p0 = 2.0 * x_peak, x_peak * x_peak + a * a
+    d = x_peak - c
+    q1, q0 = 2.0 * d, d * d + b * b
+    e3, e2, e1, e0 = p1 + q1, p0 + p1 * q1 + q0, p1 * q0 + p0 * q1, p0 * q0
+    if not e0 > 0.0:
+        return None
+    bound = 2.0 * max(abs(e3), math.sqrt(abs(e2)), abs(e1) ** (1.0 / 3.0),
+                      math.sqrt(math.sqrt(0.5 * e0)))
+    guess = math.sqrt(e0 / e2) if e2 > 0.0 else 0.0  # the quadratic model's root
+
+    def q(y):
+        return (((y + e3) * y + e2) * y + e1) * y - e0
+
+    def crossing(side):
+        neg = 0.0
+        for pos in sorted((x - x_peak for x in stationary if (x - x_peak) * side > 0.0),
+                          key=abs) + [side * bound]:
+            if q(pos) >= 0.0:
+                break
+            neg = pos
+        # Newton from the quadratic model's root, bisecting whenever a step
+        # would leave the bracket, which every step narrows
+        y = side * guess
+        for _ in range(_MAX_NEWTON_STEPS):
+            if not min(neg, pos) < y < max(neg, pos):
+                y = 0.5 * (neg + pos)
+            value = q(y)
+            if value == 0.0:
+                return y
+            if value < 0.0:
+                neg = y
+            else:
+                pos = y
+            slope = ((4.0 * y + 3.0 * e3) * y + 2.0 * e2) * y + e1
+            step = value / slope if slope else math.inf
+            if abs(step) <= 4.0 * math.ulp(y):
+                return y - step
+            y -= step
+        return y
+
+    return crossing(-1.0), crossing(1.0)
 
 
 def emission_fwhm(p: OpticalParams, theta_deg: float) -> tuple[float, float]:
@@ -255,26 +413,23 @@ def emission_fwhm(p: OpticalParams, theta_deg: float) -> tuple[float, float]:
     the cavity filter Lorentzian (E_c(theta), kappa).  Its reciprocal is the
     quartic P(x) = (x^2 + a^2)((x - c)^2 + b^2) in x = (E - delta)/w, with
     w = kappa + gamma_perp, a = gamma_perp/2w, b = kappa/2w and
-    c = (E_c - delta)/w.  Two eigenvalue solves give the result: the 3x3
-    companion matrix of P'/4 gives the stationary points, and the one with the
-    smallest P is the peak, so a double-peaked line reports its highest peak
-    (at c = 0 the peak is x = 0).  The 4x4 companion matrix of
-    P(x_peak + y) - 2 P(x_peak) gives the half-maximum crossings, and the FWHM
-    runs between the real ones nearest the peak on either side: a dip below
-    half maximum ends the width at the highest peak's own crossings.  theta_deg
-    that is not one real angle raises InvalidValue, and so does a kappa +
-    gamma_perp past the float range; a side without a crossing raises
-    PeakNotFound.
+    c = (E_c - delta)/w.  Everything is computed on Python floats.  The
+    stationary points are the closed-form roots of the cubic P'/4, each
+    polished by one Newton step, and the one with the smallest P is the peak,
+    so a double-peaked line reports its highest peak (at c = 0 the peak is
+    x = 0).  Two peaks whose P lie within 8 ulps are tied, as on a line
+    symmetric about c/2 (kappa = gamma_perp), and the tie goes to the
+    lower-energy peak.  The half-maximum crossings are the roots of
+    P(x_peak + y) - 2 P(x_peak) nearest the peak on either side, each found by
+    Newton's method safeguarded by bisection between consecutive stationary
+    points, where that difference is monotone: a dip below half maximum ends
+    the width at the highest peak's own crossings.  theta_deg that is not one
+    real angle raises InvalidValue, and so does a kappa + gamma_perp past the
+    float range; a side without a crossing raises PeakNotFound.
     """
     if p.gamma_perp <= 0 or p.kappa <= 0:
         raise ZeroLinewidth("emission model needs gamma_perp > 0 and kappa > 0")
-    try:
-        theta = np.asarray(theta_deg, dtype=float)
-    except (TypeError, ValueError):
-        theta = None
-    if theta is None or theta.ndim:
-        raise InvalidValue(f"theta_deg must be one angle in degrees, got {theta_deg!r:.40}")
-    e_c = float(cavity_dispersion(p, theta))
+    e_c = _mode_energy(p, _one_angle_sin(theta_deg), math.sqrt)
     widths = p.kappa + p.gamma_perp
     if math.isinf(widths):
         raise InvalidValue(f"emission model leaves the float range: 'kappa' + 'gamma_perp' = "
@@ -286,39 +441,14 @@ def emission_fwhm(p: OpticalParams, theta_deg: float) -> tuple[float, float]:
             f"separated by {separation:.1f} meV >> combined widths {widths:.1f} meV"
         )
     a, b, c = 0.5 * p.gamma_perp / widths, 0.5 * p.kappa / widths, (e_c - p.delta) / widths
-
-    def quartic(x0):  # P(x0 + y) = y^4 + c3 y^3 + c2 y^2 + c1 y + c0, as (c3, c2, c1, c0)
-        p1, p0 = 2.0 * x0, x0 * x0 + a * a
-        q1, q0 = 2.0 * (x0 - c), (x0 - c) * (x0 - c) + b * b
-        return p1 + q1, p0 + p1 * q1 + q0, p1 * q0 + p0 * q1, p0 * q0
-
-    x_peak = 0.0  # P is even about x = 0 at c = 0 and grows with x^2
-    if c != 0.0:
-        c3, c2, c1, c0 = quartic(0.0)
-        # P'/4 = x^3 + (3/4) c3 x^2 + (1/2) c2 x + c1/4; at c = 0 its constant
-        # term is 0, a root the companion matrix would only approximate
-        stationary = np.linalg.eigvals(
-            [[-0.75 * c3, -0.5 * c2, -0.25 * c1], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-        ).tolist()
-        # P at the real part of a complex root of P' is still >= min P
-        x_peak = min((z.real for z in stationary),
-                     key=lambda x: (((x + c3) * x + c2) * x + c1) * x + c0)
-    # about the peak the crossings are small roots that keep their relative
-    # accuracy when one line is far narrower (about x = 0 they lose up to 1e-3
-    # at kappa/gamma_perp = 1e-6); P(peak) is the constant term, which P - 2 P(peak) negates
-    e3, e2, e1, e0 = quartic(x_peak)
-    crossings = np.linalg.eigvals(
-        [[-e3, -e2, -e1, e0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
-    ).tolist()
-    # a real matrix's real eigenvalues come back with imaginary part exactly 0
-    offsets = [z.real for z in crossings if z.imag == 0]
-    above = [y for y in offsets if y > 0]
-    below = [y for y in offsets if y < 0]
+    stationary = _stationary_points(a, b, c)
+    x_peak = _peak(a, b, c, stationary)
+    crossings = _crossings(a, b, c, x_peak, stationary)
     peak = p.delta + x_peak * widths
-    if not (above and below):
-        missing = "below" if above else "above or below" if not below else "above"
-        raise PeakNotFound(f"no half-maximum crossing {missing} the emission peak at {peak} meV")
-    return peak, (min(above) - max(below)) * widths
+    if crossings is None:
+        raise PeakNotFound(f"no half-maximum crossing above or below the emission peak at {peak} meV")
+    below, above = crossings
+    return peak, (above - below) * widths
 
 
 def coherence_length(lambda_nm: float, delta_lambda_nm: float) -> float:

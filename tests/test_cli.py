@@ -424,6 +424,38 @@ hilbert: {{n_max: 2}}
     assert math.isfinite(pair["g2_zero"]) and math.isfinite(pair["cross_pm"])
 
 
+def _uncoupled_exact_small():
+    shipped = next(c for c in CONFIGS if c.stem == "exact_small").read_text(encoding="utf-8")
+    assert "  g: 5.0 " in shipped
+    return shipped.replace("  g: 5.0 ", "  g: 0.0 ")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_empty_cavity_writes_a_photon_number_of_zero(tmp_path, fmt):
+    # at g = 0 the n_max=6 rung's <a'a> is -5.2e-35 of rounding, which was
+    # written as a negative photon number and flux
+    row = _exact_row(tmp_path, _uncoupled_exact_small(), fmt)
+    assert row["n_max_converged"] == 6
+    for name in ("photon_number", "flux_mev"):
+        assert row[name] == 0.0 and math.copysign(1.0, row[name]) == 1.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_photon_number_below_the_vacuum_threshold_is_written_unchanged(tmp_path, fmt,
+                                                                           monkeypatch):
+    # a deficit past VACUUM_THRESHOLD is no rounding, so it stays visible
+    steady_values = cli._steady_values
+
+    def observer(rho):
+        n_phot, *rest = steady_values(rho)
+        return [-2e-12, *rest]
+
+    monkeypatch.setattr(cli, "_steady_values", observer)
+    row = _exact_row(tmp_path, _uncoupled_exact_small(), fmt)
+    assert row["photon_number"] == -2e-12
+    assert row["flux_mev"] == 50.0 * -2e-12
+
+
 def test_reflectance_long_form_and_sidecar(tmp_path):
     doc = """
 command: reflectance

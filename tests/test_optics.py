@@ -382,6 +382,48 @@ def test_optics_past_the_float_range_names_the_parameter(call, named):
             call()
 
 
+def test_a_map_computes_the_cavity_dispersion_once(monkeypatch):
+    # the reflectance and the branch overlay share one array of mode energies
+    dispersion, calls = optics.cavity_dispersion, []
+
+    def counting(p, thetas):
+        calls.append(thetas)
+        return dispersion(p, thetas)
+
+    p, energies = next(scan_draws(5, 1))
+    thetas = np.linspace(0.0, 64.0, 129)
+    want = compute_reflectance_map(p, thetas, energies)
+    monkeypatch.setattr(optics, "cavity_dispersion", counting)
+    got = compute_reflectance_map(p, thetas, energies)
+    assert len(calls) == 1
+    for field in ("r_values", "lp_branch", "up_branch"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} was used")
+
+
+def test_one_angle_optics_makes_no_numpy_call(monkeypatch):
+    # polariton_eigenmodes, minimum_branch_splitting and emission_fwhm work on
+    # Python floats with math and cmath; numpy's per-call overhead on 0-d
+    # values and the small eigvals problems was most of their cost
+    draws = [p for p, _ in scan_draws(12, 20)]
+
+    def one_angle(p):
+        return (polariton_eigenmodes(p, 20.0), minimum_branch_splitting(p),
+                [emission_fwhm(p, theta) for theta in (0.0, 15.0, 30.0)])
+
+    want = [one_angle(p) for p in draws]
+    monkeypatch.setattr(optics, "np", _NoNumpy())
+    assert [one_angle(p) for p in draws] == want
+    with pytest.raises(InvalidValue, match="theta_deg must be one angle"):
+        emission_fwhm(draws[0], [0.0, 5.0])
+    with pytest.raises(AngleOutOfRange, match="theta = 95.0 deg outside"):
+        polariton_eigenmodes(draws[0], 95.0)
+
+
 def test_map_rows_are_the_single_angle_spectra_bitwise():
     thetas = np.linspace(0.0, 64.0, 129)
     for p, energies in scan_draws(5, 3):
@@ -556,6 +598,28 @@ def test_emission_fwhm_double_peak_takes_nearest_crossings():
     assert width == pytest.approx(np.sqrt(850.0) - np.sqrt(350.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("detuning", [30.0, 50.0, 75.0, 90.0])
+def test_two_equal_peaks_report_the_lower_energy_one(detuning):
+    # kappa = gamma_perp makes the line symmetric about delta + detuning/2, so
+    # its two peaks are equally high.  About that centre the peaks sit at
+    # u^2 = m = (detuning^2 - gamma^2)/4 and each one's half maxima at
+    # u^2 = m -+ gamma detuning/2, below the dip between them
+    gamma = 10.0
+    p = OpticalParams(e_c0=2350.0 + detuning, n_eff=1.8, delta=2350.0, g_coll=0.0,
+                      kappa=gamma, kappa_ext=gamma / 2, gamma_perp=gamma)
+    m, half = (detuning**2 - gamma**2) / 4, gamma * detuning / 2
+    center, width = emission_fwhm(p, 0.0)
+    assert center == pytest.approx(2350.0 + detuning / 2 - np.sqrt(m), abs=1e-9)
+    assert width == pytest.approx(np.sqrt(m + half) - np.sqrt(m - half), rel=1e-12)
+    assert polyroots_emission_fwhm(p, 0.0)[0] == pytest.approx(center, abs=1e-9)
+    # the width about the higher-energy peak is the same
+    widths, a, b, c = 2 * gamma, 0.25, 0.25, detuning / (2 * gamma)
+    stationary = optics._stationary_points(a, b, c)
+    assert len(stationary) == 3 and optics._peak(a, b, c, stationary) == stationary[0]
+    below, above = optics._crossings(a, b, c, stationary[-1], stationary)
+    assert (above - below) * widths == pytest.approx(width, rel=1e-12)
+
+
 def test_emission_fwhm_narrows_broad_emitter():
     # a ~331 meV emitter line filtered by a ~134 meV cavity comes out narrower
     # than the cavity linewidth itself
@@ -575,7 +639,9 @@ def test_emission_peak_not_found_when_far_separated():
 def polyroots_emission_fwhm(p, theta_deg):
     """Peak and FWHM of emission_fwhm's quartic by numpy's polynomial helpers:
     np.roots of P' for the peak, np.roots of P(x_peak + y) - 2 P(x_peak) for the
-    crossings.  The separation check is left to emission_fwhm."""
+    crossings.  P is compared in its factored form, and of stationary points
+    within 8 ulps of the smallest P the lowest x, the lower-energy peak, is
+    taken.  The separation check is left to emission_fwhm."""
     widths = p.kappa + p.gamma_perp
     a, b = 0.5 * p.gamma_perp / widths, 0.5 * p.kappa / widths
     c = (cavity_dispersion(p, theta_deg) - p.delta) / widths
@@ -583,9 +649,10 @@ def polyroots_emission_fwhm(p, theta_deg):
     def quartic(x0):
         return np.convolve([1.0, 2.0 * x0, x0**2 + a**2], [1.0, 2.0 * (x0 - c), (x0 - c) ** 2 + b**2])
 
-    poly = quartic(0.0)
-    stationary = np.roots(np.polyder(poly)).real
-    x_peak = stationary[np.argmin(np.polyval(poly, stationary))]
+    stationary = np.roots(np.polyder(quartic(0.0))).real
+    values = (stationary**2 + a**2) * ((stationary - c) ** 2 + b**2)
+    best = values.min()
+    x_peak = stationary[values - best <= 8 * np.spacing(best)].min()
     half = quartic(x_peak)
     half[-1] = -half[-1]
     roots = np.roots(half)
