@@ -26,7 +26,7 @@ These equations are written once, in _rhs_vector, with the closed third
 moments noted beside the terms that carry them; moment_rhs and the residual
 check of the fixed point evaluate that code.  The stability test below uses
 only the characteristic polynomial of their Jacobian, written out in
-_characteristic_coefficients.
+_fixed_point beside the fixed point itself.
 
 The closure is exact at uncorrelated (product) states with vanishing first
 moments, which is the basis of the derivative-equality oracle test against the
@@ -131,7 +131,10 @@ class MomentState:
 
     def validate(self, slack: float = 1e-9) -> "MomentState":
         # scalar checks: a fixed point is 7 numbers, and an array would cost more than them
-        if not all(map(cmath.isfinite, (self.n_photon, self.s_z, self.coh, self.x_pm, self.z_zz))):
+        if not (
+            cmath.isfinite(self.n_photon) and cmath.isfinite(self.s_z) and cmath.isfinite(self.coh)
+            and cmath.isfinite(self.x_pm) and cmath.isfinite(self.z_zz)
+        ):
             raise NonFiniteState(f"moment state has non-finite entries: {self}")
         if self.n_photon < -slack:
             raise InvalidValue(f"n_photon = {self.n_photon} below numerical floor")
@@ -202,42 +205,48 @@ def integrate_to_steady_state(p: SystemParams, tol: float = DEFAULT_TOL) -> Mome
         raise InvalidValue(f"tol must be finite and > 0, got {tol!r}")
     if p.omega == 0:
         return MomentState.dark()
-    y = _stationary_vector(p)
-    n, s, _, ci = y[:4]
-    coefficients = _characteristic_coefficients(p, n, s, ci)
+    y, coefficients = _fixed_point(p)
     if not _routh_hurwitz_stable(coefficients):
         growth = np.roots([1.0, *coefficients]).real.max()
         if growth > 0:
             raise NoConvergence(f"stationary state is unstable: growth rate {growth:.3e} meV")
     rates = _rhs_vector(p, y)
-    bound = tol * max(1.0, p.kappa * n)
-    if not all(abs(rate) <= bound for rate in rates):  # a NaN rate fails too
-        raise NoConvergence(
-            f"derivative norm {np.abs(rates).max():.3e} above tol * max(1, kappa n) = {bound:.3e}"
-            " at the stationary state"
-        )
+    bound = tol * max(1.0, p.kappa * y[0])
+    for rate in rates:
+        if not abs(rate) <= bound:  # a NaN rate fails too
+            raise NoConvergence(
+                f"derivative norm {np.abs(rates).max():.3e} above tol * max(1, kappa n) ="
+                f" {bound:.3e} at the stationary state"
+            )
     return MomentState.from_vector(y).validate(slack=1e-6)
 
 
-def _stationary_vector(p: SystemParams) -> list[float]:
-    """The fixed point y = (n, s, Re c, Im c, Re x, Im x, z) for omega > 0, unchecked."""
-    n_em = p.n_emitters
-    k2 = _outcoupling_rate(p)
+def _fixed_point(
+    p: SystemParams,
+) -> tuple[list[float], tuple[float, float, float, float, float]]:
+    """The fixed point y = (n, s, Re c, Im c, Re x, Im x, z) for omega > 0, unchecked,
+    and a1..a5 of det(l - J5) = l^5 + a1 l^4 + ... + a5 there, from its factored form.
+
+    D_c, W2 and k2 are evaluated once, for both.
+    """
+    n_em, kappa, g, det = p.n_emitters, p.kappa, p.g, p.detuning
+    big_g = p.omega + p.gamma_minus
     d_c, w2 = _damping_rates(p)
-    s0 = (p.omega - p.gamma_minus) / (p.omega + p.gamma_minus)
-    b = 4.0 * p.g / (p.omega + p.gamma_minus)
+    k2 = _outcoupling_rate(p, d_c)
+    s0 = (p.omega - p.gamma_minus) / big_g
+    b = 4.0 * g / big_g
 
     n = ci = 0.0
-    if p.g > 0 and p.kappa == 0:
+    if g > 0 and kappa == 0:
         # undamped photons force Im c = 0, and then the c equation n s0 + p_e = 0
         if s0 >= 0:
             raise NoConvergence(
                 "kappa = 0 with g > 0 and omega >= gamma_minus: the photon number is unbounded"
             )
         n = -0.5 * (1.0 + s0) / s0
-    elif p.g > 0:
-        big_k = k2 / (2.0 * p.g)
-        q = 2.0 * p.g * n_em / p.kappa + (n_em - 1) * 2.0 * p.g / w2
+    elif g > 0:
+        big_k = k2 / (2.0 * g)
+        q = 2.0 * g * n_em / kappa + (n_em - 1) * 2.0 * g / w2
         qa = big_k * q * b
         qb = 1.0 - big_k * q * s0 + 0.5 * big_k * b
         qc = 0.5 * big_k * (1.0 + s0)
@@ -245,38 +254,32 @@ def _stationary_vector(p: SystemParams) -> list[float]:
         # in the form that does not cancel for either sign of qb
         root = math.sqrt(qb * qb + 4.0 * qa * qc)
         ci = 2.0 * qc / (qb + root) if qb >= 0 else (root - qb) / (2.0 * qa)
-        n = 2.0 * p.g * n_em * ci / p.kappa
+        n = 2.0 * g * n_em * ci / kappa
     s = s0 - b * ci
-    xr, z = (2.0 * p.g * s * ci / w2, s * s) if n_em >= 2 else (0.0, 1.0)
+    xr, z = (2.0 * g * s * ci / w2, s * s) if n_em >= 2 else (0.0, 1.0)
     # the c equation (D_c - i d) c = i g S gives Re c = -(d / D_c) Im c; reading
     # Im c off S = n s + p_e + (N-1) Re x would cancel deep above threshold.
     # 0.0 - ... keeps Re c = +0.0 at zero detuning
-    return [n, s, 0.0 - p.detuning * ci / d_c, ci, xr, 0.0, z]
+    y = [n, s, 0.0 - det * ci / d_c, ci, xr, 0.0, z]
 
-
-def _characteristic_coefficients(
-    p: SystemParams, n: float, s: float, ci: float
-) -> tuple[float, float, float, float, float]:
-    """a1..a5 of det(l - J5) = l^5 + a1 l^4 + ... + a5, from its factored form."""
-    kappa, big_g, m = p.kappa, p.omega + p.gamma_minus, p.n_emitters - 1
-    d_c, w2 = _damping_rates(p)
+    m = n_em - 1
     # (l + kappa)(l + G)(l + W2) = l^3 + e1 l^2 + e2 l + e3
     e1 = kappa + big_g + w2
     e2 = kappa * big_g + (kappa + big_g) * w2
     e3 = kappa * big_g * w2
     # (l + D_c)^2 + d^2 = l^2 + u1 l + u0
     u1 = 2.0 * d_c
-    u0 = d_c * d_c + p.detuning * p.detuning
+    u0 = d_c * d_c + det * det
     # B(l) = v2 l^2 + v1 l + v0, with one weight per product of linear factors
-    g2 = 2.0 * p.g * p.g
+    g2 = 2.0 * g * g
     k_kw = 2.0 * g2 * (n + 0.5)
-    k_gw = -g2 * p.n_emitters * s
+    k_gw = -g2 * n_em * s
     k_kg = -g2 * m * s
-    k_k = 4.0 * g2 * p.g * m * ci
+    k_k = 4.0 * g2 * g * m * ci
     v2 = k_kw + k_gw + k_kg
     v1 = k_kw * (kappa + w2) + k_gw * (big_g + w2) + k_kg * (kappa + big_g) + k_k
     v0 = (k_kw * w2 + k_k) * kappa + k_gw * big_g * w2 + k_kg * kappa * big_g
-    return (
+    return y, (
         e1 + u1,
         e2 + e1 * u1 + u0 + v2,
         e3 + e2 * u1 + e1 * u0 + v1 + d_c * v2,
@@ -309,9 +312,8 @@ def _damping_rates(p: SystemParams) -> tuple[float, float]:
     return d_c, p.omega + p.gamma_minus + 4.0 * p.gamma_z
 
 
-def _outcoupling_rate(p: SystemParams) -> float:
-    """k2 = 2 g^2 D_c / (D_c^2 + d^2), the per-emitter outcoupling rate."""
-    d_c, _ = _damping_rates(p)
+def _outcoupling_rate(p: SystemParams, d_c: float) -> float:
+    """k2 = 2 g^2 D_c / (D_c^2 + d^2), the per-emitter outcoupling rate, given D_c."""
     return 2.0 * p.g**2 * d_c / (d_c**2 + p.detuning**2)
 
 
@@ -337,7 +339,7 @@ def flux_decomposition(p: SystemParams, m: MomentState) -> tuple[float, float]:
     if p.kappa == 0:
         raise InvalidValue("flux_decomposition needs kappa > 0; kappa = 0 emits no flux")
     n_em = p.n_emitters
-    k2 = _outcoupling_rate(p)
+    k2 = _outcoupling_rate(p, _damping_rates(p)[0])
     denom = 1.0 - k2 * n_em * m.s_z / p.kappa
     single_total = n_em * k2 * 0.5 * (1.0 + m.s_z) / denom
     pair_total = n_em * (n_em - 1) * k2 * m.x_pm.real / denom

@@ -9,6 +9,7 @@ kappa.  All energies and rates are in meV (hbar = 1, see units.py).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ class SystemParams:
         return self.delta_c - self.delta
 
 
+# the largest finite float: an emitter count above it does not convert to a float
+FLOAT_MAX = sys.float_info.max
+
+
 def is_integer(value) -> bool:
     """True for an int or a numpy integer; a bool is not an emitter count."""
     return not isinstance(value, bool) and isinstance(value, (int, np.integer))
@@ -54,14 +59,29 @@ def validate_params(p: SystemParams) -> SystemParams:
     exactly one invariant fails the specific exception class (NegativeRate,
     ZeroEmitters, NonPositiveEnergy) is raised so callers can branch on it.
     n_emitters must be an int or a numpy integer, not a bool, as in
-    exact.HilbertConfig.
+    exact.HilbertConfig, and at most FLOAT_MAX, so that it converts to a
+    float; every other field must be finite.
+
+    It decides first and diagnoses after: one chained comparison accepts a
+    valid record with an int count, and only a record it does not accept
+    (an invalid one, or one whose count is a numpy integer) goes through
+    the field-by-field diagnosis, which builds the error or accepts it.
     """
+    n = p.n_emitters
+    if (
+        type(n) is int and 1 <= n <= FLOAT_MAX
+        and 0 < p.delta <= FLOAT_MAX and 0 < p.delta_c <= FLOAT_MAX
+        and 0 <= p.g <= FLOAT_MAX and 0 <= p.kappa <= FLOAT_MAX and 0 <= p.omega <= FLOAT_MAX
+        and 0 <= p.gamma_minus <= FLOAT_MAX and 0 <= p.gamma_z <= FLOAT_MAX
+    ):
+        return p
     problems: list[InvalidParams] = []
-    n_em = p.n_emitters
-    if not is_integer(n_em):
-        problems.append(InvalidParams([f"'n_emitters' must be an integer, got {n_em!r}"]))
-    elif n_em < 1:
+    if not is_integer(n):
+        problems.append(InvalidParams([f"'n_emitters' must be an integer, got {n!r}"]))
+    elif n < 1:
         problems.append(ZeroEmitters())
+    elif n > FLOAT_MAX:
+        problems.append(InvalidParams([count_past_float_range("'n_emitters'", n)]))
     for field in ("delta", "delta_c"):
         if not getattr(p, field) > 0:
             problems.append(NonPositiveEnergy(field))
@@ -69,13 +89,19 @@ def validate_params(p: SystemParams) -> SystemParams:
         if getattr(p, field) < 0:
             problems.append(NegativeRate(field))
     for field in ("delta", "delta_c", "g", "kappa", "omega", "gamma_minus", "gamma_z"):
-        if not math.isfinite(getattr(p, field)):
+        # a comparison, not math.isfinite, which raises OverflowError on an int past the float range
+        if not -FLOAT_MAX <= getattr(p, field) <= FLOAT_MAX:
             problems.append(InvalidParams([f"'{field}' must be finite"]))
     if not problems:
         return p
     if len(problems) == 1:
         raise problems[0]
     raise InvalidParams(v for e in problems for v in e.violations)
+
+
+def count_past_float_range(name: str, n: int) -> str:
+    """The refusal of a count n > FLOAT_MAX, sized in bits: str(n) is refused past 4300 digits."""
+    return f"{name} must be at most {FLOAT_MAX!r}, got an integer of {n.bit_length()} bits"
 
 
 @dataclass(frozen=True)
@@ -100,11 +126,13 @@ def omega_of_voltage(d: DriveMap, v: float) -> float:
 
 
 def checked_emitter_count(n: int) -> int:
-    """n, if it is an integer >= 1; InvalidValue or ZeroEmitters otherwise."""
+    """n, if it is an integer from 1 to FLOAT_MAX; InvalidValue or ZeroEmitters otherwise."""
     if not is_integer(n):
         raise InvalidValue(f"emitter count must be an integer, got {n!r}")
     if n < 1:
         raise ZeroEmitters()
+    if n > FLOAT_MAX:
+        raise InvalidValue(count_past_float_range("emitter count", n))
     return n
 
 

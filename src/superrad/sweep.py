@@ -6,16 +6,14 @@ extensive free-space control, and fits the enhancement exponent alpha of
 ratio ~ N^alpha by least squares in log-log space.
 
 A sweep point and the fit run on Python floats: on a dozen numbers the cost
-of entering numpy, not the arithmetic, would dominate.  synth_power_law, which
-draws test data, is the only numpy user here.
+of entering numpy, not the arithmetic, would dominate, so this module does
+not import it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .cumulant import photon_flux_cumulant
 from .errors import (
@@ -25,7 +23,13 @@ from .errors import (
     NoConvergence,
     NonPositiveValue,
 )
-from .params import SystemParams, checked_emitter_count, is_integer
+from .params import (
+    FLOAT_MAX,
+    SystemParams,
+    checked_emitter_count,
+    count_past_float_range,
+    is_integer,
+)
 
 DRIVE_RULES = ("scaled", "fixed")
 
@@ -33,21 +37,28 @@ DRIVE_RULES = ("scaled", "fixed")
 def check_sweep(n_values: tuple[int, ...], drive_rule: str, gamma_r: float) -> None:
     """Raise InvalidValue unless a sweep's own fields are valid; its base params are not read.
 
-    n_values must be a non-empty, strictly increasing run of integers >= 1,
-    drive_rule one of DRIVE_RULES and gamma_r finite and > 0.  SweepSpec and
-    the config's sweep section both check their fields here.
+    n_values must be a non-empty, strictly increasing run of integers from 1
+    to FLOAT_MAX, drive_rule one of DRIVE_RULES and gamma_r finite and > 0.
+    SweepSpec and the config's sweep section both check their fields here.
     """
     if drive_rule not in DRIVE_RULES:
         raise InvalidValue(f"drive_rule must be one of {DRIVE_RULES}")
     if len(n_values) == 0:
         raise InvalidValue("n_values must be non-empty")
-    bad = [n for n in n_values if not is_integer(n)]
-    if bad:
-        raise InvalidValue(f"n_values must be integers, got {bad[0]!r}")
-    if any(n < 1 for n in n_values):
-        raise InvalidValue("all n_values must be >= 1")
-    if any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise InvalidValue("n_values must be strictly increasing")
+    for n in n_values:
+        if not is_integer(n):
+            raise InvalidValue(f"n_values must be integers, got {n!r}")
+    for n in n_values:
+        if n < 1:
+            raise InvalidValue("all n_values must be >= 1")
+    previous = 0
+    for n in n_values:
+        if n <= previous:
+            raise InvalidValue("n_values must be strictly increasing")
+        previous = n
+    # the run increases, so its last entry is its largest
+    if previous > FLOAT_MAX:
+        raise InvalidValue(count_past_float_range("n_values", previous))
     if not 0 < gamma_r < math.inf:
         raise InvalidValue(f"gamma_r must be finite and > 0, got {gamma_r!r}")
 
@@ -63,6 +74,8 @@ class SweepSpec:
 
     def __post_init__(self):
         check_sweep(self.n_values, self.drive_rule, self.gamma_r)
+        if not isinstance(self.base_params, SystemParams):
+            raise InvalidValue(f"base_params must be a SystemParams, got {self.base_params!r}")
         if not self.base_params.omega > 0:
             raise InvalidValue("base omega must be > 0")
 
@@ -100,15 +113,17 @@ def control_luminance(n: int, omega: float, gamma_r: float, gamma_minus: float) 
 
 def run_concentration_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One SweepRow per emitter count, in increasing n order (deterministic)."""
+    base = spec.base_params
     rows = []
     for n in spec.n_values:
-        omega = spec.base_params.omega * (n if spec.drive_rule == "scaled" else 1)
-        point = replace(spec.base_params, n_emitters=int(n), omega=float(omega))
+        omega = base.omega * (n if spec.drive_rule == "scaled" else 1)
+        point = SystemParams(int(n), base.delta, base.delta_c, base.g, base.kappa, float(omega),
+                             base.gamma_minus, base.gamma_z)
         try:
             l_cav = photon_flux_cumulant(point)
         except NoConvergence as e:
             raise NoConvergence(f"sweep point n={n} did not converge: {e}") from e
-        l_ctrl = control_luminance(int(n), omega, spec.gamma_r, spec.base_params.gamma_minus)
+        l_ctrl = control_luminance(int(n), omega, spec.gamma_r, base.gamma_minus)
         rows.append(
             SweepRow(
                 n=int(n),
@@ -161,14 +176,3 @@ def fit_power_law(points) -> PowerLawFit:
             f"power-law prefactor exp({intercept:.6g}) is past the float range"
         ) from None
     return PowerLawFit(alpha=slope, prefactor=prefactor, rmsd=rmsd)
-
-
-def synth_power_law(
-    n_values, alpha: float, prefactor: float, sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Planted power law with multiplicative log-normal noise of ln-std sigma."""
-    n_arr = np.asarray(n_values, dtype=float)
-    ratios = prefactor * n_arr**alpha
-    if sigma > 0:
-        ratios = ratios * np.exp(rng.normal(0.0, sigma, size=n_arr.shape))
-    return ratios

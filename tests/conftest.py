@@ -36,6 +36,15 @@ def random_params(rng, n_emitters, delta_scale=20.0):
     )
 
 
+def synth_power_law(n_values, alpha, prefactor, sigma, rng):
+    """Planted power law with multiplicative log-normal noise of ln-std sigma."""
+    n_arr = np.asarray(n_values, dtype=float)
+    ratios = prefactor * n_arr**alpha
+    if sigma > 0:
+        ratios = ratios * np.exp(rng.normal(0.0, sigma, size=n_arr.shape))
+    return ratios
+
+
 def random_density_matrix(rng, dim):
     """Random full-rank valid d x d state: normalized A A^+ with complex Gaussian A."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -17,6 +17,7 @@ from conftest import (
     random_hermitian,
     random_params,
     regression_params,
+    synth_power_law,
 )
 from superrad.cumulant import (
     MomentState,
@@ -51,7 +52,7 @@ from superrad.optics import (
     reflectance_spectrum,
 )
 from superrad.params import SystemParams, per_emitter_coupling
-from superrad.sweep import SweepSpec, fit_power_law, run_concentration_sweep, synth_power_law
+from superrad.sweep import SweepSpec, fit_power_law, run_concentration_sweep
 from superrad.units import fwhm_mev_from_nm
 
 

@@ -676,6 +676,23 @@ def test_invalid_value_error_record(tmp_path, capsys, command, doc):
     assert not out.exists() or not any(out.glob("*"))
 
 
+@pytest.mark.parametrize("command, old, new, error, named", [
+    ("cumulant", "n_emitters: 2", "n_emitters: 1" + "0" * 400, "InvalidParams", "'n_emitters'"),
+    ("sweep", "[100, 1000, 10000]", "[100, 1000, 1" + "0" * 400 + "]", "InvalidValue", "n_values"),
+], ids=["cumulant_n_emitters", "sweep_n_values"])
+def test_a_count_past_the_float_range_is_a_typed_error_record(tmp_path, capfd, command, old, new,
+                                                               error, named):
+    # unchecked, the solver raised OverflowError: int too large to convert to float
+    doc = CUMULANT_DOC.format(omega="1.0") if command == "cumulant" else SWEEP_DOC
+    assert old in doc
+    cfg = _write(tmp_path, "big.yaml", doc.replace(old, new))
+    out = tmp_path / "out"
+    record = _error_record(capfd, [command, "--config", str(cfg), "--out-dir", str(out)], out)
+    assert record["error"] == error
+    assert record["message"] == (f"{named} must be at most 1.7976931348623157e+308,"
+                                 " got an integer of 1329 bits")
+
+
 def test_emitter_pole_on_the_grid_is_a_zero_linewidth_record(tmp_path, capsys):
     # gamma_perp = 0 with g_coll != 0, and the default grid delta +- 500 meV in
     # 11 steps has a point at delta = 2350 meV, where g^2 / (gamma_perp/2 - i(E - delta)) has its pole

@@ -15,9 +15,8 @@ from conftest import (
 from reference_liouvillian import symmetric_state
 from superrad.cumulant import (
     MomentState,
-    _characteristic_coefficients,
+    _fixed_point,
     _rhs_vector,
-    _stationary_vector,
     flux_decomposition,
     integrate_to_steady_state,
     moment_rhs,
@@ -187,7 +186,7 @@ def _stability_draws(count=2400, seed=11):
 def test_stability_decision_matches_eigenvalues_of_the_numeric_jacobian():
     unstable = 0
     for p in _stability_draws():
-        y = np.array(_stationary_vector(p))
+        y = np.array(_fixed_point(p)[0])
         block = _evolving_block(p)
         expected = np.linalg.eigvals(_numeric_jacobian(p, y)[:block, :block]).real.max() > 0
         try:
@@ -208,7 +207,7 @@ def test_stable_points_deep_above_threshold_return():
     m = integrate_to_steady_state(p)
     assert np.abs(moment_vector(moment_rhs(p, m))).max() <= 1e-10 * p.kappa * m.n_photon
     for p in _stability_draws(count=2000, seed=13):
-        y = np.array(_stationary_vector(p))
+        y = np.array(_fixed_point(p)[0])
         block = _evolving_block(p)
         if np.linalg.eigvals(_numeric_jacobian(p, y)[:block, :block]).real.max() <= 0:
             integrate_to_steady_state(p)
@@ -226,13 +225,13 @@ def test_certified_points_compute_no_eigenvalues(monkeypatch):
 
 def test_characteristic_coefficients_match_the_block_polynomial():
     for p in _stability_draws(count=500, seed=12):
-        y = np.array(_stationary_vector(p))
-        block = _complex_step_jacobian(p, y)[:5, :5]
+        y, coefficients = _fixed_point(p)
+        block = _complex_step_jacobian(p, np.array(y))[:5, :5]
         if p.n_emitters == 1:
             # Re x does not evolve at N = 1; the polynomial adds its decoupled root -W2
             block[4, 4] = -(p.omega + p.gamma_minus + 4.0 * p.gamma_z)
         expected = np.poly(block)[1:].real
-        got = np.array(_characteristic_coefficients(p, y[0], y[1], y[3]))
+        got = np.array(coefficients)
         assert np.all(np.abs(got - expected) <= 1e-10 * np.abs(expected)), p
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +90,45 @@ INVALID = [
      "n_emitters must be >= 1; energy 'delta' must be > 0; rate 'g' must be >= 0"),
 ]
 
+ENERGIES = ("delta", "delta_c")
+RATES = ("g", "kappa", "omega", "gamma_minus", "gamma_z")
+PAST_FLOAT_RANGE = "must be at most 1.7976931348623157e+308, got an integer of"
+
+
+def _field_cases():
+    """Each field at nan, +inf, -inf and -1.0, and each energy at 0.0 and -0.0, with its error."""
+    for field in ENERGIES + RATES:
+        finite = f"'{field}' must be finite"
+        if field in ENERGIES:
+            sign_cls, sign = NonPositiveEnergy, f"energy '{field}' must be > 0"
+            # nan > 0 is false, so a nan energy also fails its sign
+            nan_cls, nan = InvalidParams, f"{sign}; {finite}"
+        else:
+            sign_cls, sign = NegativeRate, f"rate '{field}' must be >= 0"
+            nan_cls, nan = InvalidParams, finite
+        yield {field: math.nan}, nan_cls, nan
+        yield {field: math.inf}, InvalidParams, finite
+        yield {field: -math.inf}, InvalidParams, f"{sign}; {finite}"
+        yield {field: -1.0}, sign_cls, sign
+        if field in ENERGIES:
+            yield {field: 0.0}, sign_cls, sign
+            yield {field: -0.0}, sign_cls, sign
+
+
+# compared by repr, where -0.0 and 0.0 differ, to skip the cases listed above
+INVALID += [case for case in _field_cases() if repr(case) not in map(repr, INVALID)] + [
+    ({"n_emitters": True}, InvalidParams, "'n_emitters' must be an integer, got True"),
+    ({"n_emitters": np.int64(0)}, ZeroEmitters, "n_emitters must be >= 1"),
+    ({"n_emitters": -3}, ZeroEmitters, "n_emitters must be >= 1"),
+    # past the float range: 2.0 * g * N would raise OverflowError in the solvers
+    ({"n_emitters": 10**400}, InvalidParams, f"'n_emitters' {PAST_FLOAT_RANGE} 1329 bits"),
+    ({"n_emitters": int(sys.float_info.max) + 1}, InvalidParams,
+     f"'n_emitters' {PAST_FLOAT_RANGE} 1024 bits"),
+    # an int energy or rate past the float range is not finite as a float
+    ({"delta": 10**400}, InvalidParams, "'delta' must be finite"),
+    ({"kappa": -(10**400)}, InvalidParams, "rate 'kappa' must be >= 0; 'kappa' must be finite"),
+]
+
 
 @pytest.mark.parametrize("changes, cls, message", INVALID)
 def test_an_invalid_record_cannot_be_made_or_replaced_into(changes, cls, message):
@@ -105,6 +145,26 @@ def test_an_invalid_record_cannot_be_made_or_replaced_into(changes, cls, message
     with pytest.raises(cls) as err:
         validate_params(p)
     assert type(err.value) is cls and str(err.value) == message
+
+
+# each rate at its boundary, either sign of zero, and the counts the chained
+# comparison leaves to the diagnosis (a numpy integer) or accepts at its edge
+VALID_EDGES = [{field: zero} for field in RATES for zero in (0.0, -0.0)] + [
+    {"n_emitters": np.int64(3)},
+    {"n_emitters": np.uint8(1)},
+    {"n_emitters": int(sys.float_info.max)},
+    {"delta": sys.float_info.max, "kappa": sys.float_info.max},
+    {"delta": 5e-324, "g": 5e-324},
+]
+
+
+@pytest.mark.parametrize("changes", VALID_EDGES)
+def test_a_valid_edge_record_comes_back_unchanged(changes):
+    fields = {**dataclasses.asdict(VALID), **changes}
+    for p in (SystemParams(**fields), dataclasses.replace(VALID, **changes)):
+        assert validate_params(p) is p
+        for name, value in changes.items():
+            assert getattr(p, name) is value
 
 
 def test_validate_is_idempotent():

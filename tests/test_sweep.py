@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import synth_power_law
 from superrad import cumulant, sweep
 from superrad.errors import (
     DegenerateRates,
@@ -16,7 +19,6 @@ from superrad.sweep import (
     control_luminance,
     fit_power_law,
     run_concentration_sweep,
-    synth_power_law,
 )
 
 
@@ -53,9 +55,10 @@ def test_control_luminance_refuses_a_non_finite_rate(value, at):
 @pytest.mark.parametrize("n, error", [
     (float("nan"), InvalidValue), (2.5, InvalidValue), (True, InvalidValue), (3.0, InvalidValue),
     (0, ZeroEmitters), (-3, ZeroEmitters),
+    pytest.param(10**400, InvalidValue, id="past_float_range"),
 ])
 def test_control_luminance_refuses_a_count_that_is_not_a_positive_integer(n, error):
-    # unchecked, n = nan read nan and n = -3 read -0.0023
+    # unchecked, n = nan read nan, n = -3 read -0.0023 and n = 10**400 raised OverflowError
     with pytest.raises(error):
         control_luminance(n, 1e-3, 1e-3, 0.3)
 
@@ -144,6 +147,31 @@ def test_sweep_spec_refuses_a_non_integer_count(n_values):
         SweepSpec(n_values=n_values, drive_rule="scaled", base_params=sweep_base(), gamma_r=1e-3)
 
 
+@pytest.mark.parametrize("base_params", [None, "params", {"omega": 3e-4}, 3e-4],
+                         ids=["none", "str", "dict", "float"])
+def test_sweep_spec_refuses_base_params_that_are_not_a_system_params(base_params):
+    with pytest.raises(InvalidValue, match="^base_params must be a SystemParams, got "):
+        SweepSpec(n_values=(10,), drive_rule="scaled", base_params=base_params, gamma_r=1e-3)
+
+
+@pytest.mark.parametrize("n_values, message", [
+    ((0, 2.5), "n_values must be integers, got 2.5"),
+    ((5, 0), "all n_values must be >= 1"),
+    ((10**400, 5), "n_values must be strictly increasing"),
+    ((1, 10**400), "n_values must be at most 1.7976931348623157e+308, got an integer of 1329 bits"),
+], ids=["integers_first", "positive_before_order", "order_before_size", "past_float_range"])
+def test_check_sweep_reports_the_first_check_a_run_fails(n_values, message):
+    with pytest.raises(InvalidValue) as err:
+        sweep.check_sweep(n_values, "scaled", 1e-3)
+    assert str(err.value) == message
+
+
+def test_the_largest_float_sized_count_is_accepted():
+    largest = int(np.finfo(float).max)
+    assert control_luminance(largest, 0.0, 1e-3, 0.3) == 0.0
+    sweep.check_sweep((1, largest), "fixed", 1e-3)
+
+
 def test_sweep_spec_takes_numpy_integers():
     spec = SweepSpec(n_values=tuple(np.array([10, 100])), drive_rule="scaled",
                      base_params=sweep_base(), gamma_r=1e-3)
@@ -168,10 +196,44 @@ def test_a_sweep_and_its_fit_call_no_numpy(monkeypatch, rule):
     rows = run_concentration_sweep(spec)
     points = [(r.n, r.ratio) for r in rows]
     fit = fit_power_law(points)
+    # sweep.py does not import numpy at all
+    assert not any(value is np for value in vars(sweep).values())
     monkeypatch.setattr(cumulant, "np", _NoNumpy())
-    monkeypatch.setattr(sweep, "np", _NoNumpy())
     assert run_concentration_sweep(spec) == rows
     assert fit_power_law(points) == fit
+
+
+@pytest.mark.parametrize("rule", ["scaled", "fixed"])
+def test_sweep_rows_equal_rows_built_point_by_point(rule):
+    # each point through dataclasses.replace and the public flux functions, as
+    # the sweep once built it; compared as float.hex, so -0.0 and nan count too
+    base = sweep_base()
+    spec = SweepSpec(n_values=CLOSURE_SWEEP_N, drive_rule=rule, base_params=base, gamma_r=1e-3)
+    expected = []
+    for n in CLOSURE_SWEEP_N:
+        omega = base.omega * (n if rule == "scaled" else 1)
+        l_cav = cumulant.photon_flux_cumulant(dataclasses.replace(base, n_emitters=n, omega=omega))
+        l_ctrl = control_luminance(n, omega, 1e-3, base.gamma_minus)
+        expected.append((n, *(v.hex() for v in (omega, l_cav, l_ctrl, l_cav / l_ctrl))))
+    got = [(r.n, *(v.hex() for v in (r.omega, r.l_cavity, r.l_control, r.ratio)))
+           for r in run_concentration_sweep(spec)]
+    assert got == expected
+
+
+def test_each_sweep_point_integrates_once(monkeypatch):
+    calls = []
+    integrate = cumulant.integrate_to_steady_state
+
+    def counting(p, *args, **kwargs):
+        calls.append(p.n_emitters)
+        return integrate(p, *args, **kwargs)
+
+    monkeypatch.setattr(cumulant, "integrate_to_steady_state", counting)
+    for rule in sweep.DRIVE_RULES:
+        spec = SweepSpec(n_values=CLOSURE_SWEEP_N, drive_rule=rule,
+                         base_params=sweep_base(), gamma_r=1e-3)
+        run_concentration_sweep(spec)
+    assert calls == list(CLOSURE_SWEEP_N) * 2
 
 
 def _lstsq_fit(n, ratios):
